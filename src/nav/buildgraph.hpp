@@ -139,8 +139,9 @@ class BuildGraph {
   /// Define (or redefine) a node. `deps` are producer node ids: when any
   /// of them changes, this node is re-run. Dependencies may be declared
   /// before the producer exists (the edge activates when it is defined).
-  /// New nodes start dirty. Redefining keeps the stored hash so an
-  /// unchanged product still cuts off propagation.
+  /// New nodes start dirty. Redefining an existing node also marks it
+  /// dirty, so it re-runs on the next run(), but keeps the stored hash:
+  /// a product that comes out unchanged still cuts off propagation.
   void define(const std::string& id, ProductKind kind,
               std::vector<std::string> deps, Rebuild rebuild);
 

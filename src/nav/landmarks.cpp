@@ -39,6 +39,12 @@ std::uint64_t mix_double(std::uint64_t h, double v) {
 
 }  // namespace
 
+bool is_landmark_family(std::string_view name) noexcept {
+  return name.substr(0, kLandmarkFamily.size()) == kLandmarkFamily &&
+         (name.size() == kLandmarkFamily.size() ||
+          name[kLandmarkFamily.size()] == '-');
+}
+
 std::vector<LandmarkScore> score_landmarks(
     const obs::TraceAggregate& traffic,
     const std::vector<core::NavArc>& arcs, const LandmarkOptions& options,

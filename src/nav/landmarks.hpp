@@ -27,6 +27,18 @@
 
 namespace navsep::nav {
 
+/// The base landmark family every profile navigates with once
+/// Engine::enable_landmarks runs; per-profile families append
+/// `-<profile>`.
+inline constexpr std::string_view kLandmarkFamily = "landmarks";
+
+/// Whether `name` is spelled like a landmark family (`landmarks` or
+/// `landmarks-<profile>`). Landmark arcs are generated navigation, so
+/// the serve-time lazy route expansion leaves these sources out exactly
+/// as the engine's AOT expansion does. A context family never carries
+/// such a name; a route may, and routes are left out anyway.
+[[nodiscard]] bool is_landmark_family(std::string_view name) noexcept;
+
 /// Synthesis knobs, stored by Engine::enable_landmarks.
 struct LandmarkOptions {
   /// Hub pages per landmark family (the access structure's fan-out).

@@ -45,12 +45,33 @@ std::string landmark_node(std::string_view name) {
   return "landmark:" + std::string(name);
 }
 
-/// Engine::route_index / landmark_index "not registered" sentinel.
+/// Engine::route_index "not registered" sentinel.
 constexpr std::size_t kNoRoute = static_cast<std::size_t>(-1);
 
-/// The base landmark family every profile navigates with once
-/// enable_landmarks runs; per-profile families append "-<profile>".
-constexpr std::string_view kLandmarkFamily = "landmarks";
+/// The landmark families `options` asks for over `profiles`: the base
+/// family, then one per profile in registration order when per_profile
+/// is set (the landmark_families() contract). Empty when disabled.
+std::vector<std::string> landmark_names(
+    const std::optional<LandmarkOptions>& options,
+    const std::vector<Profile>& profiles) {
+  std::vector<std::string> names;
+  if (!options.has_value()) return names;
+  names.emplace_back(kLandmarkFamily);
+  if (options->per_profile) {
+    for (const Profile& profile : profiles) {
+      names.push_back(std::string(kLandmarkFamily) + "-" + profile.name);
+    }
+  }
+  return names;
+}
+
+/// The profile whose traffic ranks landmark family `name` — the inverse
+/// of landmark_names(); "" (the global tables) for the base family.
+std::string_view landmark_profile(std::string_view name) {
+  return name.size() > kLandmarkFamily.size()
+             ? name.substr(kLandmarkFamily.size() + 1)
+             : std::string_view{};
+}
 
 std::uint64_t hash_str(std::uint64_t seed, std::string_view s) {
   return hash_combine(seed, hash_bytes(s));
@@ -293,26 +314,15 @@ void Engine::publish_snapshot() {
   serve::SnapshotOverlayInputs overlays;
   overlays.arcs = combined_arcs_;  // null in Tangled mode: no overlays
   overlays.structure_source = std::string(kStructureLinkbasePath);
-  overlays.families.reserve(context_linkbases_.size() +
-                            route_programs_.size());
-  for (const ContextLinkbase& entry : context_linkbases_) {
+  // Every non-structure record rides as an ordinary family (path-
+  // addressable, slice-hashed): context families, AOT routes and
+  // landmarks alike. Lazy routes own no record — they ride only in the
+  // route table and expand inside the snapshot.
+  overlays.families.reserve(linkbases_.size());
+  for (const LinkbaseRecord& record : linkbases_) {
+    if (record.kind == LinkbaseKind::Structure) continue;
     overlays.families.push_back(
-        serve::SnapshotOverlayInputs::Family{entry.family->name(),
-                                             entry.path});
-  }
-  // AOT routes are fully materialized linkbases by publish time — they
-  // ride as ordinary families (path-addressable, slice-hashed). Lazy
-  // routes ride only in the route table and expand inside the snapshot.
-  for (std::size_t i = 0; i < route_programs_.size(); ++i) {
-    if (route_programs_[i].compile != RouteCompile::Aot) continue;
-    overlays.families.push_back(serve::SnapshotOverlayInputs::Family{
-        route_programs_[i].name, routes_[i].path});
-  }
-  // Landmark families are always materialized linkbases (there is no
-  // lazy landmark): they ride exactly like AOT routes.
-  for (const LandmarkState& entry : landmarks_) {
-    overlays.families.push_back(
-        serve::SnapshotOverlayInputs::Family{entry.name, entry.path});
+        serve::SnapshotOverlayInputs::Family{record.name, record.path});
   }
   overlays.profiles = profiles_;
   overlays.slice_hashes = overlay_slice_hashes_;
@@ -338,11 +348,9 @@ void Engine::register_profile(Profile profile) {
   for (std::size_t i = 0; i < profile.families.size(); ++i) {
     const std::string& name = profile.families[i];
     const bool known =
-        std::any_of(families_.begin(), families_.end(),
-                    [&](const hypermedia::ContextFamily& f) {
-                      return f.name() == name;
-                    }) ||
-        route_index(name) != kNoRoute || landmark_index(name) != kNoRoute;
+        route_index(name) != kNoRoute ||
+        find_linkbase(name, LinkbaseKind::Family) != nullptr ||
+        find_linkbase(name, LinkbaseKind::Landmark) != nullptr;
     if (!known) {
       throw SemanticError("Engine::register_profile: unknown context family '" +
                           name +
@@ -360,6 +368,14 @@ void Engine::register_profile(Profile profile) {
   auto existing = std::find_if(
       profiles_.begin(), profiles_.end(),
       [&](const Profile& p) { return p.name == profile.name; });
+  if (existing == profiles_.end()) {
+    // With per-profile landmarks on, a new profile's name becomes part
+    // of a family name: check the table this call would leave.
+    std::vector<Profile> next = profiles_;
+    next.push_back(profile);
+    check_namespace("Engine::register_profile", route_programs_,
+                    landmark_names(landmark_options_, next));
+  }
   if (existing != profiles_.end()) {
     *existing = std::move(profile);
   } else {
@@ -371,11 +387,10 @@ void Engine::register_profile(Profile profile) {
   // needs a graph run, not just a publish.
   bool landmarks_changed = false;
   if (landmark_options_.has_value()) {
-    landmarks_changed = refresh_landmark_states();
-    if (landmarks_changed) {
-      sync_landmark_nodes();
-      build_graph_.mark_dirty(std::string(kArcTableNode));
-    }
+    const std::vector<std::string> previous = landmark_families();
+    landmarks_changed = sync_linkbases();
+    attach_landmark_families(previous);
+    if (landmarks_changed) build_graph_.mark_dirty(std::string(kArcTableNode));
   }
   if (batch_open_) {
     // Registration is visible to later batched operations immediately;
@@ -418,12 +433,8 @@ RebuildReport Engine::edit_context_family(
   // authored linkbase (and every later snapshot) silently inconsistent
   // with the in-memory model.
   auto propagate = [&] {
-    for (const ContextLinkbase& entry : context_linkbases_) {
-      if (entry.family == &*family) {
-        build_graph_.mark_dirty(linkbase_node(entry.path));
-        break;
-      }
-    }
+    build_graph_.mark_dirty(
+        linkbase_node(site::context_linkbase_path(family_name)));
     return run_or_defer();
   };
   try {
@@ -440,6 +451,234 @@ RebuildReport Engine::edit_context_family(
   return propagate();
 }
 
+// --- Engine: linkbase records -------------------------------------------------
+
+const Engine::LinkbaseRecord* Engine::find_linkbase(std::string_view name,
+                                                    LinkbaseKind kind) const {
+  for (const LinkbaseRecord& record : linkbases_) {
+    if (record.kind == kind && record.name == name) return &record;
+  }
+  return nullptr;
+}
+
+void Engine::check_namespace(std::string_view caller,
+                             const std::vector<RouteProgram>& routes,
+                             const std::vector<std::string>& landmarks) const {
+  // Every name claims its linkbase path; equal names map to equal paths,
+  // so one path comparison polices both namespaces. The context families
+  // are fixed at serve() — only the generated claims need checking.
+  struct Claim {
+    std::string_view owner;
+    std::string_view name;
+    std::string path;
+  };
+  std::vector<Claim> claims;
+  claims.reserve(families_.size() + routes.size() + landmarks.size());
+  auto add = [&](std::string_view owner, std::string_view name) {
+    claims.push_back({owner, name, site::context_linkbase_path(name)});
+  };
+  for (const hypermedia::ContextFamily& family : families_) {
+    add("context family", family.name());
+  }
+  const std::size_t generated = claims.size();
+  for (const RouteProgram& program : routes) add("route", program.name);
+  for (const std::string& name : landmarks) add("landmark family", name);
+  for (std::size_t i = generated; i < claims.size(); ++i) {
+    const Claim& claim = claims[i];
+    if (claim.name.empty() ||
+        claim.name.find_first_of(":\n") != std::string_view::npos) {
+      throw SemanticError(
+          std::string(caller) + ": " + std::string(claim.owner) + " name '" +
+          std::string(claim.name) +
+          "' must be non-empty and free of ':' and newlines — it names a "
+          "context family whose arcs are tagged '<name>:<kind>'");
+    }
+    for (std::size_t j = 0; j < i; ++j) {
+      if (claims[j].path != claim.path) continue;
+      throw SemanticError(
+          std::string(caller) + ": " + std::string(claims[j].owner) + " '" +
+          std::string(claims[j].name) + "' and " + std::string(claim.owner) +
+          " '" + std::string(claim.name) + "' would both author '" +
+          claim.path +
+          "' — families, routes and landmarks share one namespace (names "
+          "map to paths case-insensitively)");
+    }
+  }
+}
+
+bool Engine::sync_linkbases() {
+  if (mode_ == WeaveMode::Tangled) return false;  // no linkbase layer
+
+  // Records. The structure and family records lead the vector and never
+  // change after serve(); the generated tail is rebuilt in merge order,
+  // keeping the documents of records that survive.
+  const auto tail = std::find_if(
+      linkbases_.begin(), linkbases_.end(), [](const LinkbaseRecord& r) {
+        return r.kind == LinkbaseKind::Route ||
+               r.kind == LinkbaseKind::Landmark;
+      });
+  std::vector<LinkbaseRecord> previous(std::make_move_iterator(tail),
+                                       std::make_move_iterator(linkbases_.end()));
+  linkbases_.erase(tail, linkbases_.end());
+  std::vector<bool> kept(previous.size(), false);
+  auto want = [&](const std::string& name, LinkbaseKind kind) {
+    for (std::size_t i = 0; i < previous.size(); ++i) {
+      if (!kept[i] && previous[i].kind == kind && previous[i].name == name) {
+        kept[i] = true;
+        linkbases_.push_back(std::move(previous[i]));
+        return;
+      }
+    }
+    linkbases_.push_back(LinkbaseRecord{
+        name, site::context_linkbase_path(name), kind, nullptr, {}});
+  };
+  for (const RouteProgram& program : route_programs_) {
+    if (program.compile == RouteCompile::Aot) {
+      want(program.name, LinkbaseKind::Route);
+    }
+  }
+  for (const std::string& name : landmark_names(landmark_options_, profiles_)) {
+    want(name, LinkbaseKind::Landmark);
+  }
+  for (std::size_t i = 0; i < previous.size(); ++i) {
+    if (kept[i]) continue;
+    site_.remove(previous[i].path);
+    server_->invalidate(previous[i].path);
+  }
+
+  // Graph nodes: a program node per route (Lazy ones too: their token
+  // dirties the published route table) and per landmark record, and a
+  // Linkbase node per record.
+  std::vector<std::string> desired;
+  std::vector<std::string> authored;  // structure + family linkbase nodes
+  std::vector<std::string> arc_deps;  // every linkbase node, merge order
+  for (const RouteProgram& program : route_programs_) {
+    desired.push_back(route_node(program.name));
+  }
+  for (const LinkbaseRecord& record : linkbases_) {
+    arc_deps.push_back(linkbase_node(record.path));
+    if (record.kind == LinkbaseKind::Landmark) {
+      desired.push_back(landmark_node(record.name));
+    } else if (record.kind != LinkbaseKind::Route) {
+      authored.push_back(arc_deps.back());
+    }
+  }
+  desired.insert(desired.end(), arc_deps.begin(), arc_deps.end());
+  std::vector<std::string> existing;
+  for (ProductKind kind :
+       {ProductKind::Route, ProductKind::Landmark, ProductKind::Linkbase}) {
+    for (std::string& id : build_graph_.ids(kind)) {
+      existing.push_back(std::move(id));
+    }
+  }
+  std::sort(desired.begin(), desired.end());
+  std::sort(existing.begin(), existing.end());
+  if (existing == desired) return false;  // topology already right
+
+  // Planning skips dep ids that no longer resolve, so removal order
+  // relative to the arc-table redefinition below does not matter.
+  for (const std::string& id : existing) {
+    if (!std::binary_search(desired.begin(), desired.end(), id)) {
+      build_graph_.remove(id);
+    }
+  }
+  // Closures resolve by name or path at run time: records move on every
+  // sync. A program node's product is its token, so a no-op
+  // re-registration or identical traffic cuts off right there.
+  for (const RouteProgram& program : route_programs_) {
+    const std::string id = route_node(program.name);
+    if (build_graph_.contains(id)) continue;
+    build_graph_.define(id, ProductKind::Route, {}, [this, name = program.name] {
+      const std::size_t at = route_index(name);
+      return at == kNoRoute ? std::uint64_t{0}
+                            : route_token(route_programs_[at]);
+    });
+  }
+  for (const LinkbaseRecord& record : linkbases_) {
+    const std::string id = linkbase_node(record.path);
+    if (build_graph_.contains(id)) continue;
+    std::vector<std::string> deps;
+    if (record.kind == LinkbaseKind::Structure) {
+      deps.push_back(std::string(kSpecNode));
+    } else if (record.kind != LinkbaseKind::Family) {
+      // A route expansion or landmark ranking is a function of its
+      // program and the authored navigation: the structure and every
+      // family.
+      deps.push_back(record.kind == LinkbaseKind::Route
+                         ? route_node(record.name)
+                         : landmark_node(record.name));
+      deps.insert(deps.end(), authored.begin(), authored.end());
+    }
+    if (record.kind == LinkbaseKind::Landmark &&
+        !build_graph_.contains(deps.front())) {
+      build_graph_.define(
+          deps.front(), ProductKind::Landmark, {}, [this, name = record.name] {
+            return landmark_options_.has_value()
+                       ? landmark_token(name, *landmark_options_,
+                                        landmark_traffic_,
+                                        landmark_profile(name))
+                       : std::uint64_t{0};
+          });
+    }
+    build_graph_.define(id, ProductKind::Linkbase, std::move(deps),
+                        [this, path = record.path] {
+                          return install_linkbase(path);
+                        });
+  }
+
+  // Re-point the arc table at every record's linkbase. Redefining a node
+  // marks it dirty but keeps its hash, so the re-merge runs once and an
+  // unchanged table still cuts off there.
+  build_graph_.define(std::string(kArcTableNode), ProductKind::ArcTable,
+                      std::move(arc_deps),
+                      [this] { return rebuild_arc_table(); });
+  return true;
+}
+
+std::uint64_t Engine::install_linkbase(const std::string& path) {
+  auto record = std::find_if(
+      linkbases_.begin(), linkbases_.end(),
+      [&](const LinkbaseRecord& r) { return r.path == path; });
+  if (record == linkbases_.end()) return 0;
+  // The only per-kind step: where the document comes from.
+  site::SiteBuildOptions site_options;
+  site_options.site_base = site_base_;
+  core::LinkbaseOptions lb = site::separated_linkbase_options(site_options);
+  lb.base_uri = site_base_ + path;
+  std::unique_ptr<xml::Document> doc;
+  switch (record->kind) {
+    case LinkbaseKind::Structure:
+      doc = core::build_linkbase(*structure_, lb);
+      break;
+    case LinkbaseKind::Family:
+      // Family records follow the structure record in families_ order.
+      doc = core::build_context_linkbase(
+          families_[static_cast<std::size_t>(record - linkbases_.begin()) -
+                    1],
+          *nav_, lb);
+      break;
+    case LinkbaseKind::Route:
+      doc = core::build_context_linkbase(route_family(record->name), *nav_,
+                                         lb);
+      break;
+    case LinkbaseKind::Landmark:
+      doc = core::build_context_linkbase(landmark_family(record->name),
+                                         *nav_, lb);
+      break;
+  }
+  bool changed = false;
+  const std::uint64_t hash =
+      put_if_changed(path, xml::write(*doc, {.pretty = true}), &changed);
+  if (changed) {
+    // The old document must die only after graph_ stops pointing into
+    // it: the changed hash propagates into this run's arc-table rebuild,
+    // and nothing dereferences graph_ before that.
+    record->doc = std::move(doc);
+    record->graph = core::load_linkbase(*record->doc);
+  }
+  return hash;
+}
+
 // --- Engine: route programs ---------------------------------------------------
 
 RebuildReport Engine::register_route(RouteProgram program) {
@@ -448,57 +687,12 @@ RebuildReport Engine::register_route(RouteProgram program) {
         "Engine::register_route: the tangled baseline has no separated "
         "navigation for a route to traverse");
   }
-  if (program.name.empty() ||
-      program.name.find(':') != std::string::npos ||
-      program.name.find('\n') != std::string::npos) {
-    throw SemanticError(
-        "Engine::register_route: route names must be non-empty and free of "
-        "':' and newlines — the name becomes the route's context-family "
-        "name and tags its arcs '<name>:route'");
-  }
-  const bool family_collision = std::any_of(
-      families_.begin(), families_.end(),
-      [&](const hypermedia::ContextFamily& f) {
-        return f.name() == program.name;
-      });
-  if (family_collision) {
-    throw SemanticError("Engine::register_route: '" + program.name +
-                        "' already names a context family — routes and "
-                        "families share the profile namespace");
-  }
-  if (landmark_index(program.name) != kNoRoute) {
-    throw SemanticError("Engine::register_route: '" + program.name +
-                        "' already names a landmark family — routes and "
-                        "landmarks share the profile namespace");
-  }
-  const std::string path = site::context_linkbase_path(program.name);
-  for (const LandmarkState& entry : landmarks_) {
-    if (entry.path == path) {
-      throw SemanticError("Engine::register_route: route '" + program.name +
-                          "' would author '" + path +
-                          "', which landmark family '" + entry.name +
-                          "' already owns (names map to paths "
-                          "case-insensitively)");
-    }
-  }
-  for (const ContextLinkbase& entry : context_linkbases_) {
-    if (entry.path == path) {
-      throw SemanticError("Engine::register_route: route '" + program.name +
-                          "' would author '" + path +
-                          "', which family '" + entry.family->name() +
-                          "' already owns (names map to paths "
-                          "case-insensitively)");
-    }
-  }
-  for (std::size_t i = 0; i < route_programs_.size(); ++i) {
-    if (routes_[i].path == path && route_programs_[i].name != program.name) {
-      throw SemanticError("Engine::register_route: route '" + program.name +
-                          "' would author '" + path + "', which route '" +
-                          route_programs_[i].name +
-                          "' already owns (names map to paths "
-                          "case-insensitively)");
-    }
-  }
+  // Check the program list this call would leave; re-registering a name
+  // replaces that program in place (registration order is merge order).
+  const std::size_t index = route_index(program.name);
+  std::vector<RouteProgram> next = route_programs_;
+  (index != kNoRoute ? next[index] : next.emplace_back()) = program;
+  check_namespace("Engine::register_route", next, landmark_families());
   // Parse eagerly (errors name the offending token) and store the
   // canonical spelling: route tokens — and with them the lazy overlay
   // cache keys — are hashes of the printed form, so `a/b` and `a / b`
@@ -506,25 +700,14 @@ RebuildReport Engine::register_route(RouteProgram program) {
   program.expression = print_route(parse_route(program.expression));
 
   const std::string name = program.name;
-  const std::size_t index = route_index(name);
   if (index != kNoRoute) {
-    const bool was_aot =
-        route_programs_[index].compile == RouteCompile::Aot;
-    const bool now_aot = program.compile == RouteCompile::Aot;
     route_programs_[index] = std::move(program);
-    if (was_aot && !now_aot) {
-      // Aot -> Lazy: the authored artifact retires; the lazy path serves
-      // the expansion from inside the snapshot instead.
-      site_.remove(routes_[index].path);
-      server_->invalidate(routes_[index].path);
-      routes_[index].doc.reset();
-      routes_[index].graph = xlink::TraversalGraph();
-    }
   } else {
     route_programs_.push_back(std::move(program));
-    routes_.push_back(RouteState{path, nullptr, {}});
   }
-  sync_route_nodes();
+  // An Aot -> Lazy flip retires the authored artifact here; the lazy
+  // path serves the expansion from inside the snapshot instead.
+  (void)sync_linkbases();
   build_graph_.mark_dirty(route_node(name));
   // A Lazy program reaches readers purely through the published route
   // table, but run_or_defer()'s graph run always publishes, so no extra
@@ -541,7 +724,6 @@ RebuildReport Engine::edit_route(std::string_view name,
   }
   route_programs_[index].expression =
       print_route(parse_route(expression));
-  sync_route_nodes();
   build_graph_.mark_dirty(route_node(name));
   return run_or_defer();
 }
@@ -552,22 +734,13 @@ RebuildReport Engine::remove_route(std::string_view name) {
     throw ResolutionError("Engine::remove_route: unknown route '" +
                           std::string(name) + "'");
   }
-  const bool was_aot = route_programs_[index].compile == RouteCompile::Aot;
-  const std::string path = routes_[index].path;
   route_programs_.erase(route_programs_.begin() +
                         static_cast<std::ptrdiff_t>(index));
-  routes_.erase(routes_.begin() + static_cast<std::ptrdiff_t>(index));
-  sync_route_nodes();
-  if (was_aot) {
-    // The arc table re-merges without this route's arcs; the artifact
-    // and its cached responses retire now.
-    site_.remove(path);
-    server_->invalidate(path);
-    build_graph_.mark_dirty(std::string(kArcTableNode));
-  }
-  // Lazy removal publishes the shrunk route table through run_or_defer's
-  // unconditional publish (no graph node left to dirty — a clean run
-  // still republishes).
+  // The sync drops the route's nodes and re-points (so dirties) the arc
+  // table, which re-merges without this route's arcs; an Aot route's
+  // artifact and cached responses retire now. Lazy removal publishes
+  // the shrunk route table through run_or_defer's unconditional publish.
+  (void)sync_linkbases();
   return run_or_defer();
 }
 
@@ -582,16 +755,15 @@ std::vector<core::NavArc> Engine::route_input_arcs() const {
   // Route expressions range over the *authored* navigation — structure
   // plus context families — never over other routes: expansion is a
   // function of the authored site, not a fixpoint. The lazy path
-  // mirrors this by excluding every route source from its input.
-  if (structure_linkbase_doc_ == nullptr) return {};
-  xlink::TraversalGraph structure_graph =
-      xlink::TraversalGraph::from_linkbase(*structure_linkbase_doc_);
+  // mirrors this by excluding every route and landmark source from its
+  // input. The structure and family records lead linkbases_.
   std::vector<core::SourcedGraph> sourced;
-  sourced.reserve(context_linkbases_.size() + 1);
-  sourced.push_back(core::SourcedGraph{std::string(kStructureLinkbasePath),
-                                       &structure_graph});
-  for (const ContextLinkbase& entry : context_linkbases_) {
-    sourced.push_back(core::SourcedGraph{entry.path, &entry.graph});
+  for (const LinkbaseRecord& record : linkbases_) {
+    if (record.kind != LinkbaseKind::Structure &&
+        record.kind != LinkbaseKind::Family) {
+      break;
+    }
+    sourced.push_back(core::SourcedGraph{record.path, &record.graph});
   }
   return core::combined_nav_arcs(sourced);
 }
@@ -607,131 +779,6 @@ hypermedia::ContextFamily Engine::route_family(std::string_view name) const {
                               route_input_arcs());
 }
 
-std::uint64_t Engine::rebuild_route_linkbase(std::size_t index) {
-  RouteState& entry = routes_[index];
-  const hypermedia::ContextFamily family = route_context_family(
-      route_programs_[index].name,
-      parse_route(route_programs_[index].expression), route_input_arcs());
-  site::SiteBuildOptions site_options;
-  site_options.site_base = site_base_;
-  core::LinkbaseOptions lb = site::separated_linkbase_options(site_options);
-  lb.base_uri = site_base_ + entry.path;
-  auto doc = core::build_context_linkbase(family, *nav_, lb);
-  std::string text = xml::write(*doc, {.pretty = true});
-  const std::string* current = site_.get(entry.path);
-  const bool changed = current == nullptr || *current != text;
-  const std::uint64_t hash = hash_bytes(text);
-  if (changed) {
-    site_.put(entry.path, std::move(text));
-    server_->invalidate(entry.path);
-    entry.doc = std::move(doc);
-    entry.graph = core::load_linkbase(*entry.doc);
-  }
-  return hash;
-}
-
-void Engine::sync_route_nodes() {
-  // Same deal as sync_menu_nodes: before wire_graph the graph has no
-  // spec node; wire_graph calls back in once the topology exists.
-  if (!build_graph_.contains(kSpecNode)) return;
-  if (mode_ == WeaveMode::Tangled) return;  // no routes ever registered
-
-  // Linkbase nodes the family and landmark layers own — everything else
-  // of Linkbase kind belongs to (possibly stale) Aot routes.
-  std::vector<std::string> family_owned;
-  family_owned.push_back(linkbase_node(kStructureLinkbasePath));
-  for (const ContextLinkbase& entry : context_linkbases_) {
-    family_owned.push_back(linkbase_node(entry.path));
-  }
-  for (const LandmarkState& entry : landmarks_) {
-    family_owned.push_back(linkbase_node(entry.path));
-  }
-  std::sort(family_owned.begin(), family_owned.end());
-
-  std::vector<std::string> desired_routes;
-  std::vector<std::string> desired_lbs;
-  desired_routes.reserve(route_programs_.size());
-  for (std::size_t i = 0; i < route_programs_.size(); ++i) {
-    desired_routes.push_back(route_node(route_programs_[i].name));
-    if (route_programs_[i].compile == RouteCompile::Aot) {
-      desired_lbs.push_back(linkbase_node(routes_[i].path));
-    }
-  }
-  std::vector<std::string> sorted_routes = desired_routes;
-  std::vector<std::string> sorted_lbs = desired_lbs;
-  std::sort(sorted_routes.begin(), sorted_routes.end());
-  std::sort(sorted_lbs.begin(), sorted_lbs.end());
-
-  std::vector<std::string> existing_routes =
-      build_graph_.ids(ProductKind::Route);
-  std::vector<std::string> existing_lbs;
-  for (std::string& id : build_graph_.ids(ProductKind::Linkbase)) {
-    if (!std::binary_search(family_owned.begin(), family_owned.end(), id)) {
-      existing_lbs.push_back(std::move(id));
-    }
-  }
-  std::sort(existing_routes.begin(), existing_routes.end());
-  std::sort(existing_lbs.begin(), existing_lbs.end());
-  if (existing_routes == sorted_routes && existing_lbs == sorted_lbs) {
-    return;  // topology already right
-  }
-
-  // Planning skips dep ids that no longer resolve, so removal order
-  // relative to the arc-table redefinition below does not matter.
-  for (const std::string& id : existing_routes) {
-    if (!std::binary_search(sorted_routes.begin(), sorted_routes.end(), id)) {
-      build_graph_.remove(id);
-    }
-  }
-  for (const std::string& id : existing_lbs) {
-    if (!std::binary_search(sorted_lbs.begin(), sorted_lbs.end(), id)) {
-      build_graph_.remove(id);
-    }
-  }
-
-  // Indices shift on erase; closures resolve by name at run time.
-  for (std::size_t i = 0; i < route_programs_.size(); ++i) {
-    const std::string& name = route_programs_[i].name;
-    if (!build_graph_.contains(desired_routes[i])) {
-      build_graph_.define(
-          desired_routes[i], ProductKind::Route, {}, [this, name] {
-            // The program IS the product: its token covers name,
-            // canonical expression and compile mode, so a no-op
-            // re-registration cuts off right here.
-            const std::size_t at = route_index(name);
-            return at == kNoRoute ? std::uint64_t{0}
-                                  : route_token(route_programs_[at]);
-          });
-    }
-    if (route_programs_[i].compile != RouteCompile::Aot) continue;
-    const std::string lb_node = linkbase_node(routes_[i].path);
-    if (build_graph_.contains(lb_node)) continue;
-    // An Aot route re-expands whenever its program, the structure, or
-    // any family linkbase changes — exactly the inputs of expansion.
-    std::vector<std::string> deps;
-    deps.push_back(desired_routes[i]);
-    deps.push_back(linkbase_node(kStructureLinkbasePath));
-    for (const ContextLinkbase& entry : context_linkbases_) {
-      deps.push_back(linkbase_node(entry.path));
-    }
-    build_graph_.define(lb_node, ProductKind::Linkbase, std::move(deps),
-                        [this, name] {
-                          const std::size_t at = route_index(name);
-                          return at == kNoRoute
-                                     ? std::uint64_t{0}
-                                     : rebuild_route_linkbase(at);
-                        });
-  }
-
-  // Re-point the arc table at the full linkbase set (family + Aot route
-  // + landmark): a route expansion change now propagates route ->
-  // linkbase -> arc table -> exactly the changed slices. define() keeps
-  // the stored hash, so re-pointing alone dirties nothing.
-  build_graph_.define(std::string(kArcTableNode), ProductKind::ArcTable,
-                      arc_table_deps(),
-                      [this] { return rebuild_arc_table(); });
-}
-
 void Engine::refresh_route_table() {
   if (route_programs_.empty()) {
     route_table_ = nullptr;
@@ -739,9 +786,9 @@ void Engine::refresh_route_table() {
   }
   auto table = std::make_shared<serve::RouteTable>();
   table->entries.reserve(route_programs_.size());
-  for (std::size_t i = 0; i < route_programs_.size(); ++i) {
-    table->entries.push_back(
-        serve::RouteTable::Entry{route_programs_[i], routes_[i].path});
+  for (const RouteProgram& program : route_programs_) {
+    table->entries.push_back(serve::RouteTable::Entry{
+        program, site::context_linkbase_path(program.name)});
   }
   // Title export: the snapshot's lazy expansion authors locator titles
   // from this table, pinning its bytes to what the model-backed AOT
@@ -766,17 +813,20 @@ RebuildReport Engine::enable_landmarks(const obs::TraceAggregate& traffic,
         "Engine::enable_landmarks: the tangled baseline has no separated "
         "navigation to synthesize landmarks into");
   }
+  check_namespace("Engine::enable_landmarks", route_programs_,
+                  landmark_names(options, profiles_));
   // Copy the tables: re-ranking, diagnostics and the landmark tokens all
   // read from engine-owned state, not from whatever the caller mutates
   // next.
+  const std::vector<std::string> previous = landmark_families();
   landmark_traffic_ = traffic;
   landmark_options_ = options;
-  (void)refresh_landmark_states();
-  sync_landmark_nodes();
+  (void)sync_linkbases();
+  attach_landmark_families(previous);
   // Fresh traffic re-ranks every family: dirty each program node; the
   // token cuts off when the tables (and options) are unchanged.
-  for (const LandmarkState& entry : landmarks_) {
-    build_graph_.mark_dirty(landmark_node(entry.name));
+  for (const std::string& name : landmark_families()) {
+    build_graph_.mark_dirty(landmark_node(name));
   }
   build_graph_.mark_dirty(std::string(kArcTableNode));
   return run_or_defer();
@@ -784,10 +834,11 @@ RebuildReport Engine::enable_landmarks(const obs::TraceAggregate& traffic,
 
 RebuildReport Engine::disable_landmarks() {
   if (!landmark_options_.has_value()) return RebuildReport{};  // idempotent
+  const std::vector<std::string> previous = landmark_families();
   landmark_options_.reset();
-  (void)refresh_landmark_states();  // desired set is now empty: retire all
   landmark_traffic_ = obs::TraceAggregate{};
-  sync_landmark_nodes();
+  (void)sync_linkbases();  // no landmark is wanted now: retire them all
+  attach_landmark_families(previous);
   // The arc table re-merges without the landmark arcs (the retired
   // linkbase nodes can no longer propagate into it).
   build_graph_.mark_dirty(std::string(kArcTableNode));
@@ -796,290 +847,52 @@ RebuildReport Engine::disable_landmarks() {
 
 std::vector<std::string> Engine::landmark_families() const {
   std::vector<std::string> names;
-  names.reserve(landmarks_.size());
-  for (const LandmarkState& entry : landmarks_) names.push_back(entry.name);
+  for (const LinkbaseRecord& record : linkbases_) {
+    if (record.kind == LinkbaseKind::Landmark) names.push_back(record.name);
+  }
   return names;
 }
 
 hypermedia::ContextFamily Engine::landmark_family(
     std::string_view name) const {
-  const std::size_t index = landmark_index(name);
-  if (index == kNoRoute) {
+  if (find_linkbase(name, LinkbaseKind::Landmark) == nullptr) {
     throw ResolutionError("Engine::landmark_family: unknown landmark '" +
                           std::string(name) + "'");
   }
   return landmark_context_family(
-      landmarks_[index].name,
-      score_landmarks(landmark_traffic_, route_input_arcs(),
-                      *landmark_options_, landmarks_[index].profile));
+      name, score_landmarks(landmark_traffic_, route_input_arcs(),
+                            *landmark_options_, landmark_profile(name)));
 }
 
 std::vector<LandmarkScore> Engine::landmark_picks(
     std::string_view name) const {
-  const std::size_t index = landmark_index(name);
-  if (index == kNoRoute) {
+  if (find_linkbase(name, LinkbaseKind::Landmark) == nullptr) {
     throw ResolutionError("Engine::landmark_picks: unknown landmark '" +
                           std::string(name) + "'");
   }
   return score_landmarks(landmark_traffic_, route_input_arcs(),
-                         *landmark_options_, landmarks_[index].profile);
+                         *landmark_options_, landmark_profile(name));
 }
 
-std::size_t Engine::landmark_index(std::string_view name) const {
-  for (std::size_t i = 0; i < landmarks_.size(); ++i) {
-    if (landmarks_[i].name == name) return i;
-  }
-  return kNoRoute;
-}
-
-bool Engine::refresh_landmark_states() {
-  // The desired family set, base first then per-profile in registration
-  // order — the landmark_families() contract.
-  std::vector<std::pair<std::string, std::string>> desired;  // name, profile
-  if (landmark_options_.has_value()) {
-    desired.emplace_back(std::string(kLandmarkFamily), "");
-    if (landmark_options_->per_profile) {
-      for (const Profile& profile : profiles_) {
-        if (profile.name.find(':') != std::string::npos) {
-          throw SemanticError(
-              "Engine::enable_landmarks: profile '" + profile.name +
-              "' contains ':' — per-profile landmark families tag their "
-              "arcs '<family>:landmark' and cannot embed one");
-        }
-        desired.emplace_back(
-            std::string(kLandmarkFamily) + "-" + profile.name, profile.name);
-      }
-    }
-  }
-
-  // Collision guards, both namespaces routes already police.
-  for (const auto& [name, profile] : desired) {
-    const bool family_collision = std::any_of(
-        families_.begin(), families_.end(),
-        [&, n = name](const hypermedia::ContextFamily& f) {
-          return f.name() == n;
-        });
-    if (family_collision || route_index(name) != kNoRoute) {
-      throw SemanticError("Engine::enable_landmarks: '" + name +
-                          "' already names a context family or route — "
-                          "landmarks share the profile namespace");
-    }
-    const std::string path = site::context_linkbase_path(name);
-    for (const ContextLinkbase& entry : context_linkbases_) {
-      if (entry.path == path) {
-        throw SemanticError("Engine::enable_landmarks: '" + name +
-                            "' would author '" + path + "', which family '" +
-                            entry.family->name() + "' already owns");
-      }
-    }
-    for (const RouteState& entry : routes_) {
-      if (entry.path == path) {
-        throw SemanticError("Engine::enable_landmarks: '" + name +
-                            "' would author '" + path +
-                            "', which a registered route already owns");
-      }
-    }
-  }
-
-  // Reconcile landmarks_ in desired order, keeping authored documents of
-  // surviving states (their linkbases only re-author when the graph says
-  // so) and retiring artifacts of dropped ones.
-  const std::vector<std::string> previous = landmark_families();
-  std::vector<LandmarkState> next;
-  std::vector<bool> kept(landmarks_.size(), false);
-  next.reserve(desired.size());
-  bool changed = false;
-  for (const auto& [name, profile] : desired) {
-    const std::size_t at = landmark_index(name);
-    if (at != kNoRoute) {
-      kept[at] = true;
-      next.push_back(std::move(landmarks_[at]));
-      next.back().name = name;  // moved-from sources may retain SSO text
-      next.back().profile = profile;
-    } else {
-      next.push_back(LandmarkState{
-          name, profile, site::context_linkbase_path(name), nullptr, {}});
-      changed = true;
-    }
-  }
-  for (std::size_t i = 0; i < landmarks_.size(); ++i) {
-    if (kept[i]) continue;
-    site_.remove(landmarks_[i].path);
-    server_->invalidate(landmarks_[i].path);
-    changed = true;
-  }
-  landmarks_ = std::move(next);
-
-  // Attach the new families to (and detach dropped ones from) the
-  // registered profiles: the base family for everyone, each per-profile
-  // family for its own audience only.
+void Engine::attach_landmark_families(
+    const std::vector<std::string>& previous) {
+  const std::vector<std::string> current = landmark_families();
+  auto contains = [](const std::vector<std::string>& names,
+                     const std::string& name) {
+    return std::find(names.begin(), names.end(), name) != names.end();
+  };
   for (Profile& profile : profiles_) {
-    auto drop = std::remove_if(
-        profile.families.begin(), profile.families.end(),
-        [&](const std::string& name) {
-          return std::find(previous.begin(), previous.end(), name) !=
-                     previous.end() &&
-                 landmark_index(name) == kNoRoute;
-        });
-    profile.families.erase(drop, profile.families.end());
-    auto attach = [&](const std::string& name) {
-      if (std::find(profile.families.begin(), profile.families.end(), name) ==
-          profile.families.end()) {
+    std::erase_if(profile.families, [&](const std::string& name) {
+      return contains(previous, name) && !contains(current, name);
+    });
+    for (const std::string& name :
+         {std::string(kLandmarkFamily),
+          std::string(kLandmarkFamily) + "-" + profile.name}) {
+      if (contains(current, name) && !contains(profile.families, name)) {
         profile.families.push_back(name);
       }
-    };
-    if (landmark_options_.has_value()) {
-      attach(std::string(kLandmarkFamily));
-      if (landmark_options_->per_profile) {
-        attach(std::string(kLandmarkFamily) + "-" + profile.name);
-      }
     }
   }
-  return changed;
-}
-
-std::uint64_t Engine::rebuild_landmark_linkbase(std::size_t index) {
-  LandmarkState& entry = landmarks_[index];
-  const hypermedia::ContextFamily family = landmark_context_family(
-      entry.name, score_landmarks(landmark_traffic_, route_input_arcs(),
-                                  *landmark_options_, entry.profile));
-  site::SiteBuildOptions site_options;
-  site_options.site_base = site_base_;
-  core::LinkbaseOptions lb = site::separated_linkbase_options(site_options);
-  lb.base_uri = site_base_ + entry.path;
-  auto doc = core::build_context_linkbase(family, *nav_, lb);
-  std::string text = xml::write(*doc, {.pretty = true});
-  const std::string* current = site_.get(entry.path);
-  const bool changed = current == nullptr || *current != text;
-  const std::uint64_t hash = hash_bytes(text);
-  if (changed) {
-    site_.put(entry.path, std::move(text));
-    server_->invalidate(entry.path);
-    entry.doc = std::move(doc);
-    entry.graph = core::load_linkbase(*entry.doc);
-  }
-  return hash;
-}
-
-void Engine::sync_landmark_nodes() {
-  // Same deal as sync_route_nodes: before wire_graph the graph has no
-  // spec node; wire_graph calls back in once the topology exists.
-  if (!build_graph_.contains(kSpecNode)) return;
-  if (mode_ == WeaveMode::Tangled) return;  // never enabled
-
-  // Linkbase nodes the family and route layers own — whatever else of
-  // Linkbase kind remains belongs to (possibly stale) landmarks.
-  std::vector<std::string> other_owned;
-  other_owned.push_back(linkbase_node(kStructureLinkbasePath));
-  for (const ContextLinkbase& entry : context_linkbases_) {
-    other_owned.push_back(linkbase_node(entry.path));
-  }
-  for (std::size_t i = 0; i < route_programs_.size(); ++i) {
-    if (route_programs_[i].compile == RouteCompile::Aot) {
-      other_owned.push_back(linkbase_node(routes_[i].path));
-    }
-  }
-  std::sort(other_owned.begin(), other_owned.end());
-
-  std::vector<std::string> desired_marks;
-  std::vector<std::string> desired_lbs;
-  desired_marks.reserve(landmarks_.size());
-  desired_lbs.reserve(landmarks_.size());
-  for (const LandmarkState& entry : landmarks_) {
-    desired_marks.push_back(landmark_node(entry.name));
-    desired_lbs.push_back(linkbase_node(entry.path));
-  }
-  std::vector<std::string> sorted_marks = desired_marks;
-  std::vector<std::string> sorted_lbs = desired_lbs;
-  std::sort(sorted_marks.begin(), sorted_marks.end());
-  std::sort(sorted_lbs.begin(), sorted_lbs.end());
-
-  std::vector<std::string> existing_marks =
-      build_graph_.ids(ProductKind::Landmark);
-  std::vector<std::string> existing_lbs;
-  for (std::string& id : build_graph_.ids(ProductKind::Linkbase)) {
-    if (!std::binary_search(other_owned.begin(), other_owned.end(), id)) {
-      existing_lbs.push_back(std::move(id));
-    }
-  }
-  std::sort(existing_marks.begin(), existing_marks.end());
-  std::sort(existing_lbs.begin(), existing_lbs.end());
-  if (existing_marks == sorted_marks && existing_lbs == sorted_lbs) {
-    return;  // topology already right
-  }
-
-  for (const std::string& id : existing_marks) {
-    if (!std::binary_search(sorted_marks.begin(), sorted_marks.end(), id)) {
-      build_graph_.remove(id);
-    }
-  }
-  for (const std::string& id : existing_lbs) {
-    if (!std::binary_search(sorted_lbs.begin(), sorted_lbs.end(), id)) {
-      build_graph_.remove(id);
-    }
-  }
-
-  // Indices shift on reconciliation; closures resolve by name at run
-  // time, exactly like route nodes.
-  for (std::size_t i = 0; i < landmarks_.size(); ++i) {
-    const std::string& name = landmarks_[i].name;
-    if (!build_graph_.contains(desired_marks[i])) {
-      build_graph_.define(
-          desired_marks[i], ProductKind::Landmark, {}, [this, name] {
-            // The program IS the product: name, options and the traffic
-            // tables it ranks from — re-feeding identical traffic cuts
-            // off right here.
-            const std::size_t at = landmark_index(name);
-            return at == kNoRoute
-                       ? std::uint64_t{0}
-                       : landmark_token(name, *landmark_options_,
-                                        landmark_traffic_,
-                                        landmarks_[at].profile);
-          });
-    }
-    const std::string lb_node = linkbase_node(landmarks_[i].path);
-    if (build_graph_.contains(lb_node)) continue;
-    // A landmark re-ranks whenever its program (traffic/options), the
-    // structure, or any family linkbase changes — the inputs of scoring.
-    std::vector<std::string> deps;
-    deps.push_back(desired_marks[i]);
-    deps.push_back(linkbase_node(kStructureLinkbasePath));
-    for (const ContextLinkbase& entry : context_linkbases_) {
-      deps.push_back(linkbase_node(entry.path));
-    }
-    build_graph_.define(lb_node, ProductKind::Linkbase, std::move(deps),
-                        [this, name] {
-                          const std::size_t at = landmark_index(name);
-                          return at == kNoRoute
-                                     ? std::uint64_t{0}
-                                     : rebuild_landmark_linkbase(at);
-                        });
-  }
-
-  // Re-point the arc table at the full linkbase set; define() keeps the
-  // stored hash, so re-pointing alone dirties nothing.
-  build_graph_.define(std::string(kArcTableNode), ProductKind::ArcTable,
-                      arc_table_deps(),
-                      [this] { return rebuild_arc_table(); });
-}
-
-std::vector<std::string> Engine::arc_table_deps() const {
-  std::vector<std::string> deps;
-  deps.reserve(1 + context_linkbases_.size() + routes_.size() +
-               landmarks_.size());
-  deps.push_back(linkbase_node(kStructureLinkbasePath));
-  for (const ContextLinkbase& entry : context_linkbases_) {
-    deps.push_back(linkbase_node(entry.path));
-  }
-  for (std::size_t i = 0; i < route_programs_.size(); ++i) {
-    if (route_programs_[i].compile == RouteCompile::Aot) {
-      deps.push_back(linkbase_node(routes_[i].path));
-    }
-  }
-  for (const LandmarkState& entry : landmarks_) {
-    deps.push_back(linkbase_node(entry.path));
-  }
-  return deps;
 }
 
 RebuildReport Engine::set_access_structure(
@@ -1325,13 +1138,15 @@ std::vector<std::string> Engine::desired_page_ids() const {
 }
 
 std::uint64_t Engine::put_if_changed(const std::string& path,
-                                     std::string text) {
+                                     std::string text, bool* changed) {
   const std::uint64_t hash = hash_bytes(text);
   const std::string* current = site_.get(path);
-  if (current == nullptr || *current != text) {
+  const bool differs = current == nullptr || *current != text;
+  if (differs) {
     site_.put(path, std::move(text));
     server_->invalidate(path);
   }
+  if (changed != nullptr) *changed = differs;
   return hash;
 }
 
@@ -1358,86 +1173,25 @@ std::uint64_t Engine::rebuild_spec() {
   return h;
 }
 
-std::uint64_t Engine::rebuild_structure_linkbase() {
-  site::SiteBuildOptions site_options;
-  site_options.site_base = site_base_;
-  auto doc =
-      core::build_linkbase(*structure_,
-                           site::separated_linkbase_options(site_options));
-  std::string text = xml::write(*doc, {.pretty = true});
-  const std::string* current = site_.get(kStructureLinkbasePath);
-  const bool changed = current == nullptr || *current != text;
-  const std::uint64_t hash = hash_bytes(text);
-  if (changed) {
-    site_.put(std::string(kStructureLinkbasePath), std::move(text));
-    server_->invalidate(kStructureLinkbasePath);
-    // The old document must die only after graph_ stops pointing into it;
-    // nothing dereferences graph_ between here and the arc-table rebuild
-    // this change propagates into.
-    structure_linkbase_doc_ = std::move(doc);
-  }
-  return hash;
-}
-
-std::uint64_t Engine::rebuild_context_linkbase(std::size_t index) {
-  ContextLinkbase& entry = context_linkbases_[index];
-  site::SiteBuildOptions site_options;
-  site_options.site_base = site_base_;
-  core::LinkbaseOptions lb = site::separated_linkbase_options(site_options);
-  lb.base_uri = site_base_ + entry.path;
-  auto doc = core::build_context_linkbase(*entry.family, *nav_, lb);
-  std::string text = xml::write(*doc, {.pretty = true});
-  const std::string* current = site_.get(entry.path);
-  const bool changed = current == nullptr || *current != text;
-  const std::uint64_t hash = hash_bytes(text);
-  if (changed) {
-    site_.put(entry.path, std::move(text));
-    server_->invalidate(entry.path);
-    entry.doc = std::move(doc);
-    entry.graph = core::load_linkbase(*entry.doc);
-  }
-  return hash;
-}
-
 std::uint64_t Engine::rebuild_arc_table() {
-  // Merge the browser-facing traversal graph from the cached documents.
-  xlink::TraversalGraph structure_graph =
-      xlink::TraversalGraph::from_linkbase(*structure_linkbase_doc_);
-  xlink::TraversalGraph merged = structure_graph;  // copy; both are kept
-  for (const ContextLinkbase& entry : context_linkbases_) {
-    merged.merge(entry.graph);  // cached per-family graph, copied in
-  }
-  for (const RouteState& entry : routes_) {
-    if (entry.doc != nullptr) merged.merge(entry.graph);  // Aot routes only
-  }
-  for (const LandmarkState& entry : landmarks_) {
-    if (entry.doc != nullptr) merged.merge(entry.graph);
+  // Merge the browser-facing traversal graph from the records' cached
+  // graphs, in merge order: the structure's copied whole, the rest
+  // appended (merge() re-indexes each arc it appends).
+  xlink::TraversalGraph merged = linkbases_.front().graph;
+  for (std::size_t i = 1; i < linkbases_.size(); ++i) {
+    merged.merge(linkbases_[i].graph);
   }
   graph_ = std::move(merged);
 
   // Materialize the combined arc set with provenance and hand it to the
-  // weaver as the (sole) navigation aspect. Aot route linkbases join
-  // after the families — their arcs are context-tagged ('<name>:route'),
-  // so like tour arcs they land in overlay slices, never in stored pages.
+  // weaver as the (sole) navigation aspect. Route and landmark arcs join
+  // after the families; they are context-tagged ('<name>:route',
+  // '<name>:landmark'), so like tour arcs they land in overlay slices,
+  // never in stored pages.
   std::vector<core::SourcedGraph> sourced;
-  sourced.reserve(context_linkbases_.size() + routes_.size() +
-                  landmarks_.size() + 1);
-  sourced.push_back(
-      core::SourcedGraph{std::string(kStructureLinkbasePath), &structure_graph});
-  for (const ContextLinkbase& entry : context_linkbases_) {
-    sourced.push_back(core::SourcedGraph{entry.path, &entry.graph});
-  }
-  for (const RouteState& entry : routes_) {
-    if (entry.doc != nullptr) {
-      sourced.push_back(core::SourcedGraph{entry.path, &entry.graph});
-    }
-  }
-  // Landmark arcs join last: context-tagged ('<name>:landmark'), so like
-  // tour and route arcs they land in overlay slices, never stored pages.
-  for (const LandmarkState& entry : landmarks_) {
-    if (entry.doc != nullptr) {
-      sourced.push_back(core::SourcedGraph{entry.path, &entry.graph});
-    }
+  sourced.reserve(linkbases_.size());
+  for (const LinkbaseRecord& record : linkbases_) {
+    sourced.push_back(core::SourcedGraph{record.path, &record.graph});
   }
   std::vector<core::NavArc> arcs = core::combined_nav_arcs(sourced);
 
@@ -1614,26 +1368,9 @@ void Engine::wire_graph() {
     // paper measures, reproduced in the report counters.
     return;
   }
-  std::vector<std::string> linkbase_nodes;
-  build_graph_.define(linkbase_node(kStructureLinkbasePath),
-                      ProductKind::Linkbase,
-                      {std::string(kSpecNode)},
-                      [this] { return rebuild_structure_linkbase(); });
-  linkbase_nodes.push_back(linkbase_node(kStructureLinkbasePath));
-  for (std::size_t i = 0; i < context_linkbases_.size(); ++i) {
-    const std::string node = linkbase_node(context_linkbases_[i].path);
-    build_graph_.define(node, ProductKind::Linkbase, {},
-                        [this, i] { return rebuild_context_linkbase(i); });
-    linkbase_nodes.push_back(node);
-  }
-  build_graph_.define(std::string(kArcTableNode), ProductKind::ArcTable,
-                      std::move(linkbase_nodes),
-                      [this] { return rebuild_arc_table(); });
-  // Routes and landmarks registered before a re-wire (none on first
-  // serve) re-join the topology here, after the arc-table node they
-  // feed exists.
-  sync_route_nodes();
-  sync_landmark_nodes();
+  // The structure and family records get their Linkbase nodes and the
+  // arc-table node they feed.
+  (void)sync_linkbases();
 }
 
 // --- SitePipeline ------------------------------------------------------------
@@ -1793,9 +1530,13 @@ std::unique_ptr<Engine> SitePipeline::serve(std::string_view base) {
     engine->site_.put("museum.css", museum::MuseumWorld::site_css());
   } else {
     site::author_fixed_artifacts(engine->site_, *engine->world_);
+    engine->linkbases_.push_back(Engine::LinkbaseRecord{
+        "", std::string(kStructureLinkbasePath),
+        Engine::LinkbaseKind::Structure, nullptr, {}});
     for (const auto& family : engine->families_) {
-      engine->context_linkbases_.push_back(Engine::ContextLinkbase{
-          site::context_linkbase_path(family.name()), &family, nullptr, {}});
+      engine->linkbases_.push_back(Engine::LinkbaseRecord{
+          family.name(), site::context_linkbase_path(family.name()),
+          Engine::LinkbaseKind::Family, nullptr, {}});
     }
   }
 

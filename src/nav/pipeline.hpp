@@ -253,9 +253,6 @@ class Engine final : public EngineInternals {
   void wire_graph();
   void sync_pages();
   [[nodiscard]] std::uint64_t rebuild_spec();
-  [[nodiscard]] std::uint64_t rebuild_structure_linkbase();
-  [[nodiscard]] std::uint64_t rebuild_context_linkbase(std::size_t index);
-  [[nodiscard]] std::uint64_t rebuild_route_linkbase(std::size_t index);
   [[nodiscard]] std::uint64_t rebuild_arc_table();
   [[nodiscard]] std::uint64_t rebuild_tangled_page(const std::string& page_id);
 
@@ -267,8 +264,10 @@ class Engine final : public EngineInternals {
       const std::string& page_id);
 
   /// Write `text` at `path` iff it differs, invalidating the server's
-  /// cached responses for the path. Returns the text hash.
-  std::uint64_t put_if_changed(const std::string& path, std::string text);
+  /// cached responses for the path. Returns the text hash; `*changed`
+  /// (when given) says whether the write happened.
+  std::uint64_t put_if_changed(const std::string& path, std::string text,
+                               bool* changed = nullptr);
 
   /// Snapshot structure_ into a MaterializedStructure (idempotent) so
   /// arc-level edits have a mutable substrate.
@@ -326,20 +325,63 @@ class Engine final : public EngineInternals {
   /// and run (or defer) — the shared tail of the sub-level mutations.
   RebuildReport commit_menu_subs(std::size_t sub_index);
 
+  // --- linkbase records ---------------------------------------------------------
+
+  /// Where a linkbase record's document comes from: core::build_linkbase
+  /// over the structure, or core::build_context_linkbase over a context
+  /// family, a route expansion or the landmark picks.
+  enum class LinkbaseKind { Structure, Family, Route, Landmark };
+
+  /// One linkbase the engine authors (DESIGN.md, "Generated linkbases").
+  /// Every kind shares one author-and-install step and one graph sync;
+  /// only how the document is produced differs.
+  struct LinkbaseRecord {
+    std::string name;  // family/route/landmark name; "" for the structure
+    std::string path;  // site path, also the NavArc::source of its arcs
+    LinkbaseKind kind = LinkbaseKind::Structure;
+    std::unique_ptr<xml::Document> doc;  // null until first authored
+    xlink::TraversalGraph graph;         // points into doc
+  };
+
+  /// Author linkbase `path`'s document, serialize and hash it, install
+  /// the text iff it changed, and reload the record's graph only then —
+  /// the one author-and-install step every record kind shares. The
+  /// Linkbase build-graph node's rebuild.
+  [[nodiscard]] std::uint64_t install_linkbase(const std::string& path);
+
+  /// The record named `name` of kind `kind`, or null.
+  [[nodiscard]] const LinkbaseRecord* find_linkbase(std::string_view name,
+                                                    LinkbaseKind kind) const;
+
+  /// Refuse (SemanticError, prefixed by `caller`) a call that would leave
+  /// `routes` and the landmark families `landmarks` registered beside
+  /// the context families with an invalid name or two names mapping to
+  /// one artifact path — the shared namespace rule of roles.hpp. Callers
+  /// pass the state the call would produce and run this before moving
+  /// any of it.
+  void check_namespace(std::string_view caller,
+                       const std::vector<RouteProgram>& routes,
+                       const std::vector<std::string>& landmarks) const;
+
+  /// Rebuild the generated tail of linkbases_ (AOT routes, then landmark
+  /// families) from route_programs_ and the landmark spec — keeping the
+  /// documents of records that survive and retiring the artifacts of
+  /// those that do not — then reconcile the build graph's program nodes
+  /// (`route:<name>`, `landmark:<name>`) and Linkbase nodes with it and
+  /// re-point the arc-table node. Returns true when the graph topology
+  /// changed.
+  bool sync_linkbases();
+
   // --- route programs ---------------------------------------------------------
 
-  /// Index into route_programs_/routes_, npos when unknown.
+  /// Index into route_programs_, npos when unknown.
   [[nodiscard]] std::size_t route_index(std::string_view name) const;
 
-  /// The combined non-route arc set route expansion evaluates over
-  /// (structure + family linkbases, weave order) — the engine-side twin
-  /// of the snapshot's route-excluded overlay arcs.
+  /// The combined authored arc set route expansion and landmark scoring
+  /// evaluate over (the structure and family records' graphs, weave
+  /// order) — the engine-side twin of the snapshot's overlay arcs minus
+  /// route and landmark sources.
   [[nodiscard]] std::vector<core::NavArc> route_input_arcs() const;
-
-  /// Reconcile the build graph's Route nodes ("route:<name>") and the
-  /// Aot routes' Linkbase nodes with route_programs_, and re-point the
-  /// arc-table node's deps — the sync_menu_nodes() pattern for routes.
-  void sync_route_nodes();
 
   /// Refresh route_table_ from route_programs_ + the model's titles,
   /// preserving pointer identity when nothing changed.
@@ -347,31 +389,10 @@ class Engine final : public EngineInternals {
 
   // --- landmark synthesis -----------------------------------------------------
 
-  /// Index into landmarks_, npos when unknown.
-  [[nodiscard]] std::size_t landmark_index(std::string_view name) const;
-
-  /// Reconcile landmarks_ with landmark_options_ and the registered
-  /// profiles: one base "landmarks" state, plus "landmarks-<p>" per
-  /// profile when per_profile is set. Validates name collisions,
-  /// retires stale states' artifacts, and attaches/detaches landmark
-  /// family names on profiles_. Returns true when the state set (and
-  /// with it the graph topology) changed.
-  bool refresh_landmark_states();
-
-  /// Reconcile the build graph's Landmark nodes ("landmark:<name>") and
-  /// their Linkbase nodes with landmarks_, and re-point the arc-table
-  /// node's deps — the sync_route_nodes() pattern for landmarks.
-  void sync_landmark_nodes();
-
-  /// Author landmarks_[index]'s linkbase from the stored traffic and
-  /// the current authored arcs (the route-linkbase pattern).
-  [[nodiscard]] std::uint64_t rebuild_landmark_linkbase(std::size_t index);
-
-  /// The arc-table node's full dependency list: structure + family
-  /// linkbases + AOT route linkbases + landmark linkbases. Both syncs
-  /// re-point the node through this so neither forgets the other's
-  /// products.
-  [[nodiscard]] std::vector<std::string> arc_table_deps() const;
+  /// Attach the current landmark families to the registered profiles
+  /// (the base family to all, each per-profile family to its own) and
+  /// detach names in `previous` that are no longer landmark families.
+  void attach_landmark_families(const std::vector<std::string>& previous);
 
   /// Capture site_ + graph_ as the next epoch and install it in
   /// snapshots_ — the atomic hand-off from this (writer) thread to
@@ -391,44 +412,19 @@ class Engine final : public EngineInternals {
   mutable aop::Weaver weaver_;
   site::VirtualSite site_;
 
-  // Parsed linkbases: the arc graphs below point into these documents, so
-  // they are declared first (destroyed last). A document is only replaced
+  // Parsed linkbases, in merge order: the structure, the context families
+  // (weave order), AOT routes (registration order), then landmark
+  // families (base first). graph_ points into their documents, so they
+  // are declared first (destroyed last). A document is only replaced
   // when its serialized text actually changed, which keeps graph element
   // pointers valid across no-op rebuilds.
-  std::unique_ptr<xml::Document> structure_linkbase_doc_;
-  struct ContextLinkbase {
-    std::string path;                          // site path of the linkbase
-    const hypermedia::ContextFamily* family;   // into families_
-    std::unique_ptr<xml::Document> doc;
-    xlink::TraversalGraph graph;               // points into doc
-  };
-  std::vector<ContextLinkbase> context_linkbases_;
+  std::vector<LinkbaseRecord> linkbases_;
 
-  /// Registered route programs (route_programs_, the routes() view) and
-  /// their per-route derived artifacts, index-aligned. Aot routes own an
-  /// authored document + graph exactly like a ContextLinkbase (declared
-  /// before graph_ for the same lifetime reason); Lazy routes keep both
-  /// empty — their expansion lives in the served snapshots.
-  struct RouteState {
-    std::string path;                    // site path ("links-<name>.xml")
-    std::unique_ptr<xml::Document> doc;  // Aot only
-    xlink::TraversalGraph graph;         // points into doc (Aot only)
-  };
+  /// Registered route programs (the routes() view). Aot routes also own
+  /// a Route record in linkbases_; Lazy routes own none — their
+  /// expansion lives in the served snapshots.
   std::vector<RouteProgram> route_programs_;
-  std::vector<RouteState> routes_;
 
-  /// Synthesized landmark families (see enable_landmarks): each one an
-  /// authored linkbase exactly like an AOT route, plus the profile
-  /// whose traffic ranks it ("" = the global base family). Declared
-  /// before graph_ for the same document-lifetime reason as routes.
-  struct LandmarkState {
-    std::string name;                    // family name ("landmarks[-<p>]")
-    std::string profile;                 // ranking lens, "" = global
-    std::string path;                    // site path ("links-<name>.xml")
-    std::unique_ptr<xml::Document> doc;
-    xlink::TraversalGraph graph;         // points into doc
-  };
-  std::vector<LandmarkState> landmarks_;
   /// Engaged iff landmark synthesis is enabled.
   std::optional<LandmarkOptions> landmark_options_;
   /// The traffic tables the current landmarks rank from (copied at
@@ -437,8 +433,8 @@ class Engine final : public EngineInternals {
 
   xlink::TraversalGraph graph_;
 
-  /// The combined authored arc set (structure + families, weave order,
-  /// with per-linkbase provenance) as last materialized by the arc-table
+  /// The combined arc set (every linkbase record, merge order, with
+  /// per-linkbase provenance) as last materialized by the arc-table
   /// rebuild — shared into every published snapshot, which slices it per
   /// (linkbase, page) for profile overlays.
   std::shared_ptr<const std::vector<core::NavArc>> combined_arcs_;

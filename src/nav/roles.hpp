@@ -190,6 +190,18 @@ class EngineInternals {
   [[nodiscard]] virtual const serve::SnapshotStore& snapshots()
       const noexcept = 0;
 
+  // --- the family namespace ---------------------------------------------------
+  //
+  // Context families, route programs (Aot and Lazy) and landmark families
+  // ("landmarks", plus "landmarks-<profile>" under per_profile) share one
+  // namespace. Each name is a family name profiles can list, and it
+  // claims the artifact path links-<lowercased name>.xml. A name must be
+  // non-empty and free of ':' and newlines (it tags arcs '<name>:<kind>'),
+  // and no two names may map to one path, so names differing only in
+  // case clash. A call that would break this rule throws
+  // navsep::SemanticError before moving any state: profiles, routes,
+  // landmark families, artifacts and the epoch stay as they were.
+
   // --- serving profiles -------------------------------------------------------
   //
   // A Profile names the subset of the engine's context families its
@@ -201,10 +213,12 @@ class EngineInternals {
   /// Register (or, by name, replace) a serving profile and publish a new
   /// snapshot carrying it. Throws navsep::SemanticError for an empty or
   /// newline-containing name, a family name the engine doesn't have, a
-  /// duplicated family within the profile, or any non-empty family list
-  /// in Tangled mode (the tangled baseline has no separated navigation
-  /// to scope). No page is re-woven: profiles only select among already
-  /// authored linkbases.
+  /// duplicated family within the profile, any non-empty family list in
+  /// Tangled mode (the tangled baseline has no separated navigation to
+  /// scope), or, with per-profile landmarks on, a new profile whose
+  /// landmark family breaks the family-namespace rule (a ':' in its
+  /// name, or a path another family, route or landmark owns). No page
+  /// is re-woven: profiles only select among already authored linkbases.
   virtual void register_profile(Profile profile) = 0;
 
   /// The registered profiles, in registration order.
@@ -239,9 +253,10 @@ class EngineInternals {
 
   /// Register (or, by name, replace) a route program. Throws
   /// navsep::ParseError for a malformed expression (naming the offending
-  /// token), navsep::SemanticError for an empty/':'/newline-containing
-  /// name, a name colliding with a context family, or any registration
-  /// in Tangled mode. Writer-side; batch-aware like every mutation.
+  /// token), navsep::SemanticError for a name that breaks the
+  /// family-namespace rule (against context families, other routes and
+  /// landmark families) or any registration in Tangled mode.
+  /// Writer-side; batch-aware like every mutation.
   virtual RebuildReport register_route(RouteProgram program) = 0;
 
   /// Replace the expression of the registered route `name`. Throws
@@ -279,10 +294,11 @@ class EngineInternals {
   // routes, and therefore ride snapshot replication unchanged.
 
   /// Enable (or re-rank with fresh traffic) landmark synthesis. Throws
-  /// navsep::SemanticError in Tangled mode, when a landmark family name
-  /// collides with a context family or route, or when per_profile is
-  /// set and a profile name contains ':' (family names tag arcs
-  /// "<name>:landmark"). Writer-side; batch-aware like every mutation.
+  /// navsep::SemanticError in Tangled mode or when a landmark family
+  /// would break the family-namespace rule: against a context family or
+  /// route, or under per_profile a profile name with ':' or two profiles
+  /// differing only in case ("Tour", "tour"). Writer-side; batch-aware
+  /// like every mutation.
   virtual RebuildReport enable_landmarks(const obs::TraceAggregate& traffic,
                                          LandmarkOptions options) = 0;
 

@@ -7,6 +7,7 @@
 #include "core/linkbase.hpp"
 #include "html/html.hpp"
 #include "nav/buildgraph.hpp"
+#include "nav/landmarks.hpp"
 #include "uri/uri.hpp"
 #include "xlink/model.hpp"
 #include "xml/dom.hpp"
@@ -308,13 +309,16 @@ std::shared_ptr<const SiteSnapshot::RouteSlice> SiteSnapshot::lazy_route_slice(
 
   // Expand outside the lock — a pure function of immutable snapshot
   // state, so racing readers compute identical slices (first insert
-  // wins below). Route sources never feed route expansion: programs are
-  // defined over the authored navigation, exactly as the engine's AOT
-  // path expands them.
+  // wins below). Route and landmark sources never feed route expansion:
+  // programs are defined over the authored navigation, exactly as the
+  // engine's AOT path expands them.
   std::vector<std::string> exclude;
-  exclude.reserve(route_table_->entries.size());
+  exclude.reserve(route_table_->entries.size() + families_.size());
   for (const RouteTable::Entry& e : route_table_->entries) {
     exclude.push_back(e.source);
+  }
+  for (const FamilySlice& family : families_) {
+    if (nav::is_landmark_family(family.name)) exclude.push_back(family.source);
   }
   hypermedia::ContextFamily family = nav::route_context_family(
       entry->program.name, nav::parse_route(entry->program.expression),

@@ -104,6 +104,49 @@ TEST(BuildGraphMechanism, HashChangePropagatesTransitively) {
   EXPECT_EQ(ran, (std::vector<std::string>{"b", "c"}));
 }
 
+TEST(BuildGraphMechanism, RedefinedNodeRerunsButKeepsItsHashForCutoff) {
+  // The engine re-points its arc-table node whenever the linkbase set
+  // changes. Redefinition dirties the node, so it re-runs once; its
+  // stored hash survives, so an unchanged product stops there.
+  nav::BuildGraph g;
+  std::vector<std::string> ran;
+  g.define("src", nav::ProductKind::Source, {},
+           [] { return nav::hash_bytes("src"); });
+  g.define("table", nav::ProductKind::ArcTable, {"src"}, [&] {
+    ran.push_back("table");
+    return nav::hash_bytes("table");
+  });
+  g.define("page", nav::ProductKind::Page, {"table"}, [&] {
+    ran.push_back("page");
+    return nav::hash_bytes("page");
+  });
+  (void)g.run();
+  const std::uint64_t stored = g.hash_of("table");
+  ran.clear();
+
+  g.define("table", nav::ProductKind::ArcTable, {"src", "extra"}, [&] {
+    ran.push_back("table2");
+    return nav::hash_bytes("table");  // same product
+  });
+  EXPECT_TRUE(g.is_dirty("table"));
+  EXPECT_EQ(g.hash_of("table"), stored);
+  nav::RebuildReport r = g.run();
+  EXPECT_EQ(ran, (std::vector<std::string>{"table2"}));
+  EXPECT_EQ(r.nodes_rebuilt, 1u);
+  EXPECT_EQ(r.nodes_changed, 0u);
+  EXPECT_EQ(r.pages_rewoven, 0u);
+
+  // A redefinition whose product does change propagates as usual.
+  ran.clear();
+  g.define("table", nav::ProductKind::ArcTable, {"src"}, [&] {
+    ran.push_back("table3");
+    return nav::hash_bytes("table v3");
+  });
+  r = g.run();
+  EXPECT_EQ(ran, (std::vector<std::string>{"table3", "page"}));
+  EXPECT_EQ(r.pages_rewoven, 1u);
+}
+
 TEST(BuildGraphMechanism, NodesDefinedMidRunAreBuiltInTheSameRun) {
   nav::BuildGraph g;
   bool expanded = false;

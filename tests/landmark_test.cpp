@@ -13,13 +13,20 @@
 //   3. Landmarks are first-class graph citizens: re-feeding identical
 //      traffic cuts off (no re-author), structural edits propagate into
 //      re-ranking, disable retires every artifact, and the name/path
-//      namespace is policed against families and routes both ways.
-//   4. Landmark artifacts ride snapshot replication unchanged.
+//      namespace is policed against families, routes and other
+//      landmarks in both registration orders.
+//   4. A refused call changes nothing: profiles, landmark families,
+//      routes, artifacts and the epoch stay put, and the next valid
+//      registration goes through.
+//   5. Landmark artifacts ride snapshot replication unchanged.
 #include <algorithm>
+#include <cctype>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -316,27 +323,295 @@ TEST(LandmarkPipeline, DisableRetiresArtifactsAndDetachesProfiles) {
   EXPECT_EQ(noop.nodes_rebuilt, 0u);
 }
 
-TEST(LandmarkPipeline, NamespaceIsPolicedBothWays) {
+// --- refused calls change nothing ---------------------------------------------
+
+/// Everything a refused call must leave as it was.
+struct EngineState {
+  std::vector<nav::Profile> profiles;
+  std::vector<std::string> landmarks;
+  std::vector<nav::RouteProgram> routes;
+  std::vector<std::string> paths;
+  std::uint64_t epoch = 0;
+};
+
+EngineState state_of(const nav::Engine& engine) {
+  return {engine.profiles(), engine.landmark_families(), engine.routes(),
+          engine.site().paths(), engine.snapshots().epoch()};
+}
+
+void expect_unchanged(const EngineState& before, const nav::Engine& engine) {
+  const EngineState after = state_of(engine);
+  EXPECT_TRUE(after.profiles == before.profiles) << "profiles moved";
+  EXPECT_EQ(after.landmarks, before.landmarks);
+  EXPECT_TRUE(after.routes == before.routes) << "routes moved";
+  EXPECT_EQ(after.paths, before.paths);
+  EXPECT_EQ(after.epoch, before.epoch);
+}
+
+TEST(LandmarkPipeline, RefusedEnableLeavesLandmarksOff) {
   auto engine = synthetic_engine(2);
   nav::EngineInternals& in = engine->internals();
-
-  // Landmarks enabled first: a route may not take a landmark name.
-  (void)in.enable_landmarks(engine_traffic(*engine), LandmarkOptions{});
-  EXPECT_THROW((void)in.register_route(
-                   {"landmarks", "next*", nav::RouteCompile::Aot}),
-               SemanticError);
-  (void)in.disable_landmarks();
-
-  // Route registered first: enabling landmarks must refuse the clash.
   (void)in.register_route({"landmarks", "next*", nav::RouteCompile::Aot});
+  const EngineState before = state_of(*engine);
   EXPECT_THROW(
       (void)in.enable_landmarks(engine_traffic(*engine), LandmarkOptions{}),
       SemanticError);
+  expect_unchanged(before, *engine);
+
+  // Once the clash is gone, landmarks stay off until enabled again: a
+  // new profile gets no landmark family and none is authored.
   (void)in.remove_route("landmarks");
+  in.register_profile({"p", {"ByAuthor"}});
+  EXPECT_EQ(registered(in, "p").families,
+            (std::vector<std::string>{"ByAuthor"}));
+  EXPECT_TRUE(in.landmark_families().empty());
+  EXPECT_EQ(engine->site().get(site::context_linkbase_path("landmarks")),
+            nullptr);
+  expect_sites_identical(engine->site(), full_build_oracle(*engine));
+
+  (void)in.enable_landmarks(engine_traffic(*engine), LandmarkOptions{});
+  EXPECT_EQ(in.landmark_families(), std::vector<std::string>{"landmarks"});
+  expect_sites_identical(engine->site(), full_build_oracle(*engine));
+}
+
+TEST(LandmarkPipeline, RefusedProfileDoesNotWedgeTheEngine) {
+  auto engine = synthetic_engine(2);
+  nav::EngineInternals& in = engine->internals();
+  (void)in.enable_landmarks(engine_traffic(*engine),
+                            LandmarkOptions{.per_profile = true});
+  const EngineState before = state_of(*engine);
+  // "landmarks-a:b" could not tag its arcs '<family>:landmark'.
+  EXPECT_THROW(in.register_profile({"a:b", {}}), SemanticError);
+  expect_unchanged(before, *engine);
+
+  in.register_profile({"c", {}});
+  EXPECT_EQ(in.snapshots().epoch(), before.epoch + 1);
+  EXPECT_EQ(in.landmark_families(),
+            (std::vector<std::string>{"landmarks", "landmarks-c"}));
+  expect_sites_identical(engine->site(), full_build_oracle(*engine));
+}
+
+TEST(LandmarkPipeline, ProfileWhoseLandmarkARouteOwnsIsRefused) {
+  auto engine = synthetic_engine(2);
+  nav::EngineInternals& in = engine->internals();
+  (void)in.register_route({"landmarks-q", "next*", nav::RouteCompile::Lazy});
+  (void)in.enable_landmarks(engine_traffic(*engine),
+                            LandmarkOptions{.per_profile = true});
+  const EngineState before = state_of(*engine);
+  EXPECT_THROW(in.register_profile({"q", {}}), SemanticError);
+  expect_unchanged(before, *engine);
+
+  in.register_profile({"r", {"landmarks-q"}});
+  EXPECT_EQ(in.snapshots().epoch(), before.epoch + 1);
+  EXPECT_EQ(in.landmark_families(),
+            (std::vector<std::string>{"landmarks", "landmarks-r"}));
+  expect_sites_identical(engine->site(), full_build_oracle(*engine));
+}
+
+TEST(LandmarkPipeline, ProfilesDifferingOnlyInCaseCannotShareAnArtifact) {
+  auto engine = synthetic_engine(2);
+  nav::EngineInternals& in = engine->internals();
+  auto server = engine->open_concurrent();
+  in.register_profile({"Tour", {"ByAuthor"}});
+  in.register_profile({"tour", {"ByMovement"}});
+  // Both would author links-landmarks-tour.xml.
+  const EngineState before = state_of(*engine);
+  EXPECT_THROW((void)in.enable_landmarks(engine_traffic(*engine),
+                                         LandmarkOptions{.per_profile = true}),
+               SemanticError);
+  expect_unchanged(before, *engine);
+
+  // Without per-profile families both profiles share the base one.
+  (void)in.enable_landmarks(engine_traffic(*engine), LandmarkOptions{});
+  EXPECT_EQ(in.landmark_families(), std::vector<std::string>{"landmarks"});
+  expect_sites_identical(engine->site(), full_build_oracle(*engine));
+  expect_profile_matches_oracle(*engine, *server, registered(in, "Tour"));
+  expect_profile_matches_oracle(*engine, *server, registered(in, "tour"));
+}
+
+// --- the shared namespace, as a table -----------------------------------------
+
+/// Everything that claims a context-family name and with it the artifact
+/// path links-<lowercased name>.xml. A per-profile landmark claims
+/// "landmarks-<profile>" either by enabling per-profile synthesis over a
+/// registered profile or by registering a profile while it is on.
+enum class Claimant {
+  Family,
+  AotRoute,
+  LazyRoute,
+  BaseLandmark,
+  LandmarkByEnable,
+  LandmarkByProfile,
+};
+
+const char* to_string(Claimant c) {
+  switch (c) {
+    case Claimant::Family: return "family";
+    case Claimant::AotRoute: return "aot-route";
+    case Claimant::LazyRoute: return "lazy-route";
+    case Claimant::BaseLandmark: return "base-landmark";
+    case Claimant::LandmarkByEnable: return "profile-landmark(enable)";
+    case Claimant::LandmarkByProfile: return "profile-landmark(profile)";
+  }
+  return "?";
+}
+
+/// Claimants holding one name the same way: re-claiming it replaces
+/// (a route re-registration, a profile re-registration, a re-enable).
+int owner_of(Claimant c) {
+  switch (c) {
+    case Claimant::AotRoute:
+    case Claimant::LazyRoute: return 1;
+    case Claimant::BaseLandmark: return 2;
+    case Claimant::LandmarkByEnable:
+    case Claimant::LandmarkByProfile: return 3;
+    case Claimant::Family: break;
+  }
+  return 0;
+}
+
+/// The one name a claimant can hold, or nullopt when any name works.
+std::optional<std::string> fixed_name(Claimant c) {
+  switch (c) {
+    case Claimant::Family: return "ByAuthor";  // fixed at serve()
+    case Claimant::BaseLandmark: return "landmarks";
+    case Claimant::LandmarkByEnable:
+    case Claimant::LandmarkByProfile: return "landmarks-tour";
+    default: return std::nullopt;
+  }
+}
+
+bool name_is_free(Claimant c) {
+  return c == Claimant::AotRoute || c == Claimant::LazyRoute ||
+         c == Claimant::LandmarkByEnable || c == Claimant::LandmarkByProfile;
+}
+
+/// Run `who`'s set-up calls for family name `name` and return the one
+/// call that claims it.
+std::function<void()> stage_claim(nav::Engine& engine, Claimant who,
+                                  const std::string& name) {
+  nav::EngineInternals& in = engine.internals();
+  const obs::TraceAggregate traffic = engine_traffic(engine);
+  // A per-profile landmark's profile: the name after "landmarks-".
+  const std::string profile =
+      who == Claimant::LandmarkByEnable || who == Claimant::LandmarkByProfile
+          ? name.substr(std::string_view("landmarks-").size())
+          : std::string();
+  switch (who) {
+    case Claimant::Family:
+      return [] {};
+    case Claimant::AotRoute:
+    case Claimant::LazyRoute: {
+      const nav::RouteCompile compile = who == Claimant::AotRoute
+                                            ? nav::RouteCompile::Aot
+                                            : nav::RouteCompile::Lazy;
+      return [&in, name, compile] {
+        (void)in.register_route({name, "next*", compile});
+      };
+    }
+    case Claimant::BaseLandmark:
+      return [&in, traffic] {
+        (void)in.enable_landmarks(traffic, LandmarkOptions{});
+      };
+    case Claimant::LandmarkByEnable:
+      (void)in.disable_landmarks();
+      in.register_profile({profile, {}});
+      return [&in, traffic] {
+        (void)in.enable_landmarks(traffic,
+                                  LandmarkOptions{.per_profile = true});
+      };
+    case Claimant::LandmarkByProfile:
+      (void)in.enable_landmarks(traffic, LandmarkOptions{.per_profile = true});
+      return [&in, profile] { in.register_profile({profile, {}}); };
+  }
+  return [] {};
+}
+
+TEST(LandmarkPipeline, NamespaceIsPolicedBothWays) {
+  const std::vector<Claimant> claimants{
+      Claimant::Family,       Claimant::AotRoute,
+      Claimant::LazyRoute,    Claimant::BaseLandmark,
+      Claimant::LandmarkByEnable, Claimant::LandmarkByProfile};
+  std::size_t refused = 0;
+  std::size_t accepted = 0;
+  for (Claimant first : claimants) {
+    for (Claimant second : claimants) {
+      // Context families exist from serve() on, so one only comes first.
+      if (second == Claimant::Family) continue;
+      const std::optional<std::string> a = fixed_name(first);
+      const std::optional<std::string> b = fixed_name(second);
+      if (a && b && *a != *b) continue;  // these can never meet
+      const std::string shared = a ? *a : b ? *b : "walk";
+      for (const bool differ_in_case : {false, true}) {
+        std::string first_name = shared;
+        std::string second_name = shared;
+        if (differ_in_case) {
+          // Vary whichever side may take any name; two fixed names
+          // (base landmark twice) have no case variant.
+          if (!name_is_free(second) && !name_is_free(first)) continue;
+          std::string& varied = name_is_free(second) ? second_name
+                                                     : first_name;
+          varied.back() = static_cast<char>(
+              std::toupper(static_cast<unsigned char>(varied.back())));
+        }
+        const bool expect_refusal =
+            differ_in_case || owner_of(first) != owner_of(second);
+        SCOPED_TRACE(std::string(to_string(first)) + " '" + first_name +
+                     "' then " + to_string(second) + " '" + second_name + "'");
+
+        auto engine = synthetic_engine(2);
+        nav::EngineInternals& in = engine->internals();
+        stage_claim(*engine, first, first_name)();
+        const std::function<void()> claim =
+            stage_claim(*engine, second, second_name);
+        const EngineState before = state_of(*engine);
+        if (expect_refusal) {
+          EXPECT_THROW(claim(), SemanticError);
+          expect_unchanged(before, *engine);
+          // The refusal wedged nothing: a valid registration publishes.
+          (void)in.register_route({"fresh", "next*", nav::RouteCompile::Aot});
+          EXPECT_EQ(in.snapshots().epoch(), before.epoch + 1);
+          ++refused;
+        } else {
+          EXPECT_NO_THROW(claim());
+          ++accepted;
+        }
+        expect_sites_identical(engine->site(), full_build_oracle(*engine));
+      }
+    }
+  }
+  // Every pair that can share a name, both orders, both spellings.
+  EXPECT_EQ(refused, 36u);
+  EXPECT_EQ(accepted, 9u);
 
   // Unknown-name accessors are diagnosable.
+  auto engine = synthetic_engine(2);
+  nav::EngineInternals& in = engine->internals();
   EXPECT_THROW((void)in.landmark_family("landmarks"), ResolutionError);
   EXPECT_THROW((void)in.landmark_picks("landmarks"), ResolutionError);
+}
+
+TEST(LandmarkPipeline, LazyRoutesExpandOverAuthoredArcsOnlyLikeAotRoutes) {
+  // Landmark tours carry next/prev arcs too. Routes range over the
+  // authored navigation only, so neither compilation may see them: the
+  // lazy serve-time expansion must equal the AOT one with landmarks on.
+  auto engine = synthetic_engine(3);
+  nav::EngineInternals& in = engine->internals();
+  auto server = engine->open_concurrent();
+  (void)in.enable_landmarks(engine_traffic(*engine),
+                            LandmarkOptions{.top_k = 4});
+  for (const std::string& expression :
+       {"(next | prev)*", "@landmarks", "index-entry / next*"}) {
+    SCOPED_TRACE(expression);
+    for (const nav::RouteCompile compile :
+         {nav::RouteCompile::Aot, nav::RouteCompile::Lazy}) {
+      (void)in.register_route({"walk", expression, compile});
+      in.register_profile({"walker", {"walk"}});
+      expect_profile_matches_oracle(*engine, *server,
+                                    registered(in, "walker"));
+    }
+  }
+  expect_sites_identical(engine->site(), full_build_oracle(*engine));
 }
 
 TEST(LandmarkPipeline, TangledModeRefusesLandmarks) {

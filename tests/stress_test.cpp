@@ -1,6 +1,7 @@
 // The randomized differential stress harness: one engine, a mixed
 // 100+ step mutation sequence (structure mutations, context-family
-// edits, profile (re)registration, blanket rebuilds, cache-cap churn),
+// edits, profile (re)registration, blanket rebuilds, route-program and
+// landmark churn, cache-cap churn),
 // and after EVERY step a differential check of every served body — base
 // and per-profile, through ConcurrentServers with unbounded, tightly
 // capped and zero-cap (pass-through) cache layers — against the full
@@ -28,6 +29,7 @@
 #include "hypermedia/access.hpp"
 #include "hypermedia/context.hpp"
 #include "nav/pipeline.hpp"
+#include "obs/trace.hpp"
 #include "oracle.hpp"
 #include "repl/publisher.hpp"
 #include "repl/replica.hpp"
@@ -101,6 +103,32 @@ std::size_t random_route_op(nav::EngineInternals& in, Rng& rng,
                            rng.chance(0.5) ? nav::RouteCompile::Aot
                                            : nav::RouteCompile::Lazy});
   return 1;
+}
+
+/// One randomized landmark-synthesis mutation: enable with fresh random
+/// traffic over `pages` (per_profile coin-flipped, so successive enables
+/// toggle it) or, when enabled, disable. Always exactly one engine
+/// mutation. The engine attaches landmark families to its registered
+/// profiles itself, so oracles must read engine->profiles().
+void random_landmark_op(nav::EngineInternals& in, Rng& rng,
+                        const std::vector<std::string>& pages,
+                        const std::vector<nav::Profile>& profiles) {
+  if (!in.landmark_families().empty() && rng.chance(0.3)) {
+    (void)in.disable_landmarks();
+    return;
+  }
+  navsep::obs::TraceAggregate traffic;
+  for (const std::string& page : pages) {
+    if (!rng.chance(0.7)) continue;
+    const std::uint64_t views = 1 + rng.below(20);
+    traffic.page_views[page] += views;
+    traffic.events += views;
+    const nav::Profile& lens = rng.pick(profiles);
+    traffic.profile_page_views[{lens.name, page}] += views;
+  }
+  (void)in.enable_landmarks(
+      traffic, nav::LandmarkOptions{.top_k = 1 + rng.below(4),
+                                    .per_profile = rng.chance(0.5)});
 }
 
 /// Extend a profile's family list with each currently registered route
@@ -219,9 +247,12 @@ TEST(DifferentialStress, MixedMutationSequenceServesOnlyOracleBytes) {
                                        AccessStructureKind::IndexedGuidedTour};
   const std::vector<std::string> family_names{"ByAuthor", "ByMovement"};
 
-  Rng rng(20260729);
+  const std::uint64_t seed = 20260729;
+  SCOPED_TRACE("seed " + std::to_string(seed));
+  Rng rng(seed);
+  std::size_t landmark_steps = 0;  // steps checked with landmarks on
   for (int step = 0; step < 110; ++step) {
-    const std::uint64_t op = rng.below(9);
+    const std::uint64_t op = rng.below(10);
     if (op == 0) {
       // Arc edit: the finest-grained structural mutation.
       std::vector<hm::AccessArc> arcs = engine->internals().authored_arcs();
@@ -302,6 +333,10 @@ TEST(DifferentialStress, MixedMutationSequenceServesOnlyOracleBytes) {
     } else if (op == 7) {
       // Route-program churn: register / edit / flip / remove.
       (void)random_route_op(engine->internals(), rng, profiles);
+    } else if (op == 8) {
+      // Landmark churn: fresh traffic, per_profile toggles, disable.
+      random_landmark_op(engine->internals(), rng,
+                         navsep::testing::html_pages(*engine), profiles);
     } else {
       // Cache-cap churn: tear one server down and reopen it with fresh
       // random caps (0 = pass-through stays in rotation).
@@ -317,6 +352,7 @@ TEST(DifferentialStress, MixedMutationSequenceServesOnlyOracleBytes) {
 
     // The differential check, every step: the incremental site equals
     // the from-scratch build, and every server serves exactly it.
+    if (!engine->landmark_families().empty()) ++landmark_steps;
     ASSERT_NO_FATAL_FAILURE(expect_sites_identical(
         engine->site(), full_build_oracle(*engine)))
         << "site diverged after step " << step;
@@ -326,8 +362,8 @@ TEST(DifferentialStress, MixedMutationSequenceServesOnlyOracleBytes) {
     }
     std::vector<std::pair<nav::Profile, std::map<std::string, std::string>>>
         profile_bytes;
-    profile_bytes.reserve(profiles.size());
-    for (const nav::Profile& profile : profiles) {
+    profile_bytes.reserve(engine->profiles().size());
+    for (const nav::Profile& profile : engine->profiles()) {
       profile_bytes.emplace_back(profile, profile_oracle(*engine, profile));
     }
     for (const ServerUnderTest& sut : servers) {
@@ -335,6 +371,9 @@ TEST(DifferentialStress, MixedMutationSequenceServesOnlyOracleBytes) {
           sut, base_bytes, profile_bytes, step));
     }
   }
+
+  // Landmark churn interleaved with everything else.
+  EXPECT_GT(landmark_steps, 0u);
 
   // The incremental end state must be a fixpoint of the force path.
   std::vector<std::pair<std::string, std::string>> final_state =
@@ -399,7 +438,10 @@ TEST(DifferentialStress, ReplicatedReaderServesOnlyOracleBytes) {
                                        AccessStructureKind::IndexedGuidedTour};
   const std::vector<std::string> family_names{"ByAuthor", "ByMovement"};
 
-  Rng rng(20260807);
+  const std::uint64_t seed = 20260807;
+  SCOPED_TRACE("seed " + std::to_string(seed));
+  Rng rng(seed);
+  std::size_t landmark_steps = 0;  // steps checked with landmarks on
   for (int step = 0; step < 110; ++step) {
     // Kill-and-resync: the replica dies, the origin mutates on without
     // it (building an epoch gap — route mutations included, so route
@@ -416,11 +458,13 @@ TEST(DifferentialStress, ReplicatedReaderServesOnlyOracleBytes) {
         (void)engine->internals().retitle_node(id, "gap-" + rng.word(5));
       }
       (void)random_route_op(engine->internals(), rng, profiles);
+      random_landmark_op(engine->internals(), rng,
+                         navsep::testing::html_pages(*engine), profiles);
       replica = connect_replica();
       ++reconnects;
     }
 
-    const std::uint64_t op = rng.below(8);
+    const std::uint64_t op = rng.below(9);
     if (op == 0) {
       std::vector<hm::AccessArc> arcs = engine->internals().authored_arcs();
       if (arcs.empty()) continue;
@@ -493,13 +537,18 @@ TEST(DifferentialStress, ReplicatedReaderServesOnlyOracleBytes) {
       engine->internals().register_profile(victim);
     } else if (op == 6) {
       engine->internals().rebuild();
-    } else {
+    } else if (op == 7) {
       // Route-program churn on the origin: the table must replicate.
       (void)random_route_op(engine->internals(), rng, profiles);
+    } else {
+      // Landmark churn: the landmark artifacts must replicate.
+      random_landmark_op(engine->internals(), rng,
+                         navsep::testing::html_pages(*engine), profiles);
     }
 
     // The replica must catch up to the origin's exact epoch…
     const std::uint64_t target = engine->internals().snapshots().epoch();
+    if (!engine->landmark_families().empty()) ++landmark_steps;
     ASSERT_TRUE(replica->wait_for_epoch(target,
                                         std::chrono::seconds(60)))
         << "step " << step << ": replica stuck at epoch "
@@ -531,8 +580,8 @@ TEST(DifferentialStress, ReplicatedReaderServesOnlyOracleBytes) {
     }
     std::vector<std::pair<nav::Profile, std::map<std::string, std::string>>>
         profile_bytes;
-    profile_bytes.reserve(profiles.size());
-    for (const nav::Profile& profile : profiles) {
+    profile_bytes.reserve(engine->profiles().size());
+    for (const nav::Profile& profile : engine->profiles()) {
       profile_bytes.emplace_back(profile, profile_oracle(*engine, profile));
     }
     ServerUnderTest replicated{"replicated", serve::CacheLimits{}, 4,
@@ -542,8 +591,10 @@ TEST(DifferentialStress, ReplicatedReaderServesOnlyOracleBytes) {
     server = std::move(replicated.server);
   }
 
-  // The stream really exercised both frame kinds and both resyncs.
+  // The stream really exercised both frame kinds and both resyncs, with
+  // landmark artifacts among the replicated state.
   EXPECT_EQ(reconnects, 2u);
+  EXPECT_GT(landmark_steps, 0u);
   const repl::ReplicaStats rs = replica->stats();
   EXPECT_GE(rs.deltas_applied, 1u);
   EXPECT_GE(rs.fulls_applied, 1u);
@@ -602,7 +653,10 @@ TEST(DifferentialStress, BatchedBurstsPublishOneDeltaAndServeOracleBytes) {
                                        AccessStructureKind::IndexedGuidedTour};
   const std::vector<std::string> family_names{"ByAuthor", "ByMovement"};
 
-  Rng rng(20260808);
+  const std::uint64_t seed = 20260808;
+  SCOPED_TRACE("seed " + std::to_string(seed));
+  Rng rng(seed);
+  std::size_t landmark_steps = 0;  // steps checked with landmarks on
   for (int round = 0; round < 30; ++round) {
     const std::uint64_t epoch_before = engine->internals().snapshots().epoch();
     const std::uint64_t deltas_before = replica->stats().deltas_applied;
@@ -611,7 +665,7 @@ TEST(DifferentialStress, BatchedBurstsPublishOneDeltaAndServeOracleBytes) {
     engine->internals().begin_batch();
     std::size_t applied = 0;
     for (std::size_t k = 0; k < burst; ++k) {
-      const std::uint64_t op = rng.below(8);
+      const std::uint64_t op = rng.below(9);
       if (op == 0) {
         std::vector<hm::AccessArc> arcs = engine->internals().authored_arcs();
         if (arcs.empty()) continue;
@@ -680,6 +734,10 @@ TEST(DifferentialStress, BatchedBurstsPublishOneDeltaAndServeOracleBytes) {
         engine->internals().register_profile(victim);
       } else if (op == 6) {
         engine->internals().rebuild();
+      } else if (op == 7) {
+        // Landmark churn inside the batch: enable/disable is one edit.
+        random_landmark_op(engine->internals(), rng,
+                           navsep::testing::html_pages(*engine), profiles);
       } else {
         // Route churn inside the batch: a removal may re-register
         // referencing profiles first, so it contributes several edits —
@@ -691,6 +749,7 @@ TEST(DifferentialStress, BatchedBurstsPublishOneDeltaAndServeOracleBytes) {
     }
 
     nav::RebuildReport report = engine->internals().commit_batch();
+    if (!engine->landmark_families().empty()) ++landmark_steps;
     ASSERT_EQ(report.edits_coalesced, applied) << "round " << round;
     const std::uint64_t epoch_after = engine->internals().snapshots().epoch();
     if (applied == 0) {
@@ -722,7 +781,7 @@ TEST(DifferentialStress, BatchedBurstsPublishOneDeltaAndServeOracleBytes) {
     }
     std::vector<std::pair<nav::Profile, std::map<std::string, std::string>>>
         profile_bytes;
-    for (const nav::Profile& profile : profiles) {
+    for (const nav::Profile& profile : engine->profiles()) {
       profile_bytes.emplace_back(profile, profile_oracle(*engine, profile));
     }
     ServerUnderTest replicated{"batched-replica", serve::CacheLimits{}, 4,
@@ -731,6 +790,8 @@ TEST(DifferentialStress, BatchedBurstsPublishOneDeltaAndServeOracleBytes) {
         replicated, base_bytes, profile_bytes, round));
     replica_server = std::move(replicated.server);
   }
+
+  EXPECT_GT(landmark_steps, 0u);
 
   // The batched end state must be a fixpoint of the force path.
   std::vector<std::pair<std::string, std::string>> final_state =

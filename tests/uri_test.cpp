@@ -83,6 +83,12 @@ struct ResolveCase {
   const char* expected;
 };
 
+// Name each case by its reference, so test IDs are stable across runs;
+// gtest's fallback prints the struct's raw bytes, i.e. two pointers.
+void PrintTo(const ResolveCase& c, std::ostream* os) {
+  *os << ::testing::PrintToString(std::string(c.ref));
+}
+
 class UriResolveNormal : public ::testing::TestWithParam<ResolveCase> {};
 
 TEST_P(UriResolveNormal, MatchesRfc3986) {
