@@ -166,7 +166,7 @@ ModeRun run_mode(nav::RouteCompile mode, std::size_t paintings,
   for (const std::string& page : pages) (void)server->get(page, "routes");
   record.warm_seconds = seconds_since(warm_start);
 
-  const serve::ConcurrentServer::Stats warmed = server->stats();
+  const serve::ConcurrentServer::UnifiedStats warmed = server->unified_stats();
   std::vector<std::string> parked;
   for (std::size_t e = 0; e < edits; ++e) {
     const auto edit_start = Clock::now();
@@ -179,10 +179,10 @@ ModeRun run_mode(nav::RouteCompile mode, std::size_t paintings,
     for (const std::string& page : pages) (void)server->get(page, "routes");
     record.churn_reprobe_seconds += seconds_since(reprobe_start);
   }
-  const serve::ConcurrentServer::Stats churned = server->stats();
-  record.churn_overlay_hits = churned.overlay_hits - warmed.overlay_hits;
+  const serve::ConcurrentServer::UnifiedStats churned = server->unified_stats();
+  record.churn_overlay_hits = churned.overlay.hits - warmed.overlay.hits;
   record.churn_overlay_renders =
-      churned.overlay_renders - warmed.overlay_renders;
+      churned.overlay.resolves - warmed.overlay.resolves;
   return run;
 }
 

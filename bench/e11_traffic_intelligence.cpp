@@ -206,7 +206,7 @@ WindowRecord run_mode(bool warming, std::size_t paintings,
     if (warming) (void)warmer->warm_now();
 
     // The cold-after-epoch window: the same skewed schedule, timed.
-    const serve::ConcurrentServer::Stats pre = server->stats();
+    const serve::ConcurrentServer::UnifiedStats pre = server->unified_stats();
     for (std::size_t i = 0; i < window; ++i) {
       const std::string& page = pages[schedule[i]];
       const auto t0 = std::chrono::steady_clock::now();
@@ -218,11 +218,11 @@ WindowRecord run_mode(bool warming, std::size_t paintings,
               .count()));
       record.requests += 2;
     }
-    const serve::ConcurrentServer::Stats post = server->stats();
-    base_hits += post.cache_hits - pre.cache_hits;
-    base_requests += post.requests - pre.requests;
-    overlay_hits += post.overlay_hits - pre.overlay_hits;
-    overlay_requests += post.overlay_requests - pre.overlay_requests;
+    const serve::ConcurrentServer::UnifiedStats post = server->unified_stats();
+    base_hits += post.base.hits - pre.base.hits;
+    base_requests += post.base.requests - pre.base.requests;
+    overlay_hits += post.overlay.hits - pre.overlay.hits;
+    overlay_requests += post.overlay.requests - pre.overlay.requests;
   }
 
   std::sort(latencies.begin(), latencies.end());

@@ -138,11 +138,11 @@ void emit_json(const std::vector<Record>& records, std::ostream& out) {
     out << "      \"latency_p99_ns\": " << w.latency.quantile_ns(0.99)
         << ",\n";
     out << "      \"latency_max_ns\": " << w.latency.max_ns() << ",\n";
-    out << "      \"cache_hits\": " << w.server.cache_hits << ",\n";
-    out << "      \"snapshot_resolves\": " << w.server.snapshot_resolves
+    out << "      \"cache_hits\": " << w.server.base.hits << ",\n";
+    out << "      \"snapshot_resolves\": " << w.server.base.resolves
         << ",\n";
-    out << "      \"stale_refills\": " << w.server.stale_refills << ",\n";
-    out << "      \"not_found\": " << w.server.not_found << "\n";
+    out << "      \"stale_refills\": " << w.server.base.stale_refills << ",\n";
+    out << "      \"not_found\": " << w.server.base.not_found << "\n";
     out << "    }" << (i + 1 < records.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
@@ -186,7 +186,7 @@ int main(int argc, char** argv) {
             r.cell.threads, r.cell.paintings, r.cell.writes_per_sec,
             r.result.throughput_rps,
             static_cast<unsigned long long>(r.result.latency.quantile_ns(0.99)),
-            r.result.server.stale_refills,
+            r.result.server.base.stale_refills,
             static_cast<unsigned long long>(r.epochs_published),
             r.result.failures);
         records.push_back(std::move(r));

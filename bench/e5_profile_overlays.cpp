@@ -49,7 +49,7 @@ struct Cell {
 struct Record {
   Cell cell;
   serve::WorkloadResult result;
-  serve::ConcurrentServer::Stats after_traffic;
+  serve::ConcurrentServer::UnifiedStats after_traffic;
   // The family-edit invalidation probe.
   std::size_t edit_pages_rewoven = 0;
   std::size_t edit_linkbases_reauthored = 0;
@@ -100,7 +100,7 @@ Record run_cell(const Cell& cell, std::size_t steps_per_session) {
   options.steps_per_session = steps_per_session;
   options.behaviors = {serve::Behavior::ProfileMix};
   record.result = workload.run(*server, options);
-  record.after_traffic = server->stats();
+  record.after_traffic = server->unified_stats();
 
   // Warm every (profile, page) pair so the invalidation probe below
   // measures the full overlay space, not whatever traffic happened
@@ -116,7 +116,7 @@ Record run_cell(const Cell& cell, std::size_t steps_per_session) {
       (void)server->get(page, profile.name);
     }
   }
-  const serve::ConcurrentServer::Stats warmed = server->stats();
+  const serve::ConcurrentServer::UnifiedStats warmed = server->unified_stats();
 
   // One family edit; the asymmetry counters.
   nav::RebuildReport report = engine->internals().edit_context_family(
@@ -138,10 +138,11 @@ Record run_cell(const Cell& cell, std::size_t steps_per_session) {
       (void)server->get(page, profile.name);
     }
   }
-  const serve::ConcurrentServer::Stats reprobed = server->stats();
-  record.reprobe_hits = reprobed.overlay_hits - warmed.overlay_hits;
+  const serve::ConcurrentServer::UnifiedStats reprobed =
+      server->unified_stats();
+  record.reprobe_hits = reprobed.overlay.hits - warmed.overlay.hits;
   record.reprobe_stale_renders =
-      reprobed.overlay_stale_renders - warmed.overlay_stale_renders;
+      reprobed.overlay.stale_refills - warmed.overlay.stale_refills;
   return record;
 }
 
@@ -169,13 +170,13 @@ void emit_json(const std::vector<Record>& records, std::ostream& out) {
     out << "      \"latency_p99_ns\": " << w.latency.quantile_ns(0.99)
         << ",\n";
     out << "      \"latency_max_ns\": " << w.latency.max_ns() << ",\n";
-    out << "      \"overlay_requests\": " << r.after_traffic.overlay_requests
+    out << "      \"overlay_requests\": " << r.after_traffic.overlay.requests
         << ",\n";
-    out << "      \"overlay_hits\": " << r.after_traffic.overlay_hits
+    out << "      \"overlay_hits\": " << r.after_traffic.overlay.hits
         << ",\n";
-    out << "      \"overlay_renders\": " << r.after_traffic.overlay_renders
+    out << "      \"overlay_renders\": " << r.after_traffic.overlay.resolves
         << ",\n";
-    out << "      \"overlay_entries\": " << r.after_traffic.overlay_entries
+    out << "      \"overlay_entries\": " << r.after_traffic.overlay.entries
         << ",\n";
     out << "      \"edit_pages_rewoven\": " << r.edit_pages_rewoven << ",\n";
     out << "      \"edit_linkbases_reauthored\": "
@@ -227,7 +228,7 @@ int main(int argc, char** argv) {
             r.cell.profiles, r.cell.paintings, r.cell.threads,
             r.result.throughput_rps,
             static_cast<unsigned long long>(r.result.latency.quantile_ns(0.99)),
-            r.after_traffic.overlay_entries, r.edit_pages_rewoven,
+            r.after_traffic.overlay.entries, r.edit_pages_rewoven,
             r.reprobe_stale_renders, r.reprobe_hits);
         records.push_back(std::move(r));
       }

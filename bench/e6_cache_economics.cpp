@@ -58,7 +58,7 @@ struct Cell {
 struct Record {
   Cell cell;
   std::size_t requests = 0;
-  serve::ConcurrentServer::Stats after_traffic;
+  serve::ConcurrentServer::UnifiedStats after_traffic;
   // The one-edit asymmetry probe over every (profile, page) pair.
   std::size_t pairs = 0;
   std::size_t touched_pairs = 0;  ///< pairs whose served bytes the edit changed
@@ -161,7 +161,7 @@ Record run_cell(const Cell& cell, std::size_t steps) {
     (void)server->get(page, rng.pick(profiles).name);
     record.requests += 2;
   }
-  record.after_traffic = server->stats();
+  record.after_traffic = server->unified_stats();
 
   // The asymmetry probe: warm every pair, capture its bytes, edit once,
   // re-probe pair by pair classifying outcome via counter deltas.
@@ -184,13 +184,14 @@ Record run_cell(const Cell& cell, std::size_t steps) {
     const std::map<std::string, std::string> oracle =
         profile_oracle(*engine, profile);
     for (const std::string& page : pages) {
-      const serve::ConcurrentServer::Stats pre = server->stats();
+      const serve::ConcurrentServer::UnifiedStats pre = server->unified_stats();
       site::Response r = server->get(page, profile.name);
       if (!r.ok()) continue;
-      const serve::ConcurrentServer::Stats post = server->stats();
+      const serve::ConcurrentServer::UnifiedStats post =
+          server->unified_stats();
       ++record.pairs;
       const bool touched = before.at(profile.name + '\n' + page) != oracle.at(page);
-      const bool hit = post.overlay_hits > pre.overlay_hits;
+      const bool hit = post.overlay.hits > pre.overlay.hits;
       if (touched) {
         ++record.touched_pairs;
         hit ? ++record.touched_retained : ++record.touched_retired;
@@ -206,7 +207,7 @@ void emit_json(const std::vector<Record>& records, std::ostream& out) {
   out << "{\n  \"bench\": \"e6_cache_economics\",\n  \"runs\": [\n";
   for (std::size_t i = 0; i < records.size(); ++i) {
     const Record& r = records[i];
-    const serve::ConcurrentServer::Stats& s = r.after_traffic;
+    const serve::ConcurrentServer::UnifiedStats& s = r.after_traffic;
     char buffer[64];
     auto ratio = [&](std::size_t hits, std::size_t requests) {
       std::snprintf(buffer, sizeof(buffer), "%.4f",
@@ -226,16 +227,16 @@ void emit_json(const std::vector<Record>& records, std::ostream& out) {
     out << "      \"edits_per_1k\": " << r.cell.edits_per_1k << ",\n";
     out << "      \"paintings\": " << r.cell.paintings << ",\n";
     out << "      \"requests\": " << r.requests << ",\n";
-    out << "      \"base_hit_ratio\": " << ratio(s.cache_hits, s.requests)
+    out << "      \"base_hit_ratio\": " << ratio(s.base.hits, s.base.requests)
         << ",\n";
     out << "      \"overlay_hit_ratio\": "
-        << ratio(s.overlay_hits, s.overlay_requests) << ",\n";
-    out << "      \"base_entries\": " << s.cached_entries << ",\n";
-    out << "      \"base_inserted\": " << s.cache_inserted << ",\n";
-    out << "      \"base_evicted\": " << s.cache_evicted << ",\n";
-    out << "      \"overlay_entries\": " << s.overlay_entries << ",\n";
-    out << "      \"overlay_inserted\": " << s.overlay_inserted << ",\n";
-    out << "      \"overlay_evicted\": " << s.overlay_evicted << ",\n";
+        << ratio(s.overlay.hits, s.overlay.requests) << ",\n";
+    out << "      \"base_entries\": " << s.base.entries << ",\n";
+    out << "      \"base_inserted\": " << s.base.inserted << ",\n";
+    out << "      \"base_evicted\": " << s.base.evicted << ",\n";
+    out << "      \"overlay_entries\": " << s.overlay.entries << ",\n";
+    out << "      \"overlay_inserted\": " << s.overlay.inserted << ",\n";
+    out << "      \"overlay_evicted\": " << s.overlay.evicted << ",\n";
     out << "      \"pairs\": " << r.pairs << ",\n";
     out << "      \"touched_pairs\": " << r.touched_pairs << ",\n";
     out << "      \"touched_retired\": " << r.touched_retired << ",\n";
@@ -284,7 +285,7 @@ int main(int argc, char** argv) {
     for (std::size_t profiles : profile_counts) {
       for (std::size_t edits : edit_rates) {
         Record r = run_cell(Cell{cap, profiles, edits, paintings}, steps);
-        const serve::ConcurrentServer::Stats& s = r.after_traffic;
+        const serve::ConcurrentServer::UnifiedStats& s = r.after_traffic;
         std::printf(
             "cap=%s profiles=%zu edits/1k=%zu -> overlay hit %.2f "
             "(%zu entries, %zu evicted); edit: %zu/%zu pairs touched, "
@@ -293,11 +294,11 @@ int main(int argc, char** argv) {
                 ? "inf"
                 : std::to_string(cap).c_str(),
             r.cell.profiles, r.cell.edits_per_1k,
-            s.overlay_requests == 0
+            s.overlay.requests == 0
                 ? 0.0
-                : static_cast<double>(s.overlay_hits) /
-                      static_cast<double>(s.overlay_requests),
-            s.overlay_entries, s.overlay_evicted, r.touched_pairs, r.pairs,
+                : static_cast<double>(s.overlay.hits) /
+                      static_cast<double>(s.overlay.requests),
+            s.overlay.entries, s.overlay.evicted, r.touched_pairs, r.pairs,
             r.untouched_retained, r.touched_retired);
         records.push_back(std::move(r));
       }

@@ -80,7 +80,7 @@ void BM_ConsumeLinkbase(benchmark::State& state) {
   std::size_t arcs = 0;
   for (auto _ : state) {
     navsep::xml::ParseOptions opts;
-    opts.base_uri = engine->server().uri_of("links.xml");
+    opts.base_uri = engine->server().base() + "links.xml";
     auto doc = navsep::xml::parse(text, opts);
     auto graph = navsep::xlink::TraversalGraph::from_linkbase(*doc);
     arcs = graph.arcs().size();
@@ -98,7 +98,7 @@ void BM_ResolveEndpoints(benchmark::State& state) {
   std::vector<std::string> targets;
   for (const std::string& pid : engine->world().painter_ids()) {
     navsep::xml::ParseOptions opts;
-    opts.base_uri = engine->server().uri_of("data/" + pid + ".xml");
+    opts.base_uri = engine->server().base() + "data/" + pid + ".xml";
     auto doc = navsep::xml::parse(
         navsep::xml::write(*engine->world().painter_document(pid), {}), opts);
     registry.add(*doc);

@@ -104,7 +104,7 @@ int lint_demo() {
                     .serve();
 
   core::LinkbaseOptions options;
-  options.base_uri = engine->server().uri_of("links.xml");
+  options.base_uri = engine->server().base() + "links.xml";
   options.data_href = [](std::string_view id) {
     return "data/" + std::string(id) + ".xml";
   };
@@ -115,7 +115,7 @@ int lint_demo() {
   xlink::DocumentRegistry registry;
   for (const std::string& id : engine->world().painting_ids()) {
     xml::ParseOptions popts;
-    popts.base_uri = engine->server().uri_of("data/" + id + ".xml");
+    popts.base_uri = engine->server().base() + "data/" + id + ".xml";
     docs.push_back(xml::parse(
         xml::write(*engine->world().painting_document(id), {}), popts));
     registry.add(*docs.back());

@@ -55,10 +55,11 @@ int main() {
 
   const nav::SessionView& session = engine->session();
   // One coherent counter sample instead of four separately-read atomics.
-  const navsep::site::HypermediaServer::Stats stats = engine->server().stats();
+  const navsep::serve::ConcurrentServer::LayerStats stats =
+      engine->server().unified_stats().base;
   std::printf("\nvisited %zu pages, server served %zu requests "
               "(%zu misses, %zu cache hits, %zu cached)\n",
-              session.pages_visited(), stats.requests, stats.misses,
-              stats.cache_hits, stats.cache_size);
+              session.pages_visited(), stats.requests, stats.not_found,
+              stats.hits, stats.entries);
   return 0;
 }

@@ -156,11 +156,6 @@ std::string Engine::compose_page(std::string_view node_id,
 }
 
 void Engine::rebuild() {
-  // Blanket invalidation keeps the historical contract: a rebuild() after
-  // registering arbitrary aspects must leave no stale response anywhere.
-  // Clearing BEFORE the run also keeps it cheap — every page the run
-  // replaces would otherwise scan the still-warm cache in invalidate().
-  server_->clear_cache();
   build_graph_.mark_all_dirty();
   if (batch_open_) {
     ++batch_edits_;
@@ -197,22 +192,36 @@ RebuildReport Engine::run_or_defer() {
 RebuildReport Engine::run_graph_now() {
   WorkerPool* pool = eligible_pool();
   RebuildReport report;
-  {
-    // Spans recorded under this run (plan/wave/publish) are all stamped
-    // with the epoch the run is building toward, so one edit burst is
-    // traceable end-to-end by epoch.
-    const std::uint64_t target_epoch = snapshots_.epoch() + 1;
-    build_graph_.set_epoch_hint(target_epoch);
-    obs::ScopedSpan span(
-        telemetry_ != nullptr ? &telemetry_->spans() : nullptr, "build.run",
-        target_epoch);
-    WaveFlagGuard guard(parallel_wave_active_, pool != nullptr);
-    report = build_graph_.run(pool);
+  try {
+    {
+      // Spans recorded under this run (plan/wave/publish) are all stamped
+      // with the epoch the run is building toward, so one edit burst is
+      // traceable end-to-end by epoch.
+      const std::uint64_t target_epoch = snapshots_.epoch() + 1;
+      build_graph_.set_epoch_hint(target_epoch);
+      obs::ScopedSpan span(
+          telemetry_ != nullptr ? &telemetry_->spans() : nullptr,
+          "build.run", target_epoch);
+      WaveFlagGuard guard(parallel_wave_active_, pool != nullptr);
+      report = build_graph_.run(pool);
+    }
+    publish_snapshot();
+  } catch (...) {
+    // The node that threw ends clean with its stale product (the build
+    // graph's serial contract), and nothing says which node it was: the
+    // next run re-runs them all, as rebuild() does, so a retry of the
+    // same edit converges. The run may also have rebuilt the arc table
+    // before it threw, and the session's cached links() point into the
+    // old one. Nothing was published, so the session re-reads the
+    // previous epoch's page.
+    build_graph_.mark_all_dirty();
+    browser_->refresh();
+    throw;
   }
-  // The arc table (and with it the Arc storage the browser's cached
-  // links() point into) may have been rebuilt; re-resolve the session.
+  // After the publish: the session reads through server_, which serves
+  // only published epochs. The arc table (and with it the Arc storage
+  // the session's cached links() point into) may have been rebuilt.
   browser_->refresh();
-  publish_snapshot();
   if (telemetry_ != nullptr) {
     telemetry_->counter("build.runs").add(1);
     telemetry_->counter("build.nodes_rebuilt").add(report.nodes_rebuilt);
@@ -284,23 +293,16 @@ void Engine::set_weave_workers(std::size_t lanes) {
 
 void Engine::attach_telemetry(std::shared_ptr<obs::Registry> registry) {
   telemetry_sampler_.reset();
+  server_metrics_.reset();
   build_graph_.set_telemetry(registry.get());
   telemetry_ = std::move(registry);
   if (telemetry_ == nullptr) return;
+  server_metrics_ = server_->register_metrics(telemetry_, "engine.server");
   // Raw pointer capture on purpose: the registry holding a closure that
   // shares ownership of itself would never be destroyed. The handle
   // (reset above / on destruction / on re-attach) bounds its use.
   obs::Registry* reg = telemetry_.get();
   telemetry_sampler_ = reg->add_sampler([this, reg] {
-    const site::HypermediaServer::Stats s = server_->stats();
-    reg->gauge("engine.server.requests")
-        .set(static_cast<std::int64_t>(s.requests));
-    reg->gauge("engine.server.misses")
-        .set(static_cast<std::int64_t>(s.misses));
-    reg->gauge("engine.server.cache_hits")
-        .set(static_cast<std::int64_t>(s.cache_hits));
-    reg->gauge("engine.server.cache_size")
-        .set(static_cast<std::int64_t>(s.cache_size));
     reg->gauge("store.epoch")
         .set(static_cast<std::int64_t>(snapshots_.epoch()));
     reg->gauge("store.publishes")
@@ -541,9 +543,7 @@ bool Engine::sync_linkbases() {
     want(name, LinkbaseKind::Landmark);
   }
   for (std::size_t i = 0; i < previous.size(); ++i) {
-    if (kept[i]) continue;
-    site_.remove(previous[i].path);
-    server_->invalidate(previous[i].path);
+    if (!kept[i]) site_.remove(previous[i].path);
   }
 
   // Graph nodes: a program node per route (Lazy ones too: their token
@@ -738,8 +738,8 @@ RebuildReport Engine::remove_route(std::string_view name) {
                         static_cast<std::ptrdiff_t>(index));
   // The sync drops the route's nodes and re-points (so dirties) the arc
   // table, which re-merges without this route's arcs; an Aot route's
-  // artifact and cached responses retire now. Lazy removal publishes
-  // the shrunk route table through run_or_defer's unconditional publish.
+  // artifact retires now. Lazy removal publishes the shrunk route table
+  // through run_or_defer's unconditional publish.
   (void)sync_linkbases();
   return run_or_defer();
 }
@@ -1142,10 +1142,7 @@ std::uint64_t Engine::put_if_changed(const std::string& path,
   const std::uint64_t hash = hash_bytes(text);
   const std::string* current = site_.get(path);
   const bool differs = current == nullptr || *current != text;
-  if (differs) {
-    site_.put(path, std::move(text));
-    server_->invalidate(path);
-  }
+  if (differs) site_.put(path, std::move(text));
   if (changed != nullptr) *changed = differs;
   return hash;
 }
@@ -1242,16 +1239,14 @@ void Engine::sync_pages() {
   std::sort(sorted_desired.begin(), sorted_desired.end());
 
   // Retire pages whose member vanished: graph nodes, site artifact,
-  // cached responses, provenance.
+  // provenance.
   for (const std::string& id : page_ids_) {
     if (std::binary_search(sorted_desired.begin(), sorted_desired.end(), id)) {
       continue;
     }
     build_graph_.remove(page_node(id));
     build_graph_.remove(slice_node(id));
-    const std::string path = core::default_href_for(id);
-    site_.remove(path);
-    server_->invalidate(path);
+    site_.remove(core::default_href_for(id));
     provenance_.erase(id);
   }
 
@@ -1300,7 +1295,7 @@ BuildGraph::ParallelOutcome Engine::weave_page_outcome(
   // COMPUTE PHASE — runs on a pool lane during parallel waves. Reads
   // structure_/nav_/weaver aspects (all frozen for the duration of a
   // graph run), writes only locals and the thread-local provenance
-  // scratch. Everything shared-mutable (site_, server_, provenance_)
+  // scratch. Everything shared-mutable (site_, provenance_)
   // moves into the commit closure, which the coordinator runs serially
   // in plan order — so output is byte-identical for any worker count.
   t_weave_provenance.clear();
@@ -1540,8 +1535,6 @@ std::unique_ptr<Engine> SitePipeline::serve(std::string_view base) {
     }
   }
 
-  engine->server_ = std::make_unique<site::HypermediaServer>(
-      engine->site_, engine->site_base_);
   // Capture Menu sub specs BEFORE wiring so their Source nodes exist
   // from the first run, and configure the pool so the initial weave
   // parallelizes too.
@@ -1555,6 +1548,7 @@ std::unique_ptr<Engine> SitePipeline::serve(std::string_view base) {
   }
   engine->publish_snapshot();  // epoch 1: the initially built site
 
+  engine->server_ = engine->open_concurrent();
   engine->browser_ =
       std::make_unique<site::Browser>(*engine->server_, engine->graph_);
   engine->session_ = std::make_unique<BrowserSession>(*engine->browser_,

@@ -41,18 +41,13 @@
 #include "obs/registry.hpp"
 #include "nav/session.hpp"
 #include "nav/worker_pool.hpp"
+#include "serve/concurrent_server.hpp"
 #include "serve/snapshot.hpp"
 #include "site/browser.hpp"
-#include "site/server.hpp"
 #include "site/session.hpp"
 #include "site/virtual_site.hpp"
 #include "xlink/traversal.hpp"
 #include "xml/dom.hpp"
-
-namespace navsep::serve {
-class ConcurrentServer;
-struct CacheLimits;
-}  // namespace navsep::serve
 
 namespace navsep::repl {
 class Publisher;
@@ -110,9 +105,12 @@ class Engine final : public EngineInternals {
   }
   /// The woven artifact store (writer-side view).
   [[nodiscard]] const site::VirtualSite& site() const noexcept { return site_; }
-  /// The single-site server over site() (writer-side; concurrent readers
-  /// use open_concurrent() instead).
-  [[nodiscard]] const site::HypermediaServer& server() const noexcept {
+  /// The engine's own concurrent server over snapshots(): it serves only
+  /// published epochs, so it is safe for any number of reader threads
+  /// while this engine mutates, and a mutation that throws leaves it
+  /// serving the last epoch. navigator(), session() and open_browser()
+  /// read through it.
+  [[nodiscard]] const serve::ConcurrentServer& server() const noexcept {
     return *server_;
   }
   /// Separated (the paper's design) or Tangled (the baseline).
@@ -121,7 +119,7 @@ class Engine final : public EngineInternals {
   // --- additional consumers over the same site --------------------------------
 
   /// An independent XLink browser (own history/location) over the engine's
-  /// server and arc table. The engine must outlive it.
+  /// server (published epochs) and arc table. The engine must outlive it.
   [[nodiscard]] site::Browser open_browser() const;
 
   /// A context-aware navigation session over the engine's families; join
@@ -184,10 +182,6 @@ class Engine final : public EngineInternals {
   }
   [[nodiscard]] const BuildGraph& build_graph() const noexcept override {
     return build_graph_;
-  }
-  void clear_response_cache() override { server_->clear_cache(); }
-  [[nodiscard]] std::size_t response_cache_hits() const noexcept override {
-    return server_->cache_hits();
   }
   [[nodiscard]] const serve::SnapshotStore& snapshots()
       const noexcept override {
@@ -263,9 +257,8 @@ class Engine final : public EngineInternals {
   [[nodiscard]] BuildGraph::ParallelOutcome weave_page_outcome(
       const std::string& page_id);
 
-  /// Write `text` at `path` iff it differs, invalidating the server's
-  /// cached responses for the path. Returns the text hash; `*changed`
-  /// (when given) says whether the write happened.
+  /// Write `text` at `path` iff it differs. Returns the text hash;
+  /// `*changed` (when given) says whether the write happened.
   std::uint64_t put_if_changed(const std::string& path, std::string text,
                                bool* changed = nullptr);
 
@@ -281,9 +274,10 @@ class Engine final : public EngineInternals {
   /// Mark the spec dirty, run the graph, refresh the session browser.
   RebuildReport run_graph_after_mutation();
 
-  /// Run the graph now (through the pool when eligible), refresh the
-  /// browser, publish one snapshot — or, with a batch open, record the
-  /// edit and defer all of it to commit_batch().
+  /// Run the graph now (through the pool when eligible), publish one
+  /// snapshot, refresh the session browser — or, with a batch open,
+  /// record the edit and defer all of it to commit_batch(). A run that
+  /// throws publishes nothing but still refreshes the session.
   RebuildReport run_or_defer();
   RebuildReport run_graph_now();
 
@@ -454,13 +448,15 @@ class Engine final : public EngineInternals {
   /// keep pointer identity across epochs (the wire's carry-forward probe).
   std::shared_ptr<const serve::RouteTable> route_table_;
 
-  std::unique_ptr<site::HypermediaServer> server_;
-  std::unique_ptr<site::Browser> browser_;
-  std::unique_ptr<BrowserSession> session_;
-
   /// Published site snapshots (self-contained: shared artifact bytes +
   /// value-copied arcs, no pointers into the members above).
   serve::SnapshotStore snapshots_;
+
+  /// server() — points into snapshots_ — and the session reading
+  /// through it.
+  std::unique_ptr<serve::ConcurrentServer> server_;
+  std::unique_ptr<site::Browser> browser_;
+  std::unique_ptr<BrowserSession> session_;
 
   // --- incremental rebuild state ---------------------------------------------
   BuildGraph build_graph_;
@@ -501,11 +497,13 @@ class Engine final : public EngineInternals {
   std::vector<MenuSubSpec> menu_subs_;
 
   // --- telemetry --------------------------------------------------------------
-  /// Attached registry (see attach_telemetry) and the engine's pull
-  /// sampler registered on it. Handle declared after the registry so it
-  /// unregisters first on destruction.
+  /// Attached registry (see attach_telemetry), the engine's store
+  /// sampler and server_'s metrics registered on it. Handles declared
+  /// after the registry and server_ so they unregister first on
+  /// destruction.
   std::shared_ptr<obs::Registry> telemetry_;
   obs::SamplerHandle telemetry_sampler_;
+  obs::SamplerHandle server_metrics_;
 };
 
 /// Fluent composer of the whole separated-navigation pipeline. Stages may

@@ -8,8 +8,8 @@
 //
 //   Navigating      — what 98% of callers need: follow links, move.
 //   SessionView     — read-only observation: history, counters.
-//   EngineInternals — framework-only: weaving hooks, arc tables, cache
-//                     control. Application code should never touch this.
+//   EngineInternals — framework-only: weaving hooks, arc tables,
+//                     mutations. Application code should never touch this.
 //
 // site::Browser keeps its concrete API (existing code and tests are
 // untouched); BrowserSession (session.hpp) adapts it to the first two
@@ -87,9 +87,10 @@ class SessionView {
       const noexcept = 0;
   [[nodiscard]] virtual std::size_t pages_visited() const noexcept = 0;
 
-  /// Server-side counters. These are engine-global: the server is shared,
-  /// so every consumer (this session, open_browser() browsers, direct
-  /// server().get() calls) contributes to them.
+  /// Base-layer counters of the engine's server() (GETs and 404s). These
+  /// are engine-global: the server is shared, so every consumer (this
+  /// session, open_browser() browsers, direct server().get() calls)
+  /// contributes to them.
   [[nodiscard]] virtual std::size_t requests() const noexcept = 0;
   [[nodiscard]] virtual std::size_t misses() const noexcept = 0;
 };
@@ -111,10 +112,10 @@ class EngineInternals {
       const noexcept = 0;
 
   /// Re-compose every page (after registering extra aspects or mutating
-  /// the site) and drop stale server responses. The force-everything
-  /// path — and the correctness oracle of the incremental mutations
-  /// below: their output must be byte-identical to what a rebuild()
-  /// from scratch produces.
+  /// the site) and publish the result as a new epoch. The
+  /// force-everything path — and the correctness oracle of the
+  /// incremental mutations below: their output must be byte-identical to
+  /// what a rebuild() from scratch produces.
   virtual void rebuild() = 0;
 
   // --- incremental mutations (run the build graph, not a full rebuild) --------
@@ -122,15 +123,20 @@ class EngineInternals {
   // Each entry point edits the authored navigation design — the paper's
   // §5 change request, live — marks the affected build-graph nodes dirty
   // and runs the graph: only linkbases whose text changed are re-authored,
-  // only pages whose arc slice changed are re-woven, and the server's
-  // response cache / the session browser's arc cache are invalidated for
-  // exactly those pages. The returned report says what it cost.
+  // only pages whose arc slice changed are re-woven, and the result is
+  // published as one new epoch of snapshots(), the only thing server()
+  // serves. The returned report says what it cost.
   //
   // Mutations are writer-side: callers must externally synchronize them
-  // against concurrent readers of the site/server (same contract as
-  // rebuild()). Browsers obtained from open_browser() must refresh()
+  // against readers of site(), arc_table() and the engine's session
+  // (same contract as rebuild()); server() and open_concurrent() servers
+  // read published epochs and need no synchronization. A mutation that
+  // throws publishes nothing, so they keep serving the last epoch, and
+  // the next graph run re-runs every node: the next successful mutation
+  // converges to what rebuild() would produce, even when it repeats the
+  // failed edit. Browsers obtained from open_browser() must refresh()
   // after a mutation; the engine's own session is refreshed
-  // automatically.
+  // automatically, on the throwing path too.
 
   /// Swap the whole access structure (Index → IndexedGuidedTour...).
   virtual RebuildReport set_access_structure(
@@ -177,16 +183,12 @@ class EngineInternals {
   /// The dependency graph behind the incremental path (introspection).
   [[nodiscard]] virtual const BuildGraph& build_graph() const noexcept = 0;
 
-  /// Cache control for the response cache under get().
-  virtual void clear_response_cache() = 0;
-  [[nodiscard]] virtual std::size_t response_cache_hits() const noexcept = 0;
-
   /// The epoch-published snapshot store behind concurrent serving: every
   /// successful mutation (and rebuild()) publishes a new immutable site
   /// snapshot here. Concurrent readers go through a
-  /// serve::ConcurrentServer over this store — never through the
-  /// writer-side server()/site() — and are wait-free with respect to
-  /// mutations.
+  /// serve::ConcurrentServer over this store — the engine's server() or
+  /// one from open_concurrent(), never the writer-side site() — and are
+  /// wait-free with respect to mutations.
   [[nodiscard]] virtual const serve::SnapshotStore& snapshots()
       const noexcept = 0;
 
@@ -371,14 +373,15 @@ class EngineInternals {
   // --- telemetry --------------------------------------------------------------
 
   /// Attach a metrics registry (obs/registry.hpp). The engine registers
-  /// a pull sampler mirroring its writer-side stats (HypermediaServer
-  /// counters, snapshot-store epoch/publishes) into gauges, counts every
-  /// graph run into `build.*` counters, feeds wave occupancy into a
-  /// histogram, and records epoch-correlated spans (build.plan /
-  /// build.wave.compute / build.wave.commit / build.publish) into the
-  /// registry's SpanLog. Pass nullptr to detach. The registry must
-  /// outlive the engine or be detached first; attaching is writer-side
-  /// state like every mutation.
+  /// server()'s metrics as `engine.server.*` gauges
+  /// (serve::ConcurrentServer::register_metrics) and a pull sampler
+  /// mirroring the snapshot store's epoch/publishes into `store.*`
+  /// gauges, counts every graph run into `build.*` counters, feeds wave
+  /// occupancy into a histogram, and records epoch-correlated spans
+  /// (build.plan / build.wave.compute / build.wave.commit /
+  /// build.publish) into the registry's SpanLog. Pass nullptr to detach.
+  /// The registry must outlive the engine or be detached first;
+  /// attaching is writer-side state like every mutation.
   virtual void attach_telemetry(std::shared_ptr<obs::Registry> registry) = 0;
 
   /// The attached registry (nullptr when telemetry is off).

@@ -1,5 +1,6 @@
 // BrowserSession: the thin adapter that presents one site::Browser (and
-// the server it talks to) through the role-segregated interfaces.
+// the concurrent server it reads published epochs through) through the
+// role-segregated interfaces.
 //
 // Browser itself stays a plain concrete class — existing call sites and
 // tests are untouched — while new code programs against nav::Navigating /
@@ -7,8 +8,8 @@
 #pragma once
 
 #include "nav/roles.hpp"
+#include "serve/concurrent_server.hpp"
 #include "site/browser.hpp"
-#include "site/server.hpp"
 
 namespace navsep::nav {
 
@@ -17,7 +18,7 @@ class BrowserSession final : public Navigating, public SessionView {
   /// Both referents must outlive the session (the engine guarantees this
   /// for sessions it hands out).
   BrowserSession(site::Browser& browser,
-                 const site::HypermediaServer& server) noexcept
+                 const serve::ConcurrentServer& server) noexcept
       : browser_(&browser), server_(&server) {}
 
   // --- Navigating -------------------------------------------------------------
@@ -52,15 +53,15 @@ class BrowserSession final : public Navigating, public SessionView {
     return browser_->pages_visited();
   }
   [[nodiscard]] std::size_t requests() const noexcept override {
-    return server_->requests();
+    return server_->unified_stats().base.requests;
   }
   [[nodiscard]] std::size_t misses() const noexcept override {
-    return server_->misses();
+    return server_->unified_stats().base.not_found;
   }
 
  private:
   site::Browser* browser_;
-  const site::HypermediaServer* server_;
+  const serve::ConcurrentServer* server_;
 };
 
 }  // namespace navsep::nav

@@ -152,8 +152,9 @@ ConcurrentServer::OverlayShard& ConcurrentServer::overlay_shard_for(
 }
 
 site::Response ConcurrentServer::get(std::string_view uri_or_path) const {
-  // Same cache-key policy as HypermediaServer: fragment stripped, 404s
-  // never cached.
+  // Fragment stripped, 404s never cached: the cache is bounded by the
+  // resource aliases actually requested, not by whatever strings
+  // clients probe with.
   std::string key(uri_or_path.substr(0, uri_or_path.find('#')));
   BaseShard& shard = shard_for(key);
   shard.requests.fetch_add(1, std::memory_order_relaxed);
@@ -356,35 +357,6 @@ ConcurrentServer::UnifiedStats ConcurrentServer::unified_stats() const {
                               limits_.overlay_entries_per_shard,
                               limits_.overlay_bytes_per_shard);
   s.epoch = store_->epoch();
-  return s;
-}
-
-ConcurrentServer::Stats ConcurrentServer::stats() const {
-  const UnifiedStats u = unified_stats();
-  Stats s;
-  s.requests = u.base.requests;
-  s.cache_hits = u.base.hits;
-  s.snapshot_resolves = u.base.resolves;
-  s.stale_refills = u.base.stale_refills;
-  s.not_found = u.base.not_found;
-  s.cached_entries = u.base.entries;
-  s.cache_inserted = u.base.inserted;
-  s.cache_evicted = u.base.evicted;
-  s.cached_bytes = u.base.resident_bytes;
-  s.epoch = u.epoch;
-  s.overlay_requests = u.overlay.requests;
-  s.overlay_hits = u.overlay.hits;
-  s.overlay_renders = u.overlay.resolves;
-  s.overlay_stale_renders = u.overlay.stale_refills;
-  s.overlay_not_found = u.overlay.not_found;
-  s.overlay_entries = u.overlay.entries;
-  s.overlay_inserted = u.overlay.inserted;
-  s.overlay_evicted = u.overlay.evicted;
-  s.overlay_bytes = u.overlay.resident_bytes;
-  s.base_cap_per_shard = u.base.entry_cap_per_shard;
-  s.overlay_cap_per_shard = u.overlay.entry_cap_per_shard;
-  s.base_byte_cap_per_shard = u.base.byte_cap_per_shard;
-  s.overlay_byte_cap_per_shard = u.overlay.byte_cap_per_shard;
   return s;
 }
 

@@ -4,10 +4,9 @@
 // map lookup + an LRU splice), and on a hit whose epoch is current,
 // return the shared response. Misses and stale entries acquire the
 // current snapshot (one atomic refcount bump — never a wait on the
-// writer) and resolve against it. The single-site HypermediaServer keeps
-// ONE cache mutex, which is exactly what this replaces for concurrent
-// traffic: N mutex-striped shards, so readers on different shards never
-// contend, with per-shard hit/miss counters aggregated on stats().
+// writer) and resolve against it. The cache is N mutex-striped shards,
+// so readers on different shards never contend, with per-shard hit/miss
+// counters aggregated on unified_stats().
 //
 // Invalidation is by epoch, not by path: writers publish a whole new
 // snapshot, every cached entry carries the epoch it was resolved
@@ -96,45 +95,6 @@ class ConcurrentServer final : public site::PageService {
     std::uint64_t epoch = 0;  ///< store epoch at sample time
   };
 
-  /// Compatibility view of UnifiedStats, preserving the historical
-  /// asymmetric field names (cache_hits vs overlay_hits,
-  /// snapshot_resolves vs overlay_renders, ...). New code should prefer
-  /// unified_stats(); this struct is a thin mapping kept so existing
-  /// callers and dashboards don't churn.
-  struct Stats {
-    std::size_t requests = 0;
-    std::size_t cache_hits = 0;         ///< served from a fresh shard entry
-    std::size_t snapshot_resolves = 0;  ///< resolved against the snapshot
-    std::size_t stale_refills = 0;      ///< resolves that replaced an
-                                        ///< entry from an older epoch
-    std::size_t not_found = 0;          ///< 404s
-    std::size_t cached_entries = 0;     ///< live entries across shards
-    std::size_t cache_inserted = 0;     ///< entries ever added
-    std::size_t cache_evicted = 0;      ///< entries ever removed
-    std::uint64_t epoch = 0;            ///< store epoch at sample time
-
-    std::size_t overlay_requests = 0;
-    std::size_t overlay_hits = 0;     ///< entry valid, served as cached
-    std::size_t overlay_renders = 0;  ///< overlay composed from the snapshot
-    std::size_t overlay_stale_renders = 0;  ///< renders that replaced an
-                                            ///< invalidated entry
-    std::size_t overlay_not_found = 0;      ///< profile-scoped 404s
-    std::size_t overlay_entries = 0;        ///< live overlay entries
-    std::size_t overlay_inserted = 0;       ///< overlay entries ever added
-    std::size_t overlay_evicted = 0;        ///< overlay entries ever removed
-
-    /// Resident body bytes per layer, sampled under the same shard locks
-    /// as the entry counts (so bytes and entries describe one moment).
-    std::size_t cached_bytes = 0;   ///< base-layer resident body bytes
-    std::size_t overlay_bytes = 0;  ///< overlay-layer resident body bytes
-
-    /// The configured caps, echoed for dashboards (kUnbounded when off).
-    std::size_t base_cap_per_shard = CacheLimits::kUnbounded;
-    std::size_t overlay_cap_per_shard = CacheLimits::kUnbounded;
-    std::size_t base_byte_cap_per_shard = CacheLimits::kUnbounded;
-    std::size_t overlay_byte_cap_per_shard = CacheLimits::kUnbounded;
-  };
-
   /// Serve over `store` (which must already have a published snapshot —
   /// the base URI is captured from it; throws navsep::SemanticError when
   /// empty) with `shards` cache shards (clamped to at least 1), each
@@ -210,10 +170,6 @@ class ConcurrentServer final : public site::PageService {
   /// (locks each shard briefly for its residency ledger; counter loads
   /// are ordered per shard, see LayerStats).
   [[nodiscard]] UnifiedStats unified_stats() const;
-
-  /// The historical flat view, mapped field-for-field from
-  /// unified_stats().
-  [[nodiscard]] Stats stats() const;
 
   /// Register a pull sampler on `registry` that mirrors unified_stats()
   /// into gauges at every Registry::snapshot() — `<prefix>.base.*` and

@@ -562,7 +562,7 @@ WorkloadResult Workload::run(ConcurrentServer& server,
       result.seconds > 0.0
           ? static_cast<double>(result.requests) / result.seconds
           : 0.0;
-  result.server = server.stats();
+  result.server = server.unified_stats();
 
   if (options.telemetry != nullptr) {
     obs::Registry& reg = *options.telemetry;

@@ -24,8 +24,9 @@
 // Thread-safety contract: reader sessions touch ONLY the ConcurrentServer,
 // the snapshots it serves, and the engine's navigational model / context
 // families (which mutations never rebuild). They never touch the
-// engine's weaver, server, site, or structure — those belong to the
-// single writer thread.
+// engine's weaver, site, or structure — those belong to the single
+// writer thread. The engine's own server() reads the same published
+// snapshots and is as safe to use alongside them.
 #pragma once
 
 #include <array>
@@ -143,7 +144,7 @@ struct WorkloadResult {
   double seconds = 0.0;
   double throughput_rps = 0.0;  ///< requests / seconds
   LatencyHistogram latency;
-  ConcurrentServer::Stats server;  ///< sampled after the run
+  ConcurrentServer::UnifiedStats server;  ///< sampled after the run
   std::vector<BehaviorTally> by_behavior;
   obs::TraceAggregate traces;  ///< empty unless options.trace.enabled
 };

@@ -40,83 +40,16 @@ HypermediaServer::HypermediaServer(const VirtualSite& site, std::string base)
   normalized_base_ = uri::normalize(uri::parse(base_)).to_string();
 }
 
-std::string HypermediaServer::uri_of(std::string_view path) const {
-  return base_ + std::string(path);
-}
-
 Response HypermediaServer::get(std::string_view uri_or_path) const {
   requests_.fetch_add(1, std::memory_order_relaxed);
-  // The fragment never reaches the site lookup, so it stays out of the
-  // cache key; 404s are not cached at all — together this bounds the
-  // cache by the resource aliases actually requested, not by whatever
-  // strings clients probe with.
-  std::string key(uri_or_path.substr(0, uri_or_path.find('#')));
-  {
-    std::lock_guard<std::mutex> lock(cache_mutex_);
-    if (auto it = cache_.find(key); it != cache_.end()) {
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      return it->second.response;
-    }
-  }
-  std::string path;
-  Response r = resolve(uri_or_path, &path);
-  if (!r.ok()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return r;
-  }
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  cache_.emplace(std::move(key), CacheEntry{r, std::move(path)});
-  return r;
-}
-
-std::size_t HypermediaServer::invalidate(std::string_view path) const {
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  std::size_t dropped = 0;
-  for (auto it = cache_.begin(); it != cache_.end();) {
-    if (it->second.path == path) {
-      it = cache_.erase(it);
-      ++dropped;
-    } else {
-      ++it;
-    }
-  }
-  return dropped;
-}
-
-std::size_t HypermediaServer::cache_size() const {
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  return cache_.size();
-}
-
-HypermediaServer::Stats HypermediaServer::stats() const {
-  Stats s;
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  s.cache_size = cache_.size();
-  // Load requests LAST: a get() bumps requests before it classifies the
-  // outcome, so this order guarantees requests >= cache_hits + misses in
-  // every sample (the reverse order could observe the classification of
-  // a request it has not counted yet).
-  s.cache_hits = cache_hits_.load(std::memory_order_relaxed);
-  s.misses = misses_.load(std::memory_order_relaxed);
-  s.requests = requests_.load(std::memory_order_relaxed);
-  return s;
-}
-
-void HypermediaServer::clear_cache() const {
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  cache_.clear();
-}
-
-Response HypermediaServer::resolve(std::string_view uri_or_path,
-                                   std::string* resolved_path) const {
-  std::optional<std::string> path = site_path_under(uri_or_path,
-                                                    normalized_base_);
-  if (!path) return Response{404, "", nullptr};
-  std::shared_ptr<const std::string> body = site_->get_shared(*path);
+  std::optional<std::string> path =
+      site_path_under(uri_or_path, normalized_base_);
+  std::shared_ptr<const std::string> body =
+      path ? site_->get_shared(*path) : nullptr;
   if (body == nullptr) {
+    misses_.fetch_add(1, std::memory_order_relaxed);
     return Response{404, "", nullptr};
   }
-  if (resolved_path != nullptr) *resolved_path = *path;
   return Response{200, std::string(content_type_for(*path)), std::move(body)};
 }
 

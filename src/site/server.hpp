@@ -5,24 +5,24 @@
 // extension, and request counters. Enough for the browser and the
 // benchmarks; no sockets (see DESIGN.md non-goals).
 //
-// Successful responses are memoized (keyed without the fragment; 404s
-// are never cached, so probing strings cannot grow the cache): the first
-// GET for a URI pays URI normalization and site lookup, repeats are one
-// cache probe. The cache and the counters are safe for concurrent
-// readers (the whole surface is const): counters are atomics, the cache
-// is guarded by a mutex. Response bodies share ownership with the site
+// HypermediaServer is a stateless resolver: every GET normalizes the
+// URI and looks the path up in the site as it is now, so there is no
+// response cache to keep in step with site edits. It is the paper-scale
+// substrate (one site, no writer) and the tests' independent reference
+// server; the engine serves its published epochs through
+// serve::ConcurrentServer instead. The const surface is safe for
+// concurrent readers of a site nobody is editing; the counters are
+// atomics. Response bodies share ownership with the site
 // (std::shared_ptr), so a response handed to a caller stays readable
-// even after the path is removed or replaced and the cache invalidated.
+// even after the path is removed or replaced.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 
 #include "site/virtual_site.hpp"
 
@@ -66,19 +66,6 @@ class PageService {
 
 class HypermediaServer final : public PageService {
  public:
-  /// One consistent sample of the server's counters. The individual
-  /// accessors below are each atomic but mutually unordered; reading
-  /// them one by one while traffic is in flight can show e.g. more
-  /// cache hits than requests. snapshot-style stats() never does:
-  /// hits/misses are loaded before requests, so requests >= cache_hits
-  /// + misses holds for every sample.
-  struct Stats {
-    std::size_t requests = 0;
-    std::size_t misses = 0;      ///< 404s
-    std::size_t cache_hits = 0;  ///< GETs answered from the response cache
-    std::size_t cache_size = 0;  ///< cached responses currently held
-  };
-
   /// Serve `site` under `base` (e.g. "http://museum.example/site/").
   HypermediaServer(const VirtualSite& site, std::string base);
 
@@ -91,56 +78,17 @@ class HypermediaServer final : public PageService {
   [[nodiscard]] std::size_t requests() const noexcept {
     return requests_.load(std::memory_order_relaxed);
   }
+  /// GETs that answered 404.
   [[nodiscard]] std::size_t misses() const noexcept {
     return misses_.load(std::memory_order_relaxed);
   }
 
-  /// GETs answered from the response cache.
-  [[nodiscard]] std::size_t cache_hits() const noexcept {
-    return cache_hits_.load(std::memory_order_relaxed);
-  }
-
-  /// Cached responses currently held.
-  [[nodiscard]] std::size_t cache_size() const;
-
-  /// One coherent counter sample (see Stats).
-  [[nodiscard]] Stats stats() const;
-
-  /// Drop every cached response (framework hook — the engine calls this
-  /// when the underlying site is rebuilt).
-  void clear_cache() const;
-
-  /// Drop the cached responses of ONE site path, under every URI alias
-  /// that resolved to it — the targeted companion to clear_cache() for
-  /// in-place page replacement. Must be called when a path is removed
-  /// from the site or its content replaced, so later GETs are not served
-  /// the retired bytes (responses already handed out keep their bytes
-  /// alive via shared ownership). Returns the number of cache entries
-  /// dropped.
-  std::size_t invalidate(std::string_view path) const;
-
-  /// Absolute URI of a site path.
-  [[nodiscard]] std::string uri_of(std::string_view path) const;
-
  private:
-  /// A cached response remembers the site path it resolved to, so
-  /// invalidate(path) can find it under any request alias.
-  struct CacheEntry {
-    Response response;
-    std::string path;
-  };
-
-  [[nodiscard]] Response resolve(std::string_view uri_or_path,
-                                 std::string* resolved_path = nullptr) const;
-
   const VirtualSite* site_;
   std::string base_;
   std::string normalized_base_;  // uri::normalize(base_), computed once
   mutable std::atomic<std::size_t> requests_{0};
   mutable std::atomic<std::size_t> misses_{0};
-  mutable std::atomic<std::size_t> cache_hits_{0};
-  mutable std::mutex cache_mutex_;
-  mutable std::unordered_map<std::string, CacheEntry> cache_;
 };
 
 /// "text/html", "text/xml", "text/css" or "application/octet-stream".

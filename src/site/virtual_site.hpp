@@ -29,10 +29,8 @@ class VirtualSite {
  public:
   void put(std::string path, std::string content);
 
-  /// Remove one artifact. Returns false when the path was absent. Callers
-  /// serving the site must invalidate their response caches for the path
-  /// (HypermediaServer::invalidate) so later GETs see the removal;
-  /// responses already handed out stay readable — content is shared, not
+  /// Remove one artifact. Returns false when the path was absent.
+  /// Responses already handed out stay readable — content is shared, not
   /// freed, while anyone still holds it.
   bool remove(std::string_view path);
 

@@ -343,8 +343,8 @@ TEST(IncrementalEngine, ShrinkingTheStructureRetiresPages) {
                                 engine->structure().name(), std::move(kept)));
   EXPECT_EQ(r.pages_total, members.size() + 1);
   EXPECT_EQ(engine->site().get(dropped_path), nullptr);
-  // The cached 200 must be gone with the page (it held a pointer into the
-  // removed artifact — ASan guards the dangling case).
+  // The cached 200 must be gone with the page in the new epoch (it held
+  // the removed artifact's bytes — ASan guards the dangling case).
   EXPECT_EQ(engine->server().get(dropped_path).status, 404);
   expect_sites_identical(engine->site(), full_build_oracle(*engine));
 }
@@ -509,8 +509,9 @@ TEST(IncrementalEngine, MutationInvalidatesResponseAndArcCachesTogether) {
   ASSERT_FALSE(links_before.empty());
 
   // Mutate the live site: the linkbase is re-authored, guitar.html is
-  // re-woven, the response cache entry dropped, and the browser's cached
-  // arc list refreshed (the old Arc pointers died with the arc table).
+  // re-woven, the new epoch retires the server's cached entry, and the
+  // browser's cached arc list is refreshed (the old Arc pointers died
+  // with the arc table).
   (void)engine->retitle_node("guernica", "La Guernica");
 
   ASSERT_TRUE(browser.navigate("guitar.html"));

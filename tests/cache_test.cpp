@@ -43,9 +43,9 @@ std::unique_ptr<nav::Engine> synthetic_engine(std::size_t paintings) {
 
 /// The residency ledger must balance on BOTH layers whenever sampled at
 /// rest: every entry ever added is either still resident or was removed.
-void expect_ledger_balances(const serve::ConcurrentServer::Stats& s) {
-  EXPECT_EQ(s.cache_inserted, s.cached_entries + s.cache_evicted);
-  EXPECT_EQ(s.overlay_inserted, s.overlay_entries + s.overlay_evicted);
+void expect_ledger_balances(const serve::ConcurrentServer::UnifiedStats& s) {
+  EXPECT_EQ(s.base.inserted, s.base.entries + s.base.evicted);
+  EXPECT_EQ(s.overlay.inserted, s.overlay.entries + s.overlay.evicted);
 }
 
 // --- LRU order ----------------------------------------------------------------
@@ -63,18 +63,18 @@ TEST(CacheBounds, LruEvictsTheColdestAndTouchKeepsAlive) {
   ASSERT_TRUE(server->get(b).ok());
   ASSERT_TRUE(server->get(a).ok());  // touch: a is now the most recent
   ASSERT_TRUE(server->get(c).ok());  // cap 2: evicts b, the coldest
-  serve::ConcurrentServer::Stats s = server->stats();
-  EXPECT_EQ(s.cached_entries, 2u);
-  EXPECT_EQ(s.cache_inserted, 3u);
-  EXPECT_EQ(s.cache_evicted, 1u);
+  serve::ConcurrentServer::UnifiedStats s = server->unified_stats();
+  EXPECT_EQ(s.base.entries, 2u);
+  EXPECT_EQ(s.base.inserted, 3u);
+  EXPECT_EQ(s.base.evicted, 1u);
   expect_ledger_balances(s);
 
   // The re-touched entry survived (hit), the evicted one re-resolves.
-  const std::size_t resolves_before = s.snapshot_resolves;
+  const std::size_t resolves_before = s.base.resolves;
   ASSERT_TRUE(server->get(a).ok());
-  EXPECT_EQ(server->stats().snapshot_resolves, resolves_before);
+  EXPECT_EQ(server->unified_stats().base.resolves, resolves_before);
   ASSERT_TRUE(server->get(b).ok());
-  EXPECT_EQ(server->stats().snapshot_resolves, resolves_before + 1);
+  EXPECT_EQ(server->unified_stats().base.resolves, resolves_before + 1);
 }
 
 TEST(CacheBounds, OverlayLayerEvictsLruToo) {
@@ -89,17 +89,17 @@ TEST(CacheBounds, OverlayLayerEvictsLruToo) {
   ASSERT_TRUE(server->get(pages[1], "tour").ok());
   ASSERT_TRUE(server->get(pages[0], "tour").ok());  // touch
   ASSERT_TRUE(server->get(pages[2], "tour").ok());  // evicts pages[1]
-  serve::ConcurrentServer::Stats s = server->stats();
-  EXPECT_EQ(s.overlay_entries, 2u);
-  EXPECT_EQ(s.overlay_inserted, 3u);
-  EXPECT_EQ(s.overlay_evicted, 1u);
+  serve::ConcurrentServer::UnifiedStats s = server->unified_stats();
+  EXPECT_EQ(s.overlay.entries, 2u);
+  EXPECT_EQ(s.overlay.inserted, 3u);
+  EXPECT_EQ(s.overlay.evicted, 1u);
   expect_ledger_balances(s);
 
-  const std::size_t renders_before = s.overlay_renders;
+  const std::size_t renders_before = s.overlay.resolves;
   ASSERT_TRUE(server->get(pages[0], "tour").ok());  // survived
-  EXPECT_EQ(server->stats().overlay_renders, renders_before);
+  EXPECT_EQ(server->unified_stats().overlay.resolves, renders_before);
   ASSERT_TRUE(server->get(pages[1], "tour").ok());  // was evicted
-  EXPECT_EQ(server->stats().overlay_renders, renders_before + 1);
+  EXPECT_EQ(server->unified_stats().overlay.resolves, renders_before + 1);
 }
 
 // --- churn stays under the cap, bytes stay right --------------------------------
@@ -129,11 +129,11 @@ TEST(CacheBounds, ChurnHoldsTheCapOnBothLayersAndServesOracleBytes) {
       ASSERT_TRUE(overlaid.ok()) << page;
       EXPECT_EQ(*overlaid.body, tour_oracle.at(page)) << page;
     }
-    serve::ConcurrentServer::Stats s = server->stats();
-    EXPECT_LE(s.cached_entries, kShards * kCap);
-    EXPECT_LE(s.overlay_entries, kShards * kCap);
+    serve::ConcurrentServer::UnifiedStats s = server->unified_stats();
+    EXPECT_LE(s.base.entries, kShards * kCap);
+    EXPECT_LE(s.overlay.entries, kShards * kCap);
     expect_ledger_balances(s);
-    EXPECT_GT(s.cache_evicted, 0u);  // the cap is actually being hit
+    EXPECT_GT(s.base.evicted, 0u);  // the cap is actually being hit
   }
 }
 
@@ -155,16 +155,16 @@ TEST(CacheBounds, ZeroCapDegeneratesToPassThrough) {
       ASSERT_TRUE(server->get(page, "tour").ok()) << page;
     }
   }
-  serve::ConcurrentServer::Stats s = server->stats();
-  EXPECT_EQ(s.cached_entries, 0u);
-  EXPECT_EQ(s.cache_inserted, 0u);
-  EXPECT_EQ(s.cache_evicted, 0u);
-  EXPECT_EQ(s.cache_hits, 0u);
-  EXPECT_EQ(s.snapshot_resolves, 2 * pages.size());
-  EXPECT_EQ(s.overlay_entries, 0u);
-  EXPECT_EQ(s.overlay_inserted, 0u);
-  EXPECT_EQ(s.overlay_hits, 0u);
-  EXPECT_EQ(s.overlay_renders, 2 * pages.size());
+  serve::ConcurrentServer::UnifiedStats s = server->unified_stats();
+  EXPECT_EQ(s.base.entries, 0u);
+  EXPECT_EQ(s.base.inserted, 0u);
+  EXPECT_EQ(s.base.evicted, 0u);
+  EXPECT_EQ(s.base.hits, 0u);
+  EXPECT_EQ(s.base.resolves, 2 * pages.size());
+  EXPECT_EQ(s.overlay.entries, 0u);
+  EXPECT_EQ(s.overlay.inserted, 0u);
+  EXPECT_EQ(s.overlay.hits, 0u);
+  EXPECT_EQ(s.overlay.resolves, 2 * pages.size());
 
   // Still correct across a mutation (no stale state exists to serve).
   (void)engine->internals().retitle_node(
@@ -193,9 +193,9 @@ TEST(CacheBounds, RetiredPathCountsAsEvicted) {
                                 engine->structure().name(), members));
   EXPECT_FALSE(server->get(victim).ok());
   EXPECT_FALSE(server->get(victim, "tour").ok());
-  serve::ConcurrentServer::Stats s = server->stats();
-  EXPECT_GE(s.cache_evicted, 1u);
-  EXPECT_GE(s.overlay_evicted, 1u);
+  serve::ConcurrentServer::UnifiedStats s = server->unified_stats();
+  EXPECT_GE(s.base.evicted, 1u);
+  EXPECT_GE(s.overlay.evicted, 1u);
   expect_ledger_balances(s);
 }
 
@@ -206,18 +206,18 @@ TEST(CacheBounds, StatsEchoTheConfiguredCaps) {
   auto bounded = engine->open_concurrent(
       2, serve::CacheLimits{.base_entries_per_shard = 7,
                             .overlay_entries_per_shard = 3});
-  serve::ConcurrentServer::Stats s = bounded->stats();
-  EXPECT_EQ(s.base_cap_per_shard, 7u);
-  EXPECT_EQ(s.overlay_cap_per_shard, 3u);
+  serve::ConcurrentServer::UnifiedStats s = bounded->unified_stats();
+  EXPECT_EQ(s.base.entry_cap_per_shard, 7u);
+  EXPECT_EQ(s.overlay.entry_cap_per_shard, 3u);
 
   auto unbounded = engine->open_concurrent();
-  EXPECT_EQ(unbounded->stats().base_cap_per_shard,
+  EXPECT_EQ(unbounded->unified_stats().base.entry_cap_per_shard,
             serve::CacheLimits::kUnbounded);
   EXPECT_EQ(unbounded->limits().overlay_entries_per_shard,
             serve::CacheLimits::kUnbounded);
-  EXPECT_EQ(unbounded->stats().base_byte_cap_per_shard,
+  EXPECT_EQ(unbounded->unified_stats().base.byte_cap_per_shard,
             serve::CacheLimits::kUnbounded);
-  EXPECT_EQ(unbounded->stats().overlay_byte_cap_per_shard,
+  EXPECT_EQ(unbounded->unified_stats().overlay.byte_cap_per_shard,
             serve::CacheLimits::kUnbounded);
 }
 
@@ -240,20 +240,20 @@ TEST(CacheBytes, ResidentBytesTrackTheCachedBodies) {
   }
 
   // The byte ledger equals the sum of exactly the bodies held.
-  serve::ConcurrentServer::Stats s = server->stats();
-  EXPECT_EQ(s.cached_bytes, expected_base);
-  EXPECT_EQ(s.overlay_bytes, expected_overlay);
-  EXPECT_EQ(s.cached_entries, pages.size());
-  EXPECT_EQ(s.overlay_entries, pages.size());
+  serve::ConcurrentServer::UnifiedStats s = server->unified_stats();
+  EXPECT_EQ(s.base.resident_bytes, expected_base);
+  EXPECT_EQ(s.overlay.resident_bytes, expected_overlay);
+  EXPECT_EQ(s.base.entries, pages.size());
+  EXPECT_EQ(s.overlay.entries, pages.size());
 
   // Re-serving is all hits: bytes must not move.
   for (const std::string& page : pages) {
     (void)server->get(page);
     (void)server->get(page, "tour");
   }
-  s = server->stats();
-  EXPECT_EQ(s.cached_bytes, expected_base);
-  EXPECT_EQ(s.overlay_bytes, expected_overlay);
+  s = server->unified_stats();
+  EXPECT_EQ(s.base.resident_bytes, expected_base);
+  EXPECT_EQ(s.overlay.resident_bytes, expected_overlay);
 }
 
 TEST(CacheBytes, ByteCapEvictsAndHoldsUnderChurn) {
@@ -275,18 +275,18 @@ TEST(CacheBytes, ByteCapEvictsAndHoldsUnderChurn) {
     for (const std::string& page : pages) {
       ASSERT_TRUE(server->get(page).ok()) << page;
       ASSERT_TRUE(server->get(page, "tour").ok()) << page;
-      serve::ConcurrentServer::Stats s = server->stats();
-      EXPECT_LE(s.cached_bytes, limits.base_bytes_per_shard);
-      EXPECT_LE(s.overlay_bytes, limits.overlay_bytes_per_shard);
-      EXPECT_EQ(s.cache_inserted, s.cached_entries + s.cache_evicted);
-      EXPECT_EQ(s.overlay_inserted, s.overlay_entries + s.overlay_evicted);
+      serve::ConcurrentServer::UnifiedStats s = server->unified_stats();
+      EXPECT_LE(s.base.resident_bytes, limits.base_bytes_per_shard);
+      EXPECT_LE(s.overlay.resident_bytes, limits.overlay_bytes_per_shard);
+      EXPECT_EQ(s.base.inserted, s.base.entries + s.base.evicted);
+      EXPECT_EQ(s.overlay.inserted, s.overlay.entries + s.overlay.evicted);
     }
   }
-  serve::ConcurrentServer::Stats s = server->stats();
-  EXPECT_GE(s.cache_evicted, 1u);
-  EXPECT_GE(s.overlay_evicted, 1u);
-  EXPECT_EQ(s.base_byte_cap_per_shard, limits.base_bytes_per_shard);
-  EXPECT_EQ(s.overlay_byte_cap_per_shard, limits.overlay_bytes_per_shard);
+  serve::ConcurrentServer::UnifiedStats s = server->unified_stats();
+  EXPECT_GE(s.base.evicted, 1u);
+  EXPECT_GE(s.overlay.evicted, 1u);
+  EXPECT_EQ(s.base.byte_cap_per_shard, limits.base_bytes_per_shard);
+  EXPECT_EQ(s.overlay.byte_cap_per_shard, limits.overlay_bytes_per_shard);
 }
 
 TEST(CacheBytes, ZeroByteCapDegeneratesToPassThrough) {
@@ -302,13 +302,13 @@ TEST(CacheBytes, ZeroByteCapDegeneratesToPassThrough) {
       ASSERT_TRUE(server->get(page, "tour").ok());
     }
   }
-  serve::ConcurrentServer::Stats s = server->stats();
-  EXPECT_EQ(s.cached_entries, 0u);
-  EXPECT_EQ(s.overlay_entries, 0u);
-  EXPECT_EQ(s.cached_bytes, 0u);
-  EXPECT_EQ(s.overlay_bytes, 0u);
-  EXPECT_EQ(s.cache_hits, 0u);
-  EXPECT_EQ(s.overlay_hits, 0u);
+  serve::ConcurrentServer::UnifiedStats s = server->unified_stats();
+  EXPECT_EQ(s.base.entries, 0u);
+  EXPECT_EQ(s.overlay.entries, 0u);
+  EXPECT_EQ(s.base.resident_bytes, 0u);
+  EXPECT_EQ(s.overlay.resident_bytes, 0u);
+  EXPECT_EQ(s.base.hits, 0u);
+  EXPECT_EQ(s.overlay.hits, 0u);
 }
 
 TEST(CacheBytes, ResizingRefillChurnKeepsTheLedgerExactUnderByteCaps) {
@@ -365,18 +365,18 @@ TEST(CacheBytes, ResizingRefillChurnKeepsTheLedgerExactUnderByteCaps) {
     for (const std::string& page : pages) {
       ASSERT_TRUE(server->get(page).ok()) << page;
       ASSERT_TRUE(server->get(page, "tour").ok()) << page;
-      serve::ConcurrentServer::Stats s = server->stats();
-      EXPECT_LE(s.cached_bytes, limits.base_bytes_per_shard);
-      EXPECT_LE(s.overlay_bytes, limits.overlay_bytes_per_shard);
-      EXPECT_EQ(s.cache_inserted, s.cached_entries + s.cache_evicted);
-      EXPECT_EQ(s.overlay_inserted, s.overlay_entries + s.overlay_evicted);
+      serve::ConcurrentServer::UnifiedStats s = server->unified_stats();
+      EXPECT_LE(s.base.resident_bytes, limits.base_bytes_per_shard);
+      EXPECT_LE(s.overlay.resident_bytes, limits.overlay_bytes_per_shard);
+      EXPECT_EQ(s.base.inserted, s.base.entries + s.base.evicted);
+      EXPECT_EQ(s.overlay.inserted, s.overlay.entries + s.overlay.evicted);
     }
   }
-  serve::ConcurrentServer::Stats s = server->stats();
-  EXPECT_GE(s.stale_refills, 1u);
-  EXPECT_GE(s.overlay_stale_renders, 1u);
-  EXPECT_GE(s.cache_evicted, 1u);
-  EXPECT_GE(s.overlay_evicted, 1u);
+  serve::ConcurrentServer::UnifiedStats s = server->unified_stats();
+  EXPECT_GE(s.base.stale_refills, 1u);
+  EXPECT_GE(s.overlay.stale_refills, 1u);
+  EXPECT_GE(s.base.evicted, 1u);
+  EXPECT_GE(s.overlay.evicted, 1u);
 }
 
 TEST(CacheBytes, OversizedRefillDoesNotDrainColderResidents) {
@@ -436,8 +436,8 @@ TEST(CacheBytes, OversizedRefillDoesNotDrainColderResidents) {
     ASSERT_TRUE(server->get(page).ok());
     ASSERT_TRUE(server->get(page, "tour").ok());
   }
-  ASSERT_EQ(server->stats().cached_entries, 3u);
-  ASSERT_EQ(server->stats().overlay_entries, 3u);
+  ASSERT_EQ(server->unified_stats().base.entries, 3u);
+  ASSERT_EQ(server->unified_stats().overlay.entries, 3u);
 
   // Balloon the hot page past the entire per-shard byte budget and
   // refill it: the stale refresh happens in place, then must retire
@@ -447,23 +447,23 @@ TEST(CacheBytes, OversizedRefillDoesNotDrainColderResidents) {
   ASSERT_TRUE(server->get(hot).ok());
   ASSERT_TRUE(server->get(hot, "tour").ok());
 
-  serve::ConcurrentServer::Stats s = server->stats();
-  EXPECT_EQ(s.cached_entries, pages.size());   // colder entries survived
-  EXPECT_EQ(s.overlay_entries, pages.size());
-  EXPECT_LE(s.cached_bytes, limits.base_bytes_per_shard);
-  EXPECT_LE(s.overlay_bytes, limits.overlay_bytes_per_shard);
-  EXPECT_EQ(s.cache_inserted, s.cached_entries + s.cache_evicted);
-  EXPECT_EQ(s.overlay_inserted, s.overlay_entries + s.overlay_evicted);
+  serve::ConcurrentServer::UnifiedStats s = server->unified_stats();
+  EXPECT_EQ(s.base.entries, pages.size());   // colder entries survived
+  EXPECT_EQ(s.overlay.entries, pages.size());
+  EXPECT_LE(s.base.resident_bytes, limits.base_bytes_per_shard);
+  EXPECT_LE(s.overlay.resident_bytes, limits.overlay_bytes_per_shard);
+  EXPECT_EQ(s.base.inserted, s.base.entries + s.base.evicted);
+  EXPECT_EQ(s.overlay.inserted, s.overlay.entries + s.overlay.evicted);
 
   // And they survived as RESIDENTS: re-getting a cold page refreshes it
   // in place (the retitle bumped the epoch) instead of re-inserting it
   // into a drained shard.
-  const std::size_t inserted = s.cache_inserted;
-  const std::size_t overlay_inserted = s.overlay_inserted;
+  const std::size_t inserted = s.base.inserted;
+  const std::size_t overlay_inserted = s.overlay.inserted;
   ASSERT_TRUE(server->get(pages[0]).ok());
   ASSERT_TRUE(server->get(pages[0], "tour").ok());
-  EXPECT_EQ(server->stats().cache_inserted, inserted);
-  EXPECT_EQ(server->stats().overlay_inserted, overlay_inserted);
+  EXPECT_EQ(server->unified_stats().base.inserted, inserted);
+  EXPECT_EQ(server->unified_stats().overlay.inserted, overlay_inserted);
 }
 
 TEST(CacheBytes, OverlayResizingRefillsKeepExactBytesWhenUnbounded) {
@@ -486,12 +486,12 @@ TEST(CacheBytes, OverlayResizingRefillsKeepExactBytesWhenUnbounded) {
       ASSERT_TRUE(r.ok()) << page;
       expected += r.body->size();
     }
-    serve::ConcurrentServer::Stats s = server->stats();
-    EXPECT_EQ(s.overlay_bytes, expected);
-    EXPECT_EQ(s.overlay_entries, pages.size());
-    EXPECT_EQ(s.overlay_inserted, s.overlay_entries + s.overlay_evicted);
+    serve::ConcurrentServer::UnifiedStats s = server->unified_stats();
+    EXPECT_EQ(s.overlay.resident_bytes, expected);
+    EXPECT_EQ(s.overlay.entries, pages.size());
+    EXPECT_EQ(s.overlay.inserted, s.overlay.entries + s.overlay.evicted);
   }
-  EXPECT_GE(server->stats().overlay_stale_renders, 1u);
+  EXPECT_GE(server->unified_stats().overlay.stale_refills, 1u);
 }
 
 TEST(CacheBytes, StaleRefillMovesTheByteLedgerByTheSizeDelta) {
@@ -504,7 +504,7 @@ TEST(CacheBytes, StaleRefillMovesTheByteLedgerByTheSizeDelta) {
     ASSERT_TRUE(r.ok());
     total += r.body->size();
   }
-  ASSERT_EQ(server->stats().cached_bytes, total);
+  ASSERT_EQ(server->unified_stats().base.resident_bytes, total);
 
   // Retitle one member page: its body grows/shrinks; after the stale
   // refill the ledger must equal the NEW sum, not the old one.
@@ -517,10 +517,10 @@ TEST(CacheBytes, StaleRefillMovesTheByteLedgerByTheSizeDelta) {
     ASSERT_TRUE(r.ok());
     new_total += r.body->size();
   }
-  serve::ConcurrentServer::Stats s = server->stats();
-  EXPECT_EQ(s.cached_bytes, new_total);
-  EXPECT_GE(s.stale_refills, 1u);
-  EXPECT_EQ(s.cache_inserted, s.cached_entries + s.cache_evicted);
+  serve::ConcurrentServer::UnifiedStats s = server->unified_stats();
+  EXPECT_EQ(s.base.resident_bytes, new_total);
+  EXPECT_GE(s.base.stale_refills, 1u);
+  EXPECT_EQ(s.base.inserted, s.base.entries + s.base.evicted);
 }
 
 }  // namespace

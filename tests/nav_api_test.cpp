@@ -1,17 +1,24 @@
 // Tests for the navsep::nav façade: the SitePipeline builder, the
 // role-segregated interfaces (Navigating / SessionView / EngineInternals),
-// the Browser adapter equivalence, and the per-source arc index.
+// the Browser adapter equivalence, the per-source arc index, and the
+// engine's own server (published epochs only, also across a throwing
+// mutation and under concurrent readers).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <memory>
+#include <set>
+#include <stdexcept>
 #include <thread>
 
 #include "nav/pipeline.hpp"
+#include "oracle.hpp"
 #include "xml/parser.hpp"
 
 namespace hm = navsep::hypermedia;
 namespace nav = navsep::nav;
+namespace serve = navsep::serve;
 namespace site = navsep::site;
 namespace xlink = navsep::xlink;
 using navsep::museum::MuseumWorld;
@@ -25,6 +32,27 @@ std::unique_ptr<nav::Engine> paper_engine() {
       .access(hm::AccessStructureKind::IndexedGuidedTour, "picasso")
       .weave()
       .serve();
+}
+
+/// A test-side fault in the middle of a graph run: while armed, the
+/// `fail_on`-th page composition (1-based) throws from a foreign
+/// aspect's after("compose(*)") advice. Disarmed, it only counts.
+struct ComposeFault {
+  bool armed = false;
+  int fail_on = 0;
+  int compositions = 0;
+};
+
+std::shared_ptr<navsep::aop::Aspect> compose_fault_aspect(
+    ComposeFault& fault) {
+  auto aspect = std::make_shared<navsep::aop::Aspect>("compose-fault");
+  aspect->after("compose(*)", [&fault](navsep::aop::JoinPointContext&) {
+    ++fault.compositions;
+    if (fault.armed && fault.compositions == fault.fail_on) {
+      throw std::runtime_error("injected compose fault");
+    }
+  });
+  return aspect;
 }
 
 }  // namespace
@@ -271,8 +299,10 @@ TEST(RoleInterfaces, BrowserThroughNavigatingEquivalence) {
   const nav::SessionView& view = engine->session();
   EXPECT_EQ(view.history().size(), reference.history().size());
   EXPECT_EQ(view.pages_visited(), reference.pages_visited());
-  EXPECT_EQ(view.requests(), engine->server().requests());
-  EXPECT_EQ(view.misses(), engine->server().misses());
+  const serve::ConcurrentServer::LayerStats served =
+      engine->server().unified_stats().base;
+  EXPECT_EQ(view.requests(), served.requests);
+  EXPECT_EQ(view.misses(), served.not_found);
 }
 
 TEST(RoleInterfaces, IndependentBrowsersDoNotShareState) {
@@ -365,19 +395,20 @@ TEST(ArcIndex, RoleFilteredLookupAndIndexAccessor) {
   EXPECT_EQ(graph.outgoing_indices("http://nowhere.example/"), nullptr);
 }
 
-// --- server response cache -----------------------------------------------------
+// --- the engine's server -----------------------------------------------------
 
 TEST(ServerCache, RepeatsAreServedFromTheCache) {
   auto engine = paper_engine();
-  const site::HypermediaServer& server = engine->server();
+  const serve::ConcurrentServer& server = engine->server();
+  auto base = [&] { return server.unified_stats().base; };
 
   site::Response first = server.get("guitar.html");
   ASSERT_TRUE(first.ok());
-  EXPECT_EQ(server.cache_hits(), 0u);
+  EXPECT_EQ(base().hits, 0u);
 
   site::Response second = server.get("guitar.html");
   ASSERT_TRUE(second.ok());
-  EXPECT_EQ(server.cache_hits(), 1u);
+  EXPECT_EQ(base().hits, 1u);
   EXPECT_EQ(second.body, first.body);
   EXPECT_EQ(second.content_type, first.content_type);
 
@@ -385,22 +416,19 @@ TEST(ServerCache, RepeatsAreServedFromTheCache) {
   // probing strings cannot grow the cache.
   EXPECT_FALSE(server.get("ghost.html").ok());
   EXPECT_FALSE(server.get("ghost.html").ok());
-  EXPECT_EQ(server.misses(), 2u);
-  EXPECT_EQ(server.requests(), 4u);
-  EXPECT_EQ(server.cache_size(), 1u);
+  EXPECT_EQ(base().not_found, 2u);
+  EXPECT_EQ(base().requests, 4u);
+  EXPECT_EQ(base().entries, 1u);
 
   // Fragments stay out of the cache key.
   EXPECT_TRUE(server.get("guitar.html#anchor").ok());
-  EXPECT_EQ(server.cache_hits(), 2u);
-  EXPECT_EQ(server.cache_size(), 1u);
-
-  engine->internals().clear_response_cache();
-  EXPECT_EQ(server.cache_size(), 0u);
+  EXPECT_EQ(base().hits, 2u);
+  EXPECT_EQ(base().entries, 1u);
 }
 
 TEST(ServerCache, CountersSurviveConcurrentReaders) {
   auto engine = paper_engine();
-  const site::HypermediaServer& server = engine->server();
+  const serve::ConcurrentServer& server = engine->server();
   constexpr int kThreads = 4;
   constexpr int kGetsPerThread = 250;
 
@@ -419,9 +447,175 @@ TEST(ServerCache, CountersSurviveConcurrentReaders) {
   }
   for (auto& thread : threads) thread.join();
 
-  EXPECT_EQ(server.requests(), static_cast<std::size_t>(kThreads) *
-                                   kGetsPerThread);
-  EXPECT_EQ(server.misses(), static_cast<std::size_t>(kThreads) *
-                                 kGetsPerThread / 2);
+  const serve::ConcurrentServer::LayerStats base =
+      server.unified_stats().base;
+  EXPECT_EQ(base.requests, static_cast<std::size_t>(kThreads) *
+                               kGetsPerThread);
+  EXPECT_EQ(base.not_found, static_cast<std::size_t>(kThreads) *
+                                kGetsPerThread / 2);
   EXPECT_EQ(oks.load(), kThreads * kGetsPerThread / 2);
+}
+
+// The engine's own session after a mutation that throws mid-run: the
+// arc table was rebuilt before the second page weave threw, so links()
+// must be re-resolved against the live table (reading a stale arc is a
+// heap-use-after-free under ASan), and page() must still be the last
+// published epoch's bytes.
+TEST(EngineServing, SessionStaysValidAfterAThrowingMutation) {
+  auto engine = paper_engine();
+  nav::Navigating& navigator = engine->navigator();
+  ASSERT_TRUE(navigator.navigate("guernica.html"));
+  ASSERT_FALSE(navigator.links().empty());
+  ComposeFault fault{.armed = true, .fail_on = 2};
+  engine->internals().weaver().register_aspect(compose_fault_aspect(fault));
+  const std::uint64_t epoch = engine->internals().snapshots().epoch();
+
+  EXPECT_THROW((void)engine->internals().retitle_node("guernica",
+                                                       "Guernica (mk2)"),
+               std::runtime_error);
+  EXPECT_EQ(fault.compositions, 2);
+  EXPECT_EQ(engine->internals().snapshots().epoch(), epoch);
+
+  EXPECT_EQ(navigator.links(),
+            engine->internals().arc_table().outgoing(navigator.location()));
+  std::size_t next_arcs = 0;
+  for (const xlink::Arc* arc : navigator.links()) {
+    EXPECT_FALSE(arc->to.uri.empty());
+    if (xlink::arcrole_matches(arc->arcrole, "next")) ++next_arcs;
+  }
+  EXPECT_EQ(next_arcs, 1u);
+  ASSERT_NE(navigator.page(), nullptr);
+  EXPECT_EQ(*navigator.page(), *engine->internals()
+                                    .snapshots()
+                                    .current()
+                                    ->respond(navigator.location())
+                                    .body);
+}
+
+// The engine serves only published epochs: whichever page weave of an
+// edit throws, server() and the session keep serving the last epoch
+// byte for byte — nothing of the half-run edit leaks — and retrying the
+// same edit converges everything back to the full-build oracle (the
+// page whose weave threw included).
+TEST(EngineServing, ServesOnlyPublishedEpochsAndConvergesAfterAFault) {
+  // Count the page compositions the edit performs on a twin engine.
+  int compositions = 0;
+  {
+    auto twin = paper_engine();
+    ComposeFault counter;
+    twin->internals().weaver().register_aspect(compose_fault_aspect(counter));
+    (void)twin->internals().retitle_node("guernica", "Guernica (mk2)");
+    compositions = counter.compositions;
+  }
+  ASSERT_GE(compositions, 2);
+
+  for (int k = 1; k <= compositions; ++k) {
+    SCOPED_TRACE("fault on page composition " + std::to_string(k));
+    auto engine = paper_engine();
+    ASSERT_TRUE(engine->navigator().navigate("guitar.html"));
+    const serve::ConcurrentServer& server = engine->server();
+    const serve::SnapshotStore& snapshots = engine->internals().snapshots();
+    // Warm the server's cache on every artifact before the fault.
+    for (const std::string& path : engine->site().paths()) {
+      ASSERT_TRUE(server.get(path).ok()) << path;
+    }
+    ComposeFault fault{.armed = true, .fail_on = k};
+    engine->internals().weaver().register_aspect(compose_fault_aspect(fault));
+    const std::uint64_t epoch = snapshots.epoch();
+
+    EXPECT_THROW((void)engine->internals().retitle_node("guernica",
+                                                         "Guernica (mk2)"),
+                 std::runtime_error);
+    EXPECT_EQ(snapshots.epoch(), epoch);
+    std::shared_ptr<const serve::SiteSnapshot> snap = snapshots.current();
+    for (const auto& [path, body] : snap->files()) {
+      site::Response served = server.get(path);
+      ASSERT_TRUE(served.ok()) << path;
+      EXPECT_EQ(*served.body, *body) << path;
+    }
+    ASSERT_NE(engine->navigator().page(), nullptr);
+    EXPECT_EQ(*engine->navigator().page(),
+              *snap->respond(engine->navigator().location()).body);
+
+    // Disarm and retry the same edit: the site and every byte server()
+    // serves equal a from-scratch build of the current design.
+    fault.armed = false;
+    (void)engine->internals().retitle_node("guernica", "Guernica (mk2)");
+    EXPECT_EQ(snapshots.epoch(), epoch + 1);
+    const site::VirtualSite oracle =
+        navsep::testing::full_build_oracle(*engine);
+    navsep::testing::expect_sites_identical(engine->site(), oracle);
+    ASSERT_EQ(snapshots.current()->files().size(), oracle.size());
+    for (const std::string& path : oracle.paths()) {
+      site::Response served = server.get(path);
+      ASSERT_TRUE(served.ok()) << path;
+      EXPECT_EQ(*served.body, *oracle.get(path)) << path;
+    }
+    EXPECT_EQ(*engine->navigator().page(),
+              *oracle.get(engine->navigator().location().substr(
+                  server.base().size())));
+  }
+}
+
+// server() is reader-safe: readers GET every artifact through it while
+// the writer keeps editing, and every body read is that path's bytes in
+// some epoch the writer published (this suite runs in the TSan job).
+TEST(EngineServing, ServerIsSafeUnderConcurrentReaders) {
+  auto engine = paper_engine();
+  const serve::ConcurrentServer& server = engine->server();
+  const serve::SnapshotStore& snapshots = engine->internals().snapshots();
+  constexpr int kReaders = 4;
+  constexpr int kEdits = 24;
+
+  // path -> every body some published epoch served there (writer-side).
+  std::map<std::string, std::set<std::string>> published;
+  auto record_epoch = [&] {
+    for (const auto& [path, body] : snapshots.current()->files()) {
+      published[path].insert(*body);
+    }
+  };
+  record_epoch();
+  std::vector<std::string> paths;
+  for (const auto& entry : published) paths.push_back(entry.first);
+
+  std::atomic<bool> writing{true};
+  // Per reader: every distinct body it was served, held so no pointer
+  // is reused while the test runs.
+  std::vector<std::vector<std::pair<std::string,
+                                    std::shared_ptr<const std::string>>>>
+      seen(kReaders);
+  std::vector<std::thread> readers;
+  readers.reserve(kReaders);
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      std::set<const std::string*> distinct;
+      do {
+        for (const std::string& path : paths) {
+          site::Response r = server.get(path);
+          if (r.ok() && distinct.insert(r.body.get()).second) {
+            seen[t].emplace_back(path, r.body);
+          }
+        }
+      } while (writing.load(std::memory_order_acquire));
+    });
+  }
+  const std::vector<hm::Member> members = engine->structure().members();
+  for (int i = 0; i < kEdits; ++i) {
+    const hm::Member& member = members[i % members.size()];
+    (void)engine->internals().retitle_node(
+        member.node_id, member.title + " v" + std::to_string(i));
+    record_epoch();
+  }
+  writing.store(false, std::memory_order_release);
+  for (std::thread& reader : readers) reader.join();
+
+  EXPECT_EQ(snapshots.epoch(), 1u + kEdits);
+  std::size_t bodies = 0;
+  for (const auto& per_reader : seen) {
+    for (const auto& [path, body] : per_reader) {
+      ++bodies;
+      EXPECT_EQ(published.at(path).count(*body), 1u) << path;
+    }
+  }
+  EXPECT_GE(bodies, paths.size());
 }

@@ -532,28 +532,6 @@ TEST(WorkloadTelemetry, TracesCaptureNavigationAndCountersReconcile) {
   EXPECT_EQ(static_cast<std::uint64_t>(snap.gauges.at("serve.epoch")),
             unified.epoch);
 
-  // And the compatibility Stats struct is exactly the unified view under
-  // the historical names — residency ledgers included.
-  const serve::ConcurrentServer::Stats compat = server->stats();
-  EXPECT_EQ(compat.requests, unified.base.requests);
-  EXPECT_EQ(compat.cache_hits, unified.base.hits);
-  EXPECT_EQ(compat.snapshot_resolves, unified.base.resolves);
-  EXPECT_EQ(compat.stale_refills, unified.base.stale_refills);
-  EXPECT_EQ(compat.not_found, unified.base.not_found);
-  EXPECT_EQ(compat.cached_entries, unified.base.entries);
-  EXPECT_EQ(compat.cache_inserted, unified.base.inserted);
-  EXPECT_EQ(compat.cache_evicted, unified.base.evicted);
-  EXPECT_EQ(compat.cached_bytes, unified.base.resident_bytes);
-  EXPECT_EQ(compat.overlay_requests, unified.overlay.requests);
-  EXPECT_EQ(compat.overlay_hits, unified.overlay.hits);
-  EXPECT_EQ(compat.overlay_renders, unified.overlay.resolves);
-  EXPECT_EQ(compat.overlay_stale_renders, unified.overlay.stale_refills);
-  EXPECT_EQ(compat.overlay_not_found, unified.overlay.not_found);
-  EXPECT_EQ(compat.overlay_entries, unified.overlay.entries);
-  EXPECT_EQ(compat.overlay_inserted, unified.overlay.inserted);
-  EXPECT_EQ(compat.overlay_evicted, unified.overlay.evicted);
-  EXPECT_EQ(compat.overlay_bytes, unified.overlay.resident_bytes);
-  EXPECT_EQ(compat.epoch, unified.epoch);
   EXPECT_EQ(unified.base.inserted, unified.base.entries + unified.base.evicted);
   EXPECT_EQ(unified.overlay.inserted,
             unified.overlay.entries + unified.overlay.evicted);

@@ -270,11 +270,11 @@ TEST(OverlayCache, HitsAreSharedBytesAcrossRepeats) {
   site::Response second = server->get("guitar.html", "tour");
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(first.body.get(), second.body.get());
-  serve::ConcurrentServer::Stats s = server->stats();
-  EXPECT_EQ(s.overlay_requests, 2u);
-  EXPECT_EQ(s.overlay_renders, 1u);
-  EXPECT_EQ(s.overlay_hits, 1u);
-  EXPECT_EQ(s.overlay_entries, 1u);
+  serve::ConcurrentServer::UnifiedStats s = server->unified_stats();
+  EXPECT_EQ(s.overlay.requests, 2u);
+  EXPECT_EQ(s.overlay.resolves, 1u);
+  EXPECT_EQ(s.overlay.hits, 1u);
+  EXPECT_EQ(s.overlay.entries, 1u);
 }
 
 TEST(OverlayCache, FamilyEditRetiresOnlyTouchedSlices) {
@@ -297,8 +297,8 @@ TEST(OverlayCache, FamilyEditRetiresOnlyTouchedSlices) {
     tour_before.emplace(page, *r.body);
     ASSERT_TRUE(server->get(page, "curator").ok()) << page;
   }
-  const serve::ConcurrentServer::Stats warmed = server->stats();
-  EXPECT_EQ(warmed.overlay_renders, 2 * pages.size());
+  const serve::ConcurrentServer::UnifiedStats warmed = server->unified_stats();
+  EXPECT_EQ(warmed.overlay.resolves, 2 * pages.size());
 
   // One family edit touching ONE context (the first painter's tour):
   // zero base pages re-woven, one linkbase re-authored, a new epoch.
@@ -319,11 +319,11 @@ TEST(OverlayCache, FamilyEditRetiresOnlyTouchedSlices) {
   for (const std::string& page : pages) {
     ASSERT_TRUE(server->get(page, "curator").ok());
   }
-  serve::ConcurrentServer::Stats after_curator = server->stats();
-  EXPECT_EQ(after_curator.overlay_renders, warmed.overlay_renders);
-  EXPECT_EQ(after_curator.overlay_hits,
-            warmed.overlay_hits + pages.size());
-  EXPECT_EQ(after_curator.overlay_stale_renders, 0u);
+  serve::ConcurrentServer::UnifiedStats after_curator = server->unified_stats();
+  EXPECT_EQ(after_curator.overlay.resolves, warmed.overlay.resolves);
+  EXPECT_EQ(after_curator.overlay.hits,
+            warmed.overlay.hits + pages.size());
+  EXPECT_EQ(after_curator.overlay.stale_refills, 0u);
 
   // ...and the including profile re-renders EXACTLY the pages whose
   // served bytes changed (the edited context's members) — the other
@@ -337,11 +337,11 @@ TEST(OverlayCache, FamilyEditRetiresOnlyTouchedSlices) {
   ASSERT_GT(touched, 0u);
   ASSERT_LT(touched, pages.size())
       << "the edit touched every page — no untouched slice to keep alive";
-  serve::ConcurrentServer::Stats after_tour = server->stats();
-  EXPECT_EQ(after_tour.overlay_stale_renders, touched);
-  EXPECT_EQ(after_tour.overlay_renders,
-            after_curator.overlay_renders + touched);
-  EXPECT_EQ(after_tour.overlay_hits, after_curator.overlay_hits +
+  serve::ConcurrentServer::UnifiedStats after_tour = server->unified_stats();
+  EXPECT_EQ(after_tour.overlay.stale_refills, touched);
+  EXPECT_EQ(after_tour.overlay.resolves,
+            after_curator.overlay.resolves + touched);
+  EXPECT_EQ(after_tour.overlay.hits, after_curator.overlay.hits +
                                          (pages.size() - touched));
 }
 
@@ -421,14 +421,14 @@ TEST(OverlayCache, ReplacingAProfileByNameInvalidatesItsEntries) {
   const std::string page =
       navsep::core::default_href_for(engine->structure().members().front().node_id);
   ASSERT_TRUE(server->get(page, "tour").ok());
-  const serve::ConcurrentServer::Stats warmed = server->stats();
+  const serve::ConcurrentServer::UnifiedStats warmed = server->unified_stats();
 
   engine->internals().register_profile({"tour", {"ByMovement"}});
   site::Response swapped = server->get(page, "tour");
   ASSERT_TRUE(swapped.ok());
-  serve::ConcurrentServer::Stats after = server->stats();
-  EXPECT_EQ(after.overlay_hits, warmed.overlay_hits);
-  EXPECT_EQ(after.overlay_stale_renders, warmed.overlay_stale_renders + 1);
+  serve::ConcurrentServer::UnifiedStats after = server->unified_stats();
+  EXPECT_EQ(after.overlay.hits, warmed.overlay.hits);
+  EXPECT_EQ(after.overlay.stale_refills, warmed.overlay.stale_refills + 1);
   EXPECT_EQ(*swapped.body,
             profile_oracle(*engine, {"tour", {"ByMovement"}}).at(page));
 }
@@ -438,16 +438,16 @@ TEST(OverlayCache, ProfileRegistrationAloneInvalidatesNothing) {
   engine->internals().register_profile({"tour", {"ByAuthor"}});
   auto server = engine->open_concurrent();
   ASSERT_TRUE(server->get("guitar.html", "tour").ok());
-  const serve::ConcurrentServer::Stats warmed = server->stats();
+  const serve::ConcurrentServer::UnifiedStats warmed = server->unified_stats();
 
   // Registering an unrelated profile publishes a new epoch, but the
   // tour entry's content handles are untouched: still a hit.
   engine->internals().register_profile({"curator", {"ByMovement"}});
   ASSERT_TRUE(server->get("guitar.html", "tour").ok());
-  serve::ConcurrentServer::Stats after = server->stats();
+  serve::ConcurrentServer::UnifiedStats after = server->unified_stats();
   EXPECT_GT(after.epoch, warmed.epoch);
-  EXPECT_EQ(after.overlay_renders, warmed.overlay_renders);
-  EXPECT_EQ(after.overlay_hits, warmed.overlay_hits + 1);
+  EXPECT_EQ(after.overlay.resolves, warmed.overlay.resolves);
+  EXPECT_EQ(after.overlay.hits, warmed.overlay.hits + 1);
 }
 
 TEST(OverlayCache, RetiredPageStops404sAndDropsItsEntry) {
@@ -468,8 +468,8 @@ TEST(OverlayCache, RetiredPageStops404sAndDropsItsEntry) {
                                 engine->structure().name(), members));
   EXPECT_FALSE(server->get(victim_path, "tour").ok());
   EXPECT_FALSE(server->get(victim_path, "tour").ok());
-  serve::ConcurrentServer::Stats s = server->stats();
-  EXPECT_EQ(s.overlay_not_found, 2u);
+  serve::ConcurrentServer::UnifiedStats s = server->unified_stats();
+  EXPECT_EQ(s.overlay.not_found, 2u);
 }
 
 // --- the profile-mix workload -------------------------------------------------
@@ -492,11 +492,11 @@ TEST(ProfileMixWorkload, DrivesProfiledSessionsWithoutFailures) {
   EXPECT_EQ(result.by_behavior.front().behavior,
             serve::Behavior::ProfileMix);
   EXPECT_EQ(serve::to_string(serve::Behavior::ProfileMix), "profile_mix");
-  serve::ConcurrentServer::Stats s = server->stats();
-  EXPECT_EQ(s.overlay_requests, result.requests);
-  EXPECT_GT(s.overlay_hits, 0u);  // repeat visits hit the overlay cache
+  serve::ConcurrentServer::UnifiedStats s = server->unified_stats();
+  EXPECT_EQ(s.overlay.requests, result.requests);
+  EXPECT_GT(s.overlay.hits, 0u);  // repeat visits hit the overlay cache
   // Overlay entries are per (profile, page): bounded by both tables.
-  EXPECT_GT(s.overlay_entries, 0u);
+  EXPECT_GT(s.overlay.entries, 0u);
 
   // Without registered profiles the behavior degrades to base traffic.
   auto bare = synthetic_engine(2);
@@ -628,8 +628,8 @@ TEST(OverlayStress, ExcludedProfileNeverLosesEntriesUnderFamilyEdits) {
   for (const std::string& path : paths) {
     ASSERT_TRUE(server->get(path, "curator").ok()) << path;
   }
-  const serve::ConcurrentServer::Stats warmed = server->stats();
-  EXPECT_EQ(warmed.overlay_renders, paths.size());
+  const serve::ConcurrentServer::UnifiedStats warmed = server->unified_stats();
+  EXPECT_EQ(warmed.overlay.resolves, paths.size());
 
   std::atomic<bool> done{false};
   std::atomic<std::size_t> torn{0};
@@ -668,13 +668,13 @@ TEST(OverlayStress, ExcludedProfileNeverLosesEntriesUnderFamilyEdits) {
   for (std::thread& t : readers) t.join();
 
   EXPECT_EQ(torn.load(), 0u);
-  serve::ConcurrentServer::Stats after = server->stats();
+  serve::ConcurrentServer::UnifiedStats after = server->unified_stats();
   EXPECT_GT(after.epoch, warmed.epoch);
   // Zero retirements: every read after warm-up was a hit on the entry
   // composed before the writer ever ran.
-  EXPECT_EQ(after.overlay_stale_renders, 0u);
-  EXPECT_EQ(after.overlay_renders, warmed.overlay_renders);
-  EXPECT_EQ(after.overlay_evicted, 0u);
+  EXPECT_EQ(after.overlay.stale_refills, 0u);
+  EXPECT_EQ(after.overlay.resolves, warmed.overlay.resolves);
+  EXPECT_EQ(after.overlay.evicted, 0u);
 }
 
 }  // namespace

@@ -377,11 +377,11 @@ TEST(RouteDifferential, FamilyEditRetiresOnlyRoutesWhoseExpansionChanged) {
     }
   };
   warm();
-  const serve::ConcurrentServer::Stats warmed = server->stats();
+  const serve::ConcurrentServer::UnifiedStats warmed = server->unified_stats();
   warm();
   // Second pass is all overlay hits: both routes' entries are cached.
-  EXPECT_EQ(server->stats().overlay_hits,
-            warmed.overlay_hits + 2 * pages.size());
+  EXPECT_EQ(server->unified_stats().overlay.hits,
+            warmed.overlay.hits + 2 * pages.size());
 
   // A pure reorder of a tour leaves every route expansion SET intact
   // (expansions are sorted unique node sets): no route entry may retire.
@@ -396,10 +396,11 @@ TEST(RouteDifferential, FamilyEditRetiresOnlyRoutesWhoseExpansionChanged) {
                                                std::move(ids));
     family.replace_contexts(std::move(contexts));
   });
-  const serve::ConcurrentServer::Stats reordered = server->stats();
+  const serve::ConcurrentServer::UnifiedStats reordered =
+      server->unified_stats();
   warm();
-  EXPECT_EQ(server->stats().overlay_hits,
-            reordered.overlay_hits + 2 * pages.size());
+  EXPECT_EQ(server->unified_stats().overlay.hits,
+            reordered.overlay.hits + 2 * pages.size());
 
   // Dropping a member from the first tour shrinks @ByAuthor's target
   // set: 'authors' re-expands (its pages recompose) while 'structural'
@@ -417,17 +418,17 @@ TEST(RouteDifferential, FamilyEditRetiresOnlyRoutesWhoseExpansionChanged) {
                                                std::move(ids));
     family.replace_contexts(std::move(contexts));
   });
-  const serve::ConcurrentServer::Stats before = server->stats();
+  const serve::ConcurrentServer::UnifiedStats before = server->unified_stats();
   warm();
-  const serve::ConcurrentServer::Stats after = server->stats();
+  const serve::ConcurrentServer::UnifiedStats after = server->unified_stats();
   // Retirement is slice-precise, not whole-route: only the 'authors'
   // pages whose expanded arc slice actually moved recompose (the pages
   // around the dropped member); every 'structural' page and every
   // untouched 'authors' page is a hit.
-  const std::size_t renders = after.overlay_renders - before.overlay_renders;
+  const std::size_t renders = after.overlay.resolves - before.overlay.resolves;
   EXPECT_GT(renders, 0u);
   EXPECT_LT(renders, pages.size());
-  EXPECT_EQ(after.overlay_hits - before.overlay_hits,
+  EXPECT_EQ(after.overlay.hits - before.overlay.hits,
             2 * pages.size() - renders);
   expect_profile_matches_oracle(*engine, *server, {"ps", {"structural"}});
   expect_profile_matches_oracle(*engine, *server, {"pa", {"authors"}});

@@ -74,7 +74,6 @@ TEST(SharedBody, ResponseOutlivesRemoval) {
   site::Response held = server.get("a.html");
   ASSERT_TRUE(held.ok());
   vsite.remove("a.html");
-  server.invalidate("a.html");
 
   // The dangling-response hazard this design removes: the site entry is
   // gone, yet the held response still owns its bytes.
@@ -89,7 +88,6 @@ TEST(SharedBody, ResponseKeepsOldBytesAcrossReplacement) {
 
   site::Response old = server.get("a.html");
   vsite.put("a.html", "version two");
-  server.invalidate("a.html");
 
   EXPECT_EQ(*old.body, "version one");
   EXPECT_EQ(*server.get("a.html").body, "version two");
@@ -103,8 +101,8 @@ TEST(SharedBody, EngineMutationCannotFreeHeldResponse) {
   ASSERT_TRUE(held.ok());
   const std::string before = *held.body;
 
-  // Retitle every member: the entry page re-weaves, its old bytes are
-  // replaced in the site and invalidated in the cache — the held
+  // Retitle every member: the entry page re-weaves and its old bytes
+  // are replaced in the site and in the next published epoch — the held
   // response must not notice. (Copy the member list first: each
   // retitle regenerates the structure under the iteration.)
   const std::vector<hm::Member> members = engine->structure().members();
@@ -132,26 +130,26 @@ TEST(SharedBody, BrowserPageStableAcrossMutationUntilRefresh) {
   EXPECT_NE(browser.page()->find("mk2"), std::string::npos);
 }
 
-// --- satellite: coherent server stats -----------------------------------------
+// --- satellite: server counters ----------------------------------------------
 
-TEST(ServerStats, SnapshotIsCoherentAndMatchesAccessors) {
+// HypermediaServer is a stateless resolver: it counts every GET and every
+// 404, and always answers with the site's current shared bytes.
+TEST(ServerStats, CountsRequestsAndMissesOverTheLiveSite) {
   site::VirtualSite vsite;
   vsite.put("a.html", "a");
   site::HypermediaServer server(vsite, "http://host/site/");
 
-  (void)server.get("a.html");    // resolve + cache
-  (void)server.get("a.html");    // hit
-  (void)server.get("nope.html"); // miss, not cached
+  site::Response first = server.get("a.html");
+  site::Response second = server.get("http://host/site/a.html#top");
+  (void)server.get("nope.html");
+  (void)server.get("http://elsewhere.example/a.html");
 
-  site::HypermediaServer::Stats s = server.stats();
-  EXPECT_EQ(s.requests, 3u);
-  EXPECT_EQ(s.cache_hits, 1u);
-  EXPECT_EQ(s.misses, 1u);
-  EXPECT_EQ(s.cache_size, 1u);
-  EXPECT_EQ(s.requests, server.requests());
-  EXPECT_EQ(s.cache_hits, server.cache_hits());
-  EXPECT_EQ(s.misses, server.misses());
-  EXPECT_GE(s.requests, s.cache_hits + s.misses);
+  EXPECT_EQ(server.requests(), 4u);
+  EXPECT_EQ(server.misses(), 2u);
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(first.body, vsite.get_shared("a.html"));
+  EXPECT_EQ(second.body, first.body);
+  EXPECT_EQ(first.content_type, "text/html");
 }
 
 // --- snapshot store -----------------------------------------------------------
@@ -203,19 +201,23 @@ TEST(SiteSnapshot, RespondMatchesHypermediaServer) {
   std::shared_ptr<const serve::SiteSnapshot> snap =
       engine->snapshots().current();
   ASSERT_NE(snap, nullptr);
+  // An independent reference: the engine's own server() reads snapshots
+  // itself, so resolve the writer-side site directly instead.
+  const site::HypermediaServer reference(engine->site(),
+                                         engine->server().base());
 
   for (const std::string& path : engine->site().paths()) {
     site::Response from_snapshot = snap->respond(path);
-    site::Response from_server = engine->server().get(path);
+    site::Response from_server = reference.get(path);
     ASSERT_TRUE(from_snapshot.ok()) << path;
     EXPECT_EQ(*from_snapshot.body, *from_server.body) << path;
     EXPECT_EQ(from_snapshot.content_type, from_server.content_type) << path;
   }
   // Absolute URI under the base, with a fragment to strip.
   site::Response absolute =
-      snap->respond(engine->server().uri_of("guitar.html") + "#frag");
+      snap->respond(reference.base() + "guitar.html#frag");
   ASSERT_TRUE(absolute.ok());
-  EXPECT_EQ(*absolute.body, *engine->server().get("guitar.html").body);
+  EXPECT_EQ(*absolute.body, *reference.get("guitar.html").body);
   // Outside the base and plain 404s.
   EXPECT_FALSE(snap->respond("http://elsewhere.example/x.html").ok());
   EXPECT_FALSE(snap->respond("nope.html").ok());
@@ -236,7 +238,7 @@ TEST(SiteSnapshot, OutgoingArcsAreSelfContained) {
   EXPECT_EQ(arcs.size(),
             engine->internals()
                 .arc_table()
-                .outgoing(engine->server().uri_of("guitar.html"))
+                .outgoing(engine->server().base() + "guitar.html")
                 .size());
 }
 
@@ -260,10 +262,10 @@ TEST(ConcurrentServer, ServesByteIdenticalToEngineServer) {
   }
   EXPECT_FALSE(server->get("nope.html").ok());
 
-  serve::ConcurrentServer::Stats s = server->stats();
-  EXPECT_EQ(s.requests, engine->site().paths().size() + 1);
-  EXPECT_EQ(s.not_found, 1u);
-  EXPECT_EQ(s.cached_entries, engine->site().paths().size());
+  serve::ConcurrentServer::UnifiedStats s = server->unified_stats();
+  EXPECT_EQ(s.base.requests, engine->site().paths().size() + 1);
+  EXPECT_EQ(s.base.not_found, 1u);
+  EXPECT_EQ(s.base.entries, engine->site().paths().size());
 }
 
 TEST(ConcurrentServer, CacheHitsThenEpochInvalidation) {
@@ -274,9 +276,9 @@ TEST(ConcurrentServer, CacheHitsThenEpochInvalidation) {
   site::Response second = server->get("guitar.html");
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(first.body, second.body);  // same shared bytes, cache hit
-  serve::ConcurrentServer::Stats s = server->stats();
-  EXPECT_EQ(s.cache_hits, 1u);
-  EXPECT_EQ(s.stale_refills, 0u);
+  serve::ConcurrentServer::UnifiedStats s = server->unified_stats();
+  EXPECT_EQ(s.base.hits, 1u);
+  EXPECT_EQ(s.base.stale_refills, 0u);
 
   // A mutation publishes a new epoch: the cached entry is stale and the
   // next GET refills it with the re-woven bytes. Retitling guernica
@@ -286,8 +288,8 @@ TEST(ConcurrentServer, CacheHitsThenEpochInvalidation) {
   ASSERT_TRUE(third.ok());
   EXPECT_NE(*third.body, *first.body);
   EXPECT_EQ(*third.body, *engine->server().get("guitar.html").body);
-  s = server->stats();
-  EXPECT_EQ(s.stale_refills, 1u);
+  s = server->unified_stats();
+  EXPECT_EQ(s.base.stale_refills, 1u);
   EXPECT_EQ(s.epoch, 2u);
   // The pre-mutation response still reads fine (shared ownership).
   EXPECT_NE(first.body->find("guitar"), std::string::npos);
@@ -368,7 +370,7 @@ TEST(Workload, DrivesAllBehaviorsWithoutFailures) {
   EXPECT_EQ(result.failures, 0u);
   EXPECT_EQ(result.latency.count(), result.requests);
   EXPECT_GT(result.throughput_rps, 0.0);
-  EXPECT_EQ(result.server.requests, result.requests);
+  EXPECT_EQ(result.server.base.requests, result.requests);
   ASSERT_EQ(result.by_behavior.size(), 4u);
   for (const serve::BehaviorTally& tally : result.by_behavior) {
     EXPECT_EQ(tally.sessions, 1u);

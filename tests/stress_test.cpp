@@ -181,20 +181,20 @@ void expect_server_differential(
   }
   // The bounded layers must actually be bounded, and the residency
   // ledger must balance, at every step of the churn.
-  serve::ConcurrentServer::Stats s = sut.server->stats();
+  serve::ConcurrentServer::UnifiedStats s = sut.server->unified_stats();
   if (sut.limits.base_entries_per_shard != serve::CacheLimits::kUnbounded) {
-    ASSERT_LE(s.cached_entries,
+    ASSERT_LE(s.base.entries,
               sut.limits.base_entries_per_shard * sut.shards)
         << sut.label << " step " << step;
   }
   if (sut.limits.overlay_entries_per_shard != serve::CacheLimits::kUnbounded) {
-    ASSERT_LE(s.overlay_entries,
+    ASSERT_LE(s.overlay.entries,
               sut.limits.overlay_entries_per_shard * sut.shards)
         << sut.label << " step " << step;
   }
-  ASSERT_EQ(s.cache_inserted, s.cached_entries + s.cache_evicted)
+  ASSERT_EQ(s.base.inserted, s.base.entries + s.base.evicted)
       << sut.label << " step " << step;
-  ASSERT_EQ(s.overlay_inserted, s.overlay_entries + s.overlay_evicted)
+  ASSERT_EQ(s.overlay.inserted, s.overlay.entries + s.overlay.evicted)
       << sut.label << " step " << step;
 }
 

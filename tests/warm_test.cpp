@@ -62,18 +62,18 @@ TEST(WarmBase, ServesOracleBytesWithoutMovingTrafficCounters) {
   ASSERT_FALSE(pages.empty());
   const std::string& page = pages.front();
 
-  const ConcurrentServer::Stats before = server->stats();
+  const ConcurrentServer::UnifiedStats before = server->unified_stats();
   EXPECT_EQ(server->warm(page), WarmOutcome::Warmed);
-  ConcurrentServer::Stats after = server->stats();
+  ConcurrentServer::UnifiedStats after = server->unified_stats();
   // Warming is invisible to organic hit-ratio math...
-  EXPECT_EQ(after.requests, before.requests);
-  EXPECT_EQ(after.cache_hits, before.cache_hits);
-  EXPECT_EQ(after.snapshot_resolves, before.snapshot_resolves);
-  EXPECT_EQ(after.not_found, before.not_found);
+  EXPECT_EQ(after.base.requests, before.base.requests);
+  EXPECT_EQ(after.base.hits, before.base.hits);
+  EXPECT_EQ(after.base.resolves, before.base.resolves);
+  EXPECT_EQ(after.base.not_found, before.base.not_found);
   // ...but fully visible to the residency ledger.
-  EXPECT_EQ(after.cached_entries, before.cached_entries + 1);
-  EXPECT_EQ(after.cache_inserted, before.cache_inserted + 1);
-  EXPECT_EQ(after.cache_inserted, after.cached_entries + after.cache_evicted);
+  EXPECT_EQ(after.base.entries, before.base.entries + 1);
+  EXPECT_EQ(after.base.inserted, before.base.inserted + 1);
+  EXPECT_EQ(after.base.inserted, after.base.entries + after.base.evicted);
 
   // The first organic request finds the warmed entry — a hit serving
   // exactly the authored artifact's bytes, no resolve paid.
@@ -82,9 +82,9 @@ TEST(WarmBase, ServesOracleBytesWithoutMovingTrafficCounters) {
   const std::string* artifact = engine->site().get(page);
   ASSERT_NE(artifact, nullptr);
   EXPECT_EQ(*r.body, *artifact);
-  after = server->stats();
-  EXPECT_EQ(after.cache_hits, before.cache_hits + 1);
-  EXPECT_EQ(after.snapshot_resolves, before.snapshot_resolves);
+  after = server->unified_stats();
+  EXPECT_EQ(after.base.hits, before.base.hits + 1);
+  EXPECT_EQ(after.base.resolves, before.base.resolves);
 }
 
 TEST(WarmBase, AlreadyHotWhenValidAndRefreshesAcrossEpochs) {
@@ -104,14 +104,14 @@ TEST(WarmBase, AlreadyHotWhenValidAndRefreshesAcrossEpochs) {
   const auto& member = engine->structure().members().front();
   (void)engine->internals().retitle_node(member.node_id, "Warmed Again");
   EXPECT_EQ(server->warm(page), WarmOutcome::Warmed);
-  const ConcurrentServer::Stats mid = server->stats();
+  const ConcurrentServer::UnifiedStats mid = server->unified_stats();
   navsep::site::Response r = server->get(page);
   ASSERT_TRUE(r.ok());
   const std::string* artifact = engine->site().get(page);
   ASSERT_NE(artifact, nullptr);
   EXPECT_EQ(*r.body, *artifact);
-  EXPECT_EQ(server->stats().snapshot_resolves, mid.snapshot_resolves);
-  EXPECT_EQ(server->stats().stale_refills, mid.stale_refills);
+  EXPECT_EQ(server->unified_stats().base.resolves, mid.base.resolves);
+  EXPECT_EQ(server->unified_stats().base.stale_refills, mid.base.stale_refills);
 }
 
 // --- warm(): the overlay layer ------------------------------------------------
@@ -126,20 +126,20 @@ TEST(WarmOverlay, ServesProfileOracleBytesAndTolerates404s) {
       profile_oracle(*engine, {"tour", {"ByAuthor"}});
   ASSERT_NE(oracle.find(page), oracle.end());
 
-  const ConcurrentServer::Stats before = server->stats();
+  const ConcurrentServer::UnifiedStats before = server->unified_stats();
   EXPECT_EQ(server->warm(page, "tour"), WarmOutcome::Warmed);
   EXPECT_EQ(server->warm(page, "tour"), WarmOutcome::AlreadyHot);
-  ConcurrentServer::Stats after = server->stats();
-  EXPECT_EQ(after.overlay_requests, before.overlay_requests);
-  EXPECT_EQ(after.overlay_renders, before.overlay_renders);
-  EXPECT_EQ(after.overlay_entries, before.overlay_entries + 1);
+  ConcurrentServer::UnifiedStats after = server->unified_stats();
+  EXPECT_EQ(after.overlay.requests, before.overlay.requests);
+  EXPECT_EQ(after.overlay.resolves, before.overlay.resolves);
+  EXPECT_EQ(after.overlay.entries, before.overlay.entries + 1);
 
   navsep::site::Response r = server->get(page, "tour");
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(*r.body, oracle.at(page));
-  after = server->stats();
-  EXPECT_EQ(after.overlay_hits, before.overlay_hits + 1);
-  EXPECT_EQ(after.overlay_renders, before.overlay_renders);
+  after = server->unified_stats();
+  EXPECT_EQ(after.overlay.hits, before.overlay.hits + 1);
+  EXPECT_EQ(after.overlay.resolves, before.overlay.resolves);
 
   // Feeds outlive topology: a retired profile or a vanished page is
   // NotFound, never a throw (get() would throw on the profile).
@@ -166,18 +166,18 @@ TEST(WarmAdmission, NeverEvictsAResidentForAPrediction) {
   EXPECT_EQ(server->warm(pages[1]), WarmOutcome::NoRoom);
   EXPECT_EQ(server->warm(pages[1], "tour"), WarmOutcome::NoRoom);
 
-  const ConcurrentServer::Stats s = server->stats();
-  EXPECT_EQ(s.cached_entries, 1u);
-  EXPECT_EQ(s.cache_evicted, 0u);
-  EXPECT_EQ(s.overlay_entries, 1u);
-  EXPECT_EQ(s.overlay_evicted, 0u);
+  const ConcurrentServer::UnifiedStats s = server->unified_stats();
+  EXPECT_EQ(s.base.entries, 1u);
+  EXPECT_EQ(s.base.evicted, 0u);
+  EXPECT_EQ(s.overlay.entries, 1u);
+  EXPECT_EQ(s.overlay.evicted, 0u);
   // The residents survived: both serve as hits.
-  const std::size_t resolves = s.snapshot_resolves;
-  const std::size_t renders = s.overlay_renders;
+  const std::size_t resolves = s.base.resolves;
+  const std::size_t renders = s.overlay.resolves;
   ASSERT_TRUE(server->get(pages[0]).ok());
   ASSERT_TRUE(server->get(pages[0], "tour").ok());
-  EXPECT_EQ(server->stats().snapshot_resolves, resolves);
-  EXPECT_EQ(server->stats().overlay_renders, renders);
+  EXPECT_EQ(server->unified_stats().base.resolves, resolves);
+  EXPECT_EQ(server->unified_stats().overlay.resolves, renders);
 }
 
 TEST(WarmAdmission, RespectsByteBudgetsAndZeroCapPassthrough) {
@@ -193,14 +193,14 @@ TEST(WarmAdmission, RespectsByteBudgetsAndZeroCapPassthrough) {
       1, serve::CacheLimits{.base_bytes_per_shard = body0->size()});
   ASSERT_TRUE(sized->get(pages[0]).ok());
   EXPECT_EQ(sized->warm(pages[1]), WarmOutcome::NoRoom);
-  EXPECT_EQ(sized->stats().cached_bytes, body0->size());
+  EXPECT_EQ(sized->unified_stats().base.resident_bytes, body0->size());
 
   // A body bigger than the whole budget can never be admitted, even
   // into an empty cache.
   auto tiny = engine->open_concurrent(
       1, serve::CacheLimits{.base_bytes_per_shard = 1});
   EXPECT_EQ(tiny->warm(pages[0]), WarmOutcome::NoRoom);
-  EXPECT_EQ(tiny->stats().cached_entries, 0u);
+  EXPECT_EQ(tiny->unified_stats().base.entries, 0u);
 
   // Zero caps degenerate to pass-through: nothing retained, so nothing
   // to warm.
@@ -208,7 +208,7 @@ TEST(WarmAdmission, RespectsByteBudgetsAndZeroCapPassthrough) {
       1, serve::CacheLimits{.base_entries_per_shard = 0,
                             .overlay_entries_per_shard = 0});
   EXPECT_EQ(passthrough->warm(pages[0]), WarmOutcome::NoRoom);
-  EXPECT_EQ(passthrough->stats().cached_entries, 0u);
+  EXPECT_EQ(passthrough->unified_stats().base.entries, 0u);
 }
 
 TEST(WarmAdmission, WarmedEntriesJoinTheColdEndOfRecency) {
@@ -224,14 +224,14 @@ TEST(WarmAdmission, WarmedEntriesJoinTheColdEndOfRecency) {
   ASSERT_EQ(server->warm(a), WarmOutcome::Warmed);
   ASSERT_TRUE(server->get(b).ok());  // organic, hotter than the warmed a
   ASSERT_TRUE(server->get(c).ok());  // cap 2: evicts a, the cold prediction
-  const ConcurrentServer::Stats s = server->stats();
-  EXPECT_EQ(s.cached_entries, 2u);
-  EXPECT_EQ(s.cache_evicted, 1u);
-  const std::size_t resolves = s.snapshot_resolves;
+  const ConcurrentServer::UnifiedStats s = server->unified_stats();
+  EXPECT_EQ(s.base.entries, 2u);
+  EXPECT_EQ(s.base.evicted, 1u);
+  const std::size_t resolves = s.base.resolves;
   ASSERT_TRUE(server->get(b).ok());  // survived
-  EXPECT_EQ(server->stats().snapshot_resolves, resolves);
+  EXPECT_EQ(server->unified_stats().base.resolves, resolves);
   ASSERT_TRUE(server->get(a).ok());  // the prediction was the victim
-  EXPECT_EQ(server->stats().snapshot_resolves, resolves + 1);
+  EXPECT_EQ(server->unified_stats().base.resolves, resolves + 1);
 }
 
 // --- CacheWarmer --------------------------------------------------------------
@@ -263,17 +263,17 @@ TEST(CacheWarmerDriver, WarmNowWalksTheFeedHottestFirstUpToTopN) {
   // page still pays its resolve.
   const std::map<std::string, std::string> oracle =
       profile_oracle(*engine, {"tour", {"ByAuthor"}});
-  const ConcurrentServer::Stats before = server->stats();
+  const ConcurrentServer::UnifiedStats before = server->unified_stats();
   navsep::site::Response base = server->get(pages[0]);
   navsep::site::Response over = server->get(pages[0], "tour");
   ASSERT_TRUE(base.ok());
   ASSERT_TRUE(over.ok());
   EXPECT_EQ(*base.body, *engine->site().get(pages[0]));
   EXPECT_EQ(*over.body, oracle.at(pages[0]));
-  EXPECT_EQ(server->stats().snapshot_resolves, before.snapshot_resolves);
-  EXPECT_EQ(server->stats().overlay_renders, before.overlay_renders);
+  EXPECT_EQ(server->unified_stats().base.resolves, before.base.resolves);
+  EXPECT_EQ(server->unified_stats().overlay.resolves, before.overlay.resolves);
   ASSERT_TRUE(server->get(pages[2]).ok());
-  EXPECT_EQ(server->stats().snapshot_resolves, before.snapshot_resolves + 1);
+  EXPECT_EQ(server->unified_stats().base.resolves, before.base.resolves + 1);
 
   // A second cycle over the unchanged feed finds everything resident.
   const serve::CacheWarmer::WarmStats again = warmer.warm_now();
@@ -312,11 +312,11 @@ TEST(CacheWarmerDriver, BackgroundLaneWarmsOnceAfterEveryEpoch) {
   warmer.stop();
   warmer.stop();  // idempotent
 
-  const ConcurrentServer::Stats before = server->stats();
+  const ConcurrentServer::UnifiedStats before = server->unified_stats();
   navsep::site::Response r = server->get(page);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(*r.body, *engine->site().get(page));
-  EXPECT_EQ(server->stats().snapshot_resolves, before.snapshot_resolves);
+  EXPECT_EQ(server->unified_stats().base.resolves, before.base.resolves);
 }
 
 TEST(CacheWarmerDriver, RegisterMetricsExportsWarmGauges) {
