@@ -100,42 +100,42 @@ xlink::TraversalGraph load_linkbase(const xml::Document& doc) {
   return xlink::TraversalGraph::from_linkbase(doc);
 }
 
+std::string node_id_for(std::string_view u) {
+  uri::Uri parsed = uri::parse(u);
+  if (parsed.fragment && !parsed.fragment->empty()) return *parsed.fragment;
+  std::string path = parsed.path;
+  if (std::size_t slash = path.rfind('/'); slash != std::string::npos) {
+    path = path.substr(slash + 1);
+  }
+  if (std::size_t dot = path.rfind('.'); dot != std::string::npos) {
+    path = path.substr(0, dot);
+  }
+  // Reverse the two structure-page mappings:
+  //   default_structure_href: "index:paintings" -> "paintings-index.xml"
+  //   default_href_for:       "index:paintings" -> "index-paintings.html"
+  constexpr std::string_view kSuffix = "-index";
+  if (path.size() > kSuffix.size() &&
+      path.compare(path.size() - kSuffix.size(), kSuffix.size(), kSuffix) ==
+          0) {
+    return "index:" + path.substr(0, path.size() - kSuffix.size());
+  }
+  constexpr std::string_view kPrefix = "index-";
+  if (path.size() > kPrefix.size() &&
+      path.compare(0, kPrefix.size(), kPrefix) == 0) {
+    return "index:" + path.substr(kPrefix.size());
+  }
+  return path;
+}
+
 std::vector<hypermedia::AccessArc> arcs_from_graph(
     const xlink::TraversalGraph& graph,
     const std::function<std::string(std::string_view uri)>& id_for) {
-  auto default_id_for = [](std::string_view u) -> std::string {
-    uri::Uri parsed = uri::parse(u);
-    if (parsed.fragment && !parsed.fragment->empty()) return *parsed.fragment;
-    std::string path = parsed.path;
-    if (std::size_t slash = path.rfind('/'); slash != std::string::npos) {
-      path = path.substr(slash + 1);
-    }
-    if (std::size_t dot = path.rfind('.'); dot != std::string::npos) {
-      path = path.substr(0, dot);
-    }
-    // Reverse the two structure-page mappings:
-    //   default_structure_href: "index:paintings" -> "paintings-index.xml"
-    //   default_href_for:       "index:paintings" -> "index-paintings.html"
-    constexpr std::string_view kSuffix = "-index";
-    if (path.size() > kSuffix.size() &&
-        path.compare(path.size() - kSuffix.size(), kSuffix.size(), kSuffix) ==
-            0) {
-      return "index:" + path.substr(0, path.size() - kSuffix.size());
-    }
-    constexpr std::string_view kPrefix = "index-";
-    if (path.size() > kPrefix.size() &&
-        path.compare(0, kPrefix.size(), kPrefix) == 0) {
-      return "index:" + path.substr(kPrefix.size());
-    }
-    return path;
-  };
-
   std::vector<hypermedia::AccessArc> out;
   for (const xlink::Arc& arc : graph.arcs()) {
     if (arc.arcrole.rfind(kNavArcrolePrefix, 0) != 0) continue;
     hypermedia::AccessArc a;
-    a.from = id_for ? id_for(arc.from.uri) : default_id_for(arc.from.uri);
-    a.to = id_for ? id_for(arc.to.uri) : default_id_for(arc.to.uri);
+    a.from = id_for ? id_for(arc.from.uri) : node_id_for(arc.from.uri);
+    a.to = id_for ? id_for(arc.to.uri) : node_id_for(arc.to.uri);
     a.role = arc.arcrole.substr(kNavArcrolePrefix.size());
     a.title = arc.title;
     out.push_back(std::move(a));

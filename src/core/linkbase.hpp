@@ -51,10 +51,15 @@ struct LinkbaseOptions {
 /// xlink::TraversalGraph::from_linkbase, with nav-arcrole filtering).
 [[nodiscard]] xlink::TraversalGraph load_linkbase(const xml::Document& doc);
 
+/// The default resource URI → node id mapping of the readers below: the
+/// fragment, falling back to the last path segment without extension,
+/// with the two structure-page href conventions mapped back to
+/// "index:<name>".
+[[nodiscard]] std::string node_id_for(std::string_view uri);
+
 /// Extract the access-structure arcs back out of a traversal graph:
 /// the inverse of build_linkbase up to URI mapping. `id_for` maps a
-/// resource URI back to a node id (defaults to the fragment, falling back
-/// to the last path segment without extension).
+/// resource URI back to a node id (defaults to node_id_for).
 [[nodiscard]] std::vector<hypermedia::AccessArc> arcs_from_graph(
     const xlink::TraversalGraph& graph,
     const std::function<std::string(std::string_view uri)>& id_for = {});

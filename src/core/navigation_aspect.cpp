@@ -1,6 +1,7 @@
 #include "core/navigation_aspect.hpp"
 
 #include <algorithm>
+#include <unordered_map>
 #include <utility>
 
 #include "common/strings.hpp"
@@ -28,15 +29,15 @@ std::string_view context_family(std::string_view context) noexcept {
 }
 
 /// The advice body: inject navigation for `node_id` into the page body.
+/// Indexes the shared arc vector by pointer; holding the vector keeps
+/// every indexed arc (and the string_view keys into it) alive.
 class NavigationInjector {
  public:
-  NavigationInjector(std::vector<NavArc> arcs,
+  NavigationInjector(std::shared_ptr<const std::vector<NavArc>> arcs,
                      NavigationAspectOptions options)
-      : options_(std::move(options)) {
+      : options_(std::move(options)), arcs_(std::move(arcs)) {
     if (!options_.href_for) options_.href_for = default_href_for;
-    for (NavArc& arc : arcs) {
-      by_from_[arc.from].push_back(std::move(arc));
-    }
+    for (const NavArc& arc : *arcs_) by_from_[arc.from].push_back(&arc);
   }
 
   void operator()(aop::JoinPointContext& ctx) const {
@@ -48,17 +49,14 @@ class NavigationInjector {
     const std::string& node_id = ctx.join_point().instance;
     auto it = by_from_.find(node_id);
     if (it == by_from_.end()) return;
-
-    std::vector<const NavArc*> arcs;
-    arcs.reserve(it->second.size());
-    for (const NavArc& arc : it->second) arcs.push_back(&arc);
     render_navigation(body, node_id, ctx.join_point().tag(aop::tags::kContext),
-                      arcs, options_);
+                      it->second, options_);
   }
 
  private:
   NavigationAspectOptions options_;
-  std::map<std::string, std::vector<NavArc>, std::less<>> by_from_;
+  std::shared_ptr<const std::vector<NavArc>> arcs_;
+  std::map<std::string_view, std::vector<const NavArc*>, std::less<>> by_from_;
 };
 
 }  // namespace
@@ -168,13 +166,20 @@ xml::Element* render_navigation(xml::Element& parent,
 
 namespace {
 
-std::shared_ptr<aop::Aspect> build_aspect(std::vector<NavArc> arcs,
-                                          const NavigationAspectOptions& o) {
+std::shared_ptr<aop::Aspect> build_aspect(
+    std::shared_ptr<const std::vector<NavArc>> arcs,
+    const NavigationAspectOptions& o) {
   auto aspect = std::make_shared<aop::Aspect>("navigation", o.precedence);
   NavigationInjector injector(std::move(arcs), o);
   aspect->after("compose(*) || buildIndex(*)", std::move(injector),
                 "inject navigation anchors for the active access structure");
   return aspect;
+}
+
+std::shared_ptr<aop::Aspect> build_aspect(std::vector<NavArc> arcs,
+                                          const NavigationAspectOptions& o) {
+  return build_aspect(
+      std::make_shared<const std::vector<NavArc>>(std::move(arcs)), o);
 }
 
 }  // namespace
@@ -191,8 +196,9 @@ std::shared_ptr<aop::Aspect> NavigationAspect::from_arcs(
 }
 
 std::shared_ptr<aop::Aspect> NavigationAspect::from_contextual_arcs(
-    const std::vector<NavArc>& arcs, const NavigationAspectOptions& options) {
-  return build_aspect(arcs, options);
+    std::shared_ptr<const std::vector<NavArc>> arcs,
+    const NavigationAspectOptions& options) {
+  return build_aspect(std::move(arcs), options);
 }
 
 std::shared_ptr<aop::Aspect> NavigationAspect::from_linkbase(
@@ -204,12 +210,7 @@ std::shared_ptr<aop::Aspect> NavigationAspect::from_linkbase(
 std::shared_ptr<aop::Aspect> NavigationAspect::from_contextual_linkbase(
     const xlink::TraversalGraph& graph,
     const NavigationAspectOptions& options) {
-  std::vector<NavArc> nav;
-  for (const ContextualArc& ca : contextual_arcs_from_graph(graph)) {
-    nav.push_back(NavArc{ca.arc.from, ca.arc.to, ca.arc.role, ca.arc.title,
-                         ca.context, "", ca.ordinal});
-  }
-  return build_aspect(std::move(nav), options);
+  return build_aspect(combined_nav_arcs({{"", &graph}}), options);
 }
 
 std::shared_ptr<aop::Aspect> NavigationAspect::combined(
@@ -226,12 +227,34 @@ std::shared_ptr<aop::Aspect> NavigationAspect::combined(
 }
 
 std::vector<NavArc> combined_nav_arcs(const std::vector<SourcedGraph>& graphs) {
+  // One pass per graph over its nav arcs, yielding the fields
+  // contextual_arcs_from_graph reads; each distinct endpoint URI is
+  // mapped to its node id once.
   std::vector<NavArc> nav;
+  std::unordered_map<std::string_view, std::string> ids;
+  const auto id_of = [&ids](const std::string& uri) -> const std::string& {
+    auto [it, fresh] = ids.try_emplace(uri);
+    if (fresh) it->second = node_id_for(uri);
+    return it->second;
+  };
   for (const SourcedGraph& sg : graphs) {
     if (sg.graph == nullptr) continue;
-    for (const ContextualArc& ca : contextual_arcs_from_graph(*sg.graph)) {
-      nav.push_back(NavArc{ca.arc.from, ca.arc.to, ca.arc.role, ca.arc.title,
-                           ca.context, sg.source, ca.ordinal});
+    std::size_t ordinal = 0;
+    for (const xlink::Arc& arc : sg.graph->arcs()) {
+      if (arc.arcrole.rfind(kNavArcrolePrefix, 0) != 0) continue;
+      NavArc out{id_of(arc.from.uri),
+                 id_of(arc.to.uri),
+                 arc.arcrole.substr(kNavArcrolePrefix.size()),
+                 arc.title,
+                 "",
+                 sg.source,
+                 ordinal++};
+      if (arc.origin != nullptr) {
+        out.context = std::string(
+            arc.origin->attribute_ns(kNavExtensionNamespace, "context")
+                .value_or(""));
+      }
+      nav.push_back(std::move(out));
     }
   }
   return nav;

@@ -124,8 +124,8 @@ struct NavArc {
   std::size_t ordinal = 0;
 };
 
-/// Builds the aspect. The returned Aspect is self-contained: it owns a
-/// copy of the arc table.
+/// Builds the aspect. The returned Aspect is self-contained: it shares
+/// ownership of its arc vector and indexes it by pointer.
 class NavigationAspect {
  public:
   /// From materialized access-structure arcs (no context restriction).
@@ -134,9 +134,11 @@ class NavigationAspect {
       const NavigationAspectOptions& options = {});
 
   /// From per-context arc sets: each entry tags its arcs with the
-  /// qualified context name, making next/prev context-dependent.
+  /// qualified context name, making next/prev context-dependent. The
+  /// aspect holds `arcs` (the engine shares the vector its snapshots
+  /// publish) instead of copying it.
   [[nodiscard]] static std::shared_ptr<aop::Aspect> from_contextual_arcs(
-      const std::vector<NavArc>& arcs,
+      std::shared_ptr<const std::vector<NavArc>> arcs,
       const NavigationAspectOptions& options = {});
 
   /// From a parsed linkbase (the separated pipeline's path): nav: arcs are

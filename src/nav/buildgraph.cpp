@@ -174,28 +174,43 @@ BuildGraph::Plan BuildGraph::plan() const {
   return out;
 }
 
+std::shared_ptr<const BuildGraph::Plan> BuildGraph::current_plan() {
+  if (plan_ == nullptr || plan_revision_ != topology_revision_) {
+    obs::ScopedSpan span(telemetry_ != nullptr ? &telemetry_->spans() : nullptr,
+                         "build.plan", epoch_hint_);
+    plan_ = std::make_shared<const Plan>(plan());
+    plan_revision_ = topology_revision_;
+    if (plans_ != nullptr) plans_->add(1);
+  }
+  return plan_;
+}
+
+void BuildGraph::set_telemetry(obs::Registry* registry) {
+  plans_ = registry != nullptr ? &registry->counter("build.plans") : nullptr;
+  telemetry_ = registry;
+}
+
 RebuildReport BuildGraph::run() { return run(nullptr); }
 
 RebuildReport BuildGraph::run(WorkerPool* pool) {
   RebuildReport report;
   const bool parallel = pool != nullptr && pool->workers() > 1;
   report.weave_workers = parallel ? pool->workers() : 1;
+  const auto any_dirty = [this] {
+    return std::any_of(nodes_.begin(), nodes_.end(),
+                       [](const auto& entry) { return entry.second.dirty; });
+  };
   // Rebuild callbacks may define or remove nodes (the page set follows
-  // the member set), which invalidates the pass plan — so run in passes
-  // until one leaves the graph clean. Each pass processes strictly in
-  // dependency order, so a node rebuilds at most once per pass and only
-  // after its producers; a topology change aborts the pass and replans.
+  // the member set), which invalidates the plan — so run in passes until
+  // the graph is clean. Each pass processes strictly in dependency order,
+  // so a node rebuilds at most once per pass and only after its
+  // producers; a topology change aborts the pass and replans.
   constexpr std::size_t kMaxPasses = 64;  // far above any real depth
-  obs::SpanLog* spans = telemetry_ != nullptr ? &telemetry_->spans() : nullptr;
-  for (std::size_t pass = 0; pass < kMaxPasses; ++pass) {
-    bool any_dirty = false;
-    const Plan plan = [&] {
-      obs::ScopedSpan span(spans, "build.plan", epoch_hint_);
-      return this->plan();
-    }();
-    const std::uint64_t planned_topology = topology_revision_;
-    for (std::size_t pos = 0; pos < plan.order.size(); ++pos) {
-      const std::string& id = plan.order[pos];
+  for (std::size_t pass = 0; pass < kMaxPasses && any_dirty(); ++pass) {
+    const std::shared_ptr<const Plan> plan = current_plan();
+    const std::uint64_t planned_topology = plan_revision_;
+    for (std::size_t pos = 0; pos < plan->order.size(); ++pos) {
+      const std::string& id = plan->order[pos];
       auto it = nodes_.find(id);
       if (it == nodes_.end()) continue;  // removed earlier this pass
       if (!it->second.dirty) continue;
@@ -205,8 +220,8 @@ RebuildReport BuildGraph::run(WorkerPool* pool) {
         // puts producers first, so anything still dirty among a
         // candidate's deps means the candidate is not ready this wave.
         std::vector<std::string> wave;
-        for (std::size_t j = pos; j < plan.order.size(); ++j) {
-          auto cand = nodes_.find(plan.order[j]);
+        for (std::size_t j = pos; j < plan->order.size(); ++j) {
+          auto cand = nodes_.find(plan->order[j]);
           if (cand == nodes_.end() || !cand->second.dirty ||
               !cand->second.parallel_rebuild) {
             continue;
@@ -214,40 +229,45 @@ RebuildReport BuildGraph::run(WorkerPool* pool) {
           const bool ready = std::none_of(
               cand->second.deps.begin(), cand->second.deps.end(),
               [this](const std::string& dep) { return is_dirty(dep); });
-          if (ready) wave.push_back(plan.order[j]);
+          if (ready) wave.push_back(plan->order[j]);
         }
         if (!wave.empty()) {
-          any_dirty = true;
-          run_wave(wave, *pool, plan, report);
+          run_wave(wave, *pool, *plan, report);
           if (topology_revision_ != planned_topology) break;  // replan
-          continue;
         }
-        // Not ready (a dep defined mid-pass is still dirty): leave the
-        // node for the next pass.
-        any_dirty = true;
+        // Otherwise not ready (a dep defined mid-pass is still dirty):
+        // the node stays dirty for the next pass.
         continue;
       }
-      any_dirty = true;
       ++report.nodes_dirty;
+      // Cleared before the callback, so a callback that re-dirties its
+      // own node gets another pass.
       it->second.dirty = false;
       if (!it->second.rebuild && !it->second.parallel_rebuild) continue;
       ++report.nodes_rebuilt;
       if (it->second.kind == ProductKind::Page) ++report.pages_rewoven;
       std::uint64_t new_hash = 0;
-      if (it->second.parallel_rebuild) {
-        // Inline (serial) execution of a parallel node: compute, then
-        // commit immediately — the same observable sequence as a
-        // classic rebuild callback.
-        const ParallelRebuild rebuild = it->second.parallel_rebuild;
-        ParallelOutcome outcome = rebuild();
-        new_hash = outcome.hash;
-        if (outcome.commit) outcome.commit();
-      } else {
-        // Call through a copy: the callback may remove or redefine its
-        // own node, which would otherwise destroy the std::function
-        // mid-call.
-        const Rebuild rebuild = it->second.rebuild;
-        new_hash = rebuild();
+      try {
+        if (it->second.parallel_rebuild) {
+          // Inline (serial) execution of a parallel node: compute, then
+          // commit immediately — the same observable sequence as a
+          // classic rebuild callback.
+          const ParallelRebuild rebuild = it->second.parallel_rebuild;
+          ParallelOutcome outcome = rebuild();
+          new_hash = outcome.hash;
+          if (outcome.commit) outcome.commit();
+        } else {
+          // Call through a copy: the callback may remove or redefine its
+          // own node, which would otherwise destroy the std::function
+          // mid-call.
+          const Rebuild rebuild = it->second.rebuild;
+          new_hash = rebuild();
+        }
+      } catch (...) {
+        // The product was not rebuilt: the dirty bit says so, and the
+        // next run rebuilds exactly this node (and what it feeds).
+        mark_dirty(id);
+        throw;
       }
       // The callback may have mutated the graph; re-find before writing.
       auto after = nodes_.find(id);
@@ -259,10 +279,10 @@ RebuildReport BuildGraph::run(WorkerPool* pool) {
         if (after->second.kind == ProductKind::Linkbase) {
           ++report.linkbases_reauthored;
         }
-        // Propagate along the reverse edges captured at plan time; nodes
-        // defined mid-pass start dirty and are picked up by the next pass.
-        if (auto dep_it = plan.dependents.find(id);
-            dep_it != plan.dependents.end()) {
+        // Propagate along the plan's reverse edges; nodes defined
+        // mid-pass start dirty and are picked up by the next pass.
+        if (auto dep_it = plan->dependents.find(id);
+            dep_it != plan->dependents.end()) {
           for (const std::string& dependent : dep_it->second) {
             mark_dirty(dependent);
           }
@@ -270,7 +290,6 @@ RebuildReport BuildGraph::run(WorkerPool* pool) {
       }
       if (topology_revision_ != planned_topology) break;  // replan
     }
-    if (!any_dirty) break;
   }
   // The pass budget is a backstop against rebuild callbacks that redirty
   // the graph forever (a define() per invocation, say). Exhausting it
@@ -331,21 +350,21 @@ void BuildGraph::run_wave(const std::vector<std::string>& wave,
 
   // Commit serially, in plan order — deterministic regardless of which
   // lane computed what. A compute error surfaces here with serial-run
-  // node state: the throwing node is clean with its stale hash (dirty
-  // cleared before its callback, exactly like run()), and nodes after it
-  // in plan order stay dirty, their computed results discarded.
+  // node state: the throwing node and every node after it in plan order
+  // stay dirty (their computed results discarded), the commits before it
+  // have landed.
   obs::ScopedSpan commit_span(spans, "build.wave.commit", epoch_hint_);
   for (std::size_t i = 0; i < wave.size(); ++i) {
     auto it = nodes_.find(wave[i]);
     if (it == nodes_.end()) continue;
     ++report.nodes_dirty;
-    it->second.dirty = false;
     ++report.nodes_rebuilt;
     if (it->second.kind == ProductKind::Page) ++report.pages_rewoven;
     if (slots[i].error) std::rethrow_exception(slots[i].error);
+    if (slots[i].commit) slots[i].commit();
+    it->second.dirty = false;
     const std::uint64_t old_hash = it->second.hash;
     it->second.hash = slots[i].hash;
-    if (slots[i].commit) slots[i].commit();
     if (slots[i].hash != old_hash) {
       ++report.nodes_changed;
       if (it->second.kind == ProductKind::Linkbase) {

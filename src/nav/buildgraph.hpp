@@ -32,11 +32,13 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace navsep::obs {
+class Counter;
 class Registry;
 }
 
@@ -106,13 +108,13 @@ class BuildGraph {
   /// Point graph-run telemetry at `registry` (nullptr = off, the
   /// default): run()/run(pool) then record epoch-correlated spans
   /// (build.plan, build.wave.compute, build.wave.commit) into the
-  /// registry's SpanLog and feed each wave's size into the
-  /// `build.wave_occupancy` histogram. The registry must outlive the
+  /// registry's SpanLog, feed each wave's size into the
+  /// `build.wave_occupancy` histogram and count every plan computed in
+  /// the `build.plans` counter (a run whose topology did not move reuses
+  /// the last plan and counts none). The registry must outlive the
   /// graph or be detached first. Non-owning on purpose: the engine owns
   /// the shared_ptr, the graph just reports into it.
-  void set_telemetry(obs::Registry* registry) noexcept {
-    telemetry_ = registry;
-  }
+  void set_telemetry(obs::Registry* registry);
 
   /// The epoch spans recorded by the next run() are stamped with — the
   /// engine sets it to the epoch the run is building toward, so a
@@ -175,8 +177,12 @@ class BuildGraph {
 
   /// Process every dirty node in dependency order; propagate dirtiness to
   /// dependents when a hash changes; repeat until the graph settles
-  /// (rebuild callbacks may define/remove nodes mid-run). Throws
-  /// navsep::SemanticError on a dependency cycle.
+  /// (rebuild callbacks may define/remove nodes mid-run). The plan is
+  /// computed once per topology: runs reuse it until a define() or
+  /// remove() moves the topology. Throws navsep::SemanticError on a
+  /// dependency cycle. A node whose rebuild throws stays dirty with its
+  /// previous hash (its product was not rebuilt), so the next run
+  /// rebuilds it; the exception propagates to the caller.
   RebuildReport run();
 
   /// As run(), additionally scheduling define_parallel() nodes onto
@@ -188,8 +194,8 @@ class BuildGraph {
   /// any worker count. A null pool (or a single-lane one) is the serial
   /// path. A compute-phase exception surfaces during the wave's commit
   /// sweep with the same node state the serial path would leave (the
-  /// throwing node clean with its stale hash, nodes after it in plan
-  /// order still dirty).
+  /// throwing node and every node after it in plan order still dirty,
+  /// the commits before it applied).
   RebuildReport run(WorkerPool* pool);
 
  private:
@@ -202,7 +208,7 @@ class BuildGraph {
     bool dirty = true;
   };
 
-  /// One pass's plan: topological order (producers first) plus the
+  /// A topology's plan: topological order (producers first) plus the
   /// reverse-edge index for O(out-degree) dirty propagation. Ids are
   /// copied out of the node map so rebuild callbacks may define/remove
   /// nodes without invalidating the iteration.
@@ -211,6 +217,10 @@ class BuildGraph {
     std::map<std::string, std::vector<std::string>, std::less<>> dependents;
   };
   [[nodiscard]] Plan plan() const;
+
+  /// The plan for the current topology: plan_ when it is still current,
+  /// else a fresh one (recorded as a build.plan span and counted).
+  [[nodiscard]] std::shared_ptr<const Plan> current_plan();
 
   /// Execute one wave of parallel nodes: compute on the pool, commit
   /// serially in plan order (counters, hash write, propagation).
@@ -221,7 +231,13 @@ class BuildGraph {
   /// Bumped by define()/remove(); run() aborts a pass and replans when it
   /// moves (a same-size swap of nodes would evade a size check).
   std::uint64_t topology_revision_ = 0;
+  /// The last plan computed and the topology revision it was computed
+  /// at. A pass holds its own reference, so a callback that moves the
+  /// topology mid-pass cannot free the plan the pass is walking.
+  std::shared_ptr<const Plan> plan_;
+  std::uint64_t plan_revision_ = 0;
   obs::Registry* telemetry_ = nullptr;  // non-owning; see set_telemetry
+  obs::Counter* plans_ = nullptr;       // telemetry_'s build.plans
   std::uint64_t epoch_hint_ = 0;
 };
 

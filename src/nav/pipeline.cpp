@@ -77,6 +77,16 @@ std::uint64_t hash_str(std::uint64_t seed, std::string_view s) {
   return hash_combine(seed, hash_bytes(s));
 }
 
+/// One arc's content hash: what the arc table's hash and the per-page
+/// slice hashes fold.
+std::uint64_t arc_hash(const core::NavArc& arc) {
+  std::uint64_t a = hash_bytes(arc.from);
+  a = hash_str(a, arc.to);
+  a = hash_str(a, arc.role);
+  a = hash_str(a, arc.title);
+  return hash_str(a, arc.context);
+}
+
 /// Where the navigation aspect logs anchor provenance during a page
 /// composition. Thread-local so parallel page weaves each get their own
 /// log: the aspect resolves it per render through
@@ -207,14 +217,12 @@ RebuildReport Engine::run_graph_now() {
     }
     publish_snapshot();
   } catch (...) {
-    // The node that threw ends clean with its stale product (the build
-    // graph's serial contract), and nothing says which node it was: the
-    // next run re-runs them all, as rebuild() does, so a retry of the
-    // same edit converges. The run may also have rebuilt the arc table
-    // before it threw, and the session's cached links() point into the
-    // old one. Nothing was published, so the session re-reads the
+    // The node that threw stays dirty, as does everything the run had
+    // not reached, so a retry of the same edit re-runs exactly what this
+    // run left unbuilt and converges. The run may have rebuilt the arc
+    // table before it threw, and the session's cached links() point into
+    // the old one. Nothing was published, so the session re-reads the
     // previous epoch's page.
-    build_graph_.mark_all_dirty();
     browser_->refresh();
     throw;
   }
@@ -455,6 +463,13 @@ RebuildReport Engine::edit_context_family(
 
 // --- Engine: linkbase records -------------------------------------------------
 
+std::span<const core::NavArc> Engine::record_arcs(
+    const LinkbaseRecord& record) const {
+  const DerivedArcs& derived = record.derived;
+  if (!derived.arcs.empty() || derived.hashes.empty()) return derived.arcs;
+  return {combined_arcs_->data() + derived.offset, derived.hashes.size()};
+}
+
 const Engine::LinkbaseRecord* Engine::find_linkbase(std::string_view name,
                                                     LinkbaseKind kind) const {
   for (const LinkbaseRecord& record : linkbases_) {
@@ -532,7 +547,7 @@ bool Engine::sync_linkbases() {
       }
     }
     linkbases_.push_back(LinkbaseRecord{
-        name, site::context_linkbase_path(name), kind, nullptr, {}});
+        name, site::context_linkbase_path(name), kind, nullptr, {}, {}});
   };
   for (const RouteProgram& program : route_programs_) {
     if (program.compile == RouteCompile::Aot) {
@@ -666,16 +681,32 @@ std::uint64_t Engine::install_linkbase(const std::string& path) {
                                          *nav_, lb);
       break;
   }
-  bool changed = false;
-  const std::uint64_t hash =
-      put_if_changed(path, xml::write(*doc, {.pretty = true}), &changed);
-  if (changed) {
-    // The old document must die only after graph_ stops pointing into
-    // it: the changed hash propagates into this run's arc-table rebuild,
-    // and nothing dereferences graph_ before that.
-    record->doc = std::move(doc);
-    record->graph = core::load_linkbase(*record->doc);
+  std::string text = xml::write(*doc, {.pretty = true});
+  const std::uint64_t hash = hash_bytes(text);
+  if (const std::string* current = site_.get(path);
+      current != nullptr && *current == text) {
+    return hash;
   }
+  // Derive what the arc table reads from this record into locals, then
+  // commit with no-throw moves: a throw before the commit leaves the
+  // record and the site text as they were (and this node dirty).
+  xlink::TraversalGraph graph = core::load_linkbase(*doc);
+  DerivedArcs derived;
+  derived.arcs = core::combined_nav_arcs({{path, &graph}});
+  derived.hashes.reserve(derived.arcs.size());
+  for (const core::NavArc& arc : derived.arcs) {
+    derived.hashes.push_back(arc_hash(arc));
+    auto [slice, first] = derived.overlay_slices.emplace(
+        core::default_href_for(arc.from), serve::kEmptySliceHash);
+    slice->second = serve::combine_arc_slice(slice->second, arc);
+  }
+  site_.put(path, std::move(text));
+  // The old document must die only after graph_ stops pointing into it:
+  // the changed hash propagates into this run's arc-table rebuild, and
+  // nothing dereferences graph_ before that.
+  record->doc = std::move(doc);
+  record->graph = std::move(graph);
+  record->derived = std::move(derived);
   return hash;
 }
 
@@ -757,15 +788,16 @@ std::vector<core::NavArc> Engine::route_input_arcs() const {
   // function of the authored site, not a fixpoint. The lazy path
   // mirrors this by excluding every route and landmark source from its
   // input. The structure and family records lead linkbases_.
-  std::vector<core::SourcedGraph> sourced;
+  std::vector<core::NavArc> arcs;
   for (const LinkbaseRecord& record : linkbases_) {
     if (record.kind != LinkbaseKind::Structure &&
         record.kind != LinkbaseKind::Family) {
       break;
     }
-    sourced.push_back(core::SourcedGraph{record.path, &record.graph});
+    const std::span<const core::NavArc> own = record_arcs(record);
+    arcs.insert(arcs.end(), own.begin(), own.end());
   }
-  return core::combined_nav_arcs(sourced);
+  return arcs;
 }
 
 hypermedia::ContextFamily Engine::route_family(std::string_view name) const {
@@ -1138,12 +1170,10 @@ std::vector<std::string> Engine::desired_page_ids() const {
 }
 
 std::uint64_t Engine::put_if_changed(const std::string& path,
-                                     std::string text, bool* changed) {
+                                     std::string text) {
   const std::uint64_t hash = hash_bytes(text);
   const std::string* current = site_.get(path);
-  const bool differs = current == nullptr || *current != text;
-  if (differs) site_.put(path, std::move(text));
-  if (changed != nullptr) *changed = differs;
+  if (current == nullptr || *current != text) site_.put(path, std::move(text));
   return hash;
 }
 
@@ -1173,62 +1203,69 @@ std::uint64_t Engine::rebuild_spec() {
 std::uint64_t Engine::rebuild_arc_table() {
   // Merge the browser-facing traversal graph from the records' cached
   // graphs, in merge order: the structure's copied whole, the rest
-  // appended (merge() re-indexes each arc it appends).
+  // appended (merge() appends each record's already normalized index).
   xlink::TraversalGraph merged = linkbases_.front().graph;
   for (std::size_t i = 1; i < linkbases_.size(); ++i) {
     merged.merge(linkbases_[i].graph);
   }
   graph_ = std::move(merged);
 
-  // Materialize the combined arc set with provenance and hand it to the
-  // weaver as the (sole) navigation aspect. Route and landmark arcs join
-  // after the families; they are context-tagged ('<name>:route',
-  // '<name>:landmark'), so like tour arcs they land in overlay slices,
-  // never in stored pages.
-  std::vector<core::SourcedGraph> sourced;
-  sourced.reserve(linkbases_.size());
+  // Assemble the combined arc set with provenance, in merge order, from
+  // what each record derived when its text last changed. Route and
+  // landmark arcs join after the families; they are context-tagged
+  // ('<name>:route', '<name>:landmark'), so like tour arcs they land in
+  // overlay slices, never in stored pages.
+  //
+  // Alongside: per-page slice hashes over the arcs a *stored* page can
+  // actually weave — the context-free ones leaving it (contextual tour
+  // arcs are only woven into on-demand compositions carrying their
+  // context tag) — and the per-(linkbase, page) overlay slice hashes
+  // over ALL arcs, tour arcs included, since overlays render them: the
+  // serve-side overlay validity tokens.
+  std::size_t total = 0;
   for (const LinkbaseRecord& record : linkbases_) {
-    sourced.push_back(core::SourcedGraph{record.path, &record.graph});
+    total += record.derived.hashes.size();
   }
-  std::vector<core::NavArc> arcs = core::combined_nav_arcs(sourced);
+  auto arcs = std::make_shared<std::vector<core::NavArc>>();
+  arcs->reserve(total);
+  auto overlay_hashes = std::make_shared<serve::SourceSliceHashes>();
+  slice_hashes_.clear();
+  std::uint64_t table_hash = 0xa5a5a5a5a5a5a5a5ull;
+  for (const LinkbaseRecord& record : linkbases_) {
+    const std::span<const core::NavArc> own = record_arcs(record);
+    const std::vector<std::uint64_t>& hashes = record.derived.hashes;
+    arcs->insert(arcs->end(), own.begin(), own.end());
+    if (!record.derived.overlay_slices.empty()) {
+      overlay_hashes->emplace(record.path, record.derived.overlay_slices);
+    }
+    for (std::size_t i = 0; i < own.size(); ++i) {
+      table_hash = hash_combine(table_hash, hashes[i]);
+      if (own[i].context.empty()) {
+        auto [it, inserted] = slice_hashes_.emplace(own[i].from, 0xbeefull);
+        it->second = hash_combine(it->second, hashes[i]);
+      }
+    }
+  }
+  // Commit (no-throw): every record's arcs now live only in the combined
+  // set, which is shared and never mutated — the next rebuild swaps in a
+  // fresh vector.
+  std::size_t offset = 0;
+  for (LinkbaseRecord& record : linkbases_) {
+    record.derived.offset = offset;
+    offset += record.derived.hashes.size();
+    std::vector<core::NavArc>().swap(record.derived.arcs);
+  }
+  combined_arcs_ = std::move(arcs);
+  overlay_slice_hashes_ = std::move(overlay_hashes);
 
+  // Hand the combined set to the weaver as the (sole) navigation aspect.
   core::NavigationAspectOptions aspect_options;
   // A sink, not a pointer: each weave lane logs into its own thread-local
   // scratch, so parallel page compositions never share a provenance
   // vector (the aspect itself is shared across weaver clones).
   aspect_options.provenance_sink = [] { return &t_weave_provenance; };
-  weaver_.replace_aspect(
-      core::NavigationAspect::from_contextual_arcs(arcs, aspect_options));
-
-  // Publish per-page slice hashes: the arcs a *stored* page can actually
-  // weave are the context-free ones leaving it (contextual tour arcs are
-  // only woven into on-demand compositions carrying their context tag).
-  // Alongside, per-(linkbase, page) slice hashes over ALL arcs — tour
-  // arcs included, since overlays render them — for the serve-side
-  // overlay validity tokens.
-  slice_hashes_.clear();
-  auto overlay_hashes = std::make_shared<serve::SourceSliceHashes>();
-  std::uint64_t table_hash = 0xa5a5a5a5a5a5a5a5ull;
-  for (const core::NavArc& arc : arcs) {
-    std::uint64_t a = hash_bytes(arc.from);
-    a = hash_str(a, arc.to);
-    a = hash_str(a, arc.role);
-    a = hash_str(a, arc.title);
-    a = hash_str(a, arc.context);
-    table_hash = hash_combine(table_hash, a);
-    if (arc.context.empty()) {
-      auto [it, inserted] = slice_hashes_.emplace(arc.from, 0xbeefull);
-      it->second = hash_combine(it->second, a);
-    }
-    auto [slice, first] = (*overlay_hashes)[arc.source].emplace(
-        core::default_href_for(arc.from), serve::kEmptySliceHash);
-    slice->second = serve::combine_arc_slice(slice->second, arc);
-  }
-  overlay_slice_hashes_ = std::move(overlay_hashes);
-  // Publish the combined set for snapshots (shared, never mutated: the
-  // next rebuild swaps in a fresh vector, it does not touch this one).
-  combined_arcs_ =
-      std::make_shared<const std::vector<core::NavArc>>(std::move(arcs));
+  weaver_.replace_aspect(core::NavigationAspect::from_contextual_arcs(
+      combined_arcs_, aspect_options));
   sync_pages();
   return table_hash;
 }
@@ -1527,11 +1564,11 @@ std::unique_ptr<Engine> SitePipeline::serve(std::string_view base) {
     site::author_fixed_artifacts(engine->site_, *engine->world_);
     engine->linkbases_.push_back(Engine::LinkbaseRecord{
         "", std::string(kStructureLinkbasePath),
-        Engine::LinkbaseKind::Structure, nullptr, {}});
+        Engine::LinkbaseKind::Structure, nullptr, {}, {}});
     for (const auto& family : engine->families_) {
       engine->linkbases_.push_back(Engine::LinkbaseRecord{
           family.name(), site::context_linkbase_path(family.name()),
-          Engine::LinkbaseKind::Family, nullptr, {}});
+          Engine::LinkbaseKind::Family, nullptr, {}, {}});
     }
   }
 

@@ -22,6 +22,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -257,10 +258,8 @@ class Engine final : public EngineInternals {
   [[nodiscard]] BuildGraph::ParallelOutcome weave_page_outcome(
       const std::string& page_id);
 
-  /// Write `text` at `path` iff it differs. Returns the text hash;
-  /// `*changed` (when given) says whether the write happened.
-  std::uint64_t put_if_changed(const std::string& path, std::string text,
-                               bool* changed = nullptr);
+  /// Write `text` at `path` iff it differs. Returns the text hash.
+  std::uint64_t put_if_changed(const std::string& path, std::string text);
 
   /// Snapshot structure_ into a MaterializedStructure (idempotent) so
   /// arc-level edits have a mutable substrate.
@@ -326,6 +325,17 @@ class Engine final : public EngineInternals {
   /// family, a route expansion or the landmark picks.
   enum class LinkbaseKind { Structure, Family, Route, Landmark };
 
+  /// What the arc table derives from one linkbase record's graph. The
+  /// record's NavArcs are kept once: in `arcs` from the reload that
+  /// derived them until the next arc-table rebuild, then only inside
+  /// combined_arcs_, at `offset` (see record_arcs()).
+  struct DerivedArcs {
+    std::vector<core::NavArc> arcs;         // graph order, source == path
+    std::size_t offset = 0;                 // in combined_arcs_ once there
+    std::vector<std::uint64_t> hashes;      // one content hash per arc
+    serve::PageSliceHashes overlay_slices;  // page -> overlay slice hash
+  };
+
   /// One linkbase the engine authors (DESIGN.md, "Generated linkbases").
   /// Every kind shares one author-and-install step and one graph sync;
   /// only how the document is produced differs.
@@ -335,13 +345,19 @@ class Engine final : public EngineInternals {
     LinkbaseKind kind = LinkbaseKind::Structure;
     std::unique_ptr<xml::Document> doc;  // null until first authored
     xlink::TraversalGraph graph;         // points into doc
+    DerivedArcs derived;  // from graph; recomputed only when it reloads
   };
 
-  /// Author linkbase `path`'s document, serialize and hash it, install
-  /// the text iff it changed, and reload the record's graph only then —
-  /// the one author-and-install step every record kind shares. The
-  /// Linkbase build-graph node's rebuild.
+  /// Author linkbase `path`'s document, serialize and hash it, and only
+  /// when the text changed reload the record's graph, re-derive its arcs
+  /// and hashes, and install the text — the one author-and-install step
+  /// every record kind shares. The Linkbase build-graph node's rebuild.
   [[nodiscard]] std::uint64_t install_linkbase(const std::string& path);
+
+  /// `record`'s NavArcs: its freshly derived ones, or its range of
+  /// combined_arcs_ once an arc-table rebuild has taken them.
+  [[nodiscard]] std::span<const core::NavArc> record_arcs(
+      const LinkbaseRecord& record) const;
 
   /// The record named `name` of kind `kind`, or null.
   [[nodiscard]] const LinkbaseRecord* find_linkbase(std::string_view name,
@@ -372,7 +388,7 @@ class Engine final : public EngineInternals {
   [[nodiscard]] std::size_t route_index(std::string_view name) const;
 
   /// The combined authored arc set route expansion and landmark scoring
-  /// evaluate over (the structure and family records' graphs, weave
+  /// evaluate over (the structure and family records' arcs, weave
   /// order) — the engine-side twin of the snapshot's overlay arcs minus
   /// route and landmark sources.
   [[nodiscard]] std::vector<core::NavArc> route_input_arcs() const;
@@ -428,8 +444,9 @@ class Engine final : public EngineInternals {
   xlink::TraversalGraph graph_;
 
   /// The combined arc set (every linkbase record, merge order, with
-  /// per-linkbase provenance) as last materialized by the arc-table
-  /// rebuild — shared into every published snapshot, which slices it per
+  /// per-linkbase provenance) as last assembled by the arc-table
+  /// rebuild — shared by the navigation aspect, which indexes it by
+  /// pointer, and by every published snapshot, which slices it per
   /// (linkbase, page) for profile overlays.
   std::shared_ptr<const std::vector<core::NavArc>> combined_arcs_;
 

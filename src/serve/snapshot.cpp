@@ -1,6 +1,7 @@
 #include "serve/snapshot.hpp"
 
 #include <algorithm>
+#include <unordered_map>
 #include <utility>
 
 #include "common/error.hpp"
@@ -104,24 +105,25 @@ SiteSnapshot::SiteSnapshot(const site::VirtualSite& site,
   for (auto& [path, body] : site.shared_artifacts()) {
     files_.emplace(path, std::move(body));
   }
-  // Materialize arcs by value, bucketed by (already normalized) source
-  // URI — the graph's own index order is linkbase document order, which
-  // we preserve per bucket.
-  for (const std::string& from : graph.resource_uris()) {
-    std::vector<const xlink::Arc*> outgoing = graph.outgoing(from);
-    if (outgoing.empty()) continue;
+  // Materialize arcs by value, walking the graph's source index: its
+  // keys are already normalized (the key is every bucket arc's `from`)
+  // and each bucket is in linkbase document order, which we preserve.
+  // Each distinct target is normalized once per capture.
+  std::unordered_map<std::string_view, std::string> targets;
+  for (std::string& from : graph.resource_uris()) {
+    const std::vector<std::size_t>* outgoing = graph.outgoing_indices(from);
+    if (outgoing == nullptr) continue;
     std::vector<SnapshotArc> bucket;
-    bucket.reserve(outgoing.size());
-    for (const xlink::Arc* arc : outgoing) {
-      SnapshotArc snap;
-      snap.from = xlink::normalize_ref(arc->from.uri);
-      snap.to = xlink::normalize_ref(arc->to.uri);
-      snap.arcrole = arc->arcrole;
-      snap.title = arc->title;
-      snap.traversable = xlink::is_traversable(*arc);
-      bucket.push_back(std::move(snap));
+    bucket.reserve(outgoing->size());
+    for (std::size_t i : *outgoing) {
+      const xlink::Arc& arc = graph.arcs()[i];
+      auto [to, fresh] = targets.try_emplace(arc.to.uri);
+      if (fresh) to->second = xlink::normalize_ref(arc.to.uri);
+      bucket.push_back(SnapshotArc{from, to->second, arc.arcrole, arc.title,
+                                   xlink::is_traversable(arc)});
     }
-    arcs_by_from_.emplace(xlink::normalize_ref(from), std::move(bucket));
+    arcs_by_from_.emplace_hint(arcs_by_from_.end(), std::move(from),
+                               std::move(bucket));
   }
 
   init_overlays(std::move(overlays));

@@ -1,5 +1,8 @@
 #include "xlink/traversal.hpp"
 
+#include <algorithm>
+#include <iterator>
+#include <ranges>
 #include <set>
 
 #include "uri/uri.hpp"
@@ -203,12 +206,12 @@ const std::vector<std::size_t>* TraversalGraph::outgoing_indices(
 }
 
 std::vector<std::string> TraversalGraph::resource_uris() const {
-  std::set<std::string> seen;
-  for (const auto& a : arcs_) {
-    if (!a.from.uri.empty()) seen.insert(normalize_ref(a.from.uri));
-    if (!a.to.uri.empty()) seen.insert(normalize_ref(a.to.uri));
-  }
-  return {seen.begin(), seen.end()};
+  // Both indexes are keyed by normalize_ref of every non-empty endpoint,
+  // in sorted order: the union of their keys is exactly that set.
+  std::vector<std::string> out;
+  std::ranges::set_union(by_from_ | std::views::keys, by_to_ | std::views::keys,
+                         std::back_inserter(out));
+  return out;
 }
 
 std::vector<const Arc*> TraversalGraph::outgoing_with_role(
@@ -222,11 +225,25 @@ std::vector<const Arc*> TraversalGraph::outgoing_with_role(
   return out;
 }
 
-void TraversalGraph::merge(TraversalGraph other) {
+void TraversalGraph::merge(const TraversalGraph& other) {
+  if (&other == this) {
+    const TraversalGraph copy = other;
+    merge(copy);
+    return;
+  }
   const std::size_t offset = arcs_.size();
-  arcs_.insert(arcs_.end(), std::make_move_iterator(other.arcs_.begin()),
-               std::make_move_iterator(other.arcs_.end()));
-  for (std::size_t i = offset; i < arcs_.size(); ++i) index_arc(i);
+  arcs_.insert(arcs_.end(), other.arcs_.begin(), other.arcs_.end());
+  // Every appended index is above every existing one, so appending
+  // other's (sorted) buckets keeps each bucket in document order.
+  auto append = [offset](auto& into, const auto& from) {
+    for (const auto& [uri, indices] : from) {
+      std::vector<std::size_t>& bucket = into[uri];
+      bucket.reserve(bucket.size() + indices.size());
+      for (std::size_t i : indices) bucket.push_back(offset + i);
+    }
+  };
+  append(by_from_, other.by_from_);
+  append(by_to_, other.by_to_);
 }
 
 // --- linkbase discovery --------------------------------------------------------

@@ -106,15 +106,18 @@ class TraversalGraph {
   [[nodiscard]] const std::vector<std::size_t>* outgoing_indices(
       std::string_view normalized_uri) const;
 
-  /// Every distinct endpoint URI appearing in the graph, sorted.
+  /// Every distinct endpoint URI appearing in the graph, normalized and
+  /// sorted: the union of the source and target index keys.
   [[nodiscard]] std::vector<std::string> resource_uris() const;
 
   /// Arcs departing `uri` whose arcrole equals `arcrole`.
   [[nodiscard]] std::vector<const Arc*> outgoing_with_role(
       std::string_view uri, std::string_view arcrole) const;
 
-  /// Merge another graph into this one (linkbase aggregation).
-  void merge(TraversalGraph other);
+  /// Merge another graph into this one (linkbase aggregation): its arcs
+  /// are appended and its already-normalized index buckets appended to
+  /// this graph's, so nothing is normalized twice.
+  void merge(const TraversalGraph& other);
 
  private:
   void index_arc(std::size_t i);

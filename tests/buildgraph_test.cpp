@@ -15,11 +15,13 @@
 #include "nav/buildgraph.hpp"
 #include "nav/pipeline.hpp"
 #include "nav/worker_pool.hpp"
+#include "obs/registry.hpp"
 #include "oracle.hpp"
 #include "site/virtual_site.hpp"
 
 namespace hm = navsep::hypermedia;
 namespace nav = navsep::nav;
+namespace obs = navsep::obs;
 namespace site = navsep::site;
 using navsep::museum::MuseumWorld;
 using navsep::museum::SyntheticSpec;
@@ -162,6 +164,73 @@ TEST(BuildGraphMechanism, NodesDefinedMidRunAreBuiltInTheSameRun) {
   nav::RebuildReport r = g.run();
   EXPECT_EQ(leaf_builds, 1);
   EXPECT_EQ(r.pages_total, 1u);
+}
+
+TEST(BuildGraphMechanism, PlansOncePerTopology) {
+  // build.plans counts plans computed: runs over an unchanged topology
+  // reuse the last plan, and every define/define_parallel/remove —
+  // including a define from inside a rebuild callback — replans.
+  obs::Registry registry;
+  nav::BuildGraph g;
+  g.set_telemetry(&registry);
+  const obs::Counter& plans = registry.counter("build.plans");
+  int version = 0;
+  g.define("src", nav::ProductKind::Source, {},
+           [&] { return nav::hash_bytes("src" + std::to_string(version)); });
+  g.define("page", nav::ProductKind::Page, {"src"},
+           [&] { return nav::hash_bytes("page" + std::to_string(version)); });
+  (void)g.run();
+  EXPECT_EQ(plans.value(), 1u);
+
+  for (int i = 0; i < 3; ++i) {
+    ++version;
+    g.mark_dirty("src");
+    EXPECT_EQ(g.run().pages_rewoven, 1u);
+  }
+  (void)g.run();  // clean
+  EXPECT_EQ(plans.value(), 1u);
+
+  g.define("leaf", nav::ProductKind::Page, {"src"},
+           [] { return nav::hash_bytes("leaf"); });
+  (void)g.run();
+  (void)g.run();
+  EXPECT_EQ(plans.value(), 2u);
+
+  g.define_parallel("woven", nav::ProductKind::Page, {"src"}, [] {
+    return nav::BuildGraph::ParallelOutcome{nav::hash_bytes("woven"), {}};
+  });
+  (void)g.run();
+  EXPECT_EQ(plans.value(), 3u);
+
+  EXPECT_TRUE(g.remove("leaf"));
+  ++version;
+  g.mark_dirty("src");
+  (void)g.run();
+  EXPECT_EQ(plans.value(), 4u);
+
+  // Defining "grower" moves the topology (plan 5); its callback defines
+  // "late" mid-pass (plan 6), which still builds in the same run.
+  bool expand = true;
+  int late_builds = 0;
+  g.define("grower", nav::ProductKind::Source, {}, [&] {
+    if (expand) {
+      expand = false;
+      g.define("late", nav::ProductKind::Page, {"grower"}, [&] {
+        ++late_builds;
+        return nav::hash_bytes("late");
+      });
+    }
+    return nav::hash_bytes("grower");
+  });
+  nav::RebuildReport r = g.run();
+  EXPECT_EQ(late_builds, 1);
+  EXPECT_FALSE(g.is_dirty("late"));
+  EXPECT_EQ(r.pages_total, 3u);
+  EXPECT_EQ(plans.value(), 6u);
+
+  g.mark_dirty("grower");
+  (void)g.run();
+  EXPECT_EQ(plans.value(), 6u);
 }
 
 TEST(BuildGraphMechanism, RemovedNodesStopBuilding) {
@@ -685,16 +754,19 @@ TEST(BuildGraphMechanism, ParallelNodesCommitInPlanOrderForAnyLaneCount) {
 }
 
 TEST(BuildGraphMechanism, ParallelWaveExceptionKeepsSerialContract) {
-  // The serial contract on a throwing rebuild: the node's dirty bit is
-  // cleared before the callback runs, so the throwing node ends clean
-  // with a stale hash. A parallel wave must behave identically — plus:
-  // commits ordered before the throwing node land, later ones do not.
+  // The serial contract on a throwing rebuild: the node's product was not
+  // rebuilt, so it stays dirty with its previous hash. A parallel wave
+  // must behave identically — plus: commits ordered before the throwing
+  // node land, later ones do not.
   nav::BuildGraph g;
   std::vector<std::string> committed;
+  bool armed = true;
   auto page = [&](const char* id, bool boom) {
     g.define_parallel(id, nav::ProductKind::Page, {},
-                      [id, boom, &committed] {
-                        if (boom) throw navsep::SemanticError("weave failed");
+                      [id, boom, &armed, &committed] {
+                        if (boom && armed) {
+                          throw navsep::SemanticError("weave failed");
+                        }
                         nav::BuildGraph::ParallelOutcome out;
                         out.hash = nav::hash_bytes(id);
                         out.commit = [id, &committed] {
@@ -710,14 +782,55 @@ TEST(BuildGraphMechanism, ParallelWaveExceptionKeepsSerialContract) {
   EXPECT_THROW((void)g.run(&pool), navsep::SemanticError);
   EXPECT_EQ(committed, (std::vector<std::string>{"a"}));
   EXPECT_FALSE(g.is_dirty("a"));
-  EXPECT_FALSE(g.is_dirty("b"));  // cleared before the compute ran
-  EXPECT_TRUE(g.is_dirty("c"));   // its commit never ran
+  EXPECT_TRUE(g.is_dirty("b"));  // its product was never rebuilt
+  EXPECT_EQ(g.hash_of("b"), 0u);
+  EXPECT_TRUE(g.is_dirty("c"));  // its commit never ran
 
-  // The next run picks up where the wave stopped.
+  // Still armed: the next run fails on "b" again, committing nothing.
   committed.clear();
+  EXPECT_THROW((void)g.run(&pool), navsep::SemanticError);
+  EXPECT_TRUE(committed.empty());
+  EXPECT_TRUE(g.is_dirty("b"));
+
+  // Disarmed: the next run picks up where the wave stopped, in plan
+  // order.
+  armed = false;
   nav::RebuildReport r = g.run(&pool);
-  EXPECT_EQ(committed, (std::vector<std::string>{"c"}));
-  EXPECT_EQ(r.nodes_rebuilt, 1u);
+  EXPECT_EQ(committed, (std::vector<std::string>{"b", "c"}));
+  EXPECT_EQ(r.nodes_rebuilt, 2u);
+  EXPECT_FALSE(g.is_dirty("b"));
+  EXPECT_EQ(g.hash_of("b"), nav::hash_bytes("b"));
+}
+
+TEST(BuildGraphMechanism, SerialExceptionLeavesTheThrowingNodeDirty) {
+  nav::BuildGraph g;
+  bool armed = true;
+  std::vector<std::string> ran;
+  g.define("src", nav::ProductKind::Source, {}, [&] {
+    ran.push_back("src");
+    return nav::hash_bytes("src");
+  });
+  g.define("mid", nav::ProductKind::Linkbase, {"src"}, [&] {
+    ran.push_back("mid");
+    if (armed) throw navsep::SemanticError("author failed");
+    return nav::hash_bytes("mid");
+  });
+  g.define("page", nav::ProductKind::Page, {"mid"}, [&] {
+    ran.push_back("page");
+    return nav::hash_bytes("page");
+  });
+  EXPECT_THROW((void)g.run(), navsep::SemanticError);
+  EXPECT_FALSE(g.is_dirty("src"));
+  EXPECT_TRUE(g.is_dirty("mid"));
+  EXPECT_EQ(g.hash_of("mid"), 0u);
+  EXPECT_TRUE(g.is_dirty("page"));
+
+  // The retry rebuilds only what the failed run left unbuilt.
+  armed = false;
+  ran.clear();
+  nav::RebuildReport r = g.run();
+  EXPECT_EQ(ran, (std::vector<std::string>{"mid", "page"}));
+  EXPECT_EQ(r.nodes_rebuilt, 2u);
 }
 
 // --- parallel weaving (Engine) ---------------------------------------------------

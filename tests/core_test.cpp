@@ -142,7 +142,8 @@ TEST_F(CoreTest, ContextSensitiveTourArcs) {
        "Next in movement", "ByMovement:cubism"},
   };
   aop::Weaver weaver;
-  weaver.register_aspect(core::NavigationAspect::from_contextual_arcs(arcs));
+  weaver.register_aspect(core::NavigationAspect::from_contextual_arcs(
+      std::make_shared<const std::vector<core::NavArc>>(arcs)));
   core::SeparatedComposer composer(weaver);
 
   std::string by_author = composer.compose_node_page(

@@ -538,9 +538,13 @@ TEST(EngineServing, ServesOnlyPublishedEpochsAndConvergesAfterAFault) {
               *snap->respond(engine->navigator().location()).body);
 
     // Disarm and retry the same edit: the site and every byte server()
-    // serves equal a from-scratch build of the current design.
+    // serves equal a from-scratch build of the current design. The
+    // retry re-weaves only what the failed run left unbuilt (the page
+    // whose weave threw and those after it), never the whole site.
     fault.armed = false;
-    (void)engine->internals().retitle_node("guernica", "Guernica (mk2)");
+    const nav::RebuildReport retry =
+        engine->internals().retitle_node("guernica", "Guernica (mk2)");
+    EXPECT_LT(retry.pages_rewoven, retry.pages_total);
     EXPECT_EQ(snapshots.epoch(), epoch + 1);
     const site::VirtualSite oracle =
         navsep::testing::full_build_oracle(*engine);

@@ -19,12 +19,14 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "core/linkbase.hpp"
 #include "core/navigation_aspect.hpp"
 #include "hypermedia/access.hpp"
 #include "hypermedia/context.hpp"
@@ -35,7 +37,10 @@
 #include "repl/replica.hpp"
 #include "serve/cache_warmer.hpp"
 #include "serve/concurrent_server.hpp"
+#include "serve/snapshot.hpp"
 #include "site/virtual_site.hpp"
+#include "xlink/traversal.hpp"
+#include "xml/parser.hpp"
 
 namespace {
 
@@ -45,6 +50,7 @@ namespace hm = navsep::hypermedia;
 namespace nav = navsep::nav;
 namespace serve = navsep::serve;
 namespace site = navsep::site;
+namespace xlink = navsep::xlink;
 using navsep::testing::expect_sites_identical;
 using navsep::testing::full_build_oracle;
 using navsep::testing::profile_oracle;
@@ -380,6 +386,212 @@ TEST(DifferentialStress, MixedMutationSequenceServesOnlyOracleBytes) {
       engine->site().artifacts();
   engine->internals().rebuild();
   EXPECT_EQ(engine->site().artifacts(), final_state);
+}
+
+/// The published arc state must equal a re-derivation from the served
+/// linkbase bytes: parse every linkbase artifact of the current snapshot
+/// (links.xml, then the overlay families in order), load and merge the
+/// parsed documents, and compare the snapshot's traversal arcs, overlay
+/// arcs and slice hashes, and the engine's arc table, against what that
+/// merge yields.
+void expect_arc_state_matches_served_linkbases(const nav::Engine& engine,
+                                               int step) {
+  SCOPED_TRACE("arc state after step " + std::to_string(step));
+  const std::shared_ptr<const serve::SiteSnapshot> snap =
+      engine.snapshots().current();
+  std::vector<std::string> sources{snap->structure_source()};
+  for (const auto& family : snap->overlay_families()) {
+    sources.push_back(family.source);
+  }
+  std::vector<std::unique_ptr<navsep::xml::Document>> docs;
+  std::vector<xlink::TraversalGraph> graphs;
+  graphs.reserve(sources.size());
+  for (const std::string& source : sources) {
+    const std::shared_ptr<const std::string> body = snap->body(source);
+    ASSERT_NE(body, nullptr) << source;
+    navsep::xml::ParseOptions options;
+    options.base_uri = snap->base() + source;
+    docs.push_back(navsep::xml::parse(*body, options));
+    graphs.push_back(navsep::core::load_linkbase(*docs.back()));
+  }
+  xlink::TraversalGraph merged;
+  std::vector<navsep::core::SourcedGraph> sourced;
+  for (std::size_t i = 0; i < graphs.size(); ++i) {
+    merged.merge(graphs[i]);
+    sourced.push_back({sources[i], &graphs[i]});
+  }
+
+  // Traversal arcs: the walk every endpoint through normalize_ref.
+  std::map<std::string, std::vector<serve::SnapshotArc>, std::less<>> walked;
+  for (const xlink::Arc& arc : merged.arcs()) {
+    if (arc.from.uri.empty()) continue;
+    const std::string from = xlink::normalize_ref(arc.from.uri);
+    walked[from].push_back(serve::SnapshotArc{
+        from, xlink::normalize_ref(arc.to.uri), arc.arcrole, arc.title,
+        xlink::is_traversable(arc)});
+  }
+  EXPECT_EQ(snap->traversal_arcs(), walked);
+
+  // Overlay arcs and their slice hashes.
+  const std::vector<navsep::core::NavArc> derived =
+      navsep::core::combined_nav_arcs(sourced);
+  ASSERT_NE(snap->overlay_arcs(), nullptr);
+  const std::vector<navsep::core::NavArc>& published = *snap->overlay_arcs();
+  ASSERT_EQ(published.size(), derived.size());
+  for (std::size_t i = 0; i < derived.size(); ++i) {
+    const navsep::core::NavArc& a = published[i];
+    const navsep::core::NavArc& b = derived[i];
+    EXPECT_EQ(std::tie(a.from, a.to, a.role, a.title, a.context, a.source,
+                       a.ordinal),
+              std::tie(b.from, b.to, b.role, b.title, b.context, b.source,
+                       b.ordinal))
+        << "overlay arc " << i;
+  }
+  ASSERT_NE(snap->slice_hashes(), nullptr);
+  EXPECT_EQ(*snap->slice_hashes(),
+            *serve::SiteSnapshot::derive_slice_hashes(derived));
+
+  // The engine's arc table, field by field, for every resource URI.
+  const xlink::TraversalGraph& table = engine.arc_table();
+  ASSERT_EQ(table.resource_uris(), merged.resource_uris());
+  const auto endpoint = [](const xlink::Endpoint& e) {
+    return std::tie(e.is_local, e.uri, e.label, e.role, e.title);
+  };
+  for (const std::string& uri : merged.resource_uris()) {
+    const std::vector<const xlink::Arc*> got = table.outgoing(uri);
+    const std::vector<const xlink::Arc*> want = merged.outgoing(uri);
+    ASSERT_EQ(got.size(), want.size()) << uri;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(endpoint(got[i]->from), endpoint(want[i]->from)) << uri;
+      EXPECT_EQ(endpoint(got[i]->to), endpoint(want[i]->to)) << uri;
+      EXPECT_EQ(std::tie(got[i]->arcrole, got[i]->title, got[i]->show,
+                         got[i]->actuate),
+                std::tie(want[i]->arcrole, want[i]->title, want[i]->show,
+                         want[i]->actuate))
+          << uri;
+    }
+  }
+}
+
+// What the engine derives per linkbase record (arcs, arc hashes, overlay
+// slice hashes) is recomputed only when that record's text changes and
+// reassembled on every arc-table rebuild: across record moves,
+// retirements and batches, the published arc state must stay equal to a
+// from-the-bytes re-derivation of the served linkbases.
+TEST(DifferentialStress, PublishedArcStateEqualsAReparseOfServedLinkbases) {
+  auto engine = nav::SitePipeline()
+                    .conceptual(navsep::museum::SyntheticSpec{
+                        .painters = 3,
+                        .paintings_per_painter = 3,
+                        .movements = 2,
+                        .seed = 19})
+                    .access(AccessStructureKind::IndexedGuidedTour,
+                            "painter-0")
+                    .contexts({"ByAuthor", "ByMovement"})
+                    .weave()
+                    .serve();
+  std::vector<nav::Profile> profiles{{"kiosk", {}},
+                                     {"tour", {"ByAuthor"}}};
+  for (const nav::Profile& p : profiles) {
+    engine->internals().register_profile(p);
+  }
+  std::vector<std::string> all_paintings;
+  for (const auto* node : engine->navigation().nodes_of("PaintingNode")) {
+    all_paintings.push_back(node->id());
+  }
+  const AccessStructureKind kinds[] = {AccessStructureKind::Index,
+                                       AccessStructureKind::GuidedTour,
+                                       AccessStructureKind::IndexedGuidedTour};
+  const std::vector<std::string> family_names{"ByAuthor", "ByMovement"};
+  nav::EngineInternals& in = engine->internals();
+
+  const auto replace_arc = [&](Rng& rng) {
+    std::vector<hm::AccessArc> arcs = in.authored_arcs();
+    if (arcs.empty()) return;
+    const std::size_t index = static_cast<std::size_t>(rng.below(arcs.size()));
+    hm::AccessArc edited = arcs[index];
+    edited.title = "edit-" + rng.word(6);
+    if (rng.chance(0.3)) edited.to = rng.pick(all_paintings);
+    (void)in.replace_arc(index, edited);
+  };
+  const auto retitle = [&](Rng& rng) {
+    const auto& members = engine->structure().members();
+    (void)in.retitle_node(
+        members[static_cast<std::size_t>(rng.below(members.size()))].node_id,
+        "title-" + rng.word(5));
+  };
+  const auto rotate_family = [&](Rng& rng) {
+    (void)in.edit_context_family(
+        rng.pick(family_names), [&](hm::ContextFamily& family) {
+          std::vector<hm::NavigationalContext> contexts = family.contexts();
+          if (contexts.empty()) return;
+          auto& context =
+              contexts[static_cast<std::size_t>(rng.below(contexts.size()))];
+          std::vector<std::string> ids = context.node_ids();
+          if (ids.size() < 2) return;
+          std::rotate(ids.begin(), ids.begin() + 1, ids.end());
+          context = hm::NavigationalContext(context.family(), context.name(),
+                                            std::move(ids));
+          family.replace_contexts(std::move(contexts));
+        });
+  };
+
+  const std::uint64_t seed = 20261018;
+  SCOPED_TRACE("seed " + std::to_string(seed));
+  Rng rng(seed);
+  bool saw_aot = false;
+  bool saw_lazy = false;
+  bool saw_landmarks = false;
+  int batches = 0;
+  ASSERT_NO_FATAL_FAILURE(expect_arc_state_matches_served_linkbases(*engine, -1));
+  for (int step = 0; step < 80; ++step) {
+    const std::uint64_t op = rng.below(9);
+    if (op == 0) {
+      replace_arc(rng);
+    } else if (op == 1) {
+      retitle(rng);
+    } else if (op == 2) {
+      rotate_family(rng);
+    } else if (op == 3) {
+      std::set<std::string> current;
+      for (const auto& m : engine->structure().members()) {
+        current.insert(m.node_id);
+      }
+      for (const auto& id : all_paintings) {
+        if (current.find(id) == current.end()) {
+          (void)in.add_node(id);
+          break;
+        }
+      }
+    } else if (op == 4) {
+      (void)in.set_access_structure(
+          kinds[static_cast<std::size_t>(rng.below(3))]);
+    } else if (op == 5 || op == 6) {
+      (void)random_route_op(in, rng, profiles);
+    } else if (op == 7) {
+      random_landmark_op(in, rng, navsep::testing::html_pages(*engine),
+                         profiles);
+    } else {
+      // One burst, one run: records move and re-derive inside a batch.
+      in.begin_batch();
+      retitle(rng);
+      replace_arc(rng);
+      rotate_family(rng);
+      (void)random_route_op(in, rng, profiles);
+      (void)in.commit_batch();
+      ++batches;
+    }
+    for (const nav::RouteProgram& program : in.routes()) {
+      (program.compile == nav::RouteCompile::Aot ? saw_aot : saw_lazy) = true;
+    }
+    saw_landmarks = saw_landmarks || !in.landmark_families().empty();
+    ASSERT_NO_FATAL_FAILURE(
+        expect_arc_state_matches_served_linkbases(*engine, step));
+  }
+  EXPECT_TRUE(saw_aot);
+  EXPECT_TRUE(saw_lazy);
+  EXPECT_TRUE(saw_landmarks);
+  EXPECT_GT(batches, 0);
 }
 
 // The replicated-reader variant: the same randomized mutation mix runs

@@ -2,6 +2,15 @@
 // validation, the document registry and the traversal graph.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
+
+#include "serve/snapshot.hpp"
+#include "site/virtual_site.hpp"
 #include "xlink/processor.hpp"
 #include "xlink/traversal.hpp"
 #include "xml/parser.hpp"
@@ -354,4 +363,161 @@ TEST_F(TraversalTest, MergeCombinesLinkbases) {
   graph_.merge(std::move(more));
   auto out = graph_.outgoing("http://museum.example/data/index.xml");
   EXPECT_EQ(out.size(), 4u);
+}
+
+// --- normalize once: merge and capture over already-normalized indexes --------
+
+namespace {
+
+/// A linkbase with one extended link over `locators` (label, href pairs)
+/// plus one local resource labeled "local", and `arcs` (from, to,
+/// arcrole) between those labels.
+std::string linkbase_text(
+    const std::vector<std::pair<std::string, std::string>>& locators,
+    const std::vector<std::tuple<std::string, std::string, std::string>>&
+        arcs) {
+  std::string text =
+      R"(<links xmlns:xlink="http://www.w3.org/1999/xlink"><x xlink:type="extended">)";
+  for (const auto& [label, href] : locators) {
+    text += R"(<loc xlink:type="locator" xlink:label=")" + label +
+            R"(" xlink:href=")" + href + R"("/>)";
+  }
+  text += R"(<res xlink:type="resource" xlink:label="local">note</res>)";
+  for (const auto& [from, to, arcrole] : arcs) {
+    text += R"(<go xlink:type="arc" xlink:from=")" + from +
+            R"(" xlink:to=")" + to + R"(" xlink:arcrole=")" + arcrole +
+            R"("/>)";
+  }
+  return text + "</x></links>";
+}
+
+/// The three normalize-once properties over two linkbases `a` and `b`:
+/// merge(a, b) answers like a graph built from a's arcs then b's; its
+/// resource_uris() is the set of normalize_ref over every non-empty
+/// endpoint; and a SiteSnapshot captured over it has the traversal arcs
+/// of the walk that normalizes every endpoint.
+void expect_normalize_once_equivalence(const std::string& a_text,
+                                       const std::string& a_base,
+                                       const std::string& b_text,
+                                       const std::string& b_base,
+                                       const std::vector<std::string>& probes) {
+  auto a_doc = parse_at(a_text, a_base);
+  auto b_doc = parse_at(b_text, b_base);
+  const xl::TraversalGraph a = xl::TraversalGraph::from_linkbase(*a_doc);
+  const xl::TraversalGraph b = xl::TraversalGraph::from_linkbase(*b_doc);
+  xl::TraversalGraph merged = a;
+  merged.merge(b);
+  std::vector<xl::Arc> all = a.arcs();
+  all.insert(all.end(), b.arcs().begin(), b.arcs().end());
+  const xl::TraversalGraph built(std::move(all));
+
+  // 1. merge answers exactly like the graph built from the arc list.
+  ASSERT_EQ(merged.arcs().size(), built.arcs().size());
+  EXPECT_EQ(merged.resource_uris(), built.resource_uris());
+  const auto positions = [](const xl::TraversalGraph& g,
+                            const std::vector<const xl::Arc*>& arcs) {
+    std::vector<std::size_t> out;
+    for (const xl::Arc* arc : arcs) {
+      out.push_back(static_cast<std::size_t>(arc - g.arcs().data()));
+    }
+    return out;
+  };
+  std::vector<std::string> uris = merged.resource_uris();
+  uris.insert(uris.end(), probes.begin(), probes.end());
+  for (const std::string& uri : uris) {
+    EXPECT_EQ(positions(merged, merged.outgoing(uri)),
+              positions(built, built.outgoing(uri)))
+        << uri;
+    EXPECT_EQ(positions(merged, merged.incoming(uri)),
+              positions(built, built.incoming(uri)))
+        << uri;
+  }
+
+  // 2. resource_uris() is the normalized endpoint set.
+  std::set<std::string> endpoints;
+  for (const xl::Arc& arc : merged.arcs()) {
+    if (!arc.from.uri.empty()) endpoints.insert(xl::normalize_ref(arc.from.uri));
+    if (!arc.to.uri.empty()) endpoints.insert(xl::normalize_ref(arc.to.uri));
+  }
+  EXPECT_EQ(merged.resource_uris(),
+            std::vector<std::string>(endpoints.begin(), endpoints.end()));
+
+  // 3. The snapshot capture equals the walk normalizing every endpoint.
+  std::map<std::string, std::vector<navsep::serve::SnapshotArc>, std::less<>>
+      walked;
+  for (const std::string& from : endpoints) {
+    std::vector<const xl::Arc*> outgoing = merged.outgoing(from);
+    if (outgoing.empty()) continue;
+    std::vector<navsep::serve::SnapshotArc> bucket;
+    for (const xl::Arc* arc : outgoing) {
+      bucket.push_back(navsep::serve::SnapshotArc{
+          xl::normalize_ref(arc->from.uri), xl::normalize_ref(arc->to.uri),
+          arc->arcrole, arc->title, xl::is_traversable(*arc)});
+    }
+    walked.emplace(xl::normalize_ref(from), std::move(bucket));
+  }
+  const navsep::serve::SiteSnapshot snapshot(navsep::site::VirtualSite{},
+                                             merged, "http://museum.example/",
+                                             1);
+  EXPECT_EQ(snapshot.traversal_arcs(), walked);
+  EXPECT_FALSE(walked.empty());
+}
+
+}  // namespace
+
+TEST(NormalizeOnce, UppercaseSchemeAndHost) {
+  expect_normalize_once_equivalence(
+      linkbase_text({{"i", "index.xml"}, {"g", "picasso.xml"}},
+                    {{"i", "g", "nav:index-entry"}, {"g", "i", "nav:up"}}),
+      "HTTP://Museum.Example/data/links.xml",
+      linkbase_text({{"i", "HTTP://MUSEUM.example/data/index.xml"},
+                     {"g", "http://museum.EXAMPLE/data/picasso.xml"}},
+                    {{"i", "g", "nav:next"}}),
+      "http://museum.example/data/more.xml",
+      {"http://museum.example/data/index.xml",
+       "hTTp://MuSeUm.example/data/picasso.xml"});
+}
+
+TEST(NormalizeOnce, PercentEncodedTilde) {
+  expect_normalize_once_equivalence(
+      linkbase_text({{"i", "index.xml"}, {"n", "%7ecurator/notes.xml"}},
+                    {{"i", "n", "nav:note"}, {"n", "i", "nav:up"}}),
+      "http://museum.example/data/links.xml",
+      linkbase_text({{"n", "~curator/notes.xml"}, {"i", "index.xml"}},
+                    {{"n", "i", "nav:next"}}),
+      "http://museum.example/data/more.xml",
+      {"http://museum.example/data/%7Ecurator/notes.xml",
+       "http://museum.example/data/~curator/notes.xml"});
+}
+
+TEST(NormalizeOnce, DotSegments) {
+  expect_normalize_once_equivalence(
+      linkbase_text({{"i", "./index.xml"}, {"g", "../data/./picasso.xml"}},
+                    {{"i", "g", "nav:index-entry"}}),
+      "http://museum.example/data/links.xml",
+      linkbase_text({{"g", "sub/../picasso.xml"}, {"i", "index.xml"}},
+                    {{"g", "i", "nav:up"}}),
+      "http://museum.example/data/more.xml",
+      {"http://museum.example/data/x/../index.xml"});
+}
+
+TEST(NormalizeOnce, Fragment) {
+  expect_normalize_once_equivalence(
+      linkbase_text({{"g", "picasso.xml#guitar"}, {"v", "picasso.xml#violin"}},
+                    {{"g", "v", "nav:next"}, {"v", "g", "nav:prev"}}),
+      "http://museum.example/data/links.xml",
+      linkbase_text({{"g", "./picasso.xml#gu%69tar"}, {"d", "picasso.xml"}},
+                    {{"d", "g", "nav:index-entry"}, {"g", "d", "nav:up"}}),
+      "http://museum.example/data/more.xml",
+      {"http://museum.example/data/picasso.xml#guitar"});
+}
+
+TEST(NormalizeOnce, LocalResourceWithoutUri) {
+  expect_normalize_once_equivalence(
+      linkbase_text({{"i", "index.xml"}},
+                    {{"local", "i", "nav:up"}, {"i", "local", "nav:gloss"}}),
+      "http://museum.example/data/links.xml",
+      linkbase_text({{"i", "index.xml"}, {"g", "picasso.xml"}},
+                    {{"local", "g", "nav:see"}, {"i", "g", "nav:next"}}),
+      "http://museum.example/data/more.xml", {""});
 }
