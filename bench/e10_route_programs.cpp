@@ -97,7 +97,7 @@ std::vector<nav::RouteProgram> route_programs(nav::RouteCompile mode) {
 /// steps drop-or-restore its last member (expansion-changing).
 nav::RebuildReport churn_edit(nav::Engine& engine, std::size_t step,
                               std::vector<std::string>& parked) {
-  return engine.internals().edit_context_family(
+  return engine.edit_context_family(
       "ByAuthor", [&](hm::ContextFamily& family) {
         std::vector<hm::NavigationalContext> contexts = family.contexts();
         if (contexts.empty()) return;
@@ -139,10 +139,10 @@ ModeRun run_mode(nav::RouteCompile mode, std::size_t paintings,
   const std::vector<nav::RouteProgram> programs = route_programs(mode);
   std::vector<std::string> names;
   for (const nav::RouteProgram& program : programs) {
-    (void)engine->internals().register_route(program);
+    (void)engine->register_route(program);
     names.push_back(program.name);
   }
-  engine->internals().register_profile({"routes", names});
+  engine->register_profile({"routes", names});
   record.register_seconds = seconds_since(register_start);
   record.routes = programs.size();
 

@@ -163,7 +163,7 @@ WindowRecord run_mode(bool warming, std::size_t paintings,
                       const obs::TraceAggregate& traffic) {
   auto engine = museum_engine(paintings);
   const nav::Profile tour{"tour", {"ByAuthor"}};
-  engine->internals().register_profile(tour);
+  engine->register_profile(tour);
   auto server = engine->open_concurrent(kShards);
   const std::vector<std::string> pages = html_pages(*engine);
 
@@ -199,10 +199,9 @@ WindowRecord run_mode(bool warming, std::size_t paintings,
     // touched pages' overlay validity) + one tour rotation (moves the
     // ByAuthor slices).
     const hm::Member& victim = members[e % members.size()];
-    (void)engine->internals().retitle_node(
+    (void)engine->retitle_node(
         victim.node_id, victim.title + " e" + std::to_string(e));
-    (void)engine->internals().edit_context_family("ByAuthor",
-                                                  rotate_first_context);
+    (void)engine->edit_context_family("ByAuthor", rotate_first_context);
     if (warming) (void)warmer->warm_now();
 
     // The cold-after-epoch window: the same skewed schedule, timed.
@@ -246,7 +245,7 @@ WindowRecord run_mode(bool warming, std::size_t paintings,
 obs::TraceAggregate trace_traffic(std::size_t paintings, std::size_t steps) {
   auto engine = museum_engine(paintings);
   const nav::Profile tour{"tour", {"ByAuthor"}};
-  engine->internals().register_profile(tour);
+  engine->register_profile(tour);
   auto server = engine->open_concurrent(kShards);
   const std::vector<std::string> pages = html_pages(*engine);
 
@@ -277,14 +276,13 @@ LandmarkRecord landmark_gate(std::size_t paintings,
                              const obs::TraceAggregate& traffic) {
   auto engine = museum_engine(paintings);
   const nav::Profile tour{"tour", {"ByAuthor"}};
-  engine->internals().register_profile(tour);
-  (void)engine->internals().enable_landmarks(
-      traffic, {.top_k = 4, .per_profile = true});
+  engine->register_profile(tour);
+  (void)engine->enable_landmarks(traffic, {.top_k = 4, .per_profile = true});
 
   LandmarkRecord record;
-  for (const std::string& name : engine->internals().landmark_families()) {
+  for (const std::string& name : engine->landmark_families()) {
     ++record.families;
-    record.picks += engine->internals().landmark_picks(name).size();
+    record.picks += engine->landmark_picks(name).size();
   }
   const site::VirtualSite oracle = full_build_oracle(*engine);
   record.byte_identical = engine->site().paths() == oracle.paths();

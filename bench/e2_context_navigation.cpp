@@ -10,7 +10,7 @@
 //   BM_MixedSession     — a realistic browse: enter, walk, switch family,
 //                         walk, leave — sessions opened on the engine, so
 //                         join points reach its weaver (audit aspect
-//                         registered through EngineInternals)
+//                         registered on the engine's weaver)
 //
 // Expected shape: per-step cost linear in context size (contexts are
 // ordered scans), constant-ish context switches.
@@ -75,7 +75,7 @@ void BM_MixedSession(benchmark::State& state) {
   audit->before("traverse(*)", [&](navsep::aop::JoinPointContext&) {
     ++traversals;
   });
-  engine->internals().weaver().register_aspect(audit);
+  engine->weaver().register_aspect(audit);
 
   for (auto _ : state) {
     navsep::site::NavigationSession session = engine->open_session();

@@ -57,7 +57,7 @@ void report(benchmark::State& state, const nav::RebuildReport& r) {
 void BM_FullReweave(benchmark::State& state) {
   auto engine = museum_engine(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    engine->internals().rebuild();
+    engine->rebuild();
     benchmark::DoNotOptimize(engine->site().size());
   }
   nav::RebuildReport full{};

@@ -23,6 +23,7 @@
 //   e4_concurrent_traffic [--quick] [--out PATH]
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -87,8 +88,7 @@ Record run_cell(const Cell& cell, std::size_t steps_per_session) {
       while (!done.load(std::memory_order_acquire)) {
         hm::AccessArc edited = arcs[w % arcs.size()];
         edited.title += " (rev " + std::to_string(w) + ")";
-        (void)engine->internals().replace_arc(w % arcs.size(),
-                                              std::move(edited));
+        (void)engine->replace_arc(w % arcs.size(), std::move(edited));
         writes.fetch_add(1, std::memory_order_relaxed);
         ++w;
         std::this_thread::sleep_for(interval);
@@ -129,15 +129,15 @@ void emit_json(const std::vector<Record>& records, std::ostream& out) {
     out << "      \"seconds\": " << buffer << ",\n";
     std::snprintf(buffer, sizeof(buffer), "%.1f", w.throughput_rps);
     out << "      \"throughput_rps\": " << buffer << ",\n";
-    std::snprintf(buffer, sizeof(buffer), "%.1f", w.latency.mean_ns());
+    std::snprintf(buffer, sizeof(buffer), "%.1f", w.latency.mean());
     out << "      \"latency_mean_ns\": " << buffer << ",\n";
-    out << "      \"latency_p50_ns\": " << w.latency.quantile_ns(0.5)
-        << ",\n";
-    out << "      \"latency_p90_ns\": " << w.latency.quantile_ns(0.9)
-        << ",\n";
-    out << "      \"latency_p99_ns\": " << w.latency.quantile_ns(0.99)
-        << ",\n";
-    out << "      \"latency_max_ns\": " << w.latency.max_ns() << ",\n";
+    out << "      \"latency_p50_ns\": "
+        << std::llround(w.latency.quantile(0.5)) << ",\n";
+    out << "      \"latency_p90_ns\": "
+        << std::llround(w.latency.quantile(0.9)) << ",\n";
+    out << "      \"latency_p99_ns\": "
+        << std::llround(w.latency.quantile(0.99)) << ",\n";
+    out << "      \"latency_max_ns\": " << w.latency.max << ",\n";
     out << "      \"cache_hits\": " << w.server.base.hits << ",\n";
     out << "      \"snapshot_resolves\": " << w.server.base.resolves
         << ",\n";
@@ -182,10 +182,10 @@ int main(int argc, char** argv) {
         Record r = run_cell(Cell{threads, paintings, rate}, steps);
         std::printf(
             "threads=%zu paintings=%zu writes/s=%.0f -> %.0f req/s "
-            "(p99 %llu ns, %zu stale refills, %llu epochs, %zu failures)\n",
+            "(p99 %lld ns, %zu stale refills, %llu epochs, %zu failures)\n",
             r.cell.threads, r.cell.paintings, r.cell.writes_per_sec,
             r.result.throughput_rps,
-            static_cast<unsigned long long>(r.result.latency.quantile_ns(0.99)),
+            std::llround(r.result.latency.quantile(0.99)),
             r.result.server.base.stale_refills,
             static_cast<unsigned long long>(r.epochs_published),
             r.result.failures);

@@ -21,6 +21,7 @@
 //
 //   e5_profile_overlays [--quick] [--out PATH]
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -79,7 +80,7 @@ std::vector<nav::Profile> register_profiles(nav::Engine& engine,
   for (std::size_t i = 0; i < count; ++i) {
     nav::Profile profile{"profile-" + std::to_string(i),
                          kSubsets[i % kSubsets.size()]};
-    engine.internals().register_profile(profile);
+    engine.register_profile(profile);
     out.push_back(std::move(profile));
   }
   return out;
@@ -119,7 +120,7 @@ Record run_cell(const Cell& cell, std::size_t steps_per_session) {
   const serve::ConcurrentServer::UnifiedStats warmed = server->unified_stats();
 
   // One family edit; the asymmetry counters.
-  nav::RebuildReport report = engine->internals().edit_context_family(
+  nav::RebuildReport report = engine->edit_context_family(
       "ByAuthor", [](hm::ContextFamily& family) {
         std::vector<hm::NavigationalContext> contexts = family.contexts();
         if (contexts.empty() || contexts.front().size() < 2) return;
@@ -163,13 +164,13 @@ void emit_json(const std::vector<Record>& records, std::ostream& out) {
     out << "      \"seconds\": " << buffer << ",\n";
     std::snprintf(buffer, sizeof(buffer), "%.1f", w.throughput_rps);
     out << "      \"throughput_rps\": " << buffer << ",\n";
-    std::snprintf(buffer, sizeof(buffer), "%.1f", w.latency.mean_ns());
+    std::snprintf(buffer, sizeof(buffer), "%.1f", w.latency.mean());
     out << "      \"latency_mean_ns\": " << buffer << ",\n";
-    out << "      \"latency_p50_ns\": " << w.latency.quantile_ns(0.5)
-        << ",\n";
-    out << "      \"latency_p99_ns\": " << w.latency.quantile_ns(0.99)
-        << ",\n";
-    out << "      \"latency_max_ns\": " << w.latency.max_ns() << ",\n";
+    out << "      \"latency_p50_ns\": "
+        << std::llround(w.latency.quantile(0.5)) << ",\n";
+    out << "      \"latency_p99_ns\": "
+        << std::llround(w.latency.quantile(0.99)) << ",\n";
+    out << "      \"latency_max_ns\": " << w.latency.max << ",\n";
     out << "      \"overlay_requests\": " << r.after_traffic.overlay.requests
         << ",\n";
     out << "      \"overlay_hits\": " << r.after_traffic.overlay.hits
@@ -223,11 +224,11 @@ int main(int argc, char** argv) {
         Record r = run_cell(Cell{profiles, paintings, threads}, steps);
         std::printf(
             "profiles=%zu paintings=%zu threads=%zu -> %.0f req/s "
-            "(p99 %llu ns, %zu overlay entries; edit: %zu pages rewoven, "
+            "(p99 %lld ns, %zu overlay entries; edit: %zu pages rewoven, "
             "%zu entries retired, %zu survived)\n",
             r.cell.profiles, r.cell.paintings, r.cell.threads,
             r.result.throughput_rps,
-            static_cast<unsigned long long>(r.result.latency.quantile_ns(0.99)),
+            std::llround(r.result.latency.quantile(0.99)),
             r.after_traffic.overlay.entries, r.edit_pages_rewoven,
             r.reprobe_stale_renders, r.reprobe_hits);
         records.push_back(std::move(r));

@@ -91,7 +91,7 @@ std::vector<nav::Profile> register_profiles(nav::Engine& engine,
   for (std::size_t i = 0; i < count; ++i) {
     nav::Profile profile{"profile-" + std::to_string(i),
                          kSubsets[i % kSubsets.size()]};
-    engine.internals().register_profile(profile);
+    engine.register_profile(profile);
     out.push_back(std::move(profile));
   }
   return out;
@@ -153,8 +153,7 @@ Record run_cell(const Cell& cell, std::size_t steps) {
   Rng rng(7 + cell.cap + cell.profiles * 131 + cell.edits_per_1k * 17);
   for (std::size_t step = 0; step < steps; ++step) {
     if (edit_every != 0 && step % edit_every == edit_every - 1) {
-      (void)engine->internals().edit_context_family("ByAuthor",
-                                                    rotate_first_context);
+      (void)engine->edit_context_family("ByAuthor", rotate_first_context);
     }
     const std::string& page = rng.pick(pages);
     (void)server->get(page);
@@ -172,7 +171,7 @@ Record run_cell(const Cell& cell, std::size_t steps) {
       if (r.ok()) before.emplace(profile.name + '\n' + page, *r.body);
     }
   }
-  nav::RebuildReport report = engine->internals().edit_context_family(
+  nav::RebuildReport report = engine->edit_context_family(
       "ByAuthor", rotate_first_context);
   record.edit_pages_rewoven = report.pages_rewoven;
   record.edit_linkbases_reauthored = report.linkbases_reauthored;

@@ -78,15 +78,14 @@ std::unique_ptr<nav::Engine> make_engine(std::size_t paintings) {
           .contexts({"ByAuthor", "ByMovement"})
           .weave()
           .serve();
-  engine->internals().register_profile({"kiosk", {}});
-  engine->internals().register_profile({"tour", {"ByAuthor"}});
-  engine->internals().register_profile(
-      {"everything", {"ByAuthor", "ByMovement"}});
+  engine->register_profile({"kiosk", {}});
+  engine->register_profile({"tour", {"ByAuthor"}});
+  engine->register_profile({"everything", {"ByAuthor", "ByMovement"}});
   return engine;
 }
 
 void rotate_family(nav::Engine& engine, const std::string& family_name) {
-  (void)engine.internals().edit_context_family(
+  (void)engine.edit_context_family(
       family_name, [](hm::ContextFamily& family) {
         std::vector<hm::NavigationalContext> contexts = family.contexts();
         if (contexts.empty() || contexts.front().size() < 2) return;
@@ -104,7 +103,7 @@ void mutate(nav::Engine& engine, const std::string& kind, std::size_t step) {
     rotate_family(engine, "ByAuthor");
   } else if (kind == "title") {
     const auto& members = engine.structure().members();
-    (void)engine.internals().retitle_node(
+    (void)engine.retitle_node(
         members[step % members.size()].node_id,
         "e7-title-" + std::to_string(step));
   } else {  // mixed
@@ -114,18 +113,17 @@ void mutate(nav::Engine& engine, const std::string& kind, std::size_t step) {
         break;
       case 1: {
         const auto& members = engine.structure().members();
-        (void)engine.internals().retitle_node(
+        (void)engine.retitle_node(
             members[step % members.size()].node_id,
             "e7-title-" + std::to_string(step));
         break;
       }
       default: {
-        std::vector<hm::AccessArc> arcs = engine.internals().authored_arcs();
+        std::vector<hm::AccessArc> arcs = engine.authored_arcs();
         if (arcs.empty()) break;
         hm::AccessArc edited = arcs[step % arcs.size()];
         edited.title = "e7-arc-" + std::to_string(step);
-        (void)engine.internals().replace_arc(step % arcs.size(),
-                                             std::move(edited));
+        (void)engine.replace_arc(step % arcs.size(), std::move(edited));
         break;
       }
     }
@@ -150,10 +148,10 @@ Record run_cell(const Cell& cell, std::size_t paintings) {
   // costs per epoch in-process: encode_delta and apply_delta between
   // consecutive snapshots (what each subscriber thread pays per frame).
   double encode_us_total = 0, apply_us_total = 0, delta_bytes_total = 0;
-  auto prev = engine->internals().snapshots().current();
+  auto prev = engine->snapshots().current();
   for (std::size_t step = 0; step < cell.epochs; ++step) {
     mutate(*engine, cell.edit_kind, step);
-    auto next = engine->internals().snapshots().current();
+    auto next = engine->snapshots().current();
 
     const auto t0 = Clock::now();
     const std::string delta = repl::encode_delta(*prev, *next);
@@ -181,7 +179,7 @@ Record run_cell(const Cell& cell, std::size_t paintings) {
       delta_bytes_total / static_cast<double>(cell.epochs);
 
   // Convergence: the slowest replica's distance from the final epoch.
-  const std::uint64_t target = engine->internals().snapshots().epoch();
+  const std::uint64_t target = engine->snapshots().epoch();
   const auto settle0 = Clock::now();
   for (auto& replica : replicas) {
     if (!replica->wait_for_epoch(target, std::chrono::seconds(60))) {
@@ -193,7 +191,7 @@ Record run_cell(const Cell& cell, std::size_t paintings) {
           .count();
 
   // Verdict: every replica serves exactly the origin's artifact bytes.
-  auto origin_snap = engine->internals().snapshots().current();
+  auto origin_snap = engine->snapshots().current();
   for (auto& replica : replicas) {
     auto snap = replica->store().current();
     if (snap == nullptr || snap->files().size() != origin_snap->files().size()) {

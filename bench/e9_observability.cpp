@@ -27,6 +27,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -102,9 +103,8 @@ std::unique_ptr<nav::Engine> museum_engine(std::size_t paintings) {
                     .contexts({"ByAuthor", "ByMovement"})
                     .weave()
                     .serve();
-  engine->internals().register_profile({"tour", {"ByAuthor"}});
-  engine->internals().register_profile(
-      {"everything", {"ByAuthor", "ByMovement"}});
+  engine->register_profile({"tour", {"ByAuthor"}});
+  engine->register_profile({"everything", {"ByAuthor", "ByMovement"}});
   return engine;
 }
 
@@ -119,7 +119,7 @@ Record run_cell(const Cell& cell, std::size_t steps) {
   auto server = engine->open_concurrent(kShards);
   if (cell.mode != Mode::Off) {
     registry = std::make_shared<obs::Registry>();
-    engine->internals().attach_telemetry(registry);
+    engine->attach_telemetry(registry);
     metrics = server->register_metrics(registry);
   }
   serve::Workload workload(*engine);  // before the churn writer starts
@@ -150,8 +150,7 @@ Record run_cell(const Cell& cell, std::size_t steps) {
     while (!done.load(std::memory_order_acquire) && !arcs.empty()) {
       hm::AccessArc edited = arcs[w % arcs.size()];
       edited.title += " (rev " + std::to_string(w) + ")";
-      (void)engine->internals().replace_arc(w % arcs.size(),
-                                            std::move(edited));
+      (void)engine->replace_arc(w % arcs.size(), std::move(edited));
       ++w;
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
@@ -168,11 +167,11 @@ Record run_cell(const Cell& cell, std::size_t steps) {
   serve::WorkloadResult best;
   std::uint64_t epochs_during_best = 0;
   for (int rep = 0; rep < 3; ++rep) {
-    const std::uint64_t epoch_before = engine->internals().snapshots().epoch();
+    const std::uint64_t epoch_before = engine->snapshots().epoch();
     serve::WorkloadResult result = workload.run(*server, options);
-    const std::uint64_t epoch_after = engine->internals().snapshots().epoch();
-    if (!have_best ||
-        result.latency.quantile_ns(0.5) < best.latency.quantile_ns(0.5)) {
+    const std::uint64_t epoch_after = engine->snapshots().epoch();
+    if (!have_best || std::llround(result.latency.quantile(0.5)) <
+                          std::llround(best.latency.quantile(0.5))) {
       have_best = true;
       epochs_during_best = epoch_after - epoch_before;
       best = std::move(result);
@@ -186,8 +185,10 @@ Record run_cell(const Cell& cell, std::size_t steps) {
   record.epochs = epochs_during_best;
   record.seconds = best.seconds;
   record.rps = best.throughput_rps;
-  record.p50_ns = best.latency.quantile_ns(0.5);
-  record.p99_ns = best.latency.quantile_ns(0.99);
+  record.p50_ns = static_cast<std::uint64_t>(
+      std::llround(best.latency.quantile(0.5)));
+  record.p99_ns = static_cast<std::uint64_t>(
+      std::llround(best.latency.quantile(0.99)));
   record.traces_recorded = best.traces.recorded;
   record.traces_dropped = best.traces.dropped;
   record.trace_events = best.traces.events;

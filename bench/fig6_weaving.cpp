@@ -40,7 +40,7 @@ std::unique_ptr<nav::Engine> make_engine(std::size_t paintings,
     pipeline.weave();
   }
   auto engine = pipeline.serve();
-  engine->internals().weaver().reset_stats();  // drop the build-time weave
+  engine->weaver().reset_stats();  // drop the build-time weave
   return engine;
 }
 
@@ -59,7 +59,7 @@ void BM_TangledPage(benchmark::State& state) {
 void BM_WovenPage(benchmark::State& state) {
   auto engine = make_engine(static_cast<std::size_t>(state.range(0)),
                             nav::WeaveMode::Separated);
-  navsep::aop::Weaver& weaver = engine->internals().weaver();
+  navsep::aop::Weaver& weaver = engine->weaver();
   navsep::core::SeparatedComposer composer(weaver);
   const auto* node = engine->navigation().node("painter-0-work-1");
   for (auto _ : state) {
@@ -74,7 +74,7 @@ void BM_WovenPage(benchmark::State& state) {
 void BM_WovenSite(benchmark::State& state) {
   auto engine = make_engine(static_cast<std::size_t>(state.range(0)),
                             nav::WeaveMode::Separated);
-  navsep::core::SeparatedComposer composer(engine->internals().weaver());
+  navsep::core::SeparatedComposer composer(engine->weaver());
   std::size_t pages = 0;
   for (auto _ : state) {
     auto site = composer.compose_site(engine->navigation(),

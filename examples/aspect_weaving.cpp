@@ -2,8 +2,8 @@
 // against the hypermedia join-point model.
 //
 // The pipeline supplies the library's navigation aspect; this example
-// reaches through the framework role (EngineInternals) to weave two more
-// into the same engine:
+// registers two more on the engine's weaver (a framework member of
+// nav::Engine, not part of the end-user navigation surface):
 //   breadcrumbs — adds a "you are here: 2 of 3" marker, but ONLY on pages
 //                 composed inside a ByAuthor context (within() pointcut)
 //   audit       — counts traversals per arc role from session join points
@@ -26,9 +26,9 @@ int main() {
                     .weave()
                     .serve();
 
-  // The framework door: custom aspects go through internals(), never
-  // through the end-user navigation surface.
-  aop::Weaver& weaver = engine->internals().weaver();
+  // Custom aspects go through the engine's weaver, never through the
+  // end-user navigation surface.
+  aop::Weaver& weaver = engine->weaver();
   const hypermedia::ContextFamily& by_author = engine->context_families()[0];
 
   // 1. A custom breadcrumb aspect: position marker, by-author pages only.

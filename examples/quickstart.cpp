@@ -42,7 +42,7 @@ int main() {
     std::printf("%s ", uri.c_str());
   }
 
-  const aop::WeaverStats& stats = engine->internals().weaver().stats();
+  const aop::WeaverStats& stats = engine->weaver().stats();
   std::printf(
       "\nweaver: %zu join points, %zu advice invocations, %zu cache hits\n",
       stats.join_points_executed, stats.advice_invocations,

@@ -33,7 +33,7 @@ int main() {
   };
 
   std::printf("=== touring %zu arcs of the linkbase ===\n",
-              engine->internals().arc_table().arcs().size());
+              engine->arc_table().arcs().size());
   browser.navigate("index-paintings-of-picasso.html");
   show_stop();
   browser.follow_role("index-entry");

@@ -77,7 +77,7 @@ class ContextFamily {
   [[nodiscard]] const NavigationalContext* find(std::string_view name) const;
 
   /// Replace the family's context set — the editing primitive behind
-  /// nav::EngineInternals::edit_context_family (re-author the family's
+  /// nav::Engine::edit_context_family (re-author the family's
   /// contextual linkbase without touching anything else). Callers
   /// typically copy contexts(), adjust, and pass the result back.
   void replace_contexts(std::vector<NavigationalContext> contexts) {

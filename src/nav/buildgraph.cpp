@@ -18,7 +18,6 @@ std::string_view to_string(ProductKind k) noexcept {
     case ProductKind::ArcTable: return "ArcTable";
     case ProductKind::ArcSlice: return "ArcSlice";
     case ProductKind::Page: return "Page";
-    case ProductKind::Server: return "Server";
   }
   return "?";
 }

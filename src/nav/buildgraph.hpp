@@ -2,8 +2,7 @@
 //
 // Every product of the separated-navigation pipeline — the authored
 // navigation spec, each linkbase document, the merged arc table, each
-// page's slice of that table, each woven page, the served entry set —
-// becomes a node with explicit dependency edges, a content hash and a
+// page's slice of that table, each woven page — becomes a node with explicit dependency edges, a content hash and a
 // dirty bit. A mutation marks its source node dirty; run() walks the
 // graph in dependency order, rebuilds dirty nodes, and propagates
 // dirtiness to dependents ONLY when a node's content hash actually
@@ -57,7 +56,6 @@ enum class ProductKind {
   ArcTable,   // the merged traversal graph + combined arc set
   ArcSlice,   // one page's view of the arc table (arcs leaving it)
   Page,       // one woven (or tangled-rendered) page
-  Server,     // the served entry set (response-cache coherence)
 };
 
 [[nodiscard]] std::string_view to_string(ProductKind k) noexcept;

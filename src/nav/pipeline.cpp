@@ -18,7 +18,6 @@ namespace {
 /// Build-graph node ids. Pages/slices append the page id.
 constexpr std::string_view kSpecNode = "nav:spec";
 constexpr std::string_view kArcTableNode = "nav:arcs";
-constexpr std::string_view kServerNode = "site:server";
 
 /// The structure linkbase's site path — also the NavArc::source tag of
 /// its arcs and the snapshot's structure_source (one shared constant:
@@ -34,9 +33,6 @@ std::string page_node(std::string_view page_id) {
 }
 std::string slice_node(std::string_view page_id) {
   return "arcslice:" + std::string(page_id);
-}
-std::string menu_sub_node(std::size_t index) {
-  return "menusub:" + std::to_string(index);
 }
 std::string route_node(std::string_view name) {
   return "route:" + std::string(name);
@@ -167,13 +163,7 @@ std::string Engine::compose_page(std::string_view node_id,
 
 void Engine::rebuild() {
   build_graph_.mark_all_dirty();
-  if (batch_open_) {
-    ++batch_edits_;
-    batch_publish_pending_ = true;
-    batch_graph_pending_ = true;
-    return;
-  }
-  (void)run_graph_now();
+  (void)run_or_defer();
 }
 
 // --- Engine: incremental mutation entry points --------------------------------
@@ -189,8 +179,6 @@ RebuildReport Engine::run_or_defer() {
     // dirty; the graph run, browser refresh and (single) publish all
     // wait for commit_batch().
     ++batch_edits_;
-    batch_publish_pending_ = true;
-    batch_graph_pending_ = true;
     return RebuildReport{};
   }
   RebuildReport report = run_graph_now();
@@ -260,8 +248,6 @@ void Engine::begin_batch() {
   }
   batch_open_ = true;
   batch_edits_ = 0;
-  batch_publish_pending_ = false;
-  batch_graph_pending_ = false;
 }
 
 RebuildReport Engine::commit_batch() {
@@ -270,24 +256,14 @@ RebuildReport Engine::commit_batch() {
         "Engine::commit_batch: no batch is open (begin_batch first)");
   }
   batch_open_ = false;
-  const std::size_t edits = batch_edits_;
-  const bool publish_pending = batch_publish_pending_;
-  const bool graph_pending = batch_graph_pending_;
-  batch_edits_ = 0;
-  batch_publish_pending_ = false;
-  batch_graph_pending_ = false;
-
-  RebuildReport report;
-  if (graph_pending) {
-    report = run_graph_now();  // one run, one publish for the whole burst
-    report.epochs_published = 1;
-  } else if (publish_pending) {
-    // Publish-only batch (profile registrations): no graph run needed,
-    // still exactly one epoch.
-    publish_snapshot();
-    report.epochs_published = 1;
-  }
+  const std::size_t edits = std::exchange(batch_edits_, 0);
+  if (edits == 0) return RebuildReport{};  // an empty batch publishes nothing
+  // One run, one publish for the whole burst. A burst of profile
+  // registrations alone dirtied nothing: the run finds no work and the
+  // publish ships the new profile table.
+  RebuildReport report = run_graph_now();
   report.edits_coalesced = edits;
+  report.epochs_published = 1;
   return report;
 }
 
@@ -393,29 +369,18 @@ void Engine::register_profile(Profile profile) {
   }
   // With landmark synthesis on, the new (or replaced) profile picks up
   // its landmark families: the base one always, its personal one when
-  // per_profile is set — which may author a brand-new linkbase and so
-  // needs a graph run, not just a publish.
-  bool landmarks_changed = false;
+  // per_profile is set. A brand-new personal family's sync defines its
+  // nodes dirty and re-points (so dirties) the arc table. Otherwise
+  // nothing is dirty, nothing re-weaves, and the next epoch differs only
+  // in its profile table. In a batch the registration is visible to
+  // later batched operations immediately; only the publish coalesces
+  // into the batch's single epoch.
   if (landmark_options_.has_value()) {
     const std::vector<std::string> previous = landmark_families();
-    landmarks_changed = sync_linkbases();
+    (void)sync_linkbases();
     attach_landmark_families(previous);
-    if (landmarks_changed) build_graph_.mark_dirty(std::string(kArcTableNode));
   }
-  if (batch_open_) {
-    // Registration is visible to later batched operations immediately;
-    // only the publish coalesces into the batch's single epoch.
-    ++batch_edits_;
-    batch_publish_pending_ = true;
-    if (landmarks_changed) batch_graph_pending_ = true;
-    return;
-  }
-  if (landmarks_changed) {
-    (void)run_graph_now();
-    return;
-  }
-  // Nothing re-weaves: the next epoch differs only in its profile table.
-  publish_snapshot();
+  (void)run_or_defer();
 }
 
 RebuildReport Engine::edit_context_family(
@@ -765,6 +730,12 @@ RebuildReport Engine::remove_route(std::string_view name) {
     throw ResolutionError("Engine::remove_route: unknown route '" +
                           std::string(name) + "'");
   }
+  // Detach the name from every profile, as disable_landmarks does for
+  // its families; the shrunk profile table ships in this call's epoch,
+  // batched or not. Copied first: `name` may view the program's own name
+  // or a profile's entry, both of which the erasures destroy.
+  const std::string removed(name);
+  for (Profile& profile : profiles_) std::erase(profile.families, removed);
   route_programs_.erase(route_programs_.begin() +
                         static_cast<std::ptrdiff_t>(index));
   // The sync drops the route's nodes and re-points (so dirties) the arc
@@ -936,7 +907,6 @@ RebuildReport Engine::set_access_structure(
   // it away — this is where a constructed Menu becomes mutable.
   adopt_structure_shape(*structure);
   structure_ = hypermedia::MaterializedStructure::snapshot(*structure);
-  sync_menu_nodes();
   return run_graph_after_mutation();
 }
 
@@ -967,7 +937,7 @@ RebuildReport Engine::add_node(std::string_view node_id) {
     }
     menu_subs_.back().members.push_back(
         hypermedia::Member{std::string(node_id), node->title()});
-    return commit_menu_subs(menu_subs_.size() - 1);
+    return regenerate_structure(hypermedia::AccessStructureKind::Menu, {});
   }
   std::vector<hypermedia::Member> members = structure_->members();
   for (const auto& m : members) {
@@ -991,7 +961,7 @@ RebuildReport Engine::retitle_node(std::string_view node_id,
           [&](const auto& m) { return m.node_id == node_id; });
       if (member != menu_subs_[i].members.end()) {
         member->title = std::string(title);
-        return commit_menu_subs(i);
+        return regenerate_structure(hypermedia::AccessStructureKind::Menu, {});
       }
     }
     throw ResolutionError("Engine::retitle_node: '" + std::string(node_id) +
@@ -1049,12 +1019,7 @@ RebuildReport Engine::regenerate_structure(
   }
   auto regenerated = hypermedia::make_access_structure(
       kind, structure_->name(), std::move(members));
-  // The structure is no longer a Menu: drop the captured subs and their
-  // graph nodes.
-  if (!menu_subs_.empty()) {
-    menu_subs_.clear();
-    sync_menu_nodes();
-  }
+  menu_subs_.clear();  // the structure is no longer a Menu
   structure_ = hypermedia::MaterializedStructure::snapshot(*regenerated);
   return run_graph_after_mutation();
 }
@@ -1096,59 +1061,6 @@ void Engine::adopt_structure_shape(
     subs.push_back(std::move(spec));
   }
   menu_subs_ = std::move(subs);
-}
-
-void Engine::sync_menu_nodes() {
-  // The graph may not be wired yet (adoption happens before wire_graph
-  // during serve()); wire_graph calls back in once the spec node exists.
-  if (!build_graph_.contains(kSpecNode)) return;
-  std::vector<std::string> existing;
-  for (const std::string& id : build_graph_.ids(ProductKind::Source)) {
-    if (id.rfind("menusub:", 0) == 0) existing.push_back(id);
-  }
-  std::vector<std::string> desired;
-  desired.reserve(menu_subs_.size());
-  for (std::size_t i = 0; i < menu_subs_.size(); ++i) {
-    desired.push_back(menu_sub_node(i));
-  }
-  std::vector<std::string> sorted_desired = desired;
-  std::sort(sorted_desired.begin(), sorted_desired.end());
-  std::sort(existing.begin(), existing.end());
-  if (existing == sorted_desired) return;  // topology already right
-
-  for (const std::string& id : existing) {
-    if (!std::binary_search(sorted_desired.begin(), sorted_desired.end(),
-                            id)) {
-      build_graph_.remove(id);
-    }
-  }
-  for (std::size_t i = 0; i < menu_subs_.size(); ++i) {
-    if (build_graph_.contains(desired[i])) continue;
-    build_graph_.define(desired[i], ProductKind::Source, {}, [this, i] {
-      // The sub spec IS the product: hash its declarative state so a
-      // no-op edit (retitle to the same title) cuts off right here.
-      if (i >= menu_subs_.size()) return std::uint64_t{0};
-      const MenuSubSpec& spec = menu_subs_[i];
-      std::uint64_t h = hash_bytes(spec.name);
-      h = hash_combine(h, static_cast<std::uint64_t>(spec.kind));
-      h = hash_combine(h, spec.circular ? 1 : 0);
-      for (const auto& member : spec.members) {
-        h = hash_str(h, member.node_id);
-        h = hash_str(h, member.title);
-      }
-      return h;
-    });
-  }
-  // Re-point the spec node at the sub inputs: a sub edit now propagates
-  // sub → spec → linkbase → arc table → exactly the changed slices.
-  build_graph_.define(std::string(kSpecNode), ProductKind::Source,
-                      std::move(desired), [this] { return rebuild_spec(); });
-}
-
-RebuildReport Engine::commit_menu_subs(std::size_t sub_index) {
-  structure_ = hypermedia::MaterializedStructure::snapshot(*regenerate_menu());
-  build_graph_.mark_dirty(menu_sub_node(sub_index));
-  return run_or_defer();
 }
 
 // --- Engine: build-graph wiring -----------------------------------------------
@@ -1308,23 +1220,7 @@ void Engine::sync_pages() {
     }
   }
 
-  if (page_ids_ != desired) {
-    page_ids_ = std::move(desired);
-    // The served entry set changed shape: re-point the coherence node at
-    // the current page set.
-    std::vector<std::string> deps;
-    deps.reserve(page_ids_.size());
-    for (const std::string& id : page_ids_) deps.push_back(page_node(id));
-    build_graph_.define(
-        std::string(kServerNode), ProductKind::Server, std::move(deps),
-        [this] {
-          std::uint64_t h = 0x5e77e0ull;
-          for (const std::string& id : page_ids_) {
-            h = hash_combine(h, build_graph_.hash_of(page_node(id)));
-          }
-          return h;
-        });
-  }
+  page_ids_ = std::move(desired);
 }
 
 BuildGraph::ParallelOutcome Engine::weave_page_outcome(
@@ -1391,9 +1287,6 @@ std::uint64_t Engine::rebuild_tangled_page(const std::string& page_id) {
 void Engine::wire_graph() {
   build_graph_.define(std::string(kSpecNode), ProductKind::Source, {},
                       [this] { return rebuild_spec(); });
-  // If a constructed Menu was adopted, its sub specs become Source
-  // inputs feeding the spec node.
-  sync_menu_nodes();
   if (mode_ == WeaveMode::Tangled) {
     // Tangled has no linkbase layer: every page hangs off the spec, so
     // any navigation edit re-renders the whole site — the asymmetry the
@@ -1572,9 +1465,8 @@ std::unique_ptr<Engine> SitePipeline::serve(std::string_view base) {
     }
   }
 
-  // Capture Menu sub specs BEFORE wiring so their Source nodes exist
-  // from the first run, and configure the pool so the initial weave
-  // parallelizes too.
+  // Capture Menu sub specs so sub-level mutations can regenerate the
+  // Menu, and configure the pool so the initial weave parallelizes too.
   engine->adopt_structure_shape(*engine->structure_);
   engine->set_weave_workers(weave_lanes_);
   engine->wire_graph();

@@ -15,11 +15,13 @@
 // The returned Engine owns everything the pipeline produced — conceptual
 // world, navigational model, access structure, context families, woven
 // VirtualSite, server, linkbase documents and their traversal graph —
-// with one lifetime instead of five raw-pointer-aliased locals. Callers
-// see it through the role interfaces of roles.hpp: navigator() /
-// session() for applications, internals() for the framework.
+// with one lifetime instead of five raw-pointer-aliased locals.
+// Applications see it through the role interfaces of roles.hpp
+// (navigator() / session()); the framework — custom aspects, mutations,
+// batching, telemetry — calls the Engine's own members.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -38,7 +40,10 @@
 #include "hypermedia/navigational.hpp"
 #include "museum/museum.hpp"
 #include "nav/buildgraph.hpp"
+#include "nav/landmarks.hpp"
+#include "nav/profile.hpp"
 #include "nav/roles.hpp"
+#include "nav/route.hpp"
 #include "obs/registry.hpp"
 #include "nav/session.hpp"
 #include "nav/worker_pool.hpp"
@@ -65,11 +70,15 @@ enum class WeaveMode { Separated, Tangled };
 
 /// The running result of a SitePipeline: site + server + traversal graph
 /// + weaver under one owner. Create through SitePipeline::serve().
-class Engine final : public EngineInternals {
+///
+/// Applications need only navigator() and session(). Every member from
+/// weaver() on is the framework's: the machinery under the façade, for
+/// infrastructure code (benchmarks, custom aspects, site rebuilds).
+class Engine final {
  public:
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
-  ~Engine() override = default;
+  ~Engine() = default;
 
   // --- role-segregated views --------------------------------------------------
 
@@ -81,8 +90,10 @@ class Engine final : public EngineInternals {
     return *session_;
   }
 
-  /// The framework door. Applications should not walk through it.
-  [[nodiscard]] EngineInternals& internals() noexcept { return *this; }
+  /// The engine itself. Kept, like the EngineInternals alias below the
+  /// class, only because the benchmark harness (navbench/) still spells
+  /// both; everything else calls the members directly.
+  [[nodiscard]] Engine& internals() noexcept { return *this; }
 
   // --- pipeline artifacts (read-only) -----------------------------------------
 
@@ -160,71 +171,303 @@ class Engine final : public EngineInternals {
   [[nodiscard]] std::string compose_page(
       std::string_view node_id, std::string_view context_tag = "") const;
 
-  // --- EngineInternals --------------------------------------------------------
+  // --- framework: weaving and introspection -----------------------------------
 
-  [[nodiscard]] aop::Weaver& weaver() noexcept override { return weaver_; }
-  [[nodiscard]] const xlink::TraversalGraph& arc_table()
-      const noexcept override {
+  /// The weaver every page composition runs through. Register aspects
+  /// here, then rebuild() to re-weave the site with them applied.
+  [[nodiscard]] aop::Weaver& weaver() noexcept { return weaver_; }
+
+  /// The expanded arc table the browser traverses (per-source indexed).
+  [[nodiscard]] const xlink::TraversalGraph& arc_table() const noexcept {
     return graph_;
   }
-  void rebuild() override;
-  RebuildReport set_access_structure(
-      std::unique_ptr<hypermedia::AccessStructure> structure) override;
-  RebuildReport set_access_structure(
-      hypermedia::AccessStructureKind kind) override;
-  RebuildReport add_node(std::string_view node_id) override;
-  RebuildReport retitle_node(std::string_view node_id,
-                             std::string_view title) override;
-  RebuildReport replace_arc(std::size_t index,
-                            hypermedia::AccessArc arc) override;
-  [[nodiscard]] std::vector<hypermedia::AccessArc> authored_arcs()
-      const override {
-    return structure_->arcs();
-  }
-  [[nodiscard]] const BuildGraph& build_graph() const noexcept override {
+
+  /// The dependency graph behind the incremental path (introspection).
+  [[nodiscard]] const BuildGraph& build_graph() const noexcept {
     return build_graph_;
   }
-  [[nodiscard]] const serve::SnapshotStore& snapshots()
-      const noexcept override {
+
+  /// The epoch-published snapshot store behind concurrent serving: every
+  /// successful mutation (and rebuild()) publishes a new immutable site
+  /// snapshot here. Concurrent readers go through a
+  /// serve::ConcurrentServer over this store — the engine's server() or
+  /// one from open_concurrent(), never the writer-side site() — and are
+  /// wait-free with respect to mutations.
+  [[nodiscard]] const serve::SnapshotStore& snapshots() const noexcept {
     return snapshots_;
   }
-  void register_profile(Profile profile) override;
-  [[nodiscard]] const std::vector<Profile>& profiles()
-      const noexcept override {
+
+  /// Re-compose every page (after registering extra aspects or mutating
+  /// the site) and publish the result as a new epoch. The
+  /// force-everything path — and the correctness oracle of the
+  /// incremental mutations below: their output must be byte-identical to
+  /// what a rebuild() from scratch produces. Batch-aware like every
+  /// mutation.
+  void rebuild();
+
+  // --- incremental mutations (run the build graph, not a full rebuild) --------
+  //
+  // Each entry point edits the authored navigation design — the paper's
+  // §5 change request, live — marks the affected build-graph nodes dirty
+  // and runs the graph: only linkbases whose text changed are re-authored,
+  // only pages whose arc slice changed are re-woven, and the result is
+  // published as one new epoch of snapshots(), the only thing server()
+  // serves. The returned report says what it cost.
+  //
+  // Mutations are writer-side: callers must externally synchronize them
+  // against readers of site(), arc_table() and the engine's session
+  // (same contract as rebuild()); server() and open_concurrent() servers
+  // read published epochs and need no synchronization. A mutation that
+  // throws publishes nothing, so they keep serving the last epoch. The
+  // build-graph node that threw stays dirty, as does every node the run
+  // had not reached, so the next successful mutation re-runs exactly
+  // what the failed run left unbuilt and converges to what rebuild()
+  // would produce, even when it repeats the failed edit. Browsers
+  // obtained from open_browser() must refresh() after a mutation; the
+  // engine's own session is refreshed automatically, on the throwing
+  // path too.
+
+  /// Swap the whole access structure (Index → IndexedGuidedTour...).
+  RebuildReport set_access_structure(
+      std::unique_ptr<hypermedia::AccessStructure> structure);
+
+  /// Swap only the *kind*, keeping the current member list — the paper's
+  /// change request verbatim.
+  RebuildReport set_access_structure(hypermedia::AccessStructureKind kind);
+
+  /// Append a navigational-model node to the member list; its page is
+  /// woven and the structure's arcs regenerate around it. Throws
+  /// ResolutionError for unknown node ids, SemanticError for duplicates.
+  RebuildReport add_node(std::string_view node_id);
+
+  /// Change a member's navigation label (anchor text). A purely
+  /// navigational edit: only pages with anchors referencing the member
+  /// are re-woven — the member's own content is untouched.
+  RebuildReport retitle_node(std::string_view node_id, std::string_view title);
+
+  /// Replace one authored arc (by index into authored_arcs()). The
+  /// finest-grained edit: typically exactly one page re-weaves.
+  /// NOTE: structural mutations (set_access_structure(kind) / add_node /
+  /// retitle_node) regenerate the arc set from the structure kind and
+  /// discard earlier replace_arc overlays. For a Menu adopted from a
+  /// constructed hypermedia::Menu the engine captures the sub-structure
+  /// specs, so these mutations regenerate the Menu's derived arcs
+  /// (retitle_node edits the sub holding the member, add_node appends to
+  /// the last sub, set_access_structure(Menu) refreshes from the captured
+  /// subs). A Menu the engine cannot see into — nested Menus, or a
+  /// pre-materialized snapshot — stays opaque and Menu-kind regeneration
+  /// throws SemanticError without moving any state
+  /// (set_access_structure(structure) and replace_arc always work).
+  RebuildReport replace_arc(std::size_t index, hypermedia::AccessArc arc);
+
+  /// The authored arc set as currently materialized (index space of
+  /// replace_arc).
+  [[nodiscard]] std::vector<hypermedia::AccessArc> authored_arcs() const {
+    return structure_->arcs();
+  }
+
+  // --- the family namespace ---------------------------------------------------
+  //
+  // Context families, route programs (Aot and Lazy) and landmark families
+  // ("landmarks", plus "landmarks-<profile>" under per_profile) share one
+  // namespace. Each name is a family name profiles can list, and it
+  // claims the artifact path links-<lowercased name>.xml. A name must be
+  // non-empty and free of ':' and newlines (it tags arcs '<name>:<kind>'),
+  // and no two names may map to one path, so names differing only in
+  // case clash. A call that would break this rule throws
+  // navsep::SemanticError before moving any state: profiles, routes,
+  // landmark families, artifacts and the epoch stay as they were.
+
+  // --- serving profiles -------------------------------------------------------
+  //
+  // A Profile names the subset of the engine's context families its
+  // audience navigates with; the concurrent serving path composes that
+  // subset's tours onto base pages late, per request (see nav/profile.hpp
+  // and serve::ConcurrentServer::get(uri, profile)). Registration is a
+  // writer-side operation like every mutation.
+
+  /// Register (or, by name, replace) a serving profile and publish a new
+  /// snapshot carrying it. Throws navsep::SemanticError for an empty or
+  /// newline-containing name, a family name the engine doesn't have, a
+  /// duplicated family within the profile, any non-empty family list in
+  /// Tangled mode (the tangled baseline has no separated navigation to
+  /// scope), or, with per-profile landmarks on, a new profile whose
+  /// landmark family breaks the family-namespace rule (a ':' in its
+  /// name, or a path another family, route or landmark owns). No page
+  /// is re-woven: profiles only select among already authored linkbases,
+  /// so the graph run behind the publish finds nothing dirty unless the
+  /// profile brings a new per-profile landmark family. Batch-aware like
+  /// every mutation.
+  void register_profile(Profile profile);
+
+  /// The registered profiles, in registration order.
+  [[nodiscard]] const std::vector<Profile>& profiles() const noexcept {
     return profiles_;
   }
+
+  /// Edit one context family in place (the callback receives it mutable)
+  /// and propagate: ONLY that family's contextual linkbase re-authors,
+  /// no base page re-weaves (context-tagged tour arcs are not part of
+  /// any stored page's arc slice), and on the serving side only overlay
+  /// cache entries of profiles that include the family retire. Throws
+  /// navsep::ResolutionError for an unknown family and
+  /// navsep::SemanticError in Tangled mode. Writer-side; additionally,
+  /// NavigationSessions over the engine's families must be quiesced
+  /// (snapshot-based readers — ConcurrentServer, profile overlays — are
+  /// unaffected).
   RebuildReport edit_context_family(
       std::string_view family_name,
-      const std::function<void(hypermedia::ContextFamily&)>& edit) override;
-  RebuildReport register_route(RouteProgram program) override;
-  RebuildReport edit_route(std::string_view name,
-                           std::string_view expression) override;
-  RebuildReport remove_route(std::string_view name) override;
-  [[nodiscard]] const std::vector<RouteProgram>& routes()
-      const noexcept override {
+      const std::function<void(hypermedia::ContextFamily&)>& edit);
+
+  // --- route programs ---------------------------------------------------------
+  //
+  // A RouteProgram (nav/route.hpp) declares a navigation source as a
+  // route expression over arc roles and context families. Registered
+  // programs become servable context families named after the program:
+  // RouteCompile::Aot expands at mutation time into an authored
+  // `links-<name>.xml` through the build graph (family edits dirty and
+  // regenerate it); RouteCompile::Lazy ships only the program text and
+  // expands inside each served snapshot on first touch — byte-identical
+  // to the AOT path by the differential harness (tests/route_test.cpp).
+  // Profiles may reference route names exactly like family names.
+
+  /// Register (or, by name, replace) a route program. Throws
+  /// navsep::ParseError for a malformed expression (naming the offending
+  /// token), navsep::SemanticError for a name that breaks the
+  /// family-namespace rule (against context families, other routes and
+  /// landmark families) or any registration in Tangled mode.
+  /// Writer-side; batch-aware like every mutation.
+  RebuildReport register_route(RouteProgram program);
+
+  /// Replace the expression of the registered route `name`. Throws
+  /// navsep::ResolutionError for an unknown route, navsep::ParseError
+  /// for a malformed expression.
+  RebuildReport edit_route(std::string_view name, std::string_view expression);
+
+  /// Unregister route `name`: its linkbase artifact, arcs and overlay
+  /// entries retire, and every profile that listed it drops the name in
+  /// the same epoch. Throws navsep::ResolutionError when unknown.
+  RebuildReport remove_route(std::string_view name);
+
+  /// The registered route programs, in registration order.
+  [[nodiscard]] const std::vector<RouteProgram>& routes() const noexcept {
     return route_programs_;
   }
+
+  /// The current expansion of registered route `name` as a context
+  /// family (one `<name>:route` guided-tour context over the expanded
+  /// node ids) — what the AOT path authors and the lazy path must match.
+  /// Evaluated fresh against the current arc table on every call.
+  /// Throws navsep::ResolutionError when unknown.
   [[nodiscard]] hypermedia::ContextFamily route_family(
-      std::string_view name) const override;
+      std::string_view name) const;
+
+  // --- landmark synthesis -----------------------------------------------------
+  //
+  // Traffic intelligence, consumption side: observed workload traces
+  // (obs::TraceAggregate) rank the site's hub pages, and the engine
+  // authors the winners as generated landmark context families through
+  // the normal build graph — "landmarks" for everyone, plus
+  // "landmarks-<profile>" per registered profile when
+  // LandmarkOptions::per_profile is set. Landmark families auto-attach
+  // to every registered profile (the per-profile family only to its
+  // own), author `links-landmarks[-<p>].xml` artifacts exactly like AOT
+  // routes, and therefore ride snapshot replication unchanged.
+
+  /// Enable (or re-rank with fresh traffic) landmark synthesis. Throws
+  /// navsep::SemanticError in Tangled mode or when a landmark family
+  /// would break the family-namespace rule: against a context family or
+  /// route, or under per_profile a profile name with ':' or two profiles
+  /// differing only in case ("Tour", "tour"). Writer-side; batch-aware
+  /// like every mutation.
   RebuildReport enable_landmarks(const obs::TraceAggregate& traffic,
-                                 LandmarkOptions options) override;
-  RebuildReport disable_landmarks() override;
-  [[nodiscard]] std::vector<std::string> landmark_families() const override;
+                                 LandmarkOptions options);
+
+  /// Retire every landmark family, artifact and overlay entry; detach
+  /// landmark names from profiles. Idempotent when already disabled.
+  RebuildReport disable_landmarks();
+
+  /// Names of the landmark families currently synthesized, base family
+  /// first (empty when disabled).
+  [[nodiscard]] std::vector<std::string> landmark_families() const;
+
+  /// The current expansion of landmark family `name` — what the build
+  /// graph authors and the full-build oracle must match. Evaluated
+  /// fresh against the stored traffic and current arc inputs. Throws
+  /// navsep::ResolutionError when unknown.
   [[nodiscard]] hypermedia::ContextFamily landmark_family(
-      std::string_view name) const override;
+      std::string_view name) const;
+
+  /// The ranked picks behind landmark family `name` (diagnostics /
+  /// reporting). Throws navsep::ResolutionError when unknown.
   [[nodiscard]] std::vector<LandmarkScore> landmark_picks(
-      std::string_view name) const override;
-  void begin_batch() override;
-  RebuildReport commit_batch() override;
-  [[nodiscard]] bool batch_open() const noexcept override {
-    return batch_open_;
-  }
-  void set_weave_workers(std::size_t lanes) override;
-  [[nodiscard]] std::size_t weave_workers() const noexcept override {
+      std::string_view name) const;
+
+  // --- mutation batching ------------------------------------------------------
+  //
+  // An edit burst normally pays one plan, one graph run and one snapshot
+  // publish PER mutation. A batch coalesces it: between begin_batch()
+  // and commit_batch() every mutation validates eagerly and moves engine
+  // state (later batched mutations and readers of structure()/
+  // authored_arcs()/profiles() see it immediately) but only accumulates
+  // dirty marks — the graph does not run, nothing re-weaves, and no
+  // snapshot is published, so batched mutations return an empty report.
+  // commit_batch runs the graph once over the union of dirty marks and
+  // publishes exactly one epoch — SnapshotStore subscribers and
+  // repl::Publishers see ONE delta for the whole burst. Batches are
+  // writer-side state like every mutation (no concurrent mutators).
+
+  /// Open a batch. Throws navsep::SemanticError when one is open.
+  void begin_batch();
+
+  /// Run the accumulated batch: one graph run (parallel when weave
+  /// workers are configured), one published epoch — or none at all for
+  /// an empty batch. A burst of profile registrations alone is a graph
+  /// run with nothing dirty, then that one publish. The report carries
+  /// edits_coalesced / epochs_published / weave_workers /
+  /// max_parallel_weaves. Throws navsep::SemanticError when no batch is
+  /// open. If a batched mutation's edit threw mid-flight the commit
+  /// still reconciles whatever state moved, exactly like the unbatched
+  /// propagate-on-throw contract.
+  RebuildReport commit_batch();
+
+  /// Whether a batch is currently open.
+  [[nodiscard]] bool batch_open() const noexcept { return batch_open_; }
+
+  // --- parallel re-weave ------------------------------------------------------
+
+  /// Configure the worker pool page re-weaves run on: `lanes` total
+  /// execution lanes (0 = hardware concurrency, 1 = serial — the
+  /// default). Output is byte-identical for every value; only wall-clock
+  /// changes. The pool is only used when the weave path is provably
+  /// thread-safe: Separated mode with no foreign aspects registered on
+  /// the weaver (user advice carries no thread-safety contract, so
+  /// engines with extra aspects fall back to the serial path and the
+  /// report says so via weave_workers == 1).
+  void set_weave_workers(std::size_t lanes);
+
+  /// The configured lane count (1 when serial).
+  [[nodiscard]] std::size_t weave_workers() const noexcept {
     return pool_ ? pool_->workers() : 1;
   }
-  void attach_telemetry(std::shared_ptr<obs::Registry> registry) override;
-  [[nodiscard]] obs::Registry* telemetry() const noexcept override {
+
+  // --- telemetry --------------------------------------------------------------
+
+  /// Attach a metrics registry (obs/registry.hpp). The engine registers
+  /// server()'s metrics as `engine.server.*` gauges
+  /// (serve::ConcurrentServer::register_metrics) and a pull sampler
+  /// mirroring the snapshot store's epoch/publishes into `store.*`
+  /// gauges, counts every graph run into `build.*` counters (every
+  /// publish has one, so `build.runs` counts profile registrations and
+  /// batch commits too), feeds wave occupancy into a histogram, and
+  /// records epoch-correlated spans (build.plan / build.wave.compute /
+  /// build.wave.commit / build.publish) into the registry's SpanLog.
+  /// Pass nullptr to detach. The registry must outlive the engine or be
+  /// detached first; attaching is writer-side state like every mutation.
+  void attach_telemetry(std::shared_ptr<obs::Registry> registry);
+
+  /// The attached registry (nullptr when telemetry is off).
+  [[nodiscard]] obs::Registry* telemetry() const noexcept {
     return telemetry_.get();
   }
 
@@ -265,8 +508,9 @@ class Engine final : public EngineInternals {
   /// arc-level edits have a mutable substrate.
   hypermedia::MaterializedStructure& materialized_spec();
 
-  /// Regenerate the structure from `kind` over `members`, then run the
-  /// graph — the shared tail of the structural mutations.
+  /// Regenerate the structure from `kind` over `members` (a Menu from
+  /// menu_subs_ instead), then run the graph — the shared tail of the
+  /// structural mutations.
   RebuildReport regenerate_structure(hypermedia::AccessStructureKind kind,
                                      std::vector<hypermedia::Member> members);
 
@@ -276,7 +520,9 @@ class Engine final : public EngineInternals {
   /// Run the graph now (through the pool when eligible), publish one
   /// snapshot, refresh the session browser — or, with a batch open,
   /// record the edit and defer all of it to commit_batch(). A run that
-  /// throws publishes nothing but still refreshes the session.
+  /// throws publishes nothing but still refreshes the session. Every
+  /// entry point that publishes ends here: mutations, rebuild(),
+  /// register_profile() and commit_batch().
   RebuildReport run_or_defer();
   RebuildReport run_graph_now();
 
@@ -308,15 +554,6 @@ class Engine final : public EngineInternals {
   /// other kind from).
   [[nodiscard]] std::unique_ptr<hypermedia::AccessStructure> regenerate_menu()
       const;
-
-  /// Reconcile the per-sub Source nodes ("menusub:<i>") with menu_subs_
-  /// and point the spec node's deps at them — sub edits become
-  /// first-class build-graph inputs with their own early cutoff.
-  void sync_menu_nodes();
-
-  /// Install the regenerated Menu, dirty sub `sub_index`'s graph node,
-  /// and run (or defer) — the shared tail of the sub-level mutations.
-  RebuildReport commit_menu_subs(std::size_t sub_index);
 
   // --- linkbase records ---------------------------------------------------------
 
@@ -366,7 +603,7 @@ class Engine final : public EngineInternals {
   /// Refuse (SemanticError, prefixed by `caller`) a call that would leave
   /// `routes` and the landmark families `landmarks` registered beside
   /// the context families with an invalid name or two names mapping to
-  /// one artifact path — the shared namespace rule of roles.hpp. Callers
+  /// one artifact path — the family-namespace rule above. Callers
   /// pass the state the call would produce and run this before moving
   /// any of it.
   void check_namespace(std::string_view caller,
@@ -503,12 +740,7 @@ class Engine final : public EngineInternals {
 
   // --- batch state ------------------------------------------------------------
   bool batch_open_ = false;
-  std::size_t batch_edits_ = 0;        // mutations coalesced so far
-  bool batch_publish_pending_ = false; // something dirtied or deferred
-  /// Profile registrations are publish-only (no graph run); a batch
-  /// holding ONLY those commits without a graph run but still publishes
-  /// once.
-  bool batch_graph_pending_ = false;
+  std::size_t batch_edits_ = 0;  // mutations coalesced so far
 
   // --- Menu sub-structure capture ---------------------------------------------
   std::vector<MenuSubSpec> menu_subs_;
@@ -522,6 +754,11 @@ class Engine final : public EngineInternals {
   obs::SamplerHandle telemetry_sampler_;
   obs::SamplerHandle server_metrics_;
 };
+
+/// The Engine under its former interface name. Kept, with
+/// Engine::internals, only because the benchmark harness (navbench/)
+/// still spells it; everything else names nav::Engine.
+using EngineInternals = Engine;
 
 /// Fluent composer of the whole separated-navigation pipeline. Stages may
 /// be set in any order; serve() / build() are terminal and consume the
@@ -587,7 +824,7 @@ class SitePipeline {
 
   /// Worker lanes for the parallel re-weave path (0 = hardware
   /// concurrency, 1 = serial, the default) — forwarded to
-  /// EngineInternals::set_weave_workers before the initial build, so the
+  /// Engine::set_weave_workers before the initial build, so the
   /// first weave parallelizes too.
   SitePipeline& weave_workers(std::size_t lanes);
 

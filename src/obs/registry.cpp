@@ -1,6 +1,7 @@
 #include "obs/registry.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <iomanip>
 #include <sstream>
@@ -8,12 +9,9 @@
 namespace navsep::obs {
 
 std::size_t log2_bucket(std::uint64_t value) noexcept {
-  std::size_t bucket = 0;
-  while (value > 1 && bucket + 1 < kLog2Buckets) {
-    value >>= 1;
-    ++bucket;
-  }
-  return bucket;
+  if (value == 0) return 0;
+  return std::min(static_cast<std::size_t>(std::bit_width(value)) - 1,
+                  kLog2Buckets - 1);
 }
 
 double log2_interpolated_quantile(const std::uint64_t* counts,
@@ -63,6 +61,22 @@ double log2_interpolated_quantile(const std::uint64_t* counts,
   return 0.0;
 }
 
+void HistogramView::record(std::uint64_t value) noexcept {
+  ++buckets[log2_bucket(value)];
+  ++count;
+  sum += value;
+  max = std::max(max, value);
+}
+
+void HistogramView::merge(const HistogramView& other) noexcept {
+  for (std::size_t i = 0; i < kLog2Buckets; ++i) {
+    buckets[i] += other.buckets[i];
+  }
+  count += other.count;
+  sum += other.sum;
+  max = std::max(max, other.max);
+}
+
 void Histogram::record(std::uint64_t value) noexcept {
   buckets_[log2_bucket(value)].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
@@ -73,19 +87,17 @@ void Histogram::record(std::uint64_t value) noexcept {
   }
 }
 
-void Histogram::absorb(const std::uint64_t* counts, std::size_t n_buckets,
-                       std::uint64_t count, std::uint64_t sum,
-                       std::uint64_t max) noexcept {
-  for (std::size_t i = 0; i < n_buckets; ++i) {
-    if (counts[i] == 0) continue;
-    const std::size_t slot = std::min(i, kLog2Buckets - 1);
-    buckets_[slot].fetch_add(counts[i], std::memory_order_relaxed);
+void Histogram::absorb(const HistogramView& tally) noexcept {
+  for (std::size_t i = 0; i < kLog2Buckets; ++i) {
+    if (tally.buckets[i] == 0) continue;
+    buckets_[i].fetch_add(tally.buckets[i], std::memory_order_relaxed);
   }
-  count_.fetch_add(count, std::memory_order_relaxed);
-  sum_.fetch_add(sum, std::memory_order_relaxed);
+  count_.fetch_add(tally.count, std::memory_order_relaxed);
+  sum_.fetch_add(tally.sum, std::memory_order_relaxed);
   std::uint64_t seen = max_.load(std::memory_order_relaxed);
-  while (max > seen &&
-         !max_.compare_exchange_weak(seen, max, std::memory_order_relaxed)) {
+  while (tally.max > seen &&
+         !max_.compare_exchange_weak(seen, tally.max,
+                                     std::memory_order_relaxed)) {
   }
 }
 

@@ -10,7 +10,9 @@
 //   * named Counters (monotonic, wait-free atomic add),
 //   * named Gauges (last-written value, wait-free atomic set),
 //   * named log2 Histograms (48 power-of-two buckets, wait-free
-//     atomic record — the same bucketing serve::LatencyHistogram uses),
+//     atomic record), plus HistogramView, the same histogram as a plain
+//     value: a snapshot copy, or a single-writer tally that a
+//     per-session latency histogram keeps and absorb() folds in,
 //   * registered samplers: pull hooks that refresh mirror gauges from
 //     an existing stats() producer at snapshot time, so legacy counter
 //     structs keep working while the registry stays the source of one
@@ -98,12 +100,22 @@ inline constexpr std::size_t kLog2Buckets = 48;
                                                 std::uint64_t max_value,
                                                 double q) noexcept;
 
-/// A point-in-time copy of one histogram, with derived statistics.
+/// A log2 histogram as a plain value, with derived statistics: a
+/// point-in-time copy of a Histogram (view()), or a single-writer tally
+/// of its own (a per-session latency histogram, say) that merges with
+/// its peers and folds into a Histogram through absorb(). Not
+/// thread-safe: one writer at a time.
 struct HistogramView {
   std::array<std::uint64_t, kLog2Buckets> buckets{};
   std::uint64_t count = 0;
   std::uint64_t sum = 0;
   std::uint64_t max = 0;
+
+  /// Count one sample into its log2_bucket.
+  void record(std::uint64_t value) noexcept;
+
+  /// Fold `other` in: bucket-by-bucket adds plus the count/sum/max.
+  void merge(const HistogramView& other) noexcept;
 
   [[nodiscard]] double mean() const noexcept {
     return count == 0
@@ -122,13 +134,9 @@ class Histogram {
  public:
   void record(std::uint64_t value) noexcept;
 
-  /// Fold pre-bucketed counts in (merging a per-session
-  /// serve::LatencyHistogram, say): bucket-by-bucket adds plus the
-  /// count/sum/max updates. `n_buckets` beyond kLog2Buckets fold into
-  /// the last bucket.
-  void absorb(const std::uint64_t* counts, std::size_t n_buckets,
-              std::uint64_t count, std::uint64_t sum,
-              std::uint64_t max) noexcept;
+  /// Fold a single-writer tally in (a per-session latency histogram,
+  /// say): bucket-by-bucket adds plus the count/sum/max updates.
+  void absorb(const HistogramView& tally) noexcept;
 
   [[nodiscard]] HistogramView view() const noexcept;
 

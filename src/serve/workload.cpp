@@ -1,6 +1,6 @@
 #include "serve/workload.hpp"
 
-#include <bit>
+#include <array>
 #include <chrono>
 #include <thread>
 #include <utility>
@@ -23,31 +23,6 @@ std::string_view to_string(Behavior b) noexcept {
   return "unknown";
 }
 
-// --- LatencyHistogram ---------------------------------------------------------
-
-void LatencyHistogram::record(std::uint64_t ns) noexcept {
-  std::size_t bucket = ns == 0 ? 0 : static_cast<std::size_t>(
-                                         std::bit_width(ns) - 1);
-  if (bucket >= kBuckets) bucket = kBuckets - 1;
-  ++counts_[bucket];
-  ++count_;
-  total_ns_ += ns;
-  if (ns > max_ns_) max_ns_ = ns;
-}
-
-void LatencyHistogram::merge(const LatencyHistogram& other) noexcept {
-  for (std::size_t i = 0; i < kBuckets; ++i) counts_[i] += other.counts_[i];
-  count_ += other.count_;
-  total_ns_ += other.total_ns_;
-  if (other.max_ns_ > max_ns_) max_ns_ = other.max_ns_;
-}
-
-std::uint64_t LatencyHistogram::quantile_ns(double q) const noexcept {
-  const double v = obs::log2_interpolated_quantile(counts_.data(), kBuckets,
-                                                   count_, max_ns_, q);
-  return static_cast<std::uint64_t>(v + 0.5);
-}
-
 // --- session behaviors --------------------------------------------------------
 
 namespace {
@@ -58,7 +33,7 @@ struct SessionOutcome {
   std::size_t steps = 0;
   std::size_t requests = 0;
   std::size_t failures = 0;
-  LatencyHistogram latency;
+  obs::HistogramView latency;  // per-request ns
 
   // Trace capture: null ring = off (the default — zero cost on the
   // request path). The ring is single-writer: this session's thread is
@@ -572,16 +547,11 @@ WorkloadResult Workload::run(ConcurrentServer& server,
     reg.counter("workload.failures").add(result.failures);
     reg.counter("workload.traces.recorded").add(result.traces.recorded);
     reg.counter("workload.traces.dropped").add(result.traces.dropped);
-    const auto absorb = [&reg](std::string_view name,
-                               const LatencyHistogram& h) {
-      reg.histogram(name).absorb(h.buckets().data(), h.buckets().size(),
-                                 h.count(), h.total_ns(), h.max_ns());
-    };
-    absorb("workload.latency", result.latency);
+    reg.histogram("workload.latency").absorb(result.latency);
     for (const BehaviorTally& tally : result.by_behavior) {
-      absorb(std::string("workload.latency.") +
-                 std::string(to_string(tally.behavior)),
-             tally.latency);
+      reg.histogram(std::string("workload.latency.") +
+                    std::string(to_string(tally.behavior)))
+          .absorb(tally.latency);
     }
   }
   return result;

@@ -29,7 +29,6 @@
 // snapshots and is as safe to use alongside them.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -63,45 +62,6 @@ enum class Behavior {
 
 [[nodiscard]] std::string_view to_string(Behavior b) noexcept;
 
-/// Log₂-bucketed latency counts: bucket i holds samples in
-/// [2^i, 2^(i+1)) nanoseconds. Cheap enough to sit on the per-request
-/// path, mergeable across threads, quantile-answerable to within a
-/// factor of 2 — all a traffic sweep needs.
-class LatencyHistogram {
- public:
-  static constexpr std::size_t kBuckets = 48;
-
-  void record(std::uint64_t ns) noexcept;
-  void merge(const LatencyHistogram& other) noexcept;
-
-  [[nodiscard]] std::uint64_t count() const noexcept { return count_; }
-  [[nodiscard]] std::uint64_t total_ns() const noexcept { return total_ns_; }
-  [[nodiscard]] std::uint64_t max_ns() const noexcept { return max_ns_; }
-  [[nodiscard]] double mean_ns() const noexcept {
-    return count_ == 0 ? 0.0
-                       : static_cast<double>(total_ns_) /
-                             static_cast<double>(count_);
-  }
-
-  /// The q-quantile sample (q in [0,1]), interpolated linearly within
-  /// its log2 bucket's [2^i, 2^(i+1)) range by rank and clamped to the
-  /// observed maximum — not the bucket's upper bound, which would
-  /// overstate a quantile landing just past a boundary by up to 2x.
-  /// 0 when empty.
-  [[nodiscard]] std::uint64_t quantile_ns(double q) const noexcept;
-
-  [[nodiscard]] const std::array<std::uint64_t, kBuckets>& buckets()
-      const noexcept {
-    return counts_;
-  }
-
- private:
-  std::array<std::uint64_t, kBuckets> counts_{};
-  std::uint64_t count_ = 0;
-  std::uint64_t total_ns_ = 0;
-  std::uint64_t max_ns_ = 0;
-};
-
 struct WorkloadOptions {
   /// Concurrent sessions (threads). Each runs its own Rng stream.
   std::size_t threads = 4;
@@ -133,7 +93,7 @@ struct BehaviorTally {
   std::size_t sessions = 0;
   std::size_t requests = 0;
   std::size_t failures = 0;  ///< 404s (expected under concurrent edits)
-  LatencyHistogram latency;  ///< this behavior's sessions only
+  obs::HistogramView latency;  ///< ns; this behavior's sessions only
 };
 
 struct WorkloadResult {
@@ -143,7 +103,7 @@ struct WorkloadResult {
   std::size_t failures = 0;
   double seconds = 0.0;
   double throughput_rps = 0.0;  ///< requests / seconds
-  LatencyHistogram latency;
+  obs::HistogramView latency;  ///< per-request ns, every session
   ConcurrentServer::UnifiedStats server;  ///< sampled after the run
   std::vector<BehaviorTally> by_behavior;
   obs::TraceAggregate traces;  ///< empty unless options.trace.enabled

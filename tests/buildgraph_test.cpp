@@ -447,7 +447,8 @@ TEST(IncrementalEngine, MenuMutationsRegenerateSubStructureArcs) {
   EXPECT_TRUE(renamed);
   expect_sites_identical(engine->site(), full_build_oracle(*engine));
 
-  // A no-op retitle cuts off at the sub's Source node: nothing re-weaves.
+  // A no-op retitle cuts off at the spec node, whose hash covers the
+  // regenerated Menu's members and arcs: nothing re-weaves.
   nav::RebuildReport noop = engine->retitle_node(member, "Renamed Piece");
   EXPECT_EQ(noop.pages_rewoven, 0u);
   EXPECT_EQ(noop.linkbases_reauthored, 0u);
@@ -597,7 +598,7 @@ TEST(IncrementalEngine, RebuildAlsoInvalidatesBothCaches) {
   auto engine = paper_engine(hm::AccessStructureKind::IndexedGuidedTour);
   nav::Navigating& browser = engine->navigator();
   ASSERT_TRUE(browser.navigate("guitar.html"));
-  engine->internals().rebuild();
+  engine->rebuild();
   ASSERT_FALSE(browser.links().empty());
   EXPECT_TRUE(browser.follow_role("next"));
   EXPECT_TRUE(browser.back());
@@ -694,7 +695,7 @@ TEST(IncrementalEngine, RandomizedEditSequenceStaysByteIdentical) {
   // And the incremental state must be a fixpoint of the force path.
   std::vector<std::pair<std::string, std::string>> before =
       engine->site().artifacts();
-  engine->internals().rebuild();
+  engine->rebuild();
   EXPECT_EQ(engine->site().artifacts(), before);
 }
 
@@ -708,7 +709,6 @@ TEST(IncrementalEngine, GraphShapeMatchesTheSite) {
   EXPECT_EQ(g.count(nav::ProductKind::Linkbase), 2u);   // links + ByAuthor
   EXPECT_EQ(g.count(nav::ProductKind::ArcTable), 1u);
   EXPECT_EQ(g.count(nav::ProductKind::Source), 1u);
-  EXPECT_EQ(g.count(nav::ProductKind::Server), 1u);
   EXPECT_FALSE(g.is_dirty("nav:spec"));
   EXPECT_TRUE(g.contains("page:guitar"));
   EXPECT_TRUE(g.contains("linkbase:links-byauthor.xml"));
@@ -859,9 +859,9 @@ TEST(IncrementalEngine, WorkerCountsProduceByteIdenticalSites) {
   auto serial = build(1);
   auto two = build(2);
   auto four = build(4);
-  EXPECT_EQ(serial->internals().weave_workers(), 1u);
-  EXPECT_EQ(two->internals().weave_workers(), 2u);
-  EXPECT_EQ(four->internals().weave_workers(), 4u);
+  EXPECT_EQ(serial->weave_workers(), 1u);
+  EXPECT_EQ(two->weave_workers(), 2u);
+  EXPECT_EQ(four->weave_workers(), 4u);
   expect_sites_identical(two->site(), serial->site());
   expect_sites_identical(four->site(), serial->site());
   expect_sites_identical(four->site(), full_build_oracle(*four));
@@ -917,7 +917,7 @@ TEST(IncrementalEngine, ForeignAspectsForceTheSerialPath) {
                     .weave_workers(4)
                     .serve();
   auto extra = std::make_shared<navsep::aop::Aspect>("extra");
-  engine->internals().weaver().register_aspect(extra);
+  engine->weaver().register_aspect(extra);
   nav::RebuildReport r =
       engine->set_access_structure(hm::AccessStructureKind::GuidedTour);
   EXPECT_EQ(r.weave_workers, 1u);
@@ -1026,22 +1026,22 @@ TEST(IncrementalEngine, BatchedAndSequentialEnginesStayByteIdentical) {
       // Decide the edit from the batched engine's (eagerly moved) state,
       // then apply the identical edit to both engines.
       if (op == 0) {
-        std::vector<hm::AccessArc> arcs = batched->internals().authored_arcs();
+        std::vector<hm::AccessArc> arcs = batched->authored_arcs();
         if (arcs.empty()) continue;
         const std::size_t index =
             static_cast<std::size_t>(rng.below(arcs.size()));
         hm::AccessArc edited = arcs[index];
         edited.title = "edit-" + rng.word(6);
-        (void)batched->internals().replace_arc(index, edited);
-        (void)sequential->internals().replace_arc(index, edited);
+        (void)batched->replace_arc(index, edited);
+        (void)sequential->replace_arc(index, edited);
       } else if (op == 1) {
         const auto& members = batched->structure().members();
         const std::string id =
             members[static_cast<std::size_t>(rng.below(members.size()))]
                 .node_id;
         const std::string title = "title-" + rng.word(5);
-        (void)batched->internals().retitle_node(id, title);
-        (void)sequential->internals().retitle_node(id, title);
+        (void)batched->retitle_node(id, title);
+        (void)sequential->retitle_node(id, title);
       } else if (op == 2) {
         std::set<std::string> current;
         for (const auto& m : batched->structure().members()) {
@@ -1055,16 +1055,16 @@ TEST(IncrementalEngine, BatchedAndSequentialEnginesStayByteIdentical) {
           }
         }
         if (candidate.empty()) continue;
-        (void)batched->internals().add_node(candidate);
-        (void)sequential->internals().add_node(candidate);
+        (void)batched->add_node(candidate);
+        (void)sequential->add_node(candidate);
       } else {
         const auto kind = kinds[static_cast<std::size_t>(rng.below(3))];
-        (void)batched->internals().set_access_structure(kind);
-        (void)sequential->internals().set_access_structure(kind);
+        (void)batched->set_access_structure(kind);
+        (void)sequential->set_access_structure(kind);
       }
       ++applied;
     }
-    nav::RebuildReport r = batched->internals().commit_batch();
+    nav::RebuildReport r = batched->commit_batch();
     EXPECT_EQ(r.edits_coalesced, applied);
     if (applied > 0) {
       EXPECT_EQ(batched->snapshots().epoch(), epoch_before + 1)

@@ -79,7 +79,7 @@ TEST(CacheBounds, LruEvictsTheColdestAndTouchKeepsAlive) {
 
 TEST(CacheBounds, OverlayLayerEvictsLruToo) {
   auto engine = synthetic_engine(4);
-  engine->internals().register_profile({"tour", {"ByAuthor"}});
+  engine->register_profile({"tour", {"ByAuthor"}});
   auto server = engine->open_concurrent(
       1, serve::CacheLimits{.overlay_entries_per_shard = 2});
   std::vector<std::string> pages = html_pages(*engine);
@@ -106,8 +106,8 @@ TEST(CacheBounds, OverlayLayerEvictsLruToo) {
 
 TEST(CacheBounds, ChurnHoldsTheCapOnBothLayersAndServesOracleBytes) {
   auto engine = synthetic_engine(6);
-  engine->internals().register_profile({"tour", {"ByAuthor"}});
-  engine->internals().register_profile({"kiosk", {}});
+  engine->register_profile({"tour", {"ByAuthor"}});
+  engine->register_profile({"kiosk", {}});
   constexpr std::size_t kShards = 4;
   constexpr std::size_t kCap = 2;
   auto server = engine->open_concurrent(
@@ -141,7 +141,7 @@ TEST(CacheBounds, ChurnHoldsTheCapOnBothLayersAndServesOracleBytes) {
 
 TEST(CacheBounds, ZeroCapDegeneratesToPassThrough) {
   auto engine = synthetic_engine(3);
-  engine->internals().register_profile({"tour", {"ByAuthor"}});
+  engine->register_profile({"tour", {"ByAuthor"}});
   auto server = engine->open_concurrent(
       2, serve::CacheLimits{.base_entries_per_shard = 0,
                             .overlay_entries_per_shard = 0});
@@ -167,7 +167,7 @@ TEST(CacheBounds, ZeroCapDegeneratesToPassThrough) {
   EXPECT_EQ(s.overlay.resolves, 2 * pages.size());
 
   // Still correct across a mutation (no stale state exists to serve).
-  (void)engine->internals().retitle_node(
+  (void)engine->retitle_node(
       engine->structure().members().front().node_id, "Renamed (v2)");
   const std::string page =
       navsep::core::default_href_for(engine->structure().members()[1].node_id);
@@ -178,7 +178,7 @@ TEST(CacheBounds, ZeroCapDegeneratesToPassThrough) {
 
 TEST(CacheBounds, RetiredPathCountsAsEvicted) {
   auto engine = synthetic_engine(3);
-  engine->internals().register_profile({"tour", {"ByAuthor"}});
+  engine->register_profile({"tour", {"ByAuthor"}});
   auto server = engine->open_concurrent(1);
 
   const std::string victim_node = engine->structure().members().back().node_id;
@@ -188,7 +188,7 @@ TEST(CacheBounds, RetiredPathCountsAsEvicted) {
 
   std::vector<hm::Member> members = engine->structure().members();
   members.pop_back();
-  (void)engine->internals().set_access_structure(
+  (void)engine->set_access_structure(
       hm::make_access_structure(AccessStructureKind::Index,
                                 engine->structure().name(), members));
   EXPECT_FALSE(server->get(victim).ok());
@@ -225,7 +225,7 @@ TEST(CacheBounds, StatsEchoTheConfiguredCaps) {
 
 TEST(CacheBytes, ResidentBytesTrackTheCachedBodies) {
   auto engine = synthetic_engine(3);
-  engine->internals().register_profile({"tour", {"ByAuthor"}});
+  engine->register_profile({"tour", {"ByAuthor"}});
   auto server = engine->open_concurrent(1);
 
   std::vector<std::string> pages = html_pages(*engine);
@@ -258,7 +258,7 @@ TEST(CacheBytes, ResidentBytesTrackTheCachedBodies) {
 
 TEST(CacheBytes, ByteCapEvictsAndHoldsUnderChurn) {
   auto engine = synthetic_engine(4);
-  engine->internals().register_profile({"tour", {"ByAuthor"}});
+  engine->register_profile({"tour", {"ByAuthor"}});
   std::vector<std::string> pages = html_pages(*engine);
   ASSERT_GE(pages.size(), 3u);
 
@@ -291,7 +291,7 @@ TEST(CacheBytes, ByteCapEvictsAndHoldsUnderChurn) {
 
 TEST(CacheBytes, ZeroByteCapDegeneratesToPassThrough) {
   auto engine = synthetic_engine(2);
-  engine->internals().register_profile({"tour", {"ByAuthor"}});
+  engine->register_profile({"tour", {"ByAuthor"}});
   auto server = engine->open_concurrent(
       1, serve::CacheLimits{.base_bytes_per_shard = 0,
                             .overlay_bytes_per_shard = 0});
@@ -319,7 +319,7 @@ TEST(CacheBytes, ResizingRefillChurnKeepsTheLedgerExactUnderByteCaps) {
   // mid-refill. The ledger must reconcile exactly and the caps must
   // hold at every single sample, not just at rest.
   auto engine = synthetic_engine(4);
-  engine->internals().register_profile({"tour", {"ByAuthor"}});
+  engine->register_profile({"tour", {"ByAuthor"}});
 
   // The hot page is the retitled node's own page: every retitle resizes
   // its body AND invalidates both its base entry (epoch) and its
@@ -358,8 +358,7 @@ TEST(CacheBytes, ResizingRefillChurnKeepsTheLedgerExactUnderByteCaps) {
   const std::string long_title(2 * one_page, 'x');
   for (int round = 0; round < 6; ++round) {
     // Alternate growth and shrink so refills cross the cap both ways.
-    (void)engine->internals().retitle_node(
-        node, round % 2 == 0 ? long_title : "t");
+    (void)engine->retitle_node(node, round % 2 == 0 ? long_title : "t");
     (void)server->get(hot);
     (void)server->get(hot, "tour");
     for (const std::string& page : pages) {
@@ -386,7 +385,7 @@ TEST(CacheBytes, OversizedRefillDoesNotDrainColderResidents) {
   // draining the colder (perfectly cacheable) entries is pure loss.
   // Pre-fix, one oversized refill flushed the entire shard.
   auto engine = synthetic_engine(4);
-  engine->internals().register_profile({"tour", {"ByAuthor"}});
+  engine->register_profile({"tour", {"ByAuthor"}});
 
   // A member's title is rendered on the pages that LINK to it (the
   // index, its tour neighbors) — not on its own page. Discover which
@@ -395,13 +394,13 @@ TEST(CacheBytes, OversizedRefillDoesNotDrainColderResidents) {
   // back.
   const std::string node = engine->structure().members().front().node_id;
   const std::string giant(3600, 'x');
-  (void)engine->internals().retitle_node(node, "t");
+  (void)engine->retitle_node(node, "t");
   const std::vector<std::string> all_pages = html_pages(*engine);
   std::map<std::string, std::size_t> small;
   for (const std::string& page : all_pages) {
     small[page] = engine->site().get(page)->size();
   }
-  (void)engine->internals().retitle_node(node, giant);
+  (void)engine->retitle_node(node, giant);
   std::string hot;
   std::vector<std::string> pages;
   for (const std::string& page : all_pages) {
@@ -414,7 +413,7 @@ TEST(CacheBytes, OversizedRefillDoesNotDrainColderResidents) {
   }
   ASSERT_FALSE(hot.empty());
   ASSERT_EQ(pages.size(), 2u);
-  (void)engine->internals().retitle_node(node, "t");
+  (void)engine->retitle_node(node, "t");
 
   const std::map<std::string, std::string> tour_oracle =
       profile_oracle(*engine, {"tour", {"ByAuthor"}});
@@ -442,7 +441,7 @@ TEST(CacheBytes, OversizedRefillDoesNotDrainColderResidents) {
   // Balloon the hot page past the entire per-shard byte budget and
   // refill it: the stale refresh happens in place, then must retire
   // only itself.
-  (void)engine->internals().retitle_node(node, giant);
+  (void)engine->retitle_node(node, giant);
   ASSERT_GT(engine->site().get(hot)->size(), limits.base_bytes_per_shard);
   ASSERT_TRUE(server->get(hot).ok());
   ASSERT_TRUE(server->get(hot, "tour").ok());
@@ -472,13 +471,13 @@ TEST(CacheBytes, OverlayResizingRefillsKeepExactBytesWhenUnbounded) {
   // fresh render would produce — any drift in the refresh delta
   // accumulates here with nowhere to hide.
   auto engine = synthetic_engine(3);
-  engine->internals().register_profile({"tour", {"ByAuthor"}});
+  engine->register_profile({"tour", {"ByAuthor"}});
   auto server = engine->open_concurrent(1);
   std::vector<std::string> pages = html_pages(*engine);
 
   const std::string node = engine->structure().members().front().node_id;
   for (int round = 0; round < 4; ++round) {
-    (void)engine->internals().retitle_node(
+    (void)engine->retitle_node(
         node, round % 2 == 0 ? std::string(120, 'y') : "s");
     std::size_t expected = 0;
     for (const std::string& page : pages) {
@@ -509,8 +508,7 @@ TEST(CacheBytes, StaleRefillMovesTheByteLedgerByTheSizeDelta) {
   // Retitle one member page: its body grows/shrinks; after the stale
   // refill the ledger must equal the NEW sum, not the old one.
   const std::string node = engine->structure().members().front().node_id;
-  (void)engine->internals().retitle_node(
-      node, "a much, much longer title than before");
+  (void)engine->retitle_node(node, "a much, much longer title than before");
   std::size_t new_total = 0;
   for (const std::string& page : pages) {
     site::Response r = server->get(page);

@@ -91,8 +91,7 @@ obs::TraceAggregate traffic_of(
 }
 
 /// The engine's current (post-attach) registration of profile `name`.
-nav::Profile registered(const nav::EngineInternals& in,
-                        const std::string& name) {
+nav::Profile registered(const nav::Engine& in, const std::string& name) {
   for (const nav::Profile& p : in.profiles()) {
     if (p.name == name) return p;
   }
@@ -217,7 +216,7 @@ obs::TraceAggregate engine_traffic(const nav::Engine& engine) {
 
 TEST(LandmarkPipeline, SiteIsByteIdenticalToFullBuildOracle) {
   auto engine = synthetic_engine(3);
-  nav::EngineInternals& in = engine->internals();
+  nav::Engine& in = *engine;
   (void)in.enable_landmarks(engine_traffic(*engine),
                             LandmarkOptions{.top_k = 4});
 
@@ -234,7 +233,7 @@ TEST(LandmarkPipeline, SiteIsByteIdenticalToFullBuildOracle) {
 
 TEST(LandmarkPipeline, ProfilesAutoAttachAndServeTheirOracleBytes) {
   auto engine = synthetic_engine(2);
-  nav::EngineInternals& in = engine->internals();
+  nav::Engine& in = *engine;
   auto server = engine->open_concurrent();
 
   in.register_profile({"even", {"ByAuthor"}});
@@ -266,7 +265,7 @@ TEST(LandmarkPipeline, ProfilesAutoAttachAndServeTheirOracleBytes) {
 
 TEST(LandmarkPipeline, IdenticalTrafficCutsOffAndEditsPropagate) {
   auto engine = synthetic_engine(2);
-  nav::EngineInternals& in = engine->internals();
+  nav::Engine& in = *engine;
   const obs::TraceAggregate traffic = engine_traffic(*engine);
 
   (void)in.enable_landmarks(traffic, LandmarkOptions{.top_k = 3});
@@ -301,7 +300,7 @@ TEST(LandmarkPipeline, IdenticalTrafficCutsOffAndEditsPropagate) {
 
 TEST(LandmarkPipeline, DisableRetiresArtifactsAndDetachesProfiles) {
   auto engine = synthetic_engine(2);
-  nav::EngineInternals& in = engine->internals();
+  nav::Engine& in = *engine;
   in.register_profile({"even", {"ByAuthor"}});
   (void)in.enable_landmarks(engine_traffic(*engine),
                             LandmarkOptions{.top_k = 2, .per_profile = true});
@@ -350,7 +349,7 @@ void expect_unchanged(const EngineState& before, const nav::Engine& engine) {
 
 TEST(LandmarkPipeline, RefusedEnableLeavesLandmarksOff) {
   auto engine = synthetic_engine(2);
-  nav::EngineInternals& in = engine->internals();
+  nav::Engine& in = *engine;
   (void)in.register_route({"landmarks", "next*", nav::RouteCompile::Aot});
   const EngineState before = state_of(*engine);
   EXPECT_THROW(
@@ -376,7 +375,7 @@ TEST(LandmarkPipeline, RefusedEnableLeavesLandmarksOff) {
 
 TEST(LandmarkPipeline, RefusedProfileDoesNotWedgeTheEngine) {
   auto engine = synthetic_engine(2);
-  nav::EngineInternals& in = engine->internals();
+  nav::Engine& in = *engine;
   (void)in.enable_landmarks(engine_traffic(*engine),
                             LandmarkOptions{.per_profile = true});
   const EngineState before = state_of(*engine);
@@ -393,7 +392,7 @@ TEST(LandmarkPipeline, RefusedProfileDoesNotWedgeTheEngine) {
 
 TEST(LandmarkPipeline, ProfileWhoseLandmarkARouteOwnsIsRefused) {
   auto engine = synthetic_engine(2);
-  nav::EngineInternals& in = engine->internals();
+  nav::Engine& in = *engine;
   (void)in.register_route({"landmarks-q", "next*", nav::RouteCompile::Lazy});
   (void)in.enable_landmarks(engine_traffic(*engine),
                             LandmarkOptions{.per_profile = true});
@@ -410,7 +409,7 @@ TEST(LandmarkPipeline, ProfileWhoseLandmarkARouteOwnsIsRefused) {
 
 TEST(LandmarkPipeline, ProfilesDifferingOnlyInCaseCannotShareAnArtifact) {
   auto engine = synthetic_engine(2);
-  nav::EngineInternals& in = engine->internals();
+  nav::Engine& in = *engine;
   auto server = engine->open_concurrent();
   in.register_profile({"Tour", {"ByAuthor"}});
   in.register_profile({"tour", {"ByMovement"}});
@@ -490,7 +489,7 @@ bool name_is_free(Claimant c) {
 /// call that claims it.
 std::function<void()> stage_claim(nav::Engine& engine, Claimant who,
                                   const std::string& name) {
-  nav::EngineInternals& in = engine.internals();
+  nav::Engine& in = engine;
   const obs::TraceAggregate traffic = engine_traffic(engine);
   // A per-profile landmark's profile: the name after "landmarks-".
   const std::string profile =
@@ -560,7 +559,7 @@ TEST(LandmarkPipeline, NamespaceIsPolicedBothWays) {
                      "' then " + to_string(second) + " '" + second_name + "'");
 
         auto engine = synthetic_engine(2);
-        nav::EngineInternals& in = engine->internals();
+        nav::Engine& in = *engine;
         stage_claim(*engine, first, first_name)();
         const std::function<void()> claim =
             stage_claim(*engine, second, second_name);
@@ -586,7 +585,7 @@ TEST(LandmarkPipeline, NamespaceIsPolicedBothWays) {
 
   // Unknown-name accessors are diagnosable.
   auto engine = synthetic_engine(2);
-  nav::EngineInternals& in = engine->internals();
+  nav::Engine& in = *engine;
   EXPECT_THROW((void)in.landmark_family("landmarks"), ResolutionError);
   EXPECT_THROW((void)in.landmark_picks("landmarks"), ResolutionError);
 }
@@ -596,7 +595,7 @@ TEST(LandmarkPipeline, LazyRoutesExpandOverAuthoredArcsOnlyLikeAotRoutes) {
   // authored navigation only, so neither compilation may see them: the
   // lazy serve-time expansion must equal the AOT one with landmarks on.
   auto engine = synthetic_engine(3);
-  nav::EngineInternals& in = engine->internals();
+  nav::Engine& in = *engine;
   auto server = engine->open_concurrent();
   (void)in.enable_landmarks(engine_traffic(*engine),
                             LandmarkOptions{.top_k = 4});
@@ -622,14 +621,14 @@ TEST(LandmarkPipeline, TangledModeRefusesLandmarks) {
                     .access(AccessStructureKind::Index)
                     .tangled()
                     .serve();
-  EXPECT_THROW((void)engine->internals().enable_landmarks(
+  EXPECT_THROW((void)engine->enable_landmarks(
                    obs::TraceAggregate{}, LandmarkOptions{}),
                SemanticError);
 }
 
 TEST(LandmarkPipeline, BatchedEnableCoalescesIntoOneEpoch) {
   auto engine = synthetic_engine(2);
-  nav::EngineInternals& in = engine->internals();
+  nav::Engine& in = *engine;
   const std::uint64_t before = in.snapshots().epoch();
 
   in.begin_batch();
@@ -646,7 +645,7 @@ TEST(LandmarkPipeline, BatchedEnableCoalescesIntoOneEpoch) {
 
 TEST(LandmarkPipeline, LandmarkArtifactsRideReplication) {
   auto engine = synthetic_engine(2);
-  nav::EngineInternals& in = engine->internals();
+  nav::Engine& in = *engine;
   auto publisher = engine->open_publisher(repl::Endpoint::tcp("127.0.0.1", 0));
   repl::Replica replica = repl::Replica::connect(publisher->endpoint());
   replica.start();

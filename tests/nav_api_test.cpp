@@ -1,8 +1,8 @@
 // Tests for the navsep::nav façade: the SitePipeline builder, the
-// role-segregated interfaces (Navigating / SessionView / EngineInternals),
-// the Browser adapter equivalence, the per-source arc index, and the
-// engine's own server (published epochs only, also across a throwing
-// mutation and under concurrent readers).
+// role-segregated interfaces (Navigating / SessionView), the Engine's
+// framework members, the Browser adapter equivalence, the per-source arc
+// index, and the engine's own server (published epochs only, also across
+// a throwing mutation and under concurrent readers).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -30,6 +30,16 @@ std::unique_ptr<nav::Engine> paper_engine() {
       .paper_museum()
       .schema()
       .access(hm::AccessStructureKind::IndexedGuidedTour, "picasso")
+      .weave()
+      .serve();
+}
+
+/// paper_engine() with both context families, for profile tests.
+std::unique_ptr<nav::Engine> families_engine() {
+  return nav::SitePipeline()
+      .paper_museum()
+      .access(hm::AccessStructureKind::IndexedGuidedTour, "picasso")
+      .contexts({"ByAuthor", "ByMovement"})
       .weave()
       .serve();
 }
@@ -71,7 +81,7 @@ TEST(SitePipeline, ServesTheSeparatedSiteEndToEnd) {
 
   // The arc table matches the authored linkbase (IGT over 3 paintings:
   // 2N index/up + 2(N-1) tour = 10 arcs).
-  EXPECT_EQ(engine->internals().arc_table().arcs().size(), 10u);
+  EXPECT_EQ(engine->arc_table().arcs().size(), 10u);
 
   // And the served site is walkable through the end-user role.
   nav::Navigating& browser = engine->navigator();
@@ -118,7 +128,7 @@ TEST(SitePipeline, TangledModeBakesNavigationIn) {
   EXPECT_TRUE(engine->site().contains("guitar.html"));
   EXPECT_EQ(engine->mode(), nav::WeaveMode::Tangled);
   // No linkbase -> no arcs for the browser; pages still serve.
-  EXPECT_TRUE(engine->internals().arc_table().arcs().empty());
+  EXPECT_TRUE(engine->arc_table().arcs().empty());
   EXPECT_TRUE(engine->navigator().navigate("guitar.html"));
   EXPECT_TRUE(engine->navigator().links().empty());
 }
@@ -331,8 +341,8 @@ TEST(RoleInterfaces, EngineInternalsRebuildRewavesWithNewAspects) {
     if (body == nullptr || *body == nullptr) return;
     (*body)->append_element("div").set_attribute("class", "woven-extra");
   });
-  engine->internals().weaver().register_aspect(extra);
-  engine->internals().rebuild();
+  engine->weaver().register_aspect(extra);
+  engine->rebuild();
 
   ASSERT_TRUE(engine->navigator().navigate("guitar.html"));
   EXPECT_NE(engine->navigator().page()->find("woven-extra"),
@@ -361,7 +371,7 @@ TEST(ArcIndex, OutgoingMatchesLinkbaseOrder) {
                     .contexts({"ByAuthor"})
                     .weave()
                     .serve();
-  const xlink::TraversalGraph& graph = engine->internals().arc_table();
+  const xlink::TraversalGraph& graph = engine->arc_table();
   ASSERT_GT(graph.arcs().size(), 0u);
 
   for (const std::string& uri : graph.resource_uris()) {
@@ -378,7 +388,7 @@ TEST(ArcIndex, OutgoingMatchesLinkbaseOrder) {
 
 TEST(ArcIndex, RoleFilteredLookupAndIndexAccessor) {
   auto engine = paper_engine();
-  const xlink::TraversalGraph& graph = engine->internals().arc_table();
+  const xlink::TraversalGraph& graph = engine->arc_table();
   std::string guitar =
       xlink::normalize_ref("http://museum.example/site/guitar.html");
 
@@ -467,17 +477,16 @@ TEST(EngineServing, SessionStaysValidAfterAThrowingMutation) {
   ASSERT_TRUE(navigator.navigate("guernica.html"));
   ASSERT_FALSE(navigator.links().empty());
   ComposeFault fault{.armed = true, .fail_on = 2};
-  engine->internals().weaver().register_aspect(compose_fault_aspect(fault));
-  const std::uint64_t epoch = engine->internals().snapshots().epoch();
+  engine->weaver().register_aspect(compose_fault_aspect(fault));
+  const std::uint64_t epoch = engine->snapshots().epoch();
 
-  EXPECT_THROW((void)engine->internals().retitle_node("guernica",
-                                                       "Guernica (mk2)"),
+  EXPECT_THROW((void)engine->retitle_node("guernica", "Guernica (mk2)"),
                std::runtime_error);
   EXPECT_EQ(fault.compositions, 2);
-  EXPECT_EQ(engine->internals().snapshots().epoch(), epoch);
+  EXPECT_EQ(engine->snapshots().epoch(), epoch);
 
   EXPECT_EQ(navigator.links(),
-            engine->internals().arc_table().outgoing(navigator.location()));
+            engine->arc_table().outgoing(navigator.location()));
   std::size_t next_arcs = 0;
   for (const xlink::Arc* arc : navigator.links()) {
     EXPECT_FALSE(arc->to.uri.empty());
@@ -485,11 +494,8 @@ TEST(EngineServing, SessionStaysValidAfterAThrowingMutation) {
   }
   EXPECT_EQ(next_arcs, 1u);
   ASSERT_NE(navigator.page(), nullptr);
-  EXPECT_EQ(*navigator.page(), *engine->internals()
-                                    .snapshots()
-                                    .current()
-                                    ->respond(navigator.location())
-                                    .body);
+  EXPECT_EQ(*navigator.page(),
+            *engine->snapshots().current()->respond(navigator.location()).body);
 }
 
 // The engine serves only published epochs: whichever page weave of an
@@ -503,8 +509,8 @@ TEST(EngineServing, ServesOnlyPublishedEpochsAndConvergesAfterAFault) {
   {
     auto twin = paper_engine();
     ComposeFault counter;
-    twin->internals().weaver().register_aspect(compose_fault_aspect(counter));
-    (void)twin->internals().retitle_node("guernica", "Guernica (mk2)");
+    twin->weaver().register_aspect(compose_fault_aspect(counter));
+    (void)twin->retitle_node("guernica", "Guernica (mk2)");
     compositions = counter.compositions;
   }
   ASSERT_GE(compositions, 2);
@@ -514,17 +520,16 @@ TEST(EngineServing, ServesOnlyPublishedEpochsAndConvergesAfterAFault) {
     auto engine = paper_engine();
     ASSERT_TRUE(engine->navigator().navigate("guitar.html"));
     const serve::ConcurrentServer& server = engine->server();
-    const serve::SnapshotStore& snapshots = engine->internals().snapshots();
+    const serve::SnapshotStore& snapshots = engine->snapshots();
     // Warm the server's cache on every artifact before the fault.
     for (const std::string& path : engine->site().paths()) {
       ASSERT_TRUE(server.get(path).ok()) << path;
     }
     ComposeFault fault{.armed = true, .fail_on = k};
-    engine->internals().weaver().register_aspect(compose_fault_aspect(fault));
+    engine->weaver().register_aspect(compose_fault_aspect(fault));
     const std::uint64_t epoch = snapshots.epoch();
 
-    EXPECT_THROW((void)engine->internals().retitle_node("guernica",
-                                                         "Guernica (mk2)"),
+    EXPECT_THROW((void)engine->retitle_node("guernica", "Guernica (mk2)"),
                  std::runtime_error);
     EXPECT_EQ(snapshots.epoch(), epoch);
     std::shared_ptr<const serve::SiteSnapshot> snap = snapshots.current();
@@ -543,7 +548,7 @@ TEST(EngineServing, ServesOnlyPublishedEpochsAndConvergesAfterAFault) {
     // whose weave threw and those after it), never the whole site.
     fault.armed = false;
     const nav::RebuildReport retry =
-        engine->internals().retitle_node("guernica", "Guernica (mk2)");
+        engine->retitle_node("guernica", "Guernica (mk2)");
     EXPECT_LT(retry.pages_rewoven, retry.pages_total);
     EXPECT_EQ(snapshots.epoch(), epoch + 1);
     const site::VirtualSite oracle =
@@ -561,32 +566,83 @@ TEST(EngineServing, ServesOnlyPublishedEpochsAndConvergesAfterAFault) {
   }
 }
 
-// server() is reader-safe: readers GET every artifact through it while
-// the writer keeps editing, and every body read is that path's bytes in
-// some epoch the writer published (this suite runs in the TSan job).
+// Profile registrations only select among authored linkbases: each one
+// publishes exactly one epoch and re-weaves nothing, and a batch of them
+// publishes once.
+TEST(EngineServing, ProfileRegistrationsPublishOneEpochAndReweaveNothing) {
+  auto engine = families_engine();
+  const serve::SnapshotStore& snapshots = engine->snapshots();
+  const auto artifacts = engine->site().artifacts();
+  const std::uint64_t publishes = snapshots.publishes();
+
+  engine->register_profile({"tour", {"ByAuthor"}});
+  EXPECT_EQ(snapshots.publishes(), publishes + 1);
+  EXPECT_EQ(engine->site().artifacts(), artifacts);
+  EXPECT_EQ(snapshots.current()->profiles(), engine->profiles());
+
+  engine->begin_batch();
+  engine->register_profile({"kiosk", {}});
+  engine->register_profile({"curator", {"ByMovement"}});
+  engine->register_profile({"tour", {"ByAuthor", "ByMovement"}});
+  EXPECT_EQ(snapshots.publishes(), publishes + 1);  // nothing until commit
+  const nav::RebuildReport burst = engine->commit_batch();
+  EXPECT_EQ(burst.edits_coalesced, 3u);
+  EXPECT_EQ(burst.epochs_published, 1u);
+  EXPECT_EQ(burst.pages_rewoven, 0u);
+  EXPECT_EQ(burst.nodes_rebuilt, 0u);
+  EXPECT_EQ(snapshots.publishes(), publishes + 2);
+  EXPECT_EQ(engine->site().artifacts(), artifacts);
+  EXPECT_EQ(snapshots.current()->profiles(), engine->profiles());
+
+  // An empty batch publishes nothing.
+  engine->begin_batch();
+  const nav::RebuildReport empty = engine->commit_batch();
+  EXPECT_EQ(empty.edits_coalesced, 0u);
+  EXPECT_EQ(empty.epochs_published, 0u);
+  EXPECT_EQ(snapshots.publishes(), publishes + 2);
+}
+
+// server() is reader-safe: readers GET every artifact through it, base
+// and as a profile, while the writer keeps editing (retitles, profile
+// re-registrations with another family list, batched bursts), and every
+// body read is that (profile, path)'s bytes in some epoch the writer
+// published (this suite runs in the TSan job).
 TEST(EngineServing, ServerIsSafeUnderConcurrentReaders) {
-  auto engine = paper_engine();
+  auto engine = families_engine();
+  engine->register_profile({"tour", {"ByAuthor"}});
   const serve::ConcurrentServer& server = engine->server();
-  const serve::SnapshotStore& snapshots = engine->internals().snapshots();
+  const serve::SnapshotStore& snapshots = engine->snapshots();
   constexpr int kReaders = 4;
   constexpr int kEdits = 24;
+  // The family lists the writer re-registers "tour" with, in turn.
+  const std::vector<std::vector<std::string>> lists = {
+      {"ByMovement"}, {"ByAuthor", "ByMovement"}, {"ByAuthor"}};
 
-  // path -> every body some published epoch served there (writer-side).
-  std::map<std::string, std::set<std::string>> published;
+  // (profile, path) -> every body some published epoch served there
+  // (writer-side); profile "" is the base layer.
+  using Key = std::pair<std::string, std::string>;
+  std::map<Key, std::set<std::string>> published;
+  // Every writer call below publishes exactly one epoch: the next one.
+  std::uint64_t next_epoch = snapshots.epoch();
   auto record_epoch = [&] {
-    for (const auto& [path, body] : snapshots.current()->files()) {
-      published[path].insert(*body);
+    const std::shared_ptr<const serve::SiteSnapshot> snap = snapshots.current();
+    EXPECT_EQ(snap->epoch(), next_epoch++);
+    for (const auto& [path, body] : snap->files()) {
+      published[{"", path}].insert(*body);
+      site::Response overlay = snap->respond_as("tour", path);
+      if (overlay.ok()) published[{"tour", path}].insert(*overlay.body);
     }
   };
   record_epoch();
   std::vector<std::string> paths;
-  for (const auto& entry : published) paths.push_back(entry.first);
+  for (const auto& entry : published) {
+    if (entry.first.first.empty()) paths.push_back(entry.first.second);
+  }
 
   std::atomic<bool> writing{true};
   // Per reader: every distinct body it was served, held so no pointer
   // is reused while the test runs.
-  std::vector<std::vector<std::pair<std::string,
-                                    std::shared_ptr<const std::string>>>>
+  std::vector<std::vector<std::pair<Key, std::shared_ptr<const std::string>>>>
       seen(kReaders);
   std::vector<std::thread> readers;
   readers.reserve(kReaders);
@@ -595,30 +651,51 @@ TEST(EngineServing, ServerIsSafeUnderConcurrentReaders) {
       std::set<const std::string*> distinct;
       do {
         for (const std::string& path : paths) {
-          site::Response r = server.get(path);
-          if (r.ok() && distinct.insert(r.body.get()).second) {
-            seen[t].emplace_back(path, r.body);
+          for (const std::string profile : {"", "tour"}) {
+            site::Response r = profile.empty() ? server.get(path)
+                                               : server.get(path, profile);
+            if (r.ok() && distinct.insert(r.body.get()).second) {
+              seen[t].emplace_back(Key{profile, path}, r.body);
+            }
           }
         }
       } while (writing.load(std::memory_order_acquire));
     });
   }
   const std::vector<hm::Member> members = engine->structure().members();
-  for (int i = 0; i < kEdits; ++i) {
+  auto retitle = [&](int i) {
     const hm::Member& member = members[i % members.size()];
-    (void)engine->internals().retitle_node(
-        member.node_id, member.title + " v" + std::to_string(i));
+    (void)engine->retitle_node(member.node_id,
+                               member.title + " v" + std::to_string(i));
+  };
+  for (int i = 0; i < kEdits; ++i) {
+    retitle(i);
     record_epoch();
+    if (i % 4 == 1) {
+      engine->register_profile({"tour", lists[(i / 4) % lists.size()]});
+      record_epoch();
+    }
+    if (i % 4 == 3) {
+      engine->begin_batch();
+      retitle(kEdits + i);
+      engine->register_profile({"tour", lists[(i / 4 + 1) % lists.size()]});
+      retitle(kEdits + i + 1);
+      const nav::RebuildReport burst = engine->commit_batch();
+      EXPECT_EQ(burst.edits_coalesced, 3u);
+      EXPECT_EQ(burst.epochs_published, 1u);
+      record_epoch();
+    }
   }
   writing.store(false, std::memory_order_release);
   for (std::thread& reader : readers) reader.join();
 
-  EXPECT_EQ(snapshots.epoch(), 1u + kEdits);
+  EXPECT_EQ(snapshots.epoch() + 1, next_epoch);
   std::size_t bodies = 0;
   for (const auto& per_reader : seen) {
-    for (const auto& [path, body] : per_reader) {
+    for (const auto& [key, body] : per_reader) {
       ++bodies;
-      EXPECT_EQ(published.at(path).count(*body), 1u) << path;
+      EXPECT_EQ(published[key].count(*body), 1u)
+          << key.first << " " << key.second;
     }
   }
   EXPECT_GE(bodies, paths.size());

@@ -8,6 +8,7 @@
 // readers verify byte-oracle identity, a writer ping-pongs the
 // linkbase, and a sampler thread snapshots the registry mid-flight.
 #include <atomic>
+#include <cmath>
 #include <map>
 #include <memory>
 #include <string>
@@ -137,7 +138,7 @@ TEST(Registry, ExportersCarryEverySection) {
 // --- the interpolated log2 quantile -------------------------------------------
 
 TEST(Quantile, InterpolatesWithinBucketsInsteadOfUpperBounds) {
-  serve::LatencyHistogram h;
+  obs::HistogramView h;
   h.record(100);
   h.record(1000);
   h.record(1000);
@@ -145,56 +146,61 @@ TEST(Quantile, InterpolatesWithinBucketsInsteadOfUpperBounds) {
 
   // q0 sits in bucket [64,128): interpolated, so well under the upper
   // bound, and never above the sample's own bucket ceiling.
-  EXPECT_LE(h.quantile_ns(0.0), 128u);
+  EXPECT_LE(h.quantile(0.0), 128.0);
   // The median lands in [512,1024): the old upper-bound rule answered
   // 1024 (a value strictly greater than every sample in the bucket);
   // interpolation stays inside the half-open range.
-  EXPECT_GE(h.quantile_ns(0.5), 512u);
-  EXPECT_LT(h.quantile_ns(0.5), 1024u);
+  EXPECT_GE(h.quantile(0.5), 512.0);
+  EXPECT_LT(std::llround(h.quantile(0.5)), 1024);
   // The top quantile is the tracked maximum itself, exactly.
-  EXPECT_EQ(h.quantile_ns(1.0), 100000u);
+  EXPECT_EQ(h.quantile(1.0), 100000.0);
 }
 
 TEST(Quantile, ObsHistogramAndLatencyHistogramAgree) {
-  // Same samples through both implementations: the serve-side
-  // LatencyHistogram delegates to obs::log2_interpolated_quantile, so
-  // the two must answer identically (mod the serve side's rounding).
-  serve::LatencyHistogram lat;
+  // Same samples through the concurrent Histogram and the single-writer
+  // tally (the workload's per-session latency histogram): one bucketing,
+  // one quantile fold, so the two must answer identically.
+  obs::HistogramView lat;
   obs::Histogram hist;
   for (std::uint64_t v : {3u, 17u, 17u, 90u, 4000u, 70000u, 70000u, 70001u}) {
     lat.record(v);
     hist.record(v);
   }
   const obs::HistogramView view = hist.view();
+  EXPECT_EQ(lat.buckets, view.buckets);
+  // The shared bucketing: bucket i holds [2^i, 2^(i+1)), the last one
+  // everything above.
+  EXPECT_EQ(obs::log2_bucket(0), 0u);
+  EXPECT_EQ(obs::log2_bucket(1), 0u);
+  EXPECT_EQ(obs::log2_bucket(3), 1u);
+  EXPECT_EQ(obs::log2_bucket(1023), 9u);
+  EXPECT_EQ(obs::log2_bucket(1024), 10u);
+  EXPECT_EQ(obs::log2_bucket(~std::uint64_t{0}), obs::kLog2Buckets - 1);
   for (double q : {0.0, 0.25, 0.5, 0.9, 0.99, 1.0}) {
-    EXPECT_EQ(lat.quantile_ns(q),
-              static_cast<std::uint64_t>(view.quantile(q) + 0.5))
-        << "q=" << q;
+    EXPECT_EQ(lat.quantile(q), view.quantile(q)) << "q=" << q;
   }
 }
 
 TEST(Quantile, AbsorbedBucketsAnswerLikeRecordedOnes) {
-  serve::LatencyHistogram lat;
+  obs::HistogramView lat;
   for (std::uint64_t v = 1; v <= 512; ++v) lat.record(v * 3);
 
   obs::Histogram hist;
-  hist.absorb(lat.buckets().data(), lat.buckets().size(), lat.count(),
-              lat.total_ns(), lat.max_ns());
+  hist.absorb(lat);
   const obs::HistogramView view = hist.view();
-  EXPECT_EQ(view.count, lat.count());
-  EXPECT_EQ(view.sum, lat.total_ns());
-  EXPECT_EQ(view.max, lat.max_ns());
-  EXPECT_EQ(static_cast<std::uint64_t>(view.quantile(0.5) + 0.5),
-            lat.quantile_ns(0.5));
+  EXPECT_EQ(view.count, lat.count);
+  EXPECT_EQ(view.sum, lat.sum);
+  EXPECT_EQ(view.max, lat.max);
+  EXPECT_EQ(view.quantile(0.5), lat.quantile(0.5));
 }
 
 TEST(Quantile, EdgesAreWellDefinedOnDegeneratePopulations) {
-  // Empty: every quantile is 0, in both implementations.
-  serve::LatencyHistogram empty_lat;
+  // Empty: every quantile is 0, for a tally and a Histogram's view.
+  obs::HistogramView empty_lat;
   obs::Histogram empty_hist;
   const obs::HistogramView empty_view = empty_hist.view();
   for (double q : {0.0, 0.5, 1.0}) {
-    EXPECT_EQ(empty_lat.quantile_ns(q), 0u) << "q=" << q;
+    EXPECT_EQ(empty_lat.quantile(q), 0.0) << "q=" << q;
     EXPECT_EQ(empty_view.quantile(q), 0.0) << "q=" << q;
   }
 
@@ -202,33 +208,33 @@ TEST(Quantile, EdgesAreWellDefinedOnDegeneratePopulations) {
   // maximum — 0 — not an interpolated position inside bucket [0,2)
   // (the pre-fix code special-cased q>=1 only when max > 0 and answered
   // ~2 for a population that never contained anything but zeros).
-  serve::LatencyHistogram zero_lat;
+  obs::HistogramView zero_lat;
   obs::Histogram zero_hist;
   for (int i = 0; i < 5; ++i) {
     zero_lat.record(0);
     zero_hist.record(0);
   }
   const obs::HistogramView zero_view = zero_hist.view();
-  EXPECT_EQ(zero_lat.quantile_ns(1.0), 0u);
+  EXPECT_EQ(zero_lat.quantile(1.0), 0.0);
   EXPECT_EQ(zero_view.quantile(1.0), 0.0);
-  EXPECT_EQ(zero_lat.quantile_ns(0.0), 0u);
+  EXPECT_EQ(zero_lat.quantile(0.0), 0.0);
   EXPECT_EQ(zero_view.quantile(0.0), 0.0);
 
   // q<=0 on a real population: the minimum's bucket LOWER bound (the
   // tightest claim a log2 sketch can make about the smallest sample),
   // not a mid-bucket interpolation. Two samples of 100 live in
   // [64,128): the floor is 64, exactly, under any q <= 0.
-  serve::LatencyHistogram lat;
+  obs::HistogramView lat;
   obs::Histogram hist;
   for (int i = 0; i < 2; ++i) {
     lat.record(100);
     hist.record(100);
   }
   const obs::HistogramView view = hist.view();
-  EXPECT_EQ(lat.quantile_ns(0.0), 64u);
+  EXPECT_EQ(lat.quantile(0.0), 64.0);
   EXPECT_EQ(view.quantile(0.0), 64.0);
-  EXPECT_EQ(lat.quantile_ns(-1.0), 64u);  // clamped, same floor
-  EXPECT_EQ(lat.quantile_ns(1.0), 100u);  // and the ceiling is exact
+  EXPECT_EQ(lat.quantile(-1.0), 64.0);  // clamped, same floor
+  EXPECT_EQ(lat.quantile(1.0), 100.0);  // and the ceiling is exact
   EXPECT_EQ(view.quantile(1.0), 100.0);
 }
 
@@ -349,15 +355,15 @@ TEST(SpanLog, ScopedSpanIsANoOpWithoutALog) {
 TEST(PipelineSpans, EditBurstCorrelatesByTargetEpoch) {
   auto engine = synthetic_engine(3);
   auto registry = std::make_shared<obs::Registry>();
-  engine->internals().attach_telemetry(registry);
-  engine->internals().set_weave_workers(2);  // wave spans need lanes
+  engine->attach_telemetry(registry);
+  engine->set_weave_workers(2);  // wave spans need lanes
 
-  const std::uint64_t before = engine->internals().snapshots().epoch();
+  const std::uint64_t before = engine->snapshots().epoch();
   // Copy the id out: retitling regenerates the structure (and frees the
   // member list a reference would point into).
   const std::string node_id = engine->structure().members().front().node_id;
-  (void)engine->internals().retitle_node(node_id, "Spanned Title");
-  const std::uint64_t after = engine->internals().snapshots().epoch();
+  (void)engine->retitle_node(node_id, "Spanned Title");
+  const std::uint64_t after = engine->snapshots().epoch();
   ASSERT_GT(after, before);
 
   // Every stage of that edit's pipeline carries the same target epoch:
@@ -396,10 +402,9 @@ TEST(PipelineSpans, ReplicationStagesCarryTheFrameEpoch) {
 
   const std::string node_id = engine->structure().members().front().node_id;
   for (int i = 0; i < 3; ++i) {
-    (void)engine->internals().retitle_node(node_id,
-                                           "repl-" + std::to_string(i));
+    (void)engine->retitle_node(node_id, "repl-" + std::to_string(i));
   }
-  const std::uint64_t target = engine->internals().snapshots().epoch();
+  const std::uint64_t target = engine->snapshots().epoch();
   ASSERT_TRUE(replica.wait_for_epoch(target, std::chrono::seconds(30)));
   replica.stop();
 
@@ -447,9 +452,9 @@ TEST(PipelineSpans, ReplicationStagesCarryTheFrameEpoch) {
 
 TEST(WorkloadTelemetry, TracesCaptureNavigationAndCountersReconcile) {
   auto engine = synthetic_engine(4);
-  engine->internals().register_profile({"tour", {"ByAuthor"}});
+  engine->register_profile({"tour", {"ByAuthor"}});
   auto registry = std::make_shared<obs::Registry>();
-  engine->internals().attach_telemetry(registry);
+  engine->attach_telemetry(registry);
   auto server = engine->open_concurrent(4);
   obs::SamplerHandle metrics = server->register_metrics(registry);
 
@@ -501,15 +506,15 @@ TEST(WorkloadTelemetry, TracesCaptureNavigationAndCountersReconcile) {
   EXPECT_EQ(snap.counters.at("workload.traces.dropped"),
             result.traces.dropped);
   EXPECT_EQ(snap.histograms.at("workload.latency").count,
-            result.latency.count());
+            result.latency.count);
   EXPECT_EQ(snap.histograms.at("workload.latency").max,
-            result.latency.max_ns());
+            result.latency.max);
   for (const serve::BehaviorTally& tally : result.by_behavior) {
     EXPECT_EQ(snap.histograms
                   .at("workload.latency." +
                       std::string(serve::to_string(tally.behavior)))
                   .count,
-              tally.latency.count())
+              tally.latency.count)
         << serve::to_string(tally.behavior);
   }
 
@@ -625,15 +630,15 @@ TEST(ObsStress, TraceCaptureAndSnapshotsPreserveOracleBytes) {
   hm::AccessArc arc_b = arcs[up_index];
   arc_b.title = "Index (state B)";
 
-  (void)engine->internals().replace_arc(up_index, arc_a);
+  (void)engine->replace_arc(up_index, arc_a);
   const std::map<std::string, std::string> oracle_a = site_bytes(*engine);
-  (void)engine->internals().replace_arc(up_index, arc_b);
+  (void)engine->replace_arc(up_index, arc_b);
   const std::map<std::string, std::string> oracle_b = site_bytes(*engine);
   ASSERT_EQ(oracle_a.size(), oracle_b.size());
-  (void)engine->internals().replace_arc(up_index, arc_a);
+  (void)engine->replace_arc(up_index, arc_a);
 
   auto registry = std::make_shared<obs::Registry>();
-  engine->internals().attach_telemetry(registry);
+  engine->attach_telemetry(registry);
   auto server = engine->open_concurrent(8);
   obs::SamplerHandle metrics = server->register_metrics(registry);
   serve::Workload workload(*engine);  // before the writer starts
@@ -691,9 +696,8 @@ TEST(ObsStress, TraceCaptureAndSnapshotsPreserveOracleBytes) {
   // The single writer: ping-pong A<->B, full rebuild every 8th round.
   constexpr std::size_t kWrites = 48;
   for (std::size_t w = 0; w < kWrites; ++w) {
-    (void)engine->internals().replace_arc(up_index,
-                                          (w % 2 == 0) ? arc_b : arc_a);
-    if (w % 8 == 7) engine->internals().rebuild();
+    (void)engine->replace_arc(up_index, (w % 2 == 0) ? arc_b : arc_a);
+    if (w % 8 == 7) engine->rebuild();
     std::this_thread::yield();
   }
   traffic.join();
@@ -717,7 +721,7 @@ TEST(ObsStress, TraceCaptureAndSnapshotsPreserveOracleBytes) {
             unified.base.requests);
 
   // Final convergence: full rebuild, then served == site bytes.
-  engine->internals().rebuild();
+  engine->rebuild();
   const std::map<std::string, std::string> final_bytes = site_bytes(*engine);
   for (const auto& [path, bytes] : final_bytes) {
     site::Response resp = server->get(path);

@@ -70,7 +70,7 @@ std::vector<nav::Profile> register_standard_profiles(nav::Engine& engine) {
       {"everything", {"ByAuthor", "ByMovement"}},
   };
   for (const nav::Profile& p : profiles) {
-    engine.internals().register_profile(p);
+    engine.register_profile(p);
   }
   return profiles;
 }
@@ -98,14 +98,14 @@ TEST(OverlayOracle, HoldsAcrossStructureAndFamilyMutations) {
   auto server = engine->open_concurrent();
 
   // Structure mutations re-weave base pages; overlays must track.
-  (void)engine->internals().retitle_node(
+  (void)engine->retitle_node(
       engine->structure().members().front().node_id, "Retitled (v2)");
   for (const nav::Profile& profile : profiles) {
     expect_profile_matches_oracle(*engine, *server, profile);
   }
 
   // A family edit re-authors one contextual linkbase and nothing else.
-  nav::RebuildReport report = engine->internals().edit_context_family(
+  nav::RebuildReport report = engine->edit_context_family(
       "ByAuthor", [](hm::ContextFamily& family) {
         std::vector<hm::NavigationalContext> contexts = family.contexts();
         ASSERT_FALSE(contexts.empty());
@@ -123,7 +123,7 @@ TEST(OverlayOracle, HoldsAcrossStructureAndFamilyMutations) {
   }
 
   // And the blanket path agrees too.
-  engine->internals().rebuild();
+  engine->rebuild();
   for (const nav::Profile& profile : profiles) {
     expect_profile_matches_oracle(*engine, *server, profile);
   }
@@ -135,7 +135,7 @@ TEST(OverlayOracle, InsertsABlockWhereTheBasePageWeavesNone) {
   // full build, which appends the block as the body's last child.
   auto engine = paper_engine();
   std::vector<hm::Member> members = engine->structure().members();
-  (void)engine->internals().set_access_structure(
+  (void)engine->set_access_structure(
       std::make_unique<hm::MaterializedStructure>(
           engine->structure().name(), AccessStructureKind::Index, members,
           std::vector<hm::AccessArc>{}, engine->structure().entry()));
@@ -160,7 +160,7 @@ TEST(OverlayOracle, InsertsABlockWhereTheBasePageWeavesNone) {
 
 TEST(OverlayOracle, TourGroupsCarryTheirContext) {
   auto engine = paper_engine();
-  engine->internals().register_profile({"tour", {"ByAuthor"}});
+  engine->register_profile({"tour", {"ByAuthor"}});
   auto server = engine->open_concurrent();
 
   site::Response r = server->get("guitar.html", "tour");
@@ -176,7 +176,7 @@ TEST(OverlayOracle, TourGroupsCarryTheirContext) {
 
 TEST(OverlayOracle, EmptyProfileSharesTheBaseBytes) {
   auto engine = paper_engine();
-  engine->internals().register_profile({"kiosk", {}});
+  engine->register_profile({"kiosk", {}});
   auto server = engine->open_concurrent();
 
   for (const std::string& path : engine->site().paths()) {
@@ -199,25 +199,21 @@ TEST(OverlayOracle, EmptyProfileSharesTheBaseBytes) {
 
 TEST(ProfileRegistration, ValidatesNamesAndFamilies) {
   auto engine = paper_engine();
-  EXPECT_THROW(engine->internals().register_profile({"", {}}),
-               navsep::SemanticError);
-  EXPECT_THROW(engine->internals().register_profile({"a\nb", {}}),
-               navsep::SemanticError);
+  EXPECT_THROW(engine->register_profile({"", {}}), navsep::SemanticError);
+  EXPECT_THROW(engine->register_profile({"a\nb", {}}), navsep::SemanticError);
   EXPECT_THROW(
-      engine->internals().register_profile({"ghost", {"ByGhost"}}),
-      navsep::SemanticError);
-  EXPECT_THROW(engine->internals().register_profile(
-                   {"twice", {"ByAuthor", "ByAuthor"}}),
+      engine->register_profile({"ghost", {"ByGhost"}}), navsep::SemanticError);
+  EXPECT_THROW(engine->register_profile({"twice", {"ByAuthor", "ByAuthor"}}),
                navsep::SemanticError);
 
-  engine->internals().register_profile({"tour", {"ByAuthor"}});
-  ASSERT_EQ(engine->internals().profiles().size(), 1u);
+  engine->register_profile({"tour", {"ByAuthor"}});
+  ASSERT_EQ(engine->profiles().size(), 1u);
 
   // Re-registration replaces by name and the serving side follows.
   auto server = engine->open_concurrent();
   site::Response with_tours = server->get("guitar.html", "tour");
-  engine->internals().register_profile({"tour", {}});
-  EXPECT_EQ(engine->internals().profiles().size(), 1u);
+  engine->register_profile({"tour", {}});
+  EXPECT_EQ(engine->profiles().size(), 1u);
   site::Response without = server->get("guitar.html", "tour");
   EXPECT_NE(*with_tours.body, *without.body);
   EXPECT_EQ(*without.body, *server->get("guitar.html").body);
@@ -230,10 +226,9 @@ TEST(ProfileRegistration, TangledModeRefusesFamilies) {
                     .tangled()
                     .serve();
   EXPECT_THROW(
-      engine->internals().register_profile({"tour", {"ByAuthor"}}),
-      navsep::SemanticError);
+      engine->register_profile({"tour", {"ByAuthor"}}), navsep::SemanticError);
   // An empty-family profile is fine and serves the tangled base bytes.
-  engine->internals().register_profile({"kiosk", {}});
+  engine->register_profile({"kiosk", {}});
   auto server = engine->open_concurrent();
   site::Response base = server->get("guitar.html");
   site::Response overlaid = server->get("guitar.html", "kiosk");
@@ -254,7 +249,7 @@ TEST(ProfileRegistration, UnknownProfileThrowsAtServeTime) {
 
 TEST(ProfileRegistration, EditUnknownFamilyThrows) {
   auto engine = paper_engine();
-  EXPECT_THROW(engine->internals().edit_context_family(
+  EXPECT_THROW(engine->edit_context_family(
                    "ByGhost", [](hm::ContextFamily&) {}),
                navsep::ResolutionError);
 }
@@ -263,7 +258,7 @@ TEST(ProfileRegistration, EditUnknownFamilyThrows) {
 
 TEST(OverlayCache, HitsAreSharedBytesAcrossRepeats) {
   auto engine = paper_engine();
-  engine->internals().register_profile({"tour", {"ByAuthor"}});
+  engine->register_profile({"tour", {"ByAuthor"}});
   auto server = engine->open_concurrent();
 
   site::Response first = server->get("guitar.html", "tour");
@@ -283,8 +278,8 @@ TEST(OverlayCache, FamilyEditRetiresOnlyTouchedSlices) {
   // edit actually changed — pages of other contexts in the SAME family
   // keep hitting, as does every entry of a profile excluding the family.
   auto engine = synthetic_engine(4);
-  engine->internals().register_profile({"tour", {"ByAuthor"}});
-  engine->internals().register_profile({"curator", {"ByMovement"}});
+  engine->register_profile({"tour", {"ByAuthor"}});
+  engine->register_profile({"curator", {"ByMovement"}});
   auto server = engine->open_concurrent();
 
   // Warm every page for both profiles, keeping the tour bodies so the
@@ -302,7 +297,7 @@ TEST(OverlayCache, FamilyEditRetiresOnlyTouchedSlices) {
 
   // One family edit touching ONE context (the first painter's tour):
   // zero base pages re-woven, one linkbase re-authored, a new epoch.
-  nav::RebuildReport report = engine->internals().edit_context_family(
+  nav::RebuildReport report = engine->edit_context_family(
       "ByAuthor", [](hm::ContextFamily& family) {
         std::vector<hm::NavigationalContext> contexts = family.contexts();
         std::vector<std::string> ids = contexts.front().node_ids();
@@ -351,7 +346,7 @@ TEST(OverlayCache, UntouchedSliceEntriesSurviveByHash) {
   // pre-edit token, while a touched page's is not — and only the edited
   // family's slot moved.
   auto engine = synthetic_engine(3);
-  engine->internals().register_profile({"tour", {"ByAuthor"}});
+  engine->register_profile({"tour", {"ByAuthor"}});
   const nav::Profile profile{"tour", {"ByAuthor"}};
 
   std::shared_ptr<const serve::SiteSnapshot> before =
@@ -378,7 +373,7 @@ TEST(OverlayCache, UntouchedSliceEntriesSurviveByHash) {
   }
   ASSERT_FALSE(untouched_page.empty());
 
-  (void)engine->internals().edit_context_family(
+  (void)engine->edit_context_family(
       "ByAuthor", [](hm::ContextFamily& family) {
         std::vector<hm::NavigationalContext> contexts = family.contexts();
         std::vector<std::string> ids = contexts.front().node_ids();
@@ -416,14 +411,14 @@ TEST(OverlayCache, ReplacingAProfileByNameInvalidatesItsEntries) {
   // no longer matches, so the old composition can never be served under
   // the new definition — even though every slice hash is unchanged.
   auto engine = synthetic_engine(3);
-  engine->internals().register_profile({"tour", {"ByAuthor"}});
+  engine->register_profile({"tour", {"ByAuthor"}});
   auto server = engine->open_concurrent();
   const std::string page =
       navsep::core::default_href_for(engine->structure().members().front().node_id);
   ASSERT_TRUE(server->get(page, "tour").ok());
   const serve::ConcurrentServer::UnifiedStats warmed = server->unified_stats();
 
-  engine->internals().register_profile({"tour", {"ByMovement"}});
+  engine->register_profile({"tour", {"ByMovement"}});
   site::Response swapped = server->get(page, "tour");
   ASSERT_TRUE(swapped.ok());
   serve::ConcurrentServer::UnifiedStats after = server->unified_stats();
@@ -435,14 +430,14 @@ TEST(OverlayCache, ReplacingAProfileByNameInvalidatesItsEntries) {
 
 TEST(OverlayCache, ProfileRegistrationAloneInvalidatesNothing) {
   auto engine = paper_engine();
-  engine->internals().register_profile({"tour", {"ByAuthor"}});
+  engine->register_profile({"tour", {"ByAuthor"}});
   auto server = engine->open_concurrent();
   ASSERT_TRUE(server->get("guitar.html", "tour").ok());
   const serve::ConcurrentServer::UnifiedStats warmed = server->unified_stats();
 
   // Registering an unrelated profile publishes a new epoch, but the
   // tour entry's content handles are untouched: still a hit.
-  engine->internals().register_profile({"curator", {"ByMovement"}});
+  engine->register_profile({"curator", {"ByMovement"}});
   ASSERT_TRUE(server->get("guitar.html", "tour").ok());
   serve::ConcurrentServer::UnifiedStats after = server->unified_stats();
   EXPECT_GT(after.epoch, warmed.epoch);
@@ -452,7 +447,7 @@ TEST(OverlayCache, ProfileRegistrationAloneInvalidatesNothing) {
 
 TEST(OverlayCache, RetiredPageStops404sAndDropsItsEntry) {
   auto engine = synthetic_engine(3);
-  engine->internals().register_profile({"tour", {"ByAuthor"}});
+  engine->register_profile({"tour", {"ByAuthor"}});
   auto server = engine->open_concurrent();
 
   const std::string victim_node =
@@ -463,7 +458,7 @@ TEST(OverlayCache, RetiredPageStops404sAndDropsItsEntry) {
 
   std::vector<hm::Member> members = engine->structure().members();
   members.pop_back();
-  (void)engine->internals().set_access_structure(
+  (void)engine->set_access_structure(
       hm::make_access_structure(AccessStructureKind::Index,
                                 engine->structure().name(), members));
   EXPECT_FALSE(server->get(victim_path, "tour").ok());
@@ -545,9 +540,9 @@ TEST(OverlayStress, ProfiledReadersSeeOnlyOracleBytesUnderFamilyEdits) {
     return out;
   };
   const ProfileBytes oracle_a = capture();  // state A: the derived order
-  (void)engine->internals().edit_context_family("ByAuthor", set_ids(ids_b));
+  (void)engine->edit_context_family("ByAuthor", set_ids(ids_b));
   const ProfileBytes oracle_b = capture();
-  (void)engine->internals().edit_context_family("ByAuthor", set_ids(ids_a));
+  (void)engine->edit_context_family("ByAuthor", set_ids(ids_a));
 
   auto server = engine->open_concurrent(8);
   std::vector<std::string> paths;
@@ -586,9 +581,9 @@ TEST(OverlayStress, ProfiledReadersSeeOnlyOracleBytesUnderFamilyEdits) {
 
   constexpr std::size_t kWrites = 32;
   for (std::size_t w = 0; w < kWrites; ++w) {
-    (void)engine->internals().edit_context_family(
+    (void)engine->edit_context_family(
         "ByAuthor", set_ids(w % 2 == 0 ? ids_b : ids_a));
-    if (w % 8 == 7) engine->internals().rebuild();
+    if (w % 8 == 7) engine->rebuild();
     std::this_thread::yield();
   }
   done.store(true, std::memory_order_release);
@@ -598,7 +593,7 @@ TEST(OverlayStress, ProfiledReadersSeeOnlyOracleBytesUnderFamilyEdits) {
   EXPECT_EQ(torn.load(), 0u);
 
   // Final convergence per profile: pin the family back to state A.
-  (void)engine->internals().edit_context_family("ByAuthor", set_ids(ids_a));
+  (void)engine->edit_context_family("ByAuthor", set_ids(ids_a));
   for (const nav::Profile& profile : profiles) {
     for (const auto& [path, bytes] : oracle_a.at(profile.name)) {
       site::Response resp = server->get(path, profile.name);
@@ -616,7 +611,7 @@ TEST(OverlayStress, ProfiledReadersSeeOnlyOracleBytesUnderFamilyEdits) {
 // across every epoch the writer publishes.
 TEST(OverlayStress, ExcludedProfileNeverLosesEntriesUnderFamilyEdits) {
   auto engine = synthetic_engine(3);
-  engine->internals().register_profile({"curator", {"ByMovement"}});
+  engine->register_profile({"curator", {"ByMovement"}});
   const nav::Profile curator{"curator", {"ByMovement"}};
   const std::map<std::string, std::string> oracle =
       profile_oracle(*engine, curator);
@@ -660,7 +655,7 @@ TEST(OverlayStress, ExcludedProfileNeverLosesEntriesUnderFamilyEdits) {
   constexpr std::size_t kWrites = 24;
   for (std::size_t w = 0; w < kWrites; ++w) {
     nav::RebuildReport report =
-        engine->internals().edit_context_family("ByAuthor", flip);
+        engine->edit_context_family("ByAuthor", flip);
     EXPECT_EQ(report.pages_rewoven, 0u);
     std::this_thread::yield();
   }

@@ -48,10 +48,9 @@ std::unique_ptr<nav::Engine> make_engine() {
                     .contexts({"ByAuthor", "ByMovement"})
                     .weave()
                     .serve();
-  engine->internals().register_profile({"kiosk", {}});
-  engine->internals().register_profile({"tour", {"ByAuthor"}});
-  engine->internals().register_profile(
-      {"everything", {"ByAuthor", "ByMovement"}});
+  engine->register_profile({"kiosk", {}});
+  engine->register_profile({"tour", {"ByAuthor"}});
+  engine->register_profile({"everything", {"ByAuthor", "ByMovement"}});
   return engine;
 }
 
@@ -88,7 +87,7 @@ void expect_snapshots_identical(const serve::SiteSnapshot& a,
 /// Rotate the first context of `family_name` — the canonical
 /// single-family edit (touches that family's linkbase, nothing else).
 void rotate_family(nav::Engine& engine, const std::string& family_name) {
-  (void)engine.internals().edit_context_family(
+  (void)engine.edit_context_family(
       family_name, [](hm::ContextFamily& family) {
         std::vector<hm::NavigationalContext> contexts = family.contexts();
         if (contexts.empty()) return;
@@ -106,7 +105,7 @@ void rotate_family(nav::Engine& engine, const std::string& family_name) {
 
 TEST(ReplWire, FullRoundTripIsByteIdentical) {
   auto engine = make_engine();
-  SnapPtr original = engine->internals().snapshots().current();
+  SnapPtr original = engine->snapshots().current();
   ASSERT_NE(original, nullptr);
 
   const std::string payload = repl::encode_full(*original);
@@ -125,11 +124,11 @@ TEST(ReplWire, FrameRoundTripPreservesTypeAndPayload) {
 
 TEST(ReplWire, DeltaAppliesToByteIdentity) {
   auto engine = make_engine();
-  SnapPtr before = engine->internals().snapshots().current();
+  SnapPtr before = engine->snapshots().current();
 
   rotate_family(*engine, "ByAuthor");
-  (void)engine->internals().retitle_node("guitar", "The Guitar, retitled");
-  SnapPtr after = engine->internals().snapshots().current();
+  (void)engine->retitle_node("guitar", "The Guitar, retitled");
+  SnapPtr after = engine->snapshots().current();
   ASSERT_GT(after->epoch(), before->epoch());
 
   const std::string delta = repl::encode_delta(*before, *after);
@@ -139,13 +138,12 @@ TEST(ReplWire, DeltaAppliesToByteIdentity) {
 
 TEST(ReplWire, DeltaCoalescesManyEpochs) {
   auto engine = make_engine();
-  SnapPtr before = engine->internals().snapshots().current();
+  SnapPtr before = engine->snapshots().current();
   for (int i = 0; i < 5; ++i) {
-    (void)engine->internals().retitle_node("guitar",
-                                           "t" + std::to_string(i));
+    (void)engine->retitle_node("guitar", "t" + std::to_string(i));
     rotate_family(*engine, i % 2 == 0 ? "ByAuthor" : "ByMovement");
   }
-  SnapPtr after = engine->internals().snapshots().current();
+  SnapPtr after = engine->snapshots().current();
   ASSERT_GT(after->epoch(), before->epoch() + 1);
 
   // One delta spanning all intermediate epochs applies cleanly.
@@ -158,9 +156,9 @@ TEST(ReplWire, DeltaCoalescesManyEpochs) {
 
 TEST(ReplWire, SingleFamilyEditShipsFarLessThanFull) {
   auto engine = make_engine();
-  SnapPtr before = engine->internals().snapshots().current();
+  SnapPtr before = engine->snapshots().current();
   rotate_family(*engine, "ByAuthor");
-  SnapPtr after = engine->internals().snapshots().current();
+  SnapPtr after = engine->snapshots().current();
 
   const std::string full = repl::encode_full(*after);
   const std::string delta = repl::encode_delta(*before, *after);
@@ -175,10 +173,10 @@ TEST(ReplWire, SingleFamilyEditShipsFarLessThanFull) {
 
 TEST(ReplWire, UntouchedSnapshotProducesNearEmptyDelta) {
   auto engine = make_engine();
-  SnapPtr before = engine->internals().snapshots().current();
+  SnapPtr before = engine->snapshots().current();
   // A blanket rebuild republises (new epoch) without changing any bytes.
-  engine->internals().rebuild();
-  SnapPtr after = engine->internals().snapshots().current();
+  engine->rebuild();
+  SnapPtr after = engine->snapshots().current();
   ASSERT_GT(after->epoch(), before->epoch());
 
   const std::string delta = repl::encode_delta(*before, *after);
@@ -196,8 +194,8 @@ TEST(ReplHashes, DerivedTableEqualsOriginThreadedTable) {
   auto engine = make_engine();
   // Mutate a little so the tables are non-trivial.
   rotate_family(*engine, "ByMovement");
-  (void)engine->internals().retitle_node("guernica", "Guernica (1937)");
-  SnapPtr snap = engine->internals().snapshots().current();
+  (void)engine->retitle_node("guernica", "Guernica (1937)");
+  SnapPtr snap = engine->snapshots().current();
 
   // The origin threads hashes from its arc-table rebuild...
   auto threaded = snap->slice_hashes();
@@ -211,7 +209,7 @@ TEST(ReplHashes, DerivedTableEqualsOriginThreadedTable) {
 
 TEST(ReplHashes, DecodedSnapshotDerivesHashesAndValidatesOverlays) {
   auto engine = make_engine();
-  SnapPtr original = engine->internals().snapshots().current();
+  SnapPtr original = engine->snapshots().current();
   SnapPtr decoded = repl::decode_full(repl::encode_full(*original));
 
   // The wire does not carry hashes; the decoded snapshot derived them —
@@ -241,7 +239,7 @@ TEST(ReplHashes, DecodedSnapshotDerivesHashesAndValidatesOverlays) {
 
 TEST(ReplWire, CorruptAndTruncatedFramesThrow) {
   auto engine = make_engine();
-  SnapPtr snap = engine->internals().snapshots().current();
+  SnapPtr snap = engine->snapshots().current();
   const std::string framed =
       repl::encode_frame(repl::FrameType::Full, repl::encode_full(*snap));
 
@@ -273,11 +271,11 @@ TEST(ReplWire, CorruptAndTruncatedFramesThrow) {
 
 TEST(ReplWire, DeltaAgainstWrongBaseThrows) {
   auto engine = make_engine();
-  SnapPtr first = engine->internals().snapshots().current();
-  (void)engine->internals().retitle_node("guitar", "A");
-  SnapPtr second = engine->internals().snapshots().current();
-  (void)engine->internals().retitle_node("guitar", "B");
-  SnapPtr third = engine->internals().snapshots().current();
+  SnapPtr first = engine->snapshots().current();
+  (void)engine->retitle_node("guitar", "A");
+  SnapPtr second = engine->snapshots().current();
+  (void)engine->retitle_node("guitar", "B");
+  SnapPtr third = engine->snapshots().current();
 
   const std::string delta = repl::encode_delta(*second, *third);
   // Valid against `second`…
@@ -289,9 +287,9 @@ TEST(ReplWire, DeltaAgainstWrongBaseThrows) {
 
 TEST(ReplWire, DeltaFrameWithoutPreviousSnapshotThrows) {
   auto engine = make_engine();
-  SnapPtr before = engine->internals().snapshots().current();
-  (void)engine->internals().retitle_node("guitar", "X");
-  SnapPtr after = engine->internals().snapshots().current();
+  SnapPtr before = engine->snapshots().current();
+  (void)engine->retitle_node("guitar", "X");
+  SnapPtr after = engine->snapshots().current();
 
   repl::Frame frame;
   frame.type = repl::FrameType::Delta;
@@ -330,15 +328,14 @@ TEST(ReplFleet, TcpPublisherFeedsReplicaToByteIdentity) {
   replica.start();
 
   for (int i = 0; i < 6; ++i) {
-    (void)engine->internals().retitle_node("guitar",
-                                           "v" + std::to_string(i));
+    (void)engine->retitle_node("guitar", "v" + std::to_string(i));
     rotate_family(*engine, i % 2 == 0 ? "ByAuthor" : "ByMovement");
   }
-  const std::uint64_t target = engine->internals().snapshots().epoch();
+  const std::uint64_t target = engine->snapshots().epoch();
   ASSERT_TRUE(replica.wait_for_epoch(target, std::chrono::seconds(30)))
       << replica.error();
 
-  SnapPtr origin_snap = engine->internals().snapshots().current();
+  SnapPtr origin_snap = engine->snapshots().current();
   SnapPtr replica_snap = replica.store().current();
   ASSERT_NO_FATAL_FAILURE(
       expect_snapshots_identical(*origin_snap, *replica_snap));
@@ -366,14 +363,14 @@ TEST(ReplFleet, TcpPublisherFeedsReplicaToByteIdentity) {
   // the initial subscribe-FULL may already cover every epoch above, so
   // force one post-convergence epoch: the sender is caught up now, the
   // gap is 1 <= max_delta_gap, and the next frame must be a DELTA.
-  (void)engine->internals().retitle_node("guitar", "post-sync");
-  ASSERT_TRUE(replica.wait_for_epoch(engine->internals().snapshots().epoch(),
+  (void)engine->retitle_node("guitar", "post-sync");
+  ASSERT_TRUE(replica.wait_for_epoch(engine->snapshots().epoch(),
                                      std::chrono::seconds(30)))
       << replica.error();
   EXPECT_GE(replica.stats().deltas_applied, 1u);
   EXPECT_GE(replica.stats().fulls_applied, 1u);
   ASSERT_NO_FATAL_FAILURE(expect_snapshots_identical(
-      *engine->internals().snapshots().current(), *replica.store().current()));
+      *engine->snapshots().current(), *replica.store().current()));
 }
 
 TEST(ReplFleet, MidStreamConnectStartsFromFullAndConverges) {
@@ -383,26 +380,25 @@ TEST(ReplFleet, MidStreamConnectStartsFromFullAndConverges) {
 
   // Mutate BEFORE the replica exists: it must sync from a FULL frame.
   for (int i = 0; i < 4; ++i) {
-    (void)engine->internals().retitle_node("guernica",
-                                           "g" + std::to_string(i));
+    (void)engine->retitle_node("guernica", "g" + std::to_string(i));
   }
   repl::Replica late = repl::Replica::connect(publisher->endpoint());
   late.start();
-  const std::uint64_t target = engine->internals().snapshots().epoch();
+  const std::uint64_t target = engine->snapshots().epoch();
   ASSERT_TRUE(late.wait_for_epoch(target, std::chrono::seconds(30)))
       << late.error();
   ASSERT_NO_FATAL_FAILURE(expect_snapshots_identical(
-      *engine->internals().snapshots().current(), *late.store().current()));
+      *engine->snapshots().current(), *late.store().current()));
   EXPECT_EQ(late.stats().fulls_applied, 1u);
 
   // And it keeps following with deltas afterwards.
   rotate_family(*engine, "ByAuthor");
-  ASSERT_TRUE(late.wait_for_epoch(engine->internals().snapshots().epoch(),
+  ASSERT_TRUE(late.wait_for_epoch(engine->snapshots().epoch(),
                                   std::chrono::seconds(30)))
       << late.error();
   EXPECT_GE(late.stats().deltas_applied, 1u);
   ASSERT_NO_FATAL_FAILURE(expect_snapshots_identical(
-      *engine->internals().snapshots().current(), *late.store().current()));
+      *engine->snapshots().current(), *late.store().current()));
 }
 
 TEST(ReplFleet, ZeroDeltaGapForcesFullResyncs) {
@@ -418,23 +414,21 @@ TEST(ReplFleet, ZeroDeltaGapForcesFullResyncs) {
   repl::Replica replica = repl::Replica::connect(publisher->endpoint());
   replica.start();
   for (int i = 0; i < 3; ++i) {
-    (void)engine->internals().retitle_node("guitar",
-                                           "r" + std::to_string(i));
+    (void)engine->retitle_node("guitar", "r" + std::to_string(i));
   }
-  ASSERT_TRUE(replica.wait_for_epoch(engine->internals().snapshots().epoch(),
+  ASSERT_TRUE(replica.wait_for_epoch(engine->snapshots().epoch(),
                                      std::chrono::seconds(30)))
       << replica.error();
   // The initial subscribe-FULL may already cover every epoch above if
   // the sender thread starts late. Mutate once more AFTER convergence:
   // now the sender definitely holds a last-sent snapshot, so this
   // advance must go through the gap check and force a resync FULL.
-  (void)engine->internals().retitle_node("guitar", "post-sync");
-  ASSERT_TRUE(replica.wait_for_epoch(engine->internals().snapshots().epoch(),
+  (void)engine->retitle_node("guitar", "post-sync");
+  ASSERT_TRUE(replica.wait_for_epoch(engine->snapshots().epoch(),
                                      std::chrono::seconds(30)))
       << replica.error();
   ASSERT_NO_FATAL_FAILURE(expect_snapshots_identical(
-      *engine->internals().snapshots().current(),
-      *replica.store().current()));
+      *engine->snapshots().current(), *replica.store().current()));
   EXPECT_EQ(replica.stats().deltas_applied, 0u);
   EXPECT_GE(publisher->stats().resync_fulls, 1u);
 }
@@ -450,12 +444,11 @@ TEST(ReplFleet, UnixSocketFeedsReplica) {
       repl::Replica::connect(repl::Endpoint::unix_socket(path));
   replica.start();
   rotate_family(*engine, "ByMovement");
-  ASSERT_TRUE(replica.wait_for_epoch(engine->internals().snapshots().epoch(),
+  ASSERT_TRUE(replica.wait_for_epoch(engine->snapshots().epoch(),
                                      std::chrono::seconds(30)))
       << replica.error();
   ASSERT_NO_FATAL_FAILURE(expect_snapshots_identical(
-      *engine->internals().snapshots().current(),
-      *replica.store().current()));
+      *engine->snapshots().current(), *replica.store().current()));
 }
 
 TEST(ReplFleet, TwoReplicasStreamIndependently) {
@@ -468,14 +461,14 @@ TEST(ReplFleet, TwoReplicasStreamIndependently) {
   rotate_family(*engine, "ByAuthor");
   repl::Replica b = repl::Replica::connect(publisher->endpoint());
   b.start();
-  (void)engine->internals().retitle_node("guernica", "Guernica again");
+  (void)engine->retitle_node("guernica", "Guernica again");
 
-  const std::uint64_t target = engine->internals().snapshots().epoch();
+  const std::uint64_t target = engine->snapshots().epoch();
   ASSERT_TRUE(a.wait_for_epoch(target, std::chrono::seconds(30)))
       << a.error();
   ASSERT_TRUE(b.wait_for_epoch(target, std::chrono::seconds(30)))
       << b.error();
-  SnapPtr origin_snap = engine->internals().snapshots().current();
+  SnapPtr origin_snap = engine->snapshots().current();
   ASSERT_NO_FATAL_FAILURE(
       expect_snapshots_identical(*origin_snap, *a.store().current()));
   ASSERT_NO_FATAL_FAILURE(

@@ -208,7 +208,7 @@ TEST(RouteParse, ErrorsNameTheOffendingToken) {
 
 TEST(RouteRegister, RegistrationErrorContracts) {
   auto engine = synthetic_engine(2);
-  nav::EngineInternals& in = engine->internals();
+  nav::Engine& in = *engine;
 
   // Malformed expression: ParseError before any state moves.
   EXPECT_THROW((void)in.register_route({"broken", "a**", RouteCompile::Aot}),
@@ -243,14 +243,61 @@ TEST(RouteRegister, RegistrationErrorContracts) {
   EXPECT_EQ(in.routes().front().expression, "next / (prev | up)");
 }
 
+TEST(RouteRegister, RemovalDetachesTheRouteFromEveryProfile) {
+  // Removing a route drops its name from every profile that listed it,
+  // in the removal's own epoch, the way disable_landmarks detaches
+  // landmark families: no profile may keep naming a family that is gone.
+  for (const RouteCompile compile : {RouteCompile::Aot, RouteCompile::Lazy}) {
+    SCOPED_TRACE(compile == RouteCompile::Aot ? "Aot" : "Lazy");
+    auto engine = paper_engine();
+    auto server = engine->open_concurrent();
+    (void)engine->register_route({"authors", "@ByAuthor", compile});
+    engine->register_profile({"routed", {"authors"}});
+    engine->register_profile({"mixed", {"ByMovement", "authors"}});
+    const std::uint64_t epoch = engine->snapshots().epoch();
+
+    (void)engine->remove_route("authors");
+    EXPECT_EQ(engine->snapshots().epoch(), epoch + 1);
+    const std::vector<nav::Profile> profiles = engine->profiles();
+    ASSERT_EQ(profiles.size(), 2u);
+    for (const nav::Profile& profile : profiles) {
+      EXPECT_EQ(std::count(profile.families.begin(), profile.families.end(),
+                           "authors"),
+                0)
+          << profile.name;
+    }
+    EXPECT_EQ(engine->snapshots().current()->profiles(), profiles);
+
+    // Every listed profile re-registers as it stands and serves its
+    // oracle bytes.
+    for (const nav::Profile& profile : profiles) {
+      EXPECT_NO_THROW(engine->register_profile(profile)) << profile.name;
+      expect_profile_matches_oracle(*engine, *server, profile);
+    }
+
+    // A later route of the same name is a new family: no profile picks
+    // it up unasked.
+    (void)engine->register_route({"authors", "@ByAuthor", compile});
+    EXPECT_EQ(engine->profiles(), profiles);
+
+    // Batched, the detach is visible at once and ships in the batch's
+    // one epoch.
+    engine->register_profile({"routed", {"authors"}});
+    engine->begin_batch();
+    (void)engine->remove_route("authors");
+    EXPECT_TRUE(engine->profiles().front().families.empty());
+    EXPECT_EQ(engine->commit_batch().epochs_published, 1u);
+    EXPECT_EQ(engine->snapshots().current()->profiles(), engine->profiles());
+  }
+}
+
 TEST(RouteRegister, TangledModeRefusesRoutes) {
   auto engine = nav::SitePipeline()
                     .paper_museum()
                     .access(AccessStructureKind::IndexedGuidedTour, "picasso")
                     .tangled()
                     .serve();
-  EXPECT_THROW((void)engine->internals().register_route(
-                   {"r", "next", RouteCompile::Aot}),
+  EXPECT_THROW((void)engine->register_route({"r", "next", RouteCompile::Aot}),
                SemanticError);
 }
 
@@ -263,9 +310,9 @@ TEST(RouteRegister, TangledModeRefusesRoutes) {
 void expect_route_matches_oracle(nav::Engine& engine,
                                  serve::ConcurrentServer& server,
                                  const RouteProgram& program) {
-  (void)engine.internals().register_route(program);
+  (void)engine.register_route(program);
   nav::Profile profile{"profile-" + program.name, {program.name}};
-  engine.internals().register_profile(profile);
+  engine.register_profile(profile);
   expect_profile_matches_oracle(engine, server, profile);
 }
 
@@ -289,15 +336,15 @@ TEST(RouteDifferential, RandomizedProgramsLazyEqualsAotEqualsOracle) {
       FAIL() << "program " << i << ": " << expr;
     }
     // Keep the registered set small so each oracle build stays cheap.
-    (void)engine->internals().remove_route(name);
+    (void)engine->remove_route(name);
   }
 }
 
 TEST(RouteDifferential, SiteIdentityWithAotRoutesRegistered) {
   auto engine = paper_engine();
-  (void)engine->internals().register_route(
+  (void)engine->register_route(
       {"walk", "index-entry / next*", RouteCompile::Aot});
-  (void)engine->internals().register_route(
+  (void)engine->register_route(
       {"authors", "@ByAuthor | up", RouteCompile::Aot});
   // The incremental site (route linkbases included) equals a full
   // single-threaded build that authors the same route expansions.
@@ -306,7 +353,7 @@ TEST(RouteDifferential, SiteIdentityWithAotRoutesRegistered) {
 
 TEST(RouteDifferential, HoldsAcrossFamilyEditsAndBatchesAndRebuild) {
   auto engine = synthetic_engine(3);
-  nav::EngineInternals& in = engine->internals();
+  nav::Engine& in = *engine;
   auto server = engine->open_concurrent();
 
   (void)in.register_route(
@@ -350,7 +397,7 @@ TEST(RouteDifferential, HoldsAcrossFamilyEditsAndBatchesAndRebuild) {
   expect_profile_matches_oracle(*engine, *server, {"pm", {"moves"}});
 
   // Blanket rebuild() must reproduce the same bytes from scratch.
-  engine->internals().rebuild();
+  engine->rebuild();
   expect_profile_matches_oracle(*engine, *server, ps);
   expect_profile_matches_oracle(*engine, *server, pa);
   expect_sites_identical(engine->site(), full_build_oracle(*engine));
@@ -358,7 +405,7 @@ TEST(RouteDifferential, HoldsAcrossFamilyEditsAndBatchesAndRebuild) {
 
 TEST(RouteDifferential, FamilyEditRetiresOnlyRoutesWhoseExpansionChanged) {
   auto engine = synthetic_engine(3);
-  nav::EngineInternals& in = engine->internals();
+  nav::Engine& in = *engine;
   auto server = engine->open_concurrent();
 
   // One route over structure roles only (edit-invariant expansion), one
@@ -436,7 +483,7 @@ TEST(RouteDifferential, FamilyEditRetiresOnlyRoutesWhoseExpansionChanged) {
 
 TEST(RouteDifferential, LazyRouteLinkbaseArtifactIsServedAndTracksEdits) {
   auto engine = synthetic_engine(2);
-  nav::EngineInternals& in = engine->internals();
+  nav::Engine& in = *engine;
   auto server = engine->open_concurrent();
 
   (void)in.register_route({"authors", "@ByAuthor", RouteCompile::Aot});
@@ -467,7 +514,7 @@ TEST(RouteDifferential, LazyRouteLinkbaseArtifactIsServedAndTracksEdits) {
 
 TEST(RouteDifferential, SurvivesPublisherReplicaPair) {
   auto engine = synthetic_engine(2);
-  nav::EngineInternals& in = engine->internals();
+  nav::Engine& in = *engine;
   auto publisher = engine->open_publisher(repl::Endpoint::tcp("127.0.0.1", 0));
   repl::Replica replica = repl::Replica::connect(publisher->endpoint());
   replica.start();
@@ -511,9 +558,9 @@ TEST(RouteExpand, FamilyAtomNeverMatchesStructureArcs) {
   // structure's own (context-free) next/prev arcs must not leak in.
   const hm::ContextFamily family =
       [&] {
-        (void)engine->internals().register_route(
+        (void)engine->register_route(
             {"authors", "@ByAuthor", RouteCompile::Aot});
-        return engine->internals().route_family("authors");
+        return engine->route_family("authors");
       }();
   ASSERT_EQ(family.contexts().size(), 1u);
   for (const std::string& id : family.contexts().front().node_ids()) {

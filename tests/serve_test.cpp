@@ -8,6 +8,7 @@
 // the single-threaded rebuild() oracle could have produced — no torn
 // pages, no mixed epochs, no dangling bytes.
 #include <atomic>
+#include <cmath>
 #include <map>
 #include <memory>
 #include <string>
@@ -18,6 +19,7 @@
 
 #include "core/navigation_aspect.hpp"
 #include "nav/pipeline.hpp"
+#include "obs/registry.hpp"
 #include "serve/concurrent_server.hpp"
 #include "serve/snapshot.hpp"
 #include "serve/workload.hpp"
@@ -30,6 +32,7 @@ namespace {
 using navsep::hypermedia::AccessStructureKind;
 namespace hm = navsep::hypermedia;
 namespace nav = navsep::nav;
+namespace obs = navsep::obs;
 namespace serve = navsep::serve;
 namespace site = navsep::site;
 
@@ -107,7 +110,7 @@ TEST(SharedBody, EngineMutationCannotFreeHeldResponse) {
   // retitle regenerates the structure under the iteration.)
   const std::vector<hm::Member> members = engine->structure().members();
   for (const hm::Member& m : members) {
-    (void)engine->internals().retitle_node(m.node_id, m.title + " (v2)");
+    (void)engine->retitle_node(m.node_id, m.title + " (v2)");
   }
   EXPECT_EQ(*held.body, before);
   EXPECT_NE(*engine->server().get(entry).body, before);
@@ -122,7 +125,7 @@ TEST(SharedBody, BrowserPageStableAcrossMutationUntilRefresh) {
   ASSERT_NE(browser.page(), nullptr);
   const std::string before = *browser.page();
 
-  (void)engine->internals().retitle_node("guitar", "Old Guitarist (mk2)");
+  (void)engine->retitle_node("guitar", "Old Guitarist (mk2)");
   // Not refreshed yet: the browser still shows (valid!) old bytes.
   EXPECT_EQ(*browser.page(), before);
   browser.refresh();
@@ -184,7 +187,7 @@ TEST(SnapshotStore, HeldSnapshotSurvivesLaterEpochs) {
 
   const std::vector<hm::Member> members = engine->structure().members();
   for (const hm::Member& m : members) {
-    (void)engine->internals().retitle_node(m.node_id, m.title + "!");
+    (void)engine->retitle_node(m.node_id, m.title + "!");
   }
   EXPECT_GT(engine->snapshots().epoch(), 1u);
 
@@ -236,8 +239,7 @@ TEST(SiteSnapshot, OutgoingArcsAreSelfContained) {
   EXPECT_TRUE(next->traversable);
   // Same arc set the engine's traversal graph reports for the page.
   EXPECT_EQ(arcs.size(),
-            engine->internals()
-                .arc_table()
+            engine->arc_table()
                 .outgoing(engine->server().base() + "guitar.html")
                 .size());
 }
@@ -283,7 +285,7 @@ TEST(ConcurrentServer, CacheHitsThenEpochInvalidation) {
   // A mutation publishes a new epoch: the cached entry is stale and the
   // next GET refills it with the re-woven bytes. Retitling guernica
   // re-weaves guitar.html (its "Next: Guernica" anchor).
-  (void)engine->internals().retitle_node("guernica", "Guernica (retitled)");
+  (void)engine->retitle_node("guernica", "Guernica (retitled)");
   site::Response third = server->get("guitar.html");
   ASSERT_TRUE(third.ok());
   EXPECT_NE(*third.body, *first.body);
@@ -306,7 +308,7 @@ TEST(ConcurrentServer, StaleEntryForRemovedPathRetires) {
 
   std::vector<hm::Member> members = engine->structure().members();
   members.pop_back();
-  (void)engine->internals().set_access_structure(
+  (void)engine->set_access_structure(
       hm::make_access_structure(AccessStructureKind::Index,
                                 engine->structure().name(), members));
   EXPECT_FALSE(engine->site().contains(victim_path));
@@ -317,7 +319,7 @@ TEST(ConcurrentServer, StaleEntryForRemovedPathRetires) {
 TEST(ConcurrentServer, BrowserRunsOverIt) {
   auto engine = paper_engine();
   auto server = engine->open_concurrent();
-  site::Browser browser(*server, engine->internals().arc_table());
+  site::Browser browser(*server, engine->arc_table());
 
   ASSERT_TRUE(browser.navigate("guitar.html"));
   ASSERT_NE(browser.page(), nullptr);
@@ -330,28 +332,29 @@ TEST(ConcurrentServer, BrowserRunsOverIt) {
 // --- workload driver ----------------------------------------------------------
 
 TEST(LatencyHistogram, RecordsMergesAndAnswersQuantiles) {
-  serve::LatencyHistogram h;
+  // The workload's per-session latency tally: a plain obs::HistogramView.
+  obs::HistogramView h;
   h.record(100);   // bucket [64,128)
   h.record(1000);  // bucket [512,1024)
   h.record(1000);
   h.record(100000);  // bucket [65536,131072)
-  EXPECT_EQ(h.count(), 4u);
-  EXPECT_EQ(h.total_ns(), 102100u);
-  EXPECT_EQ(h.max_ns(), 100000u);
-  EXPECT_LE(h.quantile_ns(0.0), 128u);
+  EXPECT_EQ(h.count, 4u);
+  EXPECT_EQ(h.sum, 102100u);
+  EXPECT_EQ(h.max, 100000u);
+  EXPECT_LE(h.quantile(0.0), 128.0);
   // Interpolated within the bucket: the median sample lives in
   // [512, 1024), so the reported quantile must too — not the bucket's
   // upper bound (the old behavior, which overstated it by up to 2x).
-  EXPECT_GE(h.quantile_ns(0.5), 512u);
-  EXPECT_LT(h.quantile_ns(0.5), 1024u);
+  EXPECT_GE(h.quantile(0.5), 512.0);
+  EXPECT_LT(std::llround(h.quantile(0.5)), 1024);
   // The top quantile clamps to the observed maximum, exactly.
-  EXPECT_EQ(h.quantile_ns(1.0), 100000u);
+  EXPECT_EQ(h.quantile(1.0), 100000.0);
 
-  serve::LatencyHistogram other;
+  obs::HistogramView other;
   other.record(1 << 20);
   h.merge(other);
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_EQ(h.quantile_ns(1.0), (1u << 20));
+  EXPECT_EQ(h.count, 5u);
+  EXPECT_EQ(h.quantile(1.0), static_cast<double>(1u << 20));
 }
 
 TEST(Workload, DrivesAllBehaviorsWithoutFailures) {
@@ -368,7 +371,7 @@ TEST(Workload, DrivesAllBehaviorsWithoutFailures) {
   EXPECT_EQ(result.steps, 4u * 64u);
   EXPECT_GE(result.requests, result.steps);
   EXPECT_EQ(result.failures, 0u);
-  EXPECT_EQ(result.latency.count(), result.requests);
+  EXPECT_EQ(result.latency.count, result.requests);
   EXPECT_GT(result.throughput_rps, 0.0);
   EXPECT_EQ(result.server.base.requests, result.requests);
   ASSERT_EQ(result.by_behavior.size(), 4u);
@@ -417,12 +420,12 @@ TEST(ServeStress, ReadersSeeOnlyOracleBytesUnderConcurrentWrites) {
   hm::AccessArc arc_b = arcs[up_index];
   arc_b.title = "Index (state B)";
 
-  (void)engine->internals().replace_arc(up_index, arc_a);
+  (void)engine->replace_arc(up_index, arc_a);
   const std::map<std::string, std::string> oracle_a = site_bytes(*engine);
-  (void)engine->internals().replace_arc(up_index, arc_b);
+  (void)engine->replace_arc(up_index, arc_b);
   const std::map<std::string, std::string> oracle_b = site_bytes(*engine);
   ASSERT_EQ(oracle_a.size(), oracle_b.size());
-  (void)engine->internals().replace_arc(up_index, arc_a);
+  (void)engine->replace_arc(up_index, arc_a);
 
   auto server = engine->open_concurrent(8);
   std::vector<std::string> paths;
@@ -461,9 +464,8 @@ TEST(ServeStress, ReadersSeeOnlyOracleBytesUnderConcurrentWrites) {
   // round a full rebuild() exercises the blanket path concurrently too.
   constexpr std::size_t kWrites = 48;
   for (std::size_t w = 0; w < kWrites; ++w) {
-    (void)engine->internals().replace_arc(up_index,
-                                          (w % 2 == 0) ? arc_b : arc_a);
-    if (w % 8 == 7) engine->internals().rebuild();
+    (void)engine->replace_arc(up_index, (w % 2 == 0) ? arc_b : arc_a);
+    if (w % 8 == 7) engine->rebuild();
     std::this_thread::yield();
   }
   done.store(true, std::memory_order_release);
@@ -476,7 +478,7 @@ TEST(ServeStress, ReadersSeeOnlyOracleBytesUnderConcurrentWrites) {
 
   // Final convergence: after the dust settles, a full single-threaded
   // rebuild and the served snapshot agree byte-for-byte on every path.
-  engine->internals().rebuild();
+  engine->rebuild();
   const std::map<std::string, std::string> final_bytes = site_bytes(*engine);
   for (const auto& [path, bytes] : final_bytes) {
     site::Response resp = server->get(path);
@@ -503,7 +505,7 @@ TEST(ServeStress, WorkloadSurvivesConcurrentLinkbaseEdits) {
     while (w < 8 || !done.load(std::memory_order_acquire)) {
       hm::AccessArc edited = arcs[w % arcs.size()];
       edited.title += " (w" + std::to_string(w) + ")";
-      (void)engine->internals().replace_arc(w % arcs.size(), edited);
+      (void)engine->replace_arc(w % arcs.size(), edited);
       ++w;
       std::this_thread::yield();
     }
@@ -518,7 +520,7 @@ TEST(ServeStress, WorkloadSurvivesConcurrentLinkbaseEdits) {
 
   EXPECT_EQ(result.steps, 4u * 96u);
   EXPECT_GT(result.requests, 0u);
-  EXPECT_EQ(result.latency.count(), result.requests);
+  EXPECT_EQ(result.latency.count, result.requests);
   EXPECT_GT(engine->snapshots().epoch(), 1u);  // the writer really published
 }
 
@@ -552,7 +554,7 @@ TEST(MenuMutations, FailedKindMutationsPublishNoEpochAndReadersStayCoherent) {
                                             engine->structure().members()));
   std::vector<std::unique_ptr<hm::AccessStructure>> subs;
   subs.push_back(std::make_unique<hm::Menu>("east", std::move(inner)));
-  (void)engine->internals().set_access_structure(
+  (void)engine->set_access_structure(
       std::make_unique<hm::Menu>("floors", std::move(subs)));
   ASSERT_EQ(engine->structure().kind(), AccessStructureKind::Menu);
 
@@ -591,12 +593,10 @@ TEST(MenuMutations, FailedKindMutationsPublishNoEpochAndReadersStayCoherent) {
   });
 
   const std::string member = engine->structure().members().front().node_id;
-  EXPECT_THROW((void)engine->internals().retitle_node(member, "Wing A"),
+  EXPECT_THROW((void)engine->retitle_node(member, "Wing A"),
                navsep::SemanticError);
-  EXPECT_THROW((void)engine->internals().add_node(newcomer),
-               navsep::SemanticError);
-  EXPECT_THROW((void)engine->internals().set_access_structure(
-                   AccessStructureKind::Menu),
+  EXPECT_THROW((void)engine->add_node(newcomer), navsep::SemanticError);
+  EXPECT_THROW((void)engine->set_access_structure(AccessStructureKind::Menu),
                navsep::SemanticError);
   done.store(true, std::memory_order_release);
   reader.join();
@@ -612,10 +612,10 @@ TEST(MenuMutations, FailedKindMutationsPublishNoEpochAndReadersStayCoherent) {
 
   // The engine is not wedged: arc-level edits still work on a Menu and
   // publish a fresh epoch the server picks up.
-  std::vector<hm::AccessArc> arcs = engine->internals().authored_arcs();
+  std::vector<hm::AccessArc> arcs = engine->authored_arcs();
   ASSERT_FALSE(arcs.empty());
   arcs[0].title = "Ground floor";
-  (void)engine->internals().replace_arc(0, arcs[0]);
+  (void)engine->replace_arc(0, arcs[0]);
   EXPECT_GT(server->epoch(), epoch_before);
   const std::string entry_page =
       navsep::core::default_href_for(arcs[0].from);

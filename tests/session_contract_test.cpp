@@ -54,7 +54,7 @@ std::unique_ptr<nav::Engine> make_engine() {
 
 /// Reverse the tour of ByAuthor's first context (painter-0's works).
 void reverse_first_author_tour(nav::Engine& engine) {
-  (void)engine.internals().edit_context_family(
+  (void)engine.edit_context_family(
       "ByAuthor", [](hm::ContextFamily& family) {
         std::vector<hm::NavigationalContext> contexts = family.contexts();
         ASSERT_FALSE(contexts.empty());
@@ -139,7 +139,7 @@ TEST(SessionEditContract, ValueCopiedFamiliesAreIsolatedFromEngineEdits) {
 
 TEST(SessionEditContract, RouteFamiliesAreValueSnapshotsAcrossRouteEdits) {
   auto engine = make_engine();
-  (void)engine->internals().register_route(
+  (void)engine->register_route(
       {"authored", "@ByAuthor", nav::RouteCompile::Lazy});
 
   // route_family returns the expansion BY VALUE — a navigable family
@@ -158,8 +158,7 @@ TEST(SessionEditContract, RouteFamiliesAreValueSnapshotsAcrossRouteEdits) {
 
   // Narrow the program: the engine's expansion changes, the copy (and
   // the live session over it) do not.
-  (void)engine->internals().edit_route("authored",
-                                       "@ByAuthor / index-entry");
+  (void)engine->edit_route("authored", "@ByAuthor / index-entry");
   EXPECT_EQ(before.contexts().front().node_ids(), reachable);
   ASSERT_TRUE(session.prev());
   EXPECT_EQ(session.current()->id(), reachable[0]);

@@ -72,7 +72,7 @@ const std::vector<std::string> kRouteExprs{
 /// One randomized route-program mutation. Returns the number of engine
 /// mutations performed (removal first re-registers any profile that
 /// references the dying route, so batched bursts can count every edit).
-std::size_t random_route_op(nav::EngineInternals& in, Rng& rng,
+std::size_t random_route_op(nav::Engine& in, Rng& rng,
                             std::vector<nav::Profile>& profiles) {
   const std::string& name = rng.pick(kRouteNames);
   const bool registered =
@@ -116,7 +116,7 @@ std::size_t random_route_op(nav::EngineInternals& in, Rng& rng,
 /// toggle it) or, when enabled, disable. Always exactly one engine
 /// mutation. The engine attaches landmark families to its registered
 /// profiles itself, so oracles must read engine->profiles().
-void random_landmark_op(nav::EngineInternals& in, Rng& rng,
+void random_landmark_op(nav::Engine& in, Rng& rng,
                         const std::vector<std::string>& pages,
                         const std::vector<nav::Profile>& profiles) {
   if (!in.landmark_families().empty() && rng.chance(0.3)) {
@@ -140,7 +140,7 @@ void random_landmark_op(nav::EngineInternals& in, Rng& rng,
 /// Extend a profile's family list with each currently registered route
 /// name, coin-flip each — profiles reference routes exactly like
 /// families, so the churn must mix them.
-void maybe_reference_routes(const nav::EngineInternals& in, Rng& rng,
+void maybe_reference_routes(const nav::Engine& in, Rng& rng,
                             nav::Profile& profile) {
   for (const nav::RouteProgram& program : in.routes()) {
     if (rng.chance(0.5)) profile.families.push_back(program.name);
@@ -227,7 +227,7 @@ TEST(DifferentialStress, MixedMutationSequenceServesOnlyOracleBytes) {
       {"everything", {"ByAuthor", "ByMovement"}},
   };
   for (const nav::Profile& p : profiles) {
-    engine->internals().register_profile(p);
+    engine->register_profile(p);
   }
 
   std::vector<ServerUnderTest> servers;
@@ -261,20 +261,20 @@ TEST(DifferentialStress, MixedMutationSequenceServesOnlyOracleBytes) {
     const std::uint64_t op = rng.below(10);
     if (op == 0) {
       // Arc edit: the finest-grained structural mutation.
-      std::vector<hm::AccessArc> arcs = engine->internals().authored_arcs();
+      std::vector<hm::AccessArc> arcs = engine->authored_arcs();
       if (arcs.empty()) continue;
       const std::size_t index =
           static_cast<std::size_t>(rng.below(arcs.size()));
       hm::AccessArc edited = arcs[index];
       edited.title = "edit-" + rng.word(6);
       if (rng.chance(0.3)) edited.to = rng.pick(all_paintings);
-      (void)engine->internals().replace_arc(index, edited);
+      (void)engine->replace_arc(index, edited);
     } else if (op == 1) {
       const auto& members = engine->structure().members();
       const std::string id =
           members[static_cast<std::size_t>(rng.below(members.size()))]
               .node_id;
-      (void)engine->internals().retitle_node(id, "title-" + rng.word(5));
+      (void)engine->retitle_node(id, "title-" + rng.word(5));
     } else if (op == 2) {
       // Grow or shrink the member set (pages appear and retire).
       if (rng.chance(0.5)) {
@@ -290,24 +290,24 @@ TEST(DifferentialStress, MixedMutationSequenceServesOnlyOracleBytes) {
           }
         }
         if (candidate.empty()) continue;
-        (void)engine->internals().add_node(candidate);
+        (void)engine->add_node(candidate);
       } else {
         std::vector<hm::Member> members = engine->structure().members();
         if (members.size() < 3) continue;
         members.erase(members.begin() +
                       static_cast<std::ptrdiff_t>(rng.below(members.size())));
-        (void)engine->internals().set_access_structure(
+        (void)engine->set_access_structure(
             hm::make_access_structure(engine->structure().kind(),
                                       engine->structure().name(),
                                       std::move(members)));
       }
     } else if (op == 3) {
-      (void)engine->internals().set_access_structure(
+      (void)engine->set_access_structure(
           kinds[static_cast<std::size_t>(rng.below(3))]);
     } else if (op == 4) {
       // Context-family edit: one context's tour order moves.
       const std::string& family_name = rng.pick(family_names);
-      (void)engine->internals().edit_context_family(
+      (void)engine->edit_context_family(
           family_name, [&](hm::ContextFamily& family) {
             std::vector<hm::NavigationalContext> contexts =
                 family.contexts();
@@ -332,16 +332,16 @@ TEST(DifferentialStress, MixedMutationSequenceServesOnlyOracleBytes) {
       nav::Profile& victim = profiles[static_cast<std::size_t>(
           rng.below(profiles.size()))];
       victim.families = rng.pick(family_subsets);
-      maybe_reference_routes(engine->internals(), rng, victim);
-      engine->internals().register_profile(victim);
+      maybe_reference_routes(*engine, rng, victim);
+      engine->register_profile(victim);
     } else if (op == 6) {
-      engine->internals().rebuild();
+      engine->rebuild();
     } else if (op == 7) {
       // Route-program churn: register / edit / flip / remove.
-      (void)random_route_op(engine->internals(), rng, profiles);
+      (void)random_route_op(*engine, rng, profiles);
     } else if (op == 8) {
       // Landmark churn: fresh traffic, per_profile toggles, disable.
-      random_landmark_op(engine->internals(), rng,
+      random_landmark_op(*engine, rng,
                          navsep::testing::html_pages(*engine), profiles);
     } else {
       // Cache-cap churn: tear one server down and reopen it with fresh
@@ -384,7 +384,7 @@ TEST(DifferentialStress, MixedMutationSequenceServesOnlyOracleBytes) {
   // The incremental end state must be a fixpoint of the force path.
   std::vector<std::pair<std::string, std::string>> final_state =
       engine->site().artifacts();
-  engine->internals().rebuild();
+  engine->rebuild();
   EXPECT_EQ(engine->site().artifacts(), final_state);
 }
 
@@ -493,7 +493,7 @@ TEST(DifferentialStress, PublishedArcStateEqualsAReparseOfServedLinkbases) {
   std::vector<nav::Profile> profiles{{"kiosk", {}},
                                      {"tour", {"ByAuthor"}}};
   for (const nav::Profile& p : profiles) {
-    engine->internals().register_profile(p);
+    engine->register_profile(p);
   }
   std::vector<std::string> all_paintings;
   for (const auto* node : engine->navigation().nodes_of("PaintingNode")) {
@@ -503,7 +503,7 @@ TEST(DifferentialStress, PublishedArcStateEqualsAReparseOfServedLinkbases) {
                                        AccessStructureKind::GuidedTour,
                                        AccessStructureKind::IndexedGuidedTour};
   const std::vector<std::string> family_names{"ByAuthor", "ByMovement"};
-  nav::EngineInternals& in = engine->internals();
+  nav::Engine& in = *engine;
 
   const auto replace_arc = [&](Rng& rng) {
     std::vector<hm::AccessArc> arcs = in.authored_arcs();
@@ -626,7 +626,7 @@ TEST(DifferentialStress, ReplicatedReaderServesOnlyOracleBytes) {
       {"everything", {"ByAuthor", "ByMovement"}},
   };
   for (const nav::Profile& p : profiles) {
-    engine->internals().register_profile(p);
+    engine->register_profile(p);
   }
 
   auto publisher =
@@ -667,10 +667,10 @@ TEST(DifferentialStress, ReplicatedReaderServesOnlyOracleBytes) {
         const std::string id =
             members[static_cast<std::size_t>(rng.below(members.size()))]
                 .node_id;
-        (void)engine->internals().retitle_node(id, "gap-" + rng.word(5));
+        (void)engine->retitle_node(id, "gap-" + rng.word(5));
       }
-      (void)random_route_op(engine->internals(), rng, profiles);
-      random_landmark_op(engine->internals(), rng,
+      (void)random_route_op(*engine, rng, profiles);
+      random_landmark_op(*engine, rng,
                          navsep::testing::html_pages(*engine), profiles);
       replica = connect_replica();
       ++reconnects;
@@ -678,20 +678,20 @@ TEST(DifferentialStress, ReplicatedReaderServesOnlyOracleBytes) {
 
     const std::uint64_t op = rng.below(9);
     if (op == 0) {
-      std::vector<hm::AccessArc> arcs = engine->internals().authored_arcs();
+      std::vector<hm::AccessArc> arcs = engine->authored_arcs();
       if (arcs.empty()) continue;
       const std::size_t index =
           static_cast<std::size_t>(rng.below(arcs.size()));
       hm::AccessArc edited = arcs[index];
       edited.title = "edit-" + rng.word(6);
       if (rng.chance(0.3)) edited.to = rng.pick(all_paintings);
-      (void)engine->internals().replace_arc(index, edited);
+      (void)engine->replace_arc(index, edited);
     } else if (op == 1) {
       const auto& members = engine->structure().members();
       const std::string id =
           members[static_cast<std::size_t>(rng.below(members.size()))]
               .node_id;
-      (void)engine->internals().retitle_node(id, "title-" + rng.word(5));
+      (void)engine->retitle_node(id, "title-" + rng.word(5));
     } else if (op == 2) {
       if (rng.chance(0.5)) {
         std::set<std::string> current;
@@ -706,23 +706,23 @@ TEST(DifferentialStress, ReplicatedReaderServesOnlyOracleBytes) {
           }
         }
         if (candidate.empty()) continue;
-        (void)engine->internals().add_node(candidate);
+        (void)engine->add_node(candidate);
       } else {
         std::vector<hm::Member> members = engine->structure().members();
         if (members.size() < 3) continue;
         members.erase(members.begin() +
                       static_cast<std::ptrdiff_t>(rng.below(members.size())));
-        (void)engine->internals().set_access_structure(
+        (void)engine->set_access_structure(
             hm::make_access_structure(engine->structure().kind(),
                                       engine->structure().name(),
                                       std::move(members)));
       }
     } else if (op == 3) {
-      (void)engine->internals().set_access_structure(
+      (void)engine->set_access_structure(
           kinds[static_cast<std::size_t>(rng.below(3))]);
     } else if (op == 4) {
       const std::string& family_name = rng.pick(family_names);
-      (void)engine->internals().edit_context_family(
+      (void)engine->edit_context_family(
           family_name, [&](hm::ContextFamily& family) {
             std::vector<hm::NavigationalContext> contexts =
                 family.contexts();
@@ -745,21 +745,21 @@ TEST(DifferentialStress, ReplicatedReaderServesOnlyOracleBytes) {
       nav::Profile& victim = profiles[static_cast<std::size_t>(
           rng.below(profiles.size()))];
       victim.families = rng.pick(family_subsets);
-      maybe_reference_routes(engine->internals(), rng, victim);
-      engine->internals().register_profile(victim);
+      maybe_reference_routes(*engine, rng, victim);
+      engine->register_profile(victim);
     } else if (op == 6) {
-      engine->internals().rebuild();
+      engine->rebuild();
     } else if (op == 7) {
       // Route-program churn on the origin: the table must replicate.
-      (void)random_route_op(engine->internals(), rng, profiles);
+      (void)random_route_op(*engine, rng, profiles);
     } else {
       // Landmark churn: the landmark artifacts must replicate.
-      random_landmark_op(engine->internals(), rng,
+      random_landmark_op(*engine, rng,
                          navsep::testing::html_pages(*engine), profiles);
     }
 
     // The replica must catch up to the origin's exact epoch…
-    const std::uint64_t target = engine->internals().snapshots().epoch();
+    const std::uint64_t target = engine->snapshots().epoch();
     if (!engine->landmark_families().empty()) ++landmark_steps;
     ASSERT_TRUE(replica->wait_for_epoch(target,
                                         std::chrono::seconds(60)))
@@ -774,7 +774,7 @@ TEST(DifferentialStress, ReplicatedReaderServesOnlyOracleBytes) {
     // deltas (carry or inline) AND across the kill-and-resync FULLs.
     {
       const auto origin_routes =
-          engine->internals().snapshots().current()->route_table();
+          engine->snapshots().current()->route_table();
       const auto replica_routes = replica->store().current()->route_table();
       ASSERT_EQ(origin_routes == nullptr, replica_routes == nullptr)
           << "step " << step;
@@ -810,7 +810,7 @@ TEST(DifferentialStress, ReplicatedReaderServesOnlyOracleBytes) {
   const repl::ReplicaStats rs = replica->stats();
   EXPECT_GE(rs.deltas_applied, 1u);
   EXPECT_GE(rs.fulls_applied, 1u);
-  EXPECT_EQ(rs.epoch, engine->internals().snapshots().epoch());
+  EXPECT_EQ(rs.epoch, engine->snapshots().epoch());
 }
 
 // The batched variant: the same mutation mix, but grouped into
@@ -843,7 +843,7 @@ TEST(DifferentialStress, BatchedBurstsPublishOneDeltaAndServeOracleBytes) {
       {"tour", {"ByAuthor"}},
   };
   for (const nav::Profile& p : profiles) {
-    engine->internals().register_profile(p);
+    engine->register_profile(p);
   }
 
   auto publisher =
@@ -851,7 +851,7 @@ TEST(DifferentialStress, BatchedBurstsPublishOneDeltaAndServeOracleBytes) {
   auto replica = std::make_unique<repl::Replica>(
       repl::Connection::connect(publisher->endpoint()));
   replica->start();
-  ASSERT_TRUE(replica->wait_for_epoch(engine->internals().snapshots().epoch(),
+  ASSERT_TRUE(replica->wait_for_epoch(engine->snapshots().epoch(),
                                       std::chrono::seconds(60)));
   auto replica_server =
       std::make_unique<serve::ConcurrentServer>(replica->store(), 4);
@@ -870,29 +870,29 @@ TEST(DifferentialStress, BatchedBurstsPublishOneDeltaAndServeOracleBytes) {
   Rng rng(seed);
   std::size_t landmark_steps = 0;  // steps checked with landmarks on
   for (int round = 0; round < 30; ++round) {
-    const std::uint64_t epoch_before = engine->internals().snapshots().epoch();
+    const std::uint64_t epoch_before = engine->snapshots().epoch();
     const std::uint64_t deltas_before = replica->stats().deltas_applied;
     const std::size_t burst = 1 + static_cast<std::size_t>(rng.below(6));
 
-    engine->internals().begin_batch();
+    engine->begin_batch();
     std::size_t applied = 0;
     for (std::size_t k = 0; k < burst; ++k) {
       const std::uint64_t op = rng.below(9);
       if (op == 0) {
-        std::vector<hm::AccessArc> arcs = engine->internals().authored_arcs();
+        std::vector<hm::AccessArc> arcs = engine->authored_arcs();
         if (arcs.empty()) continue;
         const std::size_t index =
             static_cast<std::size_t>(rng.below(arcs.size()));
         hm::AccessArc edited = arcs[index];
         edited.title = "edit-" + rng.word(6);
         if (rng.chance(0.3)) edited.to = rng.pick(all_paintings);
-        (void)engine->internals().replace_arc(index, edited);
+        (void)engine->replace_arc(index, edited);
       } else if (op == 1) {
         const auto& members = engine->structure().members();
         const std::string id =
             members[static_cast<std::size_t>(rng.below(members.size()))]
                 .node_id;
-        (void)engine->internals().retitle_node(id, "title-" + rng.word(5));
+        (void)engine->retitle_node(id, "title-" + rng.word(5));
       } else if (op == 2) {
         if (rng.chance(0.5)) {
           std::set<std::string> current;
@@ -907,23 +907,23 @@ TEST(DifferentialStress, BatchedBurstsPublishOneDeltaAndServeOracleBytes) {
             }
           }
           if (candidate.empty()) continue;
-          (void)engine->internals().add_node(candidate);
+          (void)engine->add_node(candidate);
         } else {
           std::vector<hm::Member> members = engine->structure().members();
           if (members.size() < 3) continue;
           members.erase(members.begin() + static_cast<std::ptrdiff_t>(
                                               rng.below(members.size())));
-          (void)engine->internals().set_access_structure(
+          (void)engine->set_access_structure(
               hm::make_access_structure(engine->structure().kind(),
                                         engine->structure().name(),
                                         std::move(members)));
         }
       } else if (op == 3) {
-        (void)engine->internals().set_access_structure(
+        (void)engine->set_access_structure(
             kinds[static_cast<std::size_t>(rng.below(3))]);
       } else if (op == 4) {
         const std::string& family_name = rng.pick(family_names);
-        (void)engine->internals().edit_context_family(
+        (void)engine->edit_context_family(
             family_name, [&](hm::ContextFamily& family) {
               std::vector<hm::NavigationalContext> contexts =
                   family.contexts();
@@ -942,28 +942,28 @@ TEST(DifferentialStress, BatchedBurstsPublishOneDeltaAndServeOracleBytes) {
         nav::Profile& victim = profiles[static_cast<std::size_t>(
             rng.below(profiles.size()))];
         victim.families = rng.pick(family_subsets);
-        maybe_reference_routes(engine->internals(), rng, victim);
-        engine->internals().register_profile(victim);
+        maybe_reference_routes(*engine, rng, victim);
+        engine->register_profile(victim);
       } else if (op == 6) {
-        engine->internals().rebuild();
+        engine->rebuild();
       } else if (op == 7) {
         // Landmark churn inside the batch: enable/disable is one edit.
-        random_landmark_op(engine->internals(), rng,
+        random_landmark_op(*engine, rng,
                            navsep::testing::html_pages(*engine), profiles);
       } else {
         // Route churn inside the batch: a removal may re-register
         // referencing profiles first, so it contributes several edits —
         // the helper reports how many it applied.
-        applied += random_route_op(engine->internals(), rng, profiles);
+        applied += random_route_op(*engine, rng, profiles);
         continue;
       }
       ++applied;
     }
 
-    nav::RebuildReport report = engine->internals().commit_batch();
+    nav::RebuildReport report = engine->commit_batch();
     if (!engine->landmark_families().empty()) ++landmark_steps;
     ASSERT_EQ(report.edits_coalesced, applied) << "round " << round;
-    const std::uint64_t epoch_after = engine->internals().snapshots().epoch();
+    const std::uint64_t epoch_after = engine->snapshots().epoch();
     if (applied == 0) {
       ASSERT_EQ(epoch_after, epoch_before) << "round " << round;
       continue;
@@ -1008,7 +1008,7 @@ TEST(DifferentialStress, BatchedBurstsPublishOneDeltaAndServeOracleBytes) {
   // The batched end state must be a fixpoint of the force path.
   std::vector<std::pair<std::string, std::string>> final_state =
       engine->site().artifacts();
-  engine->internals().rebuild();
+  engine->rebuild();
   EXPECT_EQ(engine->site().artifacts(), final_state);
 }
 
@@ -1031,7 +1031,7 @@ TEST(DifferentialStress, WarmerLaneRacesTrafficAndChurnWithoutDivergence) {
                     .weave()
                     .serve();
   const nav::Profile tour{"tour", {"ByAuthor"}};
-  engine->internals().register_profile(tour);
+  engine->register_profile(tour);
 
   // Two site states, flipped by retitling one member: capture both
   // oracles (base + profile) up front.
@@ -1045,9 +1045,9 @@ TEST(DifferentialStress, WarmerLaneRacesTrafficAndChurnWithoutDivergence) {
                                    profile_oracle(*engine, tour)};
   };
   const std::string flip_id = engine->structure().members().front().node_id;
-  (void)engine->internals().retitle_node(flip_id, "Flip State A");
+  (void)engine->retitle_node(flip_id, "Flip State A");
   const auto [base_a, tour_a] = capture();
-  (void)engine->internals().retitle_node(flip_id, "Flip State B");
+  (void)engine->retitle_node(flip_id, "Flip State B");
   const auto [base_b, tour_b] = capture();
 
   auto server = engine->open_concurrent(
@@ -1101,7 +1101,7 @@ TEST(DifferentialStress, WarmerLaneRacesTrafficAndChurnWithoutDivergence) {
 
   constexpr std::size_t kFlips = 24;
   for (std::size_t w = 0; w < kFlips; ++w) {
-    (void)engine->internals().retitle_node(
+    (void)engine->retitle_node(
         flip_id, w % 2 == 0 ? "Flip State A" : "Flip State B");
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }

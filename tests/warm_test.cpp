@@ -102,7 +102,7 @@ TEST(WarmBase, AlreadyHotWhenValidAndRefreshesAcrossEpochs) {
   // A publication stales the entry; re-warming refreshes it in place
   // (same key — no insert, no evict) and the next get hits fresh bytes.
   const auto& member = engine->structure().members().front();
-  (void)engine->internals().retitle_node(member.node_id, "Warmed Again");
+  (void)engine->retitle_node(member.node_id, "Warmed Again");
   EXPECT_EQ(server->warm(page), WarmOutcome::Warmed);
   const ConcurrentServer::UnifiedStats mid = server->unified_stats();
   navsep::site::Response r = server->get(page);
@@ -118,7 +118,7 @@ TEST(WarmBase, AlreadyHotWhenValidAndRefreshesAcrossEpochs) {
 
 TEST(WarmOverlay, ServesProfileOracleBytesAndTolerates404s) {
   auto engine = synthetic_engine(4);
-  engine->internals().register_profile({"tour", {"ByAuthor"}});
+  engine->register_profile({"tour", {"ByAuthor"}});
   auto server = engine->open_concurrent(1);
   const std::vector<std::string> pages = html_pages(*engine);
   const std::string& page = pages.front();
@@ -152,7 +152,7 @@ TEST(WarmOverlay, ServesProfileOracleBytesAndTolerates404s) {
 
 TEST(WarmAdmission, NeverEvictsAResidentForAPrediction) {
   auto engine = synthetic_engine(4);
-  engine->internals().register_profile({"tour", {"ByAuthor"}});
+  engine->register_profile({"tour", {"ByAuthor"}});
   auto server = engine->open_concurrent(
       1, serve::CacheLimits{.base_entries_per_shard = 1,
                             .overlay_entries_per_shard = 1});
@@ -238,7 +238,7 @@ TEST(WarmAdmission, WarmedEntriesJoinTheColdEndOfRecency) {
 
 TEST(CacheWarmerDriver, WarmNowWalksTheFeedHottestFirstUpToTopN) {
   auto engine = synthetic_engine(4);
-  engine->internals().register_profile({"tour", {"ByAuthor"}});
+  engine->register_profile({"tour", {"ByAuthor"}});
   auto server = engine->open_concurrent(1);
   const std::vector<std::string> pages = html_pages(*engine);
   ASSERT_GE(pages.size(), 3u);
@@ -304,7 +304,7 @@ TEST(CacheWarmerDriver, BackgroundLaneWarmsOnceAfterEveryEpoch) {
   // re-warms without anyone calling it.
   const std::uint64_t before_epoch = server->epoch();
   const auto& member = engine->structure().members().front();
-  (void)engine->internals().retitle_node(member.node_id, "Lane Refresh");
+  (void)engine->retitle_node(member.node_id, "Lane Refresh");
   ASSERT_GT(server->epoch(), before_epoch);
   ASSERT_TRUE(eventually([&] {
     return warmer.stats().last_epoch == server->epoch();

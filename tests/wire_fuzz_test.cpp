@@ -81,28 +81,27 @@ WireCorpus make_corpus() {
                     .contexts({"ByAuthor", "ByMovement"})
                     .weave()
                     .serve();
-  (void)engine->internals().register_route(
+  (void)engine->register_route(
       {"authors", "@ByAuthor / next*", nav::RouteCompile::Aot});
-  (void)engine->internals().register_route(
+  (void)engine->register_route(
       {"spine", "index-entry / next*", nav::RouteCompile::Lazy});
-  engine->internals().register_profile({"kiosk", {}});
-  engine->internals().register_profile({"routed", {"authors", "spine"}});
+  engine->register_profile({"kiosk", {}});
+  engine->register_profile({"routed", {"authors", "spine"}});
 
   WireCorpus corpus;
-  corpus.prev_for_inline = engine->internals().snapshots().current();
+  corpus.prev_for_inline = engine->snapshots().current();
   corpus.full_payload = repl::encode_full(*corpus.prev_for_inline);
 
-  (void)engine->internals().edit_route("spine",
-                                       "index-entry / (next | prev)*");
-  corpus.prev_for_carry = engine->internals().snapshots().current();
+  (void)engine->edit_route("spine", "index-entry / (next | prev)*");
+  corpus.prev_for_carry = engine->snapshots().current();
   corpus.delta_inline_payload =
       repl::encode_delta(*corpus.prev_for_inline, *corpus.prev_for_carry);
 
   const std::string first_member =
       engine->structure().members().front().node_id;
-  (void)engine->internals().retitle_node(first_member, "fuzz-bait");
+  (void)engine->retitle_node(first_member, "fuzz-bait");
   corpus.delta_carry_payload = repl::encode_delta(
-      *corpus.prev_for_carry, *engine->internals().snapshots().current());
+      *corpus.prev_for_carry, *engine->snapshots().current());
   return corpus;
 }
 

@@ -112,10 +112,9 @@ std::unique_ptr<nav::Engine> make_origin_engine() {
                     .contexts({"ByAuthor", "ByMovement"})
                     .weave()
                     .serve();
-  engine->internals().register_profile({"kiosk", {}});
-  engine->internals().register_profile({"tour", {"ByAuthor"}});
-  engine->internals().register_profile(
-      {"everything", {"ByAuthor", "ByMovement"}});
+  engine->register_profile({"kiosk", {}});
+  engine->register_profile({"tour", {"ByAuthor"}});
+  engine->register_profile({"everything", {"ByAuthor", "ByMovement"}});
   return engine;
 }
 
@@ -128,22 +127,21 @@ void mutate(nav::Engine& engine, int step) {
       const auto& members = engine.structure().members();
       const auto& id = members[static_cast<std::size_t>(step) %
                                members.size()].node_id;
-      (void)engine.internals().retitle_node(
-          id, "epoch-title-" + std::to_string(step));
+      (void)engine.retitle_node(id, "epoch-title-" + std::to_string(step));
       break;
     }
     case 1: {
-      std::vector<hm::AccessArc> arcs = engine.internals().authored_arcs();
+      std::vector<hm::AccessArc> arcs = engine.authored_arcs();
       if (arcs.empty()) break;
       hm::AccessArc edited = arcs[static_cast<std::size_t>(step) %
                                   arcs.size()];
       edited.title = "epoch-arc-" + std::to_string(step);
-      (void)engine.internals().replace_arc(
+      (void)engine.replace_arc(
           static_cast<std::size_t>(step) % arcs.size(), std::move(edited));
       break;
     }
     default: {
-      (void)engine.internals().edit_context_family(
+      (void)engine.edit_context_family(
           step % 2 == 0 ? "ByAuthor" : "ByMovement",
           [](hm::ContextFamily& family) {
             std::vector<hm::NavigationalContext> contexts =
@@ -173,7 +171,7 @@ int run_origin(int argc, char** argv) {
   std::printf("origin: publishing at %s (epoch %llu)\n",
               publisher->endpoint().to_string().c_str(),
               static_cast<unsigned long long>(
-                  engine->internals().snapshots().epoch()));
+                  engine->snapshots().epoch()));
 
   for (long long step = 0; step < epochs; ++step) {
     mutate(*engine, static_cast<int>(step));
@@ -185,7 +183,7 @@ int run_origin(int argc, char** argv) {
   std::printf(
       "origin: done at epoch %llu — %zu subscriber(s), %zu full (%llu B), "
       "%zu delta (%llu B), %zu forced resync(s)\n",
-      static_cast<unsigned long long>(engine->internals().snapshots().epoch()),
+      static_cast<unsigned long long>(engine->snapshots().epoch()),
       s.subscribers_accepted, s.full_frames,
       static_cast<unsigned long long>(s.full_bytes), s.delta_frames,
       static_cast<unsigned long long>(s.delta_bytes), s.resync_fulls);
@@ -268,7 +266,7 @@ int run_selftest(int argc, char** argv) {
   replica.start();
 
   for (int step = 0; step < 24; ++step) mutate(*engine, step);
-  const std::uint64_t target = engine->internals().snapshots().epoch();
+  const std::uint64_t target = engine->snapshots().epoch();
   if (!replica.wait_for_epoch(target, std::chrono::seconds(30))) {
     std::fprintf(stderr, "selftest: replica never reached epoch %llu (%s)\n",
                  static_cast<unsigned long long>(target),
@@ -277,7 +275,7 @@ int run_selftest(int argc, char** argv) {
   }
 
   // Byte identity: every artifact, then every profile-scoped page.
-  auto origin_snap = engine->internals().snapshots().current();
+  auto origin_snap = engine->snapshots().current();
   auto replica_snap = replica.store().current();
   std::size_t checked = 0;
   // Compare artifacts by content (the maps hold shared_ptr handles).

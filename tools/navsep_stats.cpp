@@ -116,7 +116,7 @@ std::unique_ptr<nav::Engine> museum_engine(std::size_t paintings,
   static const std::vector<std::vector<std::string>> kSubsets{
       {"ByAuthor"}, {"ByMovement"}, {"ByAuthor", "ByMovement"}, {}};
   for (std::size_t i = 0; i < profiles; ++i) {
-    engine->internals().register_profile(
+    engine->register_profile(
         {"profile-" + std::to_string(i), kSubsets[i % kSubsets.size()]});
   }
   return engine;
@@ -170,7 +170,7 @@ RunOutput drive(const RunConfig& config) {
   out.registry = std::make_shared<obs::Registry>();
 
   auto engine = museum_engine(config.paintings, config.profiles);
-  engine->internals().attach_telemetry(out.registry);
+  engine->attach_telemetry(out.registry);
   auto server = engine->open_concurrent(config.shards);
   obs::SamplerHandle server_metrics =
       server->register_metrics(out.registry);
@@ -200,8 +200,7 @@ RunOutput drive(const RunConfig& config) {
   // A few edits before the traffic so the pipeline spans (build.plan /
   // build.publish / repl.encode...) have epochs to correlate.
   for (int i = 0; i < 3; ++i) {
-    (void)engine->internals().edit_context_family("ByAuthor",
-                                                  rotate_first_context);
+    (void)engine->edit_context_family("ByAuthor", rotate_first_context);
   }
 
   serve::Workload workload(*engine);
@@ -216,12 +215,11 @@ RunOutput drive(const RunConfig& config) {
   // Traffic intelligence: fold the traced popularity tables back into
   // the engine (landmark synthesis) and the server (cache warming).
   if (config.landmark_top_k > 0) {
-    (void)engine->internals().enable_landmarks(
-        out.workload.traces,
-        {.top_k = config.landmark_top_k});
-    for (const std::string& name : engine->internals().landmark_families()) {
+    (void)engine->enable_landmarks(out.workload.traces,
+                                   {.top_k = config.landmark_top_k});
+    for (const std::string& name : engine->landmark_families()) {
       out.landmarks.emplace_back(name,
-                                 engine->internals().landmark_picks(name));
+                                 engine->landmark_picks(name));
     }
     out.site_has_landmark_artifact =
         engine->site().get("links-landmarks.xml") != nullptr;
@@ -237,7 +235,7 @@ RunOutput drive(const RunConfig& config) {
   }
 
   if (config.with_repl) {
-    const std::uint64_t target = engine->internals().snapshots().epoch();
+    const std::uint64_t target = engine->snapshots().epoch();
     (void)replica->wait_for_epoch(target, std::chrono::seconds(30));
     replica->stop();
     out.pub = publisher->stats();
@@ -246,7 +244,7 @@ RunOutput drive(const RunConfig& config) {
 
   out.unified = server->unified_stats();
   out.engine_server = engine->server().unified_stats();
-  out.store_epoch = engine->internals().snapshots().epoch();
+  out.store_epoch = engine->snapshots().epoch();
   out.snapshot = out.registry->snapshot();
 
   // The publisher/replica must outlive the snapshot (their samplers
@@ -424,15 +422,14 @@ std::uint64_t json_value(const std::string& json, const std::string& name) {
 void check_plan_reuse() {
   auto registry = std::make_shared<obs::Registry>();
   auto engine = museum_engine(8, 0);
-  engine->internals().attach_telemetry(registry);
+  engine->attach_telemetry(registry);
   const obs::Counter& plans = registry->counter("build.plans");
   const obs::Counter& runs = registry->counter("build.runs");
   const std::string member = engine->structure().members().front().node_id;
   const std::uint64_t plans_before = plans.value();
   const std::uint64_t runs_before = runs.value();
   for (int i = 0; i < 4; ++i) {
-    (void)engine->internals().retitle_node(member,
-                                           "Retitled " + std::to_string(i));
+    (void)engine->retitle_node(member, "Retitled " + std::to_string(i));
   }
   CHECK_EQ(plans.value(), plans_before);
   CHECK_EQ(runs.value(), runs_before + 4);
@@ -442,7 +439,7 @@ void check_plan_reuse() {
     ++failures;
     return;
   }
-  (void)engine->internals().add_node(painters.front()->id());
+  (void)engine->add_node(painters.front()->id());
   if (plans.value() <= plans_before) {
     std::fprintf(stderr, "selftest: add_node did not replan (build.plans "
                          "stayed at %llu)\n",
@@ -473,7 +470,7 @@ int run_selftest() {
   CHECK_EQ(snap.counters.at("workload.traces.recorded"),
            out.workload.traces.recorded);
   CHECK_EQ(snap.histograms.at("workload.latency").count,
-           out.workload.latency.count());
+           out.workload.latency.count);
 
   // serve.base.* / serve.overlay.* gauges == unified_stats(), field for
   // field, both layers.
