@@ -1,35 +1,26 @@
-// E8 — parallel, batched rebuild economics: what the worker-pool weave
-// and mutation coalescing buy on a live engine.
+// E8 — batched rebuild economics: what mutation coalescing buys on a
+// live engine.
 //
 // The paper's change request (§5) is an edit burst against the
-// navigation design; PR 7 gives the engine two levers for absorbing
-// one: page re-weaves schedule onto a shared worker pool (deterministic
-// — output is byte-identical for every lane count), and an edit burst
-// can batch through begin_batch()/commit_batch() into one plan, one
-// dirty-propagation pass, one re-weave and exactly one published epoch.
-// The sweep crosses worker lanes × batch size × museum size. Per cell a
-// scripted mixed edit stream (retitles, arc edits, kind swaps, family
-// rotations) runs against the engine; reported per cell:
+// navigation design. Unbatched, every edit pays its own graph run and
+// publishes its own epoch; through begin_batch()/commit_batch() a burst
+// pays one plan, one dirty-propagation pass, one re-weave and exactly
+// one published epoch. The sweep crosses batch size × museum size. Per
+// cell a scripted mixed edit stream (retitles, arc edits, kind swaps,
+// family rotations) runs against the engine; reported per cell:
 //
 //   - edits/sec over the whole stream (the headline throughput);
 //   - publish latency: wall time of each commit (the window in which
 //     the burst becomes one visible epoch) — mean and max, ms;
 //   - epochs published (batch size K must divide the epoch count by K);
-//   - the engine's own weave counters (weave_workers,
-//     max_parallel_weaves) from the RebuildReport;
-//   - a byte-identity verdict against a serial (1-lane, unbatched)
-//     engine fed the identical stream — a throughput number from a
-//     diverged site would be worthless. The serial run also provides
-//     the baseline edits/sec the speedup column divides by.
-//
-// NOTE: at these museum sizes a kind swap re-weaves at most 53 pages and
-// the rest of every edit is serial, so even on 4 cores the lane sweep
-// shows no speedup — the determinism verdicts hold at any core count,
-// which is the point of running it; see docs/BENCHMARKS.md.
+//   - a byte-identity verdict against an unbatched engine fed the
+//     identical stream — a throughput number from a diverged site would
+//     be worthless. The unbatched run also provides the baseline
+//     edits/sec the batched cells are compared with.
 //
 // Self-contained driver (no google-benchmark): emits BENCH_e8.json.
 //
-//   e8_parallel_rebuild [--quick] [--out PATH]
+//   e8_batched_rebuild [--quick] [--out PATH]
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -52,7 +43,6 @@ namespace nav = navsep::nav;
 using Clock = std::chrono::steady_clock;
 
 struct Cell {
-  std::size_t workers = 1;   ///< weave lanes (1 = serial path)
   std::size_t batch = 1;     ///< edits per begin/commit (1 = unbatched)
   std::size_t paintings = 12;
   std::size_t edits = 48;
@@ -61,17 +51,14 @@ struct Cell {
 struct Record {
   Cell cell;
   double edits_per_sec = 0;
-  double serial_edits_per_sec = 0;  ///< 1-lane unbatched baseline
+  double serial_edits_per_sec = 0;  ///< unbatched baseline
   double commit_mean_ms = 0;        ///< publish latency per commit
   double commit_max_ms = 0;
   std::size_t epochs_published = 0;
-  std::size_t weave_workers = 0;       ///< as reported by the engine
-  std::size_t max_parallel_weaves = 0; ///< widest wave seen
-  bool byte_identical = true;          ///< vs the serial baseline site
+  bool byte_identical = true;       ///< vs the unbatched baseline site
 };
 
-std::unique_ptr<nav::Engine> make_engine(std::size_t paintings,
-                                         std::size_t workers) {
+std::unique_ptr<nav::Engine> make_engine(std::size_t paintings) {
   return nav::SitePipeline()
       .conceptual(navsep::museum::SyntheticSpec{.painters = 4,
                                                 .paintings_per_painter =
@@ -81,7 +68,6 @@ std::unique_ptr<nav::Engine> make_engine(std::size_t paintings,
       .access(AccessStructureKind::IndexedGuidedTour)
       .contexts({"ByAuthor", "ByMovement"})
       .weave()
-      .weave_workers(workers)
       .serve();
 }
 
@@ -135,10 +121,7 @@ double run_stream(nav::Engine& engine, const Cell& cell, Record* record) {
     if (burst > 1) engine.begin_batch();
     for (std::size_t k = 0; k < burst; ++k) mutate(engine, step + k);
     const auto c0 = Clock::now();
-    nav::RebuildReport report;
-    if (burst > 1) {
-      report = engine.commit_batch();
-    }
+    if (burst > 1) (void)engine.commit_batch();
     // Unbatched: every mutation above already ran + published; the
     // "commit window" is the mutation itself, folded into the total.
     const double ms =
@@ -147,10 +130,6 @@ double run_stream(nav::Engine& engine, const Cell& cell, Record* record) {
       commit_ms_total += ms;
       ++commits;
       record->commit_max_ms = std::max(record->commit_max_ms, ms);
-      record->weave_workers =
-          std::max(record->weave_workers, report.weave_workers);
-      record->max_parallel_weaves =
-          std::max(record->max_parallel_weaves, report.max_parallel_weaves);
     }
     step += burst;
   }
@@ -166,17 +145,16 @@ Record run_cell(const Cell& cell) {
   Record record;
   record.cell = cell;
 
-  // The serial baseline: 1 lane, unbatched, identical stream.
-  auto serial = make_engine(cell.paintings, 1);
+  // The baseline: unbatched, identical stream.
+  auto serial = make_engine(cell.paintings);
   Cell serial_cell = cell;
-  serial_cell.workers = 1;
   serial_cell.batch = 1;
   const double serial_s = run_stream(*serial, serial_cell, nullptr);
   record.serial_edits_per_sec =
       serial_s > 0 ? static_cast<double>(cell.edits) / serial_s : 0;
 
   // The cell under measurement.
-  auto engine = make_engine(cell.paintings, cell.workers);
+  auto engine = make_engine(cell.paintings);
   const std::uint64_t epoch0 = engine->snapshots().epoch();
   const double total_s = run_stream(*engine, cell, &record);
   record.edits_per_sec =
@@ -185,19 +163,15 @@ Record run_cell(const Cell& cell) {
       static_cast<std::size_t>(engine->snapshots().epoch() -
                                epoch0);
   if (cell.batch == 1) {
-    // Unbatched cells report the per-mutation weave shape instead: a
-    // kind swap that re-weaves every page (mirrored on the baseline so
-    // the byte-identity verdict still compares equal states).
-    nav::RebuildReport probe = engine->set_access_structure(
-        AccessStructureKind::GuidedTour);
-    record.weave_workers = probe.weave_workers;
-    record.max_parallel_weaves = probe.max_parallel_weaves;
+    // Unbatched cells close with a kind swap that re-weaves every page,
+    // mirrored on the baseline, so their verdict also covers a
+    // whole-site re-weave (one more epoch).
+    (void)engine->set_access_structure(AccessStructureKind::GuidedTour);
     (void)serial->set_access_structure(AccessStructureKind::GuidedTour);
     ++record.epochs_published;
   }
 
-  // Verdict: the final site must equal the serial baseline's, byte for
-  // byte (worker-count independence + batching correctness in one).
+  // Verdict: the final site must equal the baseline's, byte for byte.
   std::vector<std::pair<std::string, std::string>> mine =
       engine->site().artifacts();
   std::vector<std::pair<std::string, std::string>> theirs =
@@ -207,7 +181,7 @@ Record run_cell(const Cell& cell) {
 }
 
 void emit_json(const std::vector<Record>& records, std::ostream& out) {
-  out << "{\n  \"bench\": \"e8_parallel_rebuild\",\n  \"runs\": [\n";
+  out << "{\n  \"bench\": \"e8_batched_rebuild\",\n  \"runs\": [\n";
   for (std::size_t i = 0; i < records.size(); ++i) {
     const Record& r = records[i];
     char buffer[64];
@@ -216,7 +190,6 @@ void emit_json(const std::vector<Record>& records, std::ostream& out) {
       return std::string(buffer);
     };
     out << "    {\n";
-    out << "      \"workers\": " << r.cell.workers << ",\n";
     out << "      \"batch\": " << r.cell.batch << ",\n";
     out << "      \"paintings\": " << r.cell.paintings << ",\n";
     out << "      \"edits\": " << r.cell.edits << ",\n";
@@ -226,9 +199,6 @@ void emit_json(const std::vector<Record>& records, std::ostream& out) {
     out << "      \"commit_mean_ms\": " << f(r.commit_mean_ms) << ",\n";
     out << "      \"commit_max_ms\": " << f(r.commit_max_ms) << ",\n";
     out << "      \"epochs_published\": " << r.epochs_published << ",\n";
-    out << "      \"weave_workers\": " << r.weave_workers << ",\n";
-    out << "      \"max_parallel_weaves\": " << r.max_parallel_weaves
-        << ",\n";
     out << "      \"byte_identical\": "
         << (r.byte_identical ? "true" : "false") << "\n";
     out << "    }" << (i + 1 < records.size() ? "," : "") << "\n";
@@ -248,14 +218,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--out" && i + 1 < argc) {
       out_path = argv[++i];
     } else {
-      std::cerr << "usage: e8_parallel_rebuild [--quick] [--out PATH]\n";
+      std::cerr << "usage: e8_batched_rebuild [--quick] [--out PATH]\n";
       return 2;
     }
   }
 
-  const std::vector<std::size_t> worker_counts =
-      quick ? std::vector<std::size_t>{1, 2}
-            : std::vector<std::size_t>{1, 2, 4};
   const std::vector<std::size_t> batch_sizes =
       quick ? std::vector<std::size_t>{1, 8}
             : std::vector<std::size_t>{1, 4, 16};
@@ -267,20 +234,16 @@ int main(int argc, char** argv) {
   std::vector<Record> records;
   bool all_identical = true;
   for (std::size_t paintings : museum_sizes) {
-    for (std::size_t workers : worker_counts) {
-      for (std::size_t batch : batch_sizes) {
-        Record r = run_cell(Cell{workers, batch, paintings, edits});
-        std::printf(
-            "workers=%zu batch=%-2zu paintings=%-2zu -> %.0f edits/s "
-            "(serial %.0f), commit mean %.2f ms max %.2f ms, "
-            "%zu epochs, wave<=%zu, %s\n",
-            r.cell.workers, r.cell.batch, r.cell.paintings, r.edits_per_sec,
-            r.serial_edits_per_sec, r.commit_mean_ms, r.commit_max_ms,
-            r.epochs_published, r.max_parallel_weaves,
-            r.byte_identical ? "byte-identical" : "DIVERGED");
-        all_identical = all_identical && r.byte_identical;
-        records.push_back(std::move(r));
-      }
+    for (std::size_t batch : batch_sizes) {
+      Record r = run_cell(Cell{batch, paintings, edits});
+      std::printf(
+          "batch=%-2zu paintings=%-2zu -> %.0f edits/s (unbatched %.0f), "
+          "commit mean %.2f ms max %.2f ms, %zu epochs, %s\n",
+          r.cell.batch, r.cell.paintings, r.edits_per_sec,
+          r.serial_edits_per_sec, r.commit_mean_ms, r.commit_max_ms,
+          r.epochs_published, r.byte_identical ? "byte-identical" : "DIVERGED");
+      all_identical = all_identical && r.byte_identical;
+      records.push_back(std::move(r));
     }
   }
 

@@ -25,13 +25,6 @@ void Weaver::replace_aspect(std::shared_ptr<Aspect> aspect) {
   register_aspect(std::move(aspect));
 }
 
-Weaver Weaver::clone_registry() const {
-  Weaver out;
-  out.aspects_ = aspects_;  // shares the Aspect objects, copies the flags
-  out.cache_enabled_ = cache_enabled_;
-  return out;
-}
-
 void Weaver::refresh_revisions() {
   bool drifted = false;
   for (auto& r : aspects_) {

@@ -44,16 +44,6 @@ class Weaver {
   /// navigation aspect when the access structure changes.
   void replace_aspect(std::shared_ptr<Aspect> aspect);
 
-  /// An independent weaver sharing this one's registered aspects (same
-  /// shared Aspect objects, same order, same enabled flags) with a fresh
-  /// match cache and zeroed stats. The parallel re-weave path hands one
-  /// clone to each page-weave task: execute() mutates per-weaver state
-  /// (cache, stats, dispatch depth), so concurrent weaves need their own
-  /// Weaver — while the aspects themselves are immutable during a weave
-  /// and safe to share. The clone must not outlive mutations to the
-  /// source weaver's aspect set.
-  [[nodiscard]] Weaver clone_registry() const;
-
   /// Enable/disable by name; returns false for unknown aspects.
   bool set_enabled(std::string_view name, bool enabled);
   [[nodiscard]] bool is_enabled(std::string_view name) const;

@@ -224,29 +224,4 @@ std::unique_ptr<xml::Document> build_context_linkbase(
   return doc;
 }
 
-std::vector<ContextualArc> contextual_arcs_from_graph(
-    const xlink::TraversalGraph& graph,
-    const std::function<std::string(std::string_view uri)>& id_for) {
-  std::vector<hypermedia::AccessArc> plain = arcs_from_graph(graph, id_for);
-  // arcs_from_graph preserves graph order over nav-arcrole arcs, so zip
-  // the origins back in a second pass.
-  std::vector<ContextualArc> out;
-  out.reserve(plain.size());
-  std::size_t i = 0;
-  for (const xlink::Arc& arc : graph.arcs()) {
-    if (arc.arcrole.rfind(kNavArcrolePrefix, 0) != 0) continue;
-    ContextualArc ca;
-    ca.ordinal = i;
-    ca.arc = plain[i++];
-    ca.origin = arc.origin;
-    if (arc.origin != nullptr) {
-      ca.context = std::string(
-          arc.origin->attribute_ns(kNavExtensionNamespace, "context")
-              .value_or(""));
-    }
-    out.push_back(std::move(ca));
-  }
-  return out;
-}
-
 }  // namespace navsep::core

@@ -96,23 +96,4 @@ inline constexpr std::string_view kNavExtensionNamespace =
     const std::function<std::string(std::string_view node_id)>& title_of,
     const LinkbaseOptions& options = {});
 
-/// Read back context-tagged navigation arcs (for
-/// NavigationAspect::from_contextual_arcs). The graph must have been built
-/// from the same document so arc origins are alive.
-///
-/// Each extracted arc carries provenance back into the authored linkbase:
-/// `ordinal` is its 0-based position among the graph's nav arcs and
-/// `origin` the XML arc element it was parsed from — enough for an
-/// incremental rebuilder to say "this authored arc produced that woven
-/// anchor".
-struct ContextualArc {
-  hypermedia::AccessArc arc;
-  std::string context;  // qualified context name ("" when untagged)
-  std::size_t ordinal = 0;                // position among the nav arcs
-  const xml::Element* origin = nullptr;   // the linkbase arc element
-};
-[[nodiscard]] std::vector<ContextualArc> contextual_arcs_from_graph(
-    const xlink::TraversalGraph& graph,
-    const std::function<std::string(std::string_view uri)>& id_for = {});
-
 }  // namespace navsep::core

@@ -114,20 +114,14 @@ xml::Element* render_navigation(xml::Element& parent,
   xml::Element& nav = parent.append_element("div");
   nav.set_attribute("class", options.container_class);
 
-  // Resolve the provenance destination once per call: the sink (which
-  // may return a thread-local) wins over the raw pointer.
-  std::vector<AnchorProvenance>* provenance =
-      options.provenance_sink ? options.provenance_sink()
-                              : options.provenance_log;
-
   auto anchor = [&](xml::Element& anchor_parent, const NavArc& arc,
                     std::string_view cls, std::string_view log_context) {
     xml::Element& a = anchor_parent.append_element("a");
     a.set_attribute("href", href_for(arc.to));
     a.set_attribute("class", cls);
     a.append_text(arc.title.empty() ? arc.to : arc.title);
-    if (provenance != nullptr) {
-      provenance->push_back(AnchorProvenance{
+    if (options.provenance_log != nullptr) {
+      options.provenance_log->push_back(AnchorProvenance{
           std::string(page_instance), std::string(log_context), arc.source,
           arc.ordinal, arc.to, arc.role});
     }
@@ -227,8 +221,7 @@ std::shared_ptr<aop::Aspect> NavigationAspect::combined(
 }
 
 std::vector<NavArc> combined_nav_arcs(const std::vector<SourcedGraph>& graphs) {
-  // One pass per graph over its nav arcs, yielding the fields
-  // contextual_arcs_from_graph reads; each distinct endpoint URI is
+  // One pass per graph over its nav arcs; each distinct endpoint URI is
   // mapped to its node id once.
   std::vector<NavArc> nav;
   std::unordered_map<std::string_view, std::string> ids;
@@ -237,18 +230,22 @@ std::vector<NavArc> combined_nav_arcs(const std::vector<SourcedGraph>& graphs) {
     if (fresh) it->second = node_id_for(uri);
     return it->second;
   };
+  // Next ordinal per source page within the current graph, keyed by the
+  // node id strings `ids` owns.
+  std::unordered_map<std::string_view, std::size_t> next_ordinal;
   for (const SourcedGraph& sg : graphs) {
     if (sg.graph == nullptr) continue;
-    std::size_t ordinal = 0;
+    next_ordinal.clear();
     for (const xlink::Arc& arc : sg.graph->arcs()) {
       if (arc.arcrole.rfind(kNavArcrolePrefix, 0) != 0) continue;
-      NavArc out{id_of(arc.from.uri),
+      const std::string& from = id_of(arc.from.uri);
+      NavArc out{from,
                  id_of(arc.to.uri),
                  arc.arcrole.substr(kNavArcrolePrefix.size()),
                  arc.title,
                  "",
                  sg.source,
-                 ordinal++};
+                 next_ordinal[from]++};
       if (arc.origin != nullptr) {
         out.context = std::string(
             arc.origin->attribute_ns(kNavExtensionNamespace, "context")

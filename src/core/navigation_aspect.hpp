@@ -38,7 +38,7 @@ struct AnchorProvenance {
   std::string page_id;   // join-point instance the anchor was woven into
   std::string context;   // context tag active at compose time ("" = none)
   std::string source;    // linkbase the arc came from (NavArc::source)
-  std::size_t ordinal = 0;  // arc ordinal within that linkbase
+  std::size_t ordinal = 0;  // among that linkbase's arcs leaving the page
   std::string to;        // anchor target id
   std::string role;      // hypermedia::roles::*
 };
@@ -70,13 +70,6 @@ struct NavigationAspectOptions {
   /// anchor. Borrowed; must outlive the aspect. The caller owns clearing
   /// between compositions (the engine drains it per page).
   std::vector<AnchorProvenance>* provenance_log = nullptr;
-
-  /// Thread-aware alternative to provenance_log (takes precedence when
-  /// both are set): resolved per render_navigation call, so it can
-  /// return a thread-local vector. This is what lets the parallel
-  /// re-weave path log provenance from any pool thread — a raw pointer
-  /// would pin the log to whichever thread built the aspect.
-  std::function<std::vector<AnchorProvenance>*()> provenance_sink;
 
   /// Families whose context-tagged tour arcs are woven even when the page
   /// is composed OUTSIDE their context: each such context renders as a
@@ -119,7 +112,8 @@ struct NavArc {
   std::string title;
   std::string context;  // qualified context this arc belongs to ("" = any)
   // Provenance: which authored linkbase this arc came from, and where in
-  // it ("" / 0 for arcs built directly from access structures).
+  // it: the 0-based position among that linkbase's nav arcs leaving
+  // `from` ("" / 0 for arcs built directly from access structures).
   std::string source;
   std::size_t ordinal = 0;
 };
@@ -172,9 +166,14 @@ struct SourcedGraph {
 };
 
 /// Materialize the combined NavArc set of several linkbases in order,
-/// tagging every arc with its source linkbase and ordinal. Feeding the
-/// result to NavigationAspect::from_contextual_arcs weaves exactly what
-/// NavigationAspect::combined would, but with provenance attached.
+/// tagging every arc with its source linkbase and its ordinal among that
+/// linkbase's arcs leaving the same page. Per page, not per linkbase: a
+/// page re-weaves only when its arc slice changes, so an edit elsewhere
+/// in the linkbase must not shift the ordinals its stored provenance
+/// names — (source, page, ordinal) keeps naming one authored arc.
+/// Feeding the result to NavigationAspect::from_contextual_arcs weaves
+/// exactly what NavigationAspect::combined would, but with provenance
+/// attached.
 [[nodiscard]] std::vector<NavArc> combined_nav_arcs(
     const std::vector<SourcedGraph>& graphs);
 

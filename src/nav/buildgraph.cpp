@@ -1,10 +1,8 @@
 #include "nav/buildgraph.hpp"
 
 #include <algorithm>
-#include <exception>
 
 #include "common/error.hpp"
-#include "nav/worker_pool.hpp"
 #include "obs/registry.hpp"
 
 namespace navsep::nav {
@@ -59,27 +57,6 @@ void BuildGraph::define(const std::string& id, ProductKind kind,
   it->second.kind = kind;
   it->second.deps = std::move(deps);
   it->second.rebuild = std::move(rebuild);
-  it->second.parallel_rebuild = nullptr;
-  it->second.dirty = true;
-}
-
-void BuildGraph::define_parallel(const std::string& id, ProductKind kind,
-                                 std::vector<std::string> deps,
-                                 ParallelRebuild rebuild) {
-  ++topology_revision_;
-  auto it = nodes_.find(id);
-  if (it == nodes_.end()) {
-    Node node;
-    node.kind = kind;
-    node.deps = std::move(deps);
-    node.parallel_rebuild = std::move(rebuild);
-    nodes_.emplace(id, std::move(node));
-    return;
-  }
-  it->second.kind = kind;
-  it->second.deps = std::move(deps);
-  it->second.rebuild = nullptr;
-  it->second.parallel_rebuild = std::move(rebuild);
   it->second.dirty = true;
 }
 
@@ -189,12 +166,8 @@ void BuildGraph::set_telemetry(obs::Registry* registry) {
   telemetry_ = registry;
 }
 
-RebuildReport BuildGraph::run() { return run(nullptr); }
-
-RebuildReport BuildGraph::run(WorkerPool* pool) {
+RebuildReport BuildGraph::run() {
   RebuildReport report;
-  const bool parallel = pool != nullptr && pool->workers() > 1;
-  report.weave_workers = parallel ? pool->workers() : 1;
   const auto any_dirty = [this] {
     return std::any_of(nodes_.begin(), nodes_.end(),
                        [](const auto& entry) { return entry.second.dirty; });
@@ -208,60 +181,24 @@ RebuildReport BuildGraph::run(WorkerPool* pool) {
   for (std::size_t pass = 0; pass < kMaxPasses && any_dirty(); ++pass) {
     const std::shared_ptr<const Plan> plan = current_plan();
     const std::uint64_t planned_topology = plan_revision_;
-    for (std::size_t pos = 0; pos < plan->order.size(); ++pos) {
-      const std::string& id = plan->order[pos];
+    for (const std::string& id : plan->order) {
       auto it = nodes_.find(id);
       if (it == nodes_.end()) continue;  // removed earlier this pass
       if (!it->second.dirty) continue;
-      if (parallel && it->second.parallel_rebuild) {
-        // Gather the wave: this node plus every dirty parallel node later
-        // in the plan whose defined inputs have all settled. Plan order
-        // puts producers first, so anything still dirty among a
-        // candidate's deps means the candidate is not ready this wave.
-        std::vector<std::string> wave;
-        for (std::size_t j = pos; j < plan->order.size(); ++j) {
-          auto cand = nodes_.find(plan->order[j]);
-          if (cand == nodes_.end() || !cand->second.dirty ||
-              !cand->second.parallel_rebuild) {
-            continue;
-          }
-          const bool ready = std::none_of(
-              cand->second.deps.begin(), cand->second.deps.end(),
-              [this](const std::string& dep) { return is_dirty(dep); });
-          if (ready) wave.push_back(plan->order[j]);
-        }
-        if (!wave.empty()) {
-          run_wave(wave, *pool, *plan, report);
-          if (topology_revision_ != planned_topology) break;  // replan
-        }
-        // Otherwise not ready (a dep defined mid-pass is still dirty):
-        // the node stays dirty for the next pass.
-        continue;
-      }
       ++report.nodes_dirty;
       // Cleared before the callback, so a callback that re-dirties its
       // own node gets another pass.
       it->second.dirty = false;
-      if (!it->second.rebuild && !it->second.parallel_rebuild) continue;
+      if (!it->second.rebuild) continue;
       ++report.nodes_rebuilt;
       if (it->second.kind == ProductKind::Page) ++report.pages_rewoven;
       std::uint64_t new_hash = 0;
       try {
-        if (it->second.parallel_rebuild) {
-          // Inline (serial) execution of a parallel node: compute, then
-          // commit immediately — the same observable sequence as a
-          // classic rebuild callback.
-          const ParallelRebuild rebuild = it->second.parallel_rebuild;
-          ParallelOutcome outcome = rebuild();
-          new_hash = outcome.hash;
-          if (outcome.commit) outcome.commit();
-        } else {
-          // Call through a copy: the callback may remove or redefine its
-          // own node, which would otherwise destroy the std::function
-          // mid-call.
-          const Rebuild rebuild = it->second.rebuild;
-          new_hash = rebuild();
-        }
+        // Call through a copy: the callback may remove or redefine its
+        // own node, which would otherwise destroy the std::function
+        // mid-call.
+        const Rebuild rebuild = it->second.rebuild;
+        new_hash = rebuild();
       } catch (...) {
         // The product was not rebuilt: the dirty bit says so, and the
         // next run rebuilds exactly this node (and what it feeds).
@@ -304,79 +241,6 @@ RebuildReport BuildGraph::run(WorkerPool* pool) {
   }
   report.pages_total = count(ProductKind::Page);
   return report;
-}
-
-void BuildGraph::run_wave(const std::vector<std::string>& wave,
-                          WorkerPool& pool, const Plan& plan,
-                          RebuildReport& report) {
-  // Compute concurrently into per-slot state (no shared writes: each
-  // task owns its slot, and compute phases are contractually forbidden
-  // from touching the graph).
-  struct Slot {
-    ParallelRebuild rebuild;
-    std::uint64_t hash = 0;
-    std::function<void()> commit;
-    std::exception_ptr error;
-  };
-  std::vector<Slot> slots(wave.size());
-  for (std::size_t i = 0; i < wave.size(); ++i) {
-    slots[i].rebuild = nodes_.find(wave[i])->second.parallel_rebuild;
-  }
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(slots.size());
-  for (Slot& slot : slots) {
-    tasks.push_back([&slot] {
-      try {
-        ParallelOutcome outcome = slot.rebuild();
-        slot.hash = outcome.hash;
-        slot.commit = std::move(outcome.commit);
-      } catch (...) {
-        slot.error = std::current_exception();
-      }
-    });
-  }
-  obs::SpanLog* spans = telemetry_ != nullptr ? &telemetry_->spans() : nullptr;
-  {
-    obs::ScopedSpan span(spans, "build.wave.compute", epoch_hint_);
-    pool.run(tasks);
-  }
-  report.max_parallel_weaves =
-      std::max(report.max_parallel_weaves, wave.size());
-  if (telemetry_ != nullptr) {
-    telemetry_->histogram("build.wave_occupancy")
-        .record(static_cast<std::uint64_t>(wave.size()));
-  }
-
-  // Commit serially, in plan order — deterministic regardless of which
-  // lane computed what. A compute error surfaces here with serial-run
-  // node state: the throwing node and every node after it in plan order
-  // stay dirty (their computed results discarded), the commits before it
-  // have landed.
-  obs::ScopedSpan commit_span(spans, "build.wave.commit", epoch_hint_);
-  for (std::size_t i = 0; i < wave.size(); ++i) {
-    auto it = nodes_.find(wave[i]);
-    if (it == nodes_.end()) continue;
-    ++report.nodes_dirty;
-    ++report.nodes_rebuilt;
-    if (it->second.kind == ProductKind::Page) ++report.pages_rewoven;
-    if (slots[i].error) std::rethrow_exception(slots[i].error);
-    if (slots[i].commit) slots[i].commit();
-    it->second.dirty = false;
-    const std::uint64_t old_hash = it->second.hash;
-    it->second.hash = slots[i].hash;
-    if (slots[i].hash != old_hash) {
-      ++report.nodes_changed;
-      if (it->second.kind == ProductKind::Linkbase) {
-        ++report.linkbases_reauthored;
-      }
-      if (auto dep_it = plan.dependents.find(wave[i]);
-          dep_it != plan.dependents.end()) {
-        for (const std::string& dependent : dep_it->second) {
-          mark_dirty(dependent);
-        }
-      }
-    }
-  }
 }
 
 }  // namespace navsep::nav

@@ -15,16 +15,6 @@
 // Rebuild callbacks may define() and remove() nodes while a run is in
 // flight — the member set of an access structure changes the page set —
 // and run() keeps iterating until no dirty node remains.
-//
-// Nodes whose product is independent once their inputs have settled —
-// page weaves, whose only input is the page's arc slice — may instead be
-// defined through define_parallel(): their callback splits into a
-// thread-safe compute phase (returning the content hash plus a commit
-// closure) and a serial commit phase the coordinating thread applies in
-// plan order. run(pool) gathers every settled-input parallel node into a
-// wave and executes the compute phases on the pool; because commits
-// apply in deterministic plan order, the result is byte-identical to a
-// serial run regardless of worker count.
 #pragma once
 
 #include <cstddef>
@@ -42,8 +32,6 @@ class Registry;
 }
 
 namespace navsep::nav {
-
-class WorkerPool;
 
 /// What a node produces. Source nodes are mutation entry points; the
 /// rest name pipeline products. Kinds drive the RebuildReport counters
@@ -72,17 +60,13 @@ struct RebuildReport {
   std::size_t pages_total = 0;     ///< Page nodes in the graph after the run
   std::size_t linkbases_reauthored = 0;  ///< Linkbase nodes whose text changed
 
-  // --- batching / parallelism (PR 7) -----------------------------------------
+  // --- batching --------------------------------------------------------------
   /// Mutations coalesced into this run (1 for an unbatched mutation, the
   /// batch size for Engine::commit_batch; set by the engine, not run()).
   std::size_t edits_coalesced = 0;
   /// Snapshot epochs this run published (set by the engine: 1 per
   /// unbatched mutation or non-empty batch commit, 0 for an empty batch).
   std::size_t epochs_published = 0;
-  /// Execution lanes the run weaved with (1 = the serial path).
-  std::size_t weave_workers = 0;
-  /// Largest parallel wave dispatched to the pool (0 on the serial path).
-  std::size_t max_parallel_weaves = 0;
 
   /// pages_rewoven / pages_total (0 when the site is empty).
   [[nodiscard]] double reweave_ratio() const noexcept {
@@ -104,37 +88,23 @@ struct RebuildReport {
 class BuildGraph {
  public:
   /// Point graph-run telemetry at `registry` (nullptr = off, the
-  /// default): run()/run(pool) then record epoch-correlated spans
-  /// (build.plan, build.wave.compute, build.wave.commit) into the
-  /// registry's SpanLog, feed each wave's size into the
-  /// `build.wave_occupancy` histogram and count every plan computed in
-  /// the `build.plans` counter (a run whose topology did not move reuses
-  /// the last plan and counts none). The registry must outlive the
-  /// graph or be detached first. Non-owning on purpose: the engine owns
-  /// the shared_ptr, the graph just reports into it.
+  /// default): run() then records an epoch-correlated build.plan span
+  /// into the registry's SpanLog for every plan it computes and counts
+  /// those plans in the `build.plans` counter (a run whose topology did
+  /// not move reuses the last plan and counts none). The registry must
+  /// outlive the graph or be detached first. Non-owning on purpose: the
+  /// engine owns the shared_ptr, the graph just reports into it.
   void set_telemetry(obs::Registry* registry);
 
   /// The epoch spans recorded by the next run() are stamped with — the
   /// engine sets it to the epoch the run is building toward, so a
-  /// burst's plan/compute/commit/publish spans all correlate.
+  /// burst's run/plan/publish spans all correlate.
   void set_epoch_hint(std::uint64_t epoch) noexcept { epoch_hint_ = epoch; }
 
   /// Recompute the node's product and return its content hash. Runs only
   /// when the node is dirty; a returned hash equal to the previous one
   /// stops propagation (dependents stay clean).
   using Rebuild = std::function<std::uint64_t()>;
-
-  /// What a parallel node's compute phase yields: the product's content
-  /// hash plus the closure that installs the product (writes artifacts,
-  /// invalidates caches). The compute phase may run on any pool thread
-  /// and must not touch the graph or any writer-owned state; the commit
-  /// closure runs on the coordinating thread, in plan order, and must
-  /// not define()/remove() nodes.
-  struct ParallelOutcome {
-    std::uint64_t hash = 0;
-    std::function<void()> commit;
-  };
-  using ParallelRebuild = std::function<ParallelOutcome()>;
 
   /// Define (or redefine) a node. `deps` are producer node ids: when any
   /// of them changes, this node is re-run. Dependencies may be declared
@@ -144,14 +114,6 @@ class BuildGraph {
   /// a product that comes out unchanged still cuts off propagation.
   void define(const std::string& id, ProductKind kind,
               std::vector<std::string> deps, Rebuild rebuild);
-
-  /// Define (or redefine) a node whose rebuild is split into a
-  /// thread-safe compute phase and a serial commit phase (see
-  /// ParallelOutcome). run(pool) schedules these onto the pool in waves;
-  /// run() and run(nullptr) execute them inline, compute-then-commit, so
-  /// a graph mixing both node flavors behaves identically either way.
-  void define_parallel(const std::string& id, ProductKind kind,
-                       std::vector<std::string> deps, ParallelRebuild rebuild);
 
   /// Remove a node (dependents keep their edge declarations; a dangling
   /// edge is inert until the id is defined again). Returns false when the
@@ -179,29 +141,16 @@ class BuildGraph {
   /// computed once per topology: runs reuse it until a define() or
   /// remove() moves the topology. Throws navsep::SemanticError on a
   /// dependency cycle. A node whose rebuild throws stays dirty with its
-  /// previous hash (its product was not rebuilt), so the next run
-  /// rebuilds it; the exception propagates to the caller.
+  /// previous hash (its product was not rebuilt), as does every dirty
+  /// node the run had not reached, so the next run rebuilds exactly
+  /// those; the exception propagates to the caller.
   RebuildReport run();
-
-  /// As run(), additionally scheduling define_parallel() nodes onto
-  /// `pool` in waves: whenever the dependency-order walk reaches a dirty
-  /// parallel node, every dirty parallel node later in the plan whose
-  /// defined inputs have settled joins the wave, their compute phases
-  /// run concurrently, and their commits apply serially in plan order —
-  /// so output bytes, hashes and propagation are identical to run() for
-  /// any worker count. A null pool (or a single-lane one) is the serial
-  /// path. A compute-phase exception surfaces during the wave's commit
-  /// sweep with the same node state the serial path would leave (the
-  /// throwing node and every node after it in plan order still dirty,
-  /// the commits before it applied).
-  RebuildReport run(WorkerPool* pool);
 
  private:
   struct Node {
     ProductKind kind = ProductKind::Source;
     std::vector<std::string> deps;
     Rebuild rebuild;
-    ParallelRebuild parallel_rebuild;  // set iff defined via define_parallel
     std::uint64_t hash = 0;
     bool dirty = true;
   };
@@ -219,11 +168,6 @@ class BuildGraph {
   /// The plan for the current topology: plan_ when it is still current,
   /// else a fresh one (recorded as a build.plan span and counted).
   [[nodiscard]] std::shared_ptr<const Plan> current_plan();
-
-  /// Execute one wave of parallel nodes: compute on the pool, commit
-  /// serially in plan order (counters, hash write, propagation).
-  void run_wave(const std::vector<std::string>& wave, WorkerPool& pool,
-                const Plan& plan, RebuildReport& report);
 
   std::map<std::string, Node, std::less<>> nodes_;
   /// Bumped by define()/remove(); run() aborts a pass and replans when it

@@ -83,27 +83,6 @@ std::uint64_t arc_hash(const core::NavArc& arc) {
   return hash_str(a, arc.context);
 }
 
-/// Where the navigation aspect logs anchor provenance during a page
-/// composition. Thread-local so parallel page weaves each get their own
-/// log: the aspect resolves it per render through
-/// NavigationAspectOptions::provenance_sink, on whichever thread is
-/// composing.
-thread_local std::vector<core::AnchorProvenance> t_weave_provenance;
-
-/// Restores the parallel-wave flag even when the graph run throws.
-class WaveFlagGuard {
- public:
-  WaveFlagGuard(bool& flag, bool value) noexcept : flag_(flag) {
-    flag_ = value;
-  }
-  ~WaveFlagGuard() { flag_ = false; }
-  WaveFlagGuard(const WaveFlagGuard&) = delete;
-  WaveFlagGuard& operator=(const WaveFlagGuard&) = delete;
-
- private:
-  bool& flag_;
-};
-
 }  // namespace
 
 // --- Engine ------------------------------------------------------------------
@@ -152,12 +131,12 @@ std::string Engine::compose_page(std::string_view node_id,
   if (mode_ == WeaveMode::Tangled) {
     return core::TangledRenderer(*nav_, *structure_).render_node_page(*node);
   }
-  // On-demand composition logs anchors into the same thread-local the
-  // build graph uses; keep it from accumulating across calls.
-  t_weave_provenance.clear();
+  // The composition logs its anchors into the build graph's provenance
+  // scratch; nothing records them for an on-demand page, so drop them
+  // rather than let them accumulate across calls.
   std::string page =
       core::SeparatedComposer(weaver_).compose_node_page(*node, context_tag);
-  t_weave_provenance.clear();
+  weave_provenance_.clear();
   return page;
 }
 
@@ -188,11 +167,10 @@ RebuildReport Engine::run_or_defer() {
 }
 
 RebuildReport Engine::run_graph_now() {
-  WorkerPool* pool = eligible_pool();
   RebuildReport report;
   try {
     {
-      // Spans recorded under this run (plan/wave/publish) are all stamped
+      // Spans recorded under this run (plan/publish) are all stamped
       // with the epoch the run is building toward, so one edit burst is
       // traceable end-to-end by epoch.
       const std::uint64_t target_epoch = snapshots_.epoch() + 1;
@@ -200,8 +178,7 @@ RebuildReport Engine::run_graph_now() {
       obs::ScopedSpan span(
           telemetry_ != nullptr ? &telemetry_->spans() : nullptr,
           "build.run", target_epoch);
-      WaveFlagGuard guard(parallel_wave_active_, pool != nullptr);
-      report = build_graph_.run(pool);
+      report = build_graph_.run();
     }
     publish_snapshot();
   } catch (...) {
@@ -226,18 +203,6 @@ RebuildReport Engine::run_graph_now() {
         .add(report.linkbases_reauthored);
   }
   return report;
-}
-
-WorkerPool* Engine::eligible_pool() const {
-  if (pool_ == nullptr || pool_->workers() <= 1) return nullptr;
-  if (mode_ != WeaveMode::Separated) return nullptr;
-  // Foreign aspects (anything beyond the engine's own navigation
-  // aspect) carry no thread-safety contract for their advice — weave
-  // serially so user advice keeps its single-threaded world.
-  for (const std::string& name : weaver_.aspect_names()) {
-    if (name != "navigation") return nullptr;
-  }
-  return pool_.get();
 }
 
 void Engine::begin_batch() {
@@ -265,14 +230,6 @@ RebuildReport Engine::commit_batch() {
   report.edits_coalesced = edits;
   report.epochs_published = 1;
   return report;
-}
-
-void Engine::set_weave_workers(std::size_t lanes) {
-  if (lanes == 1) {
-    pool_.reset();
-    return;
-  }
-  pool_ = std::make_unique<WorkerPool>(lanes);
 }
 
 void Engine::attach_telemetry(std::shared_ptr<obs::Registry> registry) {
@@ -1172,10 +1129,7 @@ std::uint64_t Engine::rebuild_arc_table() {
 
   // Hand the combined set to the weaver as the (sole) navigation aspect.
   core::NavigationAspectOptions aspect_options;
-  // A sink, not a pointer: each weave lane logs into its own thread-local
-  // scratch, so parallel page compositions never share a provenance
-  // vector (the aspect itself is shared across weaver clones).
-  aspect_options.provenance_sink = [] { return &t_weave_provenance; };
+  aspect_options.provenance_log = &weave_provenance_;
   weaver_.replace_aspect(core::NavigationAspect::from_contextual_arcs(
       combined_arcs_, aspect_options));
   sync_pages();
@@ -1214,62 +1168,27 @@ void Engine::sync_pages() {
                             auto it = slice_hashes_.find(id);
                             return it == slice_hashes_.end() ? 0 : it->second;
                           });
-      build_graph_.define_parallel(
-          page_node(id), ProductKind::Page, {slice_node(id)},
-          [this, id] { return weave_page_outcome(id); });
+      build_graph_.define(page_node(id), ProductKind::Page, {slice_node(id)},
+                          [this, id] { return rebuild_page(id); });
     }
   }
 
   page_ids_ = std::move(desired);
 }
 
-BuildGraph::ParallelOutcome Engine::weave_page_outcome(
-    const std::string& page_id) {
-  // COMPUTE PHASE — runs on a pool lane during parallel waves. Reads
-  // structure_/nav_/weaver aspects (all frozen for the duration of a
-  // graph run), writes only locals and the thread-local provenance
-  // scratch. Everything shared-mutable (site_, provenance_)
-  // moves into the commit closure, which the coordinator runs serially
-  // in plan order — so output is byte-identical for any worker count.
-  t_weave_provenance.clear();
+std::uint64_t Engine::rebuild_page(const std::string& page_id) {
+  weave_provenance_.clear();
+  core::SeparatedComposer composer(weaver_);
   std::string text;
-  bool retired = false;
-  {
-    // Pool lanes weave through a private registry clone (the weaver's
-    // memo cache and stats are not thread-safe); the serial path keeps
-    // using the engine weaver so its stats/cache accumulate exactly as
-    // they always have.
-    aop::Weaver lane_weaver;
-    aop::Weaver* weaver = &weaver_;
-    if (parallel_wave_active_) {
-      lane_weaver = weaver_.clone_registry();
-      weaver = &lane_weaver;
-    }
-    core::SeparatedComposer composer(*weaver);
-    if (page_id == structure_->page_id()) {
-      text = composer.compose_structure_page(page_id, structure_->name());
-    } else {
-      const hypermedia::NavNode* node = nav_->node(page_id);
-      if (node == nullptr) {
-        retired = true;  // retired between sync and rebuild
-      } else {
-        text = composer.compose_node_page(*node);
-      }
-    }
+  if (page_id == structure_->page_id()) {
+    text = composer.compose_structure_page(page_id, structure_->name());
+  } else {
+    const hypermedia::NavNode* node = nav_->node(page_id);
+    if (node == nullptr) return 0;  // retired between sync and rebuild
+    text = composer.compose_node_page(*node);
   }
-  BuildGraph::ParallelOutcome outcome;
-  if (retired) {
-    t_weave_provenance.clear();
-    return outcome;  // hash 0, no commit — same as the old serial path
-  }
-  outcome.hash = hash_bytes(text);
-  outcome.commit = [this, page_id, text = std::move(text),
-                    provenance = std::move(t_weave_provenance)]() mutable {
-    provenance_[page_id] = std::move(provenance);
-    (void)put_if_changed(core::default_href_for(page_id), std::move(text));
-  };
-  t_weave_provenance.clear();
-  return outcome;
+  provenance_[page_id] = std::exchange(weave_provenance_, {});
+  return put_if_changed(core::default_href_for(page_id), std::move(text));
 }
 
 std::uint64_t Engine::rebuild_tangled_page(const std::string& page_id) {
@@ -1375,11 +1294,6 @@ SitePipeline& SitePipeline::tangled() {
   return *this;
 }
 
-SitePipeline& SitePipeline::weave_workers(std::size_t lanes) {
-  weave_lanes_ = lanes;
-  return *this;
-}
-
 SitePipeline::Materialized SitePipeline::materialize() {
   if (world_ == nullptr) {
     throw SemanticError(
@@ -1466,15 +1380,10 @@ std::unique_ptr<Engine> SitePipeline::serve(std::string_view base) {
   }
 
   // Capture Menu sub specs so sub-level mutations can regenerate the
-  // Menu, and configure the pool so the initial weave parallelizes too.
+  // Menu.
   engine->adopt_structure_shape(*engine->structure_);
-  engine->set_weave_workers(weave_lanes_);
   engine->wire_graph();
-  {
-    WorkerPool* pool = engine->eligible_pool();
-    WaveFlagGuard guard(engine->parallel_wave_active_, pool != nullptr);
-    (void)engine->build_graph_.run(pool);
-  }
+  (void)engine->build_graph_.run();
   engine->publish_snapshot();  // epoch 1: the initially built site
 
   engine->server_ = engine->open_concurrent();

@@ -46,7 +46,6 @@
 #include "nav/route.hpp"
 #include "obs/registry.hpp"
 #include "nav/session.hpp"
-#include "nav/worker_pool.hpp"
 #include "serve/concurrent_server.hpp"
 #include "serve/snapshot.hpp"
 #include "site/browser.hpp"
@@ -167,7 +166,9 @@ class Engine final {
   /// in Separated mode. In Tangled mode the page is rendered inline and
   /// `context_tag` is ignored: the tangled baseline bakes one fixed arc
   /// set into pages and has no contextual weaving. Throws
-  /// ResolutionError for unknown node ids.
+  /// ResolutionError for unknown node ids. Writer-side like the
+  /// mutations below: it shares the weaver's match cache and the
+  /// engine's provenance scratch with the build graph's page weaves.
   [[nodiscard]] std::string compose_page(
       std::string_view node_id, std::string_view context_tag = "") const;
 
@@ -420,36 +421,18 @@ class Engine final {
   /// Open a batch. Throws navsep::SemanticError when one is open.
   void begin_batch();
 
-  /// Run the accumulated batch: one graph run (parallel when weave
-  /// workers are configured), one published epoch — or none at all for
-  /// an empty batch. A burst of profile registrations alone is a graph
-  /// run with nothing dirty, then that one publish. The report carries
-  /// edits_coalesced / epochs_published / weave_workers /
-  /// max_parallel_weaves. Throws navsep::SemanticError when no batch is
-  /// open. If a batched mutation's edit threw mid-flight the commit
-  /// still reconciles whatever state moved, exactly like the unbatched
-  /// propagate-on-throw contract.
+  /// Run the accumulated batch: one graph run, one published epoch — or
+  /// none at all for an empty batch. A burst of profile registrations
+  /// alone is a graph run with nothing dirty, then that one publish. The
+  /// report carries edits_coalesced / epochs_published. Throws
+  /// navsep::SemanticError when no batch is open. If a batched
+  /// mutation's edit threw mid-flight the commit still reconciles
+  /// whatever state moved, exactly like the unbatched propagate-on-throw
+  /// contract.
   RebuildReport commit_batch();
 
   /// Whether a batch is currently open.
   [[nodiscard]] bool batch_open() const noexcept { return batch_open_; }
-
-  // --- parallel re-weave ------------------------------------------------------
-
-  /// Configure the worker pool page re-weaves run on: `lanes` total
-  /// execution lanes (0 = hardware concurrency, 1 = serial — the
-  /// default). Output is byte-identical for every value; only wall-clock
-  /// changes. The pool is only used when the weave path is provably
-  /// thread-safe: Separated mode with no foreign aspects registered on
-  /// the weaver (user advice carries no thread-safety contract, so
-  /// engines with extra aspects fall back to the serial path and the
-  /// report says so via weave_workers == 1).
-  void set_weave_workers(std::size_t lanes);
-
-  /// The configured lane count (1 when serial).
-  [[nodiscard]] std::size_t weave_workers() const noexcept {
-    return pool_ ? pool_->workers() : 1;
-  }
 
   // --- telemetry --------------------------------------------------------------
 
@@ -459,9 +442,8 @@ class Engine final {
   /// mirroring the snapshot store's epoch/publishes into `store.*`
   /// gauges, counts every graph run into `build.*` counters (every
   /// publish has one, so `build.runs` counts profile registrations and
-  /// batch commits too), feeds wave occupancy into a histogram, and
-  /// records epoch-correlated spans (build.plan / build.wave.compute /
-  /// build.wave.commit / build.publish) into the registry's SpanLog.
+  /// batch commits too), and records epoch-correlated spans (build.run /
+  /// build.plan / build.publish) into the registry's SpanLog.
   /// Pass nullptr to detach. The registry must outlive the engine or be
   /// detached first; attaching is writer-side state like every mutation.
   void attach_telemetry(std::shared_ptr<obs::Registry> registry);
@@ -494,12 +476,10 @@ class Engine final {
   [[nodiscard]] std::uint64_t rebuild_arc_table();
   [[nodiscard]] std::uint64_t rebuild_tangled_page(const std::string& page_id);
 
-  /// A woven page node's compute phase: render the page (thread-safe —
-  /// through a registry clone of the weaver when a parallel wave is in
-  /// flight, logging provenance into a thread-local) and return its hash
-  /// plus the commit closure that installs text + provenance.
-  [[nodiscard]] BuildGraph::ParallelOutcome weave_page_outcome(
-      const std::string& page_id);
+  /// A woven page node's rebuild: compose the page through weaver_,
+  /// record the anchors the aspect logged into weave_provenance_ as the
+  /// page's provenance, install the text and return its hash.
+  [[nodiscard]] std::uint64_t rebuild_page(const std::string& page_id);
 
   /// Write `text` at `path` iff it differs. Returns the text hash.
   std::uint64_t put_if_changed(const std::string& path, std::string text);
@@ -517,19 +497,14 @@ class Engine final {
   /// Mark the spec dirty, run the graph, refresh the session browser.
   RebuildReport run_graph_after_mutation();
 
-  /// Run the graph now (through the pool when eligible), publish one
-  /// snapshot, refresh the session browser — or, with a batch open,
-  /// record the edit and defer all of it to commit_batch(). A run that
-  /// throws publishes nothing but still refreshes the session. Every
+  /// Run the graph now, publish one snapshot, refresh the session
+  /// browser — or, with a batch open, record the edit and defer all of
+  /// it to commit_batch(). A run that throws publishes nothing but still
+  /// refreshes the session. Every
   /// entry point that publishes ends here: mutations, rebuild(),
   /// register_profile() and commit_batch().
   RebuildReport run_or_defer();
   RebuildReport run_graph_now();
-
-  /// The pool to weave with, or null for the serial path: requires a
-  /// configured multi-lane pool, Separated mode, and no foreign aspects
-  /// on the weaver (user advice has no thread-safety contract).
-  [[nodiscard]] WorkerPool* eligible_pool() const;
 
   // --- Menu-aware mutations ---------------------------------------------------
 
@@ -656,6 +631,11 @@ class Engine final {
   std::vector<hypermedia::ContextFamily> families_;
   WeaveMode mode_ = WeaveMode::Separated;
   std::string site_base_;
+  /// Where the navigation aspect in weaver_ logs the anchors of the
+  /// composition in flight (NavigationAspectOptions::provenance_log);
+  /// rebuild_page moves it into provenance_. Mutable because
+  /// compose_page() weaves too.
+  mutable std::vector<core::AnchorProvenance> weave_provenance_;
   mutable aop::Weaver weaver_;
   site::VirtualSite site_;
 
@@ -724,19 +704,6 @@ class Engine final {
   /// Tangled mode's renderer, rebuilt when the spec changes (arc
   /// materialization is per-construction; pages share one).
   std::unique_ptr<core::TangledRenderer> tangled_renderer_;
-
-  // --- parallel re-weave state ------------------------------------------------
-  /// The shared pool page weaves schedule onto (null = serial, the
-  /// default; see set_weave_workers()).
-  std::unique_ptr<WorkerPool> pool_;
-  /// True while run_graph_now() executes with the pool: page compute
-  /// phases check it to decide between the engine's weaver (serial, so
-  /// its stats/cache keep accumulating as they always have) and a
-  /// per-task registry clone (parallel). Written by the coordinating
-  /// thread strictly before/after the pool runs; workers read it under
-  /// the pool's task hand-off, so it is never read and written
-  /// concurrently.
-  bool parallel_wave_active_ = false;
 
   // --- batch state ------------------------------------------------------------
   bool batch_open_ = false;
@@ -822,12 +789,6 @@ class SitePipeline {
   /// Tangled baseline (navigation embedded in every page).
   SitePipeline& tangled();
 
-  /// Worker lanes for the parallel re-weave path (0 = hardware
-  /// concurrency, 1 = serial, the default) — forwarded to
-  /// Engine::set_weave_workers before the initial build, so the
-  /// first weave parallelizes too.
-  SitePipeline& weave_workers(std::size_t lanes);
-
   // --- terminals --------------------------------------------------------------
 
   /// Materialize everything and serve it: returns the running Engine.
@@ -859,7 +820,6 @@ class SitePipeline {
   std::unique_ptr<hypermedia::AccessStructure> structure_;
   std::vector<std::string> family_names_;
   WeaveMode mode_ = WeaveMode::Separated;
-  std::size_t weave_lanes_ = 1;
 };
 
 }  // namespace navsep::nav

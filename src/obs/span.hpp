@@ -1,11 +1,11 @@
 // Epoch-scoped pipeline tracing.
 //
-// A Span is one timed stage of the publish pipeline — plan, wave
-// compute, commit, publish, repl encode/ship/apply — stamped with the
-// epoch it is working toward and the thread lane it ran on. Because
-// every stage carries the epoch, one edit burst can be traced
-// end-to-end: filter the log by epoch and the spans line up from
-// `commit_batch()` on the origin to `publish()` on a replica.
+// A Span is one timed stage of the publish pipeline — graph run, plan,
+// publish, repl encode/ship/apply — stamped with the epoch it is
+// working toward. Because every stage carries the epoch, one edit
+// burst can be traced end-to-end: filter the log by epoch and the spans
+// line up from `commit_batch()` on the origin to `publish()` on a
+// replica.
 //
 // SpanLog is a bounded mutex-guarded ring: recording is O(1), the
 // oldest spans are overwritten when full, and `dropped()` says how

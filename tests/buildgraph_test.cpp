@@ -5,16 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
-#include "aop/aspect.hpp"
 #include "common/rng.hpp"
 #include "nav/buildgraph.hpp"
 #include "nav/pipeline.hpp"
-#include "nav/worker_pool.hpp"
 #include "obs/registry.hpp"
 #include "oracle.hpp"
 #include "site/virtual_site.hpp"
@@ -168,8 +167,8 @@ TEST(BuildGraphMechanism, NodesDefinedMidRunAreBuiltInTheSameRun) {
 
 TEST(BuildGraphMechanism, PlansOncePerTopology) {
   // build.plans counts plans computed: runs over an unchanged topology
-  // reuse the last plan, and every define/define_parallel/remove —
-  // including a define from inside a rebuild callback — replans.
+  // reuse the last plan, and every define/remove — including a define
+  // from inside a rebuild callback — replans.
   obs::Registry registry;
   nav::BuildGraph g;
   g.set_telemetry(&registry);
@@ -196,9 +195,8 @@ TEST(BuildGraphMechanism, PlansOncePerTopology) {
   (void)g.run();
   EXPECT_EQ(plans.value(), 2u);
 
-  g.define_parallel("woven", nav::ProductKind::Page, {"src"}, [] {
-    return nav::BuildGraph::ParallelOutcome{nav::hash_bytes("woven"), {}};
-  });
+  g.define("woven", nav::ProductKind::Page, {"src"},
+           [] { return nav::hash_bytes("woven"); });
   (void)g.run();
   EXPECT_EQ(plans.value(), 3u);
 
@@ -324,11 +322,22 @@ TEST(IncrementalEngine, ReplaceArcReweavesExactlyOnePage) {
   EXPECT_EQ(r.pages_rewoven, 1u);
   EXPECT_EQ(r.pages_total, engine->structure().members().size() + 1);
   EXPECT_EQ(r.linkbases_reauthored, 1u);
+  EXPECT_EQ(r.edits_coalesced, 1u);
+  EXPECT_EQ(r.epochs_published, 1u);
 
   const std::string* page =
       engine->site().get(navsep::core::default_href_for(edited.from));
   ASSERT_NE(page, nullptr);
   EXPECT_NE(page->find("Back to the collection"), std::string::npos);
+  expect_sites_identical(engine->site(), full_build_oracle(*engine));
+
+  // The widest edit, a structure-kind swap, re-weaves across the site in
+  // one run and one epoch and still lands on the oracle.
+  nav::RebuildReport swap =
+      engine->set_access_structure(hm::AccessStructureKind::GuidedTour);
+  EXPECT_GT(swap.pages_rewoven, 1u);
+  EXPECT_EQ(swap.edits_coalesced, 1u);
+  EXPECT_EQ(swap.epochs_published, 1u);
   expect_sites_identical(engine->site(), full_build_oracle(*engine));
 }
 
@@ -692,11 +701,44 @@ TEST(IncrementalEngine, RandomizedEditSequenceStaysByteIdentical) {
         << "diverged after step " << step;
   }
 
-  // And the incremental state must be a fixpoint of the force path.
+  // And the incremental state must be a fixpoint of the force path: the
+  // same bytes, and the same provenance on every page, field by field —
+  // an edit that shifts arcs elsewhere in a linkbase re-weaves only the
+  // pages whose slice changed, so the ordinals the others recorded must
+  // still name the same authored arcs.
+  std::vector<std::string> pages;
+  for (const auto& m : engine->structure().members()) {
+    pages.push_back(m.node_id);
+  }
+  pages.push_back(engine->structure().page_id());
+  std::map<std::string, std::vector<navsep::core::AnchorProvenance>>
+      provenance_before;
+  for (const std::string& page : pages) {
+    const auto* anchors = engine->provenance_for(page);
+    ASSERT_NE(anchors, nullptr) << page;
+    provenance_before[page] = *anchors;
+  }
   std::vector<std::pair<std::string, std::string>> before =
       engine->site().artifacts();
   engine->rebuild();
   EXPECT_EQ(engine->site().artifacts(), before);
+  for (const std::string& page : pages) {
+    SCOPED_TRACE("page " + page);
+    const auto* after = engine->provenance_for(page);
+    ASSERT_NE(after, nullptr);
+    const std::vector<navsep::core::AnchorProvenance>& expected =
+        provenance_before[page];
+    ASSERT_EQ(after->size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      SCOPED_TRACE("anchor " + std::to_string(i));
+      EXPECT_EQ((*after)[i].page_id, expected[i].page_id);
+      EXPECT_EQ((*after)[i].context, expected[i].context);
+      EXPECT_EQ((*after)[i].source, expected[i].source);
+      EXPECT_EQ((*after)[i].ordinal, expected[i].ordinal);
+      EXPECT_EQ((*after)[i].to, expected[i].to);
+      EXPECT_EQ((*after)[i].role, expected[i].role);
+    }
+  }
 }
 
 // --- build-graph introspection --------------------------------------------------
@@ -714,215 +756,79 @@ TEST(IncrementalEngine, GraphShapeMatchesTheSite) {
   EXPECT_TRUE(g.contains("linkbase:links-byauthor.xml"));
 }
 
-// --- parallel waves (BuildGraph mechanism) --------------------------------------
-
-TEST(BuildGraphMechanism, ParallelNodesCommitInPlanOrderForAnyLaneCount) {
-  // Compute phases may run on any lane in any order; commits must land
-  // serially in plan order, so the observable effect sequence is
-  // identical to a serial run whatever the pool size.
-  for (std::size_t lanes : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    nav::BuildGraph g;
-    std::vector<std::string> committed;
-    g.define("src", nav::ProductKind::Source, {},
-             [] { return nav::hash_bytes("s1"); });
-    for (const char* id : {"p1", "p2", "p3", "p4", "p5"}) {
-      g.define_parallel(id, nav::ProductKind::Page, {"src"},
-                        [id, &committed] {
-                          nav::BuildGraph::ParallelOutcome out;
-                          out.hash = nav::hash_bytes(id);
-                          out.commit = [id, &committed] {
-                            committed.emplace_back(id);
-                          };
-                          return out;
-                        });
-    }
-    nav::WorkerPool pool(lanes);
-    nav::RebuildReport r = g.run(&pool);
-    EXPECT_EQ(committed,
-              (std::vector<std::string>{"p1", "p2", "p3", "p4", "p5"}))
-        << "lanes=" << lanes;
-    EXPECT_EQ(r.nodes_rebuilt, 6u);
-    EXPECT_EQ(r.pages_rewoven, 5u);
-    EXPECT_EQ(r.weave_workers, lanes == 1 ? 1u : lanes);
-    EXPECT_EQ(r.max_parallel_weaves, lanes == 1 ? 0u : 5u);
-
-    // Early cutoff still applies: a clean graph schedules nothing.
-    nav::RebuildReport clean = g.run(&pool);
-    EXPECT_EQ(clean.nodes_rebuilt, 0u);
-    EXPECT_EQ(clean.max_parallel_weaves, 0u);
-  }
-}
-
-TEST(BuildGraphMechanism, ParallelWaveExceptionKeepsSerialContract) {
-  // The serial contract on a throwing rebuild: the node's product was not
-  // rebuilt, so it stays dirty with its previous hash. A parallel wave
-  // must behave identically — plus: commits ordered before the throwing
-  // node land, later ones do not.
-  nav::BuildGraph g;
-  std::vector<std::string> committed;
-  bool armed = true;
-  auto page = [&](const char* id, bool boom) {
-    g.define_parallel(id, nav::ProductKind::Page, {},
-                      [id, boom, &armed, &committed] {
-                        if (boom && armed) {
-                          throw navsep::SemanticError("weave failed");
-                        }
-                        nav::BuildGraph::ParallelOutcome out;
-                        out.hash = nav::hash_bytes(id);
-                        out.commit = [id, &committed] {
-                          committed.emplace_back(id);
-                        };
-                        return out;
-                      });
-  };
-  page("a", false);
-  page("b", true);
-  page("c", false);
-  nav::WorkerPool pool(4);
-  EXPECT_THROW((void)g.run(&pool), navsep::SemanticError);
-  EXPECT_EQ(committed, (std::vector<std::string>{"a"}));
-  EXPECT_FALSE(g.is_dirty("a"));
-  EXPECT_TRUE(g.is_dirty("b"));  // its product was never rebuilt
-  EXPECT_EQ(g.hash_of("b"), 0u);
-  EXPECT_TRUE(g.is_dirty("c"));  // its commit never ran
-
-  // Still armed: the next run fails on "b" again, committing nothing.
-  committed.clear();
-  EXPECT_THROW((void)g.run(&pool), navsep::SemanticError);
-  EXPECT_TRUE(committed.empty());
-  EXPECT_TRUE(g.is_dirty("b"));
-
-  // Disarmed: the next run picks up where the wave stopped, in plan
-  // order.
-  armed = false;
-  nav::RebuildReport r = g.run(&pool);
-  EXPECT_EQ(committed, (std::vector<std::string>{"b", "c"}));
-  EXPECT_EQ(r.nodes_rebuilt, 2u);
-  EXPECT_FALSE(g.is_dirty("b"));
-  EXPECT_EQ(g.hash_of("b"), nav::hash_bytes("b"));
-}
+// --- faults (BuildGraph mechanism) -------------------------------------------
 
 TEST(BuildGraphMechanism, SerialExceptionLeavesTheThrowingNodeDirty) {
-  nav::BuildGraph g;
-  bool armed = true;
-  std::vector<std::string> ran;
-  g.define("src", nav::ProductKind::Source, {}, [&] {
-    ran.push_back("src");
-    return nav::hash_bytes("src");
-  });
-  g.define("mid", nav::ProductKind::Linkbase, {"src"}, [&] {
-    ran.push_back("mid");
-    if (armed) throw navsep::SemanticError("author failed");
-    return nav::hash_bytes("mid");
-  });
-  g.define("page", nav::ProductKind::Page, {"mid"}, [&] {
-    ran.push_back("page");
-    return nav::hash_bytes("page");
-  });
-  EXPECT_THROW((void)g.run(), navsep::SemanticError);
-  EXPECT_FALSE(g.is_dirty("src"));
-  EXPECT_TRUE(g.is_dirty("mid"));
-  EXPECT_EQ(g.hash_of("mid"), 0u);
-  EXPECT_TRUE(g.is_dirty("page"));
-
-  // The retry rebuilds only what the failed run left unbuilt.
-  armed = false;
-  ran.clear();
-  nav::RebuildReport r = g.run();
-  EXPECT_EQ(ran, (std::vector<std::string>{"mid", "page"}));
-  EXPECT_EQ(r.nodes_rebuilt, 2u);
-}
-
-// --- parallel weaving (Engine) ---------------------------------------------------
-
-TEST(IncrementalEngine, WorkerCountsProduceByteIdenticalSites) {
-  // The tentpole determinism claim: the woven site is a pure function of
-  // the navigation design, not of the lane count. Build the same design
-  // serially and with 2/4-lane pools, mutate identically, compare bytes.
-  auto build = [](std::size_t lanes) {
-    auto engine = nav::SitePipeline()
-                      .conceptual(SyntheticSpec{.painters = 2,
-                                                .paintings_per_painter = 8,
-                                                .movements = 3,
-                                                .seed = 21})
-                      .access(hm::AccessStructureKind::IndexedGuidedTour,
-                              "painter-0")
-                      .contexts({"ByAuthor", "ByMovement"})
-                      .weave()
-                      .weave_workers(lanes)
-                      .serve();
-    (void)engine->retitle_node(engine->structure().members()[1].node_id,
-                               "Retitled");
-    (void)engine->set_access_structure(hm::AccessStructureKind::GuidedTour);
-    return engine;
+  // The fault contract: the node whose rebuild throws keeps its previous
+  // hash and stays dirty, and so does every node the run had not reached
+  // — its dependents (a chain) and independent nodes later in plan order
+  // alike. A retry while the fault persists builds nothing; once it
+  // clears, the next run builds exactly what was left, in plan order.
+  struct Input {
+    const char* name;
+    std::vector<std::string> ids;  // plan order; the middle one throws
+    std::vector<nav::ProductKind> kinds;
+    bool chained;  // each node depends on the one before it
   };
-  auto serial = build(1);
-  auto two = build(2);
-  auto four = build(4);
-  EXPECT_EQ(serial->weave_workers(), 1u);
-  EXPECT_EQ(two->weave_workers(), 2u);
-  EXPECT_EQ(four->weave_workers(), 4u);
-  expect_sites_identical(two->site(), serial->site());
-  expect_sites_identical(four->site(), serial->site());
-  expect_sites_identical(four->site(), full_build_oracle(*four));
+  const std::vector<Input> inputs{
+      {"chain",
+       {"src", "mid", "page"},
+       {nav::ProductKind::Source, nav::ProductKind::Linkbase,
+        nav::ProductKind::Page},
+       true},
+      {"independent",
+       {"a", "b", "c"},
+       {nav::ProductKind::Page, nav::ProductKind::Page,
+        nav::ProductKind::Page},
+       false},
+  };
+  for (const Input& input : inputs) {
+    SCOPED_TRACE(input.name);
+    nav::BuildGraph g;
+    bool armed = true;
+    std::vector<std::string> built;
+    for (std::size_t i = 0; i < input.ids.size(); ++i) {
+      std::vector<std::string> deps;
+      if (input.chained && i > 0) deps.push_back(input.ids[i - 1]);
+      const std::string id = input.ids[i];
+      const bool throws = i == 1;
+      g.define(id, input.kinds[i], std::move(deps),
+               [id, throws, &armed, &built] {
+                 if (throws && armed) {
+                   throw navsep::SemanticError("rebuild failed");
+                 }
+                 built.push_back(id);
+                 return nav::hash_bytes(id);
+               });
+    }
+    const std::string& first = input.ids[0];
+    const std::string& thrower = input.ids[1];
+    const std::string& last = input.ids[2];
 
-  // Provenance (logged through thread-locals during parallel waves)
-  // matches the serial engine's too.
-  const std::string member = serial->structure().members()[0].node_id;
-  const auto* sp = serial->provenance_for(member);
-  const auto* pp = four->provenance_for(member);
-  ASSERT_NE(sp, nullptr);
-  ASSERT_NE(pp, nullptr);
-  ASSERT_EQ(sp->size(), pp->size());
-  for (std::size_t i = 0; i < sp->size(); ++i) {
-    EXPECT_EQ((*sp)[i].to, (*pp)[i].to);
-    EXPECT_EQ((*sp)[i].role, (*pp)[i].role);
-    EXPECT_EQ((*sp)[i].ordinal, (*pp)[i].ordinal);
-    EXPECT_EQ((*sp)[i].source, (*pp)[i].source);
+    EXPECT_THROW((void)g.run(), navsep::SemanticError);
+    EXPECT_EQ(built, (std::vector<std::string>{first}));
+    EXPECT_FALSE(g.is_dirty(first));
+    EXPECT_TRUE(g.is_dirty(thrower));  // its product was never rebuilt
+    EXPECT_EQ(g.hash_of(thrower), 0u);
+    EXPECT_TRUE(g.is_dirty(last));  // never reached
+
+    // Still armed: the retry fails on the same node and builds nothing.
+    built.clear();
+    EXPECT_THROW((void)g.run(), navsep::SemanticError);
+    EXPECT_TRUE(built.empty());
+    EXPECT_TRUE(g.is_dirty(thrower));
+    EXPECT_TRUE(g.is_dirty(last));
+
+    // Disarmed: the retry rebuilds only what the failed runs left
+    // unbuilt.
+    armed = false;
+    built.clear();
+    nav::RebuildReport r = g.run();
+    EXPECT_EQ(built, (std::vector<std::string>{thrower, last}));
+    EXPECT_EQ(r.nodes_rebuilt, 2u);
+    EXPECT_FALSE(g.is_dirty(thrower));
+    EXPECT_EQ(g.hash_of(thrower), nav::hash_bytes(thrower));
   }
-}
-
-TEST(IncrementalEngine, ParallelReportCountersSurfaceTheWave) {
-  auto engine = nav::SitePipeline()
-                    .conceptual(SyntheticSpec{.painters = 1,
-                                              .paintings_per_painter = 6,
-                                              .movements = 2,
-                                              .seed = 3})
-                    .access(hm::AccessStructureKind::Index, "painter-0")
-                    .weave()
-                    .weave_workers(3)
-                    .serve();
-  // A structure-kind swap re-weaves every page: the wave spans the site.
-  nav::RebuildReport r =
-      engine->set_access_structure(hm::AccessStructureKind::GuidedTour);
-  EXPECT_EQ(r.weave_workers, 3u);
-  EXPECT_EQ(r.max_parallel_weaves, r.pages_rewoven);
-  EXPECT_GT(r.max_parallel_weaves, 1u);
-  EXPECT_EQ(r.edits_coalesced, 1u);
-  EXPECT_EQ(r.epochs_published, 1u);
-  expect_sites_identical(engine->site(), full_build_oracle(*engine));
-}
-
-TEST(IncrementalEngine, ForeignAspectsForceTheSerialPath) {
-  // User advice has no thread-safety contract: as soon as a non-engine
-  // aspect is registered, weaves fall back to the serial path (and the
-  // report says so), even with a pool configured.
-  auto engine = nav::SitePipeline()
-                    .conceptual(SyntheticSpec{.painters = 1,
-                                              .paintings_per_painter = 4,
-                                              .movements = 2,
-                                              .seed = 5})
-                    .access(hm::AccessStructureKind::Index, "painter-0")
-                    .weave()
-                    .weave_workers(4)
-                    .serve();
-  auto extra = std::make_shared<navsep::aop::Aspect>("extra");
-  engine->weaver().register_aspect(extra);
-  nav::RebuildReport r =
-      engine->set_access_structure(hm::AccessStructureKind::GuidedTour);
-  EXPECT_EQ(r.weave_workers, 1u);
-  EXPECT_EQ(r.max_parallel_weaves, 0u);
-  expect_sites_identical(engine->site(), full_build_oracle(*engine));
 }
 
 // --- mutation batching -----------------------------------------------------------
@@ -990,9 +896,8 @@ TEST(IncrementalEngine, BatchLifecycleErrorsAndEmptyBatches) {
 TEST(IncrementalEngine, BatchedAndSequentialEnginesStayByteIdentical) {
   // The batching oracle: the same randomized mixed edit stream applied
   // sequentially to one engine and in randomized batch sizes to another
-  // (with a parallel pool, for good measure) must leave both sites
-  // byte-identical at every commit point.
-  auto make = [](std::size_t lanes) {
+  // must leave both sites byte-identical at every commit point.
+  auto make = [] {
     return nav::SitePipeline()
         .conceptual(SyntheticSpec{.painters = 3,
                                   .paintings_per_painter = 5,
@@ -1001,11 +906,10 @@ TEST(IncrementalEngine, BatchedAndSequentialEnginesStayByteIdentical) {
         .access(hm::AccessStructureKind::Index, "painter-1")
         .contexts({"ByAuthor"})
         .weave()
-        .weave_workers(lanes)
         .serve();
   };
-  auto sequential = make(1);
-  auto batched = make(2);
+  auto sequential = make();
+  auto batched = make();
 
   std::vector<std::string> all_paintings;
   for (const auto* node : batched->navigation().nodes_of("PaintingNode")) {

@@ -54,7 +54,7 @@ TEST_F(ContextLinkbaseTest, OneExtendedLinkPerContext) {
 TEST_F(ContextLinkbaseTest, ArcsCarryContextTags) {
   auto doc = core::build_context_linkbase(*by_author_, *nav_);
   auto graph = core::load_linkbase(*doc);
-  auto arcs = core::contextual_arcs_from_graph(graph);
+  auto arcs = core::combined_nav_arcs({{"", &graph}});
   ASSERT_FALSE(arcs.empty());
   // 2 painters × 3 paintings → per context 2 next + 2 prev.
   EXPECT_EQ(arcs.size(), 8u);
@@ -72,7 +72,7 @@ TEST_F(ContextLinkbaseTest, RoundTripsThroughSerialization) {
   opts.base_uri = doc->base_uri();
   auto reparsed = navsep::xml::parse(text, opts);
   auto graph = core::load_linkbase(*reparsed);
-  auto arcs = core::contextual_arcs_from_graph(graph);
+  auto arcs = core::combined_nav_arcs({{"", &graph}});
   // One movement containing all 6 paintings → 5 next + 5 prev.
   EXPECT_EQ(arcs.size(), 10u);
   EXPECT_EQ(arcs[0].context, "ByMovement:movement-0");

@@ -356,7 +356,6 @@ TEST(PipelineSpans, EditBurstCorrelatesByTargetEpoch) {
   auto engine = synthetic_engine(3);
   auto registry = std::make_shared<obs::Registry>();
   engine->attach_telemetry(registry);
-  engine->set_weave_workers(2);  // wave spans need lanes
 
   const std::uint64_t before = engine->snapshots().epoch();
   // Copy the id out: retitling regenerates the structure (and frees the

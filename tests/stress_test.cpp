@@ -814,13 +814,12 @@ TEST(DifferentialStress, ReplicatedReaderServesOnlyOracleBytes) {
 }
 
 // The batched variant: the same mutation mix, but grouped into
-// randomized-size begin_batch()/commit_batch() bursts on an engine with
-// a parallel weave pool. The invariants under test, after EVERY commit:
-// the coalesced report counts every edit, a K-edit burst advances the
-// snapshot epoch by exactly ONE, a live replica fed by a real
-// repl::Publisher applies exactly ONE delta for the whole burst, and
-// both the origin site and the replica-served bytes equal the
-// full-build oracle of the final batched state.
+// randomized-size begin_batch()/commit_batch() bursts. The invariants
+// under test, after EVERY commit: the coalesced report counts every
+// edit, a K-edit burst advances the snapshot epoch by exactly ONE, a
+// live replica fed by a real repl::Publisher applies exactly ONE delta
+// for the whole burst, and both the origin site and the replica-served
+// bytes equal the full-build oracle of the final batched state.
 TEST(DifferentialStress, BatchedBurstsPublishOneDeltaAndServeOracleBytes) {
   namespace repl = navsep::repl;
 
@@ -833,7 +832,6 @@ TEST(DifferentialStress, BatchedBurstsPublishOneDeltaAndServeOracleBytes) {
                     .access(AccessStructureKind::Index, "painter-0")
                     .contexts({"ByAuthor", "ByMovement"})
                     .weave()
-                    .weave_workers(2)
                     .serve();
 
   const std::vector<std::vector<std::string>> family_subsets{
