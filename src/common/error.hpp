@@ -1,7 +1,7 @@
 // Error hierarchy shared by every navsep module.
 //
 // All recoverable failures in the library are reported as exceptions derived
-// from navsep::Error. Parsers (XML, XPath, CSS, pointcut DSL, URI) throw
+// from navsep::Error. Parsers (XML, XPath, pointcut DSL, URI) throw
 // ParseError carrying a 1-based line/column position; semantic failures
 // (dangling XLink labels, unknown node classes, pointcut type errors) throw
 // SemanticError. Callers that prefer status-style handling can use the

@@ -17,18 +17,6 @@ std::string_view trim(std::string_view s) noexcept {
   return s.substr(b, e - b);
 }
 
-std::vector<std::string_view> split(std::string_view s, char sep) {
-  std::vector<std::string_view> out;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i <= s.size(); ++i) {
-    if (i == s.size() || s[i] == sep) {
-      out.push_back(s.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return out;
-}
-
 std::vector<std::string_view> split_ws(std::string_view s) {
   std::vector<std::string_view> out;
   std::size_t i = 0;
@@ -129,18 +117,6 @@ bool all_space(std::string_view s) noexcept {
     if (!is_space(c)) return false;
   }
   return true;
-}
-
-std::string quote(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out.push_back('"');
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  out.push_back('"');
-  return out;
 }
 
 }  // namespace navsep::strings

@@ -2,7 +2,7 @@
 //
 // Everything here operates on std::string_view and returns owned strings or
 // views into the input; no locale dependence (ASCII-only case folding, which
-// matches the XML/CSS grammars we implement).
+// matches the XML and URI grammars we implement).
 #pragma once
 
 #include <string>
@@ -38,10 +38,6 @@ namespace navsep::strings {
 /// Strip leading and trailing XML whitespace.
 [[nodiscard]] std::string_view trim(std::string_view s) noexcept;
 
-/// Split on a single separator character. Empty fields are preserved:
-/// split("a,,b", ',') == {"a", "", "b"}; split("", ',') == {""}.
-[[nodiscard]] std::vector<std::string_view> split(std::string_view s, char sep);
-
 /// Split on runs of XML whitespace; empty fields are dropped.
 [[nodiscard]] std::vector<std::string_view> split_ws(std::string_view s);
 
@@ -57,7 +53,7 @@ namespace navsep::strings {
 
 /// Glob-style wildcard match: `*` matches any (possibly empty) run of
 /// characters, `?` matches exactly one character; everything else is
-/// literal. Used by the pointcut DSL and by CSS attribute matching.
+/// literal. Used by the pointcut DSL.
 [[nodiscard]] bool wildcard_match(std::string_view pattern,
                                   std::string_view text) noexcept;
 
@@ -67,8 +63,5 @@ namespace navsep::strings {
 
 /// True if `s` consists solely of XML whitespace (or is empty).
 [[nodiscard]] bool all_space(std::string_view s) noexcept;
-
-/// Minimal integer formatting helpers that never throw.
-[[nodiscard]] std::string quote(std::string_view s);
 
 }  // namespace navsep::strings

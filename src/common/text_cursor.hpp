@@ -1,5 +1,5 @@
-// TextCursor: a position-tracking scanner shared by every lexer in the
-// library (XML, XPath, CSS, URI, pointcut DSL). It owns nothing; the caller
+// TextCursor: a position-tracking scanner shared by the library's lexers
+// (XML, XPath, XPointer, pointcut DSL). It owns nothing; the caller
 // guarantees the underlying buffer outlives the cursor.
 #pragma once
 

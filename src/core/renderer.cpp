@@ -126,7 +126,7 @@ SeparatedComposer::SeparatedComposer(aop::Weaver& weaver,
                                      RenderOptions options)
     : weaver_(&weaver), options_(std::move(options)) {}
 
-html::Page SeparatedComposer::compose_node_dom(
+std::string SeparatedComposer::compose_node_page(
     const hypermedia::NavNode& node, std::string_view context_tag) const {
   html::Page page(node.title());
   if (!options_.stylesheet_href.empty()) {
@@ -147,15 +147,10 @@ html::Page SeparatedComposer::compose_node_dom(
   compose_jp.kind = aop::JoinPointKind::PageCompose;
   std::any payload = &page.body();
   weaver_->execute(compose_jp, &payload, [] {});
-  return page;
+  return page.to_string();
 }
 
-std::string SeparatedComposer::compose_node_page(
-    const hypermedia::NavNode& node, std::string_view context_tag) const {
-  return compose_node_dom(node, context_tag).to_string();
-}
-
-html::Page SeparatedComposer::compose_structure_dom(
+std::string SeparatedComposer::compose_structure_page(
     std::string_view page_id, std::string_view title) const {
   html::Page page(title);
   if (!options_.stylesheet_href.empty()) {
@@ -170,12 +165,7 @@ html::Page SeparatedComposer::compose_structure_dom(
   jp.instance = std::string(page_id);
   std::any payload = &page.body();
   weaver_->execute(jp, &payload, [] {});
-  return page;
-}
-
-std::string SeparatedComposer::compose_structure_page(
-    std::string_view page_id, std::string_view title) const {
-  return compose_structure_dom(page_id, title).to_string();
+  return page.to_string();
 }
 
 std::vector<RenderedPage> SeparatedComposer::compose_site(

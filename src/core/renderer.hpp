@@ -82,14 +82,6 @@ class SeparatedComposer {
   [[nodiscard]] std::string compose_structure_page(
       std::string_view page_id, std::string_view title) const;
 
-  /// DOM-returning variants (for callers that keep processing the page —
-  /// CSS resolution, further aspects — without a serialize/parse round
-  /// trip).
-  [[nodiscard]] html::Page compose_node_dom(
-      const hypermedia::NavNode& node, std::string_view context_tag = "") const;
-  [[nodiscard]] html::Page compose_structure_dom(
-      std::string_view page_id, std::string_view title) const;
-
   /// Compose every page of a site: members of `structure` + its pages.
   [[nodiscard]] std::vector<RenderedPage> compose_site(
       const hypermedia::NavigationalModel& model,

@@ -106,11 +106,12 @@ class MuseumWorld {
 
   // --- fixed presentation artifacts -------------------------------------------
 
-  /// The XSLT stylesheet that renders painter/painting documents to HTML
-  /// content (navigation-free; the aspect adds navigation).
+  /// The XSLT stylesheet that would render painter/painting documents to
+  /// navigation-free HTML content. The site serves it as authored bytes:
+  /// core::renderer composes the pages, and navsep runs no XSLT.
   [[nodiscard]] static std::string presentation_xslt();
 
-  /// The site CSS (referenced by every page).
+  /// The site CSS, referenced by every page and served as authored bytes.
   [[nodiscard]] static std::string site_css();
 
  private:

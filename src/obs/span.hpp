@@ -7,12 +7,10 @@
 // line up from `commit_batch()` on the origin to `publish()` on a
 // replica.
 //
-// SpanLog is a bounded mutex-guarded ring: recording is O(1), the
-// oldest spans are overwritten when full, and `dropped()` says how
-// many fell off. Spans record on the *control* path (builds,
-// publishes, replication frames — dozens per second, not millions),
-// so a short critical section per span is cheap; the serve hot path
-// never touches the span log.
+// SpanLog is a BoundedRing (obs/ring.hpp) behind a mutex. Spans record
+// on the *control* path (builds, publishes, replication frames — dozens
+// per second, not millions), so a short critical section per span is
+// cheap; the serve hot path never touches the span log.
 #pragma once
 
 #include <chrono>
@@ -20,8 +18,9 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
+
+#include "obs/ring.hpp"
 
 namespace navsep::obs {
 
@@ -34,55 +33,35 @@ namespace navsep::obs {
           .count());
 }
 
-/// A compact identifier for the recording thread — not the OS tid,
-/// just a stable small hash so spans from the same thread group
-/// together in a dump.
-[[nodiscard]] inline std::uint32_t thread_lane() noexcept {
-  return static_cast<std::uint32_t>(
-      std::hash<std::thread::id>{}(std::this_thread::get_id()));
-}
-
 struct Span {
   std::string name;         ///< stage, e.g. "build.plan", "repl.ship"
   std::uint64_t epoch = 0;  ///< snapshot epoch the stage works toward
   std::uint64_t begin_ns = 0;
   std::uint64_t end_ns = 0;
-  std::uint32_t lane = 0;  ///< thread_lane() of the recording thread
 
   [[nodiscard]] std::uint64_t duration_ns() const noexcept {
     return end_ns >= begin_ns ? end_ns - begin_ns : 0;
   }
 };
 
-/// Bounded ring of completed spans, oldest-overwritten.
+/// Bounded ring of completed spans, oldest-overwritten; safe to record
+/// and read from any thread.
 class SpanLog {
  public:
   static constexpr std::size_t kDefaultCapacity = 4096;
 
   explicit SpanLog(std::size_t capacity = kDefaultCapacity)
-      : capacity_(capacity == 0 ? 1 : capacity) {}
+      : ring_(capacity) {}
 
   void record(Span span) {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (ring_.size() < capacity_) {
-      ring_.push_back(std::move(span));
-    } else {
-      ring_[head_] = std::move(span);
-      head_ = (head_ + 1) % capacity_;
-      ++dropped_;
-    }
-    ++recorded_;
+    ring_.record(std::move(span));
   }
 
   /// All retained spans, oldest first.
   [[nodiscard]] std::vector<Span> events() const {
     std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<Span> out;
-    out.reserve(ring_.size());
-    for (std::size_t i = 0; i < ring_.size(); ++i) {
-      out.push_back(ring_[(head_ + i) % ring_.size()]);
-    }
-    return out;
+    return ring_.events();
   }
 
   /// Retained spans stamped with `epoch`, oldest first.
@@ -94,23 +73,21 @@ class SpanLog {
     return out;
   }
 
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
+  [[nodiscard]] std::size_t capacity() const noexcept {
+    return ring_.capacity();
+  }
   [[nodiscard]] std::uint64_t recorded() const {
     std::lock_guard<std::mutex> lock(mutex_);
-    return recorded_;
+    return ring_.recorded();
   }
   [[nodiscard]] std::uint64_t dropped() const {
     std::lock_guard<std::mutex> lock(mutex_);
-    return dropped_;
+    return ring_.dropped();
   }
 
  private:
   mutable std::mutex mutex_;
-  std::size_t capacity_;
-  std::size_t head_ = 0;  // oldest element once the ring is full
-  std::vector<Span> ring_;
-  std::uint64_t recorded_ = 0;
-  std::uint64_t dropped_ = 0;
+  BoundedRing<Span> ring_;
 };
 
 /// RAII span: stamps begin on construction, records on destruction.
@@ -123,7 +100,6 @@ class ScopedSpan {
     if (log_ != nullptr) {
       span_.name = std::move(name);
       span_.epoch = epoch;
-      span_.lane = thread_lane();
       span_.begin_ns = monotonic_ns();
     }
   }

@@ -23,6 +23,8 @@
 #include <utility>
 #include <vector>
 
+#include "obs/ring.hpp"
+
 namespace navsep::obs {
 
 /// One navigation step as a session saw it.
@@ -45,45 +47,8 @@ struct TraceConfig {
 
 /// Bounded single-writer ring of TraceEvents. Owned by exactly one
 /// session thread while it runs; readers (the aggregator) only look
-/// after the writer joins. Oldest events are overwritten when full.
-class TraceRing {
- public:
-  explicit TraceRing(std::size_t capacity)
-      : capacity_(capacity == 0 ? 1 : capacity) {}
-
-  void record(TraceEvent event) {
-    if (ring_.size() < capacity_) {
-      ring_.push_back(std::move(event));
-    } else {
-      ring_[head_] = std::move(event);
-      head_ = (head_ + 1) % capacity_;
-      ++dropped_;
-    }
-    ++recorded_;
-  }
-
-  /// Retained events, oldest first.
-  [[nodiscard]] std::vector<TraceEvent> events() const {
-    std::vector<TraceEvent> out;
-    out.reserve(ring_.size());
-    for (std::size_t i = 0; i < ring_.size(); ++i) {
-      out.push_back(ring_[(head_ + i) % ring_.size()]);
-    }
-    return out;
-  }
-
-  [[nodiscard]] std::size_t size() const noexcept { return ring_.size(); }
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] std::uint64_t recorded() const noexcept { return recorded_; }
-  [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
-
- private:
-  std::size_t capacity_;
-  std::size_t head_ = 0;  // oldest element once the ring is full
-  std::vector<TraceEvent> ring_;
-  std::uint64_t recorded_ = 0;
-  std::uint64_t dropped_ = 0;
-};
+/// after the writer joins.
+using TraceRing = BoundedRing<TraceEvent>;
 
 /// An arc as the popularity table keys it: who linked where, and via
 /// which role.

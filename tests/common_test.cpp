@@ -17,15 +17,6 @@ TEST(Strings, TrimRemovesXmlWhitespaceOnBothSides) {
   EXPECT_EQ(ns::trim("x"), "x");
 }
 
-TEST(Strings, SplitPreservesEmptyFields) {
-  auto parts = ns::split("a,,b", ',');
-  ASSERT_EQ(parts.size(), 3u);
-  EXPECT_EQ(parts[0], "a");
-  EXPECT_EQ(parts[1], "");
-  EXPECT_EQ(parts[2], "b");
-  EXPECT_EQ(ns::split("", ',').size(), 1u);
-}
-
 TEST(Strings, SplitWsDropsEmptyFields) {
   auto parts = ns::split_ws("  one\ttwo \n three  ");
   ASSERT_EQ(parts.size(), 3u);
