@@ -15,10 +15,10 @@
 // latency (interpolated log2 quantiles), throughput, traces recorded /
 // dropped, epochs published mid-run, and — the headline — the p50
 // overhead of each telemetry mode against the `off` baseline of the
-// same cell. The modes are interleaved over several rounds; the
-// overhead is the median of the per-round paired ratios, which
-// suppresses scheduler noise (dominant on a 1-core container) without
-// hiding systematic cost. Within a round each mode warms up and keeps
+// same cell. The modes are interleaved over many rounds; the overhead
+// is the median of the per-round paired ratios, which suppresses
+// scheduler noise (dominant on a shared host) without hiding
+// systematic cost. Within a round each mode warms up and keeps
 // its lowest-p50 of three reps.
 //
 // Self-contained driver (no google-benchmark): emits BENCH_e9.json.
@@ -263,12 +263,19 @@ int main(int argc, char** argv) {
   // Interleave the modes round-robin: within one round the three runs
   // see similar machine conditions, so each round yields a PAIRED
   // overhead ratio (mode p50 / that round's off p50), and the median
-  // over rounds is robust to the scheduling drift that dominates a
-  // shared 1-core container, where per-rep noise dwarfs a ~ns ring
-  // store. The reported p50/p99 columns are each mode's lowest-p50
-  // round (the noise floor); p50_overhead_vs_off is the median paired
-  // ratio, which is why the two are not arithmetically consistent.
-  const int rounds = quick ? 1 : 8;
+  // over rounds is robust to the scheduling drift of a shared host,
+  // where per-rep noise dwarfs a ~ns ring store. The reported p50/p99
+  // columns are each mode's lowest-p50 round (the noise floor);
+  // p50_overhead_vs_off is the median paired ratio, which is why the
+  // two are not arithmetically consistent.
+  //
+  // One round's ratio swings by ±10–20% on a 4-core shared host, and
+  // longer reps do not narrow it (the swing comes with each fresh
+  // engine and schedule, not from the sample count), so a full run
+  // buys its precision with rounds: at 8, ten runs put one cell's
+  // sampled overhead anywhere in −15% … +24%; at 96 a single run's
+  // median settles within a few percent (docs/BENCHMARKS.md).
+  const int rounds = quick ? 1 : 96;
   std::vector<Record> records;
   for (std::size_t threads : thread_counts) {
     for (std::size_t paintings : sizes) {

@@ -3,39 +3,50 @@
 //
 // Regenerates the figure's page (checked for shape in core_test) and
 // measures tangled rendering: one member page, the index page, and the
-// whole site, as the context grows. The fixture comes out of
-// nav::SitePipeline in .tangled() mode. Expected shape: member-page cost
-// is O(1) in context size (Index pages carry one "up" anchor); index-page
-// and site cost grow linearly.
+// whole site, as the context grows. The fixture is the museum's Index
+// over one painter, taken straight from the conceptual model: the
+// tangled baseline needs no engine. Expected shape: member-page cost
+// is O(1) in context size (Index pages carry one "up" anchor);
+// index-page and site cost grow linearly.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "core/renderer.hpp"
-#include "nav/pipeline.hpp"
+#include "hypermedia/access.hpp"
+#include "hypermedia/navigational.hpp"
+#include "museum/museum.hpp"
 
 namespace {
 
 using navsep::core::TangledRenderer;
 using navsep::hypermedia::AccessStructureKind;
-namespace nav = navsep::nav;
+namespace hm = navsep::hypermedia;
 
-std::unique_ptr<nav::Engine> make_engine(std::size_t paintings,
-                                         AccessStructureKind kind) {
-  return nav::SitePipeline()
-      .conceptual(navsep::museum::SyntheticSpec{.painters = 1,
-                                                .paintings_per_painter =
-                                                    paintings,
-                                                .movements = 2,
-                                                .seed = 11})
-      .access(kind, "painter-0")
-      .tangled()
-      .serve();
-}
+/// One painter's works under an Index. Declaration order is lifetime
+/// order: the model views the world, the renderer views both.
+struct Fixture {
+  explicit Fixture(std::size_t paintings)
+      : world(navsep::museum::MuseumWorld::synthetic(
+            {.painters = 1,
+             .paintings_per_painter = paintings,
+             .movements = 2,
+             .seed = 11})),
+        model(world->derive_navigation()),
+        structure(world->paintings_structure(AccessStructureKind::Index,
+                                             model, "painter-0")),
+        renderer(model, *structure) {}
+
+  std::unique_ptr<navsep::museum::MuseumWorld> world;
+  hm::NavigationalModel model;
+  std::unique_ptr<hm::AccessStructure> structure;
+  TangledRenderer renderer;
+};
 
 void BM_TangledMemberPage(benchmark::State& state) {
-  auto engine = make_engine(static_cast<std::size_t>(state.range(0)),
-                            AccessStructureKind::Index);
-  TangledRenderer renderer(engine->navigation(), engine->structure());
-  const auto* node = engine->navigation().node("painter-0-work-0");
+  Fixture fixture(static_cast<std::size_t>(state.range(0)));
+  const TangledRenderer& renderer = fixture.renderer;
+  const auto* node = fixture.model.node("painter-0-work-0");
   std::size_t bytes = 0;
   for (auto _ : state) {
     std::string page = renderer.render_node_page(*node);
@@ -46,9 +57,8 @@ void BM_TangledMemberPage(benchmark::State& state) {
 }
 
 void BM_TangledIndexPage(benchmark::State& state) {
-  auto engine = make_engine(static_cast<std::size_t>(state.range(0)),
-                            AccessStructureKind::Index);
-  TangledRenderer renderer(engine->navigation(), engine->structure());
+  Fixture fixture(static_cast<std::size_t>(state.range(0)));
+  const TangledRenderer& renderer = fixture.renderer;
   std::size_t bytes = 0;
   for (auto _ : state) {
     std::string page = renderer.render_structure_page();
@@ -59,9 +69,8 @@ void BM_TangledIndexPage(benchmark::State& state) {
 }
 
 void BM_TangledWholeSite(benchmark::State& state) {
-  auto engine = make_engine(static_cast<std::size_t>(state.range(0)),
-                            AccessStructureKind::Index);
-  TangledRenderer renderer(engine->navigation(), engine->structure());
+  Fixture fixture(static_cast<std::size_t>(state.range(0)));
+  const TangledRenderer& renderer = fixture.renderer;
   std::size_t pages = 0;
   for (auto _ : state) {
     auto site = renderer.render_site();

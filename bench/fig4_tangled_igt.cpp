@@ -2,8 +2,9 @@
 // Tour — the paper's "only two lines of HTML, but on every page".
 //
 // For each context size N this bench renders a member page under Index
-// and under IGT (the "before" engine comes out of nav::SitePipeline, the
-// "after" structure from the same world), diffs them, and reports:
+// and under IGT (both structures over one painter of the same synthetic
+// world — the tangled baseline needs no engine), diffs them, and
+// reports:
 //
 //   lines_added_per_page   — the per-page cost the paper calls small
 //   pages_affected         — N (every member of the context)
@@ -12,35 +13,48 @@
 // Expected shape: lines_added_per_page constant; total cost linear in N.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "core/renderer.hpp"
 #include "diff/diff.hpp"
-#include "nav/pipeline.hpp"
+#include "hypermedia/access.hpp"
+#include "hypermedia/navigational.hpp"
+#include "museum/museum.hpp"
 
 namespace {
 
 using navsep::core::TangledRenderer;
 using navsep::hypermedia::AccessStructureKind;
-namespace nav = navsep::nav;
+namespace hm = navsep::hypermedia;
 
-std::unique_ptr<nav::Engine> make_engine(std::size_t n) {
-  return nav::SitePipeline()
-      .conceptual(navsep::museum::SyntheticSpec{.painters = 1,
-                                                .paintings_per_painter = n,
-                                                .movements = 2,
-                                                .seed = 3})
-      .access(AccessStructureKind::Index, "painter-0")
-      .tangled()
-      .serve();
-}
+/// One painter's N works, before (Index) and after (IGT) the change
+/// request. Declaration order is lifetime order: the model views the
+/// world.
+struct Fixture {
+  explicit Fixture(std::size_t n)
+      : world(navsep::museum::MuseumWorld::synthetic(
+            {.painters = 1,
+             .paintings_per_painter = n,
+             .movements = 2,
+             .seed = 3})),
+        model(world->derive_navigation()),
+        index(world->paintings_structure(AccessStructureKind::Index, model,
+                                         "painter-0")),
+        igt(world->paintings_structure(AccessStructureKind::IndexedGuidedTour,
+                                       model, "painter-0")) {}
+
+  std::unique_ptr<navsep::museum::MuseumWorld> world;
+  hm::NavigationalModel model;
+  std::unique_ptr<hm::AccessStructure> index;
+  std::unique_ptr<hm::AccessStructure> igt;
+};
 
 void BM_IgtMigrationCost(benchmark::State& state) {
-  auto engine = make_engine(static_cast<std::size_t>(state.range(0)));
-  const auto& nav_model = engine->navigation();
-  const auto& index = engine->structure();
-  auto igt = engine->world().paintings_structure(
-      AccessStructureKind::IndexedGuidedTour, nav_model, "painter-0");
+  const Fixture fixture(static_cast<std::size_t>(state.range(0)));
+  const hm::NavigationalModel& nav_model = fixture.model;
+  const hm::AccessStructure& index = *fixture.index;
   TangledRenderer index_renderer(nav_model, index);
-  TangledRenderer igt_renderer(nav_model, *igt);
+  TangledRenderer igt_renderer(nav_model, *fixture.igt);
 
   std::size_t per_page = 0;
   std::size_t total = 0;
@@ -67,13 +81,9 @@ void BM_IgtMigrationCost(benchmark::State& state) {
 }
 
 void BM_IgtPageRender(benchmark::State& state) {
-  auto engine = make_engine(static_cast<std::size_t>(state.range(0)));
-  auto igt = engine->world().paintings_structure(
-      AccessStructureKind::IndexedGuidedTour, engine->navigation(),
-      "painter-0");
-  TangledRenderer renderer(engine->navigation(), *igt);
-  const auto* node =
-      engine->navigation().node("painter-0-work-1");  // a middle node
+  const Fixture fixture(static_cast<std::size_t>(state.range(0)));
+  TangledRenderer renderer(fixture.model, *fixture.igt);
+  const auto* node = fixture.model.node("painter-0-work-1");  // a middle node
   for (auto _ : state) {
     std::string page = renderer.render_node_page(*node);
     benchmark::DoNotOptimize(page);

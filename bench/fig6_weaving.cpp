@@ -9,11 +9,13 @@
 //   woven            — content render + PageCompose join point + the
 //                      navigation aspect's advice,
 //
-// and reports the overhead ratio. Both fixtures come out of
-// nav::SitePipeline (one .tangled(), one .weave()); both emit
-// byte-identical pages (asserted in core_test), so the delta is pure
-// mechanism cost. Expected shape: a small constant per page that
-// amortizes to noise over whole-site builds.
+// and reports the overhead ratio. Both render from one separated
+// engine out of nav::SitePipeline: the woven side through its weaver,
+// the tangled side through a core::TangledRenderer over its
+// navigation() and structure(). Both emit byte-identical pages
+// (asserted in core_test), so the delta is pure mechanism cost.
+// Expected shape: a small constant per page that amortizes to noise
+// over whole-site builds.
 #include <benchmark/benchmark.h>
 
 #include "core/renderer.hpp"
@@ -24,29 +26,22 @@ namespace {
 using navsep::hypermedia::AccessStructureKind;
 namespace nav = navsep::nav;
 
-std::unique_ptr<nav::Engine> make_engine(std::size_t paintings,
-                                         nav::WeaveMode mode) {
-  nav::SitePipeline pipeline;
-  pipeline
-      .conceptual(navsep::museum::SyntheticSpec{.painters = 1,
-                                                .paintings_per_painter =
-                                                    paintings,
-                                                .movements = 2,
-                                                .seed = 5})
-      .access(AccessStructureKind::IndexedGuidedTour, "painter-0");
-  if (mode == nav::WeaveMode::Tangled) {
-    pipeline.tangled();
-  } else {
-    pipeline.weave();
-  }
-  auto engine = pipeline.serve();
+std::unique_ptr<nav::Engine> make_engine(std::size_t paintings) {
+  auto engine =
+      nav::SitePipeline()
+          .conceptual(navsep::museum::SyntheticSpec{.painters = 1,
+                                                    .paintings_per_painter =
+                                                        paintings,
+                                                    .movements = 2,
+                                                    .seed = 5})
+          .access(AccessStructureKind::IndexedGuidedTour, "painter-0")
+          .serve();
   engine->weaver().reset_stats();  // drop the build-time weave
   return engine;
 }
 
 void BM_TangledPage(benchmark::State& state) {
-  auto engine = make_engine(static_cast<std::size_t>(state.range(0)),
-                            nav::WeaveMode::Tangled);
+  auto engine = make_engine(static_cast<std::size_t>(state.range(0)));
   navsep::core::TangledRenderer renderer(engine->navigation(),
                                          engine->structure());
   const auto* node = engine->navigation().node("painter-0-work-1");
@@ -57,8 +52,7 @@ void BM_TangledPage(benchmark::State& state) {
 }
 
 void BM_WovenPage(benchmark::State& state) {
-  auto engine = make_engine(static_cast<std::size_t>(state.range(0)),
-                            nav::WeaveMode::Separated);
+  auto engine = make_engine(static_cast<std::size_t>(state.range(0)));
   navsep::aop::Weaver& weaver = engine->weaver();
   navsep::core::SeparatedComposer composer(weaver);
   const auto* node = engine->navigation().node("painter-0-work-1");
@@ -72,8 +66,7 @@ void BM_WovenPage(benchmark::State& state) {
 }
 
 void BM_WovenSite(benchmark::State& state) {
-  auto engine = make_engine(static_cast<std::size_t>(state.range(0)),
-                            nav::WeaveMode::Separated);
+  auto engine = make_engine(static_cast<std::size_t>(state.range(0)));
   navsep::core::SeparatedComposer composer(engine->weaver());
   std::size_t pages = 0;
   for (auto _ : state) {
@@ -86,8 +79,7 @@ void BM_WovenSite(benchmark::State& state) {
 }
 
 void BM_TangledSite(benchmark::State& state) {
-  auto engine = make_engine(static_cast<std::size_t>(state.range(0)),
-                            nav::WeaveMode::Tangled);
+  auto engine = make_engine(static_cast<std::size_t>(state.range(0)));
   navsep::core::TangledRenderer renderer(engine->navigation(),
                                          engine->structure());
   std::size_t pages = 0;

@@ -5,8 +5,9 @@
 //                            museum.css and the woven *.html pages
 //   museum-site/tangled/     *.html with navigation baked in
 //
-// Both builds run through nav::SitePipeline — same stages, one flipped
-// switch (.weave() vs .tangled()).
+// The separated build runs through nav::SitePipeline; the tangled
+// baseline renders the same access structure with
+// site::build_tangled_site.
 //
 // Usage: build/examples/museum_site [painters] [paintings-per-painter]
 #include <cstdio>
@@ -15,6 +16,7 @@
 #include <fstream>
 
 #include "nav/pipeline.hpp"
+#include "site/virtual_site.hpp"
 
 namespace {
 
@@ -36,7 +38,7 @@ int main(int argc, char** argv) {
   std::size_t painters = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 4;
   std::size_t paintings = argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 5;
 
-  // One conceptual world feeds both pipelines (borrowed, not moved).
+  // One conceptual world feeds both builds (borrowed, not moved).
   auto world = museum::MuseumWorld::synthetic({.painters = painters,
                                                .paintings_per_painter =
                                                    paintings,
@@ -46,8 +48,9 @@ int main(int argc, char** argv) {
 
   site::VirtualSite separated =
       nav::SitePipeline().conceptual(*world).access(kKind).weave().build();
-  site::VirtualSite tangled =
-      nav::SitePipeline().conceptual(*world).access(kKind).tangled().build();
+  const hypermedia::NavigationalModel model = world->derive_navigation();
+  site::VirtualSite tangled = site::build_tangled_site(
+      *world, *world->all_paintings_structure(kKind, model));
 
   write_site(separated, "museum-site/separated");
   write_site(tangled, "museum-site/tangled");

@@ -43,7 +43,7 @@ enum class ProductKind {
   Linkbase,   // one authored linkbase document (links*.xml)
   ArcTable,   // the merged traversal graph + combined arc set
   ArcSlice,   // one page's view of the arc table (arcs leaving it)
-  Page,       // one woven (or tangled-rendered) page
+  Page,       // one woven page
 };
 
 [[nodiscard]] std::string_view to_string(ProductKind k) noexcept;

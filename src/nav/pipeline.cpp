@@ -73,16 +73,6 @@ std::uint64_t hash_str(std::uint64_t seed, std::string_view s) {
   return hash_combine(seed, hash_bytes(s));
 }
 
-/// One arc's content hash: what the arc table's hash and the per-page
-/// slice hashes fold.
-std::uint64_t arc_hash(const core::NavArc& arc) {
-  std::uint64_t a = hash_bytes(arc.from);
-  a = hash_str(a, arc.to);
-  a = hash_str(a, arc.role);
-  a = hash_str(a, arc.title);
-  return hash_str(a, arc.context);
-}
-
 }  // namespace
 
 // --- Engine ------------------------------------------------------------------
@@ -127,9 +117,6 @@ std::string Engine::compose_page(std::string_view node_id,
   if (node == nullptr) {
     throw ResolutionError("compose_page: unknown node id '" +
                           std::string(node_id) + "'");
-  }
-  if (mode_ == WeaveMode::Tangled) {
-    return core::TangledRenderer(*nav_, *structure_).render_node_page(*node);
   }
   // The composition logs its anchors into the build graph's provenance
   // scratch; nothing records them for an on-demand page, so drop them
@@ -255,7 +242,7 @@ void Engine::publish_snapshot() {
   obs::ScopedSpan span(telemetry_ != nullptr ? &telemetry_->spans() : nullptr,
                        "build.publish", snapshots_.epoch() + 1);
   serve::SnapshotOverlayInputs overlays;
-  overlays.arcs = combined_arcs_;  // null in Tangled mode: no overlays
+  overlays.arcs = combined_arcs_;
   overlays.structure_source = std::string(kStructureLinkbasePath);
   // Every non-structure record rides as an ordinary family (path-
   // addressable, slice-hashed): context families, AOT routes and
@@ -282,11 +269,6 @@ void Engine::register_profile(Profile profile) {
     throw SemanticError(
         "Engine::register_profile: profile names must be non-empty and "
         "newline-free (they key the overlay cache)");
-  }
-  if (mode_ == WeaveMode::Tangled && !profile.families.empty()) {
-    throw SemanticError(
-        "Engine::register_profile: the tangled baseline has no separated "
-        "navigation to scope — only empty-family profiles are meaningful");
   }
   for (std::size_t i = 0; i < profile.families.size(); ++i) {
     const std::string& name = profile.families[i];
@@ -343,11 +325,6 @@ void Engine::register_profile(Profile profile) {
 RebuildReport Engine::edit_context_family(
     std::string_view family_name,
     const std::function<void(hypermedia::ContextFamily&)>& edit) {
-  if (mode_ == WeaveMode::Tangled) {
-    throw SemanticError(
-        "Engine::edit_context_family: the tangled baseline has no "
-        "contextual linkbases to edit");
-  }
   auto family = std::find_if(
       families_.begin(), families_.end(),
       [&](const hypermedia::ContextFamily& f) {
@@ -446,8 +423,6 @@ void Engine::check_namespace(std::string_view caller,
 }
 
 bool Engine::sync_linkbases() {
-  if (mode_ == WeaveMode::Tangled) return false;  // no linkbase layer
-
   // Records. The structure and family records lead the vector and never
   // change after serve(); the generated tail is rebuilt in merge order,
   // keeping the documents of records that survive.
@@ -617,10 +592,13 @@ std::uint64_t Engine::install_linkbase(const std::string& path) {
   derived.arcs = core::combined_nav_arcs({{path, &graph}});
   derived.hashes.reserve(derived.arcs.size());
   for (const core::NavArc& arc : derived.arcs) {
-    derived.hashes.push_back(arc_hash(arc));
+    // One hash per arc feeds both the arc table and the overlay slice
+    // (serve::combine_arc_slice's fold, without hashing the arc twice).
+    const std::uint64_t content = serve::arc_hash(arc);
+    derived.hashes.push_back(content);
     auto [slice, first] = derived.overlay_slices.emplace(
         core::default_href_for(arc.from), serve::kEmptySliceHash);
-    slice->second = serve::combine_arc_slice(slice->second, arc);
+    slice->second = hash_combine(slice->second, content);
   }
   site_.put(path, std::move(text));
   // The old document must die only after graph_ stops pointing into it:
@@ -635,11 +613,6 @@ std::uint64_t Engine::install_linkbase(const std::string& path) {
 // --- Engine: route programs ---------------------------------------------------
 
 RebuildReport Engine::register_route(RouteProgram program) {
-  if (mode_ == WeaveMode::Tangled) {
-    throw SemanticError(
-        "Engine::register_route: the tangled baseline has no separated "
-        "navigation for a route to traverse");
-  }
   // Check the program list this call would leave; re-registering a name
   // replaces that program in place (registration order is merge order).
   const std::size_t index = route_index(program.name);
@@ -768,11 +741,6 @@ void Engine::refresh_route_table() {
 
 RebuildReport Engine::enable_landmarks(const obs::TraceAggregate& traffic,
                                        LandmarkOptions options) {
-  if (mode_ == WeaveMode::Tangled) {
-    throw SemanticError(
-        "Engine::enable_landmarks: the tangled baseline has no separated "
-        "navigation to synthesize landmarks into");
-  }
   check_namespace("Engine::enable_landmarks", route_programs_,
                   landmark_names(options, profiles_));
   // Copy the tables: re-ranking, diagnostics and the landmark tokens all
@@ -1059,13 +1027,6 @@ std::uint64_t Engine::rebuild_spec() {
     h = hash_str(h, arc.role);
     h = hash_str(h, arc.title);
   }
-  if (mode_ == WeaveMode::Tangled) {
-    // One renderer per spec revision; every tangled page depends on it
-    // (which is exactly the paper's complaint about tangling).
-    tangled_renderer_ =
-        std::make_unique<core::TangledRenderer>(*nav_, *structure_);
-    sync_pages();
-  }
   return h;
 }
 
@@ -1155,22 +1116,15 @@ void Engine::sync_pages() {
 
   // Admit new pages (a define() on an existing node would needlessly
   // dirty it, so only genuinely new ids are defined).
-  const bool tangled = mode_ == WeaveMode::Tangled;
   for (const std::string& id : desired) {
     if (build_graph_.contains(page_node(id))) continue;
-    if (tangled) {
-      build_graph_.define(page_node(id), ProductKind::Page,
-                          {std::string(kSpecNode)},
-                          [this, id] { return rebuild_tangled_page(id); });
-    } else {
-      build_graph_.define(slice_node(id), ProductKind::ArcSlice,
-                          {std::string(kArcTableNode)}, [this, id] {
-                            auto it = slice_hashes_.find(id);
-                            return it == slice_hashes_.end() ? 0 : it->second;
-                          });
-      build_graph_.define(page_node(id), ProductKind::Page, {slice_node(id)},
-                          [this, id] { return rebuild_page(id); });
-    }
+    build_graph_.define(slice_node(id), ProductKind::ArcSlice,
+                        {std::string(kArcTableNode)}, [this, id] {
+                          auto it = slice_hashes_.find(id);
+                          return it == slice_hashes_.end() ? 0 : it->second;
+                        });
+    build_graph_.define(page_node(id), ProductKind::Page, {slice_node(id)},
+                        [this, id] { return rebuild_page(id); });
   }
 
   page_ids_ = std::move(desired);
@@ -1191,27 +1145,9 @@ std::uint64_t Engine::rebuild_page(const std::string& page_id) {
   return put_if_changed(core::default_href_for(page_id), std::move(text));
 }
 
-std::uint64_t Engine::rebuild_tangled_page(const std::string& page_id) {
-  std::string text;
-  if (page_id == structure_->page_id()) {
-    text = tangled_renderer_->render_structure_page();
-  } else {
-    const hypermedia::NavNode* node = nav_->node(page_id);
-    if (node == nullptr) return 0;
-    text = tangled_renderer_->render_node_page(*node);
-  }
-  return put_if_changed(core::default_href_for(page_id), std::move(text));
-}
-
 void Engine::wire_graph() {
   build_graph_.define(std::string(kSpecNode), ProductKind::Source, {},
                       [this] { return rebuild_spec(); });
-  if (mode_ == WeaveMode::Tangled) {
-    // Tangled has no linkbase layer: every page hangs off the spec, so
-    // any navigation edit re-renders the whole site — the asymmetry the
-    // paper measures, reproduced in the report counters.
-    return;
-  }
   // The structure and family records get their Linkbase nodes and the
   // arc-table node they feed.
   (void)sync_linkbases();
@@ -1284,15 +1220,7 @@ SitePipeline& SitePipeline::contexts(std::vector<std::string> family_names) {
   return *this;
 }
 
-SitePipeline& SitePipeline::weave() {
-  mode_ = WeaveMode::Separated;
-  return *this;
-}
-
-SitePipeline& SitePipeline::tangled() {
-  mode_ = WeaveMode::Tangled;
-  return *this;
-}
+SitePipeline& SitePipeline::weave() { return *this; }
 
 SitePipeline::Materialized SitePipeline::materialize() {
   if (world_ == nullptr) {
@@ -1359,24 +1287,19 @@ std::unique_ptr<Engine> SitePipeline::serve(std::string_view base) {
   engine->nav_ = std::move(m.nav);
   engine->structure_ = std::move(m.structure);
   engine->families_ = std::move(m.families);
-  engine->mode_ = mode_;
   engine->site_base_ = with_trailing_slash(base);
 
   // Seed the site with the structure-independent authored artifacts; the
   // build graph owns everything derived (linkbases, arc table, pages) and
   // the initial run below materializes them all.
-  if (mode_ == WeaveMode::Tangled) {
-    engine->site_.put("museum.css", museum::MuseumWorld::site_css());
-  } else {
-    site::author_fixed_artifacts(engine->site_, *engine->world_);
+  site::author_fixed_artifacts(engine->site_, *engine->world_);
+  engine->linkbases_.push_back(Engine::LinkbaseRecord{
+      "", std::string(kStructureLinkbasePath), Engine::LinkbaseKind::Structure,
+      nullptr, {}, {}});
+  for (const auto& family : engine->families_) {
     engine->linkbases_.push_back(Engine::LinkbaseRecord{
-        "", std::string(kStructureLinkbasePath),
-        Engine::LinkbaseKind::Structure, nullptr, {}, {}});
-    for (const auto& family : engine->families_) {
-      engine->linkbases_.push_back(Engine::LinkbaseRecord{
-          family.name(), site::context_linkbase_path(family.name()),
-          Engine::LinkbaseKind::Family, nullptr, {}, {}});
-    }
+        family.name(), site::context_linkbase_path(family.name()),
+        Engine::LinkbaseKind::Family, nullptr, {}, {}});
   }
 
   // Capture Menu sub specs so sub-level mutations can regenerate the
@@ -1401,9 +1324,7 @@ site::VirtualSite SitePipeline::build(std::string_view base) {
   for (const auto& family : m.families) {
     options.context_families.push_back(&family);
   }
-  return mode_ == WeaveMode::Tangled
-             ? site::build_tangled_site(*m.world, *m.structure, options)
-             : site::build_separated_site(*m.world, *m.structure, options);
+  return site::build_separated_site(*m.world, *m.structure, options);
 }
 
 }  // namespace navsep::nav

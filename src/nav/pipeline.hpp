@@ -34,7 +34,6 @@
 
 #include "aop/weaver.hpp"
 #include "core/navigation_aspect.hpp"
-#include "core/renderer.hpp"
 #include "hypermedia/access.hpp"
 #include "hypermedia/context.hpp"
 #include "hypermedia/navigational.hpp"
@@ -61,11 +60,6 @@ struct Endpoint;
 }  // namespace navsep::repl
 
 namespace navsep::nav {
-
-/// How the pipeline turns navigation into pages: Separated is the paper's
-/// design (XLink linkbase + weaving); Tangled is the baseline it argues
-/// against (navigation baked into every page), kept for comparisons.
-enum class WeaveMode { Separated, Tangled };
 
 /// The running result of a SitePipeline: site + server + traversal graph
 /// + weaver under one owner. Create through SitePipeline::serve().
@@ -124,8 +118,6 @@ class Engine final {
   [[nodiscard]] const serve::ConcurrentServer& server() const noexcept {
     return *server_;
   }
-  /// Separated (the paper's design) or Tangled (the baseline).
-  [[nodiscard]] WeaveMode mode() const noexcept { return mode_; }
 
   // --- additional consumers over the same site --------------------------------
 
@@ -162,13 +154,10 @@ class Engine final {
       const repl::PublisherOptions& options) const;
 
   /// Compose one node page on demand, inside an optional navigational
-  /// context tag ("ByAuthor:picasso") — woven through the engine's weaver
-  /// in Separated mode. In Tangled mode the page is rendered inline and
-  /// `context_tag` is ignored: the tangled baseline bakes one fixed arc
-  /// set into pages and has no contextual weaving. Throws
-  /// ResolutionError for unknown node ids. Writer-side like the
-  /// mutations below: it shares the weaver's match cache and the
-  /// engine's provenance scratch with the build graph's page weaves.
+  /// context tag ("ByAuthor:picasso"), woven through the engine's
+  /// weaver. Throws ResolutionError for unknown node ids. Writer-side
+  /// like the mutations below: it shares the weaver's match cache and
+  /// the engine's provenance scratch with the build graph's page weaves.
   [[nodiscard]] std::string compose_page(
       std::string_view node_id, std::string_view context_tag = "") const;
 
@@ -290,11 +279,10 @@ class Engine final {
   /// Register (or, by name, replace) a serving profile and publish a new
   /// snapshot carrying it. Throws navsep::SemanticError for an empty or
   /// newline-containing name, a family name the engine doesn't have, a
-  /// duplicated family within the profile, any non-empty family list in
-  /// Tangled mode (the tangled baseline has no separated navigation to
-  /// scope), or, with per-profile landmarks on, a new profile whose
-  /// landmark family breaks the family-namespace rule (a ':' in its
-  /// name, or a path another family, route or landmark owns). No page
+  /// duplicated family within the profile, or, with per-profile
+  /// landmarks on, a new profile whose landmark family breaks the
+  /// family-namespace rule (a ':' in its name, or a path another
+  /// family, route or landmark owns). No page
   /// is re-woven: profiles only select among already authored linkbases,
   /// so the graph run behind the publish finds nothing dirty unless the
   /// profile brings a new per-profile landmark family. Batch-aware like
@@ -311,11 +299,10 @@ class Engine final {
   /// no base page re-weaves (context-tagged tour arcs are not part of
   /// any stored page's arc slice), and on the serving side only overlay
   /// cache entries of profiles that include the family retire. Throws
-  /// navsep::ResolutionError for an unknown family and
-  /// navsep::SemanticError in Tangled mode. Writer-side; additionally,
-  /// NavigationSessions over the engine's families must be quiesced
-  /// (snapshot-based readers — ConcurrentServer, profile overlays — are
-  /// unaffected).
+  /// navsep::ResolutionError for an unknown family. Writer-side;
+  /// additionally, NavigationSessions over the engine's families must be
+  /// quiesced (snapshot-based readers — ConcurrentServer, profile
+  /// overlays — are unaffected).
   RebuildReport edit_context_family(
       std::string_view family_name,
       const std::function<void(hypermedia::ContextFamily&)>& edit);
@@ -336,8 +323,7 @@ class Engine final {
   /// navsep::ParseError for a malformed expression (naming the offending
   /// token), navsep::SemanticError for a name that breaks the
   /// family-namespace rule (against context families, other routes and
-  /// landmark families) or any registration in Tangled mode.
-  /// Writer-side; batch-aware like every mutation.
+  /// landmark families). Writer-side; batch-aware like every mutation.
   RebuildReport register_route(RouteProgram program);
 
   /// Replace the expression of the registered route `name`. Throws
@@ -376,8 +362,8 @@ class Engine final {
   // routes, and therefore ride snapshot replication unchanged.
 
   /// Enable (or re-rank with fresh traffic) landmark synthesis. Throws
-  /// navsep::SemanticError in Tangled mode or when a landmark family
-  /// would break the family-namespace rule: against a context family or
+  /// navsep::SemanticError when a landmark family would break the
+  /// family-namespace rule: against a context family or
   /// route, or under per_profile a profile name with ':' or two profiles
   /// differing only in case ("Tour", "tour"). Writer-side; batch-aware
   /// like every mutation.
@@ -457,8 +443,7 @@ class Engine final {
 
   /// Anchors woven into `page_id` when its page was last (re)composed by
   /// the build graph, with the authored arc each one came from. Null for
-  /// unknown/never-woven pages (and for all pages in Tangled mode, where
-  /// navigation has no separated provenance — that is the point).
+  /// unknown/never-woven pages.
   [[nodiscard]] const std::vector<core::AnchorProvenance>* provenance_for(
       std::string_view page_id) const;
 
@@ -474,7 +459,6 @@ class Engine final {
   void sync_pages();
   [[nodiscard]] std::uint64_t rebuild_spec();
   [[nodiscard]] std::uint64_t rebuild_arc_table();
-  [[nodiscard]] std::uint64_t rebuild_tangled_page(const std::string& page_id);
 
   /// A woven page node's rebuild: compose the page through weaver_,
   /// record the anchors the aspect logged into weave_provenance_ as the
@@ -629,7 +613,6 @@ class Engine final {
   std::optional<hypermedia::NavigationalModel> nav_;
   std::unique_ptr<hypermedia::AccessStructure> structure_;
   std::vector<hypermedia::ContextFamily> families_;
-  WeaveMode mode_ = WeaveMode::Separated;
   std::string site_base_;
   /// Where the navigation aspect in weaver_ logs the anchors of the
   /// composition in flight (NavigationAspectOptions::provenance_log);
@@ -701,9 +684,6 @@ class Engine final {
   std::map<std::string, std::uint64_t, std::less<>> slice_hashes_;
   std::map<std::string, std::vector<core::AnchorProvenance>, std::less<>>
       provenance_;
-  /// Tangled mode's renderer, rebuilt when the spec changes (arc
-  /// materialization is per-construction; pages share one).
-  std::unique_ptr<core::TangledRenderer> tangled_renderer_;
 
   // --- batch state ------------------------------------------------------------
   bool batch_open_ = false;
@@ -781,13 +761,13 @@ class SitePipeline {
   /// Known names: "ByAuthor", "ByMovement".
   SitePipeline& contexts(std::vector<std::string> family_names);
 
-  // --- stage 5: weaving mode --------------------------------------------------
+  // --- stage 5: weaving ------------------------------------------------------
 
-  /// Separated (linkbase + woven pages) — the default.
+  /// A no-op: the engine always weaves separated navigation (linkbase +
+  /// woven pages). Kept only because the benchmark harness (navbench/)
+  /// still spells it. The tangled baseline the paper argues against is
+  /// core::TangledRenderer / site::build_tangled_site.
   SitePipeline& weave();
-
-  /// Tangled baseline (navigation embedded in every page).
-  SitePipeline& tangled();
 
   // --- terminals --------------------------------------------------------------
 
@@ -819,7 +799,6 @@ class SitePipeline {
   std::optional<std::string> scope_painter_;  // nullopt = all paintings
   std::unique_ptr<hypermedia::AccessStructure> structure_;
   std::vector<std::string> family_names_;
-  WeaveMode mode_ = WeaveMode::Separated;
 };
 
 }  // namespace navsep::nav

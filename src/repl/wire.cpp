@@ -280,7 +280,6 @@ std::vector<Segment> segment_arcs(const std::vector<core::NavArc>& arcs) {
 /// slice_hash_for treats as all-empty slices).
 const serve::PageSliceHashes* hashes_for(const serve::SiteSnapshot& snapshot,
                                          std::string_view source) {
-  if (snapshot.slice_hashes() == nullptr) return nullptr;
   auto it = snapshot.slice_hashes()->find(source);
   return it == snapshot.slice_hashes()->end() ? nullptr : &it->second;
 }
@@ -369,15 +368,6 @@ std::string encode_full(const serve::SiteSnapshot& snapshot) {
     write_snapshot_arcs(w, arcs);
   }
 
-  if (!snapshot.overlays_enabled()) {
-    w.u8(0);
-    // The profile table still ships: a base-only snapshot may carry
-    // (empty-family) profiles that must keep resolving on the replica.
-    write_profiles(w, snapshot.profiles());
-    write_route_table(w, snapshot.route_table().get());
-    return w.take();
-  }
-  w.u8(1);
   w.str(snapshot.structure_source());
   write_families(w, snapshot.overlay_families());
   const std::vector<Segment> segments = segment_arcs(*snapshot.overlay_arcs());
@@ -411,19 +401,17 @@ std::shared_ptr<const serve::SiteSnapshot> decode_full(
     state.arcs_by_from.emplace(std::move(from), read_snapshot_arcs(r));
   }
 
-  if (r.u8() != 0) {
-    state.overlays.structure_source = std::string(r.str());
-    state.overlays.families = read_families(r);
-    auto arcs = std::make_shared<std::vector<core::NavArc>>();
-    const std::uint32_t n_segments = r.count();
-    for (std::uint32_t i = 0; i < n_segments; ++i) {
-      std::string source(r.str());
-      read_nav_arcs(r, source, *arcs);
-    }
-    state.overlays.arcs = std::move(arcs);
-    // slice_hashes stay null: the snapshot derives them (the explicit
-    // derive-when-absent path — identical fold to the origin's).
+  state.overlays.structure_source = std::string(r.str());
+  state.overlays.families = read_families(r);
+  auto arcs = std::make_shared<std::vector<core::NavArc>>();
+  const std::uint32_t n_segments = r.count();
+  for (std::uint32_t i = 0; i < n_segments; ++i) {
+    std::string source(r.str());
+    read_nav_arcs(r, source, *arcs);
   }
+  state.overlays.arcs = std::move(arcs);
+  // slice_hashes stay null: the snapshot derives them (the explicit
+  // derive-when-absent path — identical fold to the origin's).
   state.overlays.profiles = read_profiles(r);
   state.overlays.routes = read_route_table(r);
   require(r.exhausted(), "trailing bytes after FULL payload");
@@ -524,15 +512,6 @@ std::string encode_delta(const serve::SiteSnapshot& prev,
        *prev_routes == *next_routes);
 
   ByteWriter tail;
-  if (!next.overlays_enabled()) {
-    tail.u8(0);
-    write_profiles(tail, next.profiles());
-    tail.u8(routes_carry ? 0 : 1);
-    if (!routes_carry) write_route_table(tail, next_routes);
-    out.append(tail.take());
-    return out;
-  }
-  tail.u8(1);
   tail.str(next.structure_source());
   write_families(tail, next.overlay_families());
   // Segment selection is slice-hash-driven: a source whose per-page
@@ -540,11 +519,9 @@ std::string encode_delta(const serve::SiteSnapshot& prev,
   // reference (one byte on the wire); only moved segments ship arcs.
   const std::vector<Segment> segments = segment_arcs(*next.overlay_arcs());
   tail.u32(static_cast<std::uint32_t>(segments.size()));
-  const bool prev_has_overlays = prev.overlays_enabled();
   for (const Segment& segment : segments) {
     tail.str(segment.source);
-    const bool carry =
-        prev_has_overlays && segment_unchanged(prev, next, segment.source);
+    const bool carry = segment_unchanged(prev, next, segment.source);
     tail.u8(carry ? 0 : 1);
     if (!carry) write_nav_arcs(tail, segment.arcs);
   }
@@ -583,7 +560,13 @@ std::shared_ptr<const serve::SiteSnapshot> apply_delta(
   }
   const std::uint32_t n_removed_files = r.count();
   for (std::uint32_t i = 0; i < n_removed_files; ++i) {
-    state.files.erase(state.files.find(std::string(r.str())));
+    const std::string_view path = r.str();
+    auto it = state.files.find(path);
+    if (it == state.files.end()) {
+      throw WireError("wire: delta removes artifact '" + std::string(path) +
+                      "' the previous snapshot does not hold");
+    }
+    state.files.erase(it);
   }
 
   state.arcs_by_from = prev.traversal_arcs();
@@ -597,36 +580,32 @@ std::shared_ptr<const serve::SiteSnapshot> apply_delta(
     state.arcs_by_from.erase(std::string(r.str()));
   }
 
-  if (r.u8() != 0) {
-    state.overlays.structure_source = std::string(r.str());
-    state.overlays.families = read_families(r);
-    // Reassemble the combined arc set: carried segments copy the
-    // previous snapshot's arcs for that source (order preserved),
-    // inline segments decode from the wire.
-    std::map<std::string_view, std::vector<const core::NavArc*>> prev_by_source;
-    if (prev.overlay_arcs() != nullptr) {
-      for (const core::NavArc& arc : *prev.overlay_arcs()) {
-        prev_by_source[arc.source].push_back(&arc);
-      }
-    }
-    auto arcs = std::make_shared<std::vector<core::NavArc>>();
-    const std::uint32_t n_segments = r.count();
-    for (std::uint32_t i = 0; i < n_segments; ++i) {
-      std::string source(r.str());
-      if (r.u8() == 0) {
-        auto it = prev_by_source.find(source);
-        if (it == prev_by_source.end()) {
-          throw WireError("wire: delta carries forward segment '" + source +
-                          "' the previous snapshot does not hold");
-        }
-        arcs->reserve(arcs->size() + it->second.size());
-        for (const core::NavArc* arc : it->second) arcs->push_back(*arc);
-      } else {
-        read_nav_arcs(r, source, *arcs);
-      }
-    }
-    state.overlays.arcs = std::move(arcs);
+  state.overlays.structure_source = std::string(r.str());
+  state.overlays.families = read_families(r);
+  // Reassemble the combined arc set: carried segments copy the previous
+  // snapshot's arcs for that source (order preserved), inline segments
+  // decode from the wire.
+  std::map<std::string_view, std::vector<const core::NavArc*>> prev_by_source;
+  for (const core::NavArc& arc : *prev.overlay_arcs()) {
+    prev_by_source[arc.source].push_back(&arc);
   }
+  auto arcs = std::make_shared<std::vector<core::NavArc>>();
+  const std::uint32_t n_segments = r.count();
+  for (std::uint32_t i = 0; i < n_segments; ++i) {
+    std::string source(r.str());
+    if (r.u8() == 0) {
+      auto it = prev_by_source.find(source);
+      if (it == prev_by_source.end()) {
+        throw WireError("wire: delta carries forward segment '" + source +
+                        "' the previous snapshot does not hold");
+      }
+      arcs->reserve(arcs->size() + it->second.size());
+      for (const core::NavArc* arc : it->second) arcs->push_back(*arc);
+    } else {
+      read_nav_arcs(r, source, *arcs);
+    }
+  }
+  state.overlays.arcs = std::move(arcs);
   state.overlays.profiles = read_profiles(r);
   if (r.u8() == 0) {
     state.overlays.routes = prev.route_table();  // carried forward

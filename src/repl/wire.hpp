@@ -8,14 +8,14 @@
 // length-prefixed binary framing:
 //
 //   FULL   — the complete snapshot state (artifact bytes, traversal
-//            arc buckets, overlay inputs: combined arc segments per
-//            linkbase source, family table, profile table, route
-//            table). Sent on subscribe (mid-stream connect) and on
-//            resync when a replica's last-acknowledged epoch lags too
-//            far.
+//            arc buckets, overlay inputs: structure source, family
+//            table, combined arc segments per linkbase source, profile
+//            table, route table). Sent on subscribe (mid-stream
+//            connect) and on resync when a replica's last-acknowledged
+//            epoch lags too far.
 //   DELTA  — only what moved between two epochs: artifacts whose bytes
 //            changed (or vanished), traversal buckets whose arcs
-//            changed, and per-linkbase arc segments whose PR 5
+//            changed, and per-linkbase arc segments whose
 //            per-(page, family) slice hashes changed. Unchanged
 //            segments are carried forward from the replica's previous
 //            snapshot by reference, so a single family edit ships that
@@ -25,6 +25,10 @@
 //            forward from the replica's previous snapshot (pointer or
 //            value equality on the publisher), only a changed table
 //            ships inline.
+//
+// Every snapshot carries overlay inputs (an empty arc set at least), so
+// since v3 both frame kinds encode them unconditionally: the overlay
+// section follows the traversal buckets with no presence flag.
 //
 // Slice hashes themselves are deliberately NOT on the wire: the decoder
 // rebuilds every snapshot through SiteSnapshot::derive_slice_hashes —
@@ -59,7 +63,7 @@ class WireError : public Error {
 };
 
 inline constexpr std::uint32_t kWireMagic = 0x4E535257u;  // "NSRW"
-inline constexpr std::uint16_t kWireVersion = 2;  // v2: route tables
+inline constexpr std::uint16_t kWireVersion = 3;  // v3: overlays always on
 inline constexpr std::size_t kFrameHeaderSize = 24;
 
 enum class FrameType : std::uint16_t {

@@ -9,7 +9,7 @@ namespace navsep::serve {
 
 namespace {
 
-/// What an entry is charged against the byte cap: its response body
+/// What an entry adds to the resident-bytes ledger: its response body
 /// (the dominant term; keys, paths, and validity tokens are not).
 template <typename V>
 std::size_t entry_bytes(const V& value) {
@@ -31,18 +31,14 @@ bool ConcurrentServer::Shard<V>::lookup(const std::string& key, V& out) {
 
 template <typename V>
 void ConcurrentServer::Shard<V>::store(std::string key, V value,
-                                       std::size_t cap,
-                                       std::size_t byte_cap) {
-  if (cap == 0 || byte_cap == 0) {
-    return;  // pass-through: nothing retained, nothing counted
-  }
+                                       std::size_t cap) {
+  if (cap == 0) return;  // pass-through: nothing retained, nothing counted
   const std::size_t new_bytes = entry_bytes(value);
   std::lock_guard<std::mutex> lock(mutex);
   if (auto it = cache.find(std::string_view(key)); it != cache.end()) {
     // Refresh in place (e.g. a stale refill): neither an insertion nor
     // an eviction in the residency ledger — but the byte ledger moves
-    // by the size difference, and a grown entry can push the shard over
-    // its byte cap (handled by the shared eviction loop below).
+    // by the size difference.
     resident_bytes -= entry_bytes(it->second.value);
     resident_bytes += new_bytes;
     it->second.value = std::move(value);
@@ -56,22 +52,7 @@ void ConcurrentServer::Shard<V>::store(std::string key, V value,
                   Slot{std::move(value), recency.begin()});
     ++inserted;
   }
-  if (new_bytes > byte_cap) {
-    // The entry just stored busts the byte budget ALL ON ITS OWN. The
-    // LRU loop below evicts from the tail, but no amount of tail
-    // eviction can bring the shard under cap while this entry sits at
-    // the recency front — it would drain every colder (but cacheable)
-    // entry for nothing, then evict this one anyway. Evict it directly
-    // and leave the rest of the shard alone.
-    auto front = recency.begin();
-    auto front_it = cache.find(std::string_view(*front));
-    resident_bytes -= new_bytes;
-    cache.erase(front_it);  // before the node dies
-    recency.erase(front);
-    ++evicted;
-  }
-  while ((cache.size() > cap || resident_bytes > byte_cap) &&
-         !cache.empty()) {
+  while (cache.size() > cap) {
     auto victim = std::prev(recency.end());
     auto victim_it = cache.find(std::string_view(*victim));
     resident_bytes -= entry_bytes(victim_it->second.value);
@@ -83,24 +64,20 @@ void ConcurrentServer::Shard<V>::store(std::string key, V value,
 
 template <typename V>
 bool ConcurrentServer::Shard<V>::store_if_room(std::string key, V value,
-                                               std::size_t cap,
-                                               std::size_t byte_cap) {
-  if (cap == 0 || byte_cap == 0) return false;  // pass-through: never warm
+                                               std::size_t cap) {
+  if (cap == 0) return false;  // pass-through: never warm
   const std::size_t new_bytes = entry_bytes(value);
-  if (new_bytes > byte_cap) return false;  // would self-evict immediately
   std::lock_guard<std::mutex> lock(mutex);
   if (auto it = cache.find(std::string_view(key)); it != cache.end()) {
-    // Refresh a (stale) resident entry in place when the size delta
-    // fits — its recency position is deliberately NOT touched: a warmed
-    // refresh must not outrank entries organic traffic actually used.
-    const std::size_t old_bytes = entry_bytes(it->second.value);
-    if (resident_bytes - old_bytes + new_bytes > byte_cap) return false;
-    resident_bytes -= old_bytes;
+    // Refresh a (stale) resident entry in place — its recency position
+    // is deliberately NOT touched: a warmed refresh must not outrank
+    // entries organic traffic actually used.
+    resident_bytes -= entry_bytes(it->second.value);
     resident_bytes += new_bytes;
     it->second.value = std::move(value);
     return true;
   }
-  if (cache.size() >= cap || resident_bytes + new_bytes > byte_cap) {
+  if (cache.size() >= cap) {
     return false;  // admission would force an eviction — keep residents
   }
   resident_bytes += new_bytes;
@@ -187,7 +164,7 @@ site::Response ConcurrentServer::get(std::string_view uri_or_path) const {
   }
   if (was_stale) shard.stale_refills.fetch_add(1, std::memory_order_relaxed);
   shard.store(std::move(key), Entry{r, snap->epoch()},
-              limits_.base_entries_per_shard, limits_.base_bytes_per_shard);
+              limits_.base_entries_per_shard);
   return r;
 }
 
@@ -244,8 +221,7 @@ site::Response ConcurrentServer::get(std::string_view uri_or_path,
                          ? std::move(checked)
                          : snap->overlay_validity(*resolved, path)};
   shard.store(std::move(key), std::move(entry),
-              limits_.overlay_entries_per_shard,
-              limits_.overlay_bytes_per_shard);
+              limits_.overlay_entries_per_shard);
   return r;
 }
 
@@ -270,8 +246,7 @@ ConcurrentServer::WarmOutcome ConcurrentServer::warm(
     if (!r.ok()) return WarmOutcome::NotFound;
     const std::uint64_t epoch = snap->epoch();
     return shard.store_if_room(std::move(request), Entry{std::move(r), epoch},
-                               limits_.base_entries_per_shard,
-                               limits_.base_bytes_per_shard)
+                               limits_.base_entries_per_shard)
                ? WarmOutcome::Warmed
                : WarmOutcome::NoRoom;
   }
@@ -307,8 +282,7 @@ ConcurrentServer::WarmOutcome ConcurrentServer::warm(
                          ? std::move(checked)
                          : snap->overlay_validity(*resolved, path)};
   return shard.store_if_room(std::move(key), std::move(entry),
-                             limits_.overlay_entries_per_shard,
-                             limits_.overlay_bytes_per_shard)
+                             limits_.overlay_entries_per_shard)
              ? WarmOutcome::Warmed
              : WarmOutcome::NoRoom;
 }
@@ -319,11 +293,9 @@ namespace {
 template <typename ShardT>
 ConcurrentServer::LayerStats aggregate_layer(const ShardT* shards,
                                              std::size_t n,
-                                             std::size_t entry_cap,
-                                             std::size_t byte_cap) {
+                                             std::size_t entry_cap) {
   ConcurrentServer::LayerStats s;
   s.entry_cap_per_shard = entry_cap;
-  s.byte_cap_per_shard = byte_cap;
   for (std::size_t i = 0; i < n; ++i) {
     const ShardT& shard = shards[i];
     {
@@ -351,11 +323,9 @@ ConcurrentServer::LayerStats aggregate_layer(const ShardT* shards,
 ConcurrentServer::UnifiedStats ConcurrentServer::unified_stats() const {
   UnifiedStats s;
   s.base = aggregate_layer(shards_.get(), n_shards_,
-                           limits_.base_entries_per_shard,
-                           limits_.base_bytes_per_shard);
+                           limits_.base_entries_per_shard);
   s.overlay = aggregate_layer(overlay_shards_.get(), n_shards_,
-                              limits_.overlay_entries_per_shard,
-                              limits_.overlay_bytes_per_shard);
+                              limits_.overlay_entries_per_shard);
   s.epoch = store_->epoch();
   return s;
 }

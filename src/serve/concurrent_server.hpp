@@ -41,20 +41,16 @@
 
 namespace navsep::serve {
 
-/// Per-shard caps for the two cache layers, by entry count AND by
-/// resident body bytes. kUnbounded (the default) disables that cap; 0
-/// disables caching entirely (pass-through: correct, just never warm).
-/// A server with S shards holds at most S × cap entries and S ×
-/// byte-cap body bytes per layer; an entry's size is its response body
-/// (the dominant term — keys and validity tokens are not charged).
+/// Per-shard entry caps for the two cache layers. kUnbounded (the
+/// default) disables the cap; 0 disables caching entirely
+/// (pass-through: correct, just never warm). A server with S shards
+/// holds at most S × cap entries per layer.
 struct CacheLimits {
   static constexpr std::size_t kUnbounded =
       std::numeric_limits<std::size_t>::max();
 
   std::size_t base_entries_per_shard = kUnbounded;
   std::size_t overlay_entries_per_shard = kUnbounded;
-  std::size_t base_bytes_per_shard = kUnbounded;
-  std::size_t overlay_bytes_per_shard = kUnbounded;
 };
 
 class ConcurrentServer final : public site::PageService {
@@ -79,9 +75,8 @@ class ConcurrentServer final : public site::PageService {
     std::size_t inserted = 0;       ///< entries ever added
     std::size_t evicted = 0;        ///< entries ever removed
     std::size_t resident_bytes = 0;  ///< Σ cached response bodies
-    /// The configured per-shard caps, echoed (kUnbounded when off).
+    /// The configured per-shard cap, echoed (kUnbounded when off).
     std::size_t entry_cap_per_shard = CacheLimits::kUnbounded;
-    std::size_t byte_cap_per_shard = CacheLimits::kUnbounded;
   };
 
   /// Both layers under one naming scheme. `base` is the epoch-validated
@@ -136,8 +131,8 @@ class ConcurrentServer final : public site::PageService {
   /// — warming must not pollute organic hit-ratio math; an unknown
   /// profile returns NotFound instead of throwing (the feed may predate
   /// a profile retirement); and insertion is admission-controlled — a
-  /// warmed entry is only admitted when it fits the shard's entry and
-  /// byte budgets WITHOUT evicting anything, and joins at the cold end
+  /// warmed entry is only admitted when it fits the shard's entry cap
+  /// WITHOUT evicting anything, and joins at the cold end
   /// of the recency order, so a predicted-hot entry can never displace
   /// one organic traffic actually touched. Thread-safe like get().
   WarmOutcome warm(std::string_view uri_or_path,
@@ -225,27 +220,21 @@ class ConcurrentServer final : public site::PageService {
     /// false on miss.
     bool lookup(const std::string& key, V& out);
 
-    /// Insert or refresh `key` under `cap` entries / `byte_cap` resident
-    /// body bytes (evicting the LRU tail while either cap is exceeded;
-    /// a zero cap = pass-through, nothing retained). An entry bigger
-    /// than `byte_cap` on its own is inserted (or refreshed) then
-    /// immediately evicted by itself — the ledger still balances, and
-    /// the colder entries it cannot make room for are left resident
-    /// rather than drained from the tail for nothing.
-    void store(std::string key, V value, std::size_t cap,
-               std::size_t byte_cap);
+    /// Insert or refresh `key` under `cap` entries (evicting the LRU
+    /// tail while the cap is exceeded; a zero cap = pass-through,
+    /// nothing retained).
+    void store(std::string key, V value, std::size_t cap);
 
     /// Drop `key` (counted as an eviction — the ledger's "removed for
     /// any reason" side). False when absent.
     bool drop(const std::string& key);
 
-    /// Admission-controlled store for warm(): insert only when both
-    /// caps hold WITHOUT evicting (new entries join the recency tail —
-    /// a prediction is not a use); refresh an existing key in place
-    /// only when the byte delta fits. False when there is no room (or
-    /// either cap is 0 — pass-through shards never warm).
-    bool store_if_room(std::string key, V value, std::size_t cap,
-                       std::size_t byte_cap);
+    /// Admission-controlled store for warm(): insert only when the cap
+    /// holds WITHOUT evicting (new entries join the recency tail — a
+    /// prediction is not a use); refresh an existing key in place.
+    /// False when there is no room (or the cap is 0 — pass-through
+    /// shards never warm).
+    bool store_if_room(std::string key, V value, std::size_t cap);
   };
 
   using BaseShard = Shard<Entry>;

@@ -79,21 +79,18 @@ std::pair<std::size_t, std::size_t> navigation_block_range(
 
 }  // namespace
 
-std::uint64_t combine_arc_slice(std::uint64_t slice,
-                                const core::NavArc& arc) noexcept {
+std::uint64_t arc_hash(const core::NavArc& arc) noexcept {
   std::uint64_t a = nav::hash_bytes(arc.from);
   a = nav::hash_combine(a, nav::hash_bytes(arc.to));
   a = nav::hash_combine(a, nav::hash_bytes(arc.role));
   a = nav::hash_combine(a, nav::hash_bytes(arc.title));
-  a = nav::hash_combine(a, nav::hash_bytes(arc.context));
-  return nav::hash_combine(slice, a);
+  return nav::hash_combine(a, nav::hash_bytes(arc.context));
 }
 
-SiteSnapshot::SiteSnapshot(const site::VirtualSite& site,
-                           const xlink::TraversalGraph& graph,
-                           std::string base, std::uint64_t epoch)
-    : SiteSnapshot(site, graph, std::move(base), epoch,
-                   SnapshotOverlayInputs{}) {}
+std::uint64_t combine_arc_slice(std::uint64_t slice,
+                                const core::NavArc& arc) noexcept {
+  return nav::hash_combine(slice, arc_hash(arc));
+}
 
 SiteSnapshot::SiteSnapshot(const site::VirtualSite& site,
                            const xlink::TraversalGraph& graph,
@@ -155,8 +152,9 @@ void SiteSnapshot::init_overlays(SnapshotOverlayInputs overlays) {
   profiles_ = std::move(overlays.profiles);
   structure_source_ = overlays.structure_source;
   route_table_ = std::move(overlays.routes);
-  if (overlays.arcs == nullptr) return;
-  overlay_arcs_ = std::move(overlays.arcs);
+  overlay_arcs_ = overlays.arcs != nullptr
+                      ? std::move(overlays.arcs)
+                      : std::make_shared<const std::vector<core::NavArc>>();
   families_.reserve(overlays.families.size());
   for (SnapshotOverlayInputs::Family& family : overlays.families) {
     families_.push_back(
@@ -292,7 +290,7 @@ OverlayValidity SiteSnapshot::overlay_validity(const nav::Profile& profile,
 
 std::shared_ptr<const SiteSnapshot::RouteSlice> SiteSnapshot::lazy_route_slice(
     std::string_view name) const {
-  if (route_table_ == nullptr || overlay_arcs_ == nullptr) return nullptr;
+  if (route_table_ == nullptr) return nullptr;
   const RouteTable::Entry* entry = nullptr;
   for (const RouteTable::Entry& e : route_table_->entries) {
     if (e.program.compile == nav::RouteCompile::Lazy &&
@@ -432,8 +430,6 @@ site::Response SiteSnapshot::respond_as(std::string_view profile_name,
 site::Response SiteSnapshot::respond_as(const nav::Profile& profile,
                                         std::string_view uri_or_path,
                                         std::string* resolved_path) const {
-  if (!overlays_enabled()) return respond(uri_or_path, resolved_path);
-
   // One resolution path for plain and profile-scoped serving: delegate,
   // then apply the profile view on top of the resolved response.
   std::string path;

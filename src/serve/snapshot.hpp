@@ -83,10 +83,14 @@ inline constexpr std::uint64_t kEmptySliceHash = 0x9e3779b97f4a7c15ull;
 /// Hash standing in for a linkbase/family this snapshot doesn't know.
 inline constexpr std::uint64_t kUnknownSliceHash = 0xc2b2ae3d27d4eb4full;
 
+/// One arc's content hash over the fields a render reads
+/// (from/to/role/title/context). THE per-arc hash: the engine's arc
+/// table and every slice hash fold it, so the two can never drift.
+[[nodiscard]] std::uint64_t arc_hash(const core::NavArc& arc) noexcept;
+
 /// Fold one arc into a slice hash (order-sensitive — slice order is
-/// render order). THE slice-hash producer: the engine's arc-table
-/// rebuild and the snapshot's fallback both call it, so the two sides
-/// can never drift.
+/// render order): hash_combine(slice, arc_hash(arc)). The engine's
+/// arc-table rebuild and the snapshot's fallback both fold through it.
 [[nodiscard]] std::uint64_t combine_arc_slice(std::uint64_t slice,
                                               const core::NavArc& arc) noexcept;
 
@@ -115,12 +119,12 @@ struct RouteTable {
 /// bytes: the combined authored arc set (with per-linkbase provenance in
 /// NavArc::source), which linkbase belongs to which context family, and
 /// the registered serving profiles. The engine fills this at publish
-/// time; a snapshot built without it (the 4-argument constructor, and
-/// Tangled mode) serves every profile the base bytes.
+/// time; default inputs are an empty arc set, under which every profile
+/// is served the base bytes.
 struct SnapshotOverlayInputs {
   /// Combined arc set in weave order (structure linkbase first, then each
   /// family linkbase) — shared with the engine's arc table, immutable
-  /// once published.
+  /// once published. Null means an empty set.
   std::shared_ptr<const std::vector<core::NavArc>> arcs;
 
   /// NavArc::source value of the access structure's own linkbase.
@@ -184,8 +188,6 @@ struct SnapshotState {
   std::uint64_t epoch = 0;
   std::map<std::string, std::shared_ptr<const std::string>, std::less<>> files;
   std::map<std::string, std::vector<SnapshotArc>, std::less<>> arcs_by_from;
-  /// Overlay inputs; a null `arcs` member means no overlays (base-only
-  /// serving, as with the 4-argument capture constructor).
   SnapshotOverlayInputs overlays;
 };
 
@@ -195,17 +197,13 @@ struct SnapshotState {
 class SiteSnapshot {
  public:
   /// Capture `site` + `graph` as published epoch `epoch` under `base`
-  /// (slash-terminated). Artifact bytes are shared, arcs are copied out
-  /// by value.
-  SiteSnapshot(const site::VirtualSite& site, const xlink::TraversalGraph& graph,
-               std::string base, std::uint64_t epoch);
-
-  /// As above, additionally carrying the per-family arc slices and the
-  /// profile table that make respond_as() compose profile-scoped
-  /// navigation overlays.
+  /// (slash-terminated), carrying `overlays`: the per-family arc slices
+  /// and the profile table that make respond_as() compose
+  /// profile-scoped navigation overlays. Artifact bytes are shared, arcs
+  /// are copied out by value.
   SiteSnapshot(const site::VirtualSite& site, const xlink::TraversalGraph& graph,
                std::string base, std::uint64_t epoch,
-               SnapshotOverlayInputs overlays);
+               SnapshotOverlayInputs overlays = {});
 
   /// Reconstruct a snapshot from decoded wire state (the replica path —
   /// see src/repl/). Behaves exactly like a captured snapshot: when
@@ -256,12 +254,6 @@ class SiteSnapshot {
       std::string_view uri, std::string_view role) const;
 
   // --- profile-scoped navigation overlays -------------------------------------
-
-  /// True when this snapshot carries overlay inputs (combined arcs +
-  /// family slices). Without them respond_as() serves base bytes.
-  [[nodiscard]] bool overlays_enabled() const noexcept {
-    return overlay_arcs_ != nullptr;
-  }
 
   /// Profiles registered when this snapshot was captured.
   [[nodiscard]] const std::vector<nav::Profile>& profiles() const noexcept {
@@ -322,7 +314,7 @@ class SiteSnapshot {
   }
 
   /// The combined authored arc set (weave order, NavArc::source
-  /// provenance); null when overlays are disabled.
+  /// provenance); never null (empty when no arcs were published).
   [[nodiscard]] const std::shared_ptr<const std::vector<core::NavArc>>&
   overlay_arcs() const noexcept {
     return overlay_arcs_;
@@ -338,8 +330,8 @@ class SiteSnapshot {
   [[nodiscard]] std::vector<SnapshotOverlayInputs::Family> overlay_families()
       const;
 
-  /// The per-(linkbase, page) slice hash table — always non-null when
-  /// overlays_enabled(), whether threaded from the engine or derived.
+  /// The per-(linkbase, page) slice hash table — never null, whether
+  /// threaded from the engine or derived.
   [[nodiscard]] const std::shared_ptr<const SourceSliceHashes>& slice_hashes()
       const noexcept {
     return slice_hashes_;
@@ -409,7 +401,7 @@ class SiteSnapshot {
       files_;
   std::map<std::string, std::vector<SnapshotArc>, std::less<>> arcs_by_from_;
 
-  // Overlay state (empty without SnapshotOverlayInputs).
+  // Overlay state.
   std::string structure_source_{site::kStructureLinkbasePath};
   std::shared_ptr<const std::vector<core::NavArc>> overlay_arcs_;
   std::shared_ptr<const SourceSliceHashes> slice_hashes_;

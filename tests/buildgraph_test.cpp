@@ -550,7 +550,7 @@ TEST(IncrementalEngine, AnchorProvenanceNamesTheAuthoredArc) {
   }
   EXPECT_EQ(anchors->size(), arcs_from_guitar);
 
-  // Unknown and tangled pages have no provenance.
+  // Unknown pages have no provenance.
   EXPECT_EQ(engine->provenance_for("nope"), nullptr);
 }
 
@@ -615,28 +615,6 @@ TEST(IncrementalEngine, RebuildAlsoInvalidatesBothCaches) {
   // on back() is the freshly woven one.
   ASSERT_NE(browser.page(), nullptr);
   EXPECT_NE(browser.page()->find("Next: Guernica"), std::string::npos);
-}
-
-// --- tangled baseline -----------------------------------------------------------
-
-TEST(IncrementalEngine, TangledMutationReweavesTheWholeSite) {
-  // The asymmetry the paper measures, live: with navigation tangled into
-  // every page there is no linkbase layer to localize the edit, so the
-  // cheapest retitle re-renders everything.
-  auto engine = nav::SitePipeline()
-                    .conceptual(SyntheticSpec{.painters = 2,
-                                              .paintings_per_painter = 8,
-                                              .movements = 3,
-                                              .seed = 7})
-                    .access(hm::AccessStructureKind::IndexedGuidedTour,
-                            "painter-0")
-                    .tangled()
-                    .serve();
-  const std::string victim = engine->structure().members()[3].node_id;
-  nav::RebuildReport r = engine->retitle_node(victim, "Renamed");
-  EXPECT_EQ(r.pages_rewoven, r.pages_total);
-  EXPECT_DOUBLE_EQ(r.reweave_ratio(), 1.0);
-  EXPECT_EQ(engine->provenance_for(victim), nullptr);
 }
 
 // --- the acceptance property: randomized edit sequences -------------------------

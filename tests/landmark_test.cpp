@@ -613,19 +613,6 @@ TEST(LandmarkPipeline, LazyRoutesExpandOverAuthoredArcsOnlyLikeAotRoutes) {
   expect_sites_identical(engine->site(), full_build_oracle(*engine));
 }
 
-TEST(LandmarkPipeline, TangledModeRefusesLandmarks) {
-  auto engine = nav::SitePipeline()
-                    .conceptual(navsep::museum::SyntheticSpec{
-                        .painters = 2, .paintings_per_painter = 2,
-                        .movements = 2, .seed = 5})
-                    .access(AccessStructureKind::Index)
-                    .tangled()
-                    .serve();
-  EXPECT_THROW((void)engine->enable_landmarks(
-                   obs::TraceAggregate{}, LandmarkOptions{}),
-               SemanticError);
-}
-
 TEST(LandmarkPipeline, BatchedEnableCoalescesIntoOneEpoch) {
   auto engine = synthetic_engine(2);
   nav::Engine& in = *engine;

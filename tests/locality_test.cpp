@@ -1,0 +1,262 @@
+// Per-edit work at two site sizes, counted exactly.
+//
+// The paper's claim is that a navigation change is local: one authored
+// artifact moves, not every page (e1). This suite pins how much work the
+// runtime does for one edit, in counters that do not depend on the
+// host's speed:
+//
+//   - heap allocations and bytes requested during the mutation call (a
+//     replaced global operator new in this binary);
+//   - the build graph's nodes_rebuilt, pages_rewoven and
+//     linkbases_reauthored for that call;
+//   - the bytes of the repl::encode_delta payload between the two
+//     epochs.
+//
+// It builds navbench's site shape — an IndexedGuidedTour over 8
+// painters with the ByAuthor and ByMovement families, 4 movements, and
+// the profiles kiosk, tour and everything — at 8×12 and 8×125
+// paintings. For each edit kind (replace_arc, retitle_node,
+// edit_context_family) it runs three warm edits, then counts one.
+//
+// Every column has two ceilings: its value at 10³ paintings and its
+// 10³/10² ratio, each at most the value measured when the ceiling was
+// set plus 10%. A column measured at 0 must stay 0. The ceilings are
+// ratchets: a change that makes an edit cheaper lowers them to its new
+// measurements, and no change raises them.
+//
+// Sanitizer builds replace operator new themselves, so there the two
+// allocation columns are compiled out; the other four are still checked.
+#include <algorithm>
+#include <atomic>
+#include <cstddef>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <functional>
+#include <memory>
+#include <new>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "hypermedia/access.hpp"
+#include "hypermedia/context.hpp"
+#include "nav/pipeline.hpp"
+#include "repl/wire.hpp"
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define NAVSEP_COUNT_ALLOCATIONS 0
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
+    __has_feature(memory_sanitizer)
+#define NAVSEP_COUNT_ALLOCATIONS 0
+#endif
+#endif
+#ifndef NAVSEP_COUNT_ALLOCATIONS
+#define NAVSEP_COUNT_ALLOCATIONS 1
+#endif
+
+namespace {
+
+std::atomic<bool> g_counting{false};
+std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_bytes_requested{0};
+
+}  // namespace
+
+#if NAVSEP_COUNT_ALLOCATIONS
+// The array and nothrow forms forward here; aligned allocations keep the
+// library's own pair (nothing on the edit path over-aligns).
+void* operator new(std::size_t size) {
+  if (g_counting.load(std::memory_order_relaxed)) {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    g_bytes_requested.fetch_add(size, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#endif
+
+namespace {
+
+namespace hm = navsep::hypermedia;
+namespace nav = navsep::nav;
+namespace repl = navsep::repl;
+
+enum class Edit { Arc, Retitle, Family };
+
+/// One counted edit.
+struct Work {
+  std::uint64_t allocations = 0;
+  std::uint64_t bytes_requested = 0;
+  std::uint64_t nodes_rebuilt = 0;
+  std::uint64_t pages_rewoven = 0;
+  std::uint64_t linkbases_reauthored = 0;
+  std::uint64_t delta_bytes = 0;
+};
+
+/// navbench's site shape at 8 painters × `paintings_per_painter`.
+std::unique_ptr<nav::Engine> navbench_site(std::size_t paintings_per_painter) {
+  auto engine = nav::SitePipeline()
+                    .conceptual(navsep::museum::SyntheticSpec{
+                        .painters = 8,
+                        .paintings_per_painter = paintings_per_painter,
+                        .movements = 4,
+                        .seed = 42})
+                    .access(hm::AccessStructureKind::IndexedGuidedTour)
+                    .contexts({"ByAuthor", "ByMovement"})
+                    .serve();
+  engine->register_profile({"kiosk", {}});
+  engine->register_profile({"tour", {"ByAuthor"}});
+  engine->register_profile({"everything", {"ByAuthor", "ByMovement"}});
+  return engine;
+}
+
+/// Edit number `n` of `kind`, prepared outside the counted region: the
+/// returned call is the mutation alone. Every edit uses a label never
+/// used before, or rotates the context once more, so each one changes
+/// the site.
+std::function<nav::RebuildReport()> prepare(nav::Engine& engine, Edit kind,
+                                            int n) {
+  const std::string title = "locality-" + std::to_string(n);
+  switch (kind) {
+    case Edit::Arc: {
+      const std::vector<hm::AccessArc> arcs = engine.authored_arcs();
+      const std::size_t index = arcs.size() / 2;
+      hm::AccessArc arc = arcs[index];
+      arc.title = title;
+      return [&engine, index, arc = std::move(arc)] {
+        return engine.replace_arc(index, arc);
+      };
+    }
+    case Edit::Retitle: {
+      const auto& members = engine.structure().members();
+      std::string id = members[members.size() / 2].node_id;
+      return [&engine, id = std::move(id), title] {
+        return engine.retitle_node(id, title);
+      };
+    }
+    case Edit::Family:
+      return [&engine] {
+        return engine.edit_context_family(
+            "ByAuthor", [](hm::ContextFamily& family) {
+              std::vector<hm::NavigationalContext> contexts =
+                  family.contexts();
+              hm::NavigationalContext& ctx = contexts[1];
+              std::vector<std::string> ids = ctx.node_ids();
+              std::rotate(ids.begin(), ids.begin() + 1, ids.end());
+              ctx = hm::NavigationalContext(ctx.family(), ctx.name(),
+                                            std::move(ids));
+              family.replace_contexts(std::move(contexts));
+            });
+      };
+  }
+  return {};
+}
+
+/// Three warm edits of `kind`, then one counted.
+Work measure(Edit kind, std::size_t paintings_per_painter) {
+  auto engine = navbench_site(paintings_per_painter);
+  for (int n = 0; n < 3; ++n) (void)prepare(*engine, kind, n)();
+
+  const auto prev = engine->snapshots().current();
+  const std::function<nav::RebuildReport()> edit = prepare(*engine, kind, 3);
+  g_allocations.store(0, std::memory_order_relaxed);
+  g_bytes_requested.store(0, std::memory_order_relaxed);
+  g_counting.store(true, std::memory_order_relaxed);
+  const nav::RebuildReport report = edit();
+  g_counting.store(false, std::memory_order_relaxed);
+
+  Work work;
+  work.allocations = g_allocations.load(std::memory_order_relaxed);
+  work.bytes_requested = g_bytes_requested.load(std::memory_order_relaxed);
+  work.nodes_rebuilt = report.nodes_rebuilt;
+  work.pages_rewoven = report.pages_rewoven;
+  work.linkbases_reauthored = report.linkbases_reauthored;
+  work.delta_bytes =
+      repl::encode_delta(*prev, *engine->snapshots().current()).size();
+  return work;
+}
+
+/// A column's values as measured when its ceilings were set.
+struct Measured {
+  double at_1000 = 0;  ///< value at 8×125 paintings
+  double ratio = 0;    ///< value at 8×125 / value at 8×12
+};
+
+/// The six columns' measurements for one edit kind.
+struct Ceilings {
+  Measured allocations, bytes_requested, nodes_rebuilt, pages_rewoven,
+      linkbases_reauthored, delta_bytes;
+};
+
+void expect_within(const char* column, std::uint64_t small,
+                   std::uint64_t large, const Measured& measured) {
+  std::printf("  %-21s 10^2 %10llu  10^3 %10llu\n", column,
+              static_cast<unsigned long long>(small),
+              static_cast<unsigned long long>(large));
+  if (measured.at_1000 == 0) {
+    EXPECT_EQ(large, 0u) << column << " was 0 at 10^3 and must stay 0";
+    return;
+  }
+  EXPECT_LE(static_cast<double>(large), measured.at_1000 * 1.1)
+      << column << " at 10^3 paintings";
+  ASSERT_GT(small, 0u) << column << " at 10^2 paintings";
+  EXPECT_LE(static_cast<double>(large) / static_cast<double>(small),
+            measured.ratio * 1.1)
+      << column << ": 10^3 / 10^2 ratio";
+}
+
+void expect_pinned(Edit kind, const Ceilings& ceilings) {
+  const Work small = measure(kind, 12);
+  const Work large = measure(kind, 125);
+#if NAVSEP_COUNT_ALLOCATIONS
+  expect_within("allocations", small.allocations, large.allocations,
+                ceilings.allocations);
+  expect_within("bytes_requested", small.bytes_requested,
+                large.bytes_requested, ceilings.bytes_requested);
+#endif
+  expect_within("nodes_rebuilt", small.nodes_rebuilt, large.nodes_rebuilt,
+                ceilings.nodes_rebuilt);
+  expect_within("pages_rewoven", small.pages_rewoven, large.pages_rewoven,
+                ceilings.pages_rewoven);
+  expect_within("linkbases_reauthored", small.linkbases_reauthored,
+                large.linkbases_reauthored, ceilings.linkbases_reauthored);
+  expect_within("delta_bytes", small.delta_bytes, large.delta_bytes,
+                ceilings.delta_bytes);
+}
+
+// Measured on this revision: {value at 10³ paintings, 10³/10² ratio}.
+
+TEST(Locality, ArcEditWorkIsPinned) {
+  expect_pinned(Edit::Arc, {.allocations = {424887, 10.46},
+                            .bytes_requested = {41419424, 9.86},
+                            .nodes_rebuilt = {1005, 9.96},
+                            .pages_rewoven = {1, 1.0},
+                            .linkbases_reauthored = {1, 1.0},
+                            .delta_bytes = {1225070, 10.42}});
+}
+
+TEST(Locality, RetitleEditWorkIsPinned) {
+  expect_pinned(Edit::Retitle, {.allocations = {457113, 10.41},
+                                .bytes_requested = {44986033, 9.80},
+                                .nodes_rebuilt = {1007, 9.78},
+                                .pages_rewoven = {3, 1.0},
+                                .linkbases_reauthored = {1, 1.0},
+                                .delta_bytes = {1462711, 10.28}});
+}
+
+TEST(Locality, FamilyEditWorkIsPinned) {
+  expect_pinned(Edit::Family, {.allocations = {336535, 10.65},
+                               .bytes_requested = {29207160, 10.20},
+                               .nodes_rebuilt = {1003, 10.14},
+                               .pages_rewoven = {0, 0},
+                               .linkbases_reauthored = {1, 1.0},
+                               .delta_bytes = {712960, 10.59}});
+}
+
+}  // namespace

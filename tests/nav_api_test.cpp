@@ -117,22 +117,6 @@ TEST(SitePipeline, BuildProducesTheSameArtifactsAsHandWiring) {
   }
 }
 
-TEST(SitePipeline, TangledModeBakesNavigationIn) {
-  auto engine = nav::SitePipeline()
-                    .paper_museum()
-                    .access(hm::AccessStructureKind::IndexedGuidedTour,
-                            "picasso")
-                    .tangled()
-                    .serve();
-  EXPECT_FALSE(engine->site().contains("links.xml"));
-  EXPECT_TRUE(engine->site().contains("guitar.html"));
-  EXPECT_EQ(engine->mode(), nav::WeaveMode::Tangled);
-  // No linkbase -> no arcs for the browser; pages still serve.
-  EXPECT_TRUE(engine->arc_table().arcs().empty());
-  EXPECT_TRUE(engine->navigator().navigate("guitar.html"));
-  EXPECT_TRUE(engine->navigator().links().empty());
-}
-
 TEST(SitePipeline, ContextFamiliesAreAuthoredAndOwned) {
   auto engine =
       nav::SitePipeline()

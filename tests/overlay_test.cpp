@@ -219,23 +219,6 @@ TEST(ProfileRegistration, ValidatesNamesAndFamilies) {
   EXPECT_EQ(*without.body, *server->get("guitar.html").body);
 }
 
-TEST(ProfileRegistration, TangledModeRefusesFamilies) {
-  auto engine = nav::SitePipeline()
-                    .paper_museum()
-                    .access(AccessStructureKind::Index, "picasso")
-                    .tangled()
-                    .serve();
-  EXPECT_THROW(
-      engine->register_profile({"tour", {"ByAuthor"}}), navsep::SemanticError);
-  // An empty-family profile is fine and serves the tangled base bytes.
-  engine->register_profile({"kiosk", {}});
-  auto server = engine->open_concurrent();
-  site::Response base = server->get("guitar.html");
-  site::Response overlaid = server->get("guitar.html", "kiosk");
-  ASSERT_TRUE(overlaid.ok());
-  EXPECT_EQ(base.body.get(), overlaid.body.get());
-}
-
 TEST(ProfileRegistration, UnknownProfileThrowsAtServeTime) {
   auto engine = paper_engine();
   auto server = engine->open_concurrent();

@@ -291,16 +291,6 @@ TEST(RouteRegister, RemovalDetachesTheRouteFromEveryProfile) {
   }
 }
 
-TEST(RouteRegister, TangledModeRefusesRoutes) {
-  auto engine = nav::SitePipeline()
-                    .paper_museum()
-                    .access(AccessStructureKind::IndexedGuidedTour, "picasso")
-                    .tangled()
-                    .serve();
-  EXPECT_THROW((void)engine->register_route({"r", "next", RouteCompile::Aot}),
-               SemanticError);
-}
-
 // --- 3. the lazy-vs-AOT differential harness ----------------------------------
 
 /// Register `program`, point a fresh profile at it, and assert the

@@ -184,23 +184,6 @@ TEST(WarmAdmission, RespectsByteBudgetsAndZeroCapPassthrough) {
   auto engine = synthetic_engine(4);
   const std::vector<std::string> pages = html_pages(*engine);
   ASSERT_GE(pages.size(), 2u);
-  const std::string* body0 = engine->site().get(pages[0]);
-  ASSERT_NE(body0, nullptr);
-
-  // A byte budget sized to exactly one resident body: the resident
-  // stays, the warm attempt reports NoRoom.
-  auto sized = engine->open_concurrent(
-      1, serve::CacheLimits{.base_bytes_per_shard = body0->size()});
-  ASSERT_TRUE(sized->get(pages[0]).ok());
-  EXPECT_EQ(sized->warm(pages[1]), WarmOutcome::NoRoom);
-  EXPECT_EQ(sized->unified_stats().base.resident_bytes, body0->size());
-
-  // A body bigger than the whole budget can never be admitted, even
-  // into an empty cache.
-  auto tiny = engine->open_concurrent(
-      1, serve::CacheLimits{.base_bytes_per_shard = 1});
-  EXPECT_EQ(tiny->warm(pages[0]), WarmOutcome::NoRoom);
-  EXPECT_EQ(tiny->unified_stats().base.entries, 0u);
 
   // Zero caps degenerate to pass-through: nothing retained, so nothing
   // to warm.

@@ -289,8 +289,8 @@ TEST(WireFuzz, CorruptedPayloadsNeverCrashAndNeverTearPreviousSnapshot) {
 // hit.
 TEST(WireFuzz, OverstatedRecordCountsAreRejectedWithoutAllocation) {
   // Minimal FULL payload prefix, hand-assembled: epoch, base, empty
-  // file and traversal tables, no overlay inputs — positioned right
-  // before the two pre-allocating decoders (profile table, route
+  // file and traversal tables, an empty overlay section — positioned
+  // right before the two pre-allocating decoders (profile table, route
   // table).
   std::string prefix;
   const auto u32 = [](std::string& out, std::uint32_t v) {
@@ -303,7 +303,9 @@ TEST(WireFuzz, OverstatedRecordCountsAreRejectedWithoutAllocation) {
   prefix.push_back('/');     // base = "/"
   u32(prefix, 0);            // no files
   u32(prefix, 0);            // no traversal buckets
-  prefix.push_back('\0');    // no overlay inputs
+  u32(prefix, 0);            // structure source = ""
+  u32(prefix, 0);            // no families
+  u32(prefix, 0);            // no arc segments
 
   // A profile table announcing ~256M records backed by zero bytes.
   std::string huge_profiles = prefix;
@@ -317,6 +319,38 @@ TEST(WireFuzz, OverstatedRecordCountsAreRejectedWithoutAllocation) {
   huge_routes.push_back('\x01');  // route table present
   u32(huge_routes, (1u << 28) - 1);
   EXPECT_THROW((void)repl::decode_full(huge_routes), repl::WireError);
+}
+
+// A DELTA whose removal list names an artifact its base does not hold
+// is malformed like a carry-forward of a segment the base lacks: it
+// throws WireError, and the base keeps its bytes. The payload is a real
+// route removal with one byte of the removed path changed, re-framed
+// behind a valid checksum.
+TEST(WireFuzz, DeltaRemovingAPathTheBaseLacksThrows) {
+  auto engine = nav::SitePipeline()
+                    .paper_museum()
+                    .access(AccessStructureKind::IndexedGuidedTour, "picasso")
+                    .serve();
+  (void)engine->register_route(
+      {"walk", "index-entry / next*", nav::RouteCompile::Aot});
+  const SnapPtr base = engine->snapshots().current();
+  ASSERT_TRUE(base->contains("links-walk.xml"));
+  (void)engine->remove_route("walk");
+  std::string payload =
+      repl::encode_delta(*base, *engine->snapshots().current());
+
+  constexpr std::string_view kRemoved = "links-walk.xml";
+  const std::size_t at = payload.find(kRemoved);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(at, payload.rfind(kRemoved));  // only in the removal list
+  payload[at + kRemoved.rfind('k')] = 'j';  // "links-walj.xml"
+  ASSERT_FALSE(base->contains("links-walj.xml"));
+
+  const std::map<std::string, std::string> before = artifact_bytes(*base);
+  const repl::Frame frame = repl::parse_frame(
+      repl::encode_frame(repl::FrameType::Delta, payload));
+  EXPECT_THROW((void)repl::apply_frame(frame, base), repl::WireError);
+  EXPECT_EQ(artifact_bytes(*base), before);
 }
 
 }  // namespace
