@@ -61,7 +61,8 @@ void BM_FullReweave(benchmark::State& state) {
     benchmark::DoNotOptimize(engine->site().size());
   }
   nav::RebuildReport full{};
-  full.pages_total = engine->build_graph().count(nav::ProductKind::Page);
+  // Every member's page plus the structure's own.
+  full.pages_total = engine->structure().members().size() + 1;
   full.pages_rewoven = full.pages_total;  // rebuild() recomposes everything
   report(state, full);
 }

@@ -1,24 +1,9 @@
 #include "nav/buildgraph.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 #include "obs/registry.hpp"
 
 namespace navsep::nav {
-
-std::string_view to_string(ProductKind k) noexcept {
-  switch (k) {
-    case ProductKind::Source: return "Source";
-    case ProductKind::Route: return "Route";
-    case ProductKind::Landmark: return "Landmark";
-    case ProductKind::Linkbase: return "Linkbase";
-    case ProductKind::ArcTable: return "ArcTable";
-    case ProductKind::ArcSlice: return "ArcSlice";
-    case ProductKind::Page: return "Page";
-  }
-  return "?";
-}
 
 std::uint64_t hash_bytes(std::string_view bytes) noexcept {
   std::uint64_t h = 0xcbf29ce484222325ull;
@@ -40,9 +25,21 @@ std::uint64_t hash_combine(std::uint64_t seed, std::uint64_t value) noexcept {
   return h;
 }
 
+namespace {
+
+void refuse_mid_run(bool running, std::string_view call,
+                    const std::string& id) {
+  if (!running) return;
+  throw SemanticError("BuildGraph::" + std::string(call) + "('" + id +
+                      "') from a rebuild callback: the topology is fixed "
+                      "while run() is in flight");
+}
+
+}  // namespace
+
 void BuildGraph::define(const std::string& id, ProductKind kind,
                         std::vector<std::string> deps, Rebuild rebuild) {
-  ++topology_revision_;
+  refuse_mid_run(running_, "define", id);
   auto it = nodes_.find(id);
   if (it == nodes_.end()) {
     Node node;
@@ -61,9 +58,8 @@ void BuildGraph::define(const std::string& id, ProductKind kind,
 }
 
 bool BuildGraph::remove(const std::string& id) {
-  if (nodes_.erase(id) == 0) return false;
-  ++topology_revision_;
-  return true;
+  refuse_mid_run(running_, "remove", id);
+  return nodes_.erase(id) != 0;
 }
 
 bool BuildGraph::contains(std::string_view id) const {
@@ -76,13 +72,6 @@ std::size_t BuildGraph::count(ProductKind kind) const {
     if (node.kind == kind) ++n;
   }
   return n;
-}
-
-std::vector<std::string> BuildGraph::ids() const {
-  std::vector<std::string> out;
-  out.reserve(nodes_.size());
-  for (const auto& [id, _] : nodes_) out.push_back(id);
-  return out;
 }
 
 std::vector<std::string> BuildGraph::ids(ProductKind kind) const {
@@ -112,134 +101,80 @@ void BuildGraph::mark_all_dirty() {
   for (auto& [_, node] : nodes_) node.dirty = true;
 }
 
-BuildGraph::Plan BuildGraph::plan() const {
+BuildGraph::Plan BuildGraph::plan() {
   // Kahn's algorithm over the defined nodes. Edges from dangling dep ids
   // (declared but not defined) are ignored — they activate when defined.
   Plan out;
-  std::map<std::string_view, std::size_t> in_degree;
-  for (const auto& [id, _] : nodes_) in_degree.emplace(id, 0);
-  for (const auto& [id, node] : nodes_) {
-    for (const std::string& dep : node.deps) {
-      if (nodes_.find(dep) == nodes_.end()) continue;
-      ++in_degree[id];
-      out.dependents[dep].push_back(id);
+  out.nodes.reserve(nodes_.size());
+  std::map<std::string_view, std::size_t> index;
+  for (auto& [id, node] : nodes_) {
+    index.emplace(id, out.nodes.size());
+    out.nodes.push_back(&node);
+  }
+  out.dependents.resize(out.nodes.size());
+  std::vector<std::size_t> in_degree(out.nodes.size(), 0);
+  for (std::size_t i = 0; i < out.nodes.size(); ++i) {
+    for (const std::string& dep : out.nodes[i]->deps) {
+      auto producer = index.find(dep);
+      if (producer == index.end()) continue;
+      out.dependents[producer->second].push_back(i);
+      ++in_degree[i];
     }
   }
-
-  std::vector<std::string_view> ready;
-  for (const auto& [id, _] : nodes_) {
-    if (in_degree[id] == 0) ready.push_back(id);
+  // `order` is consumed as a queue; map order keeps it deterministic.
+  out.order.reserve(out.nodes.size());
+  for (std::size_t i = 0; i < out.nodes.size(); ++i) {
+    if (in_degree[i] == 0) out.order.push_back(i);
   }
-  out.order.reserve(nodes_.size());
-  // `ready` is consumed as a queue; map iteration order keeps everything
-  // deterministic.
-  for (std::size_t head = 0; head < ready.size(); ++head) {
-    std::string_view id = ready[head];
-    out.order.emplace_back(id);
-    auto dep_it = out.dependents.find(id);
-    if (dep_it == out.dependents.end()) continue;
-    for (const std::string& dependent : dep_it->second) {
-      if (--in_degree[dependent] == 0) ready.push_back(dependent);
+  for (std::size_t head = 0; head < out.order.size(); ++head) {
+    for (const std::size_t dependent : out.dependents[out.order[head]]) {
+      if (--in_degree[dependent] == 0) out.order.push_back(dependent);
     }
   }
-  if (out.order.size() != nodes_.size()) {
+  if (out.order.size() != out.nodes.size()) {
     throw SemanticError(
         "BuildGraph: dependency cycle among " +
-        std::to_string(nodes_.size() - out.order.size()) + " node(s)");
+        std::to_string(out.nodes.size() - out.order.size()) + " node(s)");
   }
   return out;
 }
 
-std::shared_ptr<const BuildGraph::Plan> BuildGraph::current_plan() {
-  if (plan_ == nullptr || plan_revision_ != topology_revision_) {
+RebuildReport BuildGraph::run() {
+  Plan plan;
+  {
     obs::ScopedSpan span(telemetry_ != nullptr ? &telemetry_->spans() : nullptr,
                          "build.plan", epoch_hint_);
-    plan_ = std::make_shared<const Plan>(plan());
-    plan_revision_ = topology_revision_;
-    if (plans_ != nullptr) plans_->add(1);
+    plan = this->plan();
   }
-  return plan_;
-}
-
-void BuildGraph::set_telemetry(obs::Registry* registry) {
-  plans_ = registry != nullptr ? &registry->counter("build.plans") : nullptr;
-  telemetry_ = registry;
-}
-
-RebuildReport BuildGraph::run() {
+  // One pass: each node rebuilds at most once, after its producers.
   RebuildReport report;
-  const auto any_dirty = [this] {
-    return std::any_of(nodes_.begin(), nodes_.end(),
-                       [](const auto& entry) { return entry.second.dirty; });
-  };
-  // Rebuild callbacks may define or remove nodes (the page set follows
-  // the member set), which invalidates the plan — so run in passes until
-  // the graph is clean. Each pass processes strictly in dependency order,
-  // so a node rebuilds at most once per pass and only after its
-  // producers; a topology change aborts the pass and replans.
-  constexpr std::size_t kMaxPasses = 64;  // far above any real depth
-  for (std::size_t pass = 0; pass < kMaxPasses && any_dirty(); ++pass) {
-    const std::shared_ptr<const Plan> plan = current_plan();
-    const std::uint64_t planned_topology = plan_revision_;
-    for (const std::string& id : plan->order) {
-      auto it = nodes_.find(id);
-      if (it == nodes_.end()) continue;  // removed earlier this pass
-      if (!it->second.dirty) continue;
-      ++report.nodes_dirty;
-      // Cleared before the callback, so a callback that re-dirties its
-      // own node gets another pass.
-      it->second.dirty = false;
-      if (!it->second.rebuild) continue;
-      ++report.nodes_rebuilt;
-      if (it->second.kind == ProductKind::Page) ++report.pages_rewoven;
-      std::uint64_t new_hash = 0;
-      try {
-        // Call through a copy: the callback may remove or redefine its
-        // own node, which would otherwise destroy the std::function
-        // mid-call.
-        const Rebuild rebuild = it->second.rebuild;
-        new_hash = rebuild();
-      } catch (...) {
-        // The product was not rebuilt: the dirty bit says so, and the
-        // next run rebuilds exactly this node (and what it feeds).
-        mark_dirty(id);
-        throw;
-      }
-      // The callback may have mutated the graph; re-find before writing.
-      auto after = nodes_.find(id);
-      if (after == nodes_.end()) continue;
-      const std::uint64_t old_hash = after->second.hash;
-      after->second.hash = new_hash;
-      if (new_hash != old_hash) {
-        ++report.nodes_changed;
-        if (after->second.kind == ProductKind::Linkbase) {
-          ++report.linkbases_reauthored;
-        }
-        // Propagate along the plan's reverse edges; nodes defined
-        // mid-pass start dirty and are picked up by the next pass.
-        if (auto dep_it = plan->dependents.find(id);
-            dep_it != plan->dependents.end()) {
-          for (const std::string& dependent : dep_it->second) {
-            mark_dirty(dependent);
-          }
-        }
-      }
-      if (topology_revision_ != planned_topology) break;  // replan
+  running_ = true;
+  for (const std::size_t i : plan.order) {
+    Node& node = *plan.nodes[i];
+    if (!node.dirty) continue;
+    ++report.nodes_dirty;
+    node.dirty = false;
+    if (!node.rebuild) continue;
+    ++report.nodes_rebuilt;
+    std::uint64_t hash = 0;
+    try {
+      hash = node.rebuild();
+    } catch (...) {
+      // The product was not rebuilt: the dirty bit says so, and the
+      // next run rebuilds exactly this node (and what it feeds).
+      node.dirty = true;
+      running_ = false;
+      throw;
+    }
+    if (hash == node.hash) continue;  // early cutoff
+    node.hash = hash;
+    ++report.nodes_changed;
+    if (node.kind == ProductKind::Linkbase) ++report.linkbases_reauthored;
+    for (const std::size_t dependent : plan.dependents[i]) {
+      plan.nodes[dependent]->dirty = true;
     }
   }
-  // The pass budget is a backstop against rebuild callbacks that redirty
-  // the graph forever (a define() per invocation, say). Exhausting it
-  // with work left must fail loudly — returning a normal-looking report
-  // over an unsettled site would be a silent lie.
-  for (const auto& [id, node] : nodes_) {
-    if (node.dirty) {
-      throw SemanticError("BuildGraph::run: graph failed to settle within " +
-                          std::to_string(kMaxPasses) + " passes ('" + id +
-                          "' still dirty) — a rebuild callback keeps "
-                          "redirtying the graph");
-    }
-  }
-  report.pages_total = count(ProductKind::Page);
+  running_ = false;
   return report;
 }
 

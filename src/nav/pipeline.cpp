@@ -15,7 +15,7 @@ namespace navsep::nav {
 
 namespace {
 
-/// Build-graph node ids. Pages/slices append the page id.
+/// Build-graph node ids.
 constexpr std::string_view kSpecNode = "nav:spec";
 constexpr std::string_view kArcTableNode = "nav:arcs";
 
@@ -27,12 +27,6 @@ constexpr std::string_view kStructureLinkbasePath =
 
 std::string linkbase_node(std::string_view path) {
   return "linkbase:" + std::string(path);
-}
-std::string page_node(std::string_view page_id) {
-  return "page:" + std::string(page_id);
-}
-std::string slice_node(std::string_view page_id) {
-  return "arcslice:" + std::string(page_id);
 }
 std::string route_node(std::string_view name) {
   return "route:" + std::string(name);
@@ -128,6 +122,9 @@ std::string Engine::compose_page(std::string_view node_id,
 }
 
 void Engine::rebuild() {
+  // Forget what every page was woven at, so the arc-table rebuild
+  // re-weaves them all (and newly registered aspects reach every page).
+  for (auto& [_, woven] : woven_at_) woven.reset();
   build_graph_.mark_all_dirty();
   (void)run_or_defer();
 }
@@ -165,7 +162,10 @@ RebuildReport Engine::run_graph_now() {
       obs::ScopedSpan span(
           telemetry_ != nullptr ? &telemetry_->spans() : nullptr,
           "build.run", target_epoch);
+      pages_rewoven_ = 0;
       report = build_graph_.run();
+      report.pages_rewoven = pages_rewoven_;
+      report.pages_total = woven_at_.size();
     }
     publish_snapshot();
   } catch (...) {
@@ -1006,14 +1006,6 @@ std::vector<std::string> Engine::desired_page_ids() const {
   return out;
 }
 
-std::uint64_t Engine::put_if_changed(const std::string& path,
-                                     std::string text) {
-  const std::uint64_t hash = hash_bytes(text);
-  const std::string* current = site_.get(path);
-  if (current == nullptr || *current != text) site_.put(path, std::move(text));
-  return hash;
-}
-
 std::uint64_t Engine::rebuild_spec() {
   std::uint64_t h = hash_bytes(structure_->name());
   h = hash_combine(h, static_cast<std::uint64_t>(structure_->kind()));
@@ -1059,19 +1051,23 @@ std::uint64_t Engine::rebuild_arc_table() {
   auto arcs = std::make_shared<std::vector<core::NavArc>>();
   arcs->reserve(total);
   auto overlay_hashes = std::make_shared<serve::SourceSliceHashes>();
-  slice_hashes_.clear();
+  std::map<std::string_view, std::uint64_t> slices;  // page id -> hash
   std::uint64_t table_hash = 0xa5a5a5a5a5a5a5a5ull;
   for (const LinkbaseRecord& record : linkbases_) {
     const std::span<const core::NavArc> own = record_arcs(record);
     const std::vector<std::uint64_t>& hashes = record.derived.hashes;
+    const std::size_t first = arcs->size();
     arcs->insert(arcs->end(), own.begin(), own.end());
     if (!record.derived.overlay_slices.empty()) {
       overlay_hashes->emplace(record.path, record.derived.overlay_slices);
     }
     for (std::size_t i = 0; i < own.size(); ++i) {
       table_hash = hash_combine(table_hash, hashes[i]);
-      if (own[i].context.empty()) {
-        auto [it, inserted] = slice_hashes_.emplace(own[i].from, 0xbeefull);
+      // Keyed by a view into the new combined set, which outlives
+      // `slices` (reserved above, so it never reallocates).
+      const core::NavArc& arc = (*arcs)[first + i];
+      if (arc.context.empty()) {
+        auto [it, inserted] = slices.emplace(arc.from, 0xbeefull);
         it->second = hash_combine(it->second, hashes[i]);
       }
     }
@@ -1093,56 +1089,52 @@ std::uint64_t Engine::rebuild_arc_table() {
   aspect_options.provenance_log = &weave_provenance_;
   weaver_.replace_aspect(core::NavigationAspect::from_contextual_arcs(
       combined_arcs_, aspect_options));
+
+  // Re-weave, in page-id order, exactly the pages whose slice moved since
+  // their stored bytes were woven (a page no arc leaves has slice 0). A
+  // weave that throws leaves its page and the ones after it unwoven and
+  // this node dirty, so the next run weaves exactly those.
   sync_pages();
+  for (auto& [page_id, woven] : woven_at_) {
+    const auto slice = slices.find(page_id);
+    const std::uint64_t current = slice == slices.end() ? 0 : slice->second;
+    if (woven == current) continue;
+    weave_page(page_id);
+    woven = current;
+    ++pages_rewoven_;
+  }
   return table_hash;
 }
 
 void Engine::sync_pages() {
   std::vector<std::string> desired = desired_page_ids();
-  std::vector<std::string> sorted_desired = desired;
-  std::sort(sorted_desired.begin(), sorted_desired.end());
-
-  // Retire pages whose member vanished: graph nodes, site artifact,
-  // provenance.
-  for (const std::string& id : page_ids_) {
-    if (std::binary_search(sorted_desired.begin(), sorted_desired.end(), id)) {
+  std::sort(desired.begin(), desired.end());
+  // Retire pages whose member vanished: site artifact, provenance.
+  for (auto it = woven_at_.begin(); it != woven_at_.end();) {
+    if (std::binary_search(desired.begin(), desired.end(), it->first)) {
+      ++it;
       continue;
     }
-    build_graph_.remove(page_node(id));
-    build_graph_.remove(slice_node(id));
-    site_.remove(core::default_href_for(id));
-    provenance_.erase(id);
+    site_.remove(core::default_href_for(it->first));
+    provenance_.erase(it->first);
+    it = woven_at_.erase(it);
   }
-
-  // Admit new pages (a define() on an existing node would needlessly
-  // dirty it, so only genuinely new ids are defined).
-  for (const std::string& id : desired) {
-    if (build_graph_.contains(page_node(id))) continue;
-    build_graph_.define(slice_node(id), ProductKind::ArcSlice,
-                        {std::string(kArcTableNode)}, [this, id] {
-                          auto it = slice_hashes_.find(id);
-                          return it == slice_hashes_.end() ? 0 : it->second;
-                        });
-    build_graph_.define(page_node(id), ProductKind::Page, {slice_node(id)},
-                        [this, id] { return rebuild_page(id); });
-  }
-
-  page_ids_ = std::move(desired);
+  for (std::string& id : desired) woven_at_.try_emplace(std::move(id));
 }
 
-std::uint64_t Engine::rebuild_page(const std::string& page_id) {
+void Engine::weave_page(const std::string& page_id) {
   weave_provenance_.clear();
   core::SeparatedComposer composer(weaver_);
-  std::string text;
-  if (page_id == structure_->page_id()) {
-    text = composer.compose_structure_page(page_id, structure_->name());
-  } else {
-    const hypermedia::NavNode* node = nav_->node(page_id);
-    if (node == nullptr) return 0;  // retired between sync and rebuild
-    text = composer.compose_node_page(*node);
-  }
+  std::string text =
+      page_id == structure_->page_id()
+          ? composer.compose_structure_page(page_id, structure_->name())
+          : composer.compose_node_page(*nav_->node(page_id));
   provenance_[page_id] = std::exchange(weave_provenance_, {});
-  return put_if_changed(core::default_href_for(page_id), std::move(text));
+  const std::string path = core::default_href_for(page_id);
+  if (const std::string* current = site_.get(path);
+      current == nullptr || *current != text) {
+    site_.put(path, std::move(text));
+  }
 }
 
 void Engine::wire_graph() {

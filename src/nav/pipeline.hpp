@@ -157,7 +157,8 @@ class Engine final {
   /// context tag ("ByAuthor:picasso"), woven through the engine's
   /// weaver. Throws ResolutionError for unknown node ids. Writer-side
   /// like the mutations below: it shares the weaver's match cache and
-  /// the engine's provenance scratch with the build graph's page weaves.
+  /// the engine's provenance scratch with the arc-table rebuild's page
+  /// weaves.
   [[nodiscard]] std::string compose_page(
       std::string_view node_id, std::string_view context_tag = "") const;
 
@@ -210,9 +211,10 @@ class Engine final {
   // read published epochs and need no synchronization. A mutation that
   // throws publishes nothing, so they keep serving the last epoch. The
   // build-graph node that threw stays dirty, as does every node the run
-  // had not reached, so the next successful mutation re-runs exactly
-  // what the failed run left unbuilt and converges to what rebuild()
-  // would produce, even when it repeats the failed edit. Browsers
+  // had not reached, and a page weave that threw leaves that page and
+  // the ones after it unwoven, so the next successful mutation re-runs
+  // exactly what the failed run left unbuilt and converges to what
+  // rebuild() would produce, even when it repeats the failed edit. Browsers
   // obtained from open_browser() must refresh() after a mutation; the
   // engine's own session is refreshed automatically, on the throwing
   // path too.
@@ -456,17 +458,22 @@ class Engine final {
   [[nodiscard]] std::vector<std::string> desired_page_ids() const;
 
   void wire_graph();
-  void sync_pages();
   [[nodiscard]] std::uint64_t rebuild_spec();
+
+  /// The arc-table node's rebuild: merge the records' arcs, hand them to
+  /// the weaver, then re-weave, in page-id order, exactly the pages whose
+  /// context-free slice hash differs from the one in woven_at_. Returns
+  /// the table hash.
   [[nodiscard]] std::uint64_t rebuild_arc_table();
 
-  /// A woven page node's rebuild: compose the page through weaver_,
-  /// record the anchors the aspect logged into weave_provenance_ as the
-  /// page's provenance, install the text and return its hash.
-  [[nodiscard]] std::uint64_t rebuild_page(const std::string& page_id);
+  /// Bring woven_at_ in step with desired_page_ids(): new pages enter
+  /// unwoven; retired pages leave with their artifact and provenance.
+  void sync_pages();
 
-  /// Write `text` at `path` iff it differs. Returns the text hash.
-  std::uint64_t put_if_changed(const std::string& path, std::string text);
+  /// Compose page `page_id` through weaver_, record the anchors the
+  /// aspect logged into weave_provenance_ as its provenance, and install
+  /// the text unless it is unchanged.
+  void weave_page(const std::string& page_id);
 
   /// Snapshot structure_ into a MaterializedStructure (idempotent) so
   /// arc-level edits have a mutable substrate.
@@ -616,7 +623,7 @@ class Engine final {
   std::string site_base_;
   /// Where the navigation aspect in weaver_ logs the anchors of the
   /// composition in flight (NavigationAspectOptions::provenance_log);
-  /// rebuild_page moves it into provenance_. Mutable because
+  /// weave_page moves it into provenance_. Mutable because
   /// compose_page() weaves too.
   mutable std::vector<core::AnchorProvenance> weave_provenance_;
   mutable aop::Weaver weaver_;
@@ -677,11 +684,13 @@ class Engine final {
 
   // --- incremental rebuild state ---------------------------------------------
   BuildGraph build_graph_;
-  std::vector<std::string> page_ids_;  // page nodes currently in the graph
-  /// Per-page hash of the arcs that can be woven into the stored page
-  /// (context-free arcs leaving it) — published by the arc-table rebuild,
-  /// read by the per-page ArcSlice nodes.
-  std::map<std::string, std::uint64_t, std::less<>> slice_hashes_;
+  /// Every page the site has, by id, with the hash of the arcs its stored
+  /// bytes were woven from (the context-free arcs leaving it); nullopt
+  /// until it is woven. rebuild() resets them all, and the arc-table
+  /// rebuild re-weaves every page whose entry differs from its slice.
+  std::map<std::string, std::optional<std::uint64_t>, std::less<>> woven_at_;
+  /// Pages the graph run in flight has re-woven (run_graph_now reports it).
+  std::size_t pages_rewoven_ = 0;
   std::map<std::string, std::vector<core::AnchorProvenance>, std::less<>>
       provenance_;
 

@@ -121,8 +121,7 @@ VirtualSite build_separated_site(const museum::MuseumWorld& world,
 
   // Derived: the woven pages. One combined aspect carries the structure's
   // arcs plus every context family's tagged tours.
-  aop::Weaver local_weaver;
-  aop::Weaver& weaver = options.weaver ? *options.weaver : local_weaver;
+  aop::Weaver weaver;
   std::vector<const xlink::TraversalGraph*> context_graph_ptrs;
   context_graph_ptrs.reserve(context_graphs.size());
   for (const auto& g : context_graphs) context_graph_ptrs.push_back(&g);
@@ -134,10 +133,7 @@ VirtualSite build_separated_site(const museum::MuseumWorld& world,
       }
     }
   }
-  // replace, not register: a caller-supplied weaver may already carry the
-  // navigation aspect of an earlier build (the §5 migration scenario) —
-  // stacking both would weave two anchor sets into every page.
-  weaver.replace_aspect(core::NavigationAspect::combined(
+  weaver.register_aspect(core::NavigationAspect::combined(
       core::load_linkbase(*linkbase), context_graph_ptrs, aspect_options));
   core::SeparatedComposer composer(weaver);
   for (auto& page : composer.compose_site(nav, structure)) {
@@ -147,9 +143,7 @@ VirtualSite build_separated_site(const museum::MuseumWorld& world,
 }
 
 VirtualSite build_tangled_site(const museum::MuseumWorld& world,
-                               const hypermedia::AccessStructure& structure,
-                               const SiteBuildOptions& options) {
-  (void)options;
+                               const hypermedia::AccessStructure& structure) {
   VirtualSite out;
   out.put("museum.css", museum::MuseumWorld::site_css());
   hypermedia::NavigationalModel nav = world.derive_navigation();

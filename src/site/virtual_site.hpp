@@ -19,10 +19,6 @@
 #include "hypermedia/context.hpp"
 #include "museum/museum.hpp"
 
-namespace navsep::aop {
-class Weaver;
-}
-
 namespace navsep::site {
 
 class VirtualSite {
@@ -76,12 +72,6 @@ struct SiteBuildOptions {
   /// Borrowed; must outlive the call.
   std::vector<const hypermedia::ContextFamily*> context_families;
 
-  /// Weaver to compose the woven pages through. When null a throwaway
-  /// weaver is used; passing one (the engine does) lets callers keep the
-  /// registered navigation aspect for later re-weaving and extend it with
-  /// their own aspects.
-  aop::Weaver* weaver = nullptr;
-
   /// Weave every context family's tours into the stored pages as labeled
   /// per-context tour groups (core::NavigationAspectOptions::
   /// woven_context_families = each family in context_families), instead
@@ -126,10 +116,11 @@ void author_fixed_artifacts(VirtualSite& out, const museum::MuseumWorld& world);
     const SiteBuildOptions& options = {});
 
 /// Build the tangled museum site: HTML pages with embedded navigation
-/// (and the css). There are no separated artifacts to author.
+/// (and the css). There are no separated artifacts to author, and the
+/// tangled baseline has no contextual navigation: it takes no context
+/// families and no site base.
 [[nodiscard]] VirtualSite build_tangled_site(
     const museum::MuseumWorld& world,
-    const hypermedia::AccessStructure& structure,
-    const SiteBuildOptions& options = {});
+    const hypermedia::AccessStructure& structure);
 
 }  // namespace navsep::site

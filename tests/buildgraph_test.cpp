@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -14,13 +15,11 @@
 #include "common/rng.hpp"
 #include "nav/buildgraph.hpp"
 #include "nav/pipeline.hpp"
-#include "obs/registry.hpp"
 #include "oracle.hpp"
 #include "site/virtual_site.hpp"
 
 namespace hm = navsep::hypermedia;
 namespace nav = navsep::nav;
-namespace obs = navsep::obs;
 namespace site = navsep::site;
 using navsep::museum::MuseumWorld;
 using navsep::museum::SyntheticSpec;
@@ -34,7 +33,7 @@ namespace {
 TEST(BuildGraphMechanism, RunsDirtyNodesInDependencyOrder) {
   nav::BuildGraph g;
   std::vector<std::string> ran;
-  g.define("c", nav::ProductKind::Page, {"b"}, [&] {
+  g.define("c", nav::ProductKind::ArcTable, {"b"}, [&] {
     ran.push_back("c");
     return nav::hash_bytes("c1");
   });
@@ -50,8 +49,6 @@ TEST(BuildGraphMechanism, RunsDirtyNodesInDependencyOrder) {
   EXPECT_EQ(ran, (std::vector<std::string>{"a", "b", "c"}));
   EXPECT_EQ(r.nodes_rebuilt, 3u);
   EXPECT_EQ(r.nodes_changed, 3u);
-  EXPECT_EQ(r.pages_total, 1u);
-  EXPECT_EQ(r.pages_rewoven, 1u);
 
   // A clean graph runs nothing.
   ran.clear();
@@ -68,7 +65,7 @@ TEST(BuildGraphMechanism, EarlyCutoffStopsPropagation) {
     ran.push_back("src");
     return nav::hash_bytes("stable");  // same product every time
   });
-  g.define("page", nav::ProductKind::Page, {"src"}, [&] {
+  g.define("page", nav::ProductKind::ArcTable, {"src"}, [&] {
     ran.push_back("page");
     return nav::hash_bytes("page" + std::to_string(source_version));
   });
@@ -79,7 +76,6 @@ TEST(BuildGraphMechanism, EarlyCutoffStopsPropagation) {
   g.mark_dirty("src");
   nav::RebuildReport r = g.run();
   EXPECT_EQ(ran, (std::vector<std::string>{"src"}));
-  EXPECT_EQ(r.pages_rewoven, 0u);
   EXPECT_EQ(r.nodes_changed, 0u);
 }
 
@@ -89,11 +85,11 @@ TEST(BuildGraphMechanism, HashChangePropagatesTransitively) {
   std::vector<std::string> ran;
   g.define("a", nav::ProductKind::Source, {},
            [&] { return nav::hash_bytes("a" + std::to_string(v)); });
-  g.define("b", nav::ProductKind::ArcTable, {"a"}, [&] {
+  g.define("b", nav::ProductKind::Linkbase, {"a"}, [&] {
     ran.push_back("b");
     return nav::hash_bytes("b" + std::to_string(v));
   });
-  g.define("c", nav::ProductKind::Page, {"b"}, [&] {
+  g.define("c", nav::ProductKind::ArcTable, {"b"}, [&] {
     ran.push_back("c");
     return nav::hash_bytes("c" + std::to_string(v));
   });
@@ -117,7 +113,7 @@ TEST(BuildGraphMechanism, RedefinedNodeRerunsButKeepsItsHashForCutoff) {
     ran.push_back("table");
     return nav::hash_bytes("table");
   });
-  g.define("page", nav::ProductKind::Page, {"table"}, [&] {
+  g.define("page", nav::ProductKind::ArcTable, {"table"}, [&] {
     ran.push_back("page");
     return nav::hash_bytes("page");
   });
@@ -135,7 +131,6 @@ TEST(BuildGraphMechanism, RedefinedNodeRerunsButKeepsItsHashForCutoff) {
   EXPECT_EQ(ran, (std::vector<std::string>{"table2"}));
   EXPECT_EQ(r.nodes_rebuilt, 1u);
   EXPECT_EQ(r.nodes_changed, 0u);
-  EXPECT_EQ(r.pages_rewoven, 0u);
 
   // A redefinition whose product does change propagates as usual.
   ran.clear();
@@ -143,125 +138,62 @@ TEST(BuildGraphMechanism, RedefinedNodeRerunsButKeepsItsHashForCutoff) {
     ran.push_back("table3");
     return nav::hash_bytes("table v3");
   });
-  r = g.run();
+  (void)g.run();
   EXPECT_EQ(ran, (std::vector<std::string>{"table3", "page"}));
-  EXPECT_EQ(r.pages_rewoven, 1u);
 }
 
-TEST(BuildGraphMechanism, NodesDefinedMidRunAreBuiltInTheSameRun) {
+TEST(BuildGraphMechanism, TopologyIsFixedWhileRunning) {
+  // run() makes one pass over the plan it computed at its start, so a
+  // rebuild callback may not move the topology: define() and remove()
+  // throw, the graph keeps the nodes it had, and the caller's node stays
+  // dirty like any node whose rebuild throws.
   nav::BuildGraph g;
-  bool expanded = false;
-  int leaf_builds = 0;
+  std::function<void()> mutate;
   g.define("root", nav::ProductKind::Source, {}, [&] {
-    if (!expanded) {
-      expanded = true;
-      g.define("leaf", nav::ProductKind::Page, {"root"},
-               [&] { ++leaf_builds; return nav::hash_bytes("leaf"); });
-    }
+    if (mutate) mutate();
     return nav::hash_bytes("root");
   });
-  nav::RebuildReport r = g.run();
-  EXPECT_EQ(leaf_builds, 1);
-  EXPECT_EQ(r.pages_total, 1u);
-}
+  g.define("victim", nav::ProductKind::Source, {},
+           [] { return nav::hash_bytes("victim"); });
 
-TEST(BuildGraphMechanism, PlansOncePerTopology) {
-  // build.plans counts plans computed: runs over an unchanged topology
-  // reuse the last plan, and every define/remove — including a define
-  // from inside a rebuild callback — replans.
-  obs::Registry registry;
-  nav::BuildGraph g;
-  g.set_telemetry(&registry);
-  const obs::Counter& plans = registry.counter("build.plans");
-  int version = 0;
-  g.define("src", nav::ProductKind::Source, {},
-           [&] { return nav::hash_bytes("src" + std::to_string(version)); });
-  g.define("page", nav::ProductKind::Page, {"src"},
-           [&] { return nav::hash_bytes("page" + std::to_string(version)); });
-  (void)g.run();
-  EXPECT_EQ(plans.value(), 1u);
+  mutate = [&] {
+    g.define("leaf", nav::ProductKind::ArcTable, {"root"},
+             [] { return nav::hash_bytes("leaf"); });
+  };
+  EXPECT_THROW((void)g.run(), navsep::SemanticError);
+  EXPECT_FALSE(g.contains("leaf"));
+  EXPECT_TRUE(g.is_dirty("root"));
+  EXPECT_EQ(g.hash_of("root"), 0u);
 
-  for (int i = 0; i < 3; ++i) {
-    ++version;
-    g.mark_dirty("src");
-    EXPECT_EQ(g.run().pages_rewoven, 1u);
-  }
-  (void)g.run();  // clean
-  EXPECT_EQ(plans.value(), 1u);
+  mutate = [&] { (void)g.remove("victim"); };
+  EXPECT_THROW((void)g.run(), navsep::SemanticError);
+  EXPECT_TRUE(g.contains("victim"));
+  EXPECT_TRUE(g.is_dirty("root"));
 
-  g.define("leaf", nav::ProductKind::Page, {"src"},
+  // Between runs the topology moves as usual, and the next run builds
+  // what the failed ones left.
+  mutate = nullptr;
+  g.define("leaf", nav::ProductKind::ArcTable, {"root"},
            [] { return nav::hash_bytes("leaf"); });
-  (void)g.run();
-  (void)g.run();
-  EXPECT_EQ(plans.value(), 2u);
-
-  g.define("woven", nav::ProductKind::Page, {"src"},
-           [] { return nav::hash_bytes("woven"); });
-  (void)g.run();
-  EXPECT_EQ(plans.value(), 3u);
-
-  EXPECT_TRUE(g.remove("leaf"));
-  ++version;
-  g.mark_dirty("src");
-  (void)g.run();
-  EXPECT_EQ(plans.value(), 4u);
-
-  // Defining "grower" moves the topology (plan 5); its callback defines
-  // "late" mid-pass (plan 6), which still builds in the same run.
-  bool expand = true;
-  int late_builds = 0;
-  g.define("grower", nav::ProductKind::Source, {}, [&] {
-    if (expand) {
-      expand = false;
-      g.define("late", nav::ProductKind::Page, {"grower"}, [&] {
-        ++late_builds;
-        return nav::hash_bytes("late");
-      });
-    }
-    return nav::hash_bytes("grower");
-  });
-  nav::RebuildReport r = g.run();
-  EXPECT_EQ(late_builds, 1);
-  EXPECT_FALSE(g.is_dirty("late"));
-  EXPECT_EQ(r.pages_total, 3u);
-  EXPECT_EQ(plans.value(), 6u);
-
-  g.mark_dirty("grower");
-  (void)g.run();
-  EXPECT_EQ(plans.value(), 6u);
+  const nav::RebuildReport r = g.run();
+  EXPECT_EQ(r.nodes_rebuilt, 3u);  // root, victim, leaf
+  EXPECT_FALSE(g.is_dirty("root"));
+  EXPECT_FALSE(g.is_dirty("leaf"));
 }
 
 TEST(BuildGraphMechanism, RemovedNodesStopBuilding) {
   nav::BuildGraph g;
   g.define("a", nav::ProductKind::Source, {},
            [&] { return nav::hash_bytes("a"); });
-  g.define("b", nav::ProductKind::Page, {"a"},
+  g.define("b", nav::ProductKind::ArcTable, {"a"},
            [&] { return nav::hash_bytes("b"); });
   (void)g.run();
   EXPECT_TRUE(g.remove("b"));
   EXPECT_FALSE(g.remove("b"));
   g.mark_all_dirty();
   nav::RebuildReport r = g.run();
-  EXPECT_EQ(r.pages_total, 0u);
+  EXPECT_EQ(r.nodes_rebuilt, 1u);
   EXPECT_FALSE(g.contains("b"));
-}
-
-TEST(BuildGraphMechanism, NonSettlingGraphThrowsInsteadOfLying) {
-  // A callback that redefines another node every time it runs keeps the
-  // graph dirty forever; the pass backstop must fail loudly rather than
-  // return a normal-looking report over an unsettled site.
-  nav::BuildGraph g;
-  int spin = 0;
-  g.define("restless", nav::ProductKind::Source, {}, [&] {
-    g.define("spun", nav::ProductKind::Page, {},
-             [&] { return nav::hash_bytes("s" + std::to_string(++spin)); });
-    return nav::hash_bytes("restless");
-  });
-  g.define("agitator", nav::ProductKind::Source, {"spun"}, [&] {
-    g.mark_dirty("restless");
-    return nav::hash_bytes("a" + std::to_string(spin));
-  });
-  EXPECT_THROW((void)g.run(), navsep::SemanticError);
 }
 
 TEST(BuildGraphMechanism, CycleThrows) {
@@ -724,13 +656,10 @@ TEST(IncrementalEngine, RandomizedEditSequenceStaysByteIdentical) {
 TEST(IncrementalEngine, GraphShapeMatchesTheSite) {
   auto engine = paper_engine(hm::AccessStructureKind::IndexedGuidedTour);
   const nav::BuildGraph& g = engine->build_graph();
-  EXPECT_EQ(g.count(nav::ProductKind::Page), 4u);       // 3 members + index
-  EXPECT_EQ(g.count(nav::ProductKind::ArcSlice), 4u);   // one per page
   EXPECT_EQ(g.count(nav::ProductKind::Linkbase), 2u);   // links + ByAuthor
   EXPECT_EQ(g.count(nav::ProductKind::ArcTable), 1u);
   EXPECT_EQ(g.count(nav::ProductKind::Source), 1u);
   EXPECT_FALSE(g.is_dirty("nav:spec"));
-  EXPECT_TRUE(g.contains("page:guitar"));
   EXPECT_TRUE(g.contains("linkbase:links-byauthor.xml"));
 }
 
@@ -752,12 +681,12 @@ TEST(BuildGraphMechanism, SerialExceptionLeavesTheThrowingNodeDirty) {
       {"chain",
        {"src", "mid", "page"},
        {nav::ProductKind::Source, nav::ProductKind::Linkbase,
-        nav::ProductKind::Page},
+        nav::ProductKind::ArcTable},
        true},
       {"independent",
        {"a", "b", "c"},
-       {nav::ProductKind::Page, nav::ProductKind::Page,
-        nav::ProductKind::Page},
+       {nav::ProductKind::Source, nav::ProductKind::Source,
+        nav::ProductKind::Source},
        false},
   };
   for (const Input& input : inputs) {

@@ -196,32 +196,6 @@ TEST(SitePipeline, TerminalCallsConsumeThePipeline) {
   EXPECT_THROW(pipeline.build(), navsep::SemanticError);
 }
 
-// Rebuilding through the same weaver (the §5 migration scenario) must
-// swap the navigation aspect, not stack a second one.
-TEST(SitePipeline, WeaverReuseAcrossBuildsDoesNotStackAspects) {
-  auto world = MuseumWorld::paper_instance();
-  hm::NavigationalModel model = world->derive_navigation();
-  auto index = world->paintings_structure(hm::AccessStructureKind::Index,
-                                          model, "picasso");
-  auto igt = world->paintings_structure(
-      hm::AccessStructureKind::IndexedGuidedTour, model, "picasso");
-
-  navsep::aop::Weaver weaver;
-  site::SiteBuildOptions options;
-  options.weaver = &weaver;
-  site::VirtualSite before = site::build_separated_site(*world, *index,
-                                                        options);
-  site::VirtualSite after = site::build_separated_site(*world, *igt,
-                                                       options);
-
-  EXPECT_EQ(weaver.aspect_names().size(), 1u);
-  const std::string& guitar = *after.get("guitar.html");
-  // One navigation container, carrying the IGT arcs (not stale Index ones).
-  EXPECT_EQ(guitar.find("class=\"navigation\""),
-            guitar.rfind("class=\"navigation\""));
-  EXPECT_NE(guitar.find("nav-next"), std::string::npos);
-}
-
 // replace_aspect must keep the aspect's slot in the execution order, not
 // move it behind aspects registered later.
 TEST(RoleInterfaces, ReplaceAspectPreservesRegistrationOrder) {
@@ -486,17 +460,22 @@ TEST(EngineServing, SessionStaysValidAfterAThrowingMutation) {
 // edit throws, server() and the session keep serving the last epoch
 // byte for byte — nothing of the half-run edit leaks — and retrying the
 // same edit converges everything back to the full-build oracle (the
-// page whose weave threw included).
+// page whose weave threw included), re-weaving exactly the pages the
+// failed run left unwoven.
 TEST(EngineServing, ServesOnlyPublishedEpochsAndConvergesAfterAFault) {
   // Count the page compositions the edit performs on a twin engine.
   int compositions = 0;
+  std::size_t rewoven = 0;
   {
     auto twin = paper_engine();
     ComposeFault counter;
     twin->weaver().register_aspect(compose_fault_aspect(counter));
-    (void)twin->retitle_node("guernica", "Guernica (mk2)");
+    rewoven = twin->retitle_node("guernica", "Guernica (mk2)").pages_rewoven;
     compositions = counter.compositions;
   }
+  // The member pages (compose join points) weave before the index page
+  // (a buildIndex join point) in page-id order, so the k - 1
+  // compositions before a fault on the k-th are k - 1 woven pages.
   ASSERT_GE(compositions, 2);
 
   for (int k = 1; k <= compositions; ++k) {
@@ -528,12 +507,12 @@ TEST(EngineServing, ServesOnlyPublishedEpochsAndConvergesAfterAFault) {
 
     // Disarm and retry the same edit: the site and every byte server()
     // serves equal a from-scratch build of the current design. The
-    // retry re-weaves only what the failed run left unbuilt (the page
-    // whose weave threw and those after it), never the whole site.
+    // retry re-weaves exactly what the failed run left unwoven: the page
+    // whose weave threw and those after it, not the k - 1 it finished.
     fault.armed = false;
     const nav::RebuildReport retry =
         engine->retitle_node("guernica", "Guernica (mk2)");
-    EXPECT_LT(retry.pages_rewoven, retry.pages_total);
+    EXPECT_EQ(retry.pages_rewoven, rewoven - static_cast<std::size_t>(k - 1));
     EXPECT_EQ(snapshots.epoch(), epoch + 1);
     const site::VirtualSite oracle =
         navsep::testing::full_build_oracle(*engine);

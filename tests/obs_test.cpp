@@ -370,14 +370,17 @@ TEST(PipelineSpans, EditBurstCorrelatesByTargetEpoch) {
   const std::vector<obs::Span> spans = registry->spans().for_epoch(after);
   ASSERT_FALSE(spans.empty());
   bool saw_run = false;
+  bool saw_plan = false;  // every run plans its graph
   bool saw_publish = false;
   for (const obs::Span& span : spans) {
     EXPECT_EQ(span.epoch, after);
     EXPECT_GE(span.end_ns, span.begin_ns);
     if (span.name == "build.run") saw_run = true;
+    if (span.name == "build.plan") saw_plan = true;
     if (span.name == "build.publish") saw_publish = true;
   }
   EXPECT_TRUE(saw_run);
+  EXPECT_TRUE(saw_plan);
   EXPECT_TRUE(saw_publish);
 
   // The rebuild counters moved with the edit.

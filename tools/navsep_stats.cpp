@@ -31,9 +31,11 @@
 //     replica's stats(), serve.warm.* == the CacheWarmer's stats()
 //     (with its accounting identity intact), the landmark report must
 //     rank real authored hubs, and the JSON exporter's digits must
-//     match the live values. build.plans must stay flat across a burst
-//     of retitles (the build graph reuses its plan) and rise on an
-//     add_node. Exit status is the verdict.
+//     match the live values. At two site sizes, a burst of retitles must
+//     raise build.nodes_rebuilt by exactly 3 per retitle (nav:spec,
+//     linkbase:links.xml, nav:arcs: the edit's work does not grow with
+//     the site) and build.pages_rewoven by the pages the reports
+//     re-wove. Exit status is the verdict.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -416,40 +418,33 @@ std::uint64_t json_value(const std::string& json, const std::string& name) {
   return std::strtoull(json.c_str() + at + key.size(), nullptr, 10);
 }
 
-/// build.plans counts plans computed: a burst of retitles moves no
-/// topology, so it must leave the counter flat while build.runs rises;
-/// an add_node adds a page (new nodes), so it must raise it.
-void check_plan_reuse() {
-  auto registry = std::make_shared<obs::Registry>();
-  auto engine = museum_engine(8, 0);
-  engine->attach_telemetry(registry);
-  const obs::Counter& plans = registry->counter("build.plans");
-  const obs::Counter& runs = registry->counter("build.runs");
-  const std::string member = engine->structure().members().front().node_id;
-  const std::uint64_t plans_before = plans.value();
-  const std::uint64_t runs_before = runs.value();
-  for (int i = 0; i < 4; ++i) {
-    (void)engine->retitle_node(member, "Retitled " + std::to_string(i));
-  }
-  CHECK_EQ(plans.value(), plans_before);
-  CHECK_EQ(runs.value(), runs_before + 4);
-  const auto painters = engine->navigation().nodes_of("PainterNode");
-  if (painters.empty()) {
-    std::fprintf(stderr, "selftest: no painter node to add\n");
-    ++failures;
-    return;
-  }
-  (void)engine->add_node(painters.front()->id());
-  if (plans.value() <= plans_before) {
-    std::fprintf(stderr, "selftest: add_node did not replan (build.plans "
-                         "stayed at %llu)\n",
-                 static_cast<unsigned long long>(plans.value()));
-    ++failures;
+/// A retitle is local in a live process: at two site sizes each one
+/// rebuilds exactly three graph nodes (nav:spec, linkbase:links.xml,
+/// nav:arcs), and build.pages_rewoven rises by what the reports say.
+void check_edit_locality() {
+  constexpr int kRetitles = 4;
+  for (const std::size_t paintings : {8, 400}) {
+    auto registry = std::make_shared<obs::Registry>();
+    auto engine = museum_engine(paintings, 0);
+    engine->attach_telemetry(registry);
+    const obs::Counter& nodes = registry->counter("build.nodes_rebuilt");
+    const obs::Counter& pages = registry->counter("build.pages_rewoven");
+    const std::uint64_t nodes_before = nodes.value();
+    const std::uint64_t pages_before = pages.value();
+    const std::string member = engine->structure().members().front().node_id;
+    std::uint64_t reported = 0;
+    for (int i = 0; i < kRetitles; ++i) {
+      reported +=
+          engine->retitle_node(member, "Retitled " + std::to_string(i))
+              .pages_rewoven;
+    }
+    CHECK_EQ(nodes.value() - nodes_before, 3 * kRetitles);
+    CHECK_EQ(pages.value() - pages_before, reported);
   }
 }
 
 int run_selftest() {
-  check_plan_reuse();
+  check_edit_locality();
 
   RunConfig config;
   config.paintings = 8;
