@@ -1,9 +1,20 @@
 #include "diff/diff.hpp"
 
 #include <algorithm>
+#include <cstring>
+#include <functional>
+#include <limits>
 #include <map>
+#include <unordered_map>
 
 namespace navsep::diff {
+
+namespace {
+
+/// diff_lines' edit budget past the common ends.
+constexpr std::size_t kTraceLimit = 4096;
+
+}  // namespace
 
 Stats& Stats::operator+=(const Stats& o) noexcept {
   lines_added += o.lines_added;
@@ -15,162 +26,157 @@ Stats& Stats::operator+=(const Stats& o) noexcept {
 }
 
 std::vector<std::string_view> split_lines(std::string_view text) {
-  std::vector<std::string_view> out;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    if (text[i] == '\n') {
-      out.push_back(text.substr(start, i - start));
-      start = i + 1;
-    }
+  if (text.empty()) return {};  // data() may be null: no memchr over it
+  // Count first, so the vector is allocated once: a replica splits every
+  // scripted artifact's base, links.xml included. (memchr is several
+  // times faster than std::count here.)
+  std::size_t lines = 1;
+  for (const char* at = text.data(), *end = at + text.size();
+       (at = static_cast<const char*>(std::memchr(at, '\n', end - at))) !=
+       nullptr;
+       ++at) {
+    ++lines;
   }
-  if (start < text.size()) out.push_back(text.substr(start));
+  std::vector<std::string_view> out;
+  out.reserve(lines);
+  std::size_t start = 0;
+  while (start < text.size()) {
+    const std::size_t end = text.find('\n', start);
+    if (end == std::string_view::npos) {
+      out.push_back(text.substr(start));
+      break;
+    }
+    out.push_back(text.substr(start, end - start));
+    start = end + 1;
+  }
   return out;
 }
 
-namespace {
-
-/// Myers' greedy O(ND) shortest-edit-script algorithm over interned lines,
-/// with full trace kept for backtracking. Memory is O(D·(N+M)), which is
-/// comfortably small for the page-sized artifacts this library diffs;
-/// inputs beyond `kTraceLimit` edit distance fall back to a coarse
-/// prefix/suffix-strip diff (correct script, not guaranteed minimal).
-class Myers {
- public:
-  Myers(const std::vector<int>& a, const std::vector<int>& b)
-      : a_(a), b_(b) {}
-
-  /// Pairs of (x, y) positions of matched elements, in order.
-  std::vector<std::pair<std::size_t, std::size_t>> matches() {
-    std::vector<std::pair<std::size_t, std::size_t>> out;
-    // Strip the common prefix/suffix first: cheap, and it bounds the
-    // region the quadratic-memory search ever sees.
-    std::size_t lo = 0;
-    std::size_t a_hi = a_.size();
-    std::size_t b_hi = b_.size();
-    while (lo < a_hi && lo < b_hi && a_[lo] == b_[lo]) {
-      out.emplace_back(lo, lo);
-      ++lo;
-    }
-    std::size_t suffix = 0;
-    while (a_hi > lo && b_hi > lo && a_[a_hi - 1] == b_[b_hi - 1]) {
-      --a_hi;
-      --b_hi;
-      ++suffix;
-    }
-    middle(lo, a_hi, lo, b_hi, out);
-    for (std::size_t i = 0; i < suffix; ++i) {
-      out.emplace_back(a_hi + i, b_hi + i);
-    }
-    return out;
+std::optional<std::vector<Match>> myers(std::span<const std::uint64_t> a,
+                                        std::span<const std::uint64_t> b,
+                                        std::size_t max_edits) {
+  if (a.empty() || b.empty()) {
+    if (a.size() + b.size() > max_edits) return std::nullopt;
+    return std::vector<Match>{};
   }
+  // Diagonal endpoints are stored as 32-bit positions; longer inputs
+  // take the budget's way out.
+  using Pos = std::int32_t;
+  constexpr std::size_t kMaxItems = std::numeric_limits<Pos>::max() / 2;
+  if (a.size() > kMaxItems || b.size() > kMaxItems) return std::nullopt;
+  const Pos n = static_cast<Pos>(a.size());
+  const Pos m = static_cast<Pos>(b.size());
+  const Pos max = static_cast<Pos>(
+      std::min<std::size_t>(max_edits, a.size() + b.size()));
 
- private:
-  static constexpr std::ptrdiff_t kTraceLimit = 4096;
+  // Row d holds the furthest x reached on diagonals k = -d, -d+2, …, d
+  // (at index (k + d) / 2); it starts at d(d+1)/2 in one flat vector.
+  std::vector<Pos> trace;
+  const auto row = [](Pos d) {
+    return static_cast<std::size_t>(d) * static_cast<std::size_t>(d + 1) / 2;
+  };
+  trace.reserve(row(std::min<Pos>(max, 31) + 1));  // small edits: one block
+  const auto at = [&](Pos d, Pos k) -> Pos& {
+    return trace[row(d) + static_cast<std::size_t>((k + d) / 2)];
+  };
+  // The step-d move onto diagonal k comes down from k + 1 or right from
+  // k - 1; the forward search and the backtrack must choose alike.
+  const auto from_above = [&](Pos d, Pos k) {
+    return k == -d || (k != d && at(d - 1, k - 1) < at(d - 1, k + 1));
+  };
 
-  void middle(std::size_t a_lo, std::size_t a_hi, std::size_t b_lo,
-              std::size_t b_hi,
-              std::vector<std::pair<std::size_t, std::size_t>>& out) {
-    const std::ptrdiff_t n = static_cast<std::ptrdiff_t>(a_hi - a_lo);
-    const std::ptrdiff_t m = static_cast<std::ptrdiff_t>(b_hi - b_lo);
-    if (n == 0 || m == 0) return;
-    const std::ptrdiff_t max = std::min(n + m, kTraceLimit);
-    const std::ptrdiff_t offset = max;
-    std::vector<std::ptrdiff_t> v(static_cast<std::size_t>(2 * max + 2), 0);
-    std::vector<std::vector<std::ptrdiff_t>> trace;
-
-    std::ptrdiff_t found_d = -1;
-    for (std::ptrdiff_t d = 0; d <= max && found_d < 0; ++d) {
-      trace.push_back(v);
-      for (std::ptrdiff_t k = -d; k <= d; k += 2) {
-        std::ptrdiff_t x;
-        if (k == -d ||
-            (k != d && v[static_cast<std::size_t>(offset + k - 1)] <
-                           v[static_cast<std::size_t>(offset + k + 1)])) {
-          x = v[static_cast<std::size_t>(offset + k + 1)];
-        } else {
-          x = v[static_cast<std::size_t>(offset + k - 1)] + 1;
-        }
-        std::ptrdiff_t y = x - k;
-        while (x < n && y < m &&
-               a_[a_lo + static_cast<std::size_t>(x)] ==
-                   b_[b_lo + static_cast<std::size_t>(y)]) {
-          ++x;
-          ++y;
-        }
-        v[static_cast<std::size_t>(offset + k)] = x;
-        if (x >= n && y >= m) {
-          found_d = d;
-          break;
-        }
+  Pos found = -1;
+  for (Pos d = 0; d <= max && found < 0; ++d) {
+    trace.resize(row(d + 1));
+    for (Pos k = -d; k <= d; k += 2) {
+      Pos x = d == 0              ? 0
+              : from_above(d, k) ? at(d - 1, k + 1)
+                                 : at(d - 1, k - 1) + 1;
+      Pos y = x - k;
+      while (x < n && y < m && a[static_cast<std::size_t>(x)] ==
+                                   b[static_cast<std::size_t>(y)]) {
+        ++x;
+        ++y;
+      }
+      at(d, k) = x;
+      if (x >= n && y >= m) {
+        found = d;
+        break;
       }
     }
+  }
+  if (found < 0) return std::nullopt;
 
-    if (found_d < 0) {
-      // Edit distance exceeds the trace budget: emit no matches for this
-      // region (treated as full replacement). Correct, just not minimal.
-      return;
-    }
-
-    // Backtrack from (n, m) to (0, 0), collecting matches in reverse.
-    std::vector<std::pair<std::size_t, std::size_t>> rev;
-    std::ptrdiff_t x = n, y = m;
-    for (std::ptrdiff_t d = found_d; d > 0; --d) {
-      const auto& pv = trace[static_cast<std::size_t>(d)];
-      const std::ptrdiff_t k = x - y;
-      std::ptrdiff_t prev_k;
-      if (k == -d ||
-          (k != d && pv[static_cast<std::size_t>(offset + k - 1)] <
-                         pv[static_cast<std::size_t>(offset + k + 1)])) {
-        prev_k = k + 1;
-      } else {
-        prev_k = k - 1;
-      }
-      const std::ptrdiff_t prev_x =
-          pv[static_cast<std::size_t>(offset + prev_k)];
-      const std::ptrdiff_t prev_y = prev_x - prev_k;
-      while (x > prev_x && y > prev_y) {
-        rev.emplace_back(a_lo + static_cast<std::size_t>(x - 1),
-                         b_lo + static_cast<std::size_t>(y - 1));
-        --x;
-        --y;
-      }
-      x = prev_x;
-      y = prev_y;
-    }
-    while (x > 0 && y > 0) {
-      rev.emplace_back(a_lo + static_cast<std::size_t>(x - 1),
-                       b_lo + static_cast<std::size_t>(y - 1));
+  // Backtrack from (n, m) to (0, 0), collecting matches in reverse.
+  std::vector<Match> out;
+  out.reserve(static_cast<std::size_t>(std::min(n, m)));
+  const auto snake_back = [&out](Pos& x, Pos& y, Pos to_x, Pos to_y) {
+    while (x > to_x && y > to_y) {
       --x;
       --y;
+      out.push_back(
+          Match{static_cast<std::size_t>(x), static_cast<std::size_t>(y)});
     }
-    out.insert(out.end(), rev.rbegin(), rev.rend());
+  };
+  Pos x = n;
+  Pos y = m;
+  for (Pos d = found; d > 0; --d) {
+    const Pos prev_k = from_above(d, x - y) ? x - y + 1 : x - y - 1;
+    const Pos prev_x = at(d - 1, prev_k);
+    snake_back(x, y, prev_x, prev_x - prev_k);
+    x = prev_x;
+    y = prev_x - prev_k;
   }
-
-  const std::vector<int>& a_;
-  const std::vector<int>& b_;
-};
-
-std::vector<int> intern(const std::vector<std::string_view>& lines,
-                        std::map<std::string_view, int>& table) {
-  std::vector<int> out;
-  out.reserve(lines.size());
-  for (std::string_view l : lines) {
-    auto [it, _] = table.emplace(l, static_cast<int>(table.size()));
-    out.push_back(it->second);
-  }
+  snake_back(x, y, 0, 0);
+  std::reverse(out.begin(), out.end());
   return out;
 }
 
-}  // namespace
-
 std::vector<Op> diff_lines(std::string_view a, std::string_view b) {
-  std::vector<std::string_view> la = split_lines(a);
-  std::vector<std::string_view> lb = split_lines(b);
-  std::map<std::string_view, int> table;
-  std::vector<int> ia = intern(la, table);
-  std::vector<int> ib = intern(lb, table);
+  const std::vector<std::string_view> la = split_lines(a);
+  const std::vector<std::string_view> lb = split_lines(b);
+  const auto [prefix, suffix] = common_ends(la, lb, std::equal_to<>());
 
-  auto matched = Myers(ia, ib).matches();
+  // Intern the lines between the common ends: equal lines share an id.
+  std::unordered_map<std::string_view, std::uint64_t> ids;
+  ids.reserve(la.size() + lb.size() - 2 * (prefix + suffix));
+  const auto intern = [&](const std::vector<std::string_view>& lines) {
+    std::vector<std::uint64_t> out;
+    out.reserve(lines.size() - prefix - suffix);
+    for (std::size_t i = prefix; i + suffix < lines.size(); ++i) {
+      out.push_back(ids.emplace(lines[i], ids.size()).first->second);
+    }
+    return out;
+  };
+  const std::vector<std::uint64_t> ia = intern(la);
+  const std::vector<std::uint64_t> ib = intern(lb);
+
+  // A line can match at most as often as it occurs on the rarer side, so
+  // the edit distance is at least ia + ib - 2 * (those minima): when that
+  // alone exceeds the budget, the search would fail and is skipped.
+  std::vector<std::size_t> unmatched_in_a(ids.size(), 0);
+  for (const std::uint64_t id : ia) ++unmatched_in_a[id];
+  std::size_t matchable = 0;
+  for (const std::uint64_t id : ib) {
+    if (unmatched_in_a[id] > 0) {
+      --unmatched_in_a[id];
+      ++matchable;
+    }
+  }
+  const bool within_budget =
+      ia.size() + ib.size() - 2 * matchable <= kTraceLimit;
+
+  std::vector<Match> matched;
+  for (std::size_t i = 0; i < prefix; ++i) matched.push_back(Match{i, i});
+  for (const Match& match :
+       (within_budget ? myers(ia, ib, kTraceLimit) : std::nullopt)
+           .value_or(std::vector<Match>{})) {
+    matched.push_back(
+        Match{prefix + match.a_index, prefix + match.b_index});
+  }
+  for (std::size_t i = suffix; i > 0; --i) {
+    matched.push_back(Match{la.size() - i, lb.size() - i});
+  }
 
   std::vector<Op> ops;
   auto push = [&ops](OpKind kind, std::size_t a_start, std::size_t b_start,

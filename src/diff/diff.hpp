@@ -4,14 +4,56 @@
 // artifacts, and how many lines within them, must be touched to change an
 // access structure. This module measures exactly that — it diffs two
 // versions of a site artifact and aggregates counts across a whole site.
+// The replication wire ships those same edits: its DELTA records are
+// scripts computed by the integer-sequence core below (myers()).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <optional>
+#include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace navsep::diff {
+
+/// One matched item pair: `a[a_index]` equals `b[b_index]`.
+struct Match {
+  std::size_t a_index = 0;
+  std::size_t b_index = 0;
+};
+
+/// Myers' greedy O(ND) shortest edit script over two sequences of item
+/// ids (interned lines, or hashes whose matches the caller verifies):
+/// the matched pairs, increasing in both indexes. Returns std::nullopt
+/// once the script is known to need more than `max_edits` inserts plus
+/// deletes. Step d stores the d+1 diagonal endpoints it reached, so the
+/// budget bounds the search's memory at O(max_edits²) and its time at
+/// O((a.size() + b.size()) · max_edits). Callers strip the common prefix
+/// and suffix first (common_ends); this does not.
+[[nodiscard]] std::optional<std::vector<Match>> myers(
+    std::span<const std::uint64_t> a, std::span<const std::uint64_t> b,
+    std::size_t max_edits);
+
+/// How many leading items `a` and `b` share, then how many trailing
+/// items they share in what the prefix leaves (the two never overlap).
+template <typename A, typename B, typename Same>
+[[nodiscard]] std::pair<std::size_t, std::size_t> common_ends(const A& a,
+                                                              const B& b,
+                                                              Same same) {
+  const std::size_t shorter = std::min(a.size(), b.size());
+  std::size_t prefix = 0;
+  while (prefix < shorter && same(a[prefix], b[prefix])) ++prefix;
+  std::size_t suffix = 0;
+  while (prefix + suffix < shorter &&
+         same(a[a.size() - 1 - suffix], b[b.size() - 1 - suffix])) {
+    ++suffix;
+  }
+  return {prefix, suffix};
+}
 
 enum class OpKind { Equal, Insert, Delete };
 
@@ -45,6 +87,9 @@ struct Stats {
 [[nodiscard]] std::vector<std::string_view> split_lines(std::string_view text);
 
 /// Myers diff over lines. The returned script transforms `a` into `b`.
+/// Past 4096 edits in the region the common prefix and suffix leave, that
+/// region is reported as replaced whole: a correct script, not a minimal
+/// one.
 [[nodiscard]] std::vector<Op> diff_lines(std::string_view a,
                                          std::string_view b);
 

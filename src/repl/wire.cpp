@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <map>
+#include <optional>
 #include <utility>
 #include <vector>
+
+#include "diff/diff.hpp"
 
 namespace navsep::repl {
 
@@ -25,6 +29,18 @@ class ByteWriter {
   void str(std::string_view s) {
     u32(static_cast<std::uint32_t>(s.size()));
     out_.append(s);
+  }
+  /// Write a u32 placeholder for a count known only after its records;
+  /// returns where to patch_u32() it.
+  [[nodiscard]] std::size_t count_slot() {
+    const std::size_t at = out_.size();
+    u32(0);
+    return at;
+  }
+  void patch_u32(std::size_t at, std::uint32_t v) {
+    for (std::size_t i = 0; i < 4; ++i) {
+      out_[at + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+    }
   }
   [[nodiscard]] std::string take() { return std::move(out_); }
 
@@ -112,34 +128,53 @@ void require(bool ok, const char* what) {
 
 // --- shared record encodings --------------------------------------------------
 
-void write_snapshot_arcs(ByteWriter& w,
-                         const std::vector<serve::SnapshotArc>& arcs) {
-  w.u32(static_cast<std::uint32_t>(arcs.size()));
-  for (const serve::SnapshotArc& arc : arcs) {
+std::uint64_t mix(std::uint64_t seed, std::string_view field) {
+  const std::uint64_t h = std::hash<std::string_view>{}(field);
+  return seed ^ (h + 0x9e3779b97f4a7c15ull + (seed << 6) + (seed >> 2));
+}
+
+// The item kinds a record holds and a DELTA script runs over. Each
+// writes an item and counts its bytes (kMinBytes at the least), says
+// when two items are the same (every field the wire carries), and
+// proposes script matches by hash.
+
+struct LineItems {
+  static constexpr std::size_t kMinBytes = 4;
+  static void write(ByteWriter& w, std::string_view line) { w.str(line); }
+  static std::size_t size(std::string_view line) { return 4 + line.size(); }
+  static bool same(std::string_view a, std::string_view b) { return a == b; }
+  static std::uint64_t hash(std::string_view line) { return mix(0, line); }
+};
+
+/// Traversal-bucket arcs: four strings and the traversable byte.
+struct BucketItems {
+  static constexpr std::size_t kMinBytes = 17;
+  static void write(ByteWriter& w, const serve::SnapshotArc& arc) {
     w.str(arc.from);
     w.str(arc.to);
     w.str(arc.arcrole);
     w.str(arc.title);
     w.u8(arc.traversable ? 1 : 0);
   }
-}
-
-std::vector<serve::SnapshotArc> read_snapshot_arcs(ByteReader& r) {
-  // Each arc is ≥ four length prefixes + the traversable byte.
-  std::vector<serve::SnapshotArc> arcs(r.count(17));
-  for (serve::SnapshotArc& arc : arcs) {
-    arc.from = std::string(r.str());
-    arc.to = std::string(r.str());
-    arc.arcrole = std::string(r.str());
-    arc.title = std::string(r.str());
-    arc.traversable = r.u8() != 0;
+  static std::size_t size(const serve::SnapshotArc& arc) {
+    return kMinBytes + arc.from.size() + arc.to.size() + arc.arcrole.size() +
+           arc.title.size();
   }
-  return arcs;
-}
+  static bool same(const serve::SnapshotArc& a, const serve::SnapshotArc& b) {
+    return a == b;
+  }
+  static std::uint64_t hash(const serve::SnapshotArc& arc) {
+    return mix(mix(mix(mix(arc.traversable ? 1 : 0, arc.from), arc.to),
+                   arc.arcrole),
+               arc.title);
+  }
+};
 
-void write_nav_arcs(ByteWriter& w, const std::vector<const core::NavArc*>& arcs) {
-  w.u32(static_cast<std::uint32_t>(arcs.size()));
-  for (const core::NavArc* arc : arcs) {
+/// Overlay-segment arcs: five strings and the ordinal (the source is
+/// the segment's). serve::arc_hash leaves the ordinal out; this does not.
+struct SegmentItems {
+  static constexpr std::size_t kMinBytes = 24;
+  static void write(ByteWriter& w, const core::NavArc* arc) {
     w.str(arc->from);
     w.str(arc->to);
     w.str(arc->role);
@@ -147,24 +182,70 @@ void write_nav_arcs(ByteWriter& w, const std::vector<const core::NavArc*>& arcs)
     w.str(arc->context);
     w.u32(static_cast<std::uint32_t>(arc->ordinal));
   }
+  static std::size_t size(const core::NavArc* arc) {
+    return kMinBytes + arc->from.size() + arc->to.size() + arc->role.size() +
+           arc->title.size() + arc->context.size();
+  }
+  static bool same(const core::NavArc* a, const core::NavArc* b) {
+    return a->from == b->from && a->to == b->to && a->role == b->role &&
+           a->title == b->title && a->context == b->context &&
+           a->ordinal == b->ordinal;
+  }
+  static std::uint64_t hash(const core::NavArc* arc) {
+    return mix(mix(mix(mix(mix(arc->ordinal, arc->from), arc->to), arc->role),
+                   arc->title),
+               arc->context);
+  }
+};
+
+serve::SnapshotArc read_snapshot_arc(ByteReader& r) {
+  serve::SnapshotArc arc;
+  arc.from = std::string(r.str());
+  arc.to = std::string(r.str());
+  arc.arcrole = std::string(r.str());
+  arc.title = std::string(r.str());
+  arc.traversable = r.u8() != 0;
+  return arc;
+}
+
+std::vector<serve::SnapshotArc> read_snapshot_arcs(ByteReader& r) {
+  std::vector<serve::SnapshotArc> arcs(r.count(BucketItems::kMinBytes));
+  for (serve::SnapshotArc& arc : arcs) arc = read_snapshot_arc(r);
+  return arcs;
+}
+
+core::NavArc read_nav_arc(ByteReader& r, std::string_view source) {
+  core::NavArc arc;
+  arc.from = std::string(r.str());
+  arc.to = std::string(r.str());
+  arc.role = std::string(r.str());
+  arc.title = std::string(r.str());
+  arc.context = std::string(r.str());
+  arc.ordinal = r.u32();
+  arc.source = std::string(source);
+  return arc;
+}
+
+/// A record's items in their whole form: a count, then each item.
+template <typename Items, typename Seq>
+void write_items(ByteWriter& w, const Seq& items) {
+  w.u32(static_cast<std::uint32_t>(items.size()));
+  for (const auto& item : items) Items::write(w, item);
+}
+
+/// The bytes write_items() writes.
+template <typename Items, typename Seq>
+std::size_t whole_size(const Seq& items) {
+  std::size_t bytes = 4;
+  for (const auto& item : items) bytes += Items::size(item);
+  return bytes;
 }
 
 void read_nav_arcs(ByteReader& r, std::string_view source,
                    std::vector<core::NavArc>& out) {
-  // Each arc is ≥ five length prefixes + the ordinal.
-  const std::uint32_t n = r.count(24);
+  const std::uint32_t n = r.count(SegmentItems::kMinBytes);
   out.reserve(out.size() + n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    core::NavArc arc;
-    arc.from = std::string(r.str());
-    arc.to = std::string(r.str());
-    arc.role = std::string(r.str());
-    arc.title = std::string(r.str());
-    arc.context = std::string(r.str());
-    arc.ordinal = r.u32();
-    arc.source = std::string(source);  // implied by the segment
-    out.push_back(std::move(arc));
-  }
+  for (std::uint32_t i = 0; i < n; ++i) out.push_back(read_nav_arc(r, source));
 }
 
 void write_profiles(ByteWriter& w, const std::vector<nav::Profile>& profiles) {
@@ -295,6 +376,266 @@ bool segment_unchanged(const serve::SiteSnapshot& prev,
   return *a == *b;
 }
 
+// --- DELTA records: whole, or an edit script ----------------------------------
+
+/// How a DELTA record ships. Artifacts and traversal buckets are Whole or
+/// Script (an unchanged one is simply absent); overlay segments may also
+/// be Carry.
+enum class Form : std::uint8_t {
+  Carry = 0,   ///< unchanged: the replica keeps its previous copy
+  Whole = 1,   ///< the record in full, as FULL encodes it
+  Script = 2,  ///< an edit script against the previous snapshot's record
+};
+
+Form read_form(ByteReader& r) {
+  const std::uint8_t form = r.u8();
+  require(form <= static_cast<std::uint8_t>(Form::Script),
+          "unknown record form");
+  return static_cast<Form>(form);
+}
+
+/// Past this many inserted plus deleted items a record ships whole. The
+/// search stops there, which bounds its work on a wholesale rewrite (a
+/// kind swap re-authors every arc line of links.xml).
+constexpr std::size_t kScriptEditBudget = 512;
+
+/// One step of an edit script: copy `copy_count` base items from
+/// `copy_at`, then append the `literal_count` target items from
+/// `literal_at`. Copy runs ascend through the base without overlapping.
+/// On the wire: copy_at, copy_count, literal_count (u32 each), then the
+/// literal items.
+struct Run {
+  std::size_t copy_at = 0;
+  std::size_t copy_count = 0;
+  std::size_t literal_at = 0;
+  std::size_t literal_count = 0;
+};
+constexpr std::size_t kRunHeaderBytes = 12;
+
+/// The script turning `base` into `target`, when it exists within
+/// kScriptEditBudget edits and, with `header_bytes` ahead of it, is
+/// smaller than the record's whole form of `whole_bytes`. Myers matches
+/// item hashes; a copy is kept only where the items compare the same.
+template <typename Items, typename Seq>
+std::optional<std::vector<Run>> plan_script(const Seq& base, const Seq& target,
+                                            std::size_t header_bytes,
+                                            std::size_t whole_bytes) {
+  const auto [prefix, suffix] = diff::common_ends(base, target, Items::same);
+  const auto middle_hashes = [prefix, suffix](const Seq& items) {
+    std::vector<std::uint64_t> out;
+    out.reserve(items.size() - prefix - suffix);
+    for (std::size_t i = prefix; i + suffix < items.size(); ++i) {
+      out.push_back(Items::hash(items[i]));
+    }
+    return out;
+  };
+  const std::optional<std::vector<diff::Match>> middle = diff::myers(
+      middle_hashes(base), middle_hashes(target), kScriptEditBudget);
+  if (!middle) return std::nullopt;
+
+  std::vector<Run> runs;
+  std::size_t placed = 0;  // target items already covered by `runs`
+  const auto literals_to = [&](std::size_t end) {
+    if (end == placed) return;
+    if (runs.empty()) runs.push_back(Run{});
+    if (runs.back().literal_count == 0) runs.back().literal_at = placed;
+    runs.back().literal_count += end - placed;
+    placed = end;
+  };
+  const auto copy = [&](std::size_t from, std::size_t to, std::size_t count) {
+    literals_to(to);
+    if (count == 0) return;
+    if (runs.empty() || runs.back().literal_count != 0 ||
+        runs.back().copy_at + runs.back().copy_count != from) {
+      runs.push_back(Run{from, 0, 0, 0});
+    }
+    runs.back().copy_count += count;
+    placed = to + count;
+  };
+  copy(0, 0, prefix);
+  for (const diff::Match& match : *middle) {
+    const std::size_t from = prefix + match.a_index;
+    const std::size_t to = prefix + match.b_index;
+    if (Items::same(base[from], target[to])) copy(from, to, 1);
+  }
+  copy(base.size() - suffix, target.size() - suffix, suffix);
+  literals_to(target.size());
+
+  std::size_t bytes = header_bytes + 4;
+  for (const Run& run : runs) {
+    bytes += kRunHeaderBytes;
+    for (std::size_t i = 0; i < run.literal_count; ++i) {
+      bytes += Items::size(target[run.literal_at + i]);
+    }
+  }
+  if (bytes >= whole_bytes) return std::nullopt;
+  return runs;
+}
+
+template <typename Items, typename Seq>
+void write_script(ByteWriter& w, const std::vector<Run>& runs,
+                  const Seq& target) {
+  w.u32(static_cast<std::uint32_t>(runs.size()));
+  for (const Run& run : runs) {
+    w.u32(static_cast<std::uint32_t>(run.copy_at));
+    w.u32(static_cast<std::uint32_t>(run.copy_count));
+    w.u32(static_cast<std::uint32_t>(run.literal_count));
+    for (std::size_t i = 0; i < run.literal_count; ++i) {
+      Items::write(w, target[run.literal_at + i]);
+    }
+  }
+}
+
+/// Decode one script against a base of `base_size` items: `copy(at, n)`
+/// per copy run and `literal()` once per literal item, in target order.
+/// A copy run must lie inside the base, after the previous one; a run or
+/// literal count must fit the payload left (each literal takes at least
+/// `min_item_bytes`). Anything else throws WireError.
+template <typename Copy, typename Literal>
+void read_script(ByteReader& r, std::size_t base_size,
+                 std::size_t min_item_bytes, Copy copy, Literal literal) {
+  const std::uint32_t n_runs = r.count(kRunHeaderBytes);
+  std::uint64_t base_end = 0;
+  for (std::uint32_t i = 0; i < n_runs; ++i) {
+    const std::uint64_t at = r.u32();
+    const std::uint64_t count = r.u32();
+    require(at >= base_end, "script copy run out of order or overlapping");
+    require(at + count <= base_size, "script copy run past its base's end");
+    copy(static_cast<std::size_t>(at), static_cast<std::size_t>(count));
+    base_end = at + count;
+    const std::uint32_t n_literals = r.count(min_item_bytes);
+    for (std::uint32_t j = 0; j < n_literals; ++j) literal();
+  }
+}
+
+/// A changed artifact. Against its previous bytes `base` (null for a new
+/// path) it ships as a script over lines when that is smaller: the
+/// wire_checksum of the bytes it rebuilds, their final-newline bit, then
+/// the script. Otherwise the bytes ship whole.
+void write_artifact(ByteWriter& w, const std::string* base,
+                    const std::string& body) {
+  if (base != nullptr) {
+    const std::vector<std::string_view> from = diff::split_lines(*base);
+    const std::vector<std::string_view> to = diff::split_lines(body);
+    constexpr std::size_t kChecksumAndNewline = 8 + 1;
+    if (const auto runs = plan_script<LineItems>(
+            from, to, kChecksumAndNewline, 4 + body.size())) {
+      w.u8(static_cast<std::uint8_t>(Form::Script));
+      w.u64(wire_checksum(body));
+      w.u8(!body.empty() && body.back() == '\n' ? 1 : 0);
+      write_script<LineItems>(w, *runs, to);
+      return;
+    }
+  }
+  w.u8(static_cast<std::uint8_t>(Form::Whole));
+  w.str(body);
+}
+
+std::shared_ptr<const std::string> read_artifact(ByteReader& r,
+                                                 const std::string* base,
+                                                 std::string_view path) {
+  const Form form = read_form(r);
+  if (form == Form::Whole) return std::make_shared<const std::string>(r.str());
+  require(form == Form::Script, "artifact record cannot carry forward");
+  if (base == nullptr) {
+    throw WireError("wire: delta scripts artifact '" + std::string(path) +
+                    "' the previous snapshot does not hold");
+  }
+  const std::uint64_t checksum = r.u64();
+  const std::uint8_t final_newline = r.u8();
+  require(final_newline <= 1, "bad final-newline flag");
+  const std::vector<std::string_view> from = diff::split_lines(*base);
+  std::vector<std::string_view> lines;
+  read_script(
+      r, from.size(), LineItems::kMinBytes,
+      [&](std::size_t at, std::size_t count) {
+        lines.insert(lines.end(), from.begin() + static_cast<std::ptrdiff_t>(at),
+                     from.begin() + static_cast<std::ptrdiff_t>(at + count));
+      },
+      [&] { lines.push_back(r.str()); });
+  std::size_t size = final_newline;
+  for (std::string_view line : lines) size += line.size() + 1;
+  auto body = std::make_shared<std::string>();
+  body->reserve(size);
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    if (i > 0) body->push_back('\n');
+    body->append(lines[i]);
+  }
+  if (final_newline != 0) body->push_back('\n');
+  if (wire_checksum(*body) != checksum) {
+    throw WireError("wire: scripted artifact '" + std::string(path) +
+                    "' misses its checksum (the base is not the origin's)");
+  }
+  return body;
+}
+
+/// A changed arc record — a traversal bucket or an overlay segment: a
+/// script over its arcs against `base` (the previous snapshot's record,
+/// null when it had none) when that is smaller, else whole. A segment is
+/// scripted as one arc sequence, so its authored order, pages
+/// interleaved, is rebuilt exactly.
+template <typename Items, typename Seq>
+void write_arc_record(ByteWriter& w, const Seq* base, const Seq& arcs) {
+  if (base != nullptr) {
+    if (const auto runs =
+            plan_script<Items>(*base, arcs, 0, whole_size<Items>(arcs))) {
+      w.u8(static_cast<std::uint8_t>(Form::Script));
+      write_script<Items>(w, *runs, arcs);
+      return;
+    }
+  }
+  w.u8(static_cast<std::uint8_t>(Form::Whole));
+  write_items<Items>(w, arcs);
+}
+
+std::vector<serve::SnapshotArc> read_bucket(
+    ByteReader& r, const std::vector<serve::SnapshotArc>* base,
+    std::string_view from) {
+  const Form form = read_form(r);
+  if (form == Form::Whole) return read_snapshot_arcs(r);
+  require(form == Form::Script, "traversal bucket cannot carry forward");
+  if (base == nullptr) {
+    throw WireError("wire: delta scripts traversal bucket '" +
+                    std::string(from) + "' the previous snapshot does not hold");
+  }
+  std::vector<serve::SnapshotArc> arcs;
+  read_script(
+      r, base->size(), BucketItems::kMinBytes,
+      [&](std::size_t at, std::size_t count) {
+        arcs.insert(arcs.end(), base->begin() + static_cast<std::ptrdiff_t>(at),
+                    base->begin() + static_cast<std::ptrdiff_t>(at + count));
+      },
+      [&] { arcs.push_back(read_snapshot_arc(r)); });
+  return arcs;
+}
+
+/// Append segment `source` to `out`: carried forward from `base`, decoded
+/// whole, or rebuilt by a script against `base`.
+void read_segment(ByteReader& r, const std::vector<const core::NavArc*>* base,
+                  const std::string& source, std::vector<core::NavArc>& out) {
+  const Form form = read_form(r);
+  if (form == Form::Whole) {
+    read_nav_arcs(r, source, out);
+    return;
+  }
+  if (base == nullptr) {
+    throw WireError(std::string("wire: delta ") +
+                    (form == Form::Carry ? "carries forward" : "scripts") +
+                    " segment '" + source +
+                    "' the previous snapshot does not hold");
+  }
+  const auto copy = [&](std::size_t at, std::size_t count) {
+    for (std::size_t i = at; i < at + count; ++i) out.push_back(*(*base)[i]);
+  };
+  out.reserve(out.size() + base->size());  // a script keeps most arcs
+  if (form == Form::Carry) {
+    copy(0, base->size());
+    return;
+  }
+  read_script(r, base->size(), SegmentItems::kMinBytes, copy,
+              [&] { out.push_back(read_nav_arc(r, source)); });
+}
+
 }  // namespace
 
 std::uint64_t wire_checksum(std::string_view bytes) noexcept {
@@ -365,7 +706,7 @@ std::string encode_full(const serve::SiteSnapshot& snapshot) {
   w.u32(static_cast<std::uint32_t>(snapshot.traversal_arcs().size()));
   for (const auto& [from, arcs] : snapshot.traversal_arcs()) {
     w.str(from);
-    write_snapshot_arcs(w, arcs);
+    write_items<BucketItems>(w, arcs);
   }
 
   w.str(snapshot.structure_source());
@@ -374,7 +715,7 @@ std::string encode_full(const serve::SiteSnapshot& snapshot) {
   w.u32(static_cast<std::uint32_t>(segments.size()));
   for (const Segment& segment : segments) {
     w.str(segment.source);
-    write_nav_arcs(w, segment.arcs);
+    write_items<SegmentItems>(w, segment.arcs);
   }
   write_profiles(w, snapshot.profiles());
   write_route_table(w, snapshot.route_table().get());
@@ -440,66 +781,74 @@ std::string encode_delta(const serve::SiteSnapshot& prev,
   // swap, never mutate); compare bytes only when handles differ, so an
   // epoch that republished identical bytes under a fresh handle still
   // ships nothing.
-  ByteWriter changed_files;
-  std::uint32_t n_changed_files = 0;
+  std::size_t slot = w.count_slot();
+  std::uint32_t n = 0;
   for (const auto& [path, body] : next.files()) {
     auto it = prev.files().find(path);
-    if (it != prev.files().end() &&
-        (it->second == body || *it->second == *body)) {
-      continue;
-    }
-    changed_files.str(path);
-    changed_files.str(*body);
-    ++n_changed_files;
+    const std::string* base =
+        it == prev.files().end() ? nullptr : it->second.get();
+    if (base != nullptr && (it->second == body || *base == *body)) continue;
+    w.str(path);
+    write_artifact(w, base, *body);
+    ++n;
   }
-  w.u32(n_changed_files);
-  std::string changed_bytes = changed_files.take();
-  // (ByteWriter has no splice; append the pre-counted record block.)
-  std::string out = w.take();
-  out.append(changed_bytes);
-  ByteWriter w2;
-  std::uint32_t n_removed_files = 0;
+  w.patch_u32(slot, n);
+  slot = w.count_slot();
+  n = 0;
   for (const auto& [path, body] : prev.files()) {
-    if (next.files().find(path) == next.files().end()) {
-      w2.str(path);
-      ++n_removed_files;
+    if (!next.files().contains(path)) {
+      w.str(path);
+      ++n;
     }
   }
-  {
-    ByteWriter countw;
-    countw.u32(n_removed_files);
-    out.append(countw.take());
-    out.append(w2.take());
-  }
+  w.patch_u32(slot, n);
 
   // Traversal buckets, by value equality per from-URI.
-  ByteWriter buckets;
-  std::uint32_t n_changed_buckets = 0;
+  slot = w.count_slot();
+  n = 0;
   for (const auto& [from, arcs] : next.traversal_arcs()) {
     auto it = prev.traversal_arcs().find(from);
-    if (it != prev.traversal_arcs().end() && it->second == arcs) continue;
-    buckets.str(from);
-    write_snapshot_arcs(buckets, arcs);
-    ++n_changed_buckets;
+    const std::vector<serve::SnapshotArc>* base =
+        it == prev.traversal_arcs().end() ? nullptr : &it->second;
+    if (base != nullptr && *base == arcs) continue;
+    w.str(from);
+    write_arc_record<BucketItems>(w, base, arcs);
+    ++n;
   }
-  ByteWriter removed_buckets;
-  std::uint32_t n_removed_buckets = 0;
+  w.patch_u32(slot, n);
+  slot = w.count_slot();
+  n = 0;
   for (const auto& [from, arcs] : prev.traversal_arcs()) {
-    if (next.traversal_arcs().find(from) == next.traversal_arcs().end()) {
-      removed_buckets.str(from);
-      ++n_removed_buckets;
+    if (!next.traversal_arcs().contains(from)) {
+      w.str(from);
+      ++n;
     }
   }
-  {
-    ByteWriter countw;
-    countw.u32(n_changed_buckets);
-    out.append(countw.take());
-    out.append(buckets.take());
-    ByteWriter countw2;
-    countw2.u32(n_removed_buckets);
-    out.append(countw2.take());
-    out.append(removed_buckets.take());
+  w.patch_u32(slot, n);
+
+  w.str(next.structure_source());
+  write_families(w, next.overlay_families());
+  // Segment selection is slice-hash-driven: a source whose per-page
+  // hash table is identical in both snapshots is carried forward by
+  // reference (one byte on the wire); only moved segments ship arcs.
+  const std::vector<Segment> segments = segment_arcs(*next.overlay_arcs());
+  std::optional<std::vector<Segment>> prev_segments;  // built on demand
+  w.u32(static_cast<std::uint32_t>(segments.size()));
+  for (const Segment& segment : segments) {
+    w.str(segment.source);
+    if (segment_unchanged(prev, next, segment.source)) {
+      w.u8(static_cast<std::uint8_t>(Form::Carry));
+      continue;
+    }
+    if (!prev_segments) prev_segments = segment_arcs(*prev.overlay_arcs());
+    auto base = std::find_if(
+        prev_segments->begin(), prev_segments->end(),
+        [&](const Segment& s) { return s.source == segment.source; });
+    write_arc_record<SegmentItems>(
+        w, base == prev_segments->end() ? nullptr : &base->arcs,
+        segment.arcs);
   }
+  write_profiles(w, next.profiles());
 
   // Route tables ride like arc segments: unchanged tables (pointer
   // identity — the engine keeps it across epochs — or value equality as
@@ -510,26 +859,9 @@ std::string encode_delta(const serve::SiteSnapshot& prev,
       prev_routes == next_routes ||
       (prev_routes != nullptr && next_routes != nullptr &&
        *prev_routes == *next_routes);
-
-  ByteWriter tail;
-  tail.str(next.structure_source());
-  write_families(tail, next.overlay_families());
-  // Segment selection is slice-hash-driven: a source whose per-page
-  // hash table is identical in both snapshots is carried forward by
-  // reference (one byte on the wire); only moved segments ship arcs.
-  const std::vector<Segment> segments = segment_arcs(*next.overlay_arcs());
-  tail.u32(static_cast<std::uint32_t>(segments.size()));
-  for (const Segment& segment : segments) {
-    tail.str(segment.source);
-    const bool carry = segment_unchanged(prev, next, segment.source);
-    tail.u8(carry ? 0 : 1);
-    if (!carry) write_nav_arcs(tail, segment.arcs);
-  }
-  write_profiles(tail, next.profiles());
-  tail.u8(routes_carry ? 0 : 1);
-  if (!routes_carry) write_route_table(tail, next_routes);
-  out.append(tail.take());
-  return out;
+  w.u8(routes_carry ? 0 : 1);
+  if (!routes_carry) write_route_table(w, next_routes);
+  return w.take();
 }
 
 std::shared_ptr<const serve::SiteSnapshot> apply_delta(
@@ -554,9 +886,12 @@ std::shared_ptr<const serve::SiteSnapshot> apply_delta(
   state.files = prev.files();  // shared handles, cheap
   const std::uint32_t n_changed_files = r.count();
   for (std::uint32_t i = 0; i < n_changed_files; ++i) {
-    std::string path(r.str());
-    state.files[std::move(path)] =
-        std::make_shared<const std::string>(r.str());
+    const std::string_view path = r.str();
+    auto it = prev.files().find(path);
+    state.files.insert_or_assign(
+        std::string(path),
+        read_artifact(r, it == prev.files().end() ? nullptr : it->second.get(),
+                      path));
   }
   const std::uint32_t n_removed_files = r.count();
   for (std::uint32_t i = 0; i < n_removed_files; ++i) {
@@ -572,8 +907,13 @@ std::shared_ptr<const serve::SiteSnapshot> apply_delta(
   state.arcs_by_from = prev.traversal_arcs();
   const std::uint32_t n_changed_buckets = r.count();
   for (std::uint32_t i = 0; i < n_changed_buckets; ++i) {
-    std::string from(r.str());
-    state.arcs_by_from[std::move(from)] = read_snapshot_arcs(r);
+    const std::string_view from = r.str();
+    auto it = prev.traversal_arcs().find(from);
+    state.arcs_by_from.insert_or_assign(
+        std::string(from),
+        read_bucket(r,
+                    it == prev.traversal_arcs().end() ? nullptr : &it->second,
+                    from));
   }
   const std::uint32_t n_removed_buckets = r.count();
   for (std::uint32_t i = 0; i < n_removed_buckets; ++i) {
@@ -582,9 +922,9 @@ std::shared_ptr<const serve::SiteSnapshot> apply_delta(
 
   state.overlays.structure_source = std::string(r.str());
   state.overlays.families = read_families(r);
-  // Reassemble the combined arc set: carried segments copy the previous
-  // snapshot's arcs for that source (order preserved), inline segments
-  // decode from the wire.
+  // Reassemble the combined arc set segment by segment, each carried,
+  // decoded or scripted against the previous snapshot's arcs of its
+  // source (order preserved).
   std::map<std::string_view, std::vector<const core::NavArc*>> prev_by_source;
   for (const core::NavArc& arc : *prev.overlay_arcs()) {
     prev_by_source[arc.source].push_back(&arc);
@@ -592,18 +932,10 @@ std::shared_ptr<const serve::SiteSnapshot> apply_delta(
   auto arcs = std::make_shared<std::vector<core::NavArc>>();
   const std::uint32_t n_segments = r.count();
   for (std::uint32_t i = 0; i < n_segments; ++i) {
-    std::string source(r.str());
-    if (r.u8() == 0) {
-      auto it = prev_by_source.find(source);
-      if (it == prev_by_source.end()) {
-        throw WireError("wire: delta carries forward segment '" + source +
-                        "' the previous snapshot does not hold");
-      }
-      arcs->reserve(arcs->size() + it->second.size());
-      for (const core::NavArc* arc : it->second) arcs->push_back(*arc);
-    } else {
-      read_nav_arcs(r, source, *arcs);
-    }
+    const std::string source(r.str());
+    auto it = prev_by_source.find(source);
+    read_segment(r, it == prev_by_source.end() ? nullptr : &it->second,
+                 source, *arcs);
   }
   state.overlays.arcs = std::move(arcs);
   state.overlays.profiles = read_profiles(r);

@@ -18,13 +18,21 @@
 //            changed, and per-linkbase arc segments whose
 //            per-(page, family) slice hashes changed. Unchanged
 //            segments are carried forward from the replica's previous
-//            snapshot by reference, so a single family edit ships that
-//            family's segment plus the re-authored linkbase artifact —
-//            kilobytes, not the site. The route table rides the same
-//            way: one changed-flag byte carries an unchanged table
-//            forward from the replica's previous snapshot (pointer or
-//            value equality on the publisher), only a changed table
-//            ships inline.
+//            snapshot by a one-byte reference. Since v4 a changed
+//            record the previous snapshot also holds ships as an edit
+//            script against that version — runs of "copy n items from
+//            base position i" and literal items, over lines for an
+//            artifact (plus its final-newline bit and the wire_checksum
+//            of the bytes it rebuilds), over arcs for a bucket or a
+//            segment — whenever the script is smaller than the record;
+//            a new record or a wholesale rewrite ships whole. Every
+//            edit kind therefore ships kilobytes, not the site: a
+//            one-arc edit moves a line of links.xml, one arc of its
+//            segment and one page's navigation block. The route table
+//            rides the same way: one changed-flag byte carries an
+//            unchanged table forward from the replica's previous
+//            snapshot (pointer or value equality on the publisher),
+//            only a changed table ships inline.
 //
 // Every snapshot carries overlay inputs (an empty arc set at least), so
 // since v3 both frame kinds encode them unconditionally: the overlay
@@ -41,7 +49,10 @@
 // payload. Integers are fixed-width little-endian; strings are
 // u32-length-prefixed bytes. Decoding is fully bounds-checked and
 // throws repl::WireError on any malformed input — a replica fed garbage
-// fails loudly, it never publishes a torn snapshot.
+// fails loudly, it never publishes a torn snapshot. A script is checked
+// against its base as it applies: each copy run must lie inside the
+// base, after the previous one; no count may exceed what the payload
+// left could hold; and a rebuilt artifact must match its checksum.
 #pragma once
 
 #include <cstdint>
@@ -55,15 +66,15 @@
 namespace navsep::repl {
 
 /// Malformed wire input: bad magic, unsupported version, checksum
-/// mismatch, truncated payload, or a delta applied against the wrong
-/// base snapshot.
+/// mismatch, truncated payload, a delta applied against the wrong base
+/// snapshot, or an edit script that does not fit its base.
 class WireError : public Error {
  public:
   using Error::Error;
 };
 
 inline constexpr std::uint32_t kWireMagic = 0x4E535257u;  // "NSRW"
-inline constexpr std::uint16_t kWireVersion = 3;  // v3: overlays always on
+inline constexpr std::uint16_t kWireVersion = 4;  // v4: DELTA edit scripts
 inline constexpr std::size_t kFrameHeaderSize = 24;
 
 enum class FrameType : std::uint16_t {
@@ -116,8 +127,11 @@ void verify_payload(const FrameHeader& header, std::string_view payload);
 /// and traversal-bucket changes are detected by content (shared-handle
 /// identity first, bytes second); overlay arc segments are selected by
 /// the per-(page, family) slice-hash tables — a segment whose hash table
-/// is unchanged is shipped as a carry-forward reference, not bytes.
-/// `next.epoch()` must exceed `prev.epoch()` and both must share a base.
+/// is unchanged is shipped as a carry-forward reference, not bytes. Each
+/// changed record ships as an edit script against its `prev` version
+/// when that is smaller (src/diff's Myers search, stopped at an edit
+/// budget), else whole. `next.epoch()` must exceed `prev.epoch()` and
+/// both must share a base.
 [[nodiscard]] std::string encode_delta(const serve::SiteSnapshot& prev,
                                        const serve::SiteSnapshot& next);
 
@@ -128,7 +142,11 @@ void verify_payload(const FrameHeader& header, std::string_view payload);
 /// Apply a DELTA payload on top of `prev`, producing the next snapshot.
 /// Throws WireError when the delta's from-epoch or base does not match
 /// `prev` — a delta is only valid against the exact snapshot it was
-/// computed from (the resync protocol exists for every other case).
+/// computed from (the resync protocol exists for every other case) —
+/// and when a script names a record `prev` lacks, runs outside or
+/// backwards through its base, or rebuilds an artifact that misses its
+/// checksum. `prev` is never modified; nothing is built from a payload
+/// that fails.
 [[nodiscard]] std::shared_ptr<const serve::SiteSnapshot> apply_delta(
     std::string_view payload, const serve::SiteSnapshot& prev);
 

@@ -1,4 +1,11 @@
 // Unit + property tests for the Myers diff and site-delta statistics.
+#include <cstdint>
+#include <functional>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
@@ -175,4 +182,106 @@ TEST(DiffSites, IdenticalSitesUntouched) {
   diff::SiteDelta d = diff::compare_sites(site, site);
   EXPECT_EQ(d.files_touched, 0u);
   EXPECT_TRUE(d.line_stats.unchanged());
+}
+
+TEST(DiffMyers, StopsPastItsEditBudget) {
+  // Turning a into b takes three edits: delete 2, insert 9, insert 6.
+  const std::vector<std::uint64_t> a{1, 2, 3, 4, 5};
+  const std::vector<std::uint64_t> b{1, 9, 3, 4, 5, 6};
+  EXPECT_FALSE(diff::myers(a, b, 2).has_value());
+  const auto matches = diff::myers(a, b, 3);
+  ASSERT_TRUE(matches.has_value());
+  std::vector<std::pair<std::size_t, std::size_t>> pairs;
+  for (const diff::Match& m : *matches) pairs.emplace_back(m.a_index, m.b_index);
+  const std::vector<std::pair<std::size_t, std::size_t>> expected{
+      {0, 0}, {2, 2}, {3, 3}, {4, 4}};
+  EXPECT_EQ(pairs, expected);
+  // An empty side is all inserts or all deletes: within budget or not.
+  const std::vector<std::uint64_t> none;
+  EXPECT_FALSE(diff::myers(none, b, 5).has_value());
+  ASSERT_TRUE(diff::myers(none, b, 6).has_value());
+  EXPECT_TRUE(diff::myers(none, b, 6)->empty());
+}
+
+TEST(DiffMyers, CommonEndsNeverOverlap) {
+  const std::vector<int> a{1, 2, 1};
+  const std::vector<int> b{1, 2, 1, 2, 1};
+  const auto [prefix, suffix] = diff::common_ends(a, b, std::equal_to<>());
+  EXPECT_EQ(prefix, 3u);
+  EXPECT_EQ(suffix, 0u);
+}
+
+TEST(DiffOps, BodyWithoutFinalNewline) {
+  const std::vector<diff::Op> ops = diff::diff_lines("a\nb\nc", "a\nX\nc");
+  ASSERT_EQ(ops.size(), 4u);
+  EXPECT_EQ(ops[0].kind, diff::OpKind::Equal);
+  EXPECT_EQ(ops[1].kind, diff::OpKind::Delete);
+  EXPECT_EQ(ops[1].a_start, 1u);
+  EXPECT_EQ(ops[2].kind, diff::OpKind::Insert);
+  EXPECT_EQ(ops[2].b_start, 1u);
+  EXPECT_EQ(ops[3].kind, diff::OpKind::Equal);
+  EXPECT_EQ(ops[3].a_start, 2u);
+  EXPECT_EQ(ops[3].count, 1u);
+  // Lines are what is counted: a final newline alone is not a line, which
+  // is why the wire carries it beside a line script.
+  EXPECT_TRUE(diff::stats("a\nb", "a\nb\n").unchanged());
+  EXPECT_EQ(diff::stats("a\nb", "a\nc").lines_changed(), 2u);
+}
+
+TEST(DiffOps, RewritePastTheTraceLimitIsAWholeReplacement) {
+  std::string a;
+  std::string b;
+  for (int i = 0; i < 2100; ++i) {
+    a += "old " + std::to_string(i) + "\n";
+    b += "new " + std::to_string(i) + "\n";
+  }
+  // 4200 edits > 4096: one delete run and one insert run.
+  const std::vector<diff::Op> ops = diff::diff_lines(a, b);
+  ASSERT_EQ(ops.size(), 2u);
+  EXPECT_EQ(ops[0].kind, diff::OpKind::Delete);
+  EXPECT_EQ(ops[0].count, 2100u);
+  EXPECT_EQ(ops[1].kind, diff::OpKind::Insert);
+  EXPECT_EQ(ops[1].count, 2100u);
+  // Within the limit, the same lines pair up again.
+  const std::size_t middle = a.find("old 1050\n");
+  const std::vector<diff::Op> near = diff::diff_lines(
+      a, a.substr(0, middle) + "inserted\n" + a.substr(middle));
+  ASSERT_EQ(near.size(), 3u);
+  EXPECT_EQ(near[1].kind, diff::OpKind::Insert);
+  EXPECT_EQ(near[1].count, 1u);
+}
+
+// Where several shortest scripts exist, Myers' tie-break picks one, and
+// e1's hunk counts and the migration report depend on which. These
+// scripts are the ones diff_lines has always returned.
+TEST(DiffOps, TieBreaksArePinned) {
+  using K = diff::OpKind;
+  const auto ops_of = [](std::string_view a, std::string_view b) {
+    std::vector<std::tuple<K, std::size_t, std::size_t, std::size_t>> out;
+    for (const diff::Op& op : diff::diff_lines(a, b)) {
+      out.emplace_back(op.kind, op.a_start, op.b_start, op.count);
+    }
+    return out;
+  };
+  EXPECT_EQ(ops_of("a\nb\n", "b\na\n"),
+            (std::vector<std::tuple<K, std::size_t, std::size_t, std::size_t>>{
+                {K::Delete, 0, 0, 1}, {K::Equal, 1, 0, 1}, {K::Insert, 2, 1, 1}}));
+  EXPECT_EQ(ops_of("x\na\nb\nc\ny\n", "x\nc\nb\na\ny\n"),
+            (std::vector<std::tuple<K, std::size_t, std::size_t, std::size_t>>{
+                {K::Equal, 0, 0, 1},
+                {K::Delete, 1, 1, 2},
+                {K::Equal, 3, 1, 1},
+                {K::Insert, 4, 2, 2},
+                {K::Equal, 4, 4, 1}}));
+  // Here the paths on diagonals k-1 and k+1 tie; the search extends the
+  // one on k-1 by a delete, as it always has.
+  EXPECT_EQ(ops_of("c\nc\na\n", "a\na\nc\nb\nc\n"),
+            (std::vector<std::tuple<K, std::size_t, std::size_t, std::size_t>>{
+                {K::Insert, 0, 0, 2},
+                {K::Equal, 0, 2, 1},
+                {K::Insert, 1, 3, 1},
+                {K::Equal, 1, 4, 1},
+                {K::Delete, 2, 5, 1}}));
+  EXPECT_EQ(diff::unified("a\nb\n", "b\na\n", "a", "b", 1),
+            "--- a\n+++ b\n@@ -1,2 +1,2 @@\n-a\n b\n+a\n");
 }

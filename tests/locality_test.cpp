@@ -18,7 +18,11 @@
 // painters with the ByAuthor and ByMovement families, 4 movements, and
 // the profiles kiosk, tour and everything — at 8×12 and 8×125
 // paintings. For each edit kind (replace_arc, retitle_node,
-// edit_context_family) it runs three warm edits, then counts one.
+// edit_context_family) it runs three warm edits, then counts one. Since
+// the wire ships edit scripts, delta_bytes is O(change) like the graph
+// columns: a change that re-ships a whole linkbase or overlay segment
+// fails its ceiling. A last test pins the encode of a kind swap, the
+// one edit that rewrites everything, at 10^3 paintings.
 //
 // Every column has two ceilings: its value at 10³ paintings and its
 // 10³/10² ratio, each at most the value measured when the ceiling was
@@ -240,7 +244,7 @@ TEST(Locality, ArcEditWorkIsPinned) {
                             .nodes_rebuilt = {3, 1.0},
                             .pages_rewoven = {1, 1.0},
                             .linkbases_reauthored = {1, 1.0},
-                            .delta_bytes = {1225070, 10.42}});
+                            .delta_bytes = {984, 1.01}});
 }
 
 TEST(Locality, RetitleEditWorkIsPinned) {
@@ -249,7 +253,7 @@ TEST(Locality, RetitleEditWorkIsPinned) {
                                 .nodes_rebuilt = {3, 1.0},
                                 .pages_rewoven = {3, 1.0},
                                 .linkbases_reauthored = {1, 1.0},
-                                .delta_bytes = {1462711, 10.28}});
+                                .delta_bytes = {2480, 1.01}});
 }
 
 TEST(Locality, FamilyEditWorkIsPinned) {
@@ -258,7 +262,37 @@ TEST(Locality, FamilyEditWorkIsPinned) {
                                .nodes_rebuilt = {2, 1.0},
                                .pages_rewoven = {0, 0},
                                .linkbases_reauthored = {1, 1.0},
-                               .delta_bytes = {712960, 10.59}});
+                               .delta_bytes = {1775, 1.0}});
+}
+
+// A kind swap re-authors every arc of links.xml and re-weaves every page:
+// the wholesale rewrite the wire's edit budget exists for. Past the
+// budget the script search gives up and links.xml ships whole, so
+// encoding this DELTA costs what it costs at 10^3 paintings, not what
+// an unbounded search would (a quadratic trace). Before edit scripts,
+// this encode requested 8,956,814 bytes in 79 allocations for a
+// 1,963,426-byte DELTA. Same ceilings as above: measured + 10%.
+TEST(Locality, KindSwapEncodeWorkIsBounded) {
+  auto engine = navbench_site(125);
+  const auto prev = engine->snapshots().current();
+  (void)engine->set_access_structure(hm::AccessStructureKind::Index);
+  const auto next = engine->snapshots().current();
+  g_allocations.store(0, std::memory_order_relaxed);
+  g_bytes_requested.store(0, std::memory_order_relaxed);
+  g_counting.store(true, std::memory_order_relaxed);
+  const std::string delta = repl::encode_delta(*prev, *next);
+  g_counting.store(false, std::memory_order_relaxed);
+  std::printf("  delta_bytes %zu\n", delta.size());
+  EXPECT_LE(static_cast<double>(delta.size()), 889909 * 1.1);
+#if NAVSEP_COUNT_ALLOCATIONS
+  const std::uint64_t allocations = g_allocations.load();
+  const std::uint64_t bytes = g_bytes_requested.load();
+  std::printf("  allocations %llu  bytes_requested %llu\n",
+              static_cast<unsigned long long>(allocations),
+              static_cast<unsigned long long>(bytes));
+  EXPECT_LE(static_cast<double>(allocations), 11044 * 1.1);
+  EXPECT_LE(static_cast<double>(bytes), 4993027 * 1.1);
+#endif
 }
 
 }  // namespace

@@ -12,13 +12,20 @@
 // forces one).
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
+#include <cstdlib>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hpp"
+#include "diff/diff.hpp"
 #include "hypermedia/access.hpp"
 #include "hypermedia/context.hpp"
 #include "nav/pipeline.hpp"
@@ -31,6 +38,8 @@
 
 namespace {
 
+namespace core = navsep::core;
+namespace diff = navsep::diff;
 namespace hm = navsep::hypermedia;
 namespace nav = navsep::nav;
 namespace repl = navsep::repl;
@@ -233,6 +242,307 @@ TEST(ReplHashes, DecodedSnapshotDerivesHashesAndValidatesOverlays) {
     EXPECT_EQ(mine.structure_slice, theirs.structure_slice) << path;
     EXPECT_EQ(mine.family_slices, theirs.family_slices) << path;
   }
+}
+
+// --- wire v4: edit scripts round-trip byte for byte ---------------------------
+
+/// Rounds of the seeded round-trip property below. The environment
+/// variable NAVSEP_WIRE_ROUNDS raises it for a long run.
+int wire_rounds() {
+  const char* env = std::getenv("NAVSEP_WIRE_ROUNDS");
+  const int rounds = env != nullptr ? std::atoi(env) : 0;
+  return rounds > 0 ? rounds : 300;
+}
+
+/// A line from a small pool, so bodies hold runs of identical lines;
+/// some are empty, some blank, some end in '\r' (CRLF bodies).
+std::string random_line(navsep::Rng& rng) {
+  static const char* const kPool[] = {"<li>same</li>", "<li>same</li>", "",
+                                      "  ", "<p>crlf</p>\r",
+                                      "<a href=\"p.html\">p</a>"};
+  std::string line = kPool[rng.below(std::size(kPool))];
+  if (rng.chance(0.4)) line += std::to_string(rng.below(100));
+  return line;
+}
+
+std::string join_body(const std::vector<std::string>& lines,
+                      bool final_newline) {
+  std::string out;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    if (i > 0) out += '\n';
+    out += lines[i];
+  }
+  if (final_newline) out += '\n';
+  return out;
+}
+
+/// Empty, "\n" alone, or up to 30 pool lines with or without a final
+/// newline.
+std::string random_body(navsep::Rng& rng) {
+  switch (rng.below(6)) {
+    case 0:
+      return "";
+    case 1:
+      return "\n";
+    default: {
+      std::vector<std::string> lines(rng.below(30));
+      for (std::string& line : lines) line = random_line(rng);
+      return join_body(lines, rng.chance(0.7));
+    }
+  }
+}
+
+/// Insert, drop or move one to four items.
+template <typename T, typename Make>
+void edit_items(navsep::Rng& rng, std::vector<T>& items, Make make) {
+  const auto at = [&](std::size_t bound) {
+    return static_cast<std::ptrdiff_t>(rng.below(bound));
+  };
+  for (std::uint64_t e = 0, edits = 1 + rng.below(4); e < edits; ++e) {
+    const std::uint64_t what = rng.below(3);
+    if (what == 0 || items.empty()) {
+      items.insert(items.begin() + at(items.size() + 1), make());
+    } else if (what == 1) {
+      items.erase(items.begin() + at(items.size()));
+    } else {
+      const std::ptrdiff_t from = at(items.size());
+      T moved = std::move(items[static_cast<std::size_t>(from)]);
+      items.erase(items.begin() + from);
+      items.insert(items.begin() + at(items.size() + 1), std::move(moved));
+    }
+  }
+}
+
+std::string page_uri(navsep::Rng& rng) {
+  return "http://example.org/p" + std::to_string(rng.below(6)) + ".html";
+}
+
+serve::SnapshotArc random_bucket_arc(navsep::Rng& rng,
+                                     const std::string& from) {
+  return serve::SnapshotArc{from, page_uri(rng),
+                            rng.chance(0.5) ? "nav:next" : "nav:index",
+                            "t" + std::to_string(rng.below(4)),
+                            rng.chance(0.8)};
+}
+
+core::NavArc random_nav_arc(navsep::Rng& rng, const std::string& source) {
+  core::NavArc arc;
+  arc.from = page_uri(rng);
+  arc.to = page_uri(rng);
+  arc.role = rng.chance(0.5) ? "next" : "prev";
+  arc.title = "t" + std::to_string(rng.below(4));
+  arc.context = rng.chance(0.5) ? "" : "ByAuthor:one";
+  arc.source = source;
+  arc.ordinal = rng.below(3);
+  return arc;
+}
+
+serve::SnapshotState random_state(navsep::Rng& rng) {
+  serve::SnapshotState state;
+  state.base = "http://example.org/";
+  state.epoch = 1;
+  for (int i = 0; i < 6; ++i) {
+    state.files.emplace("f" + std::to_string(i) + ".html",
+                        std::make_shared<const std::string>(random_body(rng)));
+  }
+  for (int i = 0; i < 4; ++i) {
+    const std::string from = "http://example.org/p" + std::to_string(i) + ".html";
+    std::vector<serve::SnapshotArc> arcs(rng.below(8));
+    for (serve::SnapshotArc& arc : arcs) arc = random_bucket_arc(rng, from);
+    state.arcs_by_from.emplace(from, std::move(arcs));
+  }
+  auto arcs = std::make_shared<std::vector<core::NavArc>>();
+  for (const char* source : {"links.xml", "links-a.xml", "links-b.xml"}) {
+    for (std::uint64_t i = 0, n = rng.below(16); i < n; ++i) {
+      arcs->push_back(random_nav_arc(rng, source));
+    }
+  }
+  state.overlays.arcs = std::move(arcs);
+  state.overlays.families = {{"A", "links-a.xml"}, {"B", "links-b.xml"}};
+  return state;
+}
+
+/// The next epoch of `a`: bodies, buckets and segments edited, added and
+/// removed. Every edited segment gains one arc with a title never used
+/// before, so its slice-hash table moves: a segment whose table stays
+/// put is carried forward, which is exact only for an unchanged one.
+serve::SnapshotState edited_state(navsep::Rng& rng,
+                                  const serve::SnapshotState& a,
+                                  std::uint64_t& fresh) {
+  serve::SnapshotState b = a;
+  b.epoch = a.epoch + 1;
+  for (auto it = b.files.begin(); it != b.files.end();) {
+    if (rng.chance(0.1)) {
+      it = b.files.erase(it);
+      continue;
+    }
+    if (rng.chance(0.6)) {
+      std::vector<std::string> lines;
+      for (std::string_view line : diff::split_lines(*it->second)) {
+        lines.emplace_back(line);
+      }
+      edit_items(rng, lines, [&] { return random_line(rng); });
+      const bool final_newline =
+          !it->second->empty() && it->second->back() == '\n';
+      it->second = std::make_shared<const std::string>(join_body(
+          lines, rng.chance(0.2) ? !final_newline : final_newline));
+    }
+    ++it;
+  }
+  if (rng.chance(0.3)) {
+    b.files.emplace("new" + std::to_string(fresh++) + ".html",
+                    std::make_shared<const std::string>(random_body(rng)));
+  }
+
+  for (auto it = b.arcs_by_from.begin(); it != b.arcs_by_from.end();) {
+    if (rng.chance(0.1)) {
+      it = b.arcs_by_from.erase(it);
+      continue;
+    }
+    std::vector<serve::SnapshotArc>& arcs = it->second;
+    if (rng.chance(0.5)) {
+      edit_items(rng, arcs, [&] { return random_bucket_arc(rng, it->first); });
+    }
+    if (!arcs.empty() && rng.chance(0.3)) {  // differs only in traversable
+      serve::SnapshotArc& arc = arcs[rng.below(arcs.size())];
+      arc.traversable = !arc.traversable;
+    }
+    ++it;
+  }
+  if (rng.chance(0.2)) {
+    const std::string from = "http://example.org/q" + std::to_string(fresh++);
+    b.arcs_by_from[from] = {random_bucket_arc(rng, from)};
+  }
+
+  auto arcs = std::make_shared<std::vector<core::NavArc>>();
+  std::vector<std::string> sources{"links.xml", "links-a.xml", "links-b.xml"};
+  if (rng.chance(0.2)) {
+    sources.push_back("links-c.xml");
+    b.overlays.families.push_back({"C", "links-c.xml"});
+  }
+  for (const std::string& source : sources) {
+    std::vector<core::NavArc> segment;
+    for (const core::NavArc& arc : *a.overlays.arcs) {
+      if (arc.source == source) segment.push_back(arc);
+    }
+    if (rng.chance(0.1)) continue;  // the segment goes away
+    if (segment.empty() || rng.chance(0.6)) {
+      if (!segment.empty() && rng.chance(0.5)) {
+        segment.erase(segment.begin() +
+                      static_cast<std::ptrdiff_t>(rng.below(segment.size())));
+      }
+      // Swap two arcs leaving the same page: that page's slice reorders.
+      for (std::size_t i = 0; i + 1 < segment.size() && rng.chance(0.5);
+           ++i) {
+        for (std::size_t j = i + 1; j < segment.size(); ++j) {
+          if (segment[j].from == segment[i].from) {
+            std::swap(segment[i], segment[j]);
+            break;
+          }
+        }
+      }
+      if (!segment.empty() && rng.chance(0.5)) {  // differs only in ordinal
+        ++segment[rng.below(segment.size())].ordinal;
+      }
+      core::NavArc added = random_nav_arc(rng, source);
+      added.title = "fresh-" + std::to_string(fresh++);
+      segment.insert(segment.begin() + static_cast<std::ptrdiff_t>(
+                                           rng.below(segment.size() + 1)),
+                     std::move(added));
+    }
+    arcs->insert(arcs->end(), segment.begin(), segment.end());
+  }
+  b.overlays.arcs = std::move(arcs);
+  return b;
+}
+
+void expect_same_state(const serve::SiteSnapshot& want,
+                       const serve::SiteSnapshot& got) {
+  ASSERT_EQ(want.epoch(), got.epoch());
+  ASSERT_EQ(want.files().size(), got.files().size());
+  for (const auto& [path, bytes] : want.files()) {
+    auto it = got.files().find(path);
+    ASSERT_NE(it, got.files().end()) << path;
+    ASSERT_EQ(*bytes, *it->second) << path;
+  }
+  ASSERT_EQ(want.traversal_arcs(), got.traversal_arcs());
+  const std::vector<core::NavArc>& wa = *want.overlay_arcs();
+  const std::vector<core::NavArc>& ga = *got.overlay_arcs();
+  ASSERT_EQ(wa.size(), ga.size());
+  for (std::size_t i = 0; i < wa.size(); ++i) {
+    EXPECT_EQ(wa[i].from, ga[i].from) << i;
+    EXPECT_EQ(wa[i].to, ga[i].to) << i;
+    EXPECT_EQ(wa[i].role, ga[i].role) << i;
+    EXPECT_EQ(wa[i].title, ga[i].title) << i;
+    EXPECT_EQ(wa[i].context, ga[i].context) << i;
+    EXPECT_EQ(wa[i].source, ga[i].source) << i;
+    EXPECT_EQ(wa[i].ordinal, ga[i].ordinal) << i;
+  }
+  EXPECT_EQ(*want.slice_hashes(), *got.slice_hashes());
+}
+
+TEST(ReplWire, ScriptedDeltasRoundTripEveryByteAndArc) {
+  // How many records of each kind shipped as a script, across all rounds:
+  // the property must not pass by shipping everything whole.
+  std::size_t scripted_files = 0, scripted_buckets = 0, scripted_segments = 0;
+  const int rounds = wire_rounds();
+  for (int round = 0; round < rounds; ++round) {
+    const std::uint64_t seed = 0x5C219700u + static_cast<std::uint64_t>(round);
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    navsep::Rng rng(seed);
+    std::uint64_t fresh = 0;
+    const serve::SnapshotState a_state = random_state(rng);
+    const serve::SnapshotState b_state = edited_state(rng, a_state, fresh);
+    const serve::SiteSnapshot a(a_state);
+    const serve::SiteSnapshot b(b_state);
+
+    const std::string delta = repl::encode_delta(a, b);
+    SnapPtr applied = repl::apply_delta(delta, a);
+    ASSERT_NO_FATAL_FAILURE(expect_same_state(b, *applied));
+
+    // Each record that moved against a base must be no larger than its
+    // whole form. Dropping that record from the base makes it ship whole
+    // and leaves every other record as it was, so the two deltas differ
+    // by exactly (whole − chosen form) bytes.
+    const auto whole_delta_size = [&](serve::SnapshotState base) {
+      return repl::encode_delta(serve::SiteSnapshot(std::move(base)), b)
+          .size();
+    };
+    for (const auto& [path, body] : b.files()) {
+      auto it = a.files().find(path);
+      if (it == a.files().end() || *it->second == *body) continue;
+      serve::SnapshotState base = a_state;
+      base.files.erase(path);
+      const std::size_t whole = whole_delta_size(std::move(base));
+      ASSERT_LE(delta.size(), whole) << path;
+      scripted_files += delta.size() < whole ? 1 : 0;
+    }
+    for (const auto& [from, arcs] : b.traversal_arcs()) {
+      auto it = a.traversal_arcs().find(from);
+      if (it == a.traversal_arcs().end() || it->second == arcs) continue;
+      serve::SnapshotState base = a_state;
+      base.arcs_by_from.erase(from);
+      const std::size_t whole = whole_delta_size(std::move(base));
+      ASSERT_LE(delta.size(), whole) << from;
+      scripted_buckets += delta.size() < whole ? 1 : 0;
+    }
+    for (const auto& [source, hashes] : *b.slice_hashes()) {
+      auto it = a.slice_hashes()->find(source);
+      if (it == a.slice_hashes()->end() || it->second == hashes) continue;
+      serve::SnapshotState base = a_state;
+      auto kept = std::make_shared<std::vector<core::NavArc>>();
+      for (const core::NavArc& arc : *a_state.overlays.arcs) {
+        if (arc.source != source) kept->push_back(arc);
+      }
+      base.overlays.arcs = std::move(kept);
+      const std::size_t whole = whole_delta_size(std::move(base));
+      ASSERT_LE(delta.size(), whole) << source;
+      scripted_segments += delta.size() < whole ? 1 : 0;
+    }
+  }
+  EXPECT_GT(scripted_files, 0u);
+  EXPECT_GT(scripted_buckets, 0u);
+  EXPECT_GT(scripted_segments, 0u);
 }
 
 // --- malformed input ----------------------------------------------------------
