@@ -28,16 +28,13 @@ std::string_view context_family(std::string_view context) noexcept {
   return context.substr(0, context.find(':'));
 }
 
-/// The advice body: inject navigation for `node_id` into the page body.
-/// Indexes the shared arc vector by pointer; holding the vector keeps
-/// every indexed arc (and the string_view keys into it) alive.
+/// The advice body: inject navigation for `node_id` into the page body,
+/// from the arcs leaving it in each chunk's page index, in weave order.
 class NavigationInjector {
  public:
-  NavigationInjector(std::shared_ptr<const std::vector<NavArc>> arcs,
-                     NavigationAspectOptions options)
-      : options_(std::move(options)), arcs_(std::move(arcs)) {
+  NavigationInjector(ArcChunks chunks, NavigationAspectOptions options)
+      : options_(std::move(options)), chunks_(std::move(chunks)) {
     if (!options_.href_for) options_.href_for = default_href_for;
-    for (const NavArc& arc : *arcs_) by_from_[arc.from].push_back(&arc);
   }
 
   void operator()(aop::JoinPointContext& ctx) const {
@@ -47,16 +44,23 @@ class NavigationInjector {
     xml::Element& body = **body_slot;
 
     const std::string& node_id = ctx.join_point().instance;
-    auto it = by_from_.find(node_id);
-    if (it == by_from_.end()) return;
+    const std::string page = default_href_for(node_id);
+    std::vector<const NavArc*> arcs;
+    for (const std::shared_ptr<const ArcChunk>& chunk : chunks_) {
+      if (const std::vector<const NavArc*>* leaving = chunk->leaving(page)) {
+        for (const NavArc* arc : *leaving) {
+          if (arc->from == node_id) arcs.push_back(arc);
+        }
+      }
+    }
+    if (arcs.empty()) return;
     render_navigation(body, node_id, ctx.join_point().tag(aop::tags::kContext),
-                      it->second, options_);
+                      arcs, options_);
   }
 
  private:
   NavigationAspectOptions options_;
-  std::shared_ptr<const std::vector<NavArc>> arcs_;
-  std::map<std::string_view, std::vector<const NavArc*>, std::less<>> by_from_;
+  ArcChunks chunks_;
 };
 
 }  // namespace
@@ -160,11 +164,10 @@ xml::Element* render_navigation(xml::Element& parent,
 
 namespace {
 
-std::shared_ptr<aop::Aspect> build_aspect(
-    std::shared_ptr<const std::vector<NavArc>> arcs,
-    const NavigationAspectOptions& o) {
+std::shared_ptr<aop::Aspect> build_aspect(ArcChunks chunks,
+                                          const NavigationAspectOptions& o) {
   auto aspect = std::make_shared<aop::Aspect>("navigation", o.precedence);
-  NavigationInjector injector(std::move(arcs), o);
+  NavigationInjector injector(std::move(chunks), o);
   aspect->after("compose(*) || buildIndex(*)", std::move(injector),
                 "inject navigation anchors for the active access structure");
   return aspect;
@@ -172,8 +175,7 @@ std::shared_ptr<aop::Aspect> build_aspect(
 
 std::shared_ptr<aop::Aspect> build_aspect(std::vector<NavArc> arcs,
                                           const NavigationAspectOptions& o) {
-  return build_aspect(
-      std::make_shared<const std::vector<NavArc>>(std::move(arcs)), o);
+  return build_aspect({make_arc_chunk("", std::move(arcs))}, o);
 }
 
 }  // namespace
@@ -190,9 +192,8 @@ std::shared_ptr<aop::Aspect> NavigationAspect::from_arcs(
 }
 
 std::shared_ptr<aop::Aspect> NavigationAspect::from_contextual_arcs(
-    std::shared_ptr<const std::vector<NavArc>> arcs,
-    const NavigationAspectOptions& options) {
-  return build_aspect(std::move(arcs), options);
+    ArcChunks chunks, const NavigationAspectOptions& options) {
+  return build_aspect(std::move(chunks), options);
 }
 
 std::shared_ptr<aop::Aspect> NavigationAspect::from_linkbase(

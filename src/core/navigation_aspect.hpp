@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "aop/aspect.hpp"
+#include "core/arc_chunk.hpp"
 #include "hypermedia/access.hpp"
 #include "xlink/traversal.hpp"
 #include "xml/dom.hpp"
@@ -85,9 +86,6 @@ struct NavigationAspectOptions {
 /// Default id → href mapping (shared with the renderers).
 [[nodiscard]] std::string default_href_for(std::string_view id);
 
-// Forward declaration (defined below) — render_navigation consumes it.
-struct NavArc;
-
 /// Render the navigation container for one page into `parent` from the
 /// arcs leaving it (`arcs`, in combined linkbase order), honoring the
 /// same context/role partition rules the NavigationAspect weaves with.
@@ -104,22 +102,8 @@ xml::Element* render_navigation(xml::Element& parent,
                                 const std::vector<const NavArc*>& arcs,
                                 const NavigationAspectOptions& options);
 
-/// One navigation arc as the aspect consumes it.
-struct NavArc {
-  std::string from;
-  std::string to;
-  std::string role;     // hypermedia::roles::*
-  std::string title;
-  std::string context;  // qualified context this arc belongs to ("" = any)
-  // Provenance: which authored linkbase this arc came from, and where in
-  // it: the 0-based position among that linkbase's nav arcs leaving
-  // `from` ("" / 0 for arcs built directly from access structures).
-  std::string source;
-  std::size_t ordinal = 0;
-};
-
 /// Builds the aspect. The returned Aspect is self-contained: it shares
-/// ownership of its arc vector and indexes it by pointer.
+/// ownership of its arc chunks and reads their page indexes.
 class NavigationAspect {
  public:
   /// From materialized access-structure arcs (no context restriction).
@@ -127,13 +111,12 @@ class NavigationAspect {
       const std::vector<hypermedia::AccessArc>& arcs,
       const NavigationAspectOptions& options = {});
 
-  /// From per-context arc sets: each entry tags its arcs with the
-  /// qualified context name, making next/prev context-dependent. The
-  /// aspect holds `arcs` (the engine shares the vector its snapshots
-  /// publish) instead of copying it.
+  /// From linkbase chunks in weave order, whose arcs keep their context
+  /// tags, making next/prev context-dependent. The aspect holds the
+  /// chunks (the engine shares the ones its snapshots publish) instead of
+  /// copying them.
   [[nodiscard]] static std::shared_ptr<aop::Aspect> from_contextual_arcs(
-      std::shared_ptr<const std::vector<NavArc>> arcs,
-      const NavigationAspectOptions& options = {});
+      ArcChunks chunks, const NavigationAspectOptions& options = {});
 
   /// From a parsed linkbase (the separated pipeline's path): nav: arcs are
   /// lifted back into access arcs first.
@@ -171,9 +154,10 @@ struct SourcedGraph {
 /// page re-weaves only when its arc slice changes, so an edit elsewhere
 /// in the linkbase must not shift the ordinals its stored provenance
 /// names — (source, page, ordinal) keeps naming one authored arc.
-/// Feeding the result to NavigationAspect::from_contextual_arcs weaves
-/// exactly what NavigationAspect::combined would, but with provenance
-/// attached.
+/// The engine makes one chunk per linkbase of it (make_arc_chunk);
+/// weaving those chunks through NavigationAspect::from_contextual_arcs
+/// gives exactly what NavigationAspect::combined would, but with
+/// provenance attached.
 [[nodiscard]] std::vector<NavArc> combined_nav_arcs(
     const std::vector<SourcedGraph>& graphs);
 

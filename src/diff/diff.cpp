@@ -281,18 +281,20 @@ std::string unified(std::string_view a, std::string_view b,
       ++i;
       continue;
     }
-    // Hunk: back up `context`, run forward until `context` equals separate
-    // us from the next change.
+    // Hunk: back up `context`, run forward until more than 2 × `context`
+    // equals separate us from the next change, then keep `context` of
+    // the equals that end the hunk.
     std::size_t start = i >= context ? i - context : 0;
     while (start > 0 && flat[start - 1].tag != ' ') --start;
     std::size_t end = i;
-    std::size_t equal_run = 0;
+    std::size_t equal_run = 0;  // equals at the end of [i, end)
     while (end < flat.size()) {
-      if (flat[end].tag == ' ') {
-        ++equal_run;
-        if (equal_run > context * 2) break;
-      } else {
+      if (flat[end].tag != ' ') {
         equal_run = 0;
+      } else if (equal_run == context * 2) {
+        break;
+      } else {
+        ++equal_run;
       }
       ++end;
     }

@@ -5,26 +5,6 @@
 
 namespace navsep::nav {
 
-std::uint64_t hash_bytes(std::string_view bytes) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
-std::uint64_t hash_combine(std::uint64_t seed, std::uint64_t value) noexcept {
-  // Mix the value through FNV over its bytes so combine(0, x) != x and
-  // order matters.
-  std::uint64_t h = seed ^ 0x9e3779b97f4a7c15ull;
-  for (int i = 0; i < 8; ++i) {
-    h ^= (value >> (i * 8)) & 0xffull;
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 namespace {
 
 void refuse_mid_run(bool running, std::string_view call,

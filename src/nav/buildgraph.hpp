@@ -40,7 +40,7 @@ enum class ProductKind {
   Route,      // one registered route program (name + canonical expression)
   Landmark,   // one landmark synthesis program (name + options + traffic)
   Linkbase,   // one authored linkbase document (links*.xml)
-  ArcTable,   // the merged traversal graph + combined arc set + woven pages
+  ArcTable,   // the merged traversal graph + the arc chunks + woven pages
 };
 
 /// What one run() did — the observable cost of a mutation. The paper's
@@ -73,14 +73,6 @@ struct RebuildReport {
                      static_cast<double>(pages_total);
   }
 };
-
-/// FNV-1a 64-bit — the graph's content hash. Deterministic across runs
-/// and platforms, which keeps incremental-vs-full comparisons exact.
-[[nodiscard]] std::uint64_t hash_bytes(std::string_view bytes) noexcept;
-
-/// Order-sensitive combination (h(a)+h(b) must differ from h(b)+h(a)).
-[[nodiscard]] std::uint64_t hash_combine(std::uint64_t seed,
-                                         std::uint64_t value) noexcept;
 
 class BuildGraph {
  public:

@@ -4,7 +4,8 @@
 #include <cstring>
 #include <map>
 
-#include "nav/buildgraph.hpp"
+#include "common/hash.hpp"
+#include "core/navigation_aspect.hpp"
 
 namespace navsep::nav {
 
@@ -46,14 +47,15 @@ bool is_landmark_family(std::string_view name) noexcept {
 }
 
 std::vector<LandmarkScore> score_landmarks(
-    const obs::TraceAggregate& traffic,
-    const std::vector<core::NavArc>& arcs, const LandmarkOptions& options,
-    std::string_view profile) {
+    const obs::TraceAggregate& traffic, const core::ArcChunks& chunks,
+    const LandmarkOptions& options, std::string_view profile) {
   // Universe: every node the authored arcs name, with its degree.
   std::map<std::string, std::size_t> degree;
-  for (const core::NavArc& arc : arcs) {
-    ++degree[arc.from];
-    ++degree[arc.to];
+  for (const std::shared_ptr<const core::ArcChunk>& chunk : chunks) {
+    for (const core::NavArc& arc : chunk->arcs) {
+      ++degree[arc.from];
+      ++degree[arc.to];
+    }
   }
 
   const std::map<std::string, std::uint64_t> views = views_table(traffic, profile);
@@ -112,8 +114,7 @@ std::uint64_t landmark_token(std::string_view name,
                              const LandmarkOptions& options,
                              const obs::TraceAggregate& traffic,
                              std::string_view profile) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  h = mix_str(h, name);
+  std::uint64_t h = mix_str(kFnvOffsetBasis, name);
   h = mix_str(h, profile);
   h = hash_combine(h, options.top_k);
   h = mix_double(h, options.popularity_weight);

@@ -21,7 +21,7 @@
 #include <string_view>
 #include <vector>
 
-#include "core/navigation_aspect.hpp"
+#include "core/arc_chunk.hpp"
 #include "hypermedia/context.hpp"
 #include "obs/trace.hpp"
 
@@ -62,15 +62,15 @@ struct LandmarkScore {
   double score = 0.0;        ///< popularity/centrality blend, in [0, 2]
 };
 
-/// Rank every node the arc set names and return the top_k, hottest
-/// first (ties broken by node id — fully deterministic). An empty
+/// Rank every node the arcs of `chunks` name and return the top_k,
+/// hottest first (ties broken by node id — fully deterministic). The
+/// engine passes its authored structure and family chunks. An empty
 /// `profile` scores against the global page_views table; a named
 /// profile scores against its profile_page_views slice, falling back to
 /// the global table when that profile recorded nothing.
 [[nodiscard]] std::vector<LandmarkScore> score_landmarks(
-    const obs::TraceAggregate& traffic,
-    const std::vector<core::NavArc>& arcs, const LandmarkOptions& options,
-    std::string_view profile = {});
+    const obs::TraceAggregate& traffic, const core::ArcChunks& chunks,
+    const LandmarkOptions& options, std::string_view profile = {});
 
 /// Express ranked picks as a servable context family: one
 /// `<name>:landmark` guided-tour context over the picked node ids in

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "core/linkbase.hpp"
 #include "core/renderer.hpp"
 #include "repl/publisher.hpp"
@@ -242,7 +243,7 @@ void Engine::publish_snapshot() {
   obs::ScopedSpan span(telemetry_ != nullptr ? &telemetry_->spans() : nullptr,
                        "build.publish", snapshots_.epoch() + 1);
   serve::SnapshotOverlayInputs overlays;
-  overlays.arcs = combined_arcs_;
+  overlays.arcs = arc_chunks_;
   overlays.structure_source = std::string(kStructureLinkbasePath);
   // Every non-structure record rides as an ordinary family (path-
   // addressable, slice-hashed): context families, AOT routes and
@@ -255,7 +256,6 @@ void Engine::publish_snapshot() {
         serve::SnapshotOverlayInputs::Family{record.name, record.path});
   }
   overlays.profiles = profiles_;
-  overlays.slice_hashes = overlay_slice_hashes_;
   refresh_route_table();
   overlays.routes = route_table_;
   snapshots_.publish(std::make_shared<serve::SiteSnapshot>(
@@ -362,13 +362,6 @@ RebuildReport Engine::edit_context_family(
 
 // --- Engine: linkbase records -------------------------------------------------
 
-std::span<const core::NavArc> Engine::record_arcs(
-    const LinkbaseRecord& record) const {
-  const DerivedArcs& derived = record.derived;
-  if (!derived.arcs.empty() || derived.hashes.empty()) return derived.arcs;
-  return {combined_arcs_->data() + derived.offset, derived.hashes.size()};
-}
-
 const Engine::LinkbaseRecord* Engine::find_linkbase(std::string_view name,
                                                     LinkbaseKind kind) const {
   for (const LinkbaseRecord& record : linkbases_) {
@@ -444,7 +437,7 @@ bool Engine::sync_linkbases() {
       }
     }
     linkbases_.push_back(LinkbaseRecord{
-        name, site::context_linkbase_path(name), kind, nullptr, {}, {}});
+        name, site::context_linkbase_path(name), kind, nullptr, {}, nullptr});
   };
   for (const RouteProgram& program : route_programs_) {
     if (program.compile == RouteCompile::Aot) {
@@ -588,25 +581,15 @@ std::uint64_t Engine::install_linkbase(const std::string& path) {
   // commit with no-throw moves: a throw before the commit leaves the
   // record and the site text as they were (and this node dirty).
   xlink::TraversalGraph graph = core::load_linkbase(*doc);
-  DerivedArcs derived;
-  derived.arcs = core::combined_nav_arcs({{path, &graph}});
-  derived.hashes.reserve(derived.arcs.size());
-  for (const core::NavArc& arc : derived.arcs) {
-    // One hash per arc feeds both the arc table and the overlay slice
-    // (serve::combine_arc_slice's fold, without hashing the arc twice).
-    const std::uint64_t content = serve::arc_hash(arc);
-    derived.hashes.push_back(content);
-    auto [slice, first] = derived.overlay_slices.emplace(
-        core::default_href_for(arc.from), serve::kEmptySliceHash);
-    slice->second = hash_combine(slice->second, content);
-  }
+  std::shared_ptr<const core::ArcChunk> chunk =
+      core::make_arc_chunk(path, core::combined_nav_arcs({{path, &graph}}));
   site_.put(path, std::move(text));
   // The old document must die only after graph_ stops pointing into it:
   // the changed hash propagates into this run's arc-table rebuild, and
   // nothing dereferences graph_ before that.
   record->doc = std::move(doc);
   record->graph = std::move(graph);
-  record->derived = std::move(derived);
+  record->chunk = std::move(chunk);
   return hash;
 }
 
@@ -683,22 +666,21 @@ std::size_t Engine::route_index(std::string_view name) const {
   return kNoRoute;
 }
 
-std::vector<core::NavArc> Engine::route_input_arcs() const {
+core::ArcChunks Engine::authored_chunks() const {
   // Route expressions range over the *authored* navigation — structure
   // plus context families — never over other routes: expansion is a
   // function of the authored site, not a fixpoint. The lazy path
-  // mirrors this by excluding every route and landmark source from its
-  // input. The structure and family records lead linkbases_.
-  std::vector<core::NavArc> arcs;
+  // mirrors this by passing its structure and context-family chunks
+  // only. The structure and family records lead linkbases_.
+  core::ArcChunks chunks;
   for (const LinkbaseRecord& record : linkbases_) {
     if (record.kind != LinkbaseKind::Structure &&
         record.kind != LinkbaseKind::Family) {
       break;
     }
-    const std::span<const core::NavArc> own = record_arcs(record);
-    arcs.insert(arcs.end(), own.begin(), own.end());
+    if (record.chunk != nullptr) chunks.push_back(record.chunk);
   }
-  return arcs;
+  return chunks;
 }
 
 hypermedia::ContextFamily Engine::route_family(std::string_view name) const {
@@ -709,7 +691,7 @@ hypermedia::ContextFamily Engine::route_family(std::string_view name) const {
   }
   return route_context_family(route_programs_[index].name,
                               parse_route(route_programs_[index].expression),
-                              route_input_arcs());
+                              authored_chunks());
 }
 
 void Engine::refresh_route_table() {
@@ -788,7 +770,7 @@ hypermedia::ContextFamily Engine::landmark_family(
                           std::string(name) + "'");
   }
   return landmark_context_family(
-      name, score_landmarks(landmark_traffic_, route_input_arcs(),
+      name, score_landmarks(landmark_traffic_, authored_chunks(),
                             *landmark_options_, landmark_profile(name)));
 }
 
@@ -798,7 +780,7 @@ std::vector<LandmarkScore> Engine::landmark_picks(
     throw ResolutionError("Engine::landmark_picks: unknown landmark '" +
                           std::string(name) + "'");
   }
-  return score_landmarks(landmark_traffic_, route_input_arcs(),
+  return score_landmarks(landmark_traffic_, authored_chunks(),
                          *landmark_options_, landmark_profile(name));
 }
 
@@ -1032,63 +1014,36 @@ std::uint64_t Engine::rebuild_arc_table() {
   }
   graph_ = std::move(merged);
 
-  // Assemble the combined arc set with provenance, in merge order, from
-  // what each record derived when its text last changed. Route and
-  // landmark arcs join after the families; they are context-tagged
-  // ('<name>:route', '<name>:landmark'), so like tour arcs they land in
-  // overlay slices, never in stored pages.
-  //
-  // Alongside: per-page slice hashes over the arcs a *stored* page can
-  // actually weave — the context-free ones leaving it (contextual tour
+  // The arc set is the records' chunks in merge order, shared, never
+  // copied. Route and landmark chunks join after the families; their
+  // arcs are context-tagged ('<name>:route', '<name>:landmark'), so like
+  // tour arcs they land in overlay slices, never in stored pages. A
+  // stored page weaves the context-free arcs leaving it (contextual tour
   // arcs are only woven into on-demand compositions carrying their
-  // context tag) — and the per-(linkbase, page) overlay slice hashes
-  // over ALL arcs, tour arcs included, since overlays render them: the
-  // serve-side overlay validity tokens.
-  std::size_t total = 0;
-  for (const LinkbaseRecord& record : linkbases_) {
-    total += record.derived.hashes.size();
-  }
-  auto arcs = std::make_shared<std::vector<core::NavArc>>();
-  arcs->reserve(total);
-  auto overlay_hashes = std::make_shared<serve::SourceSliceHashes>();
+  // context tag), so its slice hash folds those alone. The table is a
+  // function of the records' texts, so their hashes make its hash.
+  core::ArcChunks chunks;
+  chunks.reserve(linkbases_.size());
   std::map<std::string_view, std::uint64_t> slices;  // page id -> hash
   std::uint64_t table_hash = 0xa5a5a5a5a5a5a5a5ull;
   for (const LinkbaseRecord& record : linkbases_) {
-    const std::span<const core::NavArc> own = record_arcs(record);
-    const std::vector<std::uint64_t>& hashes = record.derived.hashes;
-    const std::size_t first = arcs->size();
-    arcs->insert(arcs->end(), own.begin(), own.end());
-    if (!record.derived.overlay_slices.empty()) {
-      overlay_hashes->emplace(record.path, record.derived.overlay_slices);
-    }
-    for (std::size_t i = 0; i < own.size(); ++i) {
-      table_hash = hash_combine(table_hash, hashes[i]);
-      // Keyed by a view into the new combined set, which outlives
-      // `slices` (reserved above, so it never reallocates).
-      const core::NavArc& arc = (*arcs)[first + i];
-      if (arc.context.empty()) {
-        auto [it, inserted] = slices.emplace(arc.from, 0xbeefull);
-        it->second = hash_combine(it->second, hashes[i]);
-      }
+    table_hash = hash_combine(
+        table_hash, build_graph_.hash_of(linkbase_node(record.path)));
+    if (record.chunk == nullptr) continue;
+    chunks.push_back(record.chunk);
+    for (const core::NavArc& arc : record.chunk->arcs) {
+      if (!arc.context.empty()) continue;
+      auto [it, inserted] = slices.emplace(arc.from, 0xbeefull);
+      it->second = hash_combine(it->second, core::arc_hash(arc));
     }
   }
-  // Commit (no-throw): every record's arcs now live only in the combined
-  // set, which is shared and never mutated — the next rebuild swaps in a
-  // fresh vector.
-  std::size_t offset = 0;
-  for (LinkbaseRecord& record : linkbases_) {
-    record.derived.offset = offset;
-    offset += record.derived.hashes.size();
-    std::vector<core::NavArc>().swap(record.derived.arcs);
-  }
-  combined_arcs_ = std::move(arcs);
-  overlay_slice_hashes_ = std::move(overlay_hashes);
+  arc_chunks_ = std::move(chunks);
 
-  // Hand the combined set to the weaver as the (sole) navigation aspect.
+  // Hand the chunks to the weaver as the (sole) navigation aspect.
   core::NavigationAspectOptions aspect_options;
   aspect_options.provenance_log = &weave_provenance_;
   weaver_.replace_aspect(core::NavigationAspect::from_contextual_arcs(
-      combined_arcs_, aspect_options));
+      arc_chunks_, aspect_options));
 
   // Re-weave, in page-id order, exactly the pages whose slice moved since
   // their stored bytes were woven (a page no arc leaves has slice 0). A
@@ -1287,11 +1242,11 @@ std::unique_ptr<Engine> SitePipeline::serve(std::string_view base) {
   site::author_fixed_artifacts(engine->site_, *engine->world_);
   engine->linkbases_.push_back(Engine::LinkbaseRecord{
       "", std::string(kStructureLinkbasePath), Engine::LinkbaseKind::Structure,
-      nullptr, {}, {}});
+      nullptr, {}, nullptr});
   for (const auto& family : engine->families_) {
     engine->linkbases_.push_back(Engine::LinkbaseRecord{
         family.name(), site::context_linkbase_path(family.name()),
-        Engine::LinkbaseKind::Family, nullptr, {}, {}});
+        Engine::LinkbaseKind::Family, nullptr, {}, nullptr});
   }
 
   // Capture Menu sub specs so sub-level mutations can regenerate the

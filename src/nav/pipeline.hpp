@@ -24,7 +24,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -460,10 +459,10 @@ class Engine final {
   void wire_graph();
   [[nodiscard]] std::uint64_t rebuild_spec();
 
-  /// The arc-table node's rebuild: merge the records' arcs, hand them to
-  /// the weaver, then re-weave, in page-id order, exactly the pages whose
-  /// context-free slice hash differs from the one in woven_at_. Returns
-  /// the table hash.
+  /// The arc-table node's rebuild: merge the records' graphs, hand their
+  /// chunks to the weaver, then re-weave, in page-id order, exactly the
+  /// pages whose context-free slice hash differs from the one in
+  /// woven_at_. Returns the table hash.
   [[nodiscard]] std::uint64_t rebuild_arc_table();
 
   /// Bring woven_at_ in step with desired_page_ids(): new pages enter
@@ -528,17 +527,6 @@ class Engine final {
   /// family, a route expansion or the landmark picks.
   enum class LinkbaseKind { Structure, Family, Route, Landmark };
 
-  /// What the arc table derives from one linkbase record's graph. The
-  /// record's NavArcs are kept once: in `arcs` from the reload that
-  /// derived them until the next arc-table rebuild, then only inside
-  /// combined_arcs_, at `offset` (see record_arcs()).
-  struct DerivedArcs {
-    std::vector<core::NavArc> arcs;         // graph order, source == path
-    std::size_t offset = 0;                 // in combined_arcs_ once there
-    std::vector<std::uint64_t> hashes;      // one content hash per arc
-    serve::PageSliceHashes overlay_slices;  // page -> overlay slice hash
-  };
-
   /// One linkbase the engine authors (DESIGN.md, "Generated linkbases").
   /// Every kind shares one author-and-install step and one graph sync;
   /// only how the document is produced differs.
@@ -548,19 +536,16 @@ class Engine final {
     LinkbaseKind kind = LinkbaseKind::Structure;
     std::unique_ptr<xml::Document> doc;  // null until first authored
     xlink::TraversalGraph graph;         // points into doc
-    DerivedArcs derived;  // from graph; recomputed only when it reloads
+    /// The arcs of `graph`; null until first authored, replaced only
+    /// when the text changes, shared by the arc table and snapshots.
+    std::shared_ptr<const core::ArcChunk> chunk;
   };
 
   /// Author linkbase `path`'s document, serialize and hash it, and only
-  /// when the text changed reload the record's graph, re-derive its arcs
-  /// and hashes, and install the text — the one author-and-install step
-  /// every record kind shares. The Linkbase build-graph node's rebuild.
+  /// when the text changed reload the record's graph, build its chunk and
+  /// install the text — the one author-and-install step every record
+  /// kind shares. The Linkbase build-graph node's rebuild.
   [[nodiscard]] std::uint64_t install_linkbase(const std::string& path);
-
-  /// `record`'s NavArcs: its freshly derived ones, or its range of
-  /// combined_arcs_ once an arc-table rebuild has taken them.
-  [[nodiscard]] std::span<const core::NavArc> record_arcs(
-      const LinkbaseRecord& record) const;
 
   /// The record named `name` of kind `kind`, or null.
   [[nodiscard]] const LinkbaseRecord* find_linkbase(std::string_view name,
@@ -590,11 +575,10 @@ class Engine final {
   /// Index into route_programs_, npos when unknown.
   [[nodiscard]] std::size_t route_index(std::string_view name) const;
 
-  /// The combined authored arc set route expansion and landmark scoring
-  /// evaluate over (the structure and family records' arcs, weave
-  /// order) — the engine-side twin of the snapshot's overlay arcs minus
-  /// route and landmark sources.
-  [[nodiscard]] std::vector<core::NavArc> route_input_arcs() const;
+  /// The chunks route expansion and landmark scoring evaluate over: the
+  /// structure and family records' (weave order), never a generated
+  /// linkbase's.
+  [[nodiscard]] core::ArcChunks authored_chunks() const;
 
   /// Refresh route_table_ from route_programs_ + the model's titles,
   /// preserving pointer identity when nothing changed.
@@ -650,18 +634,11 @@ class Engine final {
 
   xlink::TraversalGraph graph_;
 
-  /// The combined arc set (every linkbase record, merge order, with
-  /// per-linkbase provenance) as last assembled by the arc-table
-  /// rebuild — shared by the navigation aspect, which indexes it by
-  /// pointer, and by every published snapshot, which slices it per
-  /// (linkbase, page) for profile overlays.
-  std::shared_ptr<const std::vector<core::NavArc>> combined_arcs_;
-
-  /// Per-(linkbase, page) slice content hashes over combined_arcs_,
-  /// computed by the same arc-table rebuild — the slice-precise validity
-  /// tokens of the serve-side overlay cache (serve::OverlayValidity),
-  /// shared into every published snapshot alongside the arcs.
-  std::shared_ptr<const serve::SourceSliceHashes> overlay_slice_hashes_;
+  /// The arc set: every record's chunk, in merge order, as of the last
+  /// arc-table rebuild — shared by the navigation aspect and every
+  /// published snapshot, which read the chunks' page indexes and slice
+  /// hashes.
+  core::ArcChunks arc_chunks_;
 
   /// Registered serving profiles (see register_profile()).
   std::vector<Profile> profiles_;

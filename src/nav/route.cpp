@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/hash.hpp"
 
 namespace navsep::nav {
 
@@ -327,22 +328,17 @@ std::string print_route(const RouteExpr& expr) {
   return out;
 }
 
-std::vector<std::string> expand_route(
-    const RouteExpr& expr, const std::vector<core::NavArc>& arcs,
-    const std::vector<std::string>& exclude_sources) {
-  auto excluded = [&](const std::string& source) {
-    return std::find(exclude_sources.begin(), exclude_sources.end(),
-                     source) != exclude_sources.end();
-  };
-
-  // Universe: every id the included arcs name, sorted (string_view keys
-  // stay valid because `nodes` is never resized after this block).
+std::vector<std::string> expand_route(const RouteExpr& expr,
+                                      const core::ArcChunks& chunks) {
+  // Universe: every id the arcs name, sorted (string_view keys stay
+  // valid because `nodes` is never resized after this block).
   std::vector<std::string> nodes;
   std::unordered_map<std::string_view, std::size_t> index;
-  for (const core::NavArc& arc : arcs) {
-    if (excluded(arc.source)) continue;
-    nodes.push_back(arc.from);
-    nodes.push_back(arc.to);
+  for (const std::shared_ptr<const core::ArcChunk>& chunk : chunks) {
+    for (const core::NavArc& arc : chunk->arcs) {
+      nodes.push_back(arc.from);
+      nodes.push_back(arc.to);
+    }
   }
   std::sort(nodes.begin(), nodes.end());
   nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
@@ -354,9 +350,10 @@ std::vector<std::string> expand_route(
     const core::NavArc* arc = nullptr;
   };
   std::vector<std::vector<Edge>> adjacency(nodes.size());
-  for (const core::NavArc& arc : arcs) {
-    if (excluded(arc.source)) continue;
-    adjacency[index.at(arc.from)].push_back({index.at(arc.to), &arc});
+  for (const std::shared_ptr<const core::ArcChunk>& chunk : chunks) {
+    for (const core::NavArc& arc : chunk->arcs) {
+      adjacency[index.at(arc.from)].push_back({index.at(arc.to), &arc});
+    }
   }
 
   Nfa nfa;
@@ -407,28 +404,21 @@ std::vector<std::string> expand_route(
 
 hypermedia::ContextFamily route_context_family(
     std::string_view name, const RouteExpr& expr,
-    const std::vector<core::NavArc>& arcs,
-    const std::vector<std::string>& exclude_sources) {
-  std::vector<std::string> ids = expand_route(expr, arcs, exclude_sources);
+    const core::ArcChunks& chunks) {
+  std::vector<std::string> ids = expand_route(expr, chunks);
   std::vector<hypermedia::NavigationalContext> contexts;
   contexts.emplace_back(std::string(name), "route", std::move(ids));
   return hypermedia::ContextFamily(std::string(name), std::move(contexts));
 }
 
 std::uint64_t route_token(const RouteProgram& program) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  auto mix = [&](std::string_view text) {
-    for (unsigned char c : text) {
-      h ^= c;
-      h *= 0x100000001b3ull;
-    }
-    h ^= 0xffu;  // field separator
-    h *= 0x100000001b3ull;
+  // One FNV-1a stream over the fields, each followed by a 0xff separator.
+  const auto field = [](std::uint64_t h, std::string_view text) {
+    return hash_bytes("\xff", hash_bytes(text, h));
   };
-  mix(program.name);
-  mix(print_route(parse_route(program.expression)));
-  mix(program.compile == RouteCompile::Aot ? "aot" : "lazy");
-  return h;
+  std::uint64_t h = field(kFnvOffsetBasis, program.name);
+  h = field(h, print_route(parse_route(program.expression)));
+  return field(h, program.compile == RouteCompile::Aot ? "aot" : "lazy");
 }
 
 }  // namespace navsep::nav

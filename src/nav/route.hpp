@@ -12,8 +12,8 @@
 //          | '@' IDENT               context family ("@ByAuthor")
 //          | '(' expr ')'
 //
-// — parsed into a small AST and *expanded* against the engine's combined
-// arc table: the result of a route program is the set of node ids
+// — parsed into a small AST and *expanded* against the engine's authored
+// arc chunks: the result of a route program is the set of node ids
 // reachable from any node via a path whose arc-label sequence matches the
 // expression ("all paintings reachable via @ByAuthor then @ByPeriod").
 // That set becomes an ordinary guided-tour context, so a route program
@@ -41,7 +41,7 @@
 #include <string_view>
 #include <vector>
 
-#include "core/navigation_aspect.hpp"
+#include "core/arc_chunk.hpp"
 #include "hypermedia/context.hpp"
 
 namespace navsep::nav {
@@ -87,15 +87,13 @@ struct RouteExpr {
 /// '|'. Fixpoint: `parse_route(print_route(e))` re-prints identically.
 [[nodiscard]] std::string print_route(const RouteExpr& expr);
 
-/// Expand a route expression against an arc table: the sorted, duplicate-
-/// free set of node ids reachable from any node via a matching path. A
-/// nullable expression (empty path matches) therefore yields every node
-/// named by the arcs. Arcs whose source is listed in `exclude_sources`
-/// are ignored — the engine passes its route linkbase paths so routes
-/// never observe other routes' output.
+/// Expand a route expression against the arcs of `chunks`: the sorted,
+/// duplicate-free set of node ids reachable from any node via a matching
+/// path. A nullable expression (empty path matches) therefore yields
+/// every node named by the arcs. Callers pass the authored structure and
+/// family chunks only, so routes never observe generated navigation.
 [[nodiscard]] std::vector<std::string> expand_route(
-    const RouteExpr& expr, const std::vector<core::NavArc>& arcs,
-    const std::vector<std::string>& exclude_sources = {});
+    const RouteExpr& expr, const core::ArcChunks& chunks);
 
 /// Wrap an expansion as the single-context family the weave path
 /// consumes: family `name` with one context `name:route` holding the
@@ -103,8 +101,7 @@ struct RouteExpr {
 /// program downstream-indistinguishable from an authored context family.
 [[nodiscard]] hypermedia::ContextFamily route_context_family(
     std::string_view name, const RouteExpr& expr,
-    const std::vector<core::NavArc>& arcs,
-    const std::vector<std::string>& exclude_sources = {});
+    const core::ArcChunks& chunks);
 
 /// FNV-1a over the program's identity (name, canonical expression,
 /// compile mode) — the route build-graph node content and the wire-level

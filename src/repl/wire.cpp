@@ -1,13 +1,12 @@
 #include "repl/wire.hpp"
 
-#include <algorithm>
 #include <cstring>
 #include <functional>
-#include <map>
 #include <optional>
 #include <utility>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "diff/diff.hpp"
 
 namespace navsep::repl {
@@ -171,30 +170,28 @@ struct BucketItems {
 };
 
 /// Overlay-segment arcs: five strings and the ordinal (the source is
-/// the segment's). serve::arc_hash leaves the ordinal out; this does not.
+/// the segment's). core::arc_hash leaves the ordinal out; this does not.
 struct SegmentItems {
   static constexpr std::size_t kMinBytes = 24;
-  static void write(ByteWriter& w, const core::NavArc* arc) {
-    w.str(arc->from);
-    w.str(arc->to);
-    w.str(arc->role);
-    w.str(arc->title);
-    w.str(arc->context);
-    w.u32(static_cast<std::uint32_t>(arc->ordinal));
+  static void write(ByteWriter& w, const core::NavArc& arc) {
+    w.str(arc.from);
+    w.str(arc.to);
+    w.str(arc.role);
+    w.str(arc.title);
+    w.str(arc.context);
+    w.u32(static_cast<std::uint32_t>(arc.ordinal));
   }
-  static std::size_t size(const core::NavArc* arc) {
-    return kMinBytes + arc->from.size() + arc->to.size() + arc->role.size() +
-           arc->title.size() + arc->context.size();
+  static std::size_t size(const core::NavArc& arc) {
+    return kMinBytes + arc.from.size() + arc.to.size() + arc.role.size() +
+           arc.title.size() + arc.context.size();
   }
-  static bool same(const core::NavArc* a, const core::NavArc* b) {
-    return a->from == b->from && a->to == b->to && a->role == b->role &&
-           a->title == b->title && a->context == b->context &&
-           a->ordinal == b->ordinal;
+  static bool same(const core::NavArc& a, const core::NavArc& b) {
+    return a == b;
   }
-  static std::uint64_t hash(const core::NavArc* arc) {
-    return mix(mix(mix(mix(mix(arc->ordinal, arc->from), arc->to), arc->role),
-                   arc->title),
-               arc->context);
+  static std::uint64_t hash(const core::NavArc& arc) {
+    return mix(mix(mix(mix(mix(arc.ordinal, arc.from), arc.to), arc.role),
+                   arc.title),
+               arc.context);
   }
 };
 
@@ -241,11 +238,11 @@ std::size_t whole_size(const Seq& items) {
   return bytes;
 }
 
-void read_nav_arcs(ByteReader& r, std::string_view source,
-                   std::vector<core::NavArc>& out) {
-  const std::uint32_t n = r.count(SegmentItems::kMinBytes);
-  out.reserve(out.size() + n);
-  for (std::uint32_t i = 0; i < n; ++i) out.push_back(read_nav_arc(r, source));
+std::vector<core::NavArc> read_nav_arcs(ByteReader& r,
+                                        std::string_view source) {
+  std::vector<core::NavArc> arcs(r.count(SegmentItems::kMinBytes));
+  for (core::NavArc& arc : arcs) arc = read_nav_arc(r, source);
+  return arcs;
 }
 
 void write_profiles(ByteWriter& w, const std::vector<nav::Profile>& profiles) {
@@ -330,50 +327,6 @@ std::shared_ptr<const serve::RouteTable> read_route_table(ByteReader& r) {
     table->titles.emplace(std::move(id), std::string(r.str()));
   }
   return table;
-}
-
-/// The combined arc set partitioned by NavArc::source in first-
-/// appearance order — the delta's unit of change. Pointers into `arcs`.
-struct Segment {
-  std::string_view source;
-  std::vector<const core::NavArc*> arcs;
-};
-
-std::vector<Segment> segment_arcs(const std::vector<core::NavArc>& arcs) {
-  std::vector<Segment> segments;
-  for (const core::NavArc& arc : arcs) {
-    if (segments.empty() || segments.back().source != arc.source) {
-      auto it = std::find_if(
-          segments.begin(), segments.end(),
-          [&](const Segment& s) { return s.source == arc.source; });
-      if (it != segments.end()) {
-        it->arcs.push_back(&arc);
-        continue;
-      }
-      segments.push_back(Segment{arc.source, {}});
-    }
-    segments.back().arcs.push_back(&arc);
-  }
-  return segments;
-}
-
-/// The per-page slice-hash table of one source (null = no arcs, which
-/// slice_hash_for treats as all-empty slices).
-const serve::PageSliceHashes* hashes_for(const serve::SiteSnapshot& snapshot,
-                                         std::string_view source) {
-  auto it = snapshot.slice_hashes()->find(source);
-  return it == snapshot.slice_hashes()->end() ? nullptr : &it->second;
-}
-
-/// Hash-table equality = segment-content equality (the PR 5 convention:
-/// hash equality stands in for content equality, 2⁻⁶⁴ collision budget).
-bool segment_unchanged(const serve::SiteSnapshot& prev,
-                       const serve::SiteSnapshot& next,
-                       std::string_view source) {
-  const serve::PageSliceHashes* a = hashes_for(prev, source);
-  const serve::PageSliceHashes* b = hashes_for(next, source);
-  if (a == nullptr || b == nullptr) return a == nullptr && b == nullptr;
-  return *a == *b;
 }
 
 // --- DELTA records: whole, or an edit script ----------------------------------
@@ -569,11 +522,11 @@ std::shared_ptr<const std::string> read_artifact(ByteReader& r,
   return body;
 }
 
-/// A changed arc record — a traversal bucket or an overlay segment: a
-/// script over its arcs against `base` (the previous snapshot's record,
-/// null when it had none) when that is smaller, else whole. A segment is
-/// scripted as one arc sequence, so its authored order, pages
-/// interleaved, is rebuilt exactly.
+/// A changed arc record — a traversal bucket or an overlay segment (a
+/// chunk's arcs): a script over its arcs against `base` (the previous
+/// snapshot's record, null when it had none) when that is smaller, else
+/// whole. A segment is scripted as one arc sequence, so its authored
+/// order, pages interleaved, is rebuilt exactly.
 template <typename Items, typename Seq>
 void write_arc_record(ByteWriter& w, const Seq* base, const Seq& arcs) {
   if (base != nullptr) {
@@ -609,14 +562,16 @@ std::vector<serve::SnapshotArc> read_bucket(
   return arcs;
 }
 
-/// Append segment `source` to `out`: carried forward from `base`, decoded
-/// whole, or rebuilt by a script against `base`.
-void read_segment(ByteReader& r, const std::vector<const core::NavArc*>* base,
-                  const std::string& source, std::vector<core::NavArc>& out) {
+/// Segment `source`'s chunk: the previous snapshot's `base` itself when
+/// carried forward, else built from the arcs decoded whole or rebuilt by
+/// a script against `base`.
+std::shared_ptr<const core::ArcChunk> read_segment(
+    ByteReader& r, std::shared_ptr<const core::ArcChunk> base,
+    std::string source) {
   const Form form = read_form(r);
   if (form == Form::Whole) {
-    read_nav_arcs(r, source, out);
-    return;
+    std::vector<core::NavArc> arcs = read_nav_arcs(r, source);
+    return core::make_arc_chunk(std::move(source), std::move(arcs));
   }
   if (base == nullptr) {
     throw WireError(std::string("wire: delta ") +
@@ -624,27 +579,25 @@ void read_segment(ByteReader& r, const std::vector<const core::NavArc*>* base,
                     " segment '" + source +
                     "' the previous snapshot does not hold");
   }
-  const auto copy = [&](std::size_t at, std::size_t count) {
-    for (std::size_t i = at; i < at + count; ++i) out.push_back(*(*base)[i]);
-  };
-  out.reserve(out.size() + base->size());  // a script keeps most arcs
-  if (form == Form::Carry) {
-    copy(0, base->size());
-    return;
-  }
-  read_script(r, base->size(), SegmentItems::kMinBytes, copy,
-              [&] { out.push_back(read_nav_arc(r, source)); });
+  if (form == Form::Carry) return base;
+  std::vector<core::NavArc> arcs;
+  arcs.reserve(base->arcs.size());  // a script keeps most arcs
+  read_script(
+      r, base->arcs.size(), SegmentItems::kMinBytes,
+      [&](std::size_t at, std::size_t count) {
+        const auto first =
+            base->arcs.begin() + static_cast<std::ptrdiff_t>(at);
+        arcs.insert(arcs.end(), first,
+                    first + static_cast<std::ptrdiff_t>(count));
+      },
+      [&] { arcs.push_back(read_nav_arc(r, source)); });
+  return core::make_arc_chunk(std::move(source), std::move(arcs));
 }
 
 }  // namespace
 
 std::uint64_t wire_checksum(std::string_view bytes) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a 64
-  for (char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
+  return hash_bytes(bytes);
 }
 
 std::string encode_frame(FrameType type, std::string_view payload) {
@@ -711,11 +664,11 @@ std::string encode_full(const serve::SiteSnapshot& snapshot) {
 
   w.str(snapshot.structure_source());
   write_families(w, snapshot.overlay_families());
-  const std::vector<Segment> segments = segment_arcs(*snapshot.overlay_arcs());
-  w.u32(static_cast<std::uint32_t>(segments.size()));
-  for (const Segment& segment : segments) {
-    w.str(segment.source);
-    write_items<SegmentItems>(w, segment.arcs);
+  w.u32(static_cast<std::uint32_t>(snapshot.overlay_arcs().size()));
+  for (const std::shared_ptr<const core::ArcChunk>& chunk :
+       snapshot.overlay_arcs()) {
+    w.str(chunk->source);
+    write_items<SegmentItems>(w, chunk->arcs);
   }
   write_profiles(w, snapshot.profiles());
   write_route_table(w, snapshot.route_table().get());
@@ -744,15 +697,13 @@ std::shared_ptr<const serve::SiteSnapshot> decode_full(
 
   state.overlays.structure_source = std::string(r.str());
   state.overlays.families = read_families(r);
-  auto arcs = std::make_shared<std::vector<core::NavArc>>();
   const std::uint32_t n_segments = r.count();
   for (std::uint32_t i = 0; i < n_segments; ++i) {
     std::string source(r.str());
-    read_nav_arcs(r, source, *arcs);
+    std::vector<core::NavArc> arcs = read_nav_arcs(r, source);
+    state.overlays.arcs.push_back(
+        core::make_arc_chunk(std::move(source), std::move(arcs)));
   }
-  state.overlays.arcs = std::move(arcs);
-  // slice_hashes stay null: the snapshot derives them (the explicit
-  // derive-when-absent path — identical fold to the origin's).
   state.overlays.profiles = read_profiles(r);
   state.overlays.routes = read_route_table(r);
   require(r.exhausted(), "trailing bytes after FULL payload");
@@ -828,25 +779,21 @@ std::string encode_delta(const serve::SiteSnapshot& prev,
 
   w.str(next.structure_source());
   write_families(w, next.overlay_families());
-  // Segment selection is slice-hash-driven: a source whose per-page
-  // hash table is identical in both snapshots is carried forward by
-  // reference (one byte on the wire); only moved segments ship arcs.
-  const std::vector<Segment> segments = segment_arcs(*next.overlay_arcs());
-  std::optional<std::vector<Segment>> prev_segments;  // built on demand
-  w.u32(static_cast<std::uint32_t>(segments.size()));
-  for (const Segment& segment : segments) {
-    w.str(segment.source);
-    if (segment_unchanged(prev, next, segment.source)) {
+  // One segment per chunk. A chunk the previous snapshot holds — the
+  // same one, or one equal arc by arc — is carried forward by reference
+  // (one byte on the wire); only a changed chunk ships arcs.
+  w.u32(static_cast<std::uint32_t>(next.overlay_arcs().size()));
+  for (const std::shared_ptr<const core::ArcChunk>& chunk :
+       next.overlay_arcs()) {
+    w.str(chunk->source);
+    const std::shared_ptr<const core::ArcChunk> base =
+        core::find_chunk(prev.overlay_arcs(), chunk->source);
+    if (base != nullptr && (base == chunk || base->arcs == chunk->arcs)) {
       w.u8(static_cast<std::uint8_t>(Form::Carry));
       continue;
     }
-    if (!prev_segments) prev_segments = segment_arcs(*prev.overlay_arcs());
-    auto base = std::find_if(
-        prev_segments->begin(), prev_segments->end(),
-        [&](const Segment& s) { return s.source == segment.source; });
-    write_arc_record<SegmentItems>(
-        w, base == prev_segments->end() ? nullptr : &base->arcs,
-        segment.arcs);
+    write_arc_record<SegmentItems>(w, base == nullptr ? nullptr : &base->arcs,
+                                   chunk->arcs);
   }
   write_profiles(w, next.profiles());
 
@@ -922,22 +869,16 @@ std::shared_ptr<const serve::SiteSnapshot> apply_delta(
 
   state.overlays.structure_source = std::string(r.str());
   state.overlays.families = read_families(r);
-  // Reassemble the combined arc set segment by segment, each carried,
-  // decoded or scripted against the previous snapshot's arcs of its
-  // source (order preserved).
-  std::map<std::string_view, std::vector<const core::NavArc*>> prev_by_source;
-  for (const core::NavArc& arc : *prev.overlay_arcs()) {
-    prev_by_source[arc.source].push_back(&arc);
-  }
-  auto arcs = std::make_shared<std::vector<core::NavArc>>();
+  // One chunk per segment: the previous snapshot's chunk shared when
+  // carried, else built from the decoded or scripted arcs.
   const std::uint32_t n_segments = r.count();
   for (std::uint32_t i = 0; i < n_segments; ++i) {
-    const std::string source(r.str());
-    auto it = prev_by_source.find(source);
-    read_segment(r, it == prev_by_source.end() ? nullptr : &it->second,
-                 source, *arcs);
+    std::string source(r.str());
+    std::shared_ptr<const core::ArcChunk> base =
+        core::find_chunk(prev.overlay_arcs(), source);
+    state.overlays.arcs.push_back(
+        read_segment(r, std::move(base), std::move(source)));
   }
-  state.overlays.arcs = std::move(arcs);
   state.overlays.profiles = read_profiles(r);
   if (r.u8() == 0) {
     state.overlays.routes = prev.route_table();  // carried forward

@@ -9,16 +9,17 @@
 //
 //   FULL   — the complete snapshot state (artifact bytes, traversal
 //            arc buckets, overlay inputs: structure source, family
-//            table, combined arc segments per linkbase source, profile
-//            table, route table). Sent on subscribe (mid-stream
-//            connect) and on resync when a replica's last-acknowledged
-//            epoch lags too far.
+//            table, one arc segment per linkbase chunk, profile table,
+//            route table). Sent on subscribe (mid-stream connect) and on
+//            resync when a replica's last-acknowledged epoch lags too
+//            far.
 //   DELTA  — only what moved between two epochs: artifacts whose bytes
 //            changed (or vanished), traversal buckets whose arcs
-//            changed, and per-linkbase arc segments whose
-//            per-(page, family) slice hashes changed. Unchanged
-//            segments are carried forward from the replica's previous
-//            snapshot by a one-byte reference. Since v4 a changed
+//            changed, and arc segments whose chunk changed. A chunk the
+//            previous snapshot holds — the same one, or one equal arc
+//            by arc, ordinals included — is carried forward by a
+//            one-byte reference, and the replica shares its own copy
+//            instead of rebuilding it. Since v4 a changed
 //            record the previous snapshot also holds ships as an edit
 //            script against that version — runs of "copy n items from
 //            base position i" and literal items, over lines for an
@@ -34,15 +35,14 @@
 //            snapshot (pointer or value equality on the publisher),
 //            only a changed table ships inline.
 //
-// Every snapshot carries overlay inputs (an empty arc set at least), so
+// Every snapshot carries overlay inputs (no arc chunks at least), so
 // since v3 both frame kinds encode them unconditionally: the overlay
 // section follows the traversal buckets with no presence flag.
 //
 // Slice hashes themselves are deliberately NOT on the wire: the decoder
-// rebuilds every snapshot through SiteSnapshot::derive_slice_hashes —
-// the same combine_arc_slice fold the origin threads from its arc-table
-// rebuild — so origin-threaded and replica-derived tables are identical
-// by construction (tests/repl_test.cpp pins it) and the wire stays lean.
+// builds every chunk through core::make_arc_chunk, the function that
+// built the origin's, so both sides' tables are identical by
+// construction (tests/repl_test.cpp pins it) and the wire stays lean.
 //
 // Framing: a 24-byte header (magic "NSRW", format version, frame type,
 // payload length, FNV-1a checksum of the payload) followed by the
@@ -97,7 +97,8 @@ struct Frame {
   std::string payload;
 };
 
-/// FNV-1a over `bytes` — the frame integrity check.
+/// FNV-1a over `bytes` (navsep::hash_bytes) — the frame and artifact
+/// integrity check.
 [[nodiscard]] std::uint64_t wire_checksum(std::string_view bytes) noexcept;
 
 /// Prepend the 24-byte header (magic, version, `type`, length,
@@ -125,9 +126,9 @@ void verify_payload(const FrameHeader& header, std::string_view payload);
 
 /// Encode the change from `prev` to `next` as a DELTA payload. Artifact
 /// and traversal-bucket changes are detected by content (shared-handle
-/// identity first, bytes second); overlay arc segments are selected by
-/// the per-(page, family) slice-hash tables — a segment whose hash table
-/// is unchanged is shipped as a carry-forward reference, not bytes. Each
+/// identity first, bytes second), and overlay arc segments the same way
+/// (chunk identity first, arcs second) — an unchanged segment is shipped
+/// as a carry-forward reference, not bytes. Each
 /// changed record ships as an edit script against its `prev` version
 /// when that is smaller (src/diff's Myers search, stopped at an edit
 /// budget), else whole. `next.epoch()` must exceed `prev.epoch()` and
@@ -135,7 +136,7 @@ void verify_payload(const FrameHeader& header, std::string_view payload);
 [[nodiscard]] std::string encode_delta(const serve::SiteSnapshot& prev,
                                        const serve::SiteSnapshot& next);
 
-/// Decode a FULL payload into a fresh snapshot (slice hashes derived).
+/// Decode a FULL payload into a fresh snapshot.
 [[nodiscard]] std::shared_ptr<const serve::SiteSnapshot> decode_full(
     std::string_view payload);
 

@@ -5,9 +5,9 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "core/linkbase.hpp"
 #include "html/html.hpp"
-#include "nav/buildgraph.hpp"
 #include "nav/landmarks.hpp"
 #include "uri/uri.hpp"
 #include "xlink/model.hpp"
@@ -26,18 +26,16 @@ const std::vector<SnapshotArc> kNoArcs{};
 std::uint64_t profile_token(const nav::Profile& profile) {
   std::uint64_t token = 0x70f17e5ull;
   for (const std::string& name : profile.families) {
-    token = nav::hash_combine(token, nav::hash_bytes(name));
+    token = hash_combine(token, hash_bytes(name));
   }
   return token;
 }
 
-/// Slice hash of `path` within one source's per-page table (null table =
-/// the source authored no arcs; missing page = empty slice).
-std::uint64_t slice_hash_for(const PageSliceHashes* hashes,
+/// Slice hash of `path` within one chunk (null chunk = the source
+/// authored no arcs; missing page = empty slice).
+std::uint64_t slice_hash_for(const core::ArcChunk* chunk,
                              std::string_view path) {
-  if (hashes == nullptr) return kEmptySliceHash;
-  auto it = hashes->find(path);
-  return it == hashes->end() ? kEmptySliceHash : it->second;
+  return chunk == nullptr ? core::kEmptySliceHash : chunk->slice_hash(path);
 }
 
 /// The woven navigation container's opening tag, byte-exact as the HTML
@@ -78,19 +76,6 @@ std::pair<std::size_t, std::size_t> navigation_block_range(
 }
 
 }  // namespace
-
-std::uint64_t arc_hash(const core::NavArc& arc) noexcept {
-  std::uint64_t a = nav::hash_bytes(arc.from);
-  a = nav::hash_combine(a, nav::hash_bytes(arc.to));
-  a = nav::hash_combine(a, nav::hash_bytes(arc.role));
-  a = nav::hash_combine(a, nav::hash_bytes(arc.title));
-  return nav::hash_combine(a, nav::hash_bytes(arc.context));
-}
-
-std::uint64_t combine_arc_slice(std::uint64_t slice,
-                                const core::NavArc& arc) noexcept {
-  return nav::hash_combine(slice, arc_hash(arc));
-}
 
 SiteSnapshot::SiteSnapshot(const site::VirtualSite& site,
                            const xlink::TraversalGraph& graph,
@@ -135,60 +120,34 @@ SiteSnapshot::SiteSnapshot(SnapshotState state)
   init_overlays(std::move(state.overlays));
 }
 
-std::shared_ptr<const SourceSliceHashes> SiteSnapshot::derive_slice_hashes(
-    const std::vector<core::NavArc>& arcs) {
-  auto derived = std::make_shared<SourceSliceHashes>();
-  for (const core::NavArc& arc : arcs) {
-    auto [it, inserted] = (*derived)[arc.source].emplace(
-        core::default_href_for(arc.from), kEmptySliceHash);
-    it->second = combine_arc_slice(it->second, arc);
-  }
-  return derived;
-}
-
 void SiteSnapshot::init_overlays(SnapshotOverlayInputs overlays) {
-  // Overlay inputs: bucket the combined arc set per (linkbase, page) and
-  // resolve each linkbase's content handle — the cache-validity tokens.
   profiles_ = std::move(overlays.profiles);
-  structure_source_ = overlays.structure_source;
+  structure_source_ = std::move(overlays.structure_source);
   route_table_ = std::move(overlays.routes);
-  overlay_arcs_ = overlays.arcs != nullptr
-                      ? std::move(overlays.arcs)
-                      : std::make_shared<const std::vector<core::NavArc>>();
+  overlay_arcs_ = std::move(overlays.arcs);
+  std::erase_if(overlay_arcs_, [](const auto& chunk) {
+    return chunk == nullptr || chunk->arcs.empty();
+  });
+  // A chunk of a source that is neither the structure nor a family is
+  // carried but not servable.
+  structure_chunk_ = core::find_chunk(overlay_arcs_, structure_source_);
   families_.reserve(overlays.families.size());
   for (SnapshotOverlayInputs::Family& family : overlays.families) {
-    families_.push_back(
-        FamilySlice{std::move(family.name), family.source, {}, nullptr});
+    std::shared_ptr<const core::ArcChunk> chunk =
+        core::find_chunk(overlay_arcs_, family.source);
+    families_.push_back(FamilySlice{std::move(family.name),
+                                    std::move(family.source),
+                                    std::move(chunk)});
   }
-  for (const core::NavArc& arc : *overlay_arcs_) {
-    ArcSlice* slice = nullptr;
-    if (arc.source == overlays.structure_source) {
-      slice = &structure_arcs_by_page_;
-    } else {
-      auto it = std::find_if(
-          families_.begin(), families_.end(),
-          [&](const FamilySlice& f) { return f.source == arc.source; });
-      if (it == families_.end()) continue;  // unknown source: not servable
-      slice = &it->arcs_by_page;
-    }
-    (*slice)[core::default_href_for(arc.from)].push_back(&arc);
-  }
+}
 
-  // Slice hashes: normally threaded from the engine's arc-table rebuild;
-  // a snapshot built without them (direct construction, and decoded wire
-  // frames — which never ship hashes) derives its own through the same
-  // combine_arc_slice fold, so the tables cannot drift.
-  slice_hashes_ = overlays.slice_hashes != nullptr
-                      ? std::move(overlays.slice_hashes)
-                      : derive_slice_hashes(*overlay_arcs_);
-  auto find_hashes = [&](std::string_view source) -> const PageSliceHashes* {
-    auto it = slice_hashes_->find(source);
-    return it == slice_hashes_->end() ? nullptr : &it->second;
-  };
-  structure_hashes_ = find_hashes(overlays.structure_source);
-  for (FamilySlice& family : families_) {
-    family.hashes = find_hashes(family.source);
+SourceSliceHashes SiteSnapshot::slice_hashes() const {
+  SourceSliceHashes index;
+  for (const std::shared_ptr<const core::ArcChunk>& chunk : overlay_arcs_) {
+    index.emplace(chunk->source, std::shared_ptr<const core::PageSliceHashes>(
+                                     chunk, &chunk->slice_hashes));
   }
+  return index;
 }
 
 std::vector<SnapshotOverlayInputs::Family> SiteSnapshot::overlay_families()
@@ -212,19 +171,19 @@ const nav::Profile* SiteSnapshot::find_profile(
 std::vector<const core::NavArc*> SiteSnapshot::profile_arcs(
     std::string_view path, const nav::Profile& profile) const {
   std::vector<const core::NavArc*> out;
-  if (auto it = structure_arcs_by_page_.find(path);
-      it != structure_arcs_by_page_.end()) {
-    out = it->second;
-  }
+  const auto append = [&](const core::ArcChunk* chunk) {
+    if (chunk == nullptr) return;
+    if (const std::vector<const core::NavArc*>* arcs = chunk->leaving(path)) {
+      out.insert(out.end(), arcs->begin(), arcs->end());
+    }
+  };
+  append(structure_chunk_.get());
   for (const std::string& family_name : profile.families) {
     auto family = std::find_if(
         families_.begin(), families_.end(),
         [&](const FamilySlice& f) { return f.name == family_name; });
     if (family != families_.end()) {
-      if (auto it = family->arcs_by_page.find(path);
-          it != family->arcs_by_page.end()) {
-        out.insert(out.end(), it->second.begin(), it->second.end());
-      }
+      append(family->chunk.get());
       continue;
     }
     // Not an authored family: a Lazy route program composes exactly like
@@ -232,10 +191,7 @@ std::vector<const core::NavArc*> SiteSnapshot::profile_arcs(
     // pointers — the snapshot pins it in route_slices_).
     if (std::shared_ptr<const RouteSlice> route =
             lazy_route_slice(family_name)) {
-      if (auto it = route->arcs_by_page.find(path);
-          it != route->arcs_by_page.end()) {
-        out.insert(out.end(), it->second.begin(), it->second.end());
-      }
+      append(route->chunk.get());
     }
   }
   return out;
@@ -246,7 +202,7 @@ OverlayValidity SiteSnapshot::overlay_validity(const nav::Profile& profile,
   OverlayValidity validity;
   validity.base_body = body(path);
   validity.profile_token = profile_token(profile);
-  validity.structure_slice = slice_hash_for(structure_hashes_, path);
+  validity.structure_slice = slice_hash_for(structure_chunk_.get(), path);
   if (validity.base_body == nullptr && route_table_ != nullptr) {
     // A Lazy route's linkbase artifact has no stored base bytes; its
     // synthesized content hash stands in for the structure slice
@@ -259,7 +215,7 @@ OverlayValidity SiteSnapshot::overlay_validity(const nav::Profile& profile,
       }
       if (std::shared_ptr<const RouteSlice> route =
               lazy_route_slice(entry.program.name)) {
-        validity.structure_slice = nav::hash_bytes(*route->text);
+        validity.structure_slice = hash_bytes(*route->text);
       }
       break;
     }
@@ -270,7 +226,7 @@ OverlayValidity SiteSnapshot::overlay_validity(const nav::Profile& profile,
         families_.begin(), families_.end(),
         [&](const FamilySlice& f) { return f.name == family_name; });
     if (it != families_.end()) {
-      validity.family_slices.push_back(slice_hash_for(it->hashes, path));
+      validity.family_slices.push_back(slice_hash_for(it->chunk.get(), path));
       continue;
     }
     // A Lazy route program's validity is its program token folded with
@@ -279,8 +235,8 @@ OverlayValidity SiteSnapshot::overlay_validity(const nav::Profile& profile,
     // slice changed (the ISSUE's cache-economics contract).
     if (std::shared_ptr<const RouteSlice> route =
             lazy_route_slice(family_name)) {
-      validity.family_slices.push_back(nav::hash_combine(
-          route->token, slice_hash_for(&route->hashes, path)));
+      validity.family_slices.push_back(
+          hash_combine(route->token, route->chunk->slice_hash(path)));
       continue;
     }
     validity.family_slices.push_back(kUnknownSliceHash);
@@ -309,20 +265,24 @@ std::shared_ptr<const SiteSnapshot::RouteSlice> SiteSnapshot::lazy_route_slice(
 
   // Expand outside the lock — a pure function of immutable snapshot
   // state, so racing readers compute identical slices (first insert
-  // wins below). Route and landmark sources never feed route expansion:
-  // programs are defined over the authored navigation, exactly as the
-  // engine's AOT path expands them.
-  std::vector<std::string> exclude;
-  exclude.reserve(route_table_->entries.size() + families_.size());
-  for (const RouteTable::Entry& e : route_table_->entries) {
-    exclude.push_back(e.source);
-  }
+  // wins below). Route and landmark chunks never feed route expansion:
+  // programs are defined over the authored navigation — the structure
+  // and the context families — exactly as the engine's AOT path
+  // expands them.
+  core::ArcChunks authored;
+  if (structure_chunk_ != nullptr) authored.push_back(structure_chunk_);
   for (const FamilySlice& family : families_) {
-    if (nav::is_landmark_family(family.name)) exclude.push_back(family.source);
+    const bool generated =
+        nav::is_landmark_family(family.name) ||
+        std::any_of(route_table_->entries.begin(), route_table_->entries.end(),
+                    [&](const RouteTable::Entry& e) {
+                      return e.source == family.source;
+                    });
+    if (family.chunk != nullptr && !generated) authored.push_back(family.chunk);
   }
   hypermedia::ContextFamily family = nav::route_context_family(
       entry->program.name, nav::parse_route(entry->program.expression),
-      *overlay_arcs_, exclude);
+      authored);
 
   // Author the linkbase through THE context-linkbase producer (the same
   // call the engine's AOT rebuild makes), then round-trip it through the
@@ -346,21 +306,13 @@ std::shared_ptr<const SiteSnapshot::RouteSlice> SiteSnapshot::lazy_route_slice(
       lb);
 
   auto slice = std::make_shared<RouteSlice>();
-  slice->name = entry->program.name;
-  slice->source = entry->source;
   slice->token = nav::route_token(entry->program);
   slice->text =
       std::make_shared<const std::string>(xml::write(*doc, {.pretty = true}));
   std::unique_ptr<xml::Document> parsed = xml::parse(*slice->text);
   xlink::TraversalGraph graph = core::load_linkbase(*parsed);
-  slice->arcs = core::combined_nav_arcs({{entry->source, &graph}});
-  for (const core::NavArc& arc : slice->arcs) {
-    std::string page = core::default_href_for(arc.from);
-    slice->arcs_by_page[page].push_back(&arc);
-    auto [it, inserted] = slice->hashes.emplace(std::move(page),
-                                                kEmptySliceHash);
-    it->second = combine_arc_slice(it->second, arc);
-  }
+  slice->chunk = core::make_arc_chunk(
+      entry->source, core::combined_nav_arcs({{entry->source, &graph}}));
 
   std::lock_guard<std::mutex> lock(route_mutex_);
   auto [it, inserted] = route_slices_.emplace(std::string(name), slice);

@@ -10,9 +10,10 @@
 // grace period).
 //
 // A snapshot is fully self-contained: it shares the artifact bytes with
-// the VirtualSite it was taken from (cheap — refcount bumps, no copies)
-// and materializes the traversal graph's arcs as owned strings, so no
-// pointer in a snapshot reaches into engine state a writer might rebuild.
+// the VirtualSite it was taken from and the engine's immutable arc
+// chunks (cheap — refcount bumps, no copies) and materializes the
+// traversal graph's arcs as owned strings, so no pointer in a snapshot
+// reaches into engine state a writer might rebuild.
 #pragma once
 
 #include <atomic>
@@ -63,41 +64,21 @@ struct SnapshotArc {
   friend bool operator==(const SnapshotArc&, const SnapshotArc&) = default;
 };
 
-/// Per-page content hashes of one linkbase's arc slice: site path of the
-/// page the arcs leave → hash of those arcs' rendered-relevant fields
-/// (from/to/role/title/context, in slice order). Absent pages have an
-/// empty slice (kEmptySliceHash).
-using PageSliceHashes = std::map<std::string, std::uint64_t, std::less<>>;
-
-/// Slice hashes for every linkbase source: NavArc::source → per-page
-/// hashes. Produced by the engine's arc-table rebuild (the same pass
-/// that feeds the build graph's per-page slice nodes) and shared into
-/// every published snapshot.
-using SourceSliceHashes = std::map<std::string, PageSliceHashes, std::less<>>;
-
-/// Hash of a slice no arc contributes to (a page the linkbase never
-/// mentions). Distinct from kUnknownSliceHash so "family exists, page
-/// has no arcs" never aliases "family unknown to this snapshot".
-inline constexpr std::uint64_t kEmptySliceHash = 0x9e3779b97f4a7c15ull;
+/// Every chunk's slice-hash table, by NavArc::source; each entry shares
+/// its chunk. See SiteSnapshot::slice_hashes().
+using SourceSliceHashes =
+    std::map<std::string, std::shared_ptr<const core::PageSliceHashes>,
+             std::less<>>;
 
 /// Hash standing in for a linkbase/family this snapshot doesn't know.
+/// Distinct from core::kEmptySliceHash so "family exists, page has no
+/// arcs" never aliases "family unknown to this snapshot".
 inline constexpr std::uint64_t kUnknownSliceHash = 0xc2b2ae3d27d4eb4full;
-
-/// One arc's content hash over the fields a render reads
-/// (from/to/role/title/context). THE per-arc hash: the engine's arc
-/// table and every slice hash fold it, so the two can never drift.
-[[nodiscard]] std::uint64_t arc_hash(const core::NavArc& arc) noexcept;
-
-/// Fold one arc into a slice hash (order-sensitive — slice order is
-/// render order): hash_combine(slice, arc_hash(arc)). The engine's
-/// arc-table rebuild and the snapshot's fallback both fold through it.
-[[nodiscard]] std::uint64_t combine_arc_slice(std::uint64_t slice,
-                                              const core::NavArc& arc) noexcept;
 
 /// The route programs a snapshot knows, as published by the engine and
 /// shipped on the replication wire. AOT programs are informational here
-/// (their expansion already rides the combined arc set as an ordinary
-/// family); Lazy programs are what SiteSnapshot expands and memoizes on
+/// (their expansion already rides the arc chunks as an ordinary family);
+/// Lazy programs are what SiteSnapshot expands and memoizes on
 /// first touch. `titles` exports the engine's node-id → title mapping —
 /// the only navigational-model fact linkbase authoring consumes — so a
 /// replica can synthesize byte-identical route linkbases without the
@@ -116,16 +97,15 @@ struct RouteTable {
 };
 
 /// The navigation-overlay inputs a snapshot carries beyond the site
-/// bytes: the combined authored arc set (with per-linkbase provenance in
-/// NavArc::source), which linkbase belongs to which context family, and
-/// the registered serving profiles. The engine fills this at publish
-/// time; default inputs are an empty arc set, under which every profile
-/// is served the base bytes.
+/// bytes: one arc chunk per authored linkbase, which linkbase belongs to
+/// which context family, and the registered serving profiles. The
+/// engine fills this at publish time; default inputs are no chunks, under
+/// which every profile is served the base bytes.
 struct SnapshotOverlayInputs {
-  /// Combined arc set in weave order (structure linkbase first, then each
-  /// family linkbase) — shared with the engine's arc table, immutable
-  /// once published. Null means an empty set.
-  std::shared_ptr<const std::vector<core::NavArc>> arcs;
+  /// One chunk per linkbase in weave order (structure linkbase first,
+  /// then each family linkbase) — shared with the engine's records,
+  /// immutable once published. Null and empty chunks are dropped.
+  core::ArcChunks arcs;
 
   /// NavArc::source value of the access structure's own linkbase.
   std::string structure_source{site::kStructureLinkbasePath};
@@ -138,10 +118,10 @@ struct SnapshotOverlayInputs {
 
   std::vector<nav::Profile> profiles;  ///< registered at capture time
 
-  /// Per-(linkbase, page) slice hashes, threaded from the engine's
-  /// arc-table rebuild. When null the snapshot derives them itself from
-  /// `arcs` (same combine_arc_slice fold, so the result is identical).
-  std::shared_ptr<const SourceSliceHashes> slice_hashes;
+  /// Ignored: the snapshot reads every slice hash from its chunks. Kept
+  /// only because the benchmark harness (navbench/) still assigns
+  /// SiteSnapshot::slice_hashes() to it.
+  SourceSliceHashes slice_hashes;
 
   /// Registered route programs (null when none) — shared with the engine
   /// and carried verbatim onto the replication wire.
@@ -206,20 +186,9 @@ class SiteSnapshot {
                SnapshotOverlayInputs overlays = {});
 
   /// Reconstruct a snapshot from decoded wire state (the replica path —
-  /// see src/repl/). Behaves exactly like a captured snapshot: when
-  /// `state.overlays.slice_hashes` is null the hashes are derived here
-  /// via derive_slice_hashes(), so a decoded snapshot always carries
-  /// slice hashes regardless of what the origin threaded.
+  /// see src/repl/). Behaves exactly like a captured snapshot: its chunks
+  /// carry their own slice hashes.
   explicit SiteSnapshot(SnapshotState state);
-
-  /// THE derive-when-absent path, explicit: fold every arc into its
-  /// (source, page) slice through combine_arc_slice — the same fold the
-  /// engine's arc-table rebuild uses to thread hashes into snapshots, so
-  /// origin-threaded and locally-derived tables can never drift
-  /// (asserted in tests/repl_test.cpp). Used whenever
-  /// SnapshotOverlayInputs.slice_hashes is null.
-  [[nodiscard]] static std::shared_ptr<const SourceSliceHashes>
-  derive_slice_hashes(const std::vector<core::NavArc>& arcs);
 
   [[nodiscard]] std::uint64_t epoch() const noexcept { return epoch_; }
   [[nodiscard]] const std::string& base() const noexcept { return base_; }
@@ -285,7 +254,7 @@ class SiteSnapshot {
 
   /// The arcs `profile` composes onto the page at `path` (a site path):
   /// structure arcs first, then each profile family's slice, in profile
-  /// order — pointers into the shared combined arc set. Empty when none.
+  /// order — pointers into the shared chunks. Empty when none.
   [[nodiscard]] std::vector<const core::NavArc*> profile_arcs(
       std::string_view path, const nav::Profile& profile) const;
 
@@ -313,10 +282,9 @@ class SiteSnapshot {
     return arcs_by_from_;
   }
 
-  /// The combined authored arc set (weave order, NavArc::source
-  /// provenance); never null (empty when no arcs were published).
-  [[nodiscard]] const std::shared_ptr<const std::vector<core::NavArc>>&
-  overlay_arcs() const noexcept {
+  /// One chunk per linkbase that authored arcs, in weave order — what
+  /// the wire ships as overlay segments.
+  [[nodiscard]] const core::ArcChunks& overlay_arcs() const noexcept {
     return overlay_arcs_;
   }
 
@@ -325,17 +293,15 @@ class SiteSnapshot {
     return structure_source_;
   }
 
-  /// The context families this snapshot partitions overlay arcs by
+  /// The context families this snapshot composes overlays from
   /// (name + linkbase source), in weave order.
   [[nodiscard]] std::vector<SnapshotOverlayInputs::Family> overlay_families()
       const;
 
-  /// The per-(linkbase, page) slice hash table — never null, whether
-  /// threaded from the engine or derived.
-  [[nodiscard]] const std::shared_ptr<const SourceSliceHashes>& slice_hashes()
-      const noexcept {
-    return slice_hashes_;
-  }
+  /// Every chunk's slice-hash table by source, built on each call (one
+  /// entry per chunk). Kept only because the benchmark harness
+  /// (navbench/) still spells it; overlays read the chunks directly.
+  [[nodiscard]] SourceSliceHashes slice_hashes() const;
 
   /// The route programs this snapshot was published with (null when
   /// none) — what the replication encoder ships.
@@ -345,18 +311,11 @@ class SiteSnapshot {
   }
 
  private:
-  /// Per-linkbase slice: the arcs of one source, bucketed by the site
-  /// path of the page they leave (core::default_href_for(from)).
-  using ArcSlice =
-      std::map<std::string, std::vector<const core::NavArc*>, std::less<>>;
-
   struct FamilySlice {
     std::string name;    // family name ("ByAuthor")
     std::string source;  // linkbase site path ("links-byauthor.xml")
-    ArcSlice arcs_by_page;
-    /// This source's per-page slice hashes (into slice_hashes_, which
-    /// pins them); null when the source authored no arcs at all.
-    const PageSliceHashes* hashes = nullptr;
+    /// Its chunk; null when the source authored no arcs at all.
+    std::shared_ptr<const core::ArcChunk> chunk;
   };
 
   /// Compose the overlay response body for a 200 page under `profile`
@@ -368,17 +327,13 @@ class SiteSnapshot {
       const nav::Profile& profile) const;
 
   /// A lazily expanded route program: the synthesized linkbase text plus
-  /// its arcs bucketed per page — everything a FamilySlice offers, owned
-  /// by the memo entry (profile_arcs hands out pointers into `arcs`,
-  /// which the snapshot keeps alive in route_slices_).
+  /// its chunk — everything a FamilySlice offers, owned by the memo entry
+  /// (profile_arcs hands out pointers into the chunk, which the snapshot
+  /// keeps alive in route_slices_).
   struct RouteSlice {
-    std::string name;
-    std::string source;
     std::uint64_t token = 0;                  // nav::route_token(program)
     std::shared_ptr<const std::string> text;  // the authored linkbase doc
-    std::vector<core::NavArc> arcs;           // in authored order
-    ArcSlice arcs_by_page;                    // pointers into `arcs`
-    PageSliceHashes hashes;
+    std::shared_ptr<const core::ArcChunk> chunk;
   };
 
   /// The Lazy-compiled route named `name`, expanded on first touch and
@@ -389,9 +344,8 @@ class SiteSnapshot {
   [[nodiscard]] std::shared_ptr<const RouteSlice> lazy_route_slice(
       std::string_view name) const;
 
-  /// The shared tail of every constructor: bucket the combined arc set
-  /// per (linkbase, page), resolve (or derive) the slice-hash table, and
-  /// wire the per-family hash pointers.
+  /// The shared tail of every constructor: keep the chunks that hold
+  /// arcs and find the structure's and each family's.
   void init_overlays(SnapshotOverlayInputs overlays);
 
   std::uint64_t epoch_;
@@ -403,10 +357,8 @@ class SiteSnapshot {
 
   // Overlay state.
   std::string structure_source_{site::kStructureLinkbasePath};
-  std::shared_ptr<const std::vector<core::NavArc>> overlay_arcs_;
-  std::shared_ptr<const SourceSliceHashes> slice_hashes_;
-  const PageSliceHashes* structure_hashes_ = nullptr;  // into slice_hashes_
-  ArcSlice structure_arcs_by_page_;
+  core::ArcChunks overlay_arcs_;
+  std::shared_ptr<const core::ArcChunk> structure_chunk_;  // null: no arcs
   std::vector<FamilySlice> families_;
   std::vector<nav::Profile> profiles_;
   std::shared_ptr<const RouteTable> route_table_;

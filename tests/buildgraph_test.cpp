@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "nav/buildgraph.hpp"
 #include "nav/pipeline.hpp"
@@ -35,15 +36,15 @@ TEST(BuildGraphMechanism, RunsDirtyNodesInDependencyOrder) {
   std::vector<std::string> ran;
   g.define("c", nav::ProductKind::ArcTable, {"b"}, [&] {
     ran.push_back("c");
-    return nav::hash_bytes("c1");
+    return navsep::hash_bytes("c1");
   });
   g.define("a", nav::ProductKind::Source, {}, [&] {
     ran.push_back("a");
-    return nav::hash_bytes("a1");
+    return navsep::hash_bytes("a1");
   });
   g.define("b", nav::ProductKind::Linkbase, {"a"}, [&] {
     ran.push_back("b");
-    return nav::hash_bytes("b1");
+    return navsep::hash_bytes("b1");
   });
   nav::RebuildReport r = g.run();
   EXPECT_EQ(ran, (std::vector<std::string>{"a", "b", "c"}));
@@ -63,11 +64,11 @@ TEST(BuildGraphMechanism, EarlyCutoffStopsPropagation) {
   std::vector<std::string> ran;
   g.define("src", nav::ProductKind::Source, {}, [&] {
     ran.push_back("src");
-    return nav::hash_bytes("stable");  // same product every time
+    return navsep::hash_bytes("stable");  // same product every time
   });
   g.define("page", nav::ProductKind::ArcTable, {"src"}, [&] {
     ran.push_back("page");
-    return nav::hash_bytes("page" + std::to_string(source_version));
+    return navsep::hash_bytes("page" + std::to_string(source_version));
   });
   (void)g.run();
   ran.clear();
@@ -84,14 +85,14 @@ TEST(BuildGraphMechanism, HashChangePropagatesTransitively) {
   int v = 1;
   std::vector<std::string> ran;
   g.define("a", nav::ProductKind::Source, {},
-           [&] { return nav::hash_bytes("a" + std::to_string(v)); });
+           [&] { return navsep::hash_bytes("a" + std::to_string(v)); });
   g.define("b", nav::ProductKind::Linkbase, {"a"}, [&] {
     ran.push_back("b");
-    return nav::hash_bytes("b" + std::to_string(v));
+    return navsep::hash_bytes("b" + std::to_string(v));
   });
   g.define("c", nav::ProductKind::ArcTable, {"b"}, [&] {
     ran.push_back("c");
-    return nav::hash_bytes("c" + std::to_string(v));
+    return navsep::hash_bytes("c" + std::to_string(v));
   });
   (void)g.run();
   ran.clear();
@@ -108,14 +109,14 @@ TEST(BuildGraphMechanism, RedefinedNodeRerunsButKeepsItsHashForCutoff) {
   nav::BuildGraph g;
   std::vector<std::string> ran;
   g.define("src", nav::ProductKind::Source, {},
-           [] { return nav::hash_bytes("src"); });
+           [] { return navsep::hash_bytes("src"); });
   g.define("table", nav::ProductKind::ArcTable, {"src"}, [&] {
     ran.push_back("table");
-    return nav::hash_bytes("table");
+    return navsep::hash_bytes("table");
   });
   g.define("page", nav::ProductKind::ArcTable, {"table"}, [&] {
     ran.push_back("page");
-    return nav::hash_bytes("page");
+    return navsep::hash_bytes("page");
   });
   (void)g.run();
   const std::uint64_t stored = g.hash_of("table");
@@ -123,7 +124,7 @@ TEST(BuildGraphMechanism, RedefinedNodeRerunsButKeepsItsHashForCutoff) {
 
   g.define("table", nav::ProductKind::ArcTable, {"src", "extra"}, [&] {
     ran.push_back("table2");
-    return nav::hash_bytes("table");  // same product
+    return navsep::hash_bytes("table");  // same product
   });
   EXPECT_TRUE(g.is_dirty("table"));
   EXPECT_EQ(g.hash_of("table"), stored);
@@ -136,7 +137,7 @@ TEST(BuildGraphMechanism, RedefinedNodeRerunsButKeepsItsHashForCutoff) {
   ran.clear();
   g.define("table", nav::ProductKind::ArcTable, {"src"}, [&] {
     ran.push_back("table3");
-    return nav::hash_bytes("table v3");
+    return navsep::hash_bytes("table v3");
   });
   (void)g.run();
   EXPECT_EQ(ran, (std::vector<std::string>{"table3", "page"}));
@@ -151,14 +152,14 @@ TEST(BuildGraphMechanism, TopologyIsFixedWhileRunning) {
   std::function<void()> mutate;
   g.define("root", nav::ProductKind::Source, {}, [&] {
     if (mutate) mutate();
-    return nav::hash_bytes("root");
+    return navsep::hash_bytes("root");
   });
   g.define("victim", nav::ProductKind::Source, {},
-           [] { return nav::hash_bytes("victim"); });
+           [] { return navsep::hash_bytes("victim"); });
 
   mutate = [&] {
     g.define("leaf", nav::ProductKind::ArcTable, {"root"},
-             [] { return nav::hash_bytes("leaf"); });
+             [] { return navsep::hash_bytes("leaf"); });
   };
   EXPECT_THROW((void)g.run(), navsep::SemanticError);
   EXPECT_FALSE(g.contains("leaf"));
@@ -174,7 +175,7 @@ TEST(BuildGraphMechanism, TopologyIsFixedWhileRunning) {
   // what the failed ones left.
   mutate = nullptr;
   g.define("leaf", nav::ProductKind::ArcTable, {"root"},
-           [] { return nav::hash_bytes("leaf"); });
+           [] { return navsep::hash_bytes("leaf"); });
   const nav::RebuildReport r = g.run();
   EXPECT_EQ(r.nodes_rebuilt, 3u);  // root, victim, leaf
   EXPECT_FALSE(g.is_dirty("root"));
@@ -184,9 +185,9 @@ TEST(BuildGraphMechanism, TopologyIsFixedWhileRunning) {
 TEST(BuildGraphMechanism, RemovedNodesStopBuilding) {
   nav::BuildGraph g;
   g.define("a", nav::ProductKind::Source, {},
-           [&] { return nav::hash_bytes("a"); });
+           [&] { return navsep::hash_bytes("a"); });
   g.define("b", nav::ProductKind::ArcTable, {"a"},
-           [&] { return nav::hash_bytes("b"); });
+           [&] { return navsep::hash_bytes("b"); });
   (void)g.run();
   EXPECT_TRUE(g.remove("b"));
   EXPECT_FALSE(g.remove("b"));
@@ -705,7 +706,7 @@ TEST(BuildGraphMechanism, SerialExceptionLeavesTheThrowingNodeDirty) {
                    throw navsep::SemanticError("rebuild failed");
                  }
                  built.push_back(id);
-                 return nav::hash_bytes(id);
+                 return navsep::hash_bytes(id);
                });
     }
     const std::string& first = input.ids[0];
@@ -734,7 +735,7 @@ TEST(BuildGraphMechanism, SerialExceptionLeavesTheThrowingNodeDirty) {
     EXPECT_EQ(built, (std::vector<std::string>{thrower, last}));
     EXPECT_EQ(r.nodes_rebuilt, 2u);
     EXPECT_FALSE(g.is_dirty(thrower));
-    EXPECT_EQ(g.hash_of(thrower), nav::hash_bytes(thrower));
+    EXPECT_EQ(g.hash_of(thrower), navsep::hash_bytes(thrower));
   }
 }
 

@@ -1,12 +1,15 @@
 // Unit tests for the common module: string utilities, wildcard matching,
-// TextCursor scanning, deterministic RNG.
+// TextCursor scanning, deterministic RNG, the shared FNV-1a hash.
 #include <gtest/gtest.h>
 
 #include <set>
 
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "common/strings.hpp"
 #include "common/text_cursor.hpp"
+#include "nav/route.hpp"
+#include "repl/wire.hpp"
 
 namespace ns = navsep::strings;
 
@@ -135,4 +138,18 @@ TEST(Rng, WordHasRequestedLength) {
   navsep::Rng rng(3);
   EXPECT_EQ(rng.word(6).size(), 6u);
   EXPECT_EQ(rng.word(0).size(), 0u);
+}
+
+// One FNV-1a 64 serves every layer. Its published test vectors, the
+// wire checksum, and a route token measured before route_token used it.
+TEST(Hash, OneFnv1aEverywhere) {
+  EXPECT_EQ(navsep::hash_bytes(""), 0xcbf29ce484222325ull);
+  EXPECT_EQ(navsep::hash_bytes("a"), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(navsep::hash_bytes("foobar"), 0x85944171f73967e8ull);
+  for (const char* text : {"", "a", "foobar", "links.xml"}) {
+    EXPECT_EQ(navsep::repl::wire_checksum(text), navsep::hash_bytes(text));
+  }
+  EXPECT_EQ(navsep::nav::route_token({"authors", "@ByAuthor / next*",
+                                      navsep::nav::RouteCompile::Lazy}),
+            0xe8d8f230ddaa5fd2ull);
 }

@@ -8,6 +8,7 @@
 #include "core/navigation_aspect.hpp"
 #include "core/renderer.hpp"
 #include "museum/museum.hpp"
+#include "oracle.hpp"
 #include "xlink/processor.hpp"
 #include "xml/parser.hpp"
 #include "xml/serializer.hpp"
@@ -143,7 +144,7 @@ TEST_F(CoreTest, ContextSensitiveTourArcs) {
   };
   aop::Weaver weaver;
   weaver.register_aspect(core::NavigationAspect::from_contextual_arcs(
-      std::make_shared<const std::vector<core::NavArc>>(arcs)));
+      navsep::testing::chunks_of(arcs)));
   core::SeparatedComposer composer(weaver);
 
   std::string by_author = composer.compose_node_page(

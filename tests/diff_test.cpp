@@ -285,3 +285,15 @@ TEST(DiffOps, TieBreaksArePinned) {
   EXPECT_EQ(diff::unified("a\nb\n", "b\na\n", "a", "b", 1),
             "--- a\n+++ b\n@@ -1,2 +1,2 @@\n-a\n b\n+a\n");
 }
+
+// A hunk followed by more than 2 × context equal lines keeps exactly
+// `context` of them. These are the hunks GNU `diff -U1` prints (GNU
+// leaves out a count of 1; this format always prints it).
+TEST(DiffUnified, HunkKeepsItsTrailingContext) {
+  EXPECT_EQ(diff::unified("a\nb\na\nb\n", "b\na\nb\na\n", "a", "b", 1),
+            "--- a\n+++ b\n@@ -1,2 +1,1 @@\n-a\n b\n@@ -4,1 +3,2 @@\n b\n+a\n");
+  EXPECT_EQ(diff::unified("x\n1\n2\n3\n4\ny\n", "X\n1\n2\n3\n4\nY\n", "a", "b",
+                          1),
+            "--- a\n+++ b\n@@ -1,2 +1,2 @@\n-x\n+X\n 1\n@@ -5,2 +5,2 @@\n 4\n"
+            "-y\n+Y\n");
+}

@@ -59,6 +59,7 @@ namespace serve = navsep::serve;
 namespace site = navsep::site;
 using nav::LandmarkOptions;
 using nav::LandmarkScore;
+using navsep::testing::chunks_of;
 using navsep::testing::expect_profile_matches_oracle;
 using navsep::testing::expect_sites_identical;
 using navsep::testing::full_build_oracle;
@@ -127,7 +128,7 @@ TEST(LandmarkScore, BlendsPopularityAndCentralityDeterministically) {
                                   .popularity_weight = 1.0,
                                   .centrality_weight = 0.0};
   std::vector<LandmarkScore> by_views =
-      nav::score_landmarks(traffic, arcs, popularity_only);
+      nav::score_landmarks(traffic, chunks_of(arcs), popularity_only);
   ASSERT_EQ(by_views.size(), 2u);
   EXPECT_EQ(by_views[0].node_id, "c");
   EXPECT_EQ(by_views[0].views, 2u);
@@ -137,7 +138,7 @@ TEST(LandmarkScore, BlendsPopularityAndCentralityDeterministically) {
                                   .popularity_weight = 0.0,
                                   .centrality_weight = 1.0};
   std::vector<LandmarkScore> by_degree =
-      nav::score_landmarks(traffic, arcs, centrality_only);
+      nav::score_landmarks(traffic, chunks_of(arcs), centrality_only);
   ASSERT_EQ(by_degree.size(), 2u);
   EXPECT_EQ(by_degree[0].node_id, "hub");
   EXPECT_EQ(by_degree[0].degree, 4u);
@@ -146,7 +147,7 @@ TEST(LandmarkScore, BlendsPopularityAndCentralityDeterministically) {
   // on nodes of equal degree.
   obs::TraceAggregate no_traffic;
   std::vector<LandmarkScore> tied = nav::score_landmarks(
-      no_traffic, arcs, LandmarkOptions{.top_k = 8});
+      no_traffic, chunks_of(arcs), LandmarkOptions{.top_k = 8});
   for (std::size_t i = 1; i < tied.size(); ++i) {
     if (tied[i - 1].score == tied[i].score) {
       EXPECT_LT(tied[i - 1].node_id, tied[i].node_id);
@@ -172,12 +173,12 @@ TEST(LandmarkScore, ProfileSlicesRankIndependentlyWithGlobalFallback) {
                        .centrality_weight = 0.0};
   // Global traffic crowns y; the curators' slice crowns x; a profile
   // with no recorded traffic falls back to the global ranking.
-  EXPECT_EQ(nav::score_landmarks(traffic, arcs, opts).front().node_id, "y");
+  EXPECT_EQ(nav::score_landmarks(traffic, chunks_of(arcs), opts).front().node_id, "y");
   EXPECT_EQ(
-      nav::score_landmarks(traffic, arcs, opts, "curators").front().node_id,
+      nav::score_landmarks(traffic, chunks_of(arcs), opts, "curators").front().node_id,
       "x");
   EXPECT_EQ(
-      nav::score_landmarks(traffic, arcs, opts, "visitors").front().node_id,
+      nav::score_landmarks(traffic, chunks_of(arcs), opts, "visitors").front().node_id,
       "y");
 }
 

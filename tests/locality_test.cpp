@@ -12,7 +12,9 @@
 //     nodes only: the authored products, not pages, which the arc-table
 //     node re-weaves);
 //   - the bytes of the repl::encode_delta payload between the two
-//     epochs.
+//     epochs;
+//   - heap allocations and bytes requested by repl::apply_delta of that
+//     payload onto the first epoch: the replica's side of the edit.
 //
 // It builds navbench's site shape — an IndexedGuidedTour over 8
 // painters with the ByAuthor and ByMovement families, 4 movements, and
@@ -30,7 +32,7 @@
 // ratchets: a change that makes an edit cheaper lowers them to its new
 // measurements, and no change raises them.
 //
-// Sanitizer builds replace operator new themselves, so there the two
+// Sanitizer builds replace operator new themselves, so there the four
 // allocation columns are compiled out; the other four are still checked.
 #include <algorithm>
 #include <atomic>
@@ -103,7 +105,24 @@ struct Work {
   std::uint64_t pages_rewoven = 0;
   std::uint64_t linkbases_reauthored = 0;
   std::uint64_t delta_bytes = 0;
+  std::uint64_t apply_allocations = 0;
+  std::uint64_t apply_bytes_requested = 0;
 };
+
+/// Count the heap allocations and bytes `call` requests into the two
+/// out-parameters, and return what it returns.
+template <typename Call>
+auto counted(std::uint64_t& allocations, std::uint64_t& bytes_requested,
+             const Call& call) {
+  g_allocations.store(0, std::memory_order_relaxed);
+  g_bytes_requested.store(0, std::memory_order_relaxed);
+  g_counting.store(true, std::memory_order_relaxed);
+  auto result = call();
+  g_counting.store(false, std::memory_order_relaxed);
+  allocations = g_allocations.load(std::memory_order_relaxed);
+  bytes_requested = g_bytes_requested.load(std::memory_order_relaxed);
+  return result;
+}
 
 /// navbench's site shape at 8 painters × `paintings_per_painter`.
 std::unique_ptr<nav::Engine> navbench_site(std::size_t paintings_per_painter) {
@@ -171,20 +190,19 @@ Work measure(Edit kind, std::size_t paintings_per_painter) {
 
   const auto prev = engine->snapshots().current();
   const std::function<nav::RebuildReport()> edit = prepare(*engine, kind, 3);
-  g_allocations.store(0, std::memory_order_relaxed);
-  g_bytes_requested.store(0, std::memory_order_relaxed);
-  g_counting.store(true, std::memory_order_relaxed);
-  const nav::RebuildReport report = edit();
-  g_counting.store(false, std::memory_order_relaxed);
-
   Work work;
-  work.allocations = g_allocations.load(std::memory_order_relaxed);
-  work.bytes_requested = g_bytes_requested.load(std::memory_order_relaxed);
+  const nav::RebuildReport report =
+      counted(work.allocations, work.bytes_requested, edit);
   work.nodes_rebuilt = report.nodes_rebuilt;
   work.pages_rewoven = report.pages_rewoven;
   work.linkbases_reauthored = report.linkbases_reauthored;
-  work.delta_bytes =
-      repl::encode_delta(*prev, *engine->snapshots().current()).size();
+  const std::string delta =
+      repl::encode_delta(*prev, *engine->snapshots().current());
+  work.delta_bytes = delta.size();
+  const auto applied =
+      counted(work.apply_allocations, work.apply_bytes_requested,
+              [&] { return repl::apply_delta(delta, *prev); });
+  EXPECT_EQ(applied->epoch(), engine->snapshots().epoch());
   return work;
 }
 
@@ -194,10 +212,11 @@ struct Measured {
   double ratio = 0;    ///< value at 8×125 / value at 8×12
 };
 
-/// The six columns' measurements for one edit kind.
+/// The eight columns' measurements for one edit kind.
 struct Ceilings {
   Measured allocations, bytes_requested, nodes_rebuilt, pages_rewoven,
-      linkbases_reauthored, delta_bytes;
+      linkbases_reauthored, delta_bytes, apply_allocations,
+      apply_bytes_requested;
 };
 
 void expect_within(const char* column, std::uint64_t small,
@@ -234,35 +253,47 @@ void expect_pinned(Edit kind, const Ceilings& ceilings) {
                 large.linkbases_reauthored, ceilings.linkbases_reauthored);
   expect_within("delta_bytes", small.delta_bytes, large.delta_bytes,
                 ceilings.delta_bytes);
+#if NAVSEP_COUNT_ALLOCATIONS
+  expect_within("apply_allocations", small.apply_allocations,
+                large.apply_allocations, ceilings.apply_allocations);
+  expect_within("apply_bytes_requested", small.apply_bytes_requested,
+                large.apply_bytes_requested, ceilings.apply_bytes_requested);
+#endif
 }
 
 // Measured on this revision: {value at 10³ paintings, 10³/10² ratio}.
 
 TEST(Locality, ArcEditWorkIsPinned) {
-  expect_pinned(Edit::Arc, {.allocations = {421891, 10.46},
-                            .bytes_requested = {41391870, 9.85},
+  expect_pinned(Edit::Arc, {.allocations = {355112, 10.41},
+                            .bytes_requested = {37864302, 9.77},
                             .nodes_rebuilt = {3, 1.0},
                             .pages_rewoven = {1, 1.0},
                             .linkbases_reauthored = {1, 1.0},
-                            .delta_bytes = {984, 1.01}});
+                            .delta_bytes = {984, 1.01},
+                            .apply_allocations = {54993, 10.44},
+                            .apply_bytes_requested = {5050957, 10.52}});
 }
 
 TEST(Locality, RetitleEditWorkIsPinned) {
-  expect_pinned(Edit::Retitle, {.allocations = {454114, 10.41},
-                                .bytes_requested = {44958382, 9.79},
+  expect_pinned(Edit::Retitle, {.allocations = {387356, 10.35},
+                                .bytes_requested = {41447518, 9.72},
                                 .nodes_rebuilt = {3, 1.0},
                                 .pages_rewoven = {3, 1.0},
                                 .linkbases_reauthored = {1, 1.0},
-                                .delta_bytes = {2480, 1.01}});
+                                .delta_bytes = {2480, 1.01},
+                                .apply_allocations = {58039, 10.36},
+                                .apply_bytes_requested = {5612136, 10.39}});
 }
 
 TEST(Locality, FamilyEditWorkIsPinned) {
-  expect_pinned(Edit::Family, {.allocations = {333540, 10.65},
-                               .bytes_requested = {29179646, 10.20},
+  expect_pinned(Edit::Family, {.allocations = {265729, 10.64},
+                               .bytes_requested = {25619379, 10.12},
                                .nodes_rebuilt = {2, 1.0},
                                .pages_rewoven = {0, 0},
                                .linkbases_reauthored = {1, 1.0},
-                               .delta_bytes = {1775, 1.0}});
+                               .delta_bytes = {1775, 1.0},
+                               .apply_allocations = {50894, 10.63},
+                               .apply_bytes_requested = {3995803, 10.64}});
 }
 
 // A kind swap re-authors every arc of links.xml and re-weaves every page:
@@ -277,21 +308,18 @@ TEST(Locality, KindSwapEncodeWorkIsBounded) {
   const auto prev = engine->snapshots().current();
   (void)engine->set_access_structure(hm::AccessStructureKind::Index);
   const auto next = engine->snapshots().current();
-  g_allocations.store(0, std::memory_order_relaxed);
-  g_bytes_requested.store(0, std::memory_order_relaxed);
-  g_counting.store(true, std::memory_order_relaxed);
-  const std::string delta = repl::encode_delta(*prev, *next);
-  g_counting.store(false, std::memory_order_relaxed);
+  std::uint64_t allocations = 0;
+  std::uint64_t bytes = 0;
+  const std::string delta = counted(
+      allocations, bytes, [&] { return repl::encode_delta(*prev, *next); });
   std::printf("  delta_bytes %zu\n", delta.size());
   EXPECT_LE(static_cast<double>(delta.size()), 889909 * 1.1);
 #if NAVSEP_COUNT_ALLOCATIONS
-  const std::uint64_t allocations = g_allocations.load();
-  const std::uint64_t bytes = g_bytes_requested.load();
   std::printf("  allocations %llu  bytes_requested %llu\n",
               static_cast<unsigned long long>(allocations),
               static_cast<unsigned long long>(bytes));
-  EXPECT_LE(static_cast<double>(allocations), 11044 * 1.1);
-  EXPECT_LE(static_cast<double>(bytes), 4993027 * 1.1);
+  EXPECT_LE(static_cast<double>(allocations), 10965 * 1.1);
+  EXPECT_LE(static_cast<double>(bytes), 4763139 * 1.1);
 #endif
 }
 

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <tuple>
+#include <utility>
 
+#include "common/hash.hpp"
+#include "core/navigation_aspect.hpp"
 #include "hypermedia/access.hpp"
 #include "hypermedia/context.hpp"
 
@@ -107,6 +111,54 @@ std::vector<std::string> html_pages(const nav::Engine& engine) {
     }
   }
   return pages;
+}
+
+core::ArcChunks chunks_of(const std::vector<core::NavArc>& arcs) {
+  std::vector<std::pair<std::string, std::vector<core::NavArc>>> by_source;
+  for (const core::NavArc& arc : arcs) {
+    auto it = std::find_if(by_source.begin(), by_source.end(),
+                           [&](const auto& s) { return s.first == arc.source; });
+    if (it == by_source.end()) {
+      it = by_source.insert(by_source.end(), {arc.source, {}});
+    }
+    it->second.push_back(arc);
+  }
+  core::ArcChunks chunks;
+  for (auto& [source, own] : by_source) {
+    chunks.push_back(core::make_arc_chunk(source, std::move(own)));
+  }
+  return chunks;
+}
+
+core::PageSliceHashes fold_slice_hashes(const std::vector<core::NavArc>& arcs) {
+  core::PageSliceHashes hashes;
+  for (const core::NavArc& arc : arcs) {
+    auto [it, fresh] = hashes.try_emplace(core::default_href_for(arc.from),
+                                          core::kEmptySliceHash);
+    it->second = hash_combine(it->second, core::arc_hash(arc));
+  }
+  return hashes;
+}
+
+void expect_same_chunks(const core::ArcChunks& want,
+                        const core::ArcChunks& got) {
+  ASSERT_EQ(want.size(), got.size()) << "chunk count";
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const core::ArcChunk& a = *want[i];
+    const core::ArcChunk& b = *got[i];
+    EXPECT_EQ(a.source, b.source) << "chunk " << i;
+    ASSERT_EQ(a.arcs.size(), b.arcs.size()) << a.source;
+    for (std::size_t j = 0; j < a.arcs.size(); ++j) {
+      const core::NavArc& x = a.arcs[j];
+      const core::NavArc& y = b.arcs[j];
+      EXPECT_EQ(std::tie(x.from, x.to, x.role, x.title, x.context, x.source,
+                         x.ordinal),
+                std::tie(y.from, y.to, y.role, y.title, y.context, y.source,
+                         y.ordinal))
+          << a.source << " arc " << j;
+    }
+    EXPECT_EQ(a.slice_hashes, b.slice_hashes) << a.source;
+  }
 }
 
 }  // namespace navsep::testing

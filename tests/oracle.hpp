@@ -1,5 +1,6 @@
 // The byte-identity oracles shared by the incremental/serving test
-// suites (buildgraph_test, overlay_test, stress_test).
+// suites (buildgraph_test, overlay_test, stress_test), and the arc-chunk
+// helpers the suites that hand-build or compare arc state share.
 //
 // The repo's correctness contract is byte-level: whatever the
 // incremental build graph, the epoch-published snapshots or the
@@ -12,7 +13,9 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
+#include "core/arc_chunk.hpp"
 #include "nav/pipeline.hpp"
 #include "nav/profile.hpp"
 #include "serve/concurrent_server.hpp"
@@ -45,5 +48,22 @@ void expect_profile_matches_oracle(const nav::Engine& engine,
 
 /// The engine's served .html page paths (the overlay-cacheable set).
 [[nodiscard]] std::vector<std::string> html_pages(const nav::Engine& engine);
+
+/// `arcs` as one chunk per NavArc::source, in first-appearance order:
+/// how a test hands a flat arc list to what takes chunks (snapshot
+/// overlay inputs, route expansion, landmark scoring, the aspect).
+[[nodiscard]] core::ArcChunks chunks_of(const std::vector<core::NavArc>& arcs);
+
+/// Each page's slice hash over one linkbase's `arcs`, folded here rather
+/// than by core::make_arc_chunk: page core::default_href_for(from),
+/// hash_combine(slice, core::arc_hash(arc)) from core::kEmptySliceHash.
+[[nodiscard]] core::PageSliceHashes fold_slice_hashes(
+    const std::vector<core::NavArc>& arcs);
+
+/// Assert `got` holds `want`'s chunks in order: same source, the same
+/// arcs in the same order (every field, ordinal included), and the same
+/// slice hashes.
+void expect_same_chunks(const core::ArcChunks& want,
+                        const core::ArcChunks& got);
 
 }  // namespace navsep::testing

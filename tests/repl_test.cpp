@@ -6,14 +6,15 @@
 // serve::ConcurrentServer over its own SnapshotStore — exactly the
 // bytes the origin serves, for the base site and for every registered
 // profile. On top of that sit the delta properties (a single-family
-// edit ships the family's segment, not the site; unchanged segments are
-// carried forward by the slice-hash tables) and the resync protocol
+// edit ships the family's segment, not the site; a segment is carried
+// forward exactly when its chunk is unchanged) and the resync protocol
 // (mid-stream connect gets a FULL frame; lagging past max_delta_gap
 // forces one).
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <iterator>
 #include <map>
 #include <memory>
@@ -161,7 +162,7 @@ TEST(ReplWire, DeltaCoalescesManyEpochs) {
   ASSERT_NO_FATAL_FAILURE(expect_snapshots_identical(*after, *applied));
 }
 
-// --- delta precision: hash-driven selection -----------------------------------
+// --- delta precision: chunk-driven selection ----------------------------------
 
 TEST(ReplWire, SingleFamilyEditShipsFarLessThanFull) {
   auto engine = make_engine();
@@ -195,9 +196,14 @@ TEST(ReplWire, UntouchedSnapshotProducesNearEmptyDelta) {
       << "delta " << delta.size() << " B vs full " << full.size() << " B";
   SnapPtr applied = repl::apply_delta(delta, *before);
   ASSERT_NO_FATAL_FAILURE(expect_snapshots_identical(*after, *applied));
+  // No linkbase text moved, so the new epoch publishes the same chunks,
+  // and the applied snapshot shares its base's instead of rebuilding.
+  ASSERT_EQ(before->overlay_arcs().size(), 3u);
+  EXPECT_EQ(after->overlay_arcs(), before->overlay_arcs());
+  EXPECT_EQ(applied->overlay_arcs(), before->overlay_arcs());
 }
 
-// --- satellite 1: the derive-when-absent hash path ----------------------------
+// --- slice hashes: one table per chunk, folded where the chunk is built -------
 
 TEST(ReplHashes, DerivedTableEqualsOriginThreadedTable) {
   auto engine = make_engine();
@@ -206,14 +212,18 @@ TEST(ReplHashes, DerivedTableEqualsOriginThreadedTable) {
   (void)engine->retitle_node("guernica", "Guernica (1937)");
   SnapPtr snap = engine->snapshots().current();
 
-  // The origin threads hashes from its arc-table rebuild...
-  auto threaded = snap->slice_hashes();
-  ASSERT_NE(threaded, nullptr);
-  ASSERT_NE(snap->overlay_arcs(), nullptr);
-  // ...and the explicit derive path must reproduce them exactly.
-  auto derived = serve::SiteSnapshot::derive_slice_hashes(*snap->overlay_arcs());
-  ASSERT_NE(derived, nullptr);
-  EXPECT_EQ(*derived, *threaded);
+  // Every published chunk's table equals a fold the test computes from
+  // the chunk's arcs, and slice_hashes() indexes exactly those tables.
+  ASSERT_EQ(snap->overlay_arcs().size(), 3u);  // structure + two families
+  const serve::SourceSliceHashes index = snap->slice_hashes();
+  ASSERT_EQ(index.size(), snap->overlay_arcs().size());
+  for (const auto& chunk : snap->overlay_arcs()) {
+    EXPECT_EQ(chunk->slice_hashes,
+              navsep::testing::fold_slice_hashes(chunk->arcs))
+        << chunk->source;
+    ASSERT_TRUE(index.contains(chunk->source)) << chunk->source;
+    EXPECT_EQ(index.at(chunk->source).get(), &chunk->slice_hashes);
+  }
 }
 
 TEST(ReplHashes, DecodedSnapshotDerivesHashesAndValidatesOverlays) {
@@ -221,12 +231,11 @@ TEST(ReplHashes, DecodedSnapshotDerivesHashesAndValidatesOverlays) {
   SnapPtr original = engine->snapshots().current();
   SnapPtr decoded = repl::decode_full(repl::encode_full(*original));
 
-  // The wire does not carry hashes; the decoded snapshot derived them —
-  // and they must equal the origin's threaded table, or overlay caching
-  // on a replica would diverge from the origin's.
-  ASSERT_NE(decoded->slice_hashes(), nullptr);
-  ASSERT_NE(original->slice_hashes(), nullptr);
-  EXPECT_EQ(*decoded->slice_hashes(), *original->slice_hashes());
+  // The wire does not carry hashes; the decoded chunks folded them —
+  // and they must equal the origin's, or overlay caching on a replica
+  // would diverge from the origin's.
+  ASSERT_NO_FATAL_FAILURE(navsep::testing::expect_same_chunks(
+      original->overlay_arcs(), decoded->overlay_arcs()));
 
   // And the derived hashes drive overlay validity exactly like the
   // origin's: same token for the same (profile, page).
@@ -351,21 +360,42 @@ serve::SnapshotState random_state(navsep::Rng& rng) {
     for (serve::SnapshotArc& arc : arcs) arc = random_bucket_arc(rng, from);
     state.arcs_by_from.emplace(from, std::move(arcs));
   }
-  auto arcs = std::make_shared<std::vector<core::NavArc>>();
+  std::vector<core::NavArc> arcs;
   for (const char* source : {"links.xml", "links-a.xml", "links-b.xml"}) {
     for (std::uint64_t i = 0, n = rng.below(16); i < n; ++i) {
-      arcs->push_back(random_nav_arc(rng, source));
+      arcs.push_back(random_nav_arc(rng, source));
     }
   }
-  state.overlays.arcs = std::move(arcs);
+  state.overlays.arcs = navsep::testing::chunks_of(arcs);
   state.overlays.families = {{"A", "links-a.xml"}, {"B", "links-b.xml"}};
   return state;
 }
 
+/// The arcs of `state`'s chunk `source` (empty when it has none).
+std::vector<core::NavArc> segment_of(const serve::SnapshotState& state,
+                                     std::string_view source) {
+  const auto chunk = core::find_chunk(state.overlays.arcs, source);
+  return chunk == nullptr ? std::vector<core::NavArc>() : chunk->arcs;
+}
+
+/// Swap two arcs of `segment` that satisfy `pair(i, j)`, when some do.
+template <typename Pair>
+void swap_some(navsep::Rng& rng, std::vector<core::NavArc>& segment,
+               Pair pair) {
+  if (segment.empty()) return;
+  const std::size_t i = rng.below(segment.size());
+  for (std::size_t j = 0; j < segment.size(); ++j) {
+    if (j != i && pair(segment[i], segment[j])) {
+      std::swap(segment[i], segment[j]);
+      return;
+    }
+  }
+}
+
 /// The next epoch of `a`: bodies, buckets and segments edited, added and
-/// removed. Every edited segment gains one arc with a title never used
-/// before, so its slice-hash table moves: a segment whose table stays
-/// put is carried forward, which is exact only for an unchanged one.
+/// removed. A segment edit may only reorder arcs, within a page or
+/// across pages, or only change an ordinal: edits that leave every
+/// per-page slice hash where it was, which the DELTA must still ship.
 serve::SnapshotState edited_state(navsep::Rng& rng,
                                   const serve::SnapshotState& a,
                                   std::uint64_t& fresh) {
@@ -414,45 +444,39 @@ serve::SnapshotState edited_state(navsep::Rng& rng,
     b.arcs_by_from[from] = {random_bucket_arc(rng, from)};
   }
 
-  auto arcs = std::make_shared<std::vector<core::NavArc>>();
+  std::vector<core::NavArc> arcs;
   std::vector<std::string> sources{"links.xml", "links-a.xml", "links-b.xml"};
   if (rng.chance(0.2)) {
     sources.push_back("links-c.xml");
     b.overlays.families.push_back({"C", "links-c.xml"});
   }
   for (const std::string& source : sources) {
-    std::vector<core::NavArc> segment;
-    for (const core::NavArc& arc : *a.overlays.arcs) {
-      if (arc.source == source) segment.push_back(arc);
-    }
+    std::vector<core::NavArc> segment = segment_of(a, source);
     if (rng.chance(0.1)) continue;  // the segment goes away
     if (segment.empty() || rng.chance(0.6)) {
-      if (!segment.empty() && rng.chance(0.5)) {
-        segment.erase(segment.begin() +
-                      static_cast<std::ptrdiff_t>(rng.below(segment.size())));
+      switch (segment.empty() ? 4 : rng.below(5)) {
+        case 0:  // reorder within a page: that page's slice reorders
+          swap_some(rng, segment, [](const auto& x, const auto& y) {
+            return x.from == y.from;
+          });
+          break;
+        case 1:  // reorder across pages: every slice stays as it was
+          swap_some(rng, segment, [](const auto& x, const auto& y) {
+            return x.from != y.from;
+          });
+          break;
+        case 2:  // differs only in ordinal
+          if (!segment.empty()) ++segment[rng.below(segment.size())].ordinal;
+          break;
+        default:  // arcs inserted, dropped or moved
+          edit_items(rng, segment,
+                     [&] { return random_nav_arc(rng, source); });
+          break;
       }
-      // Swap two arcs leaving the same page: that page's slice reorders.
-      for (std::size_t i = 0; i + 1 < segment.size() && rng.chance(0.5);
-           ++i) {
-        for (std::size_t j = i + 1; j < segment.size(); ++j) {
-          if (segment[j].from == segment[i].from) {
-            std::swap(segment[i], segment[j]);
-            break;
-          }
-        }
-      }
-      if (!segment.empty() && rng.chance(0.5)) {  // differs only in ordinal
-        ++segment[rng.below(segment.size())].ordinal;
-      }
-      core::NavArc added = random_nav_arc(rng, source);
-      added.title = "fresh-" + std::to_string(fresh++);
-      segment.insert(segment.begin() + static_cast<std::ptrdiff_t>(
-                                           rng.below(segment.size() + 1)),
-                     std::move(added));
     }
-    arcs->insert(arcs->end(), segment.begin(), segment.end());
+    arcs.insert(arcs.end(), segment.begin(), segment.end());
   }
-  b.overlays.arcs = std::move(arcs);
+  b.overlays.arcs = navsep::testing::chunks_of(arcs);
   return b;
 }
 
@@ -466,19 +490,8 @@ void expect_same_state(const serve::SiteSnapshot& want,
     ASSERT_EQ(*bytes, *it->second) << path;
   }
   ASSERT_EQ(want.traversal_arcs(), got.traversal_arcs());
-  const std::vector<core::NavArc>& wa = *want.overlay_arcs();
-  const std::vector<core::NavArc>& ga = *got.overlay_arcs();
-  ASSERT_EQ(wa.size(), ga.size());
-  for (std::size_t i = 0; i < wa.size(); ++i) {
-    EXPECT_EQ(wa[i].from, ga[i].from) << i;
-    EXPECT_EQ(wa[i].to, ga[i].to) << i;
-    EXPECT_EQ(wa[i].role, ga[i].role) << i;
-    EXPECT_EQ(wa[i].title, ga[i].title) << i;
-    EXPECT_EQ(wa[i].context, ga[i].context) << i;
-    EXPECT_EQ(wa[i].source, ga[i].source) << i;
-    EXPECT_EQ(wa[i].ordinal, ga[i].ordinal) << i;
-  }
-  EXPECT_EQ(*want.slice_hashes(), *got.slice_hashes());
+  ASSERT_NO_FATAL_FAILURE(navsep::testing::expect_same_chunks(
+      want.overlay_arcs(), got.overlay_arcs()));
 }
 
 TEST(ReplWire, ScriptedDeltasRoundTripEveryByteAndArc) {
@@ -526,23 +539,131 @@ TEST(ReplWire, ScriptedDeltasRoundTripEveryByteAndArc) {
       ASSERT_LE(delta.size(), whole) << from;
       scripted_buckets += delta.size() < whole ? 1 : 0;
     }
-    for (const auto& [source, hashes] : *b.slice_hashes()) {
-      auto it = a.slice_hashes()->find(source);
-      if (it == a.slice_hashes()->end() || it->second == hashes) continue;
+    for (const auto& chunk : b.overlay_arcs()) {
+      const std::vector<core::NavArc> before =
+          segment_of(a_state, chunk->source);
+      if (before.empty() || before == chunk->arcs) continue;
       serve::SnapshotState base = a_state;
-      auto kept = std::make_shared<std::vector<core::NavArc>>();
-      for (const core::NavArc& arc : *a_state.overlays.arcs) {
-        if (arc.source != source) kept->push_back(arc);
-      }
-      base.overlays.arcs = std::move(kept);
+      std::erase_if(base.overlays.arcs, [&](const auto& c) {
+        return c->source == chunk->source;
+      });
       const std::size_t whole = whole_delta_size(std::move(base));
-      ASSERT_LE(delta.size(), whole) << source;
+      ASSERT_LE(delta.size(), whole) << chunk->source;
       scripted_segments += delta.size() < whole ? 1 : 0;
     }
   }
   EXPECT_GT(scripted_files, 0u);
   EXPECT_GT(scripted_buckets, 0u);
   EXPECT_GT(scripted_segments, 0u);
+}
+
+// --- carry forward is exact ---------------------------------------------------
+//
+// A segment is carried forward only when the base holds the same chunk
+// or one equal arc by arc. Equal per-page slice hashes are not enough:
+// they leave out the ordinal and the order of arcs across pages.
+
+/// Two epochs of a one-segment site: `edit` turns the first epoch's
+/// arcs into the second's. Pages p1 and p2 have one arc each, p3 two.
+std::pair<serve::SnapshotState, serve::SnapshotState> segment_pair(
+    const std::function<void(std::vector<core::NavArc>&)>& edit) {
+  serve::SnapshotState a;
+  a.base = "http://example.org/";
+  a.epoch = 1;
+  std::vector<core::NavArc> arcs;
+  for (const char* from : {"p1", "p2", "p3", "p3"}) {
+    core::NavArc arc;
+    arc.from = from;
+    arc.to = "p" + std::to_string(arcs.size());
+    arc.role = "next";
+    arc.title = "t" + std::to_string(arcs.size());
+    arc.source = "links.xml";
+    arc.ordinal = arcs.size() == 3 ? 1 : 0;
+    arcs.push_back(std::move(arc));
+  }
+  a.overlays.arcs = navsep::testing::chunks_of(arcs);
+  serve::SnapshotState b = a;
+  b.epoch = 2;
+  edit(arcs);
+  b.overlays.arcs = navsep::testing::chunks_of(arcs);
+  return {std::move(a), std::move(b)};
+}
+
+/// Encode the pair's DELTA, apply it, and expect the second epoch's
+/// chunks, in order and with ordinals, although no slice hash moved.
+void expect_delta_replicates_chunks(
+    const std::pair<serve::SnapshotState, serve::SnapshotState>& pair) {
+  const serve::SiteSnapshot a(pair.first);
+  const serve::SiteSnapshot b(pair.second);
+  ASSERT_EQ(a.overlay_arcs().front()->slice_hashes,
+            b.overlay_arcs().front()->slice_hashes);
+  const SnapPtr applied = repl::apply_delta(repl::encode_delta(a, b), a);
+  ASSERT_NO_FATAL_FAILURE(navsep::testing::expect_same_chunks(
+      b.overlay_arcs(), applied->overlay_arcs()));
+}
+
+TEST(ReplCarry, CrossPageSwapShipsTheNewOrder) {
+  ASSERT_NO_FATAL_FAILURE(expect_delta_replicates_chunks(segment_pair(
+      [](std::vector<core::NavArc>& arcs) { std::swap(arcs[0], arcs[1]); })));
+}
+
+TEST(ReplCarry, OrdinalOnlyChangeShipsTheOrdinal) {
+  ASSERT_NO_FATAL_FAILURE(expect_delta_replicates_chunks(segment_pair(
+      [](std::vector<core::NavArc>& arcs) { arcs[0].ordinal = 5; })));
+}
+
+/// `structure` with its arcs reordered across pages but not within any:
+/// the arcs leaving the first arc's page move, in order, to the end.
+std::unique_ptr<hm::AccessStructure> reordered_across_pages(
+    const hm::AccessStructure& structure) {
+  std::vector<hm::AccessArc> arcs = structure.arcs();
+  const std::string first = arcs.front().from;
+  std::stable_partition(arcs.begin(), arcs.end(), [&](const hm::AccessArc& a) {
+    return a.from != first;
+  });
+  return std::make_unique<hm::MaterializedStructure>(
+      structure.name(), structure.kind(), structure.members(),
+      std::move(arcs), structure.entry());
+}
+
+TEST(ReplCarry, StructureReorderedAcrossPagesReplicatesItsArcOrder) {
+  auto engine = make_engine();
+  auto publisher =
+      engine->open_publisher(repl::Endpoint::tcp("127.0.0.1", 0));
+  repl::Replica replica = repl::Replica::connect(publisher->endpoint());
+  replica.start();
+  ASSERT_TRUE(replica.wait_for_epoch(engine->snapshots().epoch(),
+                                     std::chrono::seconds(30)))
+      << replica.error();
+  const std::size_t deltas_before = replica.stats().deltas_applied;
+
+  const SnapPtr before = engine->snapshots().current();
+  const nav::RebuildReport report = engine->set_access_structure(
+      reordered_across_pages(engine->structure()));
+  const SnapPtr after = engine->snapshots().current();
+  // The edit moves arcs across pages only: no page re-weaves and no
+  // slice hash moves, yet the structure's arc order is new.
+  EXPECT_EQ(report.pages_rewoven, 0u);
+  const auto& old_structure = before->overlay_arcs().front();
+  const auto& new_structure = after->overlay_arcs().front();
+  ASSERT_EQ(new_structure->source, after->structure_source());
+  EXPECT_EQ(old_structure->slice_hashes, new_structure->slice_hashes);
+  EXPECT_NE(old_structure->arcs, new_structure->arcs);
+  EXPECT_EQ(old_structure->arcs.front().from, "index:paintings-of-picasso");
+  EXPECT_EQ(new_structure->arcs.front().from, "guitar");
+
+  const SnapPtr applied =
+      repl::apply_delta(repl::encode_delta(*before, *after), *before);
+  ASSERT_NO_FATAL_FAILURE(navsep::testing::expect_same_chunks(
+      after->overlay_arcs(), applied->overlay_arcs()));
+  ASSERT_NO_FATAL_FAILURE(expect_snapshots_identical(*after, *applied));
+
+  // The live pair ships the same edit as a DELTA.
+  ASSERT_TRUE(replica.wait_for_epoch(after->epoch(), std::chrono::seconds(30)))
+      << replica.error();
+  EXPECT_GT(replica.stats().deltas_applied, deltas_before);
+  ASSERT_NO_FATAL_FAILURE(navsep::testing::expect_same_chunks(
+      after->overlay_arcs(), replica.store().current()->overlay_arcs()));
 }
 
 // --- malformed input ----------------------------------------------------------

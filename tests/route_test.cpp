@@ -567,11 +567,11 @@ TEST(RouteExpand, NullableExpressionYieldsWholeUniverse) {
   a.to = "n2";
   a.role = "next";
   arcs.push_back(a);
-  const std::vector<std::string> all =
-      nav::expand_route(nav::parse_route("next*"), arcs);
+  const std::vector<std::string> all = nav::expand_route(
+      nav::parse_route("next*"), navsep::testing::chunks_of(arcs));
   EXPECT_EQ(all, (std::vector<std::string>{"n1", "n2"}));
-  const std::vector<std::string> strict =
-      nav::expand_route(nav::parse_route("next / next"), arcs);
+  const std::vector<std::string> strict = nav::expand_route(
+      nav::parse_route("next / next"), navsep::testing::chunks_of(arcs));
   EXPECT_TRUE(strict.empty());
 }
 

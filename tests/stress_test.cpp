@@ -391,9 +391,9 @@ TEST(DifferentialStress, MixedMutationSequenceServesOnlyOracleBytes) {
 /// The published arc state must equal a re-derivation from the served
 /// linkbase bytes: parse every linkbase artifact of the current snapshot
 /// (links.xml, then the overlay families in order), load and merge the
-/// parsed documents, and compare the snapshot's traversal arcs, overlay
-/// arcs and slice hashes, and the engine's arc table, against what that
-/// merge yields.
+/// parsed documents, and compare the snapshot's traversal arcs, its arc
+/// chunks and their slice hashes, and the engine's arc table, against
+/// what that merge yields.
 void expect_arc_state_matches_served_linkbases(const nav::Engine& engine,
                                                int step) {
   SCOPED_TRACE("arc state after step " + std::to_string(step));
@@ -432,24 +432,17 @@ void expect_arc_state_matches_served_linkbases(const nav::Engine& engine,
   }
   EXPECT_EQ(snap->traversal_arcs(), walked);
 
-  // Overlay arcs and their slice hashes.
-  const std::vector<navsep::core::NavArc> derived =
-      navsep::core::combined_nav_arcs(sourced);
-  ASSERT_NE(snap->overlay_arcs(), nullptr);
-  const std::vector<navsep::core::NavArc>& published = *snap->overlay_arcs();
-  ASSERT_EQ(published.size(), derived.size());
-  for (std::size_t i = 0; i < derived.size(); ++i) {
-    const navsep::core::NavArc& a = published[i];
-    const navsep::core::NavArc& b = derived[i];
-    EXPECT_EQ(std::tie(a.from, a.to, a.role, a.title, a.context, a.source,
-                       a.ordinal),
-              std::tie(b.from, b.to, b.role, b.title, b.context, b.source,
-                       b.ordinal))
-        << "overlay arc " << i;
+  // Overlay chunks, one per linkbase that authored arcs, and their
+  // slice hashes against a fold computed here.
+  const navsep::core::ArcChunks derived = navsep::testing::chunks_of(
+      navsep::core::combined_nav_arcs(sourced));
+  ASSERT_NO_FATAL_FAILURE(
+      navsep::testing::expect_same_chunks(derived, snap->overlay_arcs()));
+  for (const auto& chunk : snap->overlay_arcs()) {
+    EXPECT_EQ(chunk->slice_hashes,
+              navsep::testing::fold_slice_hashes(chunk->arcs))
+        << chunk->source;
   }
-  ASSERT_NE(snap->slice_hashes(), nullptr);
-  EXPECT_EQ(*snap->slice_hashes(),
-            *serve::SiteSnapshot::derive_slice_hashes(derived));
 
   // The engine's arc table, field by field, for every resource URI.
   const xlink::TraversalGraph& table = engine.arc_table();
@@ -769,6 +762,12 @@ TEST(DifferentialStress, ReplicatedReaderServesOnlyOracleBytes) {
     if (server == nullptr) {
       server = std::make_unique<serve::ConcurrentServer>(replica->store(), 4);
     }
+
+    // The replica holds the origin's chunks, in order and with ordinals.
+    ASSERT_NO_FATAL_FAILURE(navsep::testing::expect_same_chunks(
+        engine->snapshots().current()->overlay_arcs(),
+        replica->store().current()->overlay_arcs()))
+        << "step " << step;
 
     // The replicated route table is byte-for-byte the origin's — across
     // deltas (carry or inline) AND across the kill-and-resync FULLs.

@@ -45,6 +45,7 @@
 #include "hypermedia/access.hpp"
 #include "nav/pipeline.hpp"
 #include "nav/route.hpp"
+#include "oracle.hpp"
 #include "repl/wire.hpp"
 #include "serve/snapshot.hpp"
 
@@ -443,11 +444,8 @@ TEST(WireFuzz, CorpusCarriesEveryRecordForm) {
     s.files.erase(links);
   };
   const auto drop_segment = [&links](serve::SnapshotState& s) {
-    auto kept = std::make_shared<std::vector<navsep::core::NavArc>>();
-    for (const navsep::core::NavArc& arc : *s.overlays.arcs) {
-      if (arc.source != links) kept->push_back(arc);
-    }
-    s.overlays.arcs = std::move(kept);
+    std::erase_if(s.overlays.arcs,
+                  [&links](const auto& chunk) { return chunk->source == links; });
   };
   for (const auto& [prev, next] :
        {std::pair{corpus().prev_for_carry, corpus().prev_for_arc},
@@ -606,7 +604,7 @@ std::pair<SnapPtr, SnapPtr> scripted_pair() {
   for (int i = 0; i < 40; ++i) body += "<p>line " + std::to_string(i) + "</p>\n";
   a.files.emplace("page.html", std::make_shared<const std::string>(body));
   const std::string from = std::string(kBase) + "page.html";
-  auto arcs = std::make_shared<std::vector<navsep::core::NavArc>>();
+  std::vector<navsep::core::NavArc> arcs;
   for (int i = 0; i < 20; ++i) {
     const std::string to = std::string(kBase) + "p" + std::to_string(i) + ".html";
     a.arcs_by_from[from].push_back(
@@ -618,9 +616,9 @@ std::pair<SnapPtr, SnapPtr> scripted_pair() {
     arc.title = "t" + std::to_string(i);
     arc.source = "links.xml";
     arc.ordinal = static_cast<std::size_t>(i);
-    arcs->push_back(arc);
+    arcs.push_back(arc);
   }
-  a.overlays.arcs = arcs;
+  a.overlays.arcs = navsep::testing::chunks_of(arcs);
 
   serve::SnapshotState b = a;
   b.epoch = 2;
@@ -628,9 +626,8 @@ std::pair<SnapPtr, SnapPtr> scripted_pair() {
       body.substr(0, body.size() / 2) + "<p>inserted</p>\n" +
       body.substr(body.size() / 2));
   b.arcs_by_from[from][7].title = "retitled";
-  auto b_arcs = std::make_shared<std::vector<navsep::core::NavArc>>(*arcs);
-  (*b_arcs)[7].title = "retitled";
-  b.overlays.arcs = b_arcs;
+  arcs[7].title = "retitled";
+  b.overlays.arcs = navsep::testing::chunks_of(arcs);
   return {std::make_shared<serve::SiteSnapshot>(std::move(a)),
           std::make_shared<serve::SiteSnapshot>(std::move(b))};
 }
@@ -641,8 +638,9 @@ TEST(WireFuzz, ScriptsAgainstAChangedOrMissingBaseThrow) {
   const SnapPtr applied = repl::apply_delta(delta, *a);
   EXPECT_EQ(*applied->body("page.html"), *b->body("page.html"));
   EXPECT_EQ(applied->traversal_arcs(), b->traversal_arcs());
-  ASSERT_EQ(applied->overlay_arcs()->size(), b->overlay_arcs()->size());
-  EXPECT_EQ((*applied->overlay_arcs())[7].title, "retitled");
+  ASSERT_NO_FATAL_FAILURE(navsep::testing::expect_same_chunks(
+      b->overlay_arcs(), applied->overlay_arcs()));
+  EXPECT_EQ(applied->overlay_arcs().front()->arcs[7].title, "retitled");
 
   // The same epoch with one byte of the page changed: the script's copy
   // runs fit, but the rebuilt page misses the origin's checksum.
@@ -669,8 +667,7 @@ TEST(WireFuzz, ScriptsAgainstAChangedOrMissingBaseThrow) {
                   std::make_shared<serve::SiteSnapshot>(std::move(no_bucket)),
                   "scripts traversal bucket");
   serve::SnapshotState no_segment = state_of(*a);
-  no_segment.overlays.arcs =
-      std::make_shared<const std::vector<navsep::core::NavArc>>();
+  no_segment.overlays.arcs.clear();
   expect_rejected(delta,
                   std::make_shared<serve::SiteSnapshot>(std::move(no_segment)),
                   "scripts segment 'links.xml'");

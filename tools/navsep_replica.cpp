@@ -6,7 +6,8 @@
 //     Build the paper museum engine with ByAuthor/ByMovement contexts
 //     and three serving profiles, publish its snapshot stream at
 //     <endpoint>, then run N mutation epochs (retitles, arc edits,
-//     context reorders) M ms apart before draining and exiting.
+//     context reorders, structure arcs reordered across pages) M ms
+//     apart before draining and exiting.
 //
 //   navsep_replica replica <endpoint> [--until-epoch E] [--timeout-ms T]
 //                  [--page PATH] [--profile NAME] [--obs PATH]
@@ -22,7 +23,9 @@
 //     Origin and replica in one process over a real socket (default:
 //     ephemeral loopback TCP): mutate, stream, then verify the replica's
 //     snapshot is byte-identical to the origin's — every artifact and
-//     every profile-scoped page. Exit status is the verdict.
+//     every profile-scoped page — and holds the origin's arc state: the
+//     same arc chunks in order, every field and ordinal included, and
+//     the same traversal arcs. Exit status is the verdict.
 //
 // Run two terminals for the real thing:
 //   build/tools/navsep_replica origin tcp:127.0.0.1:4710 --epochs 50 &
@@ -120,9 +123,11 @@ std::unique_ptr<nav::Engine> make_origin_engine() {
 
 /// One scripted mutation per call, cycling through the kinds a live
 /// origin would mix: retitles (page-local), arc edits (structure-wide),
-/// context reorders (single-family — the delta sweet spot).
+/// context reorders (single-family — the delta sweet spot), and the
+/// structure's arcs reordered across pages but not within any (no page
+/// changes, only the linkbase's arc order).
 void mutate(nav::Engine& engine, int step) {
-  switch (step % 3) {
+  switch (step % 4) {
     case 0: {
       const auto& members = engine.structure().members();
       const auto& id = members[static_cast<std::size_t>(step) %
@@ -138,6 +143,21 @@ void mutate(nav::Engine& engine, int step) {
       edited.title = "epoch-arc-" + std::to_string(step);
       (void)engine.replace_arc(
           static_cast<std::size_t>(step) % arcs.size(), std::move(edited));
+      break;
+    }
+    case 2: {
+      // The arcs leaving the first arc's page move, in order, to the end.
+      const hm::AccessStructure& structure = engine.structure();
+      std::vector<hm::AccessArc> arcs = structure.arcs();
+      if (arcs.empty()) break;
+      const std::string first = arcs.front().from;
+      std::stable_partition(
+          arcs.begin(), arcs.end(),
+          [&](const hm::AccessArc& arc) { return arc.from != first; });
+      (void)engine.set_access_structure(
+          std::make_unique<hm::MaterializedStructure>(
+              structure.name(), structure.kind(), structure.members(),
+              std::move(arcs), structure.entry()));
       break;
     }
     default: {
@@ -247,6 +267,26 @@ int run_replica(int argc, char** argv) {
   return 0;
 }
 
+/// What of the arc state differs between two snapshots, or null: the
+/// chunks (in order, every arc field with the ordinal, and every slice
+/// hash), then the traversal arcs.
+const char* arc_state_divergence(const serve::SiteSnapshot& origin,
+                                 const serve::SiteSnapshot& replica) {
+  const auto same_chunk = [](const auto& a, const auto& b) {
+    return a->source == b->source && a->arcs == b->arcs &&
+           a->slice_hashes == b->slice_hashes;
+  };
+  if (!std::equal(origin.overlay_arcs().begin(), origin.overlay_arcs().end(),
+                  replica.overlay_arcs().begin(), replica.overlay_arcs().end(),
+                  same_chunk)) {
+    return "overlay arc chunks";
+  }
+  if (origin.traversal_arcs() != replica.traversal_arcs()) {
+    return "traversal arcs";
+  }
+  return nullptr;
+}
+
 int run_selftest(int argc, char** argv) {
   const repl::Endpoint endpoint =
       argc > 2 && argv[2][0] != '-' ? repl::Endpoint::parse(argv[2])
@@ -265,13 +305,26 @@ int run_selftest(int argc, char** argv) {
   replica.attach_telemetry(registry);
   replica.start();
 
-  for (int step = 0; step < 24; ++step) mutate(*engine, step);
-  const std::uint64_t target = engine->snapshots().epoch();
-  if (!replica.wait_for_epoch(target, std::chrono::seconds(30))) {
+  // The replica catches up before each next mutation, so every epoch
+  // ships as a DELTA, and its arc state must be the origin's after each.
+  const auto caught_up = [&] {
+    const std::uint64_t target = engine->snapshots().epoch();
+    if (replica.wait_for_epoch(target, std::chrono::seconds(30))) return true;
     std::fprintf(stderr, "selftest: replica never reached epoch %llu (%s)\n",
                  static_cast<unsigned long long>(target),
                  replica.error().c_str());
-    return 1;
+    return false;
+  };
+  if (!caught_up()) return 1;
+  for (int step = 0; step < 24; ++step) {
+    mutate(*engine, step);
+    if (!caught_up()) return 1;
+    if (const char* diverged = arc_state_divergence(
+            *engine->snapshots().current(), *replica.store().current())) {
+      std::fprintf(stderr, "selftest: %s diverged after step %d\n", diverged,
+                   step);
+      return 1;
+    }
   }
 
   // Byte identity: every artifact, then every profile-scoped page.
