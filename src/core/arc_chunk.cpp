@@ -15,11 +15,6 @@ std::uint64_t arc_hash(const NavArc& arc) noexcept {
   return hash_combine(a, hash_bytes(arc.context));
 }
 
-std::uint64_t combine_arc_slice(std::uint64_t slice,
-                                const NavArc& arc) noexcept {
-  return hash_combine(slice, arc_hash(arc));
-}
-
 const std::vector<const NavArc*>* ArcChunk::leaving(
     std::string_view path) const {
   auto it = by_page.find(path);
@@ -46,9 +41,15 @@ std::shared_ptr<const ArcChunk> make_arc_chunk(std::string source,
   chunk->arcs = std::move(arcs);
   for (NavArc& arc : chunk->arcs) {
     if (arc.source != chunk->source) arc.source = chunk->source;
+    const std::uint64_t hash = arc_hash(arc);
     std::string page = default_href_for(arc.from);
-    auto [hash, fresh] = chunk->slice_hashes.try_emplace(page, kEmptySliceHash);
-    hash->second = combine_arc_slice(hash->second, arc);
+    auto [slice, fresh] = chunk->slice_hashes.try_emplace(page, kEmptySliceHash);
+    slice->second = hash_combine(slice->second, hash);
+    if (arc.context.empty()) {
+      auto [woven, added] =
+          chunk->woven_hashes.try_emplace(arc.from, kEmptySliceHash);
+      woven->second = hash_combine(woven->second, hash);
+    }
     chunk->by_page[std::move(page)].push_back(&arc);
   }
   return chunk;

@@ -7,7 +7,8 @@
 // the navigation aspect, route expansion, landmark scoring, the
 // published snapshots' profile overlays and the replication wire.
 // make_arc_chunk is the only place arcs are partitioned per page and
-// slice hashes are folded, so no two layers can disagree on either.
+// slice hashes are folded, for overlays and stored pages alike, so no
+// two layers can disagree on either.
 #pragma once
 
 #include <cstddef>
@@ -47,14 +48,9 @@ inline constexpr std::uint64_t kEmptySliceHash = 0x9e3779b97f4a7c15ull;
 /// (from/to/role/title/context).
 [[nodiscard]] std::uint64_t arc_hash(const NavArc& arc) noexcept;
 
-/// Fold one arc into a slice hash (order-sensitive: slice order is
-/// render order): hash_combine(slice, arc_hash(arc)).
-[[nodiscard]] std::uint64_t combine_arc_slice(std::uint64_t slice,
-                                              const NavArc& arc) noexcept;
-
 /// The arcs of one linkbase. Immutable once built: create it with
-/// make_arc_chunk and share it by pointer (the page index points into
-/// `arcs`, so a chunk is neither copied nor moved).
+/// make_arc_chunk and share it by pointer (the page index and the woven
+/// table point into `arcs`, so a chunk is neither copied nor moved).
 struct ArcChunk {
   ArcChunk() = default;
   ArcChunk(const ArcChunk&) = delete;
@@ -65,9 +61,15 @@ struct ArcChunk {
   /// Site path of a page (default_href_for(from)) → the arcs leaving it,
   /// in authored order.
   std::map<std::string, std::vector<const NavArc*>, std::less<>> by_page;
-  /// The same pages → combine_arc_slice folded over their arcs from
-  /// kEmptySliceHash: the slice-precise validity token of an overlay.
+  /// The same pages → hash_combine(slice, arc_hash(arc)) folded over
+  /// their arcs from kEmptySliceHash (order-sensitive: slice order is
+  /// render order): the slice-precise validity token of an overlay.
   PageSliceHashes slice_hashes;
+  /// Page id (a view of an arc's `from`) → the same fold over only the
+  /// context-free arcs leaving that node's page: what this linkbase
+  /// weaves into its stored bytes (contextual arcs reach only on-demand
+  /// compositions). Pages no context-free arc leaves have no entry.
+  std::map<std::string_view, std::uint64_t, std::less<>> woven_hashes;
 
   /// The arcs leaving page `path`; null when none do.
   [[nodiscard]] const std::vector<const NavArc*>* leaving(
@@ -85,7 +87,7 @@ using ArcChunks = std::vector<std::shared_ptr<const ArcChunk>>;
     const ArcChunks& chunks, std::string_view source);
 
 /// Build linkbase `source`'s chunk from its arcs in authored order (each
-/// arc's source becomes `source`): the page index and the slice hashes.
+/// arc's source becomes `source`): the page index and both hash tables.
 [[nodiscard]] std::shared_ptr<const ArcChunk> make_arc_chunk(
     std::string source, std::vector<NavArc> arcs);
 

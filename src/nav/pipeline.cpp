@@ -1017,25 +1017,16 @@ std::uint64_t Engine::rebuild_arc_table() {
   // The arc set is the records' chunks in merge order, shared, never
   // copied. Route and landmark chunks join after the families; their
   // arcs are context-tagged ('<name>:route', '<name>:landmark'), so like
-  // tour arcs they land in overlay slices, never in stored pages. A
-  // stored page weaves the context-free arcs leaving it (contextual tour
-  // arcs are only woven into on-demand compositions carrying their
-  // context tag), so its slice hash folds those alone. The table is a
-  // function of the records' texts, so their hashes make its hash.
+  // tour arcs they land in overlay slices, never in stored pages. The
+  // table is a function of the records' texts, so their hashes make its
+  // hash.
   core::ArcChunks chunks;
   chunks.reserve(linkbases_.size());
-  std::map<std::string_view, std::uint64_t> slices;  // page id -> hash
   std::uint64_t table_hash = 0xa5a5a5a5a5a5a5a5ull;
   for (const LinkbaseRecord& record : linkbases_) {
     table_hash = hash_combine(
         table_hash, build_graph_.hash_of(linkbase_node(record.path)));
-    if (record.chunk == nullptr) continue;
-    chunks.push_back(record.chunk);
-    for (const core::NavArc& arc : record.chunk->arcs) {
-      if (!arc.context.empty()) continue;
-      auto [it, inserted] = slices.emplace(arc.from, 0xbeefull);
-      it->second = hash_combine(it->second, core::arc_hash(arc));
-    }
+    if (record.chunk != nullptr) chunks.push_back(record.chunk);
   }
   arc_chunks_ = std::move(chunks);
 
@@ -1046,13 +1037,21 @@ std::uint64_t Engine::rebuild_arc_table() {
       arc_chunks_, aspect_options));
 
   // Re-weave, in page-id order, exactly the pages whose slice moved since
-  // their stored bytes were woven (a page no arc leaves has slice 0). A
-  // weave that throws leaves its page and the ones after it unwoven and
-  // this node dirty, so the next run weaves exactly those.
+  // their stored bytes were woven. A stored page weaves the context-free
+  // arcs leaving it (contextual tour arcs are only woven into on-demand
+  // compositions carrying their context tag), so its slice is each
+  // chunk's woven hash for it, combined in merge order. A weave that
+  // throws leaves its page and the ones after it unwoven and this node
+  // dirty, so the next run weaves exactly those.
   sync_pages();
   for (auto& [page_id, woven] : woven_at_) {
-    const auto slice = slices.find(page_id);
-    const std::uint64_t current = slice == slices.end() ? 0 : slice->second;
+    std::uint64_t current = core::kEmptySliceHash;
+    for (const std::shared_ptr<const core::ArcChunk>& chunk : arc_chunks_) {
+      const auto slice = chunk->woven_hashes.find(page_id);
+      if (slice != chunk->woven_hashes.end()) {
+        current = hash_combine(current, slice->second);
+      }
+    }
     if (woven == current) continue;
     weave_page(page_id);
     woven = current;

@@ -140,6 +140,17 @@ core::PageSliceHashes fold_slice_hashes(const std::vector<core::NavArc>& arcs) {
   return hashes;
 }
 
+std::map<std::string_view, std::uint64_t, std::less<>> fold_woven_hashes(
+    const std::vector<core::NavArc>& arcs) {
+  std::map<std::string_view, std::uint64_t, std::less<>> hashes;
+  for (const core::NavArc& arc : arcs) {
+    if (!arc.context.empty()) continue;
+    auto [it, fresh] = hashes.try_emplace(arc.from, core::kEmptySliceHash);
+    it->second = hash_combine(it->second, core::arc_hash(arc));
+  }
+  return hashes;
+}
+
 void expect_same_chunks(const core::ArcChunks& want,
                         const core::ArcChunks& got) {
   ASSERT_EQ(want.size(), got.size()) << "chunk count";
@@ -158,6 +169,7 @@ void expect_same_chunks(const core::ArcChunks& want,
           << a.source << " arc " << j;
     }
     EXPECT_EQ(a.slice_hashes, b.slice_hashes) << a.source;
+    EXPECT_EQ(a.woven_hashes, b.woven_hashes) << a.source;
   }
 }
 

@@ -60,9 +60,16 @@ void expect_profile_matches_oracle(const nav::Engine& engine,
 [[nodiscard]] core::PageSliceHashes fold_slice_hashes(
     const std::vector<core::NavArc>& arcs);
 
+/// Each page id's woven hash over one linkbase's `arcs`, folded here
+/// rather than by core::make_arc_chunk: the same fold as
+/// fold_slice_hashes over only the context-free arcs, keyed by `from`
+/// (the keys view `arcs`).
+[[nodiscard]] std::map<std::string_view, std::uint64_t, std::less<>>
+fold_woven_hashes(const std::vector<core::NavArc>& arcs);
+
 /// Assert `got` holds `want`'s chunks in order: same source, the same
 /// arcs in the same order (every field, ordinal included), and the same
-/// slice hashes.
+/// slice and woven hashes.
 void expect_same_chunks(const core::ArcChunks& want,
                         const core::ArcChunks& got);
 

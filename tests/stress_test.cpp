@@ -433,7 +433,7 @@ void expect_arc_state_matches_served_linkbases(const nav::Engine& engine,
   EXPECT_EQ(snap->traversal_arcs(), walked);
 
   // Overlay chunks, one per linkbase that authored arcs, and their
-  // slice hashes against a fold computed here.
+  // slice and woven hashes against folds computed here.
   const navsep::core::ArcChunks derived = navsep::testing::chunks_of(
       navsep::core::combined_nav_arcs(sourced));
   ASSERT_NO_FATAL_FAILURE(
@@ -441,6 +441,9 @@ void expect_arc_state_matches_served_linkbases(const nav::Engine& engine,
   for (const auto& chunk : snap->overlay_arcs()) {
     EXPECT_EQ(chunk->slice_hashes,
               navsep::testing::fold_slice_hashes(chunk->arcs))
+        << chunk->source;
+    EXPECT_EQ(chunk->woven_hashes,
+              navsep::testing::fold_woven_hashes(chunk->arcs))
         << chunk->source;
   }
 

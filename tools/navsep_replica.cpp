@@ -25,7 +25,8 @@
 //     snapshot is byte-identical to the origin's — every artifact and
 //     every profile-scoped page — and holds the origin's arc state: the
 //     same arc chunks in order, every field and ordinal included, and
-//     the same traversal arcs. Exit status is the verdict.
+//     the same traversal arcs; and that every chunk was shipped in some
+//     DELTA. Exit status is the verdict.
 //
 // Run two terminals for the real thing:
 //   build/tools/navsep_replica origin tcp:127.0.0.1:4710 --epochs 50 &
@@ -38,6 +39,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -162,7 +164,7 @@ void mutate(nav::Engine& engine, int step) {
     }
     default: {
       (void)engine.edit_context_family(
-          step % 2 == 0 ? "ByAuthor" : "ByMovement",
+          (step / 4) % 2 == 0 ? "ByAuthor" : "ByMovement",
           [](hm::ContextFamily& family) {
             std::vector<hm::NavigationalContext> contexts =
                 family.contexts();
@@ -269,12 +271,13 @@ int run_replica(int argc, char** argv) {
 
 /// What of the arc state differs between two snapshots, or null: the
 /// chunks (in order, every arc field with the ordinal, and every slice
-/// hash), then the traversal arcs.
+/// and woven hash), then the traversal arcs.
 const char* arc_state_divergence(const serve::SiteSnapshot& origin,
                                  const serve::SiteSnapshot& replica) {
   const auto same_chunk = [](const auto& a, const auto& b) {
     return a->source == b->source && a->arcs == b->arcs &&
-           a->slice_hashes == b->slice_hashes;
+           a->slice_hashes == b->slice_hashes &&
+           a->woven_hashes == b->woven_hashes;
   };
   if (!std::equal(origin.overlay_arcs().begin(), origin.overlay_arcs().end(),
                   replica.overlay_arcs().begin(), replica.overlay_arcs().end(),
@@ -307,6 +310,8 @@ int run_selftest(int argc, char** argv) {
 
   // The replica catches up before each next mutation, so every epoch
   // ships as a DELTA, and its arc state must be the origin's after each.
+  // A chunk the replica shares with its previous epoch was carried; any
+  // other was shipped, and the mutate cycle must ship every chunk.
   const auto caught_up = [&] {
     const std::uint64_t target = engine->snapshots().epoch();
     if (replica.wait_for_epoch(target, std::chrono::seconds(30))) return true;
@@ -316,13 +321,30 @@ int run_selftest(int argc, char** argv) {
     return false;
   };
   if (!caught_up()) return 1;
+  auto before = replica.store().current();
+  std::set<std::string> shipped;
   for (int step = 0; step < 24; ++step) {
     mutate(*engine, step);
     if (!caught_up()) return 1;
-    if (const char* diverged = arc_state_divergence(
-            *engine->snapshots().current(), *replica.store().current())) {
+    auto after = replica.store().current();
+    if (const char* diverged =
+            arc_state_divergence(*engine->snapshots().current(), *after)) {
       std::fprintf(stderr, "selftest: %s diverged after step %d\n", diverged,
                    step);
+      return 1;
+    }
+    for (const auto& chunk : after->overlay_arcs()) {
+      if (navsep::core::find_chunk(before->overlay_arcs(), chunk->source) !=
+          chunk) {
+        shipped.insert(chunk->source);
+      }
+    }
+    before = std::move(after);
+  }
+  for (const auto& chunk : before->overlay_arcs()) {
+    if (shipped.count(chunk->source) == 0) {
+      std::fprintf(stderr, "selftest: no DELTA shipped %s\n",
+                   chunk->source.c_str());
       return 1;
     }
   }
