@@ -1,8 +1,15 @@
 #include "core/linkbase.hpp"
 
-#include <map>
+#include <algorithm>
+#include <numeric>
+#include <ranges>
+#include <span>
+#include <unordered_map>
+#include <utility>
 
 #include "uri/uri.hpp"
+#include "xml/parser.hpp"
+#include "xml/serializer.hpp"
 
 namespace navsep::core {
 
@@ -27,73 +34,233 @@ bool is_structure_page(std::string_view id) {
 
 }  // namespace
 
+LinkbaseDraft draft_linkbase(const hypermedia::AccessStructure& structure,
+                             const std::vector<hypermedia::AccessArc>& arcs,
+                             const LinkbaseOptions& options) {
+  const auto href_of = [&options](std::string_view id) {
+    if (is_structure_page(id)) {
+      return options.structure_href ? options.structure_href(id)
+                                    : default_structure_href(id);
+    }
+    return options.data_href ? options.data_href(id) : default_data_href(id);
+  };
+  LinkbaseDraft draft;
+  draft.base_uri = options.base_uri;
+  const std::vector<hypermedia::Member>& members = structure.members();
+  draft.locators.reserve(members.size() + 1);
+  draft.arcs.reserve(arcs.size());
+  // Locators: members first (stable, human-friendly order; a member
+  // listed twice keeps its first position and its last title), then
+  // every other arc endpoint, titled by its id.
+  std::unordered_map<std::string_view, std::size_t> located;
+  located.reserve(members.size() + 1);
+  const auto locate = [&](std::string_view id, std::string_view title,
+                          bool member) {
+    auto [at, fresh] = located.try_emplace(id, draft.locators.size());
+    if (fresh) {
+      draft.locators.push_back({href_of(id), id, title});
+    } else if (member) {
+      draft.locators[at->second].title = title;
+    }
+  };
+  for (const hypermedia::Member& m : members) locate(m.node_id, m.title, true);
+  // Arcs: one per materialized access arc, in structure order.
+  for (const hypermedia::AccessArc& a : arcs) {
+    locate(a.from, a.from, false);
+    locate(a.to, a.to, false);
+    draft.arcs.push_back({a.from, a.to, a.role, {}, a.title});
+  }
+  draft.links.push_back({to_string(structure.kind()), structure.name(),
+                         draft.locators.size(), draft.arcs.size()});
+  return draft;
+}
+
+LinkbaseDraft draft_context_linkbase(
+    const hypermedia::ContextFamily& family,
+    const std::function<std::string(std::string_view node_id)>& title_of,
+    const LinkbaseOptions& options) {
+  LinkbaseDraft draft;
+  draft.tours = true;
+  draft.base_uri = options.base_uri;
+  for (const hypermedia::NavigationalContext& ctx : family.contexts()) {
+    const std::vector<std::string>& ids = ctx.node_ids();
+    const std::size_t first = draft.locators.size();
+    for (const std::string& id : ids) {
+      draft.locators.push_back(
+          {options.data_href ? options.data_href(id) : default_data_href(id),
+           id, draft.owned.emplace_back(title_of(id))});
+    }
+    for (std::size_t i = 0; i + 1 < ids.size(); ++i) {
+      draft.arcs.push_back({ids[i], ids[i + 1], hypermedia::roles::kNext,
+                            "Next: ", draft.locators[first + i + 1].title});
+      draft.arcs.push_back({ids[i + 1], ids[i], hypermedia::roles::kPrev,
+                            "Previous: ", draft.locators[first + i].title});
+    }
+    draft.links.push_back({"GuidedTour",
+                           draft.owned.emplace_back(ctx.qualified_name()),
+                           draft.locators.size(), draft.arcs.size()});
+  }
+  return draft;
+}
+
+LinkbaseDraft draft_context_linkbase(const hypermedia::ContextFamily& family,
+                                     const hypermedia::NavigationalModel& model,
+                                     const LinkbaseOptions& options) {
+  return draft_context_linkbase(
+      family,
+      [&model](std::string_view id) {
+        const hypermedia::NavNode* node = model.node(id);
+        return node != nullptr ? node->title() : std::string(id);
+      },
+      options);
+}
+
+std::string write_linkbase(const LinkbaseDraft& draft) {
+  std::string out;
+  out.reserve(256 + 160 * draft.locators.size() + 224 * draft.arcs.size());
+  const auto attribute = [&out](std::string_view name, std::string_view head,
+                                std::string_view tail = {}) {
+    out += ' ';
+    out += name;
+    out += "=\"";
+    xml::append_escaped_attribute(out, head);
+    xml::append_escaped_attribute(out, tail);
+    out += '"';
+  };
+  out += "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n<links";
+  attribute("xmlns:xlink", xlink::kNamespace);
+  if (draft.tours) attribute("xmlns:nav", kNavExtensionNamespace);
+  if (draft.links.empty()) {
+    out += "/>\n";
+    return out;
+  }
+  out += '>';
+  const std::string_view element = draft.tours ? "tour" : "structure";
+  std::size_t locator = 0;
+  std::size_t arc = 0;
+  for (const LinkbaseDraft::Link& link : draft.links) {
+    out += "\n  <";
+    out += element;
+    attribute("xlink:type", "extended");
+    attribute("xlink:role", link.role);
+    attribute("xlink:title", link.title);
+    if (draft.tours) attribute("nav:context", link.title);
+    if (locator == link.locators_end && arc == link.arcs_end) {
+      out += "/>";
+      continue;
+    }
+    out += '>';
+    for (; locator < link.locators_end; ++locator) {
+      const LinkbaseDraft::Locator& l = draft.locators[locator];
+      out += "\n    <loc";
+      attribute("xlink:type", "locator");
+      attribute("xlink:href", l.href);
+      attribute("xlink:label", l.label);
+      attribute("xlink:title", l.title);
+      out += "/>";
+    }
+    for (; arc < link.arcs_end; ++arc) {
+      const LinkbaseDraft::Arc& a = draft.arcs[arc];
+      out += "\n    <go";
+      attribute("xlink:type", "arc");
+      attribute("xlink:from", a.from);
+      attribute("xlink:to", a.to);
+      attribute("xlink:arcrole", kNavArcrolePrefix, a.role);
+      attribute("xlink:title", a.title_prefix, a.title);
+      if (draft.tours) {
+        attribute("nav:context", link.title);
+      } else {
+        attribute("xlink:show", "replace");
+        attribute("xlink:actuate", "onRequest");
+      }
+      out += "/>";
+    }
+    out += "\n  </";
+    out += element;
+    out += '>';
+  }
+  out += "\n</links>\n";
+  return out;
+}
+
+LinkbaseArcs expand_linkbase(const LinkbaseDraft& draft, std::string source) {
+  // Each locator's resolved URI and node id, computed once.
+  const std::size_t n = draft.locators.size();
+  const uri::Uri base = n == 0 ? uri::Uri{} : uri::parse(draft.base_uri);
+  std::vector<std::string> uris;
+  std::vector<std::string> ids;
+  uris.reserve(n);
+  ids.reserve(n);
+  for (const LinkbaseDraft::Locator& l : draft.locators) {
+    uris.push_back(l.href.empty()
+                       ? std::string()
+                       : uri::resolve(base, uri::parse(l.href)).to_string());
+    ids.push_back(node_id_for(uris.back()));
+  }
+  // Ordinals count the arcs leaving one node across the whole linkbase.
+  std::unordered_map<std::string_view, std::size_t> next_ordinal;
+  const xlink::Show show =
+      draft.tours ? xlink::Show::Unspecified : xlink::Show::Replace;
+  const xlink::Actuate actuate =
+      draft.tours ? xlink::Actuate::Unspecified : xlink::Actuate::OnRequest;
+  const auto endpoint = [&](std::size_t i) {
+    const LinkbaseDraft::Locator& l = draft.locators[i];
+    return xlink::Endpoint{false,         nullptr, uris[i], std::string(l.label),
+                           std::string(), std::string(l.title)};
+  };
+  std::vector<xlink::Arc> expanded;
+  std::vector<NavArc> nav;
+  expanded.reserve(draft.arcs.size());
+  nav.reserve(draft.arcs.size());
+  std::vector<std::size_t> in_order;  // the link's locators, document order
+  std::vector<std::size_t> by_label;  // the same, stably sorted by label
+  const auto label_of = [&draft](std::size_t i) {
+    return draft.locators[i].label;
+  };
+  std::size_t first_locator = 0;
+  std::size_t arc = 0;
+  for (const LinkbaseDraft::Link& link : draft.links) {
+    in_order.resize(link.locators_end - first_locator);
+    std::iota(in_order.begin(), in_order.end(), first_locator);
+    first_locator = link.locators_end;
+    by_label = in_order;
+    std::ranges::stable_sort(by_label, {}, label_of);
+    const auto labeled = [&](std::string_view label) {
+      if (label.empty()) return std::span<const std::size_t>(in_order);
+      return std::span<const std::size_t>(
+          std::ranges::equal_range(by_label, label, {}, label_of));
+    };
+    const std::string_view context = draft.tours ? link.title : "";
+    for (; arc < link.arcs_end; ++arc) {
+      const LinkbaseDraft::Arc& spec = draft.arcs[arc];
+      std::string arcrole(kNavArcrolePrefix);
+      arcrole += spec.role;
+      std::string title(spec.title_prefix);
+      title += spec.title;
+      for (const std::size_t from : labeled(spec.from)) {
+        for (const std::size_t to : labeled(spec.to)) {
+          if (from == to) continue;  // a resource to itself is inert
+          expanded.push_back(xlink::Arc{endpoint(from), endpoint(to), arcrole,
+                                        title, show, actuate, nullptr});
+          nav.push_back(NavArc{ids[from], ids[to], std::string(spec.role),
+                               title, std::string(context), std::string(),
+                               next_ordinal[ids[from]]++});
+        }
+      }
+    }
+  }
+  return LinkbaseArcs{make_arc_chunk(std::move(source), std::move(nav)),
+                      xlink::TraversalGraph(std::move(expanded))};
+}
+
 std::unique_ptr<xml::Document> build_linkbase(
     const hypermedia::AccessStructure& structure,
     const LinkbaseOptions& options) {
-  auto data_href = options.data_href ? options.data_href : default_data_href;
-  auto structure_href = options.structure_href ? options.structure_href
-                                               : default_structure_href;
-
-  auto doc = std::make_unique<xml::Document>();
-  doc->set_base_uri(options.base_uri);
-
-  xml::Element& root = doc->set_root(xml::QName("links"));
-  root.set_attribute("xmlns:xlink", std::string(xlink::kNamespace));
-
-  xml::Element& link = root.append_element("structure");
-  auto xattr = [](xml::Element& e, std::string_view local,
-                  std::string_view value) {
-    e.set_attribute_ns(
-        xml::QName("xlink", std::string(local), std::string(xlink::kNamespace)),
-        value);
-  };
-  xattr(link, "type", "extended");
-  xattr(link, "role", std::string(to_string(structure.kind())));
-  xattr(link, "title", structure.name());
-
-  // Locators: every endpoint referenced by any arc, labeled by node id.
-  std::vector<hypermedia::AccessArc> arcs = structure.arcs();
-  std::map<std::string, std::string> endpoints;  // id -> href, insert-ordered
-  std::vector<std::string> endpoint_order;
-  auto note_endpoint = [&](const std::string& id, std::string_view title) {
-    if (endpoints.find(id) != endpoints.end()) return;
-    std::string href =
-        is_structure_page(id) ? structure_href(id) : data_href(id);
-    endpoints.emplace(id, std::move(href));
-    endpoint_order.push_back(id);
-    (void)title;
-  };
-  // Members first (stable, human-friendly order), then structure pages.
-  for (const auto& m : structure.members()) note_endpoint(m.node_id, m.title);
-  for (const auto& a : arcs) {
-    note_endpoint(a.from, "");
-    note_endpoint(a.to, "");
-  }
-
-  std::map<std::string, std::string> titles;
-  for (const auto& m : structure.members()) titles[m.node_id] = m.title;
-
-  for (const std::string& id : endpoint_order) {
-    xml::Element& loc = link.append_element("loc");
-    xattr(loc, "type", "locator");
-    xattr(loc, "href", endpoints[id]);
-    xattr(loc, "label", id);
-    auto t = titles.find(id);
-    xattr(loc, "title", t != titles.end() ? t->second : id);
-  }
-
-  // Arcs: one per materialized access arc, in structure order.
-  for (const auto& a : arcs) {
-    xml::Element& go = link.append_element("go");
-    xattr(go, "type", "arc");
-    xattr(go, "from", a.from);
-    xattr(go, "to", a.to);
-    xattr(go, "arcrole", std::string(kNavArcrolePrefix) + a.role);
-    xattr(go, "title", a.title);
-    xattr(go, "show", "replace");
-    xattr(go, "actuate", "onRequest");
-  }
-  return doc;
+  const std::vector<hypermedia::AccessArc> arcs = structure.arcs();
+  xml::ParseOptions parse;
+  parse.base_uri = options.base_uri;
+  return xml::parse(write_linkbase(draft_linkbase(structure, arcs, options)),
+                    parse);
 }
 
 xlink::TraversalGraph load_linkbase(const xml::Document& doc) {
@@ -141,87 +308,6 @@ std::vector<hypermedia::AccessArc> arcs_from_graph(
     out.push_back(std::move(a));
   }
   return out;
-}
-
-// --- contextual linkbases ------------------------------------------------------
-
-std::unique_ptr<xml::Document> build_context_linkbase(
-    const hypermedia::ContextFamily& family,
-    const hypermedia::NavigationalModel& model,
-    const LinkbaseOptions& options) {
-  return build_context_linkbase(
-      family,
-      [&model](std::string_view id) {
-        const hypermedia::NavNode* node = model.node(id);
-        return node != nullptr ? node->title() : std::string(id);
-      },
-      options);
-}
-
-std::unique_ptr<xml::Document> build_context_linkbase(
-    const hypermedia::ContextFamily& family,
-    const std::function<std::string(std::string_view node_id)>& title_of,
-    const LinkbaseOptions& options) {
-  auto data_href = options.data_href ? options.data_href : default_data_href;
-
-  auto doc = std::make_unique<xml::Document>();
-  doc->set_base_uri(options.base_uri);
-  xml::Element& root = doc->set_root(xml::QName("links"));
-  root.set_attribute("xmlns:xlink", std::string(xlink::kNamespace));
-  root.set_attribute("xmlns:nav", std::string(kNavExtensionNamespace));
-
-  auto xattr = [](xml::Element& e, std::string_view local,
-                  std::string_view value) {
-    e.set_attribute_ns(
-        xml::QName("xlink", std::string(local), std::string(xlink::kNamespace)),
-        value);
-  };
-  auto navattr = [](xml::Element& e, std::string_view local,
-                    std::string_view value) {
-    e.set_attribute_ns(xml::QName("nav", std::string(local),
-                                  std::string(kNavExtensionNamespace)),
-                       value);
-  };
-
-  for (const hypermedia::NavigationalContext& ctx : family.contexts()) {
-    xml::Element& link = root.append_element("tour");
-    xattr(link, "type", "extended");
-    xattr(link, "role", "GuidedTour");
-    xattr(link, "title", ctx.qualified_name());
-    navattr(link, "context", ctx.qualified_name());
-
-    for (const std::string& id : ctx.node_ids()) {
-      xml::Element& loc = link.append_element("loc");
-      xattr(loc, "type", "locator");
-      xattr(loc, "href", data_href(id));
-      xattr(loc, "label", id);
-      xattr(loc, "title", title_of(id));
-    }
-
-    const auto& ids = ctx.node_ids();
-    for (std::size_t i = 0; i + 1 < ids.size(); ++i) {
-      xml::Element& fwd = link.append_element("go");
-      xattr(fwd, "type", "arc");
-      xattr(fwd, "from", ids[i]);
-      xattr(fwd, "to", ids[i + 1]);
-      xattr(fwd, "arcrole",
-            std::string(kNavArcrolePrefix) +
-                std::string(hypermedia::roles::kNext));
-      xattr(fwd, "title", "Next: " + title_of(ids[i + 1]));
-      navattr(fwd, "context", ctx.qualified_name());
-
-      xml::Element& bwd = link.append_element("go");
-      xattr(bwd, "type", "arc");
-      xattr(bwd, "from", ids[i + 1]);
-      xattr(bwd, "to", ids[i]);
-      xattr(bwd, "arcrole",
-            std::string(kNavArcrolePrefix) +
-                std::string(hypermedia::roles::kPrev));
-      xattr(bwd, "title", "Previous: " + title_of(ids[i]));
-      navattr(bwd, "context", ctx.qualified_name());
-    }
-  }
-  return doc;
 }
 
 }  // namespace navsep::core

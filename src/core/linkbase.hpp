@@ -1,4 +1,4 @@
-// Linkbase synthesis and loading: the XLink half of the separation.
+// Linkbase authoring: the XLink half of the separation.
 //
 // This is the heart of the paper's proposal (its Figure 9): the whole
 // access structure — which arcs exist, in which order, with which labels —
@@ -7,13 +7,27 @@
 // Tour request of §5) rewrites only this file; the data documents and the
 // presentation stylesheet are untouched. bench/e1_change_impact measures
 // exactly that.
+//
+// Each linkbase shape has one producer, which reads the model and emits
+// the linkbase's locators and arcs in document order as a LinkbaseDraft:
+// draft_linkbase for an access structure, draft_context_linkbase for a
+// context family (families, route expansions and landmark picks alike).
+// Two consumers read a draft, so the text and the arcs derived from it
+// come from one source without a DOM in between: write_linkbase prints
+// the text every served linkbase is, and expand_linkbase derives the arc
+// chunk and traversal graph an XLink processor would read back from that
+// text. load_linkbase and combined_nav_arcs (navigation_aspect.hpp) are
+// that processor's path, kept for linkbases navsep did not author.
 #pragma once
 
+#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
+#include "core/arc_chunk.hpp"
 #include "hypermedia/access.hpp"
 #include "hypermedia/context.hpp"
 #include "hypermedia/navigational.hpp"
@@ -25,9 +39,12 @@ namespace navsep::core {
 /// Prefix distinguishing navigation arcroles inside the linkbase.
 inline constexpr std::string_view kNavArcrolePrefix = "nav:";
 
+/// Namespace of the navsep linkbase extension attributes (nav:context).
+inline constexpr std::string_view kNavExtensionNamespace =
+    "urn:navsep:navigation";
+
 struct LinkbaseOptions {
-  /// Base URI recorded on the produced document (locator hrefs stay
-  /// relative to it).
+  /// Base URI of the linkbase (locator hrefs stay relative to it).
   std::string base_uri = "http://museum.example/site/links.xml";
 
   /// Maps a node id to the URI reference of its data resource, e.g.
@@ -36,19 +53,103 @@ struct LinkbaseOptions {
   std::function<std::string(std::string_view node_id)> data_href;
 
   /// Maps an access-structure page id ("index:paintings") to its URI
-  /// reference. Default: "index.xml".
+  /// reference. Default: "paintings-index.xml".
   std::function<std::string(std::string_view page_id)> structure_href;
 };
 
-/// Build the links.xml document for one access structure: one extended
-/// link whose locators cover every member (plus structure pages) and whose
-/// arcs mirror AccessStructure::arcs() with arcrole "nav:<role>".
+/// One linkbase as its producer emits it: its extended links with their
+/// locators and arcs in document order, holding the value of every
+/// attribute the text carries. Views point into the model the producer
+/// read and into `owned`, so a draft must not outlive that model.
+struct LinkbaseDraft {
+  struct Locator {
+    std::string href;         ///< as written, relative to base_uri
+    std::string_view label;   ///< the node id
+    std::string_view title;
+  };
+  struct Arc {
+    std::string_view from;  ///< a locator label; "" names every locator
+    std::string_view to;
+    std::string_view role;  ///< the arcrole after kNavArcrolePrefix
+    std::string_view title_prefix;  ///< written just before `title`
+    std::string_view title;
+  };
+  struct Link {
+    std::string_view role;   ///< xlink:role
+    std::string_view title;  ///< xlink:title; a tour's nav:context too
+    std::size_t locators_end = 0;  ///< one past its last locator
+    std::size_t arcs_end = 0;      ///< one past its last arc
+  };
+
+  /// A context linkbase: <tour> links whose arcs carry nav:context (the
+  /// link's title). Otherwise one <structure> link whose arcs carry
+  /// xlink:show="replace" and xlink:actuate="onRequest".
+  bool tours = false;
+  std::string base_uri;
+  std::vector<Link> links;
+  std::vector<Locator> locators;
+  std::vector<Arc> arcs;
+  /// Strings the model computes on demand (titles, qualified names).
+  std::deque<std::string> owned;
+};
+
+/// The access structure's draft: one extended link whose locators cover
+/// every member (first position, last title), then every other arc
+/// endpoint (titled by its id), and whose arcs are `arcs` in order with
+/// arcrole "nav:<role>". `arcs` is the structure's materialized arc set,
+/// read in place (MaterializedStructure::stored_arcs()).
+[[nodiscard]] LinkbaseDraft draft_linkbase(
+    const hypermedia::AccessStructure& structure,
+    const std::vector<hypermedia::AccessArc>& arcs,
+    const LinkbaseOptions& options = {});
+
+/// A context family's draft: one guided-tour link per context, tagged
+/// with the context's qualified name, with a locator per listed id and a
+/// next/prev arc pair per adjacent pair. `title_of` titles the locators
+/// (and the arcs to them); it must return the id itself for ids it does
+/// not know, as the model overload does.
+[[nodiscard]] LinkbaseDraft draft_context_linkbase(
+    const hypermedia::ContextFamily& family,
+    const std::function<std::string(std::string_view node_id)>& title_of,
+    const LinkbaseOptions& options = {});
+
+/// Same, titled from the navigational model.
+[[nodiscard]] LinkbaseDraft draft_context_linkbase(
+    const hypermedia::ContextFamily& family,
+    const hypermedia::NavigationalModel& model,
+    const LinkbaseOptions& options = {});
+
+/// The draft's text: the pretty-printed XML document (2-space indent,
+/// declaration first, self-closed empty elements, attribute values
+/// escaped by xml::escape_attribute) that every authored linkbase is.
+[[nodiscard]] std::string write_linkbase(const LinkbaseDraft& draft);
+
+/// What an XLink processor reads back from write_linkbase(draft): the
+/// chunk of its navigation arcs under `source` and its traversal graph.
+struct LinkbaseArcs {
+  std::shared_ptr<const ArcChunk> chunk;
+  xlink::TraversalGraph graph;
+};
+
+/// Expand the draft's arcs as XLink 1.0 §5.1.3 does: each arc joins every
+/// locator labeled `from` to every locator labeled `to` (an empty label
+/// names every locator of the link), in document order, except a locator
+/// to itself. Each expanded arc's endpoints are the locators' hrefs
+/// resolved against base_uri; its NavArc names them by node_id_for of
+/// those URIs and numbers it among the linkbase's arcs leaving the same
+/// node. Graph arcs point at no element.
+[[nodiscard]] LinkbaseArcs expand_linkbase(const LinkbaseDraft& draft,
+                                           std::string source);
+
+/// The access structure's linkbase as a document: an xml::parse of
+/// write_linkbase(draft_linkbase(structure, structure.arcs(), options)),
+/// under options.base_uri.
 [[nodiscard]] std::unique_ptr<xml::Document> build_linkbase(
     const hypermedia::AccessStructure& structure,
     const LinkbaseOptions& options = {});
 
-/// Load a linkbase document back into a traversal graph (convenience over
-/// xlink::TraversalGraph::from_linkbase, with nav-arcrole filtering).
+/// Load a linkbase document into a traversal graph (the XLink processor:
+/// xlink::TraversalGraph::from_linkbase).
 [[nodiscard]] xlink::TraversalGraph load_linkbase(const xml::Document& doc);
 
 /// The default resource URI → node id mapping of the readers below: the
@@ -63,37 +164,5 @@ struct LinkbaseOptions {
 [[nodiscard]] std::vector<hypermedia::AccessArc> arcs_from_graph(
     const xlink::TraversalGraph& graph,
     const std::function<std::string(std::string_view uri)>& id_for = {});
-
-// --- contextual linkbases -----------------------------------------------------
-//
-// The paper's §2 point — "the next page to visit … will depend on the
-// previous navigation" — needs *per-context* tours. A contextual linkbase
-// carries one extended link per navigational context; its next/prev arcs
-// are tagged with the qualified context name in a nav:context attribute
-// (namespace urn:navsep:navigation), so the navigation aspect can emit
-// them only when the page is composed inside that context.
-
-/// Namespace of the navsep linkbase extension attributes.
-inline constexpr std::string_view kNavExtensionNamespace =
-    "urn:navsep:navigation";
-
-/// Build a linkbase with one extended link (a guided tour) per context of
-/// the family. Member titles come from the navigational model.
-[[nodiscard]] std::unique_ptr<xml::Document> build_context_linkbase(
-    const hypermedia::ContextFamily& family,
-    const hypermedia::NavigationalModel& model,
-    const LinkbaseOptions& options = {});
-
-/// Same authoring, but titles come from a function instead of a model.
-/// The model overload delegates here — one implementation authors every
-/// context linkbase, which is what pins the lazily synthesized route
-/// linkbase (serve::SiteSnapshot has only the engine's exported title
-/// table, no NavigationalModel) byte-identical to the ahead-of-time
-/// authored one. `title_of` must return the node id itself for unknown
-/// ids (the model overload's fallback).
-[[nodiscard]] std::unique_ptr<xml::Document> build_context_linkbase(
-    const hypermedia::ContextFamily& family,
-    const std::function<std::string(std::string_view node_id)>& title_of,
-    const LinkbaseOptions& options = {});
 
 }  // namespace navsep::core

@@ -2,7 +2,6 @@
 
 #include "aop/weaver.hpp"
 #include "core/navigation_aspect.hpp"
-#include "xml/serializer.hpp"
 
 namespace navsep::core {
 
@@ -21,13 +20,15 @@ std::vector<Artifact> separated_rendered_site(
     const hypermedia::NavigationalModel& model,
     const hypermedia::AccessStructure& structure,
     const MigrationOptions& options) {
-  auto linkbase = build_linkbase(structure, options.linkbase);
-  xlink::TraversalGraph graph = load_linkbase(*linkbase);
-
+  const std::vector<hypermedia::AccessArc> arcs = structure.arcs();
   aop::Weaver weaver;
   NavigationAspectOptions nav_opts;
   nav_opts.href_for = options.render.href_for;
-  weaver.register_aspect(NavigationAspect::from_linkbase(graph, nav_opts));
+  weaver.register_aspect(NavigationAspect::from_contextual_arcs(
+      {expand_linkbase(draft_linkbase(structure, arcs, options.linkbase),
+                       "links.xml")
+           .chunk},
+      nav_opts));
 
   SeparatedComposer composer(weaver, options.render);
   return to_artifacts(composer.compose_site(model, structure));
@@ -39,9 +40,9 @@ std::vector<Artifact> separated_authored_artifacts(
     const hypermedia::AccessStructure& structure,
     const MigrationOptions& options) {
   std::vector<Artifact> out = options.separated_fixed_artifacts;
-  auto linkbase = build_linkbase(structure, options.linkbase);
-  out.emplace_back("links.xml",
-                   xml::write(*linkbase, {.pretty = true}));
+  const std::vector<hypermedia::AccessArc> arcs = structure.arcs();
+  out.emplace_back("links.xml", write_linkbase(draft_linkbase(
+                                    structure, arcs, options.linkbase)));
   return out;
 }
 

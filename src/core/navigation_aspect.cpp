@@ -208,19 +208,6 @@ std::shared_ptr<aop::Aspect> NavigationAspect::from_contextual_linkbase(
   return build_aspect(combined_nav_arcs({{"", &graph}}), options);
 }
 
-std::shared_ptr<aop::Aspect> NavigationAspect::combined(
-    const xlink::TraversalGraph& structure_graph,
-    const std::vector<const xlink::TraversalGraph*>& context_graphs,
-    const NavigationAspectOptions& options) {
-  std::vector<SourcedGraph> sourced;
-  sourced.reserve(context_graphs.size() + 1);
-  sourced.push_back(SourcedGraph{"", &structure_graph});
-  for (const xlink::TraversalGraph* graph : context_graphs) {
-    sourced.push_back(SourcedGraph{"", graph});
-  }
-  return build_aspect(combined_nav_arcs(sourced), options);
-}
-
 std::vector<NavArc> combined_nav_arcs(const std::vector<SourcedGraph>& graphs) {
   // One pass per graph over its nav arcs; each distinct endpoint URI is
   // mapped to its node id once.

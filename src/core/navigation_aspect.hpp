@@ -124,40 +124,30 @@ class NavigationAspect {
       const xlink::TraversalGraph& graph,
       const NavigationAspectOptions& options = {});
 
-  /// From a *contextual* linkbase (build_context_linkbase): arcs keep
-  /// their nav:context tags, so tour anchors appear only on pages composed
-  /// inside the matching navigational context.
+  /// From a *contextual* linkbase (core::draft_context_linkbase's text):
+  /// arcs keep their nav:context tags, so tour anchors appear only on
+  /// pages composed inside the matching navigational context.
   [[nodiscard]] static std::shared_ptr<aop::Aspect> from_contextual_linkbase(
       const xlink::TraversalGraph& graph,
-      const NavigationAspectOptions& options = {});
-
-  /// One aspect covering a whole navigation design: the access structure's
-  /// linkbase plus any number of contextual linkbases. Registering a
-  /// single aspect (instead of one per linkbase) keeps all anchors inside
-  /// one container div and one advice invocation per page.
-  [[nodiscard]] static std::shared_ptr<aop::Aspect> combined(
-      const xlink::TraversalGraph& structure_graph,
-      const std::vector<const xlink::TraversalGraph*>& context_graphs,
       const NavigationAspectOptions& options = {});
 };
 
 /// A traversal graph labeled with the site path of the linkbase it was
-/// loaded from — the provenance unit of the combined arc table.
+/// loaded from — the provenance unit of combined_nav_arcs.
 struct SourcedGraph {
   std::string source;  // e.g. "links.xml", "links-byauthor.xml"
   const xlink::TraversalGraph* graph = nullptr;
 };
 
-/// Materialize the combined NavArc set of several linkbases in order,
-/// tagging every arc with its source linkbase and its ordinal among that
-/// linkbase's arcs leaving the same page. Per page, not per linkbase: a
-/// page re-weaves only when its arc slice changes, so an edit elsewhere
-/// in the linkbase must not shift the ordinals its stored provenance
-/// names — (source, page, ordinal) keeps naming one authored arc.
-/// The engine makes one chunk per linkbase of it (make_arc_chunk);
-/// weaving those chunks through NavigationAspect::from_contextual_arcs
-/// gives exactly what NavigationAspect::combined would, but with
-/// provenance attached.
+/// Materialize the combined NavArc set of several loaded linkbases in
+/// order, tagging every arc with its source linkbase and its ordinal
+/// among that linkbase's arcs leaving the same page. Per page, not per
+/// linkbase: a page re-weaves only when its arc slice changes, so an edit
+/// elsewhere in the linkbase must not shift the ordinals its stored
+/// provenance names — (source, page, ordinal) keeps naming one authored
+/// arc. The XLink processor's reading of a linkbase, for linkbases navsep
+/// did not author; core::expand_linkbase reads the ones it authors the
+/// same way from their drafts.
 [[nodiscard]] std::vector<NavArc> combined_nav_arcs(
     const std::vector<SourcedGraph>& graphs);
 

@@ -91,11 +91,30 @@ std::vector<AccessArc> Menu::arcs() const {
   return out;
 }
 
+namespace {
+
+/// Refuse an arc with an empty endpoint: its linkbase arc would carry an
+/// empty xlink:from or xlink:to, which XLink 1.0 §5.1.3 reads as every
+/// labeled endpoint of the link, not as one node.
+void require_endpoints(std::string_view caller, std::size_t index,
+                       const AccessArc& arc) {
+  if (!arc.from.empty() && !arc.to.empty()) return;
+  throw SemanticError(std::string(caller) + ": arc " + std::to_string(index) +
+                      " has an empty " + (arc.from.empty() ? "from" : "to") +
+                      " (an empty XLink label names every endpoint)");
+}
+
+}  // namespace
+
 std::unique_ptr<MaterializedStructure> MaterializedStructure::snapshot(
     const AccessStructure& structure) {
+  std::vector<AccessArc> arcs = structure.arcs();
+  for (std::size_t i = 0; i < arcs.size(); ++i) {
+    require_endpoints("MaterializedStructure::snapshot", i, arcs[i]);
+  }
   return std::make_unique<MaterializedStructure>(
       structure.name(), structure.kind(), structure.members(),
-      structure.arcs(), structure.entry());
+      std::move(arcs), structure.entry());
 }
 
 void MaterializedStructure::replace_arc(std::size_t index, AccessArc arc) {
@@ -104,6 +123,7 @@ void MaterializedStructure::replace_arc(std::size_t index, AccessArc arc) {
                         std::to_string(index) + " out of range (have " +
                         std::to_string(arcs_.size()) + " arcs)");
   }
+  require_endpoints("MaterializedStructure::replace_arc", index, arc);
   arcs_[index] = std::move(arc);
 }
 

@@ -171,7 +171,8 @@ class MaterializedStructure final : public AccessStructure {
 
   /// Freeze another structure's current members/arcs/entry. Kind-specific
   /// behavior (Menu sub-structures, tour circularity) is flattened into
-  /// the materialized arc set.
+  /// the materialized arc set. Throws navsep::SemanticError when an arc
+  /// has an empty from or to (see replace_arc).
   [[nodiscard]] static std::unique_ptr<MaterializedStructure> snapshot(
       const AccessStructure& structure);
 
@@ -186,8 +187,10 @@ class MaterializedStructure final : public AccessStructure {
     return arcs_;
   }
 
-  /// Replace the arc at `index`. Throws navsep::SemanticError when out of
-  /// range.
+  /// Replace the arc at `index`. Throws navsep::SemanticError, leaving
+  /// the arcs as they were, when out of range or when the arc's from or
+  /// to is empty: a linkbase arc with an empty label joins every endpoint
+  /// of the link (XLink 1.0 §5.1.3), not one node.
   void replace_arc(std::size_t index, AccessArc arc);
 
  private:

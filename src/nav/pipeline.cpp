@@ -9,8 +9,6 @@
 #include "core/renderer.hpp"
 #include "repl/publisher.hpp"
 #include "serve/concurrent_server.hpp"
-#include "xml/parser.hpp"
-#include "xml/serializer.hpp"
 
 namespace navsep::nav {
 
@@ -437,7 +435,7 @@ bool Engine::sync_linkbases() {
       }
     }
     linkbases_.push_back(LinkbaseRecord{
-        name, site::context_linkbase_path(name), kind, nullptr, {}, nullptr});
+        name, site::context_linkbase_path(name), kind, {}, nullptr});
   };
   for (const RouteProgram& program : route_programs_) {
     if (program.compile == RouteCompile::Aot) {
@@ -545,33 +543,32 @@ std::uint64_t Engine::install_linkbase(const std::string& path) {
       linkbases_.begin(), linkbases_.end(),
       [&](const LinkbaseRecord& r) { return r.path == path; });
   if (record == linkbases_.end()) return 0;
-  // The only per-kind step: where the document comes from.
-  site::SiteBuildOptions site_options;
-  site_options.site_base = site_base_;
-  core::LinkbaseOptions lb = site::separated_linkbase_options(site_options);
-  lb.base_uri = site_base_ + path;
-  std::unique_ptr<xml::Document> doc;
-  switch (record->kind) {
-    case LinkbaseKind::Structure:
-      doc = core::build_linkbase(*structure_, lb);
-      break;
-    case LinkbaseKind::Family:
-      // Family records follow the structure record in families_ order.
-      doc = core::build_context_linkbase(
-          families_[static_cast<std::size_t>(record - linkbases_.begin()) -
-                    1],
-          *nav_, lb);
-      break;
-    case LinkbaseKind::Route:
-      doc = core::build_context_linkbase(route_family(record->name), *nav_,
-                                         lb);
-      break;
-    case LinkbaseKind::Landmark:
-      doc = core::build_context_linkbase(landmark_family(record->name),
-                                         *nav_, lb);
-      break;
-  }
-  std::string text = xml::write(*doc, {.pretty = true});
+  const core::LinkbaseOptions lb =
+      site::separated_linkbase_options(site_base_, path);
+  // The only per-kind step: which producer drafts the linkbase. The
+  // draft views the family it was drafted from, so a route expansion or
+  // landmark ranking lives as long as the draft does.
+  std::optional<hypermedia::ContextFamily> generated;
+  const core::LinkbaseDraft draft = [&] {
+    switch (record->kind) {
+      case LinkbaseKind::Family:
+        // Family records follow the structure record in families_ order.
+        return core::draft_context_linkbase(
+            families_[static_cast<std::size_t>(record - linkbases_.begin()) -
+                      1],
+            *nav_, lb);
+      case LinkbaseKind::Route:
+        return core::draft_context_linkbase(
+            generated.emplace(route_family(record->name)), *nav_, lb);
+      case LinkbaseKind::Landmark:
+        return core::draft_context_linkbase(
+            generated.emplace(landmark_family(record->name)), *nav_, lb);
+      case LinkbaseKind::Structure:
+        break;
+    }
+    return core::draft_linkbase(*structure_, structure_->stored_arcs(), lb);
+  }();
+  std::string text = core::write_linkbase(draft);
   const std::uint64_t hash = hash_bytes(text);
   if (const std::string* current = site_.get(path);
       current != nullptr && *current == text) {
@@ -580,16 +577,10 @@ std::uint64_t Engine::install_linkbase(const std::string& path) {
   // Derive what the arc table reads from this record into locals, then
   // commit with no-throw moves: a throw before the commit leaves the
   // record and the site text as they were (and this node dirty).
-  xlink::TraversalGraph graph = core::load_linkbase(*doc);
-  std::shared_ptr<const core::ArcChunk> chunk =
-      core::make_arc_chunk(path, core::combined_nav_arcs({{path, &graph}}));
+  core::LinkbaseArcs arcs = core::expand_linkbase(draft, path);
   site_.put(path, std::move(text));
-  // The old document must die only after graph_ stops pointing into it:
-  // the changed hash propagates into this run's arc-table rebuild, and
-  // nothing dereferences graph_ before that.
-  record->doc = std::move(doc);
-  record->graph = std::move(graph);
-  record->chunk = std::move(chunk);
+  record->graph = std::move(arcs.graph);
+  record->chunk = std::move(arcs.chunk);
   return hash;
 }
 
@@ -812,8 +803,9 @@ RebuildReport Engine::set_access_structure(
   }
   // Capture the Menu sub-structure shape BEFORE materializing flattens
   // it away — this is where a constructed Menu becomes mutable.
+  auto snapshot = hypermedia::MaterializedStructure::snapshot(*structure);
   adopt_structure_shape(*structure);
-  structure_ = hypermedia::MaterializedStructure::snapshot(*structure);
+  structure_ = std::move(snapshot);
   return run_graph_after_mutation();
 }
 
@@ -888,19 +880,8 @@ RebuildReport Engine::retitle_node(std::string_view node_id,
 
 RebuildReport Engine::replace_arc(std::size_t index,
                                   hypermedia::AccessArc arc) {
-  materialized_spec().replace_arc(index, std::move(arc));
+  structure_->replace_arc(index, std::move(arc));
   return run_graph_after_mutation();
-}
-
-hypermedia::MaterializedStructure& Engine::materialized_spec() {
-  auto* spec =
-      dynamic_cast<hypermedia::MaterializedStructure*>(structure_.get());
-  if (spec == nullptr) {
-    auto snapshot = hypermedia::MaterializedStructure::snapshot(*structure_);
-    spec = snapshot.get();
-    structure_ = std::move(snapshot);
-  }
-  return *spec;
 }
 
 RebuildReport Engine::regenerate_structure(
@@ -924,10 +905,11 @@ RebuildReport Engine::regenerate_structure(
     structure_ = hypermedia::MaterializedStructure::snapshot(*regenerate_menu());
     return run_graph_after_mutation();
   }
-  auto regenerated = hypermedia::make_access_structure(
-      kind, structure_->name(), std::move(members));
+  auto regenerated = hypermedia::MaterializedStructure::snapshot(
+      *hypermedia::make_access_structure(kind, structure_->name(),
+                                         std::move(members)));
   menu_subs_.clear();  // the structure is no longer a Menu
-  structure_ = hypermedia::MaterializedStructure::snapshot(*regenerated);
+  structure_ = std::move(regenerated);
   return run_graph_after_mutation();
 }
 
@@ -989,13 +971,18 @@ std::vector<std::string> Engine::desired_page_ids() const {
 }
 
 std::uint64_t Engine::rebuild_spec() {
-  std::uint64_t h = hash_bytes(structure_->name());
-  h = hash_combine(h, static_cast<std::uint64_t>(structure_->kind()));
+  // The page set is a function of the name (the structure page) and the
+  // member ids, keyed on the same walk (see page_set_).
+  const std::uint64_t name = hash_bytes(structure_->name());
+  std::uint64_t h = hash_combine(name, static_cast<std::uint64_t>(structure_->kind()));
+  std::uint64_t pages = name;
   for (const auto& member : structure_->members()) {
-    h = hash_str(h, member.node_id);
-    h = hash_str(h, member.title);
+    const std::uint64_t id = hash_bytes(member.node_id);
+    h = hash_str(hash_combine(h, id), member.title);
+    pages = hash_combine(pages, id);
   }
-  for (const auto& arc : structure_->arcs()) {
+  page_set_ = pages;
+  for (const auto& arc : structure_->stored_arcs()) {
     h = hash_str(h, arc.from);
     h = hash_str(h, arc.to);
     h = hash_str(h, arc.role);
@@ -1042,8 +1029,12 @@ std::uint64_t Engine::rebuild_arc_table() {
   // compositions carrying their context tag), so its slice is each
   // chunk's woven hash for it, combined in merge order. A weave that
   // throws leaves its page and the ones after it unwoven and this node
-  // dirty, so the next run weaves exactly those.
-  sync_pages();
+  // dirty, so the next run weaves exactly those. Pages join or retire
+  // only when the structure's name or member ids moved.
+  if (synced_page_set_ != page_set_) {
+    sync_pages();
+    synced_page_set_ = page_set_;
+  }
   for (auto& [page_id, woven] : woven_at_) {
     std::uint64_t current = core::kEmptySliceHash;
     for (const std::shared_ptr<const core::ArcChunk>& chunk : arc_chunks_) {
@@ -1231,7 +1222,11 @@ std::unique_ptr<Engine> SitePipeline::serve(std::string_view base) {
   engine->owned_world_ = std::move(m.owned_world);
   engine->world_ = m.world;
   engine->nav_ = std::move(m.nav);
-  engine->structure_ = std::move(m.structure);
+  // Capture Menu sub specs so sub-level mutations can regenerate the
+  // Menu, then hold the structure materialized: arc edits replace its
+  // stored arcs, and the linkbase producer reads them in place.
+  engine->adopt_structure_shape(*m.structure);
+  engine->structure_ = hypermedia::MaterializedStructure::snapshot(*m.structure);
   engine->families_ = std::move(m.families);
   engine->site_base_ = with_trailing_slash(base);
 
@@ -1241,16 +1236,12 @@ std::unique_ptr<Engine> SitePipeline::serve(std::string_view base) {
   site::author_fixed_artifacts(engine->site_, *engine->world_);
   engine->linkbases_.push_back(Engine::LinkbaseRecord{
       "", std::string(kStructureLinkbasePath), Engine::LinkbaseKind::Structure,
-      nullptr, {}, nullptr});
+      {}, nullptr});
   for (const auto& family : engine->families_) {
     engine->linkbases_.push_back(Engine::LinkbaseRecord{
         family.name(), site::context_linkbase_path(family.name()),
-        Engine::LinkbaseKind::Family, nullptr, {}, nullptr});
+        Engine::LinkbaseKind::Family, {}, nullptr});
   }
-
-  // Capture Menu sub specs so sub-level mutations can regenerate the
-  // Menu.
-  engine->adopt_structure_shape(*engine->structure_);
   engine->wire_graph();
   (void)engine->build_graph_.run();
   engine->publish_snapshot();  // epoch 1: the initially built site

@@ -14,7 +14,7 @@
 //
 // The returned Engine owns everything the pipeline produced — conceptual
 // world, navigational model, access structure, context families, woven
-// VirtualSite, server, linkbase documents and their traversal graph —
+// VirtualSite, server, authored linkbases and their traversal graph —
 // with one lifetime instead of five raw-pointer-aliased locals.
 // Applications see it through the role interfaces of roles.hpp
 // (navigator() / session()); the framework — custom aspects, mutations,
@@ -50,7 +50,6 @@
 #include "site/session.hpp"
 #include "site/virtual_site.hpp"
 #include "xlink/traversal.hpp"
-#include "xml/dom.hpp"
 
 namespace navsep::repl {
 class Publisher;
@@ -253,8 +252,9 @@ class Engine final {
 
   /// The authored arc set as currently materialized (index space of
   /// replace_arc).
-  [[nodiscard]] std::vector<hypermedia::AccessArc> authored_arcs() const {
-    return structure_->arcs();
+  [[nodiscard]] const std::vector<hypermedia::AccessArc>& authored_arcs()
+      const noexcept {
+    return structure_->stored_arcs();
   }
 
   // --- the family namespace ---------------------------------------------------
@@ -467,16 +467,13 @@ class Engine final {
 
   /// Bring woven_at_ in step with desired_page_ids(): new pages enter
   /// unwoven; retired pages leave with their artifact and provenance.
+  /// The arc-table rebuild runs it only when page_set_ moved.
   void sync_pages();
 
   /// Compose page `page_id` through weaver_, record the anchors the
   /// aspect logged into weave_provenance_ as its provenance, and install
   /// the text unless it is unchanged.
   void weave_page(const std::string& page_id);
-
-  /// Snapshot structure_ into a MaterializedStructure (idempotent) so
-  /// arc-level edits have a mutable substrate.
-  hypermedia::MaterializedStructure& materialized_spec();
 
   /// Regenerate the structure from `kind` over `members` (a Menu from
   /// menu_subs_ instead), then run the graph — the shared tail of the
@@ -522,29 +519,29 @@ class Engine final {
 
   // --- linkbase records ---------------------------------------------------------
 
-  /// Where a linkbase record's document comes from: core::build_linkbase
-  /// over the structure, or core::build_context_linkbase over a context
+  /// Which producer drafts a linkbase record: core::draft_linkbase over
+  /// the structure, or core::draft_context_linkbase over a context
   /// family, a route expansion or the landmark picks.
   enum class LinkbaseKind { Structure, Family, Route, Landmark };
 
   /// One linkbase the engine authors (DESIGN.md, "Generated linkbases").
   /// Every kind shares one author-and-install step and one graph sync;
-  /// only how the document is produced differs.
+  /// only which producer drafts it differs. Both derived members are
+  /// replaced only when the text changes.
   struct LinkbaseRecord {
     std::string name;  // family/route/landmark name; "" for the structure
     std::string path;  // site path, also the NavArc::source of its arcs
     LinkbaseKind kind = LinkbaseKind::Structure;
-    std::unique_ptr<xml::Document> doc;  // null until first authored
-    xlink::TraversalGraph graph;         // points into doc
-    /// The arcs of `graph`; null until first authored, replaced only
-    /// when the text changes, shared by the arc table and snapshots.
+    xlink::TraversalGraph graph;  // what the XLink processor reads back
+    /// Its navigation arcs; null until first authored, shared by the arc
+    /// table and snapshots.
     std::shared_ptr<const core::ArcChunk> chunk;
   };
 
-  /// Author linkbase `path`'s document, serialize and hash it, and only
-  /// when the text changed reload the record's graph, build its chunk and
-  /// install the text — the one author-and-install step every record
-  /// kind shares. The Linkbase build-graph node's rebuild.
+  /// Draft linkbase `path` from the model, write and hash its text, and
+  /// only when the text changed expand the draft into the record's graph
+  /// and chunk and install the text — the one author-and-install step
+  /// every record kind shares. The Linkbase build-graph node's rebuild.
   [[nodiscard]] std::uint64_t install_linkbase(const std::string& path);
 
   /// The record named `name` of kind `kind`, or null.
@@ -602,7 +599,8 @@ class Engine final {
   std::unique_ptr<museum::MuseumWorld> owned_world_;
   const museum::MuseumWorld* world_ = nullptr;
   std::optional<hypermedia::NavigationalModel> nav_;
-  std::unique_ptr<hypermedia::AccessStructure> structure_;
+  /// Materialized from serve() on: arc edits replace its stored arcs.
+  std::unique_ptr<hypermedia::MaterializedStructure> structure_;
   std::vector<hypermedia::ContextFamily> families_;
   std::string site_base_;
   /// Where the navigation aspect in weaver_ logs the anchors of the
@@ -613,12 +611,9 @@ class Engine final {
   mutable aop::Weaver weaver_;
   site::VirtualSite site_;
 
-  // Parsed linkbases, in merge order: the structure, the context families
-  // (weave order), AOT routes (registration order), then landmark
-  // families (base first). graph_ points into their documents, so they
-  // are declared first (destroyed last). A document is only replaced
-  // when its serialized text actually changed, which keeps graph element
-  // pointers valid across no-op rebuilds.
+  // Authored linkbases, in merge order: the structure, the context
+  // families (weave order), AOT routes (registration order), then
+  // landmark families (base first).
   std::vector<LinkbaseRecord> linkbases_;
 
   /// Registered route programs (the routes() view). Aot routes also own
@@ -666,6 +661,11 @@ class Engine final {
   /// until it is woven. rebuild() resets them all, and the arc-table
   /// rebuild re-weaves every page whose entry differs from its slice.
   std::map<std::string, std::optional<std::uint64_t>, std::less<>> woven_at_;
+  /// Hash of the structure's name and member ids, the inputs of
+  /// desired_page_ids(), as of the last spec rebuild; woven_at_'s page
+  /// set was last synced at synced_page_set_.
+  std::uint64_t page_set_ = 0;
+  std::optional<std::uint64_t> synced_page_set_;
   /// Pages the graph run in flight has re-woven (run_graph_now reports it).
   std::size_t pages_rewoven_ = 0;
   std::map<std::string, std::vector<core::AnchorProvenance>, std::less<>>

@@ -12,8 +12,6 @@
 #include "uri/uri.hpp"
 #include "xlink/model.hpp"
 #include "xml/dom.hpp"
-#include "xml/parser.hpp"
-#include "xml/serializer.hpp"
 
 namespace navsep::serve {
 
@@ -284,35 +282,22 @@ std::shared_ptr<const SiteSnapshot::RouteSlice> SiteSnapshot::lazy_route_slice(
       entry->program.name, nav::parse_route(entry->program.expression),
       authored);
 
-  // Author the linkbase through THE context-linkbase producer (the same
-  // call the engine's AOT rebuild makes), then round-trip it through the
-  // parser like the weave path does — both sides' arc values come from
-  // the authored bytes, so they cannot drift.
-  core::LinkbaseOptions lb;
-  lb.base_uri = base_ + entry->source;
-  lb.data_href = [](std::string_view id) {
-    return core::default_href_for(id);
-  };
-  lb.structure_href = [](std::string_view id) {
-    return core::default_href_for(id);
-  };
+  // Draft the linkbase through THE context-linkbase producer (the one
+  // the engine's AOT rebuild calls), then write its text and expand its
+  // chunk from that one draft, as the engine does.
   const auto& titles = route_table_->titles;
-  std::unique_ptr<xml::Document> doc = core::build_context_linkbase(
+  const core::LinkbaseDraft draft = core::draft_context_linkbase(
       family,
       [&titles](std::string_view id) {
         auto it = titles.find(id);
         return it == titles.end() ? std::string(id) : it->second;
       },
-      lb);
+      site::separated_linkbase_options(base_, entry->source));
 
   auto slice = std::make_shared<RouteSlice>();
   slice->token = nav::route_token(entry->program);
-  slice->text =
-      std::make_shared<const std::string>(xml::write(*doc, {.pretty = true}));
-  std::unique_ptr<xml::Document> parsed = xml::parse(*slice->text);
-  xlink::TraversalGraph graph = core::load_linkbase(*parsed);
-  slice->chunk = core::make_arc_chunk(
-      entry->source, core::combined_nav_arcs({{entry->source, &graph}}));
+  slice->text = std::make_shared<const std::string>(core::write_linkbase(draft));
+  slice->chunk = core::expand_linkbase(draft, entry->source).chunk;
 
   std::lock_guard<std::mutex> lock(route_mutex_);
   auto [it, inserted] = route_slices_.emplace(std::string(name), slice);

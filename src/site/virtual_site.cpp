@@ -1,9 +1,8 @@
 #include "site/virtual_site.hpp"
 
 #include "aop/weaver.hpp"
+#include "core/linkbase.hpp"
 #include "core/navigation_aspect.hpp"
-#include "xml/parser.hpp"
-#include "xml/serializer.hpp"
 
 namespace navsep::site {
 
@@ -69,16 +68,14 @@ std::string context_linkbase_path(std::string_view family_name) {
   return out + ".xml";
 }
 
-core::LinkbaseOptions separated_linkbase_options(
-    const SiteBuildOptions& options) {
+core::LinkbaseOptions separated_linkbase_options(std::string_view site_base,
+                                                 std::string_view path) {
   core::LinkbaseOptions lb;
-  lb.base_uri = options.site_base + std::string(kStructureLinkbasePath);
+  lb.base_uri = std::string(site_base) + std::string(path);
   lb.data_href = [](std::string_view id) {
     return core::default_href_for(id);
   };
-  lb.structure_href = [](std::string_view id) {
-    return core::default_href_for(id);
-  };
+  lb.structure_href = lb.data_href;
   return lb;
 }
 
@@ -97,44 +94,37 @@ VirtualSite build_separated_site(const museum::MuseumWorld& world,
   VirtualSite out;
   author_fixed_artifacts(out, world);
 
-  // Authored: the linkbase.
-  core::LinkbaseOptions lb = separated_linkbase_options(options);
-  auto linkbase = core::build_linkbase(structure, lb);
-  out.put(std::string(kStructureLinkbasePath),
-          xml::write(*linkbase, {.pretty = true}));
-
-  // Authored: one contextual linkbase per requested family. The parsed
-  // documents must outlive the graphs (arc origins point into them) until
-  // the combined aspect below has copied the arcs out.
+  // Authored: the linkbase, then one contextual linkbase per requested
+  // family. Each is drafted once: its text is the artifact, and its
+  // chunk carries its arcs (the families' tagged tours) to the weave.
+  core::ArcChunks chunks;
+  const auto author = [&](const core::LinkbaseDraft& draft, std::string path) {
+    out.put(path, core::write_linkbase(draft));
+    chunks.push_back(core::expand_linkbase(draft, std::move(path)).chunk);
+  };
+  const std::vector<hypermedia::AccessArc> arcs = structure.arcs();
+  author(core::draft_linkbase(structure, arcs,
+                              separated_linkbase_options(
+                                  options.site_base, kStructureLinkbasePath)),
+         std::string(kStructureLinkbasePath));
   hypermedia::NavigationalModel nav = world.derive_navigation();
-  std::vector<std::unique_ptr<xml::Document>> context_docs;
-  std::vector<xlink::TraversalGraph> context_graphs;
+  core::NavigationAspectOptions aspect_options;
   for (const hypermedia::ContextFamily* family : options.context_families) {
     if (family == nullptr) continue;
-    core::LinkbaseOptions clb = lb;
-    clb.base_uri = options.site_base + context_linkbase_path(family->name());
-    context_docs.push_back(core::build_context_linkbase(*family, nav, clb));
-    context_graphs.push_back(core::load_linkbase(*context_docs.back()));
-    out.put(context_linkbase_path(family->name()),
-            xml::write(*context_docs.back(), {.pretty = true}));
-  }
-
-  // Derived: the woven pages. One combined aspect carries the structure's
-  // arcs plus every context family's tagged tours.
-  aop::Weaver weaver;
-  std::vector<const xlink::TraversalGraph*> context_graph_ptrs;
-  context_graph_ptrs.reserve(context_graphs.size());
-  for (const auto& g : context_graphs) context_graph_ptrs.push_back(&g);
-  core::NavigationAspectOptions aspect_options;
-  if (options.weave_context_tours) {
-    for (const hypermedia::ContextFamily* family : options.context_families) {
-      if (family != nullptr) {
-        aspect_options.woven_context_families.push_back(family->name());
-      }
+    const std::string path = context_linkbase_path(family->name());
+    author(core::draft_context_linkbase(
+               *family, nav, separated_linkbase_options(options.site_base, path)),
+           path);
+    if (options.weave_context_tours) {
+      aspect_options.woven_context_families.push_back(family->name());
     }
   }
-  weaver.register_aspect(core::NavigationAspect::combined(
-      core::load_linkbase(*linkbase), context_graph_ptrs, aspect_options));
+
+  // Derived: the woven pages. One aspect carries the structure's arcs
+  // plus every context family's tagged tours.
+  aop::Weaver weaver;
+  weaver.register_aspect(core::NavigationAspect::from_contextual_arcs(
+      std::move(chunks), aspect_options));
   core::SeparatedComposer composer(weaver);
   for (auto& page : composer.compose_site(nav, structure)) {
     out.put(std::move(page.path), std::move(page.content));

@@ -93,13 +93,13 @@ inline constexpr std::string_view kStructureLinkbasePath = "links.xml";
 /// Site path of a context family's linkbase ("links-byauthor.xml").
 [[nodiscard]] std::string context_linkbase_path(std::string_view family_name);
 
-/// The linkbase synthesis options the separated builder authors links.xml
-/// with: site-level navigation runs between the *rendered pages*, so
-/// locator hrefs point at the HTML resources. Exposed so the incremental
-/// engine re-authors byte-identical linkbases when it rebuilds one node
-/// of its graph.
+/// The linkbase synthesis options the separated builder authors the
+/// linkbase at site path `path` with: base URI `site_base` + `path`, and
+/// locator hrefs at the *rendered pages*, since site-level navigation runs
+/// between them. Shared with the engine and the snapshots, so every
+/// linkbase they author is byte-identical to a full build's.
 [[nodiscard]] core::LinkbaseOptions separated_linkbase_options(
-    const SiteBuildOptions& options);
+    std::string_view site_base, std::string_view path);
 
 /// Put the separated site's navigation-independent authored artifacts —
 /// the data XML documents, presentation.xsl, museum.css — into `out`.

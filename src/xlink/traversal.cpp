@@ -4,6 +4,7 @@
 #include <iterator>
 #include <ranges>
 #include <set>
+#include <unordered_map>
 
 #include "uri/uri.hpp"
 #include "xlink/processor.hpp"
@@ -163,16 +164,18 @@ const xml::Element* DocumentRegistry::resolve(std::string_view u) const {
 
 TraversalGraph::TraversalGraph(std::vector<Arc> arcs)
     : arcs_(std::move(arcs)) {
-  for (std::size_t i = 0; i < arcs_.size(); ++i) index_arc(i);
-}
-
-void TraversalGraph::index_arc(std::size_t i) {
-  const Arc& a = arcs_[i];
-  if (!a.from.uri.empty()) {
-    by_from_[normalize_ref(a.from.uri)].push_back(i);
-  }
-  if (!a.to.uri.empty()) {
-    by_to_[normalize_ref(a.to.uri)].push_back(i);
+  // A linkbase names each resource in many arcs: normalize each distinct
+  // endpoint URI once (the views point into arcs_, which stays put).
+  std::unordered_map<std::string_view, std::string> normalized;
+  const auto key = [&normalized](const std::string& uri) -> const std::string& {
+    auto [it, fresh] = normalized.try_emplace(uri);
+    if (fresh) it->second = normalize_ref(uri);
+    return it->second;
+  };
+  for (std::size_t i = 0; i < arcs_.size(); ++i) {
+    const Arc& a = arcs_[i];
+    if (!a.from.uri.empty()) by_from_[key(a.from.uri)].push_back(i);
+    if (!a.to.uri.empty()) by_to_[key(a.to.uri)].push_back(i);
   }
 }
 

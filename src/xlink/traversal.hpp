@@ -82,7 +82,8 @@ class DocumentRegistry {
 /// Lookups are served by a per-source index: each distinct normalized
 /// endpoint URI maps to the (document-ordered) arc indices departing /
 /// arriving there, so `outgoing()` is one map probe — no full-arc-list
-/// scan and no per-call sort.
+/// scan and no per-call sort. Building it normalizes each distinct
+/// endpoint URI once.
 class TraversalGraph {
  public:
   TraversalGraph() = default;
@@ -120,8 +121,6 @@ class TraversalGraph {
   void merge(const TraversalGraph& other);
 
  private:
-  void index_arc(std::size_t i);
-
   std::vector<Arc> arcs_;
   // Per-source / per-target index: indices are inserted in increasing
   // order, so every bucket stays sorted in linkbase document order.

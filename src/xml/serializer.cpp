@@ -19,6 +19,11 @@ std::string escape_text(std::string_view s) {
 std::string escape_attribute(std::string_view s) {
   std::string out;
   out.reserve(s.size());
+  append_escaped_attribute(out, s);
+  return out;
+}
+
+void append_escaped_attribute(std::string& out, std::string_view s) {
   for (char c : s) {
     switch (c) {
       case '&': out += "&amp;"; break;
@@ -30,7 +35,6 @@ std::string escape_attribute(std::string_view s) {
       default: out.push_back(c);
     }
   }
-  return out;
 }
 
 namespace {
@@ -92,7 +96,7 @@ class Writer {
       out_ += ' ';
       out_ += a.name.qualified();
       out_ += "=\"";
-      out_ += escape_attribute(a.value);
+      append_escaped_attribute(out_, a.value);
       out_ += '"';
     }
     if (e.children().empty()) {

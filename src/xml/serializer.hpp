@@ -35,4 +35,7 @@ struct WriteOptions {
 /// Escape an attribute value (&, <, ", and control whitespace).
 [[nodiscard]] std::string escape_attribute(std::string_view s);
 
+/// Append escape_attribute(s) to `out`.
+void append_escaped_attribute(std::string& out, std::string_view s);
+
 }  // namespace navsep::xml

@@ -274,6 +274,44 @@ TEST(IncrementalEngine, ReplaceArcReweavesExactlyOnePage) {
   expect_sites_identical(engine->site(), full_build_oracle(*engine));
 }
 
+TEST(IncrementalEngine, ArcWithAnEmptyEndpointIsRefusedUnchanged) {
+  // An empty xlink:to names every locator of the link (XLink 1.0
+  // §5.1.3): written out, the index page's first entry would become an
+  // entry for every page of the site. The engine refuses such an arc, or
+  // a structure holding one, before any state moves.
+  auto engine = paper_engine(hm::AccessStructureKind::Index);
+  const std::uint64_t epoch = engine->snapshots().epoch();
+  const std::vector<navsep::core::Artifact> before = engine->site().artifacts();
+  std::vector<std::pair<std::string, std::string>> served;
+  for (const auto& [path, bytes] : before) {
+    const site::Response r = engine->server().get(path);
+    ASSERT_TRUE(r.ok()) << path;
+    served.emplace_back(path, *r.body);
+  }
+  const hm::AccessArc first = engine->authored_arcs()[0];
+
+  hm::AccessArc to_every = first;
+  to_every.to.clear();
+  EXPECT_THROW((void)engine->replace_arc(0, to_every), navsep::SemanticError);
+  hm::AccessArc from_every = first;
+  from_every.from.clear();
+  EXPECT_THROW((void)engine->replace_arc(0, from_every), navsep::SemanticError);
+  EXPECT_THROW((void)engine->set_access_structure(std::make_unique<hm::Index>(
+                   "picasso", std::vector<hm::Member>{{"", "Nobody"}})),
+               navsep::SemanticError);
+
+  EXPECT_EQ(engine->snapshots().epoch(), epoch);
+  EXPECT_EQ(engine->authored_arcs()[0].to, first.to);
+  EXPECT_EQ(engine->authored_arcs()[0].from, first.from);
+  EXPECT_EQ(engine->structure().kind(), hm::AccessStructureKind::Index);
+  EXPECT_EQ(engine->site().artifacts(), before);
+  for (const auto& [path, bytes] : served) {
+    const site::Response r = engine->server().get(path);
+    ASSERT_TRUE(r.ok()) << path;
+    EXPECT_EQ(*r.body, bytes) << path;
+  }
+}
+
 TEST(IncrementalEngine, RetitleNodeReweavesOnlyReferencingPages) {
   auto engine = paper_engine(hm::AccessStructureKind::IndexedGuidedTour);
   // Retitling the middle member (guernica) changes anchors on: the index

@@ -33,6 +33,19 @@ class ContextLinkbaseTest : public ::testing::Test {
         std::make_unique<hm::ContextFamily>(world_->by_movement(*nav_));
   }
 
+  /// The family's linkbase as the XLink processor sees it: the
+  /// producer's text, parsed under the default base URI.
+  std::unique_ptr<navsep::xml::Document> context_linkbase(
+      const hm::ContextFamily& family) const {
+    const core::LinkbaseOptions options;
+    navsep::xml::ParseOptions parse;
+    parse.base_uri = options.base_uri;
+    return navsep::xml::parse(
+        core::write_linkbase(
+            core::draft_context_linkbase(family, *nav_, options)),
+        parse);
+  }
+
   std::unique_ptr<MuseumWorld> world_;
   std::unique_ptr<hm::NavigationalModel> nav_;
   std::unique_ptr<hm::ContextFamily> by_author_;
@@ -42,7 +55,7 @@ class ContextLinkbaseTest : public ::testing::Test {
 }  // namespace
 
 TEST_F(ContextLinkbaseTest, OneExtendedLinkPerContext) {
-  auto doc = core::build_context_linkbase(*by_author_, *nav_);
+  auto doc = context_linkbase(*by_author_);
   auto links = navsep::xlink::extract(*doc);
   EXPECT_EQ(links.extended.size(), by_author_->contexts().size());
   for (const auto& issue : navsep::xlink::validate(links)) {
@@ -52,7 +65,7 @@ TEST_F(ContextLinkbaseTest, OneExtendedLinkPerContext) {
 }
 
 TEST_F(ContextLinkbaseTest, ArcsCarryContextTags) {
-  auto doc = core::build_context_linkbase(*by_author_, *nav_);
+  auto doc = context_linkbase(*by_author_);
   auto graph = core::load_linkbase(*doc);
   auto arcs = core::combined_nav_arcs({{"", &graph}});
   ASSERT_FALSE(arcs.empty());
@@ -66,7 +79,7 @@ TEST_F(ContextLinkbaseTest, ArcsCarryContextTags) {
 }
 
 TEST_F(ContextLinkbaseTest, RoundTripsThroughSerialization) {
-  auto doc = core::build_context_linkbase(*by_movement_, *nav_);
+  auto doc = context_linkbase(*by_movement_);
   std::string text = navsep::xml::write(*doc, {.pretty = true});
   navsep::xml::ParseOptions opts;
   opts.base_uri = doc->base_uri();
@@ -81,8 +94,8 @@ TEST_F(ContextLinkbaseTest, RoundTripsThroughSerialization) {
 TEST_F(ContextLinkbaseTest, WovenTourAnchorsAreContextDependent) {
   // Combine BOTH families into one weaver; each page shows only the tour
   // of the context it is composed in.
-  auto author_doc = core::build_context_linkbase(*by_author_, *nav_);
-  auto movement_doc = core::build_context_linkbase(*by_movement_, *nav_);
+  auto author_doc = context_linkbase(*by_author_);
+  auto movement_doc = context_linkbase(*by_movement_);
   auto graph = core::load_linkbase(*author_doc);
   graph.merge(core::load_linkbase(*movement_doc));
 
@@ -110,7 +123,7 @@ TEST_F(ContextLinkbaseTest, WovenTourAnchorsAreContextDependent) {
 }
 
 TEST_F(ContextLinkbaseTest, ContextInsensitiveOptionShowsEverything) {
-  auto doc = core::build_context_linkbase(*by_author_, *nav_);
+  auto doc = context_linkbase(*by_author_);
   core::NavigationAspectOptions options;
   options.context_sensitive = false;
   navsep::aop::Weaver weaver;
@@ -124,7 +137,7 @@ TEST_F(ContextLinkbaseTest, ContextInsensitiveOptionShowsEverything) {
 }
 
 TEST_F(ContextLinkbaseTest, LocatorTitlesComeFromTheModel) {
-  auto doc = core::build_context_linkbase(*by_author_, *nav_);
+  auto doc = context_linkbase(*by_author_);
   const navsep::xml::Element* first_tour =
       doc->root()->first_child_element();
   ASSERT_NE(first_tour, nullptr);

@@ -11,15 +11,21 @@
 // through the same code path.
 #pragma once
 
+#include <functional>
 #include <map>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/arc_chunk.hpp"
+#include "core/linkbase.hpp"
 #include "nav/pipeline.hpp"
 #include "nav/profile.hpp"
 #include "serve/concurrent_server.hpp"
 #include "site/virtual_site.hpp"
+#include "xlink/traversal.hpp"
+#include "xml/dom.hpp"
 
 namespace navsep::testing {
 
@@ -72,5 +78,28 @@ fold_woven_hashes(const std::vector<core::NavArc>& arcs);
 /// slice and woven hashes.
 void expect_same_chunks(const core::ArcChunks& want,
                         const core::ArcChunks& got);
+
+/// Assert `got` serves `want`'s traversal: the same resource URIs, and
+/// for each the same outgoing arcs in order, field by field (each
+/// endpoint's is_local, uri, label, role and title; arcrole, title, show
+/// and actuate).
+void expect_same_traversal(const xlink::TraversalGraph& want,
+                           const xlink::TraversalGraph& got);
+
+// The element-by-element DOM authoring every linkbase had before the
+// producers of core/linkbase.hpp, kept as their reference: the
+// producers' text must equal these documents pretty-printed, and their
+// arcs what the XLink processor reads back from that text.
+
+/// The access structure's linkbase document, built element by element.
+[[nodiscard]] std::unique_ptr<xml::Document> reference_linkbase(
+    const hypermedia::AccessStructure& structure,
+    const core::LinkbaseOptions& options = {});
+
+/// A context family's linkbase document, built element by element.
+[[nodiscard]] std::unique_ptr<xml::Document> reference_context_linkbase(
+    const hypermedia::ContextFamily& family,
+    const std::function<std::string(std::string_view node_id)>& title_of,
+    const core::LinkbaseOptions& options = {});
 
 }  // namespace navsep::testing

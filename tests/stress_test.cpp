@@ -448,25 +448,8 @@ void expect_arc_state_matches_served_linkbases(const nav::Engine& engine,
   }
 
   // The engine's arc table, field by field, for every resource URI.
-  const xlink::TraversalGraph& table = engine.arc_table();
-  ASSERT_EQ(table.resource_uris(), merged.resource_uris());
-  const auto endpoint = [](const xlink::Endpoint& e) {
-    return std::tie(e.is_local, e.uri, e.label, e.role, e.title);
-  };
-  for (const std::string& uri : merged.resource_uris()) {
-    const std::vector<const xlink::Arc*> got = table.outgoing(uri);
-    const std::vector<const xlink::Arc*> want = merged.outgoing(uri);
-    ASSERT_EQ(got.size(), want.size()) << uri;
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ(endpoint(got[i]->from), endpoint(want[i]->from)) << uri;
-      EXPECT_EQ(endpoint(got[i]->to), endpoint(want[i]->to)) << uri;
-      EXPECT_EQ(std::tie(got[i]->arcrole, got[i]->title, got[i]->show,
-                         got[i]->actuate),
-                std::tie(want[i]->arcrole, want[i]->title, want[i]->show,
-                         want[i]->actuate))
-          << uri;
-    }
-  }
+  ASSERT_NO_FATAL_FAILURE(
+      navsep::testing::expect_same_traversal(merged, engine.arc_table()));
 }
 
 // What the engine derives per linkbase record (arcs, arc hashes, overlay

@@ -442,6 +442,25 @@ void expect_normalize_once_equivalence(const std::string& a_text,
   EXPECT_EQ(merged.resource_uris(),
             std::vector<std::string>(endpoints.begin(), endpoints.end()));
 
+  // 2b. Each bucket of the built graph holds exactly the arcs whose
+  // endpoint normalizes to its key, in document order, however many
+  // spellings of that key its arcs use.
+  for (const std::string& uri : endpoints) {
+    std::vector<std::size_t> from;
+    std::vector<std::size_t> to;
+    for (std::size_t i = 0; i < built.arcs().size(); ++i) {
+      const xl::Arc& arc = built.arcs()[i];
+      if (!arc.from.uri.empty() && xl::normalize_ref(arc.from.uri) == uri) {
+        from.push_back(i);
+      }
+      if (!arc.to.uri.empty() && xl::normalize_ref(arc.to.uri) == uri) {
+        to.push_back(i);
+      }
+    }
+    EXPECT_EQ(positions(built, built.outgoing(uri)), from) << uri;
+    EXPECT_EQ(positions(built, built.incoming(uri)), to) << uri;
+  }
+
   // 3. The snapshot capture equals the walk normalizing every endpoint.
   std::map<std::string, std::vector<navsep::serve::SnapshotArc>, std::less<>>
       walked;
@@ -510,6 +529,24 @@ TEST(NormalizeOnce, Fragment) {
                     {{"d", "g", "nav:index-entry"}, {"g", "d", "nav:up"}}),
       "http://museum.example/data/more.xml",
       {"http://museum.example/data/picasso.xml#guitar"});
+}
+
+TEST(NormalizeOnce, OneEndpointSpelledTwoWays) {
+  // "g" and "G" locate one resource: both spellings' arcs share one
+  // bucket, in document order, in each graph and across the merge.
+  expect_normalize_once_equivalence(
+      linkbase_text({{"i", "index.xml"},
+                     {"g", "picasso.xml"},
+                     {"G", "HTTP://MUSEUM.example/data/./pic%61sso.xml"}},
+                    {{"g", "i", "nav:up"},
+                     {"i", "G", "nav:index-entry"},
+                     {"G", "i", "nav:next"},
+                     {"i", "g", "nav:prev"}}),
+      "http://museum.example/data/links.xml",
+      linkbase_text({{"p", "../data/picasso.xml"}, {"i", "index.xml"}},
+                    {{"p", "i", "nav:up"}, {"i", "p", "nav:next"}}),
+      "http://museum.example/data/more.xml",
+      {"http://museum.example/data/picasso.xml"});
 }
 
 TEST(NormalizeOnce, LocalResourceWithoutUri) {
