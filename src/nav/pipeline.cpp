@@ -801,8 +801,10 @@ RebuildReport Engine::set_access_structure(
   if (structure == nullptr) {
     throw SemanticError("Engine::set_access_structure: null structure");
   }
-  // Capture the Menu sub-structure shape BEFORE materializing flattens
-  // it away — this is where a constructed Menu becomes mutable.
+  // Materialize first (a structure holding an arc with an empty endpoint
+  // is refused before any state moves), then capture the Menu
+  // sub-structure shape from the unflattened original — this is where a
+  // constructed Menu becomes mutable.
   auto snapshot = hypermedia::MaterializedStructure::snapshot(*structure);
   adopt_structure_shape(*structure);
   structure_ = std::move(snapshot);
