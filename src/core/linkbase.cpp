@@ -1,13 +1,10 @@
 #include "core/linkbase.hpp"
 
-#include <algorithm>
-#include <numeric>
-#include <ranges>
-#include <span>
 #include <unordered_map>
 #include <utility>
 
 #include "uri/uri.hpp"
+#include "xlink/model.hpp"
 #include "xml/parser.hpp"
 #include "xml/serializer.hpp"
 
@@ -32,6 +29,30 @@ bool is_structure_page(std::string_view id) {
   return id.rfind("index:", 0) == 0;
 }
 
+/// Reads expanded arcs as the NavArcs of one linkbase, `source`, by
+/// combined_nav_arcs's rule.
+struct NavArcReader {
+  std::string source;
+  std::unordered_map<std::string, std::string> ids;  // URI -> node id
+  std::unordered_map<std::string_view, std::size_t> next_ordinal;
+
+  void read(const xlink::Arc& arc, std::string_view context,
+            std::vector<NavArc>& out) {
+    if (!arc.arcrole.starts_with(kNavArcrolePrefix)) return;
+    const std::string& from = id_of(arc.from.uri);
+    out.push_back(NavArc{from, id_of(arc.to.uri),
+                         arc.arcrole.substr(kNavArcrolePrefix.size()),
+                         arc.title, std::string(context), source,
+                         next_ordinal[from]++});
+  }
+
+  const std::string& id_of(const std::string& uri) {
+    auto [it, fresh] = ids.try_emplace(uri);
+    if (fresh) it->second = node_id_for(uri);
+    return it->second;
+  }
+};
+
 }  // namespace
 
 LinkbaseDraft draft_linkbase(const hypermedia::AccessStructure& structure,
@@ -44,23 +65,24 @@ LinkbaseDraft draft_linkbase(const hypermedia::AccessStructure& structure,
     }
     return options.data_href ? options.data_href(id) : default_data_href(id);
   };
-  LinkbaseDraft draft;
-  draft.base_uri = options.base_uri;
+  xlink::ExtendedLink link;
+  link.role = to_string(structure.kind());
+  link.title = structure.name();
   const std::vector<hypermedia::Member>& members = structure.members();
-  draft.locators.reserve(members.size() + 1);
-  draft.arcs.reserve(arcs.size());
+  link.locators.reserve(members.size() + 1);
+  link.arcs.reserve(arcs.size());
   // Locators: members first (stable, human-friendly order; a member
   // listed twice keeps its first position and its last title), then
   // every other arc endpoint, titled by its id.
   std::unordered_map<std::string_view, std::size_t> located;
   located.reserve(members.size() + 1);
-  const auto locate = [&](std::string_view id, std::string_view title,
+  const auto locate = [&](const std::string& id, const std::string& title,
                           bool member) {
-    auto [at, fresh] = located.try_emplace(id, draft.locators.size());
+    auto [at, fresh] = located.try_emplace(id, link.locators.size());
     if (fresh) {
-      draft.locators.push_back({href_of(id), id, title});
+      link.locators.push_back({nullptr, href_of(id), id, {}, title});
     } else if (member) {
-      draft.locators[at->second].title = title;
+      link.locators[at->second].title = title;
     }
   };
   for (const hypermedia::Member& m : members) locate(m.node_id, m.title, true);
@@ -68,10 +90,12 @@ LinkbaseDraft draft_linkbase(const hypermedia::AccessStructure& structure,
   for (const hypermedia::AccessArc& a : arcs) {
     locate(a.from, a.from, false);
     locate(a.to, a.to, false);
-    draft.arcs.push_back({a.from, a.to, a.role, {}, a.title});
+    link.arcs.push_back({nullptr, a.from, a.to,
+                         std::string(kNavArcrolePrefix) + a.role, a.title,
+                         xlink::Show::Replace, xlink::Actuate::OnRequest});
   }
-  draft.links.push_back({to_string(structure.kind()), structure.name(),
-                         draft.locators.size(), draft.arcs.size()});
+  LinkbaseDraft draft{false, options.base_uri, {}};
+  draft.links.push_back(std::move(link));
   return draft;
 }
 
@@ -79,26 +103,25 @@ LinkbaseDraft draft_context_linkbase(
     const hypermedia::ContextFamily& family,
     const std::function<std::string(std::string_view node_id)>& title_of,
     const LinkbaseOptions& options) {
-  LinkbaseDraft draft;
-  draft.tours = true;
-  draft.base_uri = options.base_uri;
+  LinkbaseDraft draft{true, options.base_uri, {}};
+  draft.links.reserve(family.contexts().size());
   for (const hypermedia::NavigationalContext& ctx : family.contexts()) {
+    xlink::ExtendedLink& link = draft.links.emplace_back();
+    link.role = "GuidedTour";
+    link.title = ctx.qualified_name();
     const std::vector<std::string>& ids = ctx.node_ids();
-    const std::size_t first = draft.locators.size();
     for (const std::string& id : ids) {
-      draft.locators.push_back(
-          {options.data_href ? options.data_href(id) : default_data_href(id),
-           id, draft.owned.emplace_back(title_of(id))});
+      link.locators.push_back(
+          {nullptr,
+           options.data_href ? options.data_href(id) : default_data_href(id),
+           id, {}, title_of(id)});
     }
     for (std::size_t i = 0; i + 1 < ids.size(); ++i) {
-      draft.arcs.push_back({ids[i], ids[i + 1], hypermedia::roles::kNext,
-                            "Next: ", draft.locators[first + i + 1].title});
-      draft.arcs.push_back({ids[i + 1], ids[i], hypermedia::roles::kPrev,
-                            "Previous: ", draft.locators[first + i].title});
+      link.arcs.push_back({nullptr, ids[i], ids[i + 1], "nav:next",
+                           "Next: " + link.locators[i + 1].title});
+      link.arcs.push_back({nullptr, ids[i + 1], ids[i], "nav:prev",
+                           "Previous: " + link.locators[i].title});
     }
-    draft.links.push_back({"GuidedTour",
-                           draft.owned.emplace_back(ctx.qualified_name()),
-                           draft.locators.size(), draft.arcs.size()});
   }
   return draft;
 }
@@ -116,15 +139,18 @@ LinkbaseDraft draft_context_linkbase(const hypermedia::ContextFamily& family,
 }
 
 std::string write_linkbase(const LinkbaseDraft& draft) {
+  std::size_t size = 256;
+  for (const xlink::ExtendedLink& link : draft.links) {
+    size += 160 * link.locators.size() + 224 * link.arcs.size();
+  }
   std::string out;
-  out.reserve(256 + 160 * draft.locators.size() + 224 * draft.arcs.size());
-  const auto attribute = [&out](std::string_view name, std::string_view head,
-                                std::string_view tail = {}) {
+  out.reserve(size);
+  const auto attribute = [&out](std::string_view name,
+                                std::string_view value) {
     out += ' ';
     out += name;
     out += "=\"";
-    xml::append_escaped_attribute(out, head);
-    xml::append_escaped_attribute(out, tail);
+    xml::append_escaped_attribute(out, value);
     out += '"';
   };
   out += "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n<links";
@@ -136,22 +162,19 @@ std::string write_linkbase(const LinkbaseDraft& draft) {
   }
   out += '>';
   const std::string_view element = draft.tours ? "tour" : "structure";
-  std::size_t locator = 0;
-  std::size_t arc = 0;
-  for (const LinkbaseDraft::Link& link : draft.links) {
+  for (const xlink::ExtendedLink& link : draft.links) {
     out += "\n  <";
     out += element;
     attribute("xlink:type", "extended");
     attribute("xlink:role", link.role);
     attribute("xlink:title", link.title);
     if (draft.tours) attribute("nav:context", link.title);
-    if (locator == link.locators_end && arc == link.arcs_end) {
+    if (link.locators.empty() && link.arcs.empty()) {
       out += "/>";
       continue;
     }
     out += '>';
-    for (; locator < link.locators_end; ++locator) {
-      const LinkbaseDraft::Locator& l = draft.locators[locator];
+    for (const xlink::Locator& l : link.locators) {
       out += "\n    <loc";
       attribute("xlink:type", "locator");
       attribute("xlink:href", l.href);
@@ -159,19 +182,19 @@ std::string write_linkbase(const LinkbaseDraft& draft) {
       attribute("xlink:title", l.title);
       out += "/>";
     }
-    for (; arc < link.arcs_end; ++arc) {
-      const LinkbaseDraft::Arc& a = draft.arcs[arc];
+    for (const xlink::ArcSpec& a : link.arcs) {
       out += "\n    <go";
       attribute("xlink:type", "arc");
       attribute("xlink:from", a.from);
       attribute("xlink:to", a.to);
-      attribute("xlink:arcrole", kNavArcrolePrefix, a.role);
-      attribute("xlink:title", a.title_prefix, a.title);
-      if (draft.tours) {
-        attribute("nav:context", link.title);
-      } else {
-        attribute("xlink:show", "replace");
-        attribute("xlink:actuate", "onRequest");
+      attribute("xlink:arcrole", a.arcrole);
+      attribute("xlink:title", a.title);
+      if (draft.tours) attribute("nav:context", link.title);
+      if (a.show != xlink::Show::Unspecified) {
+        attribute("xlink:show", xlink::to_string(a.show));
+      }
+      if (a.actuate != xlink::Actuate::Unspecified) {
+        attribute("xlink:actuate", xlink::to_string(a.actuate));
       }
       out += "/>";
     }
@@ -184,87 +207,56 @@ std::string write_linkbase(const LinkbaseDraft& draft) {
 }
 
 LinkbaseArcs expand_linkbase(const LinkbaseDraft& draft, std::string source) {
-  // Each locator's resolved URI and node id, computed once.
-  const std::size_t n = draft.locators.size();
-  const uri::Uri base = n == 0 ? uri::Uri{} : uri::parse(draft.base_uri);
-  std::vector<std::string> uris;
-  std::vector<std::string> ids;
-  uris.reserve(n);
-  ids.reserve(n);
-  for (const LinkbaseDraft::Locator& l : draft.locators) {
-    uris.push_back(l.href.empty()
-                       ? std::string()
-                       : uri::resolve(base, uri::parse(l.href)).to_string());
-    ids.push_back(node_id_for(uris.back()));
-  }
-  // Ordinals count the arcs leaving one node across the whole linkbase.
-  std::unordered_map<std::string_view, std::size_t> next_ordinal;
-  const xlink::Show show =
-      draft.tours ? xlink::Show::Unspecified : xlink::Show::Replace;
-  const xlink::Actuate actuate =
-      draft.tours ? xlink::Actuate::Unspecified : xlink::Actuate::OnRequest;
-  const auto endpoint = [&](std::size_t i) {
-    const LinkbaseDraft::Locator& l = draft.locators[i];
-    return xlink::Endpoint{false,         nullptr, uris[i], std::string(l.label),
-                           std::string(), std::string(l.title)};
-  };
-  std::vector<xlink::Arc> expanded;
+  std::size_t specs = 0;
+  for (const xlink::ExtendedLink& link : draft.links) specs += link.arcs.size();
+  std::vector<xlink::Arc> arcs;
+  arcs.reserve(specs);
   std::vector<NavArc> nav;
-  expanded.reserve(draft.arcs.size());
-  nav.reserve(draft.arcs.size());
-  std::vector<std::size_t> in_order;  // the link's locators, document order
-  std::vector<std::size_t> by_label;  // the same, stably sorted by label
-  const auto label_of = [&draft](std::size_t i) {
-    return draft.locators[i].label;
-  };
-  std::size_t first_locator = 0;
-  std::size_t arc = 0;
-  for (const LinkbaseDraft::Link& link : draft.links) {
-    in_order.resize(link.locators_end - first_locator);
-    std::iota(in_order.begin(), in_order.end(), first_locator);
-    first_locator = link.locators_end;
-    by_label = in_order;
-    std::ranges::stable_sort(by_label, {}, label_of);
-    const auto labeled = [&](std::string_view label) {
-      if (label.empty()) return std::span<const std::size_t>(in_order);
-      return std::span<const std::size_t>(
-          std::ranges::equal_range(by_label, label, {}, label_of));
-    };
-    const std::string_view context = draft.tours ? link.title : "";
-    for (; arc < link.arcs_end; ++arc) {
-      const LinkbaseDraft::Arc& spec = draft.arcs[arc];
-      std::string arcrole(kNavArcrolePrefix);
-      arcrole += spec.role;
-      std::string title(spec.title_prefix);
-      title += spec.title;
-      for (const std::size_t from : labeled(spec.from)) {
-        for (const std::size_t to : labeled(spec.to)) {
-          if (from == to) continue;  // a resource to itself is inert
-          expanded.push_back(xlink::Arc{endpoint(from), endpoint(to), arcrole,
-                                        title, show, actuate, nullptr});
-          nav.push_back(NavArc{ids[from], ids[to], std::string(spec.role),
-                               title, std::string(context), std::string(),
-                               next_ordinal[ids[from]]++});
-        }
-      }
+  nav.reserve(specs);
+  NavArcReader reader{source, {}, {}};
+  for (const xlink::ExtendedLink& link : draft.links) {
+    const std::size_t first = arcs.size();
+    xlink::expand_arcs(link, draft.base_uri, arcs);
+    const std::string_view context =
+        draft.tours ? std::string_view(link.title) : std::string_view();
+    for (std::size_t i = first; i < arcs.size(); ++i) {
+      reader.read(arcs[i], context, nav);
     }
   }
   return LinkbaseArcs{make_arc_chunk(std::move(source), std::move(nav)),
-                      xlink::TraversalGraph(std::move(expanded))};
+                      xlink::TraversalGraph(std::move(arcs))};
 }
 
 std::unique_ptr<xml::Document> build_linkbase(
     const hypermedia::AccessStructure& structure,
     const LinkbaseOptions& options) {
-  const std::vector<hypermedia::AccessArc> arcs = structure.arcs();
   xml::ParseOptions parse;
   parse.base_uri = options.base_uri;
-  return xml::parse(write_linkbase(draft_linkbase(structure, arcs, options)),
-                    parse);
+  return xml::parse(
+      write_linkbase(draft_linkbase(structure, structure.arcs(), options)),
+      parse);
 }
 
 xlink::TraversalGraph load_linkbase(const xml::Document& doc) {
   return xlink::TraversalGraph::from_linkbase(doc);
+}
+
+std::vector<NavArc> combined_nav_arcs(const std::vector<SourcedGraph>& graphs) {
+  std::vector<NavArc> nav;
+  for (const SourcedGraph& sg : graphs) {
+    if (sg.graph == nullptr) continue;
+    NavArcReader reader{sg.source, {}, {}};
+    for (const xlink::Arc& arc : sg.graph->arcs()) {
+      reader.read(arc,
+                  arc.origin == nullptr
+                      ? std::string_view()
+                      : arc.origin->attribute_ns(kNavExtensionNamespace,
+                                                 "context")
+                            .value_or(""),
+                  nav);
+    }
+  }
+  return nav;
 }
 
 std::string node_id_for(std::string_view u) {

@@ -9,18 +9,18 @@
 // exactly that.
 //
 // Each linkbase shape has one producer, which reads the model and emits
-// the linkbase's locators and arcs in document order as a LinkbaseDraft:
-// draft_linkbase for an access structure, draft_context_linkbase for a
-// context family (families, route expansions and landmark picks alike).
-// Two consumers read a draft, so the text and the arcs derived from it
-// come from one source without a DOM in between: write_linkbase prints
-// the text every served linkbase is, and expand_linkbase derives the arc
-// chunk and traversal graph an XLink processor would read back from that
-// text. load_linkbase and combined_nav_arcs (navigation_aspect.hpp) are
-// that processor's path, kept for linkbases navsep did not author.
+// the linkbase as a LinkbaseDraft, XLink extended links in document
+// order: draft_linkbase for an access structure, draft_context_linkbase
+// for a context family (families, route expansions and landmark picks
+// alike). Two consumers read a draft, so the text and the arcs derived
+// from it come from one source without a DOM in between: write_linkbase
+// prints the text every served linkbase is, and expand_linkbase runs
+// the XLink processor's own expansion (xlink::expand_arcs) and NavArc
+// reading (combined_nav_arcs's) over it. load_linkbase and
+// combined_nav_arcs reach the same two steps from a parsed document, for
+// linkbases navsep did not author.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -57,47 +57,26 @@ struct LinkbaseOptions {
   std::function<std::string(std::string_view page_id)> structure_href;
 };
 
-/// One linkbase as its producer emits it: its extended links with their
-/// locators and arcs in document order, holding the value of every
-/// attribute the text carries. Views point into the model the producer
-/// read and into `owned`, so a draft must not outlive that model.
+/// One linkbase as its producer emits it: XLink extended links whose
+/// locators and arcs, in document order, hold the value of every
+/// attribute the text carries, with no element behind them. Arcroles
+/// carry kNavArcrolePrefix; a structure arc is show="replace" and
+/// actuate="onRequest", a tour arc leaves both unspecified.
 struct LinkbaseDraft {
-  struct Locator {
-    std::string href;         ///< as written, relative to base_uri
-    std::string_view label;   ///< the node id
-    std::string_view title;
-  };
-  struct Arc {
-    std::string_view from;  ///< a locator label; "" names every locator
-    std::string_view to;
-    std::string_view role;  ///< the arcrole after kNavArcrolePrefix
-    std::string_view title_prefix;  ///< written just before `title`
-    std::string_view title;
-  };
-  struct Link {
-    std::string_view role;   ///< xlink:role
-    std::string_view title;  ///< xlink:title; a tour's nav:context too
-    std::size_t locators_end = 0;  ///< one past its last locator
-    std::size_t arcs_end = 0;      ///< one past its last arc
-  };
-
-  /// A context linkbase: <tour> links whose arcs carry nav:context (the
-  /// link's title). Otherwise one <structure> link whose arcs carry
-  /// xlink:show="replace" and xlink:actuate="onRequest".
+  /// A context linkbase: <tour> links, each tagged (and each of its arcs
+  /// tagged) with nav:context, the link's title. Otherwise one
+  /// <structure> link.
   bool tours = false;
   std::string base_uri;
-  std::vector<Link> links;
-  std::vector<Locator> locators;
-  std::vector<Arc> arcs;
-  /// Strings the model computes on demand (titles, qualified names).
-  std::deque<std::string> owned;
+  std::vector<xlink::ExtendedLink> links;
 };
 
 /// The access structure's draft: one extended link whose locators cover
 /// every member (first position, last title), then every other arc
 /// endpoint (titled by its id), and whose arcs are `arcs` in order with
-/// arcrole "nav:<role>". `arcs` is the structure's materialized arc set,
-/// read in place (MaterializedStructure::stored_arcs()).
+/// arcrole "nav:<role>". `arcs` is the structure's arc set (the engine
+/// passes MaterializedStructure::stored_arcs(), read in place); the draft
+/// copies what it keeps.
 [[nodiscard]] LinkbaseDraft draft_linkbase(
     const hypermedia::AccessStructure& structure,
     const std::vector<hypermedia::AccessArc>& arcs,
@@ -131,13 +110,10 @@ struct LinkbaseArcs {
   xlink::TraversalGraph graph;
 };
 
-/// Expand the draft's arcs as XLink 1.0 §5.1.3 does: each arc joins every
-/// locator labeled `from` to every locator labeled `to` (an empty label
-/// names every locator of the link), in document order, except a locator
-/// to itself. Each expanded arc's endpoints are the locators' hrefs
-/// resolved against base_uri; its NavArc names them by node_id_for of
-/// those URIs and numbers it among the linkbase's arcs leaving the same
-/// node. Graph arcs point at no element.
+/// Expand each of the draft's links through xlink::expand_arcs against
+/// base_uri, and read the expanded arcs as combined_nav_arcs reads a
+/// loaded graph's, each tagged with its tour's nav:context and numbered
+/// across the whole linkbase. Graph arcs point at no element.
 [[nodiscard]] LinkbaseArcs expand_linkbase(const LinkbaseDraft& draft,
                                            std::string source);
 
@@ -151,6 +127,26 @@ struct LinkbaseArcs {
 /// Load a linkbase document into a traversal graph (the XLink processor:
 /// xlink::TraversalGraph::from_linkbase).
 [[nodiscard]] xlink::TraversalGraph load_linkbase(const xml::Document& doc);
+
+/// A traversal graph labeled with the site path of the linkbase it was
+/// loaded from — the provenance unit of combined_nav_arcs.
+struct SourcedGraph {
+  std::string source;  // e.g. "links.xml", "links-byauthor.xml"
+  const xlink::TraversalGraph* graph = nullptr;
+};
+
+/// The NavArcs of several loaded linkbases in order: each graph's arcs
+/// whose arcrole starts with kNavArcrolePrefix, with endpoint ids by
+/// node_id_for of their URIs, the role after the prefix, the arc's
+/// nav:context attribute, its source linkbase and its ordinal among that
+/// linkbase's arcs leaving the same node. Per page, not per linkbase: a
+/// page re-weaves only when its arc slice changes, so an edit elsewhere
+/// in the linkbase must not shift the ordinals its stored provenance
+/// names — (source, page, ordinal) keeps naming one authored arc.
+/// expand_linkbase reads a draft's arcs by the same rule; this is the
+/// path for linkbases navsep did not author.
+[[nodiscard]] std::vector<NavArc> combined_nav_arcs(
+    const std::vector<SourcedGraph>& graphs);
 
 /// The default resource URI → node id mapping of the readers below: the
 /// fragment, falling back to the last path segment without extension,

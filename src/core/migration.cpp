@@ -20,13 +20,13 @@ std::vector<Artifact> separated_rendered_site(
     const hypermedia::NavigationalModel& model,
     const hypermedia::AccessStructure& structure,
     const MigrationOptions& options) {
-  const std::vector<hypermedia::AccessArc> arcs = structure.arcs();
   aop::Weaver weaver;
   NavigationAspectOptions nav_opts;
   nav_opts.href_for = options.render.href_for;
   weaver.register_aspect(NavigationAspect::from_contextual_arcs(
-      {expand_linkbase(draft_linkbase(structure, arcs, options.linkbase),
-                       "links.xml")
+      {expand_linkbase(
+           draft_linkbase(structure, structure.arcs(), options.linkbase),
+           "links.xml")
            .chunk},
       nav_opts));
 
@@ -40,9 +40,9 @@ std::vector<Artifact> separated_authored_artifacts(
     const hypermedia::AccessStructure& structure,
     const MigrationOptions& options) {
   std::vector<Artifact> out = options.separated_fixed_artifacts;
-  const std::vector<hypermedia::AccessArc> arcs = structure.arcs();
   out.emplace_back("links.xml", write_linkbase(draft_linkbase(
-                                    structure, arcs, options.linkbase)));
+                                    structure, structure.arcs(),
+                                    options.linkbase)));
   return out;
 }
 

@@ -1,7 +1,6 @@
 #include "core/navigation_aspect.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 #include <utility>
 
 #include "common/strings.hpp"
@@ -206,43 +205,6 @@ std::shared_ptr<aop::Aspect> NavigationAspect::from_contextual_linkbase(
     const xlink::TraversalGraph& graph,
     const NavigationAspectOptions& options) {
   return build_aspect(combined_nav_arcs({{"", &graph}}), options);
-}
-
-std::vector<NavArc> combined_nav_arcs(const std::vector<SourcedGraph>& graphs) {
-  // One pass per graph over its nav arcs; each distinct endpoint URI is
-  // mapped to its node id once.
-  std::vector<NavArc> nav;
-  std::unordered_map<std::string_view, std::string> ids;
-  const auto id_of = [&ids](const std::string& uri) -> const std::string& {
-    auto [it, fresh] = ids.try_emplace(uri);
-    if (fresh) it->second = node_id_for(uri);
-    return it->second;
-  };
-  // Next ordinal per source page within the current graph, keyed by the
-  // node id strings `ids` owns.
-  std::unordered_map<std::string_view, std::size_t> next_ordinal;
-  for (const SourcedGraph& sg : graphs) {
-    if (sg.graph == nullptr) continue;
-    next_ordinal.clear();
-    for (const xlink::Arc& arc : sg.graph->arcs()) {
-      if (arc.arcrole.rfind(kNavArcrolePrefix, 0) != 0) continue;
-      const std::string& from = id_of(arc.from.uri);
-      NavArc out{from,
-                 id_of(arc.to.uri),
-                 arc.arcrole.substr(kNavArcrolePrefix.size()),
-                 arc.title,
-                 "",
-                 sg.source,
-                 next_ordinal[from]++};
-      if (arc.origin != nullptr) {
-        out.context = std::string(
-            arc.origin->attribute_ns(kNavExtensionNamespace, "context")
-                .value_or(""));
-      }
-      nav.push_back(std::move(out));
-    }
-  }
-  return nav;
 }
 
 }  // namespace navsep::core

@@ -132,23 +132,4 @@ class NavigationAspect {
       const NavigationAspectOptions& options = {});
 };
 
-/// A traversal graph labeled with the site path of the linkbase it was
-/// loaded from — the provenance unit of combined_nav_arcs.
-struct SourcedGraph {
-  std::string source;  // e.g. "links.xml", "links-byauthor.xml"
-  const xlink::TraversalGraph* graph = nullptr;
-};
-
-/// Materialize the combined NavArc set of several loaded linkbases in
-/// order, tagging every arc with its source linkbase and its ordinal
-/// among that linkbase's arcs leaving the same page. Per page, not per
-/// linkbase: a page re-weaves only when its arc slice changes, so an edit
-/// elsewhere in the linkbase must not shift the ordinals its stored
-/// provenance names — (source, page, ordinal) keeps naming one authored
-/// arc. The XLink processor's reading of a linkbase, for linkbases navsep
-/// did not author; core::expand_linkbase reads the ones it authors the
-/// same way from their drafts.
-[[nodiscard]] std::vector<NavArc> combined_nav_arcs(
-    const std::vector<SourcedGraph>& graphs);
-
 }  // namespace navsep::core

@@ -93,15 +93,13 @@ std::vector<AccessArc> Menu::arcs() const {
 
 namespace {
 
-/// Refuse an arc with an empty endpoint: its linkbase arc would carry an
-/// empty xlink:from or xlink:to, which XLink 1.0 §5.1.3 reads as every
-/// labeled endpoint of the link, not as one node.
-void require_endpoints(std::string_view caller, std::size_t index,
-                       const AccessArc& arc) {
-  if (!arc.from.empty() && !arc.to.empty()) return;
-  throw SemanticError(std::string(caller) + ": arc " + std::to_string(index) +
-                      " has an empty " + (arc.from.empty() ? "from" : "to") +
-                      " (an empty XLink label names every endpoint)");
+/// An arc with an empty from or to would be a linkbase arc with an empty
+/// label, which XLink 1.0 §5.1.3 reads as every endpoint of the link.
+void require_endpoints(const AccessArc& arc, std::size_t index) {
+  if (arc.from.empty() || arc.to.empty()) {
+    throw SemanticError("MaterializedStructure: arc " + std::to_string(index) +
+                        " has an empty from or to");
+  }
 }
 
 }  // namespace
@@ -109,9 +107,7 @@ void require_endpoints(std::string_view caller, std::size_t index,
 std::unique_ptr<MaterializedStructure> MaterializedStructure::snapshot(
     const AccessStructure& structure) {
   std::vector<AccessArc> arcs = structure.arcs();
-  for (std::size_t i = 0; i < arcs.size(); ++i) {
-    require_endpoints("MaterializedStructure::snapshot", i, arcs[i]);
-  }
+  for (std::size_t i = 0; i < arcs.size(); ++i) require_endpoints(arcs[i], i);
   return std::make_unique<MaterializedStructure>(
       structure.name(), structure.kind(), structure.members(),
       std::move(arcs), structure.entry());
@@ -123,7 +119,7 @@ void MaterializedStructure::replace_arc(std::size_t index, AccessArc arc) {
                         std::to_string(index) + " out of range (have " +
                         std::to_string(arcs_.size()) + " arcs)");
   }
-  require_endpoints("MaterializedStructure::replace_arc", index, arc);
+  require_endpoints(arc, index);
   arcs_[index] = std::move(arc);
 }
 

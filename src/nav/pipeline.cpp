@@ -545,10 +545,7 @@ std::uint64_t Engine::install_linkbase(const std::string& path) {
   if (record == linkbases_.end()) return 0;
   const core::LinkbaseOptions lb =
       site::separated_linkbase_options(site_base_, path);
-  // The only per-kind step: which producer drafts the linkbase. The
-  // draft views the family it was drafted from, so a route expansion or
-  // landmark ranking lives as long as the draft does.
-  std::optional<hypermedia::ContextFamily> generated;
+  // The only per-kind step: which producer drafts the linkbase.
   const core::LinkbaseDraft draft = [&] {
     switch (record->kind) {
       case LinkbaseKind::Family:
@@ -558,11 +555,11 @@ std::uint64_t Engine::install_linkbase(const std::string& path) {
                       1],
             *nav_, lb);
       case LinkbaseKind::Route:
-        return core::draft_context_linkbase(
-            generated.emplace(route_family(record->name)), *nav_, lb);
+        return core::draft_context_linkbase(route_family(record->name), *nav_,
+                                            lb);
       case LinkbaseKind::Landmark:
-        return core::draft_context_linkbase(
-            generated.emplace(landmark_family(record->name)), *nav_, lb);
+        return core::draft_context_linkbase(landmark_family(record->name),
+                                            *nav_, lb);
       case LinkbaseKind::Structure:
         break;
     }

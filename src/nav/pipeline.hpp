@@ -252,9 +252,8 @@ class Engine final {
 
   /// The authored arc set as currently materialized (index space of
   /// replace_arc).
-  [[nodiscard]] const std::vector<hypermedia::AccessArc>& authored_arcs()
-      const noexcept {
-    return structure_->stored_arcs();
+  [[nodiscard]] std::vector<hypermedia::AccessArc> authored_arcs() const {
+    return structure_->arcs();
   }
 
   // --- the family namespace ---------------------------------------------------

@@ -102,8 +102,7 @@ VirtualSite build_separated_site(const museum::MuseumWorld& world,
     out.put(path, core::write_linkbase(draft));
     chunks.push_back(core::expand_linkbase(draft, std::move(path)).chunk);
   };
-  const std::vector<hypermedia::AccessArc> arcs = structure.arcs();
-  author(core::draft_linkbase(structure, arcs,
+  author(core::draft_linkbase(structure, structure.arcs(),
                               separated_linkbase_options(
                                   options.site_base, kStructureLinkbasePath)),
          std::string(kStructureLinkbasePath));

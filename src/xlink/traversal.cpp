@@ -4,6 +4,7 @@
 #include <iterator>
 #include <ranges>
 #include <set>
+#include <span>
 #include <unordered_map>
 
 #include "uri/uri.hpp"
@@ -18,82 +19,73 @@ namespace {
 std::vector<Endpoint> all_endpoints(const ExtendedLink& link,
                                     std::string_view base_uri) {
   std::vector<Endpoint> out;
+  out.reserve(link.locators.size() + link.resources.size());
+  const bool any_href = std::ranges::any_of(
+      link.locators, [](const Locator& l) { return !l.href.empty(); });
+  const uri::Uri base = any_href ? uri::parse(base_uri) : uri::Uri{};
   for (const auto& l : link.locators) {
-    Endpoint e;
-    e.is_local = false;
-    e.element = l.element;
-    e.uri = l.href.empty()
-                ? std::string()
-                : uri::resolve(std::string(base_uri), l.href);
-    e.label = l.label;
-    e.role = l.role;
-    e.title = l.title;
-    out.push_back(std::move(e));
+    out.push_back({false, l.element,
+                   l.href.empty()
+                       ? std::string()
+                       : uri::resolve(base, uri::parse(l.href)).to_string(),
+                   l.label, l.role, l.title});
   }
   for (const auto& r : link.resources) {
-    Endpoint e;
-    e.is_local = true;
-    e.element = r.element;
-    e.label = r.label;
-    e.role = r.role;
-    e.title = r.title;
-    out.push_back(std::move(e));
+    out.push_back({true, r.element, std::string(), r.label, r.role, r.title});
   }
   return out;
 }
 
-/// Endpoints bucketed by label, each bucket in document order. An absent
-/// from/to names every endpoint (XLink 1.0 §5.1.3), served by the `all`
-/// list. Built once per link so expansion is O(arcs + endpoints + output)
-/// instead of re-scanning every endpoint per arc (which made large
-/// linkbases quadratic to expand).
+/// Endpoints in document order and stably sorted by label, so each
+/// label's endpoints are one document-ordered range. An absent from/to
+/// names every endpoint (XLink 1.0 §5.1.3), served by the `all` list.
+/// Built once per link so expansion is O(arcs + endpoints log endpoints
+/// + output) instead of re-scanning every endpoint per arc (which made
+/// large linkbases quadratic to expand).
 struct LabelIndex {
-  std::map<std::string_view, std::vector<const Endpoint*>, std::less<>>
-      by_label;
   std::vector<const Endpoint*> all;
+  std::vector<const Endpoint*> by_label;
+
+  static std::string_view label_of(const Endpoint* e) { return e->label; }
 
   explicit LabelIndex(const std::vector<Endpoint>& eps) {
     all.reserve(eps.size());
-    for (const auto& e : eps) {
-      all.push_back(&e);
-      by_label[e.label].push_back(&e);
-    }
+    for (const auto& e : eps) all.push_back(&e);
+    by_label = all;
+    std::ranges::stable_sort(by_label, {}, label_of);
   }
 
-  [[nodiscard]] const std::vector<const Endpoint*>& with_label(
+  [[nodiscard]] std::span<const Endpoint* const> with_label(
       std::string_view label) const {
     if (label.empty()) return all;
-    static const std::vector<const Endpoint*> kEmpty;
-    auto it = by_label.find(label);
-    return it == by_label.end() ? kEmpty : it->second;
+    return std::ranges::equal_range(by_label, label, {}, label_of);
   }
 };
 
 }  // namespace
 
-std::vector<Arc> expand_arcs(const ExtendedLink& link,
-                             std::string_view base_uri) {
-  std::vector<Arc> out;
+void expand_arcs(const ExtendedLink& link, std::string_view base_uri,
+                 std::vector<Arc>& out) {
   std::vector<Endpoint> eps = all_endpoints(link, base_uri);
   const LabelIndex index(eps);
   for (const auto& spec : link.arcs) {
-    const std::vector<const Endpoint*>& froms = index.with_label(spec.from);
-    const std::vector<const Endpoint*>& tos = index.with_label(spec.to);
+    const std::span<const Endpoint* const> froms = index.with_label(spec.from);
+    const std::span<const Endpoint* const> tos = index.with_label(spec.to);
     for (const Endpoint* f : froms) {
       for (const Endpoint* t : tos) {
         if (f == t) continue;  // an arc from a resource to itself is inert
-        Arc a;
-        a.from = *f;
-        a.to = *t;
-        a.arcrole = spec.arcrole;
-        a.title = spec.title;
-        a.show = spec.show;
-        a.actuate = spec.actuate;
-        a.origin = spec.element;
-        out.push_back(std::move(a));
+        out.push_back(Arc{*f, *t, spec.arcrole, spec.title, spec.show,
+                          spec.actuate, spec.element});
       }
     }
   }
+}
+
+std::vector<Arc> expand_arcs(const ExtendedLink& link,
+                             std::string_view base_uri) {
+  std::vector<Arc> out;
+  out.reserve(link.arcs.size());
+  expand_arcs(link, base_uri, out);
   return out;
 }
 
@@ -117,11 +109,7 @@ std::vector<Arc> expand_arcs(const LinkCollection& links,
     a.origin = s.element;
     out.push_back(std::move(a));
   }
-  for (const auto& x : links.extended) {
-    std::vector<Arc> expanded = expand_arcs(x, base_uri);
-    out.insert(out.end(), std::make_move_iterator(expanded.begin()),
-               std::make_move_iterator(expanded.end()));
-  }
+  for (const auto& x : links.extended) expand_arcs(x, base_uri, out);
   return out;
 }
 

@@ -45,6 +45,10 @@ struct Arc {
 [[nodiscard]] std::vector<Arc> expand_arcs(const ExtendedLink& link,
                                            std::string_view base_uri);
 
+/// Same, appending the link's arcs to `out`.
+void expand_arcs(const ExtendedLink& link, std::string_view base_uri,
+                 std::vector<Arc>& out);
+
 /// Expand everything in a collection (simple links yield one arc each,
 /// from the document holding them to their href).
 [[nodiscard]] std::vector<Arc> expand_arcs(const LinkCollection& links,

@@ -265,8 +265,8 @@ void expect_pinned(Edit kind, const Ceilings& ceilings) {
 // ratio}.
 
 TEST(Locality, ArcEditWorkIsPinned) {
-  expect_pinned(Edit::Arc, {.allocations = {187059, 10.40},
-                            .bytes_requested = {15979800, 9.77},
+  expect_pinned(Edit::Arc, {.allocations = {199062, 10.40},
+                            .bytes_requested = {16692601, 9.77},
                             .nodes_rebuilt = {3, 1.0},
                             .pages_rewoven = {1, 1.0},
                             .linkbases_reauthored = {1, 1.0},
@@ -276,8 +276,8 @@ TEST(Locality, ArcEditWorkIsPinned) {
 }
 
 TEST(Locality, RetitleEditWorkIsPinned) {
-  expect_pinned(Edit::Retitle, {.allocations = {219312, 10.30},
-                                .bytes_requested = {19563350, 9.71},
+  expect_pinned(Edit::Retitle, {.allocations = {231313, 10.30},
+                                .bytes_requested = {20276114, 9.71},
                                 .nodes_rebuilt = {3, 1.0},
                                 .pages_rewoven = {3, 1.0},
                                 .linkbases_reauthored = {1, 1.0},
@@ -287,8 +287,8 @@ TEST(Locality, RetitleEditWorkIsPinned) {
 }
 
 TEST(Locality, FamilyEditWorkIsPinned) {
-  expect_pinned(Edit::Family, {.allocations = {170840, 10.63},
-                               .bytes_requested = {13900276, 10.12},
+  expect_pinned(Edit::Family, {.allocations = {179884, 10.59},
+                               .bytes_requested = {14616778, 10.12},
                                .nodes_rebuilt = {2, 1.0},
                                .pages_rewoven = {0, 0},
                                .linkbases_reauthored = {1, 1.0},
